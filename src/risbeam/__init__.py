@@ -16,6 +16,7 @@ from .arrays import (
 )
 from .blockcode import (
     BlockCode,
+    build_identity_code,
     build_plain_code,
     build_reduced_code,
     decode,

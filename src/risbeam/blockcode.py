@@ -110,6 +110,17 @@ def build_plain_code(k: int) -> BlockCode:
     return _assemble(k, parity_rows(m, k), split=None)
 
 
+def build_identity_code(k1: int, k2: Optional[int] = None) -> BlockCode:
+    """Uncoded code [I_k] (n = k, no parity): the hierarchical basis patterns.
+
+    With k2 it is split like the RIS code, (k1, 0, k2, 0), so every layer's
+    pattern varies along one RIS dimension and its design factorizes.
+    """
+    k = k1 + (k2 or 0)
+    split = None if k2 is None else (k1, 0, k2, 0)
+    return _assemble(k, np.zeros((k, 0), dtype=np.uint8), split)
+
+
 def build_reduced_code(k1: int, k2: int) -> BlockCode:
     """Dimension-split code with block-diagonal q = diag(Q_I, Q_II).
 

@@ -88,6 +88,10 @@ class DesignedCodebook:
     def n_layers(self) -> int:
         return len(self.layers)
 
+    def first_layers(self, k: int) -> "DesignedCodebook":
+        """The systematic layers of an [I|Q] codebook: the identity code's codebook."""
+        return DesignedCodebook(self.side, self.layers[:k], self.reports[:k], self.masks[:k])
+
 
 def beam_pattern_matrix(code: BlockCode, n_grid: int, side: str = "ris") -> BeamPatternMatrix:
     """Column j holds the codeword of grid index j; row i is layer i's mask."""

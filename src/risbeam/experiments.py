@@ -3,7 +3,10 @@
 Per-trial channels are seeded independently of the protocol so every protocol
 sees the same channel set at a sweep point; the measurement noise stream is
 seeded per (protocol, sweep point, trial). Codebooks are designed once per
-configuration and reused across trials.
+configuration and reused across trials. Coded and full-coverage hierarchical
+protocols both run through the layered runner ``run_coded``: hierarchical
+training uses identity codes, whose codebooks are the first k layers of the
+coded ones. Only the adaptive hierarchical variant uses the beam provider.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .arrays import ArrayGeometry, make_angle_grid
-from .blockcode import build_plain_code, build_reduced_code
+from .blockcode import build_identity_code, build_plain_code, build_reduced_code
 from .channel import SnrSpec, normalize_channel, sample_channel
 from .codebook import GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook
 from .seeding import derive_rng
@@ -73,6 +76,11 @@ class ExperimentConfig:
             raise ValueError("pilot_grid must be nonempty")
         if not self.protocols:
             raise ValueError("at least one protocol is required")
+        cols = self.n_ris_cols
+        if cols & (cols - 1) and any(_is_layered(p) for p in self.protocols):
+            raise ValueError(
+                f"n_ris_cols={cols} is not a power of two: coded and full-coverage "
+                "hierarchical training pack the RIS (u, w) index into one bit word")
 
     @property
     def geometry(self) -> ArrayGeometry:
@@ -123,20 +131,38 @@ def success_rate(outcomes, ground_truths) -> float:
     return hits / len(outcomes)
 
 
-def _build_coded_assets(cfg: ExperimentConfig, grid):
-    """Codes for both sides, plus designed or ideal codebooks."""
+def _is_layered(proto: ProtocolSpec) -> bool:
+    """Coded and full-coverage hierarchical protocols run through run_coded."""
+    return proto.kind == "coded" or (proto.kind == "hierarchical"
+                                     and proto.hierarchical_variant == "full_coverage")
+
+
+def _design_books(cfg: ExperimentConfig, grid, codes):
     geometry = cfg.geometry
-    code_t = build_plain_code(ceil_log2(geometry.n_bs))
-    code_r = build_reduced_code(ceil_log2(geometry.n_ris_rows),
-                                ceil_log2(geometry.n_ris_cols))
     if cfg.ideal_beams:
-        books = (
-            ideal_codebook(beam_pattern_matrix(code_t, geometry.n_bs, side="bs")),
-            ideal_codebook(beam_pattern_matrix(code_r, geometry.n_ris, side="ris")),
+        return (
+            ideal_codebook(beam_pattern_matrix(codes[0], geometry.n_bs, side="bs")),
+            ideal_codebook(beam_pattern_matrix(codes[1], geometry.n_ris, side="ris")),
         )
-    else:
-        books = build_codebooks(code_t, code_r, grid, geometry, cfg.gs)
-    return (code_t, code_r), books
+    return build_codebooks(*codes, grid, geometry, cfg.gs)
+
+
+def _build_layered_assets(cfg: ExperimentConfig, grid) -> dict:
+    """(codes, codebooks) for run_coded, keyed by protocol kind.
+
+    The identity codes' codebooks are the systematic layers of the coded
+    codebooks, so they are designed on their own only without a coded protocol.
+    """
+    geometry = cfg.geometry
+    k_bs = ceil_log2(geometry.n_bs)
+    k_u, k_w = ceil_log2(geometry.n_ris_rows), ceil_log2(geometry.n_ris_cols)
+    identity = (build_identity_code(k_bs), build_identity_code(k_u, k_w))
+    if not any(p.kind == "coded" for p in cfg.protocols):
+        return {"hierarchical": (identity, _design_books(cfg, grid, identity))}
+    codes = (build_plain_code(k_bs), build_reduced_code(k_u, k_w))
+    books = _design_books(cfg, grid, codes)
+    systematic = tuple(book.first_layers(code.k) for book, code in zip(books, identity))
+    return {"coded": (codes, books), "hierarchical": (identity, systematic)}
 
 
 def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
@@ -150,10 +176,11 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
     narrow = narrow_beam_matrices(grid, geometry)
     eval_snr = SnrSpec(cfg.eval_snr_linear, noiseless=True)
 
-    needs_coded = any(p.kind == "coded" for p in cfg.protocols)
-    codes, books = _build_coded_assets(cfg, grid) if needs_coded else (None, None)
+    layered = {}
+    if any(_is_layered(p) for p in cfg.protocols):
+        layered = _build_layered_assets(cfg, grid)
     provider = None
-    if any(p.kind == "hierarchical" for p in cfg.protocols):
+    if any(p.kind == "hierarchical" and not _is_layered(p) for p in cfg.protocols):
         provider = HierarchicalBeamProvider(geometry, grid, cfg.gs, ideal=cfg.ideal_beams)
 
     sweep_values = cfg.snr_grid_db if cfg.sweep_over == "snr" else cfg.pilot_grid
@@ -180,12 +207,13 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
                     sample_channel(geometry, grid, ch_rng, cfg.sampling_mode))
                 noise_rng = derive_rng(cfg.master_seed, proto.tag, sweep_name,
                                        float(value), trial)
-                if proto.kind == "coded":
+                if _is_layered(proto):
+                    codes, books = layered[proto.kind]
+                    mode = proto.decode_mode if proto.kind == "coded" else "none"
                     outcome = run_coded(ch, books, codes, snr, budget, noise_rng,
-                                        proto.decode_mode, ideal=cfg.ideal_beams)
+                                        mode, ideal=cfg.ideal_beams)
                 elif proto.kind == "hierarchical":
-                    outcome = run_hierarchical(ch, provider, snr, budget, noise_rng,
-                                               variant=proto.hierarchical_variant)
+                    outcome = run_hierarchical(ch, provider, snr, budget, noise_rng)
                 else:
                     outcome = run_exhaustive(ch, grid, geometry, snr, budget,
                                              noise_rng, narrow_beams=narrow)

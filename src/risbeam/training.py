@@ -1,11 +1,13 @@
-"""The three beam-training protocols: exhaustive, hierarchical, and coded.
+"""The beam-training protocols: exhaustive, layered (coded), and adaptive.
 
 All protocols transmit beam tuples, measure one noisy power per tuple in
-transmit order, and map argmax decisions to angle-index estimates. The coded
-protocol sends every layer of the block-coded codebooks and decodes with the
-requested correction mode. The hierarchical baseline transmits the basis
-(stripe) patterns layer by layer over the whole space and reads the index bits
-directly; an adaptive interval-halving variant is available as an option.
+transmit order, and map argmax decisions to angle-index estimates. The layered
+runner ``run_coded`` sends every layer of a block-coded codebook pair and
+decodes with the requested correction mode. Full-coverage hierarchical
+training is the same runner with identity codes (n = k, decode mode "none"):
+its basis stripe patterns are the systematic layers of the coded codebooks.
+The adaptive interval-halving hierarchical variant designs its beams on
+demand through ``HierarchicalBeamProvider`` and runs in ``run_hierarchical``.
 
 Designed codewords are stored in coverage convention and conjugated at
 transmit time; RIS codewords additionally de-rotate the known static RIS-BS
@@ -146,20 +148,24 @@ def run_coded(
     ideal: bool = False,
     inject_flips=(),
 ) -> TrainingOutcome:
-    """Coded beam training: all layers, hard decisions, then block decoding.
+    """Layered beam training: all layers, hard decisions, then block decoding.
 
     The shorter side cycles its layer index beyond its own code length and the
     decoder uses only its first n own-side bits. A budget short of
     4*max(n_t, n_r) truncates the run; missing bits are zero-padded and the
     outcome is flagged. The BS side always decodes its plain code with at most
     one-bit correction; the decoupled two-bit mode applies to the RIS side.
+    With identity codes and decode mode "none" this is full-coverage
+    hierarchical training.
     """
     bs_book, ris_book = books
     code_t, code_r = codes
+    if min(code_t.n, code_r.n) == 0:
+        raise ValueError("layered training needs more than one candidate on each side")
     n_layers = max(code_t.n, code_r.n)
     budget = 4 * n_layers if budget is None else budget
     if budget < 4:
-        raise ValueError("coded training needs a budget of at least 4 pilots")
+        raise ValueError("layered training needs a budget of at least 4 pilots")
     layers_done = min(n_layers, budget // 4)
     flips = set(inject_flips)
 
@@ -197,15 +203,13 @@ def run_coded(
 
 
 class HierarchicalBeamProvider:
-    """Designs and caches the beams the hierarchical protocol asks for.
+    """Designs and caches the beams of adaptive hierarchical training.
 
-    The full-coverage variant uses the basis stripe patterns (the bit-indicator
-    masks of the index bits). The adaptive variant additionally needs beams
-    over prefix-restricted index sets; those are designed on demand. RIS beams
-    are Kronecker products of two 1-D designs, with per-axis caching. Basis
-    layers derive the same random streams as the codebook builder, so the
-    physical basis beams match the systematic layers of a designed codebook
-    built with the same configuration.
+    Each layer needs beams over prefix-restricted index sets, which depend on
+    the decisions so far; they are designed on demand and cached. RIS beams
+    are Kronecker products of two 1-D designs, with per-axis caching.
+    Full-coverage hierarchical training needs no provider: its basis beams are
+    the identity-code codebooks.
     """
 
     def __init__(
@@ -224,13 +228,7 @@ class HierarchicalBeamProvider:
         self.k_w = ceil_log2(geometry.n_ris_cols)
         self._bs_cache: dict = {}
         self._axis_cache: dict = {}
-        self._basis_cache: dict = {}
 
-    @property
-    def k_ris(self) -> int:
-        return self.k_u + self.k_w
-
-    # -- index sets ---------------------------------------------------------
     @staticmethod
     def _prefix_mask(n: int, width: int, bits: tuple[int, ...]) -> np.ndarray:
         indices = np.arange(n)
@@ -238,10 +236,6 @@ class HierarchicalBeamProvider:
         for level, bit in enumerate(bits):
             mask &= ((indices >> (width - 1 - level)) & 1) == bit
         return mask
-
-    @staticmethod
-    def _bit_mask(n: int, width: int, position: int) -> np.ndarray:
-        return (((np.arange(n) >> (width - 1 - position)) & 1) == 1)
 
     # -- BS beams -----------------------------------------------------------
     def _bs_beam(self, mask: np.ndarray, key) -> np.ndarray:
@@ -254,25 +248,16 @@ class HierarchicalBeamProvider:
             self._bs_cache[key] = design_bs_codeword(indices, self.grid, self.geometry)
         return self._bs_cache[key]
 
-    def bs_basis_pair(self, layer: int) -> BeamPair:
-        mask = self._bit_mask(self.geometry.n_bs, self.k_bs, layer)
-        return BeamPair(
-            one=self._bs_beam(mask, ("basis", layer, 1)),
-            zero=self._bs_beam(~mask, ("basis", layer, 0)),
-        )
-
     def bs_adaptive_pair(self, decided: tuple[int, ...]) -> BeamPair:
         n, width = self.geometry.n_bs, self.k_bs
         return BeamPair(
-            one=self._bs_beam(self._prefix_mask(n, width, decided + (1,)),
-                              ("prefix", decided, 1)),
-            zero=self._bs_beam(self._prefix_mask(n, width, decided + (0,)),
-                               ("prefix", decided, 0)),
+            one=self._bs_beam(self._prefix_mask(n, width, decided + (1,)), decided + (1,)),
+            zero=self._bs_beam(self._prefix_mask(n, width, decided + (0,)), decided + (0,)),
         )
 
     def bs_resolved(self, decided: tuple[int, ...]) -> np.ndarray:
         mask = self._prefix_mask(self.geometry.n_bs, self.k_bs, decided)
-        return self._bs_beam(mask, ("prefix", decided))
+        return self._bs_beam(mask, decided)
 
     # -- RIS beams ----------------------------------------------------------
     def _axis_codeword(self, dim: str, mask: np.ndarray, seed_tags) -> np.ndarray:
@@ -293,41 +278,13 @@ class HierarchicalBeamProvider:
         self._axis_cache[key] = beam
         return beam
 
-    def _ris_beam(self, u_mask, w_mask, seed_tags_u, seed_tags_w) -> np.ndarray:
-        if self.ideal:
-            return np.kron(u_mask.astype(float), w_mask.astype(float))
-        return np.kron(
-            self._axis_codeword("u", u_mask, seed_tags_u),
-            self._axis_codeword("w", w_mask, seed_tags_w),
-        )
-
-    def ris_basis_pair(self, layer: int) -> BeamPair:
-        n1, n2 = self.geometry.n_ris_rows, self.geometry.n_ris_cols
-        full_u = np.ones(n1, dtype=bool)
-        full_w = np.ones(n2, dtype=bool)
-        if layer < self.k_u:
-            mask = self._bit_mask(n1, self.k_u, layer)
-            one = self._ris_beam(mask, full_w,
-                                 ("gs", "ris", layer, "one", "u"),
-                                 ("gs", "ris", layer, "one", "w"))
-            zero = self._ris_beam(~mask, full_w,
-                                  ("gs", "ris", layer, "zero", "u"),
-                                  ("gs", "ris", layer, "zero", "w"))
-        else:
-            mask = self._bit_mask(n2, self.k_w, layer - self.k_u)
-            one = self._ris_beam(full_u, mask,
-                                 ("gs", "ris", layer, "one", "u"),
-                                 ("gs", "ris", layer, "one", "w"))
-            zero = self._ris_beam(full_u, ~mask,
-                                  ("gs", "ris", layer, "zero", "u"),
-                                  ("gs", "ris", layer, "zero", "w"))
-        return BeamPair(one=one, zero=zero)
-
     def _ris_prefix_beam(self, u_bits, w_bits) -> np.ndarray:
         u_mask = self._prefix_mask(self.geometry.n_ris_rows, self.k_u, u_bits)
         w_mask = self._prefix_mask(self.geometry.n_ris_cols, self.k_w, w_bits)
-        return self._ris_beam(u_mask, w_mask,
-                              ("hier", "u", u_bits), ("hier", "w", w_bits))
+        if self.ideal:
+            return np.kron(u_mask.astype(float), w_mask.astype(float))
+        return np.kron(self._axis_codeword("u", u_mask, ("hier", "u", u_bits)),
+                       self._axis_codeword("w", w_mask, ("hier", "w", w_bits)))
 
     def ris_adaptive_pair(self, u_bits, w_bits, dim: str) -> BeamPair:
         if dim == "u":
@@ -340,25 +297,6 @@ class HierarchicalBeamProvider:
         return self._ris_prefix_beam(u_bits, w_bits)
 
 
-def _ris_schedule(k_u: int, k_w: int, order: str) -> list[str]:
-    if order == "u_first":
-        return ["u"] * k_u + ["w"] * k_w
-    if order == "w_first":
-        return ["w"] * k_w + ["u"] * k_u
-    if order == "alternate":
-        schedule = []
-        remaining = {"u": k_u, "w": k_w}
-        turn = "u"
-        while remaining["u"] or remaining["w"]:
-            if remaining[turn] == 0:
-                turn = "w" if turn == "u" else "u"
-            schedule.append(turn)
-            remaining[turn] -= 1
-            turn = "w" if turn == "u" else "u"
-        return schedule
-    raise ValueError(f"unknown dimension order {order!r}")
-
-
 def run_hierarchical(
     ch: ChannelRealization,
     designers: HierarchicalBeamProvider,
@@ -366,22 +304,17 @@ def run_hierarchical(
     budget: Optional[int],
     rng: np.random.Generator,
     *,
-    variant: str = "full_coverage",
-    dimension_order: str = "u_first",
     inject_flips=(),
 ) -> TrainingOutcome:
-    """Hierarchical beam training over max(bit length) layers, 4 tuples each.
+    """Adaptive hierarchical beam training over max(bit length) layers, 4 tuples each.
 
-    The default full-coverage variant transmits the fixed basis stripe
-    patterns and reads one index bit per side and layer; a side whose bits are
-    exhausted cycles its basis layers and the extra decisions are ignored. The
-    adaptive variant halves the active index interval per layer (a feedback-based
-    binary search); a resolved side repeats its final narrow
-    beam. There is no error correction; a truncated budget zero-pads the
-    missing bits and flags the outcome.
+    Each layer halves the active index interval of each side (a feedback-based
+    binary search); the RIS resolves its u bits first, then its w bits. A
+    resolved side repeats its final narrow beam. There is no error
+    correction; a truncated budget zero-pads the missing bits and flags the
+    outcome. Full-coverage hierarchical training is ``run_coded`` with
+    identity codes.
     """
-    if variant not in HIERARCHICAL_VARIANTS:
-        raise ValueError(f"unknown hierarchical variant {variant!r}")
     k_bs, k_u, k_w = designers.k_bs, designers.k_u, designers.k_w
     k_ris = k_u + k_w
     n_layers = max(k_bs, k_ris)
@@ -391,30 +324,23 @@ def run_hierarchical(
     if budget < 4:
         raise ValueError("hierarchical training needs a budget of at least 4 pilots")
     layers_done = min(n_layers, budget // 4)
-    schedule = _ris_schedule(k_u, k_w, dimension_order if variant == "adaptive" else "u_first")
     flips = set(inject_flips)
 
     bs_bits: list[int] = []
     u_bits: list[int] = []
     w_bits: list[int] = []
     for layer in range(layers_done):
-        if variant == "full_coverage":
-            bs_pair = designers.bs_basis_pair(layer % k_bs) if k_bs else None
-            ris_pair = designers.ris_basis_pair(layer % k_ris) if k_ris else None
+        if layer < k_bs:
+            bs_pair = designers.bs_adaptive_pair(tuple(bs_bits))
         else:
-            if layer < k_bs:
-                bs_pair = designers.bs_adaptive_pair(tuple(bs_bits))
-            else:
-                beam = designers.bs_resolved(tuple(bs_bits))
-                bs_pair = BeamPair(one=beam, zero=beam)
-            if layer < k_ris:
-                dim = schedule[layer]
-                ris_pair = designers.ris_adaptive_pair(tuple(u_bits), tuple(w_bits), dim)
-            else:
-                beam = designers.ris_resolved(tuple(u_bits), tuple(w_bits))
-                ris_pair = BeamPair(one=beam, zero=beam)
-        if bs_pair is None or ris_pair is None:
-            raise ValueError("degenerate geometry for hierarchical training")
+            beam = designers.bs_resolved(tuple(bs_bits))
+            bs_pair = BeamPair(one=beam, zero=beam)
+        if layer < k_ris:
+            dim = "u" if layer < k_u else "w"
+            ris_pair = designers.ris_adaptive_pair(tuple(u_bits), tuple(w_bits), dim)
+        else:
+            beam = designers.ris_resolved(tuple(u_bits), tuple(w_bits))
+            ris_pair = BeamPair(one=beam, zero=beam)
 
         bt, br = _four_tuple_bits(ch, bs_pair, ris_pair, snr, rng, designers.ideal)
         if (layer, "bs") in flips:
@@ -424,10 +350,7 @@ def run_hierarchical(
         if layer < k_bs:
             bs_bits.append(bt)
         if layer < k_ris:
-            if variant == "full_coverage":
-                (u_bits if layer < k_u else w_bits).append(br)
-            else:
-                (u_bits if schedule[layer] == "u" else w_bits).append(br)
+            (u_bits if layer < k_u else w_bits).append(br)
 
     bs_bits += [0] * (k_bs - len(bs_bits))
     u_bits += [0] * (k_u - len(u_bits))

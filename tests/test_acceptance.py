@@ -11,6 +11,7 @@ import pytest
 
 from risbeam.arrays import ArrayGeometry, make_angle_grid
 from risbeam.blockcode import (
+    build_identity_code,
     build_plain_code,
     build_reduced_code,
     decode,
@@ -25,13 +26,11 @@ from risbeam.codebook import GsConfig, beam_pattern_matrix, build_codebooks, ide
 from risbeam.experiments import ExperimentConfig, export_results, run_sweep
 from risbeam.seeding import derive_rng
 from risbeam.training import (
-    HierarchicalBeamProvider,
     ProtocolSpec,
     achievable_rate,
     grid_transmit_pair,
     noiseless_best_tuple,
     run_coded,
-    run_hierarchical,
 )
 
 SPLIT_Q_8X8 = np.array(
@@ -158,7 +157,11 @@ def test_criterion_07_oracle_end_to_end():
         ideal_codebook(beam_pattern_matrix(codes[0], 8, side="bs")),
         ideal_codebook(beam_pattern_matrix(codes[1], 64, side="ris")),
     )
-    provider = HierarchicalBeamProvider(geometry, grid, GsConfig(seed=1), ideal=True)
+    hier_codes = (build_identity_code(3), build_identity_code(3, 3))
+    hier_books = (
+        ideal_codebook(beam_pattern_matrix(hier_codes[0], 8, side="bs")),
+        ideal_codebook(beam_pattern_matrix(hier_codes[1], 64, side="ris")),
+    )
     snr = SnrSpec(1.0, noiseless=True)
     rng = derive_rng(0, "oracle")
 
@@ -182,7 +185,7 @@ def test_criterion_07_oracle_end_to_end():
             for mode in ("none", "one_bit", "decoupled_two_bit"):
                 out = run_coded(ch, books, codes, snr, None, rng, mode, ideal=True)
                 assert (out.est_bs_index, out.est_ris_index) == (bs_i, ris_i)
-            out = run_hierarchical(ch, provider, snr, None, rng)
+            out = run_coded(ch, hier_books, hier_codes, snr, None, rng, "none", ideal=True)
             assert (out.est_bs_index, out.est_ris_index) == (bs_i, ris_i)
             checked += 1
     assert checked == 512

@@ -179,6 +179,17 @@ def test_infeasible_geometry_reported_before_trials():
         run_sweep(cfg)
 
 
+def test_layered_protocols_need_power_of_two_ris_columns():
+    hierarchical = (ProtocolSpec("hierarchical"),)
+    for protocols in (hierarchical, (ProtocolSpec("coded", "one_bit"),)):
+        with pytest.raises(ValueError, match="n_ris_cols=6"):
+            _tiny_config(n_ris_rows=8, n_ris_cols=6, protocols=protocols)
+    # any row count is representable: 6x8 runs and recovers every oracle tuple
+    results = run_sweep(_tiny_config(n_ris_rows=6, n_ris_cols=8,
+                                     protocols=hierarchical, trials=6))
+    assert results.rows[0].success_rate == 1.0
+
+
 def test_rate_ceiling_row_never_exceeds_exhaustive():
     cfg = _tiny_config(
         protocols=(ProtocolSpec("exhaustive"), ProtocolSpec("coded", "one_bit")),

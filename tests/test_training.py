@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from risbeam.arrays import ArrayGeometry, make_angle_grid, ula_steering, upa_steering_uw
-from risbeam.blockcode import build_plain_code, build_reduced_code
+from risbeam.blockcode import build_identity_code, build_plain_code, build_reduced_code
 from risbeam.channel import SnrSpec, normalize_channel, sample_channel
-from risbeam.codebook import GsConfig, beam_pattern_matrix, ideal_codebook
+from risbeam.codebook import GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook
 from risbeam.seeding import derive_rng
 from risbeam.training import (
     HierarchicalBeamProvider,
@@ -22,6 +22,21 @@ from risbeam.training import (
 )
 
 NOISELESS = SnrSpec(1.0, noiseless=True)
+
+
+def identity_codes(geo):
+    """Full-coverage hierarchical training: identity codes for both sides."""
+    return (build_identity_code(ceil_log2(geo.n_bs)),
+            build_identity_code(ceil_log2(geo.n_ris_rows), ceil_log2(geo.n_ris_cols)))
+
+
+def ideal_identity_assets(geo):
+    codes = identity_codes(geo)
+    books = (
+        ideal_codebook(beam_pattern_matrix(codes[0], geo.n_bs, side="bs")),
+        ideal_codebook(beam_pattern_matrix(codes[1], geo.n_ris, side="ris")),
+    )
+    return codes, books
 
 
 @pytest.fixture(scope="module")
@@ -123,11 +138,12 @@ def test_coded_cross_dimension_double_error(oracle_setup):
 
 
 def test_hierarchical_oracle_and_bits(oracle_setup):
-    geo, grid, _, _, provider = oracle_setup
+    geo, grid, _, _, _ = oracle_setup
+    codes, books = ideal_identity_assets(geo)
     rng = derive_rng(0, "hier")
     for bs_i, ris_i in ((1, 1), (8, 64), (2, 37)):
         ch = _channel_at(geo, grid, bs_i, ris_i)
-        out = run_hierarchical(ch, provider, NOISELESS, None, rng)
+        out = run_coded(ch, books, codes, NOISELESS, None, rng, "none", ideal=True)
         assert (out.est_bs_index, out.est_ris_index) == (bs_i, ris_i)
         assert out.pilots_used == 4 * max(ceil_log2(8), ceil_log2(64)) == 24
 
@@ -137,36 +153,46 @@ def test_hierarchical_adaptive_variant_oracle(oracle_setup):
     rng = derive_rng(0, "hier-adapt")
     for bs_i, ris_i in ((3, 9), (7, 64), (1, 28)):
         ch = _channel_at(geo, grid, bs_i, ris_i)
-        out = run_hierarchical(ch, provider, NOISELESS, None, rng, variant="adaptive")
+        out = run_hierarchical(ch, provider, NOISELESS, None, rng)
         assert (out.est_bs_index, out.est_ris_index) == (bs_i, ris_i)
 
 
 def test_hierarchical_error_propagates_without_correction(oracle_setup):
     geo, grid, _, _, provider = oracle_setup
+    codes, books = ideal_identity_assets(geo)
     ch = _channel_at(geo, grid, 5, 20)
     rng = derive_rng(0, "hier-flip")
-    for variant in ("full_coverage", "adaptive"):
-        out = run_hierarchical(ch, provider, NOISELESS, None, rng, variant=variant,
-                               inject_flips=[(0, "ris")])
+    full_coverage = run_coded(ch, books, codes, NOISELESS, None, rng, "none",
+                              ideal=True, inject_flips=[(0, "ris")])
+    adaptive = run_hierarchical(ch, provider, NOISELESS, None, rng,
+                                inject_flips=[(0, "ris")])
+    for out in (full_coverage, adaptive):
         assert (out.est_bs_index, out.est_ris_index) != (5, 20)
 
 
 def test_hierarchical_budget_and_truncation(oracle_setup):
-    geo, grid, _, _, provider = oracle_setup
+    geo, grid, _, _, _ = oracle_setup
+    codes, books = ideal_identity_assets(geo)
     ch = _channel_at(geo, grid, 5, 20)
-    out = run_hierarchical(ch, provider, NOISELESS, 11, derive_rng(0, "t"))
+    out = run_coded(ch, books, codes, NOISELESS, 11, derive_rng(0, "t"), "none",
+                    ideal=True)
     assert out.pilots_used == 8 and out.truncated
     with pytest.raises(ValueError):
-        run_hierarchical(ch, provider, NOISELESS, 2, derive_rng(0, "t"))
+        run_coded(ch, books, codes, NOISELESS, 2, derive_rng(0, "t"), "none", ideal=True)
+    codes_1, books_1 = ideal_identity_assets(ArrayGeometry(1, 8, 8))
+    with pytest.raises(ValueError):  # a single BS candidate leaves nothing to train
+        run_coded(ch, books_1, codes_1, NOISELESS, None, derive_rng(0, "t"), "none",
+                  ideal=True)
 
 
 def test_hierarchical_full_scale_pilot_count():
     geo = ArrayGeometry(64, 16, 16)
     grid = make_angle_grid(geo)
-    provider = HierarchicalBeamProvider(geo, grid, GsConfig(seed=1), ideal=True)
+    codes, books = ideal_identity_assets(geo)
     ch_rng = derive_rng(0, "ps")
     ch = normalize_channel(sample_channel(geo, grid, ch_rng))
-    out = run_hierarchical(ch, provider, NOISELESS, None, derive_rng(0, "n"))
+    out = run_coded(ch, books, codes, NOISELESS, None, derive_rng(0, "n"), "none",
+                    ideal=True)
     assert out.pilots_used == 32
 
 
@@ -206,24 +232,37 @@ def test_run_determinism_same_seed(oracle_setup, desk_books, desk_codes,
 def test_designed_beams_noiseless_recovery(desk_books, desk_codes, desk_geometry,
                                            desk_grid):
     # physical codewords, no noise: spot tuples recover exactly
-    provider = HierarchicalBeamProvider(desk_geometry, desk_grid, GsConfig(seed=1))
+    hier_codes = identity_codes(desk_geometry)
+    hier_books = build_codebooks(*hier_codes, desk_grid, desk_geometry, GsConfig(seed=1))
     for bs_i, ris_i in ((1, 1), (16, 64), (7, 13), (11, 48)):
         ch = _channel_at(desk_geometry, desk_grid, bs_i, ris_i, gr_index=29)
         for mode in ("none", "one_bit", "decoupled_two_bit"):
             out = run_coded(ch, desk_books, desk_codes, NOISELESS, None,
                             derive_rng(0, "x"), mode)
             assert (out.est_bs_index, out.est_ris_index) == (bs_i, ris_i)
-        out = run_hierarchical(ch, provider, NOISELESS, None, derive_rng(0, "y"))
+        out = run_coded(ch, hier_books, hier_codes, NOISELESS, None,
+                        derive_rng(0, "y"), "none")
         assert (out.est_bs_index, out.est_ris_index) == (bs_i, ris_i)
 
 
-def test_provider_basis_matches_codebook_layers(desk_books, desk_geometry, desk_grid):
-    provider = HierarchicalBeamProvider(desk_geometry, desk_grid, GsConfig(seed=1))
-    _, ris_book = desk_books
-    for layer in range(provider.k_ris):
-        pair = provider.ris_basis_pair(layer)
-        assert np.array_equal(pair.one, ris_book.layers[layer].one)
-        assert np.array_equal(pair.zero, ris_book.layers[layer].zero)
+def test_identity_codebooks_are_first_coded_layers():
+    # full-coverage hierarchical beams are the systematic layers of the coded codebooks
+    for geo in (ArrayGeometry(16, 8, 8), ArrayGeometry(64, 16, 16)):
+        grid = make_angle_grid(geo)
+        codes = identity_codes(geo)
+        coded_codes = (build_plain_code(codes[0].k),
+                       build_reduced_code(ceil_log2(geo.n_ris_rows),
+                                          ceil_log2(geo.n_ris_cols)))
+        hier_books = build_codebooks(*codes, grid, geo, GsConfig(seed=1))
+        coded_books = build_codebooks(*coded_codes, grid, geo, GsConfig(seed=1))
+        for code, hier, coded in zip(codes, hier_books, coded_books):
+            assert code.n == code.k
+            head = coded.first_layers(code.k)
+            assert hier.n_layers == head.n_layers == code.k
+            assert np.array_equal(hier.masks, head.masks)
+            for mine, theirs in zip(hier.layers, head.layers):
+                assert np.array_equal(mine.one, theirs.one)
+                assert np.array_equal(mine.zero, theirs.zero)
 
 
 @pytest.mark.parametrize(
