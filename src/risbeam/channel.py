@@ -21,6 +21,8 @@ from .arrays import (
     upa_steering_uw,
 )
 
+SAMPLING_MODES = ("on_grid", "continuous")
+
 
 @dataclass(frozen=True)
 class SnrSpec:
@@ -88,7 +90,7 @@ def sample_channel(
     """
     if grid.n_bs != geometry.n_bs or grid.n_ris != geometry.n_ris:
         raise ValueError("geometry and grid dimensions are inconsistent")
-    if mode not in ("on_grid", "continuous"):
+    if mode not in SAMPLING_MODES:
         raise ValueError(f"unknown sampling mode {mode!r}")
 
     if mode == "on_grid":

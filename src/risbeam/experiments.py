@@ -20,7 +20,7 @@ import numpy as np
 
 from .arrays import ArrayGeometry, make_angle_grid
 from .blockcode import build_identity_code, build_plain_code, build_reduced_code
-from .channel import SnrSpec, normalize_channel, sample_channel
+from .channel import SAMPLING_MODES, SnrSpec, normalize_channel, sample_channel
 from .codebook import GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook
 from .seeding import derive_rng
 from .training import (
@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise ValueError("pilot_grid must be nonempty")
         if not self.protocols:
             raise ValueError("at least one protocol is required")
+        if self.sampling_mode not in SAMPLING_MODES:
+            raise ValueError(f"unknown sampling mode {self.sampling_mode!r}")
         cols = self.n_ris_cols
         if cols & (cols - 1) and any(_is_layered(p) for p in self.protocols):
             raise ValueError(
@@ -169,19 +171,20 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
     """Run every protocol over the sweep grid and aggregate the metrics.
 
     Infeasible configurations (for example a RIS dimension too small for the
-    dimension-split code) surface before any trial runs.
+    dimension-split code, or an array size that is not a power of two for
+    adaptive hierarchical training) surface before any trial runs.
     """
     geometry = cfg.geometry
     grid = make_angle_grid(geometry)
     narrow = narrow_beam_matrices(grid, geometry)
     eval_snr = SnrSpec(cfg.eval_snr_linear, noiseless=True)
 
-    layered = {}
-    if any(_is_layered(p) for p in cfg.protocols):
-        layered = _build_layered_assets(cfg, grid)
     provider = None
     if any(p.kind == "hierarchical" and not _is_layered(p) for p in cfg.protocols):
         provider = HierarchicalBeamProvider(geometry, grid, cfg.gs, ideal=cfg.ideal_beams)
+    layered = {}
+    if any(_is_layered(p) for p in cfg.protocols):
+        layered = _build_layered_assets(cfg, grid)
 
     sweep_values = cfg.snr_grid_db if cfg.sweep_over == "snr" else cfg.pilot_grid
     sweep_name = "snr_db" if cfg.sweep_over == "snr" else "pilots"

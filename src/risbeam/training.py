@@ -1,13 +1,13 @@
-"""The beam-training protocols: exhaustive, layered (coded), and adaptive.
+"""The beam-training protocols: exhaustive and layered.
 
 All protocols transmit beam tuples, measure one noisy power per tuple in
-transmit order, and map argmax decisions to angle-index estimates. The layered
-runner ``run_coded`` sends every layer of a block-coded codebook pair and
-decodes with the requested correction mode. Full-coverage hierarchical
-training is the same runner with identity codes (n = k, decode mode "none"):
-its basis stripe patterns are the systematic layers of the coded codebooks.
-The adaptive interval-halving hierarchical variant designs its beams on
-demand through ``HierarchicalBeamProvider`` and runs in ``run_hierarchical``.
+transmit order, and map argmax decisions to angle-index estimates. A layered
+protocol sends one (BS, RIS) beam pair per layer as 4 tuples and reads one
+hard decision per side, in ``_send_layers``. ``run_coded`` takes the pairs
+from a block-coded codebook pair and decodes; with identity codes (n = k,
+decode mode "none") it is full-coverage hierarchical training. The adaptive
+hierarchical variant, ``run_hierarchical``, takes the pairs from
+``HierarchicalBeamProvider``, which designs them from the decisions so far.
 
 Designed codewords are stored in coverage convention and conjugated at
 transmit time; RIS codewords additionally de-rotate the known static RIS-BS
@@ -23,11 +23,13 @@ import numpy as np
 
 from .arrays import AngleGrid, ArrayGeometry, u_axis, ula_steering, upa_steering_uw, w_axis
 from .blockcode import (
+    DECODE_MODES,
     BlockCode,
     CorrectionReport,
     bits_to_int,
+    build_plain_code,
+    build_reduced_code,
     decode,
-    redundancy_length,
 )
 from .channel import (
     ChannelRealization,
@@ -67,6 +69,8 @@ class ProtocolSpec:
     def __post_init__(self) -> None:
         if self.kind not in PROTOCOL_KINDS:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
+        if self.decode_mode not in DECODE_MODES:
+            raise ValueError(f"unknown decode mode {self.decode_mode!r}")
         if self.hierarchical_variant not in HIERARCHICAL_VARIANTS:
             raise ValueError(f"unknown hierarchical variant {self.hierarchical_variant!r}")
 
@@ -136,6 +140,54 @@ def _clamp_index(value: int, n: int) -> int:
     return min(max(value, 1), n)
 
 
+def _send_layers(ch, sizes, pairs, snr, budget, rng, ideal, inject_flips):
+    """Send the 4 tuples of every layer and keep each side's first n decisions.
+
+    ``sizes`` is (n_t, n_r). ``pairs(layer, bits_t, bits_r)`` gives a layer's
+    (BS, RIS) beam pairs from the decisions so far, as tuples of ints. A budget
+    short of 4 pilots per layer truncates the run; missing bits are zero.
+    ``inject_flips`` lists (layer, "bs" | "ris") decisions to invert. Returns
+    ((BS bits, RIS bits), layers sent, layers needed).
+    """
+    n_t, n_r = sizes
+    n_layers = max(n_t, n_r)
+    if n_layers == 0:
+        raise ValueError("nothing to train: both arrays have a single candidate")
+    budget = 4 * n_layers if budget is None else budget
+    if budget < 4:
+        raise ValueError("layered training needs a budget of at least 4 pilots")
+    layers_done = min(n_layers, budget // 4)
+    flips = set(inject_flips)
+
+    bits_t: tuple = ()
+    bits_r: tuple = ()
+    for layer in range(layers_done):
+        bs_pair, ris_pair = pairs(layer, bits_t, bits_r)
+        bt, br = _four_tuple_bits(ch, bs_pair, ris_pair, snr, rng, ideal)
+        if layer < n_t:
+            bits_t += (bt ^ ((layer, "bs") in flips),)
+        if layer < n_r:
+            bits_r += (br ^ ((layer, "ris") in flips),)
+    bits_t += (0,) * (n_t - len(bits_t))
+    bits_r += (0,) * (n_r - len(bits_r))
+    raw = (np.array(bits_t, dtype=np.uint8), np.array(bits_r, dtype=np.uint8))
+    return raw, layers_done, n_layers
+
+
+def _outcome(ch, raw, info, reports, sent: int, needed: int) -> TrainingOutcome:
+    """Assemble an outcome from (BS, RIS) raw bits, information bits and reports."""
+    return TrainingOutcome(
+        est_bs_index=_clamp_index(bits_to_int(info[0]) + 1, ch.n_bs),
+        est_ris_index=_clamp_index(bits_to_int(info[1]) + 1, ch.n_ris),
+        raw_bits_bs=raw[0],
+        raw_bits_ris=raw[1],
+        corrected_bs=reports[0],
+        corrected_ris=reports[1],
+        pilots_used=4 * sent,
+        truncated=sent < needed,
+    )
+
+
 def run_coded(
     ch: ChannelRealization,
     books: tuple[DesignedCodebook, DesignedCodebook],
@@ -162,54 +214,29 @@ def run_coded(
     code_t, code_r = codes
     if min(code_t.n, code_r.n) == 0:
         raise ValueError("layered training needs more than one candidate on each side")
-    n_layers = max(code_t.n, code_r.n)
-    budget = 4 * n_layers if budget is None else budget
-    if budget < 4:
-        raise ValueError("layered training needs a budget of at least 4 pilots")
-    layers_done = min(n_layers, budget // 4)
-    flips = set(inject_flips)
 
-    bits_t = np.zeros(code_t.n, dtype=np.uint8)
-    bits_r = np.zeros(code_r.n, dtype=np.uint8)
-    for layer in range(layers_done):
-        bt, br = _four_tuple_bits(
-            ch,
-            bs_book.layers[layer % code_t.n],
-            ris_book.layers[layer % code_r.n],
-            snr, rng, ideal,
-        )
-        if (layer, "bs") in flips:
-            bt ^= 1
-        if (layer, "ris") in flips:
-            br ^= 1
-        if layer < code_t.n:
-            bits_t[layer] = bt
-        if layer < code_r.n:
-            bits_r[layer] = br
+    def pairs(layer, bits_t, bits_r):
+        return bs_book.layers[layer % code_t.n], ris_book.layers[layer % code_r.n]
 
+    raw, sent, needed = _send_layers(
+        ch, (code_t.n, code_r.n), pairs, snr, budget, rng, ideal, inject_flips)
     bs_mode = "one_bit" if decode_mode == "decoupled_two_bit" else decode_mode
-    u_t, rep_t = decode(code_t, bits_t, bs_mode)
-    u_r, rep_r = decode(code_r, bits_r, decode_mode)
-    return TrainingOutcome(
-        est_bs_index=_clamp_index(bits_to_int(u_t) + 1, ch.n_bs),
-        est_ris_index=_clamp_index(bits_to_int(u_r) + 1, ch.n_ris),
-        raw_bits_bs=bits_t,
-        raw_bits_ris=bits_r,
-        corrected_bs=rep_t,
-        corrected_ris=rep_r,
-        pilots_used=4 * layers_done,
-        truncated=layers_done < n_layers,
-    )
+    u_t, rep_t = decode(code_t, raw[0], bs_mode)
+    u_r, rep_r = decode(code_r, raw[1], decode_mode)
+    return _outcome(ch, raw, (u_t, u_r), (rep_t, rep_r), sent, needed)
 
 
 class HierarchicalBeamProvider:
     """Designs and caches the beams of adaptive hierarchical training.
 
-    Each layer needs beams over prefix-restricted index sets, which depend on
-    the decisions so far; they are designed on demand and cached. RIS beams
-    are Kronecker products of two 1-D designs, with per-axis caching.
-    Full-coverage hierarchical training needs no provider: its basis beams are
-    the identity-code codebooks.
+    A prefix beam covers the indices whose leading bits equal a decided bit
+    prefix. Beams are designed on demand, once per prefix, and cached per
+    side: "bs" for the BS, "u" and "w" for the two RIS axes. A RIS prefix is
+    the u bits followed by the w bits, so the RIS resolves its u bits first,
+    and its beam is the Kronecker product of the two cached axis beams. Every
+    array size must be a power of two, so that each prefix covers a nonempty
+    index interval. Full-coverage hierarchical training needs no provider: its
+    basis beams are the identity-code codebooks.
     """
 
     def __init__(
@@ -219,82 +246,62 @@ class HierarchicalBeamProvider:
         gs_cfg: GsConfig,
         ideal: bool = False,
     ) -> None:
+        self._sizes = {"bs": geometry.n_bs, "u": geometry.n_ris_rows,
+                      "w": geometry.n_ris_cols}
+        for name, n in zip(("n_bs", "n_ris_rows", "n_ris_cols"), self._sizes.values()):
+            if n & (n - 1):
+                raise ValueError(
+                    f"{name}={n} is not a power of two: adaptive hierarchical "
+                    "training halves every index interval")
         self.geometry = geometry
         self.grid = grid
         self.cfg = gs_cfg
         self.ideal = ideal
         self.k_bs = ceil_log2(geometry.n_bs)
         self.k_u = ceil_log2(geometry.n_ris_rows)
-        self.k_w = ceil_log2(geometry.n_ris_cols)
-        self._bs_cache: dict = {}
-        self._axis_cache: dict = {}
+        self.k_ris = self.k_u + ceil_log2(geometry.n_ris_cols)
+        self._beams: dict = {side: {} for side in self._sizes}
 
-    @staticmethod
-    def _prefix_mask(n: int, width: int, bits: tuple[int, ...]) -> np.ndarray:
-        indices = np.arange(n)
-        mask = np.ones(n, dtype=bool)
-        for level, bit in enumerate(bits):
-            mask &= ((indices >> (width - 1 - level)) & 1) == bit
-        return mask
+    def layer_pairs(self, layer: int, bits_t: tuple, bits_r: tuple
+                    ) -> tuple[BeamPair, BeamPair]:
+        """The (BS, RIS) beam pairs of one layer, given the decisions so far.
 
-    # -- BS beams -----------------------------------------------------------
-    def _bs_beam(self, mask: np.ndarray, key) -> np.ndarray:
+        A side still searching splits its decided prefix by one more bit; a
+        resolved side repeats its final narrow beam in both halves.
+        """
+        return (self._pair("bs", bits_t, layer < self.k_bs),
+                self._pair("ris", bits_r, layer < self.k_ris))
+
+    def _pair(self, side: str, prefix: tuple, searching: bool) -> BeamPair:
+        if searching:
+            return BeamPair(one=self._beam(side, prefix + (1,)),
+                            zero=self._beam(side, prefix + (0,)))
+        resolved = self._beam(side, prefix)
+        return BeamPair(one=resolved, zero=resolved)
+
+    def _beam(self, side: str, prefix: tuple) -> np.ndarray:
+        if side == "ris":
+            return np.kron(self._beam("u", prefix[:self.k_u]),
+                           self._beam("w", prefix[self.k_u:]))
+        beams = self._beams[side]
+        if prefix not in beams:
+            beams[prefix] = self._design(side, prefix)
+        return beams[prefix]
+
+    def _design(self, side: str, prefix: tuple) -> np.ndarray:
+        n = self._sizes[side]
+        mask = np.arange(n) >> (ceil_log2(n) - len(prefix)) == bits_to_int(prefix)
         if self.ideal:
             return mask.astype(float)
-        if key not in self._bs_cache:
-            indices = np.flatnonzero(mask)
-            if indices.size == 0:
-                raise ValueError("empty BS cover set (is n_bs a power of two?)")
-            self._bs_cache[key] = design_bs_codeword(indices, self.grid, self.geometry)
-        return self._bs_cache[key]
-
-    def bs_adaptive_pair(self, decided: tuple[int, ...]) -> BeamPair:
-        n, width = self.geometry.n_bs, self.k_bs
-        return BeamPair(
-            one=self._bs_beam(self._prefix_mask(n, width, decided + (1,)), decided + (1,)),
-            zero=self._bs_beam(self._prefix_mask(n, width, decided + (0,)), decided + (0,)),
-        )
-
-    def bs_resolved(self, decided: tuple[int, ...]) -> np.ndarray:
-        mask = self._prefix_mask(self.geometry.n_bs, self.k_bs, decided)
-        return self._bs_beam(mask, decided)
-
-    # -- RIS beams ----------------------------------------------------------
-    def _axis_codeword(self, dim: str, mask: np.ndarray, seed_tags) -> np.ndarray:
-        key = (dim, tuple(np.flatnonzero(mask)), seed_tags)
-        if key in self._axis_cache:
-            return self._axis_cache[key]
-        if dim == "u":
-            n, freqs = self.geometry.n_ris_rows, u_axis(self.geometry.n_ris_rows)
-        else:
-            n, freqs = self.geometry.n_ris_cols, w_axis(self.geometry.n_ris_cols)
-        if mask.all():
-            beam = flat_codeword(n)
-        else:
-            if not mask.any():
-                raise ValueError("empty RIS axis cover set")
-            matrix = axis_sampling_matrix(n, freqs, self.geometry.spacing_over_wavelength)
-            beam, _ = relaxed_gs(matrix, mask, self.cfg, derive_rng(self.cfg.seed, *seed_tags))
-        self._axis_cache[key] = beam
+        if side == "bs":
+            return design_bs_codeword(np.flatnonzero(mask), self.grid, self.geometry)
+        if not prefix:
+            return flat_codeword(n)
+        freqs = (u_axis if side == "u" else w_axis)(n)
+        matrix = axis_sampling_matrix(n, freqs, self.geometry.spacing_over_wavelength)
+        beam, _ = relaxed_gs(matrix, mask, self.cfg,
+                             derive_rng(self.cfg.seed, "hier", side, prefix))
         return beam
-
-    def _ris_prefix_beam(self, u_bits, w_bits) -> np.ndarray:
-        u_mask = self._prefix_mask(self.geometry.n_ris_rows, self.k_u, u_bits)
-        w_mask = self._prefix_mask(self.geometry.n_ris_cols, self.k_w, w_bits)
-        if self.ideal:
-            return np.kron(u_mask.astype(float), w_mask.astype(float))
-        return np.kron(self._axis_codeword("u", u_mask, ("hier", "u", u_bits)),
-                       self._axis_codeword("w", w_mask, ("hier", "w", w_bits)))
-
-    def ris_adaptive_pair(self, u_bits, w_bits, dim: str) -> BeamPair:
-        if dim == "u":
-            return BeamPair(one=self._ris_prefix_beam(u_bits + (1,), w_bits),
-                            zero=self._ris_prefix_beam(u_bits + (0,), w_bits))
-        return BeamPair(one=self._ris_prefix_beam(u_bits, w_bits + (1,)),
-                        zero=self._ris_prefix_beam(u_bits, w_bits + (0,)))
-
-    def ris_resolved(self, u_bits, w_bits) -> np.ndarray:
-        return self._ris_prefix_beam(u_bits, w_bits)
 
 
 def run_hierarchical(
@@ -315,57 +322,10 @@ def run_hierarchical(
     outcome. Full-coverage hierarchical training is ``run_coded`` with
     identity codes.
     """
-    k_bs, k_u, k_w = designers.k_bs, designers.k_u, designers.k_w
-    k_ris = k_u + k_w
-    n_layers = max(k_bs, k_ris)
-    if n_layers == 0:
-        raise ValueError("nothing to train: both arrays have a single candidate")
-    budget = 4 * n_layers if budget is None else budget
-    if budget < 4:
-        raise ValueError("hierarchical training needs a budget of at least 4 pilots")
-    layers_done = min(n_layers, budget // 4)
-    flips = set(inject_flips)
-
-    bs_bits: list[int] = []
-    u_bits: list[int] = []
-    w_bits: list[int] = []
-    for layer in range(layers_done):
-        if layer < k_bs:
-            bs_pair = designers.bs_adaptive_pair(tuple(bs_bits))
-        else:
-            beam = designers.bs_resolved(tuple(bs_bits))
-            bs_pair = BeamPair(one=beam, zero=beam)
-        if layer < k_ris:
-            dim = "u" if layer < k_u else "w"
-            ris_pair = designers.ris_adaptive_pair(tuple(u_bits), tuple(w_bits), dim)
-        else:
-            beam = designers.ris_resolved(tuple(u_bits), tuple(w_bits))
-            ris_pair = BeamPair(one=beam, zero=beam)
-
-        bt, br = _four_tuple_bits(ch, bs_pair, ris_pair, snr, rng, designers.ideal)
-        if (layer, "bs") in flips:
-            bt ^= 1
-        if (layer, "ris") in flips:
-            br ^= 1
-        if layer < k_bs:
-            bs_bits.append(bt)
-        if layer < k_ris:
-            (u_bits if layer < k_u else w_bits).append(br)
-
-    bs_bits += [0] * (k_bs - len(bs_bits))
-    u_bits += [0] * (k_u - len(u_bits))
-    w_bits += [0] * (k_w - len(w_bits))
-    est_ris = bits_to_int(u_bits) * designers.geometry.n_ris_cols + bits_to_int(w_bits) + 1
-    return TrainingOutcome(
-        est_bs_index=_clamp_index(bits_to_int(bs_bits) + 1, ch.n_bs),
-        est_ris_index=_clamp_index(est_ris, ch.n_ris),
-        raw_bits_bs=np.array(bs_bits, dtype=np.uint8),
-        raw_bits_ris=np.array(u_bits + w_bits, dtype=np.uint8),
-        corrected_bs=None,
-        corrected_ris=None,
-        pilots_used=4 * layers_done,
-        truncated=layers_done < n_layers,
-    )
+    raw, sent, needed = _send_layers(
+        ch, (designers.k_bs, designers.k_ris), designers.layer_pairs, snr, budget,
+        rng, designers.ideal, inject_flips)
+    return _outcome(ch, raw, raw, (None, None), sent, needed)
 
 
 def narrow_beam_matrices(
@@ -425,12 +385,7 @@ def run_exhaustive(
     )
 
 
-def training_overhead(
-    kind: str,
-    n_bs: int,
-    ris_dims: tuple[int, int],
-    codes: Optional[tuple[BlockCode, BlockCode]] = None,
-) -> int:
+def training_overhead(kind: str, n_bs: int, ris_dims: tuple[int, int]) -> int:
     """Pilot count each framework needs: n_bs*n_ris, 4*max(bit lengths), 4*max(n_t, n_r)."""
     n1, n2 = ris_dims
     if kind == "exhaustive":
@@ -438,16 +393,8 @@ def training_overhead(
     if kind == "hierarchical":
         return 4 * max(ceil_log2(n_bs), ceil_log2(n1 * n2))
     if kind == "coded":
-        if codes is not None:
-            return 4 * max(codes[0].n, codes[1].n)
-        k_t = ceil_log2(n_bs)
-        n_t = k_t + redundancy_length(k_t)
-        k_u, k_w = ceil_log2(n1), ceil_log2(n2)
-        if 2**k_u <= 4 or 2**k_w <= 4:
-            raise ValueError(
-                "coded training needs more than 4 RIS elements per dimension"
-            )
-        n_r = k_u + k_w + max(3, redundancy_length(k_u)) + max(3, redundancy_length(k_w))
+        n_t = build_plain_code(ceil_log2(n_bs)).n
+        n_r = build_reduced_code(ceil_log2(n1), ceil_log2(n2)).n
         return 4 * max(n_t, n_r)
     raise ValueError(f"unknown protocol kind {kind!r}")
 

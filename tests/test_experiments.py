@@ -166,6 +166,8 @@ def test_config_validation():
         _tiny_config(sweep_over="pilots")  # empty pilot grid
     with pytest.raises(ValueError):
         _tiny_config(protocols=())
+    with pytest.raises(ValueError, match="sampling mode"):
+        _tiny_config(sampling_mode="contnuous")
 
 
 def test_infeasible_geometry_reported_before_trials():
@@ -188,6 +190,16 @@ def test_layered_protocols_need_power_of_two_ris_columns():
     results = run_sweep(_tiny_config(n_ris_rows=6, n_ris_cols=8,
                                      protocols=hierarchical, trials=6))
     assert results.rows[0].success_rate == 1.0
+
+
+def test_adaptive_hierarchical_needs_power_of_two_arrays():
+    # rejected before the first trial, whatever the noise would have decided
+    adaptive = (ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),)
+    for dims in ((12, 8, 8), (8, 8, 6), (8, 6, 8)):
+        cfg = _tiny_config(n_bs=dims[0], n_ris_rows=dims[1], n_ris_cols=dims[2],
+                           protocols=adaptive)
+        with pytest.raises(ValueError, match="power of two"):
+            run_sweep(cfg)
 
 
 def test_rate_ceiling_row_never_exceeds_exhaustive():

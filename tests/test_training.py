@@ -5,6 +5,7 @@ from risbeam.arrays import ArrayGeometry, make_angle_grid, ula_steering, upa_ste
 from risbeam.blockcode import build_identity_code, build_plain_code, build_reduced_code
 from risbeam.channel import SnrSpec, normalize_channel, sample_channel
 from risbeam.codebook import GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook
+from risbeam import training
 from risbeam.seeding import derive_rng
 from risbeam.training import (
     HierarchicalBeamProvider,
@@ -185,6 +186,44 @@ def test_hierarchical_budget_and_truncation(oracle_setup):
                   ideal=True)
 
 
+def test_hierarchical_adaptive_budget_and_truncation(oracle_setup):
+    geo, grid, _, _, provider = oracle_setup
+    ch = _channel_at(geo, grid, 5, 20)
+    out = run_hierarchical(ch, provider, NOISELESS, 11, derive_rng(0, "t"))
+    assert out.pilots_used == 8 and out.truncated
+    assert len(out.raw_bits_bs) == 3 and len(out.raw_bits_ris) == 6
+    with pytest.raises(ValueError):
+        run_hierarchical(ch, provider, NOISELESS, 2, derive_rng(0, "t"))
+
+
+def test_provider_designs_each_prefix_once(monkeypatch, desk_geometry, desk_grid):
+    # noisy runs walk many branches of the binary search; each prefix beam is
+    # designed once, however often the search comes back to it
+    designs = []
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            designs.append(key(*args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(training, "relaxed_gs", counted(
+        training.relaxed_gs,
+        lambda matrix, mask, *rest: ("ris", matrix.tobytes(), mask.tobytes())))
+    monkeypatch.setattr(training, "design_bs_codeword", counted(
+        training.design_bs_codeword, lambda indices, *rest: ("bs", tuple(indices))))
+    provider = HierarchicalBeamProvider(desk_geometry, desk_grid,
+                                        GsConfig(seed=1, k_iter=10))
+    for trial in range(40):
+        ch = normalize_channel(sample_channel(desk_geometry, desk_grid,
+                                              derive_rng(3, "ch", trial)))
+        run_hierarchical(ch, provider, SnrSpec(0.3), None, derive_rng(3, "n", trial))
+    assert len(designs) == len(set(designs))
+    # more prefixes than one path through the search: the runs branched
+    assert sum(key[0] == "bs" for key in designs) > 2 * ceil_log2(desk_geometry.n_bs)
+    assert sum(key[0] == "ris" for key in designs) > 2 * 6
+
+
 def test_hierarchical_full_scale_pilot_count():
     geo = ArrayGeometry(64, 16, 16)
     grid = make_angle_grid(geo)
@@ -316,6 +355,8 @@ def test_protocol_spec_tags():
                         hierarchical_variant="adaptive").tag == "hierarchical_adaptive"
     with pytest.raises(ValueError):
         ProtocolSpec("sideways")
+    with pytest.raises(ValueError, match="decode mode"):
+        ProtocolSpec("coded", "two_bit")
 
 
 def test_transmit_helpers_preserve_modulus(oracle_setup):
