@@ -8,9 +8,8 @@ points from the rest, and how fast the iterative designs settle.
 import argparse
 
 from risbeam.arrays import ArrayGeometry, make_angle_grid
-from risbeam.blockcode import build_plain_code, build_reduced_code
 from risbeam.codebook import GsConfig, build_codebooks
-from risbeam.training import ceil_log2
+from risbeam.training import coded_codes
 
 
 def main() -> None:
@@ -24,10 +23,8 @@ def main() -> None:
     rows, cols = (int(x) for x in args.ris.lower().split("x"))
     geometry = ArrayGeometry(args.nt, rows, cols)
     grid = make_angle_grid(geometry)
-    code_t = build_plain_code(ceil_log2(args.nt))
-    code_r = build_reduced_code(ceil_log2(rows), ceil_log2(cols))
-    books = build_codebooks(code_t, code_r, grid, geometry, GsConfig(seed=args.seed),
-                            direct_2d=args.direct_2d)
+    books = build_codebooks(*coded_codes(args.nt, (rows, cols)), grid, geometry,
+                            GsConfig(seed=args.seed), direct_2d=args.direct_2d)
 
     for book in books:
         print(f"== {book.side} codebook, {book.n_layers} layers ==")

@@ -154,14 +154,34 @@ def effective_gain(ch: ChannelRealization, v: np.ndarray, w: np.ndarray) -> comp
     return complex((ch.h_r * v) @ ch.g_mat @ w)
 
 
+def pilot_noise(snr: SnrSpec, rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Noise of an array of pilots: unit-variance complex Gaussian as (re, im) pairs.
+
+    The result has shape ``shape + (2,)``. One draw covers every pilot and
+    gives the stream of per-pilot (re, im) draws in C order; the noiseless
+    flag gives zeros and draws nothing.
+    """
+    if snr.noiseless:
+        return np.zeros((*shape, 2))
+    return rng.standard_normal((*shape, 2)) / np.sqrt(2.0)
+
+
+def received_power(gain, snr: SnrSpec, noise: np.ndarray) -> np.ndarray:
+    """Elementwise |sqrt(snr) * gain + noise|^2 for noise from ``pilot_noise``.
+
+    Real arithmetic only, so a single pilot and an array of pilots round
+    alike.
+    """
+    root = np.sqrt(snr.snr_linear)
+    re = root * np.real(gain) + noise[..., 0]
+    im = root * np.imag(gain) + noise[..., 1]
+    return re * re + im * im
+
+
 def measure_power(gain: complex, snr: SnrSpec, rng: np.random.Generator) -> float:
     """One received-power measurement |sqrt(snr) * gain + noise|^2.
 
     Noise is circularly symmetric complex Gaussian with unit variance, one
     independent draw per call; the noiseless flag drops the noise term.
     """
-    amplitude = np.sqrt(snr.snr_linear) * gain
-    if snr.noiseless:
-        return float(abs(amplitude) ** 2)
-    noise = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
-    return float(abs(amplitude + noise) ** 2)
+    return float(received_power(gain, snr, pilot_noise(snr, rng, ())))

@@ -29,7 +29,7 @@ from .experiments import (
     load_config,
     run_sweep,
 )
-from .training import ceil_log2, training_overhead
+from .training import ceil_log2, coded_codes, training_overhead
 
 
 def _parse_ris(text: str) -> tuple[int, int]:
@@ -131,9 +131,7 @@ def cmd_design_codebook(args) -> int:
     geometry = ArrayGeometry(args.nt, ris[0], ris[1])
     grid = make_angle_grid(geometry)
     cfg = GsConfig(delta=args.delta, k_iter=args.iters, seed=args.seed)
-    code_t = build_plain_code(ceil_log2(args.nt))
-    code_r = build_reduced_code(ceil_log2(ris[0]), ceil_log2(ris[1]))
-    books = build_codebooks(code_t, code_r, grid, geometry, cfg,
+    books = build_codebooks(*coded_codes(args.nt, ris), grid, geometry, cfg,
                             direct_2d=args.direct_2d)
     payload = {
         "geometry": {"n_bs": args.nt, "n_ris_rows": ris[0], "n_ris_cols": ris[1]},

@@ -13,6 +13,7 @@ layer conjugates (and de-rotates, for the RIS) before transmission.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -76,6 +77,11 @@ class BeamPair:
     one: np.ndarray  # covers the mask=1 grid points
     zero: np.ndarray  # covers the complement
 
+    @property
+    def columns(self) -> np.ndarray:
+        """The zero and one codewords as the two columns of a matrix."""
+        return np.stack((self.zero, self.one), axis=1)
+
 
 @dataclass(frozen=True)
 class DesignedCodebook:
@@ -87,6 +93,11 @@ class DesignedCodebook:
     @property
     def n_layers(self) -> int:
         return len(self.layers)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """All codewords as columns: 2l and 2l+1 are layer l's zero and one codewords."""
+        return np.concatenate([pair.columns for pair in self.layers], axis=1)
 
     def first_layers(self, k: int) -> "DesignedCodebook":
         """The systematic layers of an [I|Q] codebook: the identity code's codebook."""
@@ -110,6 +121,12 @@ def axis_sampling_matrix(n: int, freqs: np.ndarray,
     """
     idx = np.arange(n) - (n - 1) / 2.0
     return np.exp(-2j * np.pi * spacing * np.outer(idx, freqs))
+
+
+def bs_steering_matrix(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarray:
+    """Unit-norm BS steering vectors, column i at BS grid point i."""
+    sp = geometry.spacing_over_wavelength
+    return np.stack([ula_steering(geometry.n_bs, a, sp) for a in grid.bs_angles], axis=1)
 
 
 def ris_sampling_matrix(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarray:
@@ -229,6 +246,32 @@ def design_bs_codeword(
     return w / np.linalg.norm(w)
 
 
+def _grid_responses(geometry: ArrayGeometry, bs_steering: np.ndarray,
+                    ris_sampling: np.ndarray):
+    """v -> |a_n^H v| over the grid, unit-norm steering; the side is read from len(v)."""
+    bs_adjoint = bs_steering.conj().T
+    ris_adjoint = ris_sampling.conj().T
+    ris_scale = np.sqrt(geometry.n_ris)
+
+    def responses(v: np.ndarray) -> np.ndarray:
+        if v.size == geometry.n_ris:
+            return np.abs(ris_adjoint @ v) / ris_scale
+        if v.size == geometry.n_bs:
+            return np.abs(bs_adjoint @ v)
+        raise ValueError("vector length matches neither array")
+
+    return responses
+
+
+def _margin(responses: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != responses.shape:
+        raise ValueError("mask length does not match the grid")
+    min_in = float(responses[mask].min()) if mask.any() else float("inf")
+    max_out = float(responses[~mask].max()) if (~mask).any() else 0.0
+    return min_in, max_out
+
+
 def classification_margin(
     v: np.ndarray, mask: np.ndarray, grid: AngleGrid, geometry: ArrayGeometry
 ) -> tuple[float, float]:
@@ -236,23 +279,9 @@ def classification_margin(
 
     Unit-norm steering vectors; the side is inferred from the vector length.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if v.size == geometry.n_ris:
-        responses = np.abs(
-            ris_sampling_matrix(geometry, grid).conj().T @ v
-        ) / np.sqrt(geometry.n_ris)
-    elif v.size == geometry.n_bs:
-        cols = np.stack(
-            [ula_steering(geometry.n_bs, a, geometry.spacing_over_wavelength)
-             for a in grid.bs_angles], axis=1)
-        responses = np.abs(cols.conj().T @ v)
-    else:
-        raise ValueError("vector length matches neither array")
-    if mask.shape != responses.shape:
-        raise ValueError("mask length does not match the grid")
-    min_in = float(responses[mask].min()) if mask.any() else float("inf")
-    max_out = float(responses[~mask].max()) if (~mask).any() else 0.0
-    return min_in, max_out
+    responses = _grid_responses(geometry, bs_steering_matrix(geometry, grid),
+                                ris_sampling_matrix(geometry, grid))
+    return _margin(responses(v), mask)
 
 
 def factor_pattern_mask(mask: np.ndarray, n1: int, n2: int):
@@ -317,6 +346,8 @@ def build_codebooks(
     """
     pattern_t = beam_pattern_matrix(code_t, geometry.n_bs, side="bs")
     pattern_r = beam_pattern_matrix(code_r, geometry.n_ris, side="ris")
+    ris_sampling = ris_sampling_matrix(geometry, grid)
+    responses = _grid_responses(geometry, bs_steering_matrix(geometry, grid), ris_sampling)
 
     bs_layers, bs_reports = [], []
     for i in range(pattern_t.n_layers):
@@ -327,8 +358,8 @@ def build_codebooks(
         )
         bs_layers.append(pair)
         bs_reports.append((
-            CodewordReport((), *classification_margin(pair.one, mask, grid, geometry)),
-            CodewordReport((), *classification_margin(pair.zero, ~mask, grid, geometry)),
+            CodewordReport((), *_margin(responses(pair.one), mask)),
+            CodewordReport((), *_margin(responses(pair.zero), ~mask)),
         ))
 
     factorize = code_r.split is not None and not direct_2d
@@ -344,13 +375,12 @@ def build_codebooks(
                     derive_rng(cfg.seed, "gs", "ris", i, polarity, "w"),
                 )
             else:
-                v, trace = design_ris_codeword_gs(
-                    cover, grid, geometry, cfg,
+                v, trace = relaxed_gs(
+                    ris_sampling, cover, cfg,
                     derive_rng(cfg.seed, "gs", "ris", i, polarity, "2d"),
                 )
                 traces = (trace,)
-            margin = classification_margin(v, cover, grid, geometry)
-            pair_entries.append((v, CodewordReport(traces, *margin)))
+            pair_entries.append((v, CodewordReport(traces, *_margin(responses(v), cover))))
         ris_layers.append(BeamPair(one=pair_entries[0][0], zero=pair_entries[1][0]))
         ris_reports.append((pair_entries[0][1], pair_entries[1][1]))
 

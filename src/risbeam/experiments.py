@@ -1,12 +1,14 @@
 """Monte-Carlo sweeps over SNR or pilot budget, metrics, and result files.
 
-Per-trial channels are seeded independently of the protocol so every protocol
-sees the same channel set at a sweep point; the measurement noise stream is
-seeded per (protocol, sweep point, trial). Codebooks are designed once per
-configuration and reused across trials. Coded and full-coverage hierarchical
-protocols both run through the layered runner ``run_coded``: hierarchical
-training uses identity codes, whose codebooks are the first k layers of the
-coded ones. Only the adaptive hierarchical variant uses the beam provider.
+Per-trial channels are seeded independently of the protocol, so a sweep
+draws each (sweep point, trial) channel once and runs every protocol on it;
+the measurement noise stream is seeded per (protocol, sweep point, trial).
+Within a trial the rate of an estimated tuple is evaluated once, however many
+protocols chose it. Codebooks are designed once per configuration and reused
+across trials. Coded and full-coverage hierarchical protocols both run
+through the layered runner ``run_coded``: hierarchical training uses identity
+codes, whose codebooks are the first k layers of the coded ones. Only the
+adaptive hierarchical variant uses the beam provider.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .arrays import ArrayGeometry, make_angle_grid
-from .blockcode import build_identity_code, build_plain_code, build_reduced_code
+from .blockcode import build_identity_code
 from .channel import SAMPLING_MODES, SnrSpec, normalize_channel, sample_channel
 from .codebook import GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook
 from .seeding import derive_rng
@@ -28,6 +30,8 @@ from .training import (
     ProtocolSpec,
     achievable_rate,
     ceil_log2,
+    check_budget,
+    coded_codes,
     grid_transmit_pair,
     narrow_beam_matrices,
     run_coded,
@@ -79,10 +83,19 @@ class ExperimentConfig:
         if self.sampling_mode not in SAMPLING_MODES:
             raise ValueError(f"unknown sampling mode {self.sampling_mode!r}")
         cols = self.n_ris_cols
-        if cols & (cols - 1) and any(_is_layered(p) for p in self.protocols):
+        layered = any(_is_layered(p) for p in self.protocols)
+        if cols & (cols - 1) and layered:
             raise ValueError(
                 f"n_ris_cols={cols} is not a power of two: coded and full-coverage "
                 "hierarchical training pack the RIS (u, w) index into one bit word")
+        if self.n_bs < 2 and layered:
+            raise ValueError(
+                f"n_bs={self.n_bs}: coded and full-coverage hierarchical training "
+                "need at least two BS candidates")
+        if self.sweep_over == "pilots":
+            for budget in self.pilot_grid:
+                for proto in self.protocols:
+                    check_budget(proto.kind, int(budget))
 
     @property
     def geometry(self) -> ArrayGeometry:
@@ -161,7 +174,7 @@ def _build_layered_assets(cfg: ExperimentConfig, grid) -> dict:
     identity = (build_identity_code(k_bs), build_identity_code(k_u, k_w))
     if not any(p.kind == "coded" for p in cfg.protocols):
         return {"hierarchical": (identity, _design_books(cfg, grid, identity))}
-    codes = (build_plain_code(k_bs), build_reduced_code(k_u, k_w))
+    codes = coded_codes(geometry.n_bs, (geometry.n_ris_rows, geometry.n_ris_cols))
     books = _design_books(cfg, grid, codes)
     systematic = tuple(book.first_layers(code.k) for book, code in zip(books, identity))
     return {"coded": (codes, books), "hierarchical": (identity, systematic)}
@@ -188,26 +201,27 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
 
     sweep_values = cfg.snr_grid_db if cfg.sweep_over == "snr" else cfg.pilot_grid
     sweep_name = "snr_db" if cfg.sweep_over == "snr" else "pilots"
+    protocols = cfg.protocols
 
     rows = []
     log: list[TrialRecord] = []
     for value in sweep_values:
-        for proto in cfg.protocols:
-            if cfg.sweep_over == "snr":
-                snr = SnrSpec(10.0 ** (float(value) / 10.0), noiseless=cfg.noiseless)
-                budget = proto.pilot_budget
-            else:
-                snr = SnrSpec(10.0 ** (float(cfg.snr_grid_db[0]) / 10.0),
-                              noiseless=cfg.noiseless)
-                budget = int(value)
-            successes = 0
-            rates = np.empty(cfg.trials)
-            pilots_used = 0
-            for trial in range(cfg.trials):
-                ch_rng = derive_rng(cfg.master_seed, "channel", sweep_name,
-                                    float(value), trial)
-                ch = normalize_channel(
-                    sample_channel(geometry, grid, ch_rng, cfg.sampling_mode))
+        if cfg.sweep_over == "snr":
+            snr = SnrSpec(10.0 ** (float(value) / 10.0), noiseless=cfg.noiseless)
+            budgets = [proto.pilot_budget for proto in protocols]
+        else:
+            snr = SnrSpec(10.0 ** (float(cfg.snr_grid_db[0]) / 10.0),
+                          noiseless=cfg.noiseless)
+            budgets = [int(value)] * len(protocols)
+        hits = np.zeros((len(protocols), cfg.trials), dtype=bool)
+        rates = np.empty((len(protocols), cfg.trials))
+        pilots_used = [0] * len(protocols)
+        for trial in range(cfg.trials):
+            ch_rng = derive_rng(cfg.master_seed, "channel", sweep_name, float(value), trial)
+            ch = normalize_channel(sample_channel(geometry, grid, ch_rng, cfg.sampling_mode))
+            truth = (ch.bs_index, ch.ue_ris_index)
+            rate_of: dict = {}  # estimated tuple -> its rate on this channel
+            for p, (proto, budget) in enumerate(zip(protocols, budgets)):
                 noise_rng = derive_rng(cfg.master_seed, proto.tag, sweep_name,
                                        float(value), trial)
                 if _is_layered(proto):
@@ -220,33 +234,40 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
                 else:
                     outcome = run_exhaustive(ch, grid, geometry, snr, budget,
                                              noise_rng, narrow_beams=narrow)
-                hit = (outcome.est_bs_index, outcome.est_ris_index) == (
-                    ch.bs_index, ch.ue_ris_index)
-                successes += hit
-                v_tx, w_tx = grid_transmit_pair(ch, grid, geometry,
-                                                outcome.est_bs_index,
-                                                outcome.est_ris_index)
-                rates[trial] = achievable_rate(ch, v_tx, w_tx, eval_snr)
-                pilots_used = outcome.pilots_used
-                if log_trials:
-                    log.append(TrialRecord(proto.tag, float(value), trial,
-                                           bool(hit), float(rates[trial])))
-            p_hat = successes / cfg.trials
-            success_ci = 1.96 * np.sqrt(p_hat * (1.0 - p_hat) / cfg.trials)
-            rate_ci = (1.96 * rates.std(ddof=1) / np.sqrt(cfg.trials)
-                       if cfg.trials > 1 else 0.0)
-            rows.append(ResultRow(
-                protocol=proto.tag,
-                sweep_variable=sweep_name,
-                sweep_value=float(value),
-                trials=cfg.trials,
-                pilots=int(pilots_used),
-                success_rate=float(p_hat),
-                success_ci95=float(success_ci),
-                mean_rate=float(rates.mean()),
-                rate_ci95=float(rate_ci),
-            ))
+                estimate = (outcome.est_bs_index, outcome.est_ris_index)
+                if estimate not in rate_of:
+                    v_tx, w_tx = grid_transmit_pair(ch, grid, geometry, *estimate)
+                    rate_of[estimate] = achievable_rate(ch, v_tx, w_tx, eval_snr)
+                hits[p, trial] = estimate == truth
+                rates[p, trial] = rate_of[estimate]
+                pilots_used[p] = outcome.pilots_used
+        for p, proto in enumerate(protocols):
+            rows.append(_result_row(proto.tag, sweep_name, float(value), hits[p],
+                                    rates[p], pilots_used[p]))
+            if log_trials:
+                log.extend(TrialRecord(proto.tag, float(value), trial, bool(hits[p, trial]),
+                                       float(rates[p, trial]))
+                           for trial in range(cfg.trials))
     return ResultSet(rows=tuple(rows), trial_log=tuple(log))
+
+
+def _result_row(tag: str, sweep_name: str, value: float, hits: np.ndarray,
+                rates: np.ndarray, pilots: int) -> ResultRow:
+    trials = hits.size
+    p_hat = int(hits.sum()) / trials
+    success_ci = 1.96 * np.sqrt(p_hat * (1.0 - p_hat) / trials)
+    rate_ci = 1.96 * rates.std(ddof=1) / np.sqrt(trials) if trials > 1 else 0.0
+    return ResultRow(
+        protocol=tag,
+        sweep_variable=sweep_name,
+        sweep_value=value,
+        trials=trials,
+        pilots=int(pilots),
+        success_rate=float(p_hat),
+        success_ci95=float(success_ci),
+        mean_rate=float(rates.mean()),
+        rate_ci95=float(rate_ci),
+    )
 
 
 def export_results(results: ResultSet, path, fmt: str = "csv") -> None:

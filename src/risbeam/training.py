@@ -1,13 +1,14 @@
 """The beam-training protocols: exhaustive and layered.
 
 All protocols transmit beam tuples, measure one noisy power per tuple in
-transmit order, and map argmax decisions to angle-index estimates. A layered
-protocol sends one (BS, RIS) beam pair per layer as 4 tuples and reads one
-hard decision per side, in ``_send_layers``. ``run_coded`` takes the pairs
-from a block-coded codebook pair and decodes; with identity codes (n = k,
-decode mode "none") it is full-coverage hierarchical training. The adaptive
-hierarchical variant, ``run_hierarchical``, takes the pairs from
-``HierarchicalBeamProvider``, which designs them from the decisions so far.
+transmit order, and map argmax decisions to angle-index estimates. Noiseless
+tuple gains come from one matrix product, ``gain_table``. A layered protocol
+sends one (BS, RIS) beam pair per layer as 4 tuples and reads one hard
+decision per side, in ``_send_layers``. ``run_coded`` reads every layer from
+one table per channel and decodes; with identity codes (n = k, decode mode
+"none") it is full-coverage hierarchical training. The adaptive variant,
+``run_hierarchical``, builds a table per layer from the pairs that
+``HierarchicalBeamProvider`` designs from the decisions so far.
 
 Designed codewords are stored in coverage convention and conjugated at
 transmit time; RIS codewords additionally de-rotate the known static RIS-BS
@@ -35,7 +36,8 @@ from .channel import (
     ChannelRealization,
     SnrSpec,
     effective_gain,
-    measure_power,
+    pilot_noise,
+    received_power,
     ris_phase_compensation,
 )
 from .codebook import (
@@ -43,6 +45,7 @@ from .codebook import (
     DesignedCodebook,
     GsConfig,
     axis_sampling_matrix,
+    bs_steering_matrix,
     design_bs_codeword,
     flat_codeword,
     relaxed_gs,
@@ -73,6 +76,7 @@ class ProtocolSpec:
             raise ValueError(f"unknown decode mode {self.decode_mode!r}")
         if self.hierarchical_variant not in HIERARCHICAL_VARIANTS:
             raise ValueError(f"unknown hierarchical variant {self.hierarchical_variant!r}")
+        check_budget(self.kind, self.pilot_budget)
 
     @property
     def tag(self) -> str:
@@ -101,6 +105,14 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length() if n > 1 else 0
 
 
+def check_budget(kind: str, budget: Optional[int]) -> None:
+    """Reject a budget below one tuple (exhaustive) or one 4-tuple layer (layered)."""
+    least = 1 if kind == "exhaustive" else 4
+    if budget is not None and budget < least:
+        raise ValueError(f"{kind} training needs a pilot budget of at least {least}, "
+                         f"got {budget}")
+
+
 def bs_transmit(w_cov: np.ndarray) -> np.ndarray:
     """Transmit beamformer for a coverage-convention BS codeword."""
     return np.conj(w_cov)
@@ -111,63 +123,57 @@ def ris_transmit(ch: ChannelRealization, v_cov: np.ndarray) -> np.ndarray:
     return np.conj(v_cov) * ris_phase_compensation(ch)
 
 
-def _tuple_gain(ch: ChannelRealization, w_cov, v_cov, ideal: bool) -> complex:
-    if ideal:
-        return complex(w_cov[ch.bs_index - 1] * v_cov[ch.ue_ris_index - 1])
-    return effective_gain(ch, ris_transmit(ch, v_cov), bs_transmit(w_cov))
+def gain_table(ch: ChannelRealization, bs_cov: np.ndarray, ris_cov: np.ndarray,
+               ideal: bool = False, *, check_modulus: bool = False) -> np.ndarray:
+    """Noiseless gains: entry [i, j] pairs BS codeword column i with RIS column j.
 
-
-def _four_tuple_bits(ch, bs_pair: BeamPair, ris_pair: BeamPair, snr, rng,
-                     ideal: bool) -> tuple[int, int]:
-    """Transmit the four beam tuples of one layer and return the winning bits.
-
-    Tuple order is (zero,zero), (zero,one), (one,zero), (one,one) with bits
-    (bs, ris) = (0,0), (0,1), (1,0), (1,1); bit 1 means the mask=1 codeword
-    won. Ties break toward the lowest tuple index.
+    Ideal (mask-valued) codewords read their gains off the true-index rows.
+    ``check_modulus`` applies the constant-modulus test of ``effective_gain``
+    to every transmitted RIS vector at once.
     """
-    powers = np.empty(4)
-    slot = 0
-    for w_cov in (bs_pair.zero, bs_pair.one):
-        for v_cov in (ris_pair.zero, ris_pair.one):
-            gain = _tuple_gain(ch, w_cov, v_cov, ideal)
-            powers[slot] = measure_power(gain, snr, rng)
-            slot += 1
-    winner = int(np.argmax(powers))
-    return winner >> 1, winner & 1
+    if ideal:
+        return np.outer(bs_cov[ch.bs_index - 1], ris_cov[ch.ue_ris_index - 1])
+    v_tx = np.conj(ris_cov) * ris_phase_compensation(ch)[:, None]
+    target = 1.0 / np.sqrt(ch.n_ris)
+    if check_modulus and not np.all(np.abs(np.abs(v_tx) - target) <= 1e-9 + 1e-5 * target):
+        raise ValueError("RIS vector must have constant modulus 1/sqrt(n_ris)")
+    return ((v_tx * ch.h_r[:, None]).T @ ch.g_mat @ np.conj(bs_cov)).T
 
 
 def _clamp_index(value: int, n: int) -> int:
     return min(max(value, 1), n)
 
 
-def _send_layers(ch, sizes, pairs, snr, budget, rng, ideal, inject_flips):
+def _send_layers(sizes, gains, snr, budget, rng, inject_flips):
     """Send the 4 tuples of every layer and keep each side's first n decisions.
 
-    ``sizes`` is (n_t, n_r). ``pairs(layer, bits_t, bits_r)`` gives a layer's
-    (BS, RIS) beam pairs from the decisions so far, as tuples of ints. A budget
-    short of 4 pilots per layer truncates the run; missing bits are zero.
-    ``inject_flips`` lists (layer, "bs" | "ris") decisions to invert. Returns
-    ((BS bits, RIS bits), layers sent, layers needed).
+    ``sizes`` is (n_t, n_r). ``gains(layer, bits_t, bits_r)`` gives a layer's
+    2x2 gain table (BS bit x RIS bit; bit 1 is the mask=1 codeword) from the
+    decisions so far, as tuples of ints. Tuples go out in the order (0,0),
+    (0,1), (1,0), (1,1), ties break toward the first, and the noise of the
+    whole run is one ``pilot_noise`` draw. A budget short of 4 pilots per layer
+    truncates the run; missing bits are zero. ``inject_flips`` lists (layer,
+    "bs" | "ris") decisions to invert. Returns ((BS bits, RIS bits), layers
+    sent, layers needed).
     """
     n_t, n_r = sizes
     n_layers = max(n_t, n_r)
     if n_layers == 0:
         raise ValueError("nothing to train: both arrays have a single candidate")
-    budget = 4 * n_layers if budget is None else budget
-    if budget < 4:
-        raise ValueError("layered training needs a budget of at least 4 pilots")
-    layers_done = min(n_layers, budget // 4)
+    check_budget("layered", budget)
+    layers_done = n_layers if budget is None else min(n_layers, budget // 4)
     flips = set(inject_flips)
+    noise = pilot_noise(snr, rng, (layers_done, 2, 2))
 
     bits_t: tuple = ()
     bits_r: tuple = ()
     for layer in range(layers_done):
-        bs_pair, ris_pair = pairs(layer, bits_t, bits_r)
-        bt, br = _four_tuple_bits(ch, bs_pair, ris_pair, snr, rng, ideal)
+        powers = received_power(gains(layer, bits_t, bits_r), snr, noise[layer])
+        winner = int(np.argmax(powers))
         if layer < n_t:
-            bits_t += (bt ^ ((layer, "bs") in flips),)
+            bits_t += ((winner >> 1) ^ ((layer, "bs") in flips),)
         if layer < n_r:
-            bits_r += (br ^ ((layer, "ris") in flips),)
+            bits_r += ((winner & 1) ^ ((layer, "ris") in flips),)
     bits_t += (0,) * (n_t - len(bits_t))
     bits_r += (0,) * (n_r - len(bits_r))
     raw = (np.array(bits_t, dtype=np.uint8), np.array(bits_r, dtype=np.uint8))
@@ -210,16 +216,17 @@ def run_coded(
     With identity codes and decode mode "none" this is full-coverage
     hierarchical training.
     """
-    bs_book, ris_book = books
     code_t, code_r = codes
     if min(code_t.n, code_r.n) == 0:
         raise ValueError("layered training needs more than one candidate on each side")
+    table = gain_table(ch, books[0].matrix, books[1].matrix, ideal, check_modulus=True)
 
-    def pairs(layer, bits_t, bits_r):
-        return bs_book.layers[layer % code_t.n], ris_book.layers[layer % code_r.n]
+    def gains(layer, bits_t, bits_r):
+        i, j = 2 * (layer % code_t.n), 2 * (layer % code_r.n)
+        return table[i:i + 2, j:j + 2]
 
     raw, sent, needed = _send_layers(
-        ch, (code_t.n, code_r.n), pairs, snr, budget, rng, ideal, inject_flips)
+        (code_t.n, code_r.n), gains, snr, budget, rng, inject_flips)
     bs_mode = "one_bit" if decode_mode == "decoupled_two_bit" else decode_mode
     u_t, rep_t = decode(code_t, raw[0], bs_mode)
     u_r, rep_r = decode(code_r, raw[1], decode_mode)
@@ -232,11 +239,9 @@ class HierarchicalBeamProvider:
     A prefix beam covers the indices whose leading bits equal a decided bit
     prefix. Beams are designed on demand, once per prefix, and cached per
     side: "bs" for the BS, "u" and "w" for the two RIS axes. A RIS prefix is
-    the u bits followed by the w bits, so the RIS resolves its u bits first,
-    and its beam is the Kronecker product of the two cached axis beams. Every
-    array size must be a power of two, so that each prefix covers a nonempty
-    index interval. Full-coverage hierarchical training needs no provider: its
-    basis beams are the identity-code codebooks.
+    the u bits followed by the w bits, and its beam is the Kronecker product
+    of the two cached axis beams. Every array size must be a power of two, so
+    that each prefix covers a nonempty index interval.
     """
 
     def __init__(
@@ -319,23 +324,23 @@ def run_hierarchical(
     binary search); the RIS resolves its u bits first, then its w bits. A
     resolved side repeats its final narrow beam. There is no error
     correction; a truncated budget zero-pads the missing bits and flags the
-    outcome. Full-coverage hierarchical training is ``run_coded`` with
-    identity codes.
+    outcome.
     """
+    def gains(layer, bits_t, bits_r):
+        bs_pair, ris_pair = designers.layer_pairs(layer, bits_t, bits_r)
+        return gain_table(ch, bs_pair.columns, ris_pair.columns, designers.ideal,
+                          check_modulus=True)
+
     raw, sent, needed = _send_layers(
-        ch, (designers.k_bs, designers.k_ris), designers.layer_pairs, snr, budget,
-        rng, designers.ideal, inject_flips)
+        (designers.k_bs, designers.k_ris), gains, snr, budget, rng, inject_flips)
     return _outcome(ch, raw, raw, (None, None), sent, needed)
 
 
-def narrow_beam_matrices(
-    grid: AngleGrid, geometry: ArrayGeometry
-) -> tuple[np.ndarray, np.ndarray]:
+def narrow_beam_matrices(grid: AngleGrid, geometry: ArrayGeometry
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Coverage-convention narrow-beam codebooks: (BS n_bs x n_bs, RIS n_ris x n_ris)."""
-    sp = geometry.spacing_over_wavelength
-    bs = np.stack([ula_steering(geometry.n_bs, a, sp) for a in grid.bs_angles], axis=1)
     ris = ris_sampling_matrix(geometry, grid) / np.sqrt(geometry.n_ris)
-    return bs, ris
+    return bs_steering_matrix(geometry, grid), ris
 
 
 def run_exhaustive(
@@ -353,26 +358,13 @@ def run_exhaustive(
     With a budget below n_bs * n_ris only the first tuples are measured; ties
     break toward the lowest tuple index.
     """
-    if narrow_beams is None:
-        narrow_beams = narrow_beam_matrices(grid, geometry)
-    bs_cov, ris_cov = narrow_beams
+    bs_cov, ris_cov = narrow_beams or narrow_beam_matrices(grid, geometry)
     total = geometry.n_bs * geometry.n_ris
-    budget = total if budget is None else budget
-    if budget < 1:
-        raise ValueError("exhaustive training needs a positive budget")
-    count = min(budget, total)
+    check_budget("exhaustive", budget)
+    count = total if budget is None else min(budget, total)
 
-    w_tx = np.conj(bs_cov)
-    v_tx = np.conj(ris_cov) * ris_phase_compensation(ch)[:, None]
-    # gains[j, i] for RIS beam j and BS beam i, flattened BS-major
-    gains = ((v_tx * ch.h_r[:, None]).T @ ch.g_mat @ w_tx).T.ravel()[:count]
-    amplitudes = np.sqrt(snr.snr_linear) * gains
-    if snr.noiseless:
-        powers = np.abs(amplitudes) ** 2
-    else:
-        noise = rng.standard_normal((count, 2))
-        powers = np.abs(amplitudes + (noise[:, 0] + 1j * noise[:, 1]) / np.sqrt(2.0)) ** 2
-    winner = int(np.argmax(powers))
+    gains = gain_table(ch, bs_cov, ris_cov).ravel()[:count]  # BS-major tuple order
+    winner = int(np.argmax(received_power(gains, snr, pilot_noise(snr, rng, (count,)))))
     return TrainingOutcome(
         est_bs_index=winner // geometry.n_ris + 1,
         est_ris_index=winner % geometry.n_ris + 1,
@@ -393,10 +385,16 @@ def training_overhead(kind: str, n_bs: int, ris_dims: tuple[int, int]) -> int:
     if kind == "hierarchical":
         return 4 * max(ceil_log2(n_bs), ceil_log2(n1 * n2))
     if kind == "coded":
-        n_t = build_plain_code(ceil_log2(n_bs)).n
-        n_r = build_reduced_code(ceil_log2(n1), ceil_log2(n2)).n
-        return 4 * max(n_t, n_r)
+        return 4 * max(code.n for code in coded_codes(n_bs, ris_dims))
     raise ValueError(f"unknown protocol kind {kind!r}")
+
+
+def coded_codes(n_bs: int, ris_dims: tuple[int, int]) -> tuple[BlockCode, BlockCode]:
+    """The codes of coded training: plain for the BS, dimension-split for the RIS."""
+    if n_bs < 2:
+        raise ValueError(f"coded training needs at least two BS candidates, got n_bs={n_bs}")
+    return (build_plain_code(ceil_log2(n_bs)),
+            build_reduced_code(ceil_log2(ris_dims[0]), ceil_log2(ris_dims[1])))
 
 
 def grid_transmit_pair(

@@ -23,6 +23,13 @@ def test_overhead_rejects_small_ris(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_overhead_rejects_single_antenna_bs(capsys):
+    assert main(["overhead", "--nt", "1", "--ris", "8x8"]) == 2
+    err = capsys.readouterr().err
+    assert "coded training needs at least two BS candidates, got n_bs=1" in err
+    assert "k must be positive" not in err
+
+
 def test_validate_code_8x8(capsys):
     assert main(["validate-code", "--ris", "8x8"]) == 0
     out = capsys.readouterr().out

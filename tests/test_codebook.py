@@ -295,6 +295,18 @@ def test_classification_margin_cases(bs16):
     assert max_out == 0.0
 
 
+def test_codebook_reports_match_classification_margin(desk_books, desk_grid,
+                                                      desk_geometry):
+    # build_codebooks computes its margins from steering matrices built once
+    for book in desk_books:
+        for pair, mask, reports in zip(book.layers, book.masks, book.reports):
+            mask = mask.astype(bool)
+            for v, cover, report in ((pair.one, mask, reports[0]),
+                                     (pair.zero, ~mask, reports[1])):
+                margin = classification_margin(v, cover, desk_grid, desk_geometry)
+                assert (report.min_in, report.max_out) == margin
+
+
 @settings(max_examples=25, deadline=None)
 @given(phase=st.floats(0.0, 6.28))
 def test_classification_margin_phase_invariant(phase):

@@ -170,6 +170,39 @@ def test_config_validation():
         _tiny_config(sampling_mode="contnuous")
 
 
+def test_pilot_budgets_below_the_minimum_rejected_at_config():
+    # layered protocols send whole 4-tuple layers, exhaustive at least one tuple
+    hierarchical = (ProtocolSpec("hierarchical"),)
+    for protocols in (hierarchical, (ProtocolSpec("coded", "one_bit"),),
+                      (ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),)):
+        with pytest.raises(ValueError, match="at least 4, got 2"):
+            _tiny_config(sweep_over="pilots", pilot_grid=(8, 2), protocols=protocols)
+    with pytest.raises(ValueError, match="at least 1, got 0"):
+        _tiny_config(sweep_over="pilots", pilot_grid=(0,),
+                     protocols=(ProtocolSpec("exhaustive"),))
+    with pytest.raises(ValueError, match="at least 4, got 3"):
+        ProtocolSpec("coded", pilot_budget=3)
+    with pytest.raises(ValueError, match="at least 1, got 0"):
+        ProtocolSpec("exhaustive", pilot_budget=0)
+    # the smallest budgets run
+    results = run_sweep(_tiny_config(sweep_over="pilots", pilot_grid=(1,), trials=2,
+                                     protocols=(ProtocolSpec("exhaustive"),)))
+    assert results.rows[0].pilots == 1
+    results = run_sweep(_tiny_config(protocols=(ProtocolSpec("hierarchical", pilot_budget=4),
+                                                ProtocolSpec("exhaustive", pilot_budget=1))))
+    assert [row.pilots for row in results.rows] == [4, 1]
+
+
+def test_single_antenna_bs_rejected_for_layered_protocols():
+    for protocols in ((ProtocolSpec("coded", "one_bit"),), (ProtocolSpec("hierarchical"),)):
+        with pytest.raises(ValueError, match="at least two BS candidates"):
+            _tiny_config(n_bs=1, protocols=protocols)
+    # adaptive hierarchical training has nothing to search on the BS side and runs
+    adaptive = (ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),)
+    results = run_sweep(_tiny_config(n_bs=1, protocols=adaptive, trials=3))
+    assert results.rows[0].success_rate == 1.0
+
+
 def test_infeasible_geometry_reported_before_trials():
     cfg = ExperimentConfig(
         n_bs=8, n_ris_rows=4, n_ris_cols=4,
