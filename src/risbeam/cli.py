@@ -106,6 +106,9 @@ def cmd_overhead(args) -> int:
 def cmd_validate_code(args) -> int:
     if args.ris is None and args.nt is None:
         raise ValueError("give --ris ROWSxCOLS and/or --nt N")
+    if args.nt is not None and args.nt < 2:
+        raise ValueError(f"a single-antenna BS has no code to validate (need --nt 2 or "
+                         f"more, got {args.nt})")
     if args.nt is not None:
         _print_code(f"bs {args.nt} plain code", build_plain_code(ceil_log2(args.nt)))
     if args.ris is not None:

@@ -3,7 +3,8 @@
 BS codewords are unconstrained unit-norm multi-mainlobe sums and are exact on
 the candidate grid. RIS codewords obey the constant-modulus constraint and are
 designed by a relaxed Gerchberg-Saxton iteration that only re-assigns
-amplitudes at grid points failing the in/out classification thresholds.
+amplitudes at grid points failing the in/out classification thresholds. All
+designs on one sampling matrix run as one batch, one row per coverage mask.
 
 Codewords are stored in coverage convention: the response of codeword v at
 grid point n is |a_n^H v| with a_n the steering vector there. The training
@@ -14,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .arrays import AngleGrid, ArrayGeometry, u_axis, ula_steering, upa_steering_uw, w_axis
+from .arrays import AngleGrid, ArrayGeometry, u_axis, ula_factor, ula_steering, w_axis
 from .blockcode import BlockCode, encode, int_to_bits
 from .seeding import derive_rng
 
@@ -130,14 +131,17 @@ def bs_steering_matrix(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarray:
 
 
 def ris_sampling_matrix(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarray:
-    """2-D sampling matrix (unit-modulus entries), column n at grid point n."""
+    """2-D sampling matrix (unit-modulus entries), column n at grid point n.
+
+    Bit-identical to sqrt(n_ris) * ``upa_steering_uw`` per grid point, in one broadcast.
+    """
     n1, n2 = geometry.n_ris_rows, geometry.n_ris_cols
     sp = geometry.spacing_over_wavelength
-    cols = [
-        np.sqrt(n1 * n2) * upa_steering_uw(n1, n2, u, w, sp)
-        for u, w in zip(grid.ris_u, grid.ris_w)
-    ]
-    return np.stack(cols, axis=1)
+    f_u = ula_factor(n1, grid.ris_u[:, None], sp)
+    f_w = ula_factor(n2, grid.ris_w[:, None], sp)
+    scale = np.sqrt(n1 * n2)
+    cols = (f_u[:, :, None] * f_w[:, None, :]).reshape(-1, n1 * n2) / scale * scale
+    return np.ascontiguousarray(cols.T)
 
 
 def flat_codeword(n: int) -> np.ndarray:
@@ -161,31 +165,41 @@ def _pinv_with_rank(mat: np.ndarray, rcond: float = SV_CUTOFF):
     return inv, int(keep.sum())
 
 
-def relaxed_gs(
+def _stacked_matvec(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """mat @ row for every row, rounded as one matrix-vector product (a 2-D matmul is not)."""
+    return (mat[None] @ rows[..., None])[..., 0]
+
+
+def relaxed_gs_batch(
     a_scaled: np.ndarray,
-    mask: np.ndarray,
+    masks: np.ndarray,
     cfg: GsConfig,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Relaxed GS iteration on an arbitrary sampling matrix.
+    """Relaxed GS iteration on one sampling matrix for a stack of coverage masks.
 
     a_scaled maps a codeword to grid amplitudes (columns are scaled steering
     vectors with unit-modulus entries). Grid points already classified
     correctly, in-coverage amplitude at least P*(1-delta) or out-of-coverage
     at most P*delta, keep their current value; the rest are re-assigned to
-    the threshold amplitude with preserved phase. Returns the constant-modulus
-    codeword and the trace ||s_k - s_{k-1}||_2, whose first entry compares the
+    the threshold amplitude with preserved phase. Row b of the (B, n_grid)
+    mask stack is designed with generator rngs[b] alone, exactly as a
+    one-row call. Returns the (B, n_el) constant-modulus codewords and the
+    (B, k_iter) traces ||s_k - s_{k-1}||_2, whose first entry compares the
     first realized beam against the intended one.
     """
     n_el, n_grid = a_scaled.shape
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (n_grid,):
+    masks = np.asarray(masks, dtype=bool)
+    if masks.ndim != 2 or masks.shape[1] != n_grid:
         raise ValueError("mask length does not match the grid")
-    if not mask.any():
+    if len(rngs) != masks.shape[0]:
+        raise ValueError("need one generator per mask")
+    covered = masks.sum(axis=1)
+    if not covered.all():
         raise ValueError("coverage mask is empty")
-    if mask.all():
+    if (covered == n_grid).any():
         raise ValueError("coverage mask covers the whole grid")
-    target = cfg.target_amplitude or float(np.sqrt(n_grid / mask.sum()))
+    target = cfg.target_amplitude or np.sqrt(n_grid / covered)[:, None]
 
     forward = a_scaled.conj().T
     backward, rank = _pinv_with_rank(forward)
@@ -195,21 +209,35 @@ def relaxed_gs(
         )
 
     modulus = 1.0 / np.sqrt(n_el)
-    s_prev = np.where(mask, target, 0.0) * np.exp(2j * np.pi * rng.random(n_grid))
-    v = modulus * np.exp(1j * np.angle(backward @ s_prev))
+    phases = np.array([rng.random(n_grid) for rng in rngs])
+    s_prev = np.where(masks, target, 0.0) * np.exp(2j * np.pi * phases)
+    v = modulus * np.exp(1j * np.angle(_stacked_matvec(backward, s_prev)))
     hi = target * (1.0 - cfg.delta)
     lo = target * cfg.delta
-    trace = np.empty(cfg.k_iter)
+    traces = np.empty((masks.shape[0], cfg.k_iter))
     for k in range(cfg.k_iter):
-        s_k = forward @ v
-        trace[k] = np.linalg.norm(s_k - s_prev)
+        s_k = _stacked_matvec(forward, v)
+        d = s_k - s_prev  # summed as np.linalg.norm sums it: real parts, then imaginary
+        sq = d.real[:, None] @ d.real[..., None] + d.imag[:, None] @ d.imag[..., None]
+        traces[:, k] = np.sqrt(sq[:, 0, 0])
         amp = np.abs(s_k)
-        satisfied = np.where(mask, amp >= hi, amp <= lo)
-        reassigned = np.where(mask, hi, lo) * np.exp(1j * np.angle(s_k))
+        satisfied = np.where(masks, amp >= hi, amp <= lo)
+        reassigned = np.where(masks, hi, lo) * np.exp(1j * np.angle(s_k))
         s_hat = np.where(satisfied, s_k, reassigned)
-        v = modulus * np.exp(1j * np.angle(backward @ s_hat))
+        v = modulus * np.exp(1j * np.angle(_stacked_matvec(backward, s_hat)))
         s_prev = s_k
-    return v, trace
+    return v, traces
+
+
+def relaxed_gs(
+    a_scaled: np.ndarray,
+    mask: np.ndarray,
+    cfg: GsConfig,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Relaxed GS design of one codeword: a one-row ``relaxed_gs_batch``."""
+    v, trace = relaxed_gs_batch(a_scaled, np.asarray(mask, dtype=bool)[None], cfg, (rng,))
+    return v[0], trace[0]
 
 
 def design_ris_codeword_gs(
@@ -298,35 +326,33 @@ def factor_pattern_mask(mask: np.ndarray, n1: int, n2: int):
     raise ValueError("mask does not factor across the RIS dimensions")
 
 
-def _design_axis(
-    n: int, freqs: np.ndarray, mask: np.ndarray, cfg: GsConfig,
-    rng: np.random.Generator, spacing: float,
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    if mask.all():
-        return flat_codeword(n), None
-    v, trace = relaxed_gs(axis_sampling_matrix(n, freqs, spacing), mask, cfg, rng)
-    return v, trace
+def _gs_rows(matrix: np.ndarray, covers, axis: str, cfg: GsConfig):
+    """One GS batch: (codeword, trace) per (layer, polarity, mask), each on its own stream."""
+    if not covers:
+        return []
+    rngs = [derive_rng(cfg.seed, "gs", "ris", i, polarity, axis) for i, polarity, _ in covers]
+    vs, traces = relaxed_gs_batch(matrix, np.array([m for *_, m in covers]), cfg, rngs)
+    return list(zip(vs, traces))
 
 
-def design_ris_codeword_factorized(
-    mask: np.ndarray,
-    geometry: ArrayGeometry,
-    cfg: GsConfig,
-    rng_u: np.random.Generator,
-    rng_w: np.random.Generator,
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Kronecker synthesis of a RIS codeword from two 1-D designs.
+def _design_factorized(covers, geometry: ArrayGeometry, cfg: GsConfig):
+    """Kronecker synthesis of each cover's RIS codeword from two 1-D designs.
 
-    The full-coverage factor is the closed-form flat codeword (exact response,
-    no iteration); the varying factor runs the relaxed GS on its axis grid.
+    A full-coverage factor is the closed-form flat codeword (exact response,
+    no iteration); the varying factors of each axis run as one GS batch on
+    that axis's grid. Returns (codeword, traces) per cover.
     """
-    n1, n2 = geometry.n_ris_rows, geometry.n_ris_cols
-    sp = geometry.spacing_over_wavelength
-    u_mask, w_mask = factor_pattern_mask(mask, n1, n2)
-    v_u, trace_u = _design_axis(n1, u_axis(n1), u_mask, cfg, rng_u, sp)
-    v_w, trace_w = _design_axis(n2, w_axis(n2), w_mask, cfg, rng_w, sp)
-    traces = tuple(t for t in (trace_u, trace_w) if t is not None)
-    return np.kron(v_u, v_w), traces
+    sizes = (geometry.n_ris_rows, geometry.n_ris_cols)
+    factors = [factor_pattern_mask(m, *sizes) for *_, m in covers]
+    per_axis = []
+    for a, (name, n, freqs) in enumerate(zip("uw", sizes, (u_axis, w_axis))):
+        matrix = axis_sampling_matrix(n, freqs(n), geometry.spacing_over_wavelength)
+        varying = [(i, pol, f[a]) for (i, pol, _), f in zip(covers, factors) if not f[a].all()]
+        designed = iter(_gs_rows(matrix, varying, name, cfg))
+        per_axis.append([(flat_codeword(n), None) if f[a].all() else next(designed)
+                         for f in factors])
+    return [(np.kron(v_u, v_w), tuple(t for t in (t_u, t_w) if t is not None))
+            for (v_u, t_u), (v_w, t_w) in zip(*per_axis)]
 
 
 def build_codebooks(
@@ -339,10 +365,10 @@ def build_codebooks(
 ) -> tuple[DesignedCodebook, DesignedCodebook]:
     """Design the full BS and RIS codebooks for the given codes.
 
-    Dimension-split RIS codes are synthesized per layer as Kronecker products
-    of two 1-D designs; plain RIS codes (or direct_2d=True) use the direct 2-D
-    relaxed GS. Each (side, layer, polarity) consumes its own derived random
-    stream, so designs are reproducible and order-independent.
+    Dimension-split RIS codes are synthesized as Kronecker products of two
+    1-D designs, one GS batch per axis; plain RIS codes (or direct_2d=True)
+    run one direct 2-D batch. Each (layer, polarity, axis) design consumes its
+    own derived random stream, so designs are reproducible and order-independent.
     """
     pattern_t = beam_pattern_matrix(code_t, geometry.n_bs, side="bs")
     pattern_r = beam_pattern_matrix(code_r, geometry.n_ris, side="ris")
@@ -362,27 +388,18 @@ def build_codebooks(
             CodewordReport((), *_margin(responses(pair.zero), ~mask)),
         ))
 
-    factorize = code_r.split is not None and not direct_2d
-    ris_layers, ris_reports = [], []
-    for i in range(pattern_r.n_layers):
-        mask = pattern_r.rows[i].astype(bool)
-        pair_entries = []
-        for polarity, cover in (("one", mask), ("zero", ~mask)):
-            if factorize:
-                v, traces = design_ris_codeword_factorized(
-                    cover, geometry, cfg,
-                    derive_rng(cfg.seed, "gs", "ris", i, polarity, "u"),
-                    derive_rng(cfg.seed, "gs", "ris", i, polarity, "w"),
-                )
-            else:
-                v, trace = relaxed_gs(
-                    ris_sampling, cover, cfg,
-                    derive_rng(cfg.seed, "gs", "ris", i, polarity, "2d"),
-                )
-                traces = (trace,)
-            pair_entries.append((v, CodewordReport(traces, *_margin(responses(v), cover))))
-        ris_layers.append(BeamPair(one=pair_entries[0][0], zero=pair_entries[1][0]))
-        ris_reports.append((pair_entries[0][1], pair_entries[1][1]))
+    covers = [(i, polarity, cover)
+              for i, row in enumerate(pattern_r.rows.astype(bool))
+              for polarity, cover in (("one", row), ("zero", ~row))]
+    if code_r.split is not None and not direct_2d:
+        designs = _design_factorized(covers, geometry, cfg)
+    else:
+        designs = [(v, (t,)) for v, t in _gs_rows(ris_sampling, covers, "2d", cfg)]
+    reports = [CodewordReport(traces, *_margin(responses(v), cover))
+               for (v, traces), (*_, cover) in zip(designs, covers)]
+    ris_layers = [BeamPair(one=one[0], zero=zero[0])
+                  for one, zero in zip(designs[::2], designs[1::2])]
+    ris_reports = list(zip(reports[::2], reports[1::2]))
 
     return (
         DesignedCodebook("bs", bs_layers, bs_reports, pattern_t.rows),

@@ -92,6 +92,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"n_bs={self.n_bs}: coded and full-coverage hierarchical training "
                 "need at least two BS candidates")
+        if self.n_ris_rows * self.n_ris_cols < 2 and layered:
+            raise ValueError(
+                f"n_ris={self.n_ris_rows * self.n_ris_cols}: coded and full-coverage "
+                "hierarchical training need at least two RIS candidates")
         if self.sweep_over == "pilots":
             for budget in self.pilot_grid:
                 for proto in self.protocols:

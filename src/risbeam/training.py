@@ -18,6 +18,7 @@ steering phases so the training depends only on the UE-side angle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -48,7 +49,7 @@ from .codebook import (
     bs_steering_matrix,
     design_bs_codeword,
     flat_codeword,
-    relaxed_gs,
+    relaxed_gs_batch,
     ris_sampling_matrix,
 )
 from .seeding import derive_rng
@@ -237,11 +238,13 @@ class HierarchicalBeamProvider:
     """Designs and caches the beams of adaptive hierarchical training.
 
     A prefix beam covers the indices whose leading bits equal a decided bit
-    prefix. Beams are designed on demand, once per prefix, and cached per
-    side: "bs" for the BS, "u" and "w" for the two RIS axes. A RIS prefix is
-    the u bits followed by the w bits, and its beam is the Kronecker product
-    of the two cached axis beams. Every array size must be a power of two, so
-    that each prefix covers a nonempty index interval.
+    prefix. Beams are cached per side ("bs", the RIS axes "u" and "w", and
+    "ris") and prefix. The first request on a RIS axis designs every prefix
+    beam of that axis in one GS batch; BS and ideal (mask-valued) beams are
+    designed on demand. A RIS prefix is the u bits followed by the w bits, and
+    its beam is the Kronecker product of the two axis beams, formed once per
+    prefix. Every array size must be a power of two, so that each prefix
+    covers a nonempty index interval.
     """
 
     def __init__(
@@ -265,7 +268,7 @@ class HierarchicalBeamProvider:
         self.k_bs = ceil_log2(geometry.n_bs)
         self.k_u = ceil_log2(geometry.n_ris_rows)
         self.k_ris = self.k_u + ceil_log2(geometry.n_ris_cols)
-        self._beams: dict = {side: {} for side in self._sizes}
+        self._beams: dict = {side: {} for side in ("bs", "u", "w", "ris")}
 
     def layer_pairs(self, layer: int, bits_t: tuple, bits_r: tuple
                     ) -> tuple[BeamPair, BeamPair]:
@@ -285,28 +288,38 @@ class HierarchicalBeamProvider:
         return BeamPair(one=resolved, zero=resolved)
 
     def _beam(self, side: str, prefix: tuple) -> np.ndarray:
-        if side == "ris":
-            return np.kron(self._beam("u", prefix[:self.k_u]),
-                           self._beam("w", prefix[self.k_u:]))
         beams = self._beams[side]
         if prefix not in beams:
-            beams[prefix] = self._design(side, prefix)
+            if side == "ris":
+                beams[prefix] = np.kron(self._beam("u", prefix[:self.k_u]),
+                                        self._beam("w", prefix[self.k_u:]))
+            elif self.ideal:
+                beams[prefix] = self._mask(side, prefix).astype(float)
+            elif side == "bs":
+                beams[prefix] = design_bs_codeword(np.flatnonzero(self._mask(side, prefix)),
+                                                   self.grid, self.geometry)
+            else:
+                beams.update(self._design_axis(side))
         return beams[prefix]
 
-    def _design(self, side: str, prefix: tuple) -> np.ndarray:
+    def _mask(self, side: str, prefix: tuple) -> np.ndarray:
         n = self._sizes[side]
-        mask = np.arange(n) >> (ceil_log2(n) - len(prefix)) == bits_to_int(prefix)
-        if self.ideal:
-            return mask.astype(float)
-        if side == "bs":
-            return design_bs_codeword(np.flatnonzero(mask), self.grid, self.geometry)
-        if not prefix:
-            return flat_codeword(n)
-        freqs = (u_axis if side == "u" else w_axis)(n)
-        matrix = axis_sampling_matrix(n, freqs, self.geometry.spacing_over_wavelength)
-        beam, _ = relaxed_gs(matrix, mask, self.cfg,
-                             derive_rng(self.cfg.seed, "hier", side, prefix))
-        return beam
+        return np.arange(n) >> (ceil_log2(n) - len(prefix)) == bits_to_int(prefix)
+
+    def _design_axis(self, side: str) -> dict:
+        """Every prefix beam of a RIS axis; nonempty prefixes run as one GS batch."""
+        n = self._sizes[side]
+        prefixes = [bits for length in range(1, ceil_log2(n) + 1)
+                    for bits in product((0, 1), repeat=length)]
+        beams = {(): flat_codeword(n)}
+        if prefixes:
+            freqs = (u_axis if side == "u" else w_axis)(n)
+            matrix = axis_sampling_matrix(n, freqs, self.geometry.spacing_over_wavelength)
+            rngs = [derive_rng(self.cfg.seed, "hier", side, bits) for bits in prefixes]
+            masks = np.array([self._mask(side, bits) for bits in prefixes])
+            designed, _ = relaxed_gs_batch(matrix, masks, self.cfg, rngs)
+            beams.update(zip(prefixes, designed))
+        return beams
 
 
 def run_hierarchical(

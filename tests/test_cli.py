@@ -46,6 +46,14 @@ def test_validate_code_requires_an_array(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_validate_code_rejects_single_antenna_bs(capsys):
+    assert main(["validate-code", "--nt", "1", "--ris", "8x8"]) == 2
+    captured = capsys.readouterr()
+    assert "a single-antenna BS has no code to validate" in captured.err
+    assert "k must be positive" not in captured.err
+    assert captured.out == ""
+
+
 def test_validate_code_bs_only(capsys):
     assert main(["validate-code", "--nt", "16"]) == 0
     out = capsys.readouterr().out

@@ -3,10 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risbeam.arrays import ArrayGeometry, make_angle_grid, u_axis, ula_steering
+from functools import lru_cache
+
+from risbeam.arrays import (
+    ArrayGeometry,
+    make_angle_grid,
+    u_axis,
+    ula_steering,
+    upa_steering_uw,
+    w_axis,
+)
 from risbeam.blockcode import build_plain_code, build_reduced_code, encode, int_to_bits
 from risbeam.codebook import (
     GsConfig,
+    _pinv_with_rank,
     axis_sampling_matrix,
     beam_pattern_matrix,
     build_codebooks,
@@ -17,6 +27,7 @@ from risbeam.codebook import (
     flat_codeword,
     ideal_codebook,
     relaxed_gs,
+    relaxed_gs_batch,
     ris_sampling_matrix,
 )
 from risbeam.seeding import derive_rng
@@ -334,3 +345,87 @@ def test_relaxed_gs_reports_rank_deficiency():
     with pytest.raises(np.linalg.LinAlgError):
         relaxed_gs(mat, np.array([True, False, False, True]), GsConfig(),
                    derive_rng(0, "rank"))
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (8, 16), (16, 4)])
+def test_ris_sampling_matrix_matches_steering_columns(shape):
+    # the broadcast construction equals the per-grid-point steering stack exactly
+    n1, n2 = shape
+    geo = ArrayGeometry(4, n1, n2)
+    grid = make_angle_grid(geo)
+    expected = np.stack([np.sqrt(n1 * n2) * upa_steering_uw(n1, n2, u, w)
+                         for u, w in zip(grid.ris_u, grid.ris_w)], axis=1)
+    matrix = ris_sampling_matrix(geo, grid)
+    assert matrix.shape == expected.shape
+    assert matrix.tobytes() == expected.tobytes()
+
+
+def reference_relaxed_gs(a_scaled, mask, cfg, rng):
+    """The per-codeword relaxed GS loop that every batch row must reproduce."""
+    n_el, n_grid = a_scaled.shape
+    target = cfg.target_amplitude or float(np.sqrt(n_grid / mask.sum()))
+    forward = a_scaled.conj().T
+    backward, _ = _pinv_with_rank(forward)
+    modulus = 1.0 / np.sqrt(n_el)
+    s_prev = np.where(mask, target, 0.0) * np.exp(2j * np.pi * rng.random(n_grid))
+    v = modulus * np.exp(1j * np.angle(backward @ s_prev))
+    hi, lo = target * (1.0 - cfg.delta), target * cfg.delta
+    trace = np.empty(cfg.k_iter)
+    for k in range(cfg.k_iter):
+        s_k = forward @ v
+        trace[k] = np.linalg.norm(s_k - s_prev)
+        amp = np.abs(s_k)
+        satisfied = np.where(mask, amp >= hi, amp <= lo)
+        reassigned = np.where(mask, hi, lo) * np.exp(1j * np.angle(s_k))
+        v = modulus * np.exp(1j * np.angle(backward @ np.where(satisfied, s_k, reassigned)))
+        s_prev = s_k
+    return v, trace
+
+
+@lru_cache(maxsize=None)
+def gs_matrix(kind: str, n: int) -> np.ndarray:
+    """An axis sampling matrix of size n, or the desk 2-D sampling matrix."""
+    if kind == "2d":
+        geo = ArrayGeometry(16, 8, 8)
+        return ris_sampling_matrix(geo, make_angle_grid(geo))
+    return axis_sampling_matrix(n, (u_axis if kind == "u" else w_axis)(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(("u", "w", "2d")), n=st.integers(2, 32), rows=st.integers(1, 4),
+       target=st.none() | st.floats(0.5, 3.0), delta=st.floats(0.0, 0.5),
+       k_iter=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_gs_batch_rows_match_single_designs(kind, n, rows, target, delta, k_iter, seed):
+    matrix = gs_matrix(kind, n)
+    n_grid = matrix.shape[1]
+    rng = np.random.default_rng(seed)
+    masks = rng.random((rows, n_grid)) < rng.random()
+    for row in masks:  # non-trivial: at least one point in and one out
+        inside, outside = rng.choice(n_grid, 2, replace=False)
+        row[inside], row[outside] = True, False
+    cfg = GsConfig(delta=delta, k_iter=k_iter, target_amplitude=target)
+    vs, traces = relaxed_gs_batch(matrix, masks, cfg,
+                                  [derive_rng(seed, "row", b) for b in range(rows)])
+    assert vs.shape == (rows, matrix.shape[0]) and traces.shape == (rows, k_iter)
+    for b, mask in enumerate(masks):
+        for v, trace in (reference_relaxed_gs(matrix, mask, cfg, derive_rng(seed, "row", b)),
+                         relaxed_gs(matrix, mask, cfg, derive_rng(seed, "row", b))):
+            assert vs[b].tobytes() == v.tobytes()
+            assert traces[b].tobytes() == trace.tobytes()
+
+
+def test_gs_batch_rejects_degenerate_rows():
+    # one bad row fails the whole batch with the single-design errors
+    matrix = axis_sampling_matrix(8, u_axis(8))
+    good = np.arange(8) < 4
+    rngs = [derive_rng(0, "bad", b) for b in range(2)]
+    for bad, message in ((np.zeros(8, dtype=bool), "coverage mask is empty"),
+                         (np.ones(8, dtype=bool), "covers the whole grid")):
+        with pytest.raises(ValueError, match=message):
+            relaxed_gs_batch(matrix, np.stack([good, bad]), GsConfig(), rngs)
+        with pytest.raises(ValueError, match=message):
+            relaxed_gs(matrix, bad, GsConfig(), rngs[0])
+    duplicated = axis_sampling_matrix(4, np.array([0.1, 0.1, 0.3, 0.5]))
+    masks = np.array([[True, False, False, True], [False, True, True, False]])
+    with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+        relaxed_gs_batch(duplicated, masks, GsConfig(), rngs)

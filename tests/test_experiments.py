@@ -203,6 +203,17 @@ def test_single_antenna_bs_rejected_for_layered_protocols():
     assert results.rows[0].success_rate == 1.0
 
 
+def test_single_element_ris_rejected_for_layered_protocols():
+    for protocols in ((ProtocolSpec("coded", "one_bit"),), (ProtocolSpec("hierarchical"),)):
+        with pytest.raises(ValueError, match="at least two RIS candidates"):
+            _tiny_config(n_ris_rows=1, n_ris_cols=1, protocols=protocols)
+    # adaptive hierarchical training has nothing to search on the RIS side and runs
+    adaptive = (ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),)
+    results = run_sweep(_tiny_config(n_ris_rows=1, n_ris_cols=1, protocols=adaptive,
+                                     trials=3))
+    assert results.rows[0].success_rate == 1.0
+
+
 def test_infeasible_geometry_reported_before_trials():
     cfg = ExperimentConfig(
         n_bs=8, n_ris_rows=4, n_ris_cols=4,

@@ -199,19 +199,20 @@ def test_hierarchical_adaptive_budget_and_truncation(oracle_setup):
 def test_provider_designs_each_prefix_once(monkeypatch, desk_geometry, desk_grid):
     # noisy runs walk many branches of the binary search; each prefix beam is
     # designed once, however often the search comes back to it
+    # (a RIS axis designs all its prefixes in one batch: one key per mask row)
     designs = []
 
-    def counted(fn, key):
+    def counted(fn, keys):
         def wrapper(*args, **kwargs):
-            designs.append(key(*args))
+            designs.extend(keys(*args))
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(training, "relaxed_gs", counted(
-        training.relaxed_gs,
-        lambda matrix, mask, *rest: ("ris", matrix.tobytes(), mask.tobytes())))
+    monkeypatch.setattr(training, "relaxed_gs_batch", counted(
+        training.relaxed_gs_batch,
+        lambda matrix, masks, *rest: [("ris", matrix.tobytes(), m.tobytes()) for m in masks]))
     monkeypatch.setattr(training, "design_bs_codeword", counted(
-        training.design_bs_codeword, lambda indices, *rest: ("bs", tuple(indices))))
+        training.design_bs_codeword, lambda indices, *rest: [("bs", tuple(indices))]))
     provider = HierarchicalBeamProvider(desk_geometry, desk_grid,
                                         GsConfig(seed=1, k_iter=10))
     for trial in range(40):
@@ -221,7 +222,7 @@ def test_provider_designs_each_prefix_once(monkeypatch, desk_geometry, desk_grid
     assert len(designs) == len(set(designs))
     # more prefixes than one path through the search: the runs branched
     assert sum(key[0] == "bs" for key in designs) > 2 * ceil_log2(desk_geometry.n_bs)
-    assert sum(key[0] == "ris" for key in designs) > 2 * 6
+    assert len(provider._beams["ris"]) > 2 * 6
 
 
 def test_hierarchical_full_scale_pilot_count():
