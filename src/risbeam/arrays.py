@@ -89,8 +89,8 @@ def upa_steering_uw(
     Kronecker product of the u-dimension factor (length n1) and the
     w-dimension factor (length n2), both on centered indices.
     """
-    vec = np.kron(ula_factor(n1, u, spacing), ula_factor(n2, w, spacing))
-    return vec / np.sqrt(n1 * n2)
+    vec = np.multiply.outer(ula_factor(n1, u, spacing), ula_factor(n2, w, spacing))
+    return vec.ravel() / np.sqrt(n1 * n2)
 
 
 def upa_steering(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -31,6 +32,19 @@ class BlockCode:
     def m(self) -> int:
         return self.n - self.k
 
+    @cached_property
+    def syndrome_lookup(self) -> np.ndarray:
+        """``syndrome_table`` indexed by the integer syndrome; -1 where it has no entry."""
+        return _lookup(self.syndrome_table, self.m)
+
+    @cached_property
+    def side_lookups(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """``side_tables`` as arrays indexed by each block's integer syndrome."""
+        if self.side_tables is None:
+            return None
+        _, m1, _, m2 = self.split
+        return _lookup(self.side_tables[0], m1), _lookup(self.side_tables[1], m2)
+
 
 @dataclass(frozen=True)
 class CorrectionReport:
@@ -50,6 +64,19 @@ def bits_to_int(bits) -> int:
     out = 0
     for b in bits:
         out = (out << 1) | int(b)
+    return out
+
+
+def rows_to_ints(bits: np.ndarray) -> np.ndarray:
+    """``bits_to_int`` of every row of a (rows, width) bit array."""
+    weights = 1 << np.arange(bits.shape[1] - 1, -1, -1, dtype=np.int64)
+    return bits.astype(np.int64) @ weights
+
+
+def _lookup(table: dict, m: int) -> np.ndarray:
+    out = np.full(1 << m, -1, dtype=np.intp)
+    for syn, pos in table.items():
+        out[bits_to_int(syn)] = pos
     return out
 
 
@@ -198,6 +225,41 @@ def decode(code: BlockCode, x_hat, mode: str = "one_bit"):
             x_hat[pos] ^= 1
             flipped.append(pos)
     return x_hat[: code.k], CorrectionReport(bool(flipped), uncorrectable, tuple(flipped))
+
+
+def decode_words(code: BlockCode, words, mode: str = "one_bit"):
+    """``decode`` for a (trials, n) stack of received words at once.
+
+    Syndromes become integers and index ``syndrome_lookup`` (one-bit mode) or
+    the two ``side_lookups`` blocks (decoupled two-bit mode). Returns
+    (information bits (trials, k), corrected, uncorrectable, flipped), where
+    flipped holds up to two corrected positions per word, -1 in unused slots;
+    row t agrees with ``decode(code, words[t], mode)``.
+    """
+    if mode not in DECODE_MODES:
+        raise ValueError(f"unknown decode mode {mode!r}")
+    words = np.array(words, dtype=np.uint8)
+    if words.ndim != 2 or words.shape[1] != code.n:
+        raise ValueError(f"codewords must have length {code.n}")
+    flipped = np.full((words.shape[0], 2), -1, dtype=np.intp)
+    uncorrectable = np.zeros(words.shape[0], dtype=bool)
+    if mode == "one_bit":
+        blocks = [(code.check, code.syndrome_lookup)]
+    elif mode == "decoupled_two_bit":
+        if code.split is None:
+            raise ValueError("decoupled_two_bit decoding needs a dimension-split code")
+        m1 = code.split[1]
+        blocks = list(zip((code.check[:m1], code.check[m1:]), code.side_lookups))
+    else:
+        blocks = []
+    for slot, (check, lookup) in enumerate(blocks):
+        syn = rows_to_ints((words @ check.T) % 2)  # parity survives uint8 wrap-around
+        pos = lookup[syn]
+        uncorrectable |= (syn != 0) & (pos < 0)
+        flipped[:, slot] = np.where(syn != 0, pos, -1)
+    rows, slots = np.nonzero(flipped >= 0)
+    words[rows, flipped[rows, slots]] ^= 1
+    return words[:, :code.k], (flipped >= 0).any(axis=1), uncorrectable, flipped
 
 
 def min_distance(code: BlockCode) -> int:

@@ -130,18 +130,25 @@ def bs_steering_matrix(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarray:
     return np.stack([ula_steering(geometry.n_bs, a, sp) for a in grid.bs_angles], axis=1)
 
 
-def ris_sampling_matrix(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarray:
-    """2-D sampling matrix (unit-modulus entries), column n at grid point n.
+def ris_steering_matrix(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarray:
+    """Unit-norm RIS steering vectors, column n at grid point n.
 
-    Bit-identical to sqrt(n_ris) * ``upa_steering_uw`` per grid point, in one broadcast.
+    Bit-identical to ``upa_steering_uw`` per grid point, in one broadcast.
     """
     n1, n2 = geometry.n_ris_rows, geometry.n_ris_cols
     sp = geometry.spacing_over_wavelength
     f_u = ula_factor(n1, grid.ris_u[:, None], sp)
     f_w = ula_factor(n2, grid.ris_w[:, None], sp)
-    scale = np.sqrt(n1 * n2)
-    cols = (f_u[:, :, None] * f_w[:, None, :]).reshape(-1, n1 * n2) / scale * scale
+    cols = (f_u[:, :, None] * f_w[:, None, :]).reshape(-1, n1 * n2) / np.sqrt(n1 * n2)
     return np.ascontiguousarray(cols.T)
+
+
+def ris_sampling_matrix(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarray:
+    """2-D sampling matrix (unit-modulus entries), column n at grid point n.
+
+    Bit-identical to sqrt(n_ris) * ``upa_steering_uw`` per grid point.
+    """
+    return ris_steering_matrix(geometry, grid) * np.sqrt(geometry.n_ris)
 
 
 def flat_codeword(n: int) -> np.ndarray:

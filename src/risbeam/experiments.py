@@ -1,14 +1,17 @@
 """Monte-Carlo sweeps over SNR or pilot budget, metrics, and result files.
 
-Per-trial channels are seeded independently of the protocol, so a sweep
-draws each (sweep point, trial) channel once and runs every protocol on it;
-the measurement noise stream is seeded per (protocol, sweep point, trial).
-Within a trial the rate of an estimated tuple is evaluated once, however many
-protocols chose it. Codebooks are designed once per configuration and reused
-across trials. Coded and full-coverage hierarchical protocols both run
-through the layered runner ``run_coded``: hierarchical training uses identity
-codes, whose codebooks are the first k layers of the coded ones. Only the
-adaptive hierarchical variant uses the beam provider.
+A sweep point runs in blocks of ``TRIAL_BLOCK`` trials. Per-trial channels
+are seeded independently of the protocol, so a block draws each (sweep point,
+trial) channel once and runs every protocol on it; the measurement noise
+stream is seeded per (protocol, sweep point, trial), so the block size changes
+no result. Coded and full-coverage hierarchical protocols run once per block
+through the batched layered runner ``run_layered``: hierarchical training uses
+identity codes, whose codebooks are the first k layers of the coded ones.
+Exhaustive and adaptive hierarchical training run per trial; only the
+adaptive variant uses the beam provider. Within a trial the rate of an
+estimated tuple is evaluated once, however many protocols chose it, from the
+narrow-beam columns (``tuple_rates``). Codebooks are designed once per
+configuration and reused across trials.
 """
 
 from __future__ import annotations
@@ -28,16 +31,19 @@ from .seeding import derive_rng
 from .training import (
     HierarchicalBeamProvider,
     ProtocolSpec,
-    achievable_rate,
     ceil_log2,
     check_budget,
     coded_codes,
-    grid_transmit_pair,
     narrow_beam_matrices,
-    run_coded,
     run_exhaustive,
     run_hierarchical,
+    run_layered,
+    tuple_rates,
 )
+
+# Trials per block: a block's channels are drawn together and each layered
+# protocol runs once per block. The results do not depend on it.
+TRIAL_BLOCK = 16
 
 CSV_COLUMNS = (
     "protocol", "sweep_variable", "sweep_value", "trials", "pilots",
@@ -220,31 +226,41 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
         hits = np.zeros((len(protocols), cfg.trials), dtype=bool)
         rates = np.empty((len(protocols), cfg.trials))
         pilots_used = [0] * len(protocols)
-        for trial in range(cfg.trials):
-            ch_rng = derive_rng(cfg.master_seed, "channel", sweep_name, float(value), trial)
-            ch = normalize_channel(sample_channel(geometry, grid, ch_rng, cfg.sampling_mode))
-            truth = (ch.bs_index, ch.ue_ris_index)
-            rate_of: dict = {}  # estimated tuple -> its rate on this channel
+        for start in range(0, cfg.trials, TRIAL_BLOCK):
+            block = range(start, min(start + TRIAL_BLOCK, cfg.trials))
+            channels = [normalize_channel(sample_channel(
+                geometry, grid, derive_rng(cfg.master_seed, "channel", sweep_name,
+                                           float(value), trial), cfg.sampling_mode))
+                        for trial in block]
+            estimates = []  # per protocol: the block's (BS, RIS) index estimates
             for p, (proto, budget) in enumerate(zip(protocols, budgets)):
-                noise_rng = derive_rng(cfg.master_seed, proto.tag, sweep_name,
-                                       float(value), trial)
+                rngs = [derive_rng(cfg.master_seed, proto.tag, sweep_name, float(value),
+                                   trial) for trial in block]
                 if _is_layered(proto):
                     codes, books = layered[proto.kind]
                     mode = proto.decode_mode if proto.kind == "coded" else "none"
-                    outcome = run_coded(ch, books, codes, snr, budget, noise_rng,
-                                        mode, ideal=cfg.ideal_beams)
-                elif proto.kind == "hierarchical":
-                    outcome = run_hierarchical(ch, provider, snr, budget, noise_rng)
+                    result = run_layered(channels, books, codes, snr, budget, rngs, mode,
+                                         ideal=cfg.ideal_beams)
+                    found = list(zip(result.est_bs_index.tolist(),
+                                     result.est_ris_index.tolist()))
                 else:
-                    outcome = run_exhaustive(ch, grid, geometry, snr, budget,
-                                             noise_rng, narrow_beams=narrow)
-                estimate = (outcome.est_bs_index, outcome.est_ris_index)
-                if estimate not in rate_of:
-                    v_tx, w_tx = grid_transmit_pair(ch, grid, geometry, *estimate)
-                    rate_of[estimate] = achievable_rate(ch, v_tx, w_tx, eval_snr)
-                hits[p, trial] = estimate == truth
-                rates[p, trial] = rate_of[estimate]
-                pilots_used[p] = outcome.pilots_used
+                    found = []
+                    for ch, rng in zip(channels, rngs):
+                        if proto.kind == "hierarchical":
+                            result = run_hierarchical(ch, provider, snr, budget, rng)
+                        else:
+                            result = run_exhaustive(ch, grid, geometry, snr, budget, rng,
+                                                    narrow_beams=narrow)
+                        found.append((result.est_bs_index, result.est_ris_index))
+                estimates.append(found)
+                pilots_used[p] = result.pilots_used
+            for i, (trial, ch) in enumerate(zip(block, channels)):
+                chosen = [est[i] for est in estimates]
+                distinct = list(dict.fromkeys(chosen))
+                rate_of = dict(zip(distinct, tuple_rates(ch, narrow, distinct, eval_snr)))
+                for p, estimate in enumerate(chosen):
+                    hits[p, trial] = estimate == (ch.bs_index, ch.ue_ris_index)
+                    rates[p, trial] = rate_of[estimate]
         for p, proto in enumerate(protocols):
             rows.append(_result_row(proto.tag, sweep_name, float(value), hits[p],
                                     rates[p], pilots_used[p]))

@@ -2,12 +2,16 @@
 
 All protocols transmit beam tuples, measure one noisy power per tuple in
 transmit order, and map argmax decisions to angle-index estimates. Noiseless
-tuple gains come from one matrix product, ``gain_table``. A layered protocol
-sends one (BS, RIS) beam pair per layer as 4 tuples and reads one hard
-decision per side, in ``_send_layers``. ``run_coded`` reads every layer from
-one table per channel and decodes; with identity codes (n = k, decode mode
-"none") it is full-coverage hierarchical training. The adaptive variant,
-``run_hierarchical``, builds a table per layer from the pairs that
+tuple gains come from factorized tables, ``gain_tables``: the outer product
+of a BS response and a RIS response per channel. A layered protocol sends one
+(BS, RIS) beam pair per layer as 4 tuples and reads one hard decision per
+side. ``run_layered`` runs coded training on a block of trials at once: it
+gathers every layer's gains from one table per channel, stacks each trial's
+own noise draw, decides every layer of every trial in one argmax and decodes
+the block with ``decode_words``; ``run_coded`` is its one-trial call. With
+identity codes (n = k, decode mode "none") it is full-coverage hierarchical
+training. The adaptive variant, ``run_hierarchical``, stays per trial: its
+layer loop, ``_send_layers``, builds a table per layer from the pairs that
 ``HierarchicalBeamProvider`` designs from the decisions so far.
 
 Designed codewords are stored in coverage convention and conjugated at
@@ -31,7 +35,8 @@ from .blockcode import (
     bits_to_int,
     build_plain_code,
     build_reduced_code,
-    decode,
+    decode_words,
+    rows_to_ints,
 )
 from .channel import (
     ChannelRealization,
@@ -50,7 +55,7 @@ from .codebook import (
     design_bs_codeword,
     flat_codeword,
     relaxed_gs_batch,
-    ris_sampling_matrix,
+    ris_steering_matrix,
 )
 from .seeding import derive_rng
 
@@ -63,6 +68,8 @@ class ProtocolSpec:
     """A protocol selection: kind, decode mode (coded only), and pilot budget.
 
     pilot_budget None means unlimited (the protocol uses its full overhead).
+    Layered protocols send whole 4-pilot layers: a remainder of 1 to 3 pilots
+    is left unused, so a budget of 10 sends 2 layers and reports 8 pilots.
     """
 
     kind: str
@@ -124,29 +131,62 @@ def ris_transmit(ch: ChannelRealization, v_cov: np.ndarray) -> np.ndarray:
     return np.conj(v_cov) * ris_phase_compensation(ch)
 
 
-def gain_table(ch: ChannelRealization, bs_cov: np.ndarray, ris_cov: np.ndarray,
-               ideal: bool = False, *, check_modulus: bool = False) -> np.ndarray:
-    """Noiseless gains: entry [i, j] pairs BS codeword column i with RIS column j.
+def _check_constant_modulus(v_tx: np.ndarray, n_ris: int) -> None:
+    """``np.allclose(abs(v_tx), 1/sqrt(n_ris), atol=1e-9)``, written out for speed."""
+    target = 1.0 / np.sqrt(n_ris)
+    if not np.all(np.abs(np.abs(v_tx) - target) <= 1e-9 + 1e-5 * target):
+        raise ValueError("RIS vector must have constant modulus 1/sqrt(n_ris)")
 
-    Ideal (mask-valued) codewords read their gains off the true-index rows.
-    ``check_modulus`` applies the constant-modulus test of ``effective_gain``
-    to every transmitted RIS vector at once.
+
+def gain_tables(channels, bs_cov: np.ndarray, ris_cov: np.ndarray, ideal: bool = False,
+                *, check_modulus: bool = False) -> np.ndarray:
+    """Noiseless gains of a block of channels, shape (trials, BS columns, RIS columns).
+
+    Entry [t, i, j] pairs BS codeword column i with RIS column j on
+    ``channels[t]``. The static de-rotation cancels the RIS-BS steering
+    phases: every row of ``comp * g_mat`` is the same vector ``beta``
+    (|a_gr|^2 = 1/n_ris), so a table is the outer product of a BS response
+    ``beta @ conj(W)`` and a RIS response ``h_r @ conj(V)``. Both are stacked
+    matrix-vector products, so a trial's table does not depend on the block
+    around it. Ideal (mask-valued) codewords read their gains off the
+    true-index rows. ``check_modulus`` applies the constant-modulus test of
+    ``effective_gain`` to every transmitted RIS vector at once.
     """
     if ideal:
-        return np.outer(bs_cov[ch.bs_index - 1], ris_cov[ch.ue_ris_index - 1])
-    v_tx = np.conj(ris_cov) * ris_phase_compensation(ch)[:, None]
-    target = 1.0 / np.sqrt(ch.n_ris)
-    if check_modulus and not np.all(np.abs(np.abs(v_tx) - target) <= 1e-9 + 1e-5 * target):
-        raise ValueError("RIS vector must have constant modulus 1/sqrt(n_ris)")
-    return ((v_tx * ch.h_r[:, None]).T @ ch.g_mat @ np.conj(bs_cov)).T
+        bs_resp = bs_cov[[ch.bs_index - 1 for ch in channels]]
+        ris_resp = ris_cov[[ch.ue_ris_index - 1 for ch in channels]]
+    else:
+        comp = np.array([ris_phase_compensation(ch) for ch in channels])
+        if check_modulus:
+            _check_constant_modulus(np.conj(ris_cov) * comp[:, :, None], channels[0].n_ris)
+        beta = comp[:, :1] * np.array([ch.g_mat[0] for ch in channels])
+        h_r = np.array([ch.h_r for ch in channels])
+        bs_resp = (beta[:, None, :] @ np.conj(bs_cov))[:, 0, :]
+        ris_resp = (h_r[:, None, :] @ np.conj(ris_cov))[:, 0, :]
+    return bs_resp[:, :, None] * ris_resp[:, None, :]
 
 
-def _clamp_index(value: int, n: int) -> int:
-    return min(max(value, 1), n)
+def gain_table(ch: ChannelRealization, bs_cov: np.ndarray, ris_cov: np.ndarray,
+               ideal: bool = False, *, check_modulus: bool = False) -> np.ndarray:
+    """``gain_tables`` of one channel: entry [i, j] pairs BS column i with RIS column j."""
+    return gain_tables([ch], bs_cov, ris_cov, ideal, check_modulus=check_modulus)[0]
+
+
+def _clamp_index(value, n: int):
+    return np.minimum(np.maximum(value, 1), n)
+
+
+def _layer_count(sizes, budget: Optional[int]) -> tuple[int, int]:
+    """(layers sent, layers needed); a budget short of 4 pilots per layer truncates."""
+    n_layers = max(sizes)
+    if n_layers == 0:
+        raise ValueError("nothing to train: both arrays have a single candidate")
+    check_budget("layered", budget)
+    return (n_layers if budget is None else min(n_layers, budget // 4)), n_layers
 
 
 def _send_layers(sizes, gains, snr, budget, rng, inject_flips):
-    """Send the 4 tuples of every layer and keep each side's first n decisions.
+    """Send the 4 tuples of every layer, deciding layer by layer (adaptive training).
 
     ``sizes`` is (n_t, n_r). ``gains(layer, bits_t, bits_r)`` gives a layer's
     2x2 gain table (BS bit x RIS bit; bit 1 is the mask=1 codeword) from the
@@ -158,11 +198,7 @@ def _send_layers(sizes, gains, snr, budget, rng, inject_flips):
     sent, layers needed).
     """
     n_t, n_r = sizes
-    n_layers = max(n_t, n_r)
-    if n_layers == 0:
-        raise ValueError("nothing to train: both arrays have a single candidate")
-    check_budget("layered", budget)
-    layers_done = n_layers if budget is None else min(n_layers, budget // 4)
+    layers_done, n_layers = _layer_count(sizes, budget)
     flips = set(inject_flips)
     noise = pilot_noise(snr, rng, (layers_done, 2, 2))
 
@@ -181,15 +217,107 @@ def _send_layers(sizes, gains, snr, budget, rng, inject_flips):
     return raw, layers_done, n_layers
 
 
-def _outcome(ch, raw, info, reports, sent: int, needed: int) -> TrainingOutcome:
-    """Assemble an outcome from (BS, RIS) raw bits, information bits and reports."""
-    return TrainingOutcome(
-        est_bs_index=_clamp_index(bits_to_int(info[0]) + 1, ch.n_bs),
-        est_ris_index=_clamp_index(bits_to_int(info[1]) + 1, ch.n_ris),
-        raw_bits_bs=raw[0],
-        raw_bits_ris=raw[1],
-        corrected_bs=reports[0],
-        corrected_ris=reports[1],
+def _side_bits(winners: np.ndarray, n: int, side: str, inject_flips) -> np.ndarray:
+    """One side's (trials, n) raw bits from the (trials, layers sent) winning tuples.
+
+    Layer l decides bit l of a side with n > l: the high bit of the tuple for
+    the BS, the low bit for the RIS. Injected flips invert a decision; bits of
+    layers not sent are zero.
+    """
+    sent = min(n, winners.shape[1])
+    flips = np.zeros(sent, dtype=np.intp)
+    for layer, flip_side in set(inject_flips):
+        if flip_side == side and 0 <= layer < sent:
+            flips[layer] = 1
+    bits = np.zeros((winners.shape[0], n), dtype=np.uint8)
+    own = winners[:, :sent] >> 1 if side == "bs" else winners[:, :sent] & 1
+    bits[:, :sent] = own ^ flips
+    return bits
+
+
+@dataclass(frozen=True)
+class LayeredRuns:
+    """One layered protocol on a block of trials; arrays run over the trials.
+
+    ``decoded`` holds each side's (corrected, uncorrectable, flipped) arrays
+    from ``decode_words``. Every trial sends the same layers, so the pilot
+    count and the truncation flag are shared.
+    """
+
+    est_bs_index: np.ndarray
+    est_ris_index: np.ndarray
+    raw_bits_bs: np.ndarray  # (trials, n_t)
+    raw_bits_ris: np.ndarray  # (trials, n_r)
+    decoded: tuple
+    pilots_used: int
+    truncated: bool
+
+    def outcome(self, trial: int) -> TrainingOutcome:
+        reports = [CorrectionReport(bool(corrected[trial]), bool(uncorrectable[trial]),
+                                    tuple(int(pos) for pos in flipped[trial] if pos >= 0))
+                   for corrected, uncorrectable, flipped in self.decoded]
+        return TrainingOutcome(
+            est_bs_index=int(self.est_bs_index[trial]),
+            est_ris_index=int(self.est_ris_index[trial]),
+            raw_bits_bs=self.raw_bits_bs[trial],
+            raw_bits_ris=self.raw_bits_ris[trial],
+            corrected_bs=reports[0],
+            corrected_ris=reports[1],
+            pilots_used=self.pilots_used,
+            truncated=self.truncated,
+        )
+
+
+def run_layered(
+    channels,
+    books: tuple[DesignedCodebook, DesignedCodebook],
+    codes: tuple[BlockCode, BlockCode],
+    snr: SnrSpec,
+    budget: Optional[int],
+    rngs,
+    decode_mode: str = "one_bit",
+    *,
+    ideal: bool = False,
+    inject_flips=(),
+) -> LayeredRuns:
+    """Layered beam training of a block: trial t on ``channels[t]``, noise from ``rngs[t]``.
+
+    Layer l sends the 4 tuples of BS layer l mod n_t and RIS layer l mod n_r
+    in the order (0,0), (0,1), (1,0), (1,1) (BS bit, RIS bit; bit 1 is the
+    mask=1 codeword); ties break toward the first and each side keeps its
+    first n decisions. A budget short of 4*max(n_t, n_r) truncates every
+    trial and zero-fills the missing bits. ``inject_flips`` lists (layer,
+    "bs" | "ris") decisions to invert. Gains come from one table per channel
+    and each trial's noise from one ``pilot_noise`` draw; powers, decisions
+    and decoding run once for the block. The BS side decodes with at most
+    one-bit correction; the decoupled two-bit mode applies to the RIS side.
+    Identity codes with decode mode "none" give full-coverage hierarchical
+    training.
+    """
+    code_t, code_r = codes
+    if min(code_t.n, code_r.n) == 0:
+        raise ValueError("layered training needs more than one candidate on each side")
+    sent, needed = _layer_count((code_t.n, code_r.n), budget)
+    layers = np.arange(sent)[:, None]
+    rows = (2 * (layers % code_t.n) + (0, 1))[:, :, None]
+    cols = (2 * (layers % code_r.n) + (0, 1))[:, None, :]
+    tables = gain_tables(channels, books[0].matrix, books[1].matrix, ideal,
+                         check_modulus=True)
+    noise = np.stack([pilot_noise(snr, rng, (sent, 2, 2)) for rng in rngs])
+    powers = received_power(tables[:, rows, cols], snr, noise)
+    winners = powers.reshape(len(channels), sent, 4).argmax(axis=-1)
+
+    raw_t = _side_bits(winners, code_t.n, "bs", inject_flips)
+    raw_r = _side_bits(winners, code_r.n, "ris", inject_flips)
+    bs_mode = "one_bit" if decode_mode == "decoupled_two_bit" else decode_mode
+    info_t, *decoded_t = decode_words(code_t, raw_t, bs_mode)
+    info_r, *decoded_r = decode_words(code_r, raw_r, decode_mode)
+    return LayeredRuns(
+        est_bs_index=_clamp_index(rows_to_ints(info_t) + 1, channels[0].n_bs),
+        est_ris_index=_clamp_index(rows_to_ints(info_r) + 1, channels[0].n_ris),
+        raw_bits_bs=raw_t,
+        raw_bits_ris=raw_r,
+        decoded=(tuple(decoded_t), tuple(decoded_r)),
         pilots_used=4 * sent,
         truncated=sent < needed,
     )
@@ -207,31 +335,9 @@ def run_coded(
     ideal: bool = False,
     inject_flips=(),
 ) -> TrainingOutcome:
-    """Layered beam training: all layers, hard decisions, then block decoding.
-
-    The shorter side cycles its layer index beyond its own code length and the
-    decoder uses only its first n own-side bits. A budget short of
-    4*max(n_t, n_r) truncates the run; missing bits are zero-padded and the
-    outcome is flagged. The BS side always decodes its plain code with at most
-    one-bit correction; the decoupled two-bit mode applies to the RIS side.
-    With identity codes and decode mode "none" this is full-coverage
-    hierarchical training.
-    """
-    code_t, code_r = codes
-    if min(code_t.n, code_r.n) == 0:
-        raise ValueError("layered training needs more than one candidate on each side")
-    table = gain_table(ch, books[0].matrix, books[1].matrix, ideal, check_modulus=True)
-
-    def gains(layer, bits_t, bits_r):
-        i, j = 2 * (layer % code_t.n), 2 * (layer % code_r.n)
-        return table[i:i + 2, j:j + 2]
-
-    raw, sent, needed = _send_layers(
-        (code_t.n, code_r.n), gains, snr, budget, rng, inject_flips)
-    bs_mode = "one_bit" if decode_mode == "decoupled_two_bit" else decode_mode
-    u_t, rep_t = decode(code_t, raw[0], bs_mode)
-    u_r, rep_r = decode(code_r, raw[1], decode_mode)
-    return _outcome(ch, raw, (u_t, u_r), (rep_t, rep_r), sent, needed)
+    """Layered beam training of one channel: ``run_layered`` on a one-trial block."""
+    return run_layered([ch], books, codes, snr, budget, [rng], decode_mode,
+                       ideal=ideal, inject_flips=inject_flips).outcome(0)
 
 
 class HierarchicalBeamProvider:
@@ -346,14 +452,26 @@ def run_hierarchical(
 
     raw, sent, needed = _send_layers(
         (designers.k_bs, designers.k_ris), gains, snr, budget, rng, inject_flips)
-    return _outcome(ch, raw, raw, (None, None), sent, needed)
+    return TrainingOutcome(
+        est_bs_index=int(_clamp_index(bits_to_int(raw[0]) + 1, ch.n_bs)),
+        est_ris_index=int(_clamp_index(bits_to_int(raw[1]) + 1, ch.n_ris)),
+        raw_bits_bs=raw[0],
+        raw_bits_ris=raw[1],
+        corrected_bs=None,
+        corrected_ris=None,
+        pilots_used=4 * sent,
+        truncated=sent < needed,
+    )
 
 
 def narrow_beam_matrices(grid: AngleGrid, geometry: ArrayGeometry
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Coverage-convention narrow-beam codebooks: (BS n_bs x n_bs, RIS n_ris x n_ris)."""
-    ris = ris_sampling_matrix(geometry, grid) / np.sqrt(geometry.n_ris)
-    return bs_steering_matrix(geometry, grid), ris
+    """Coverage-convention narrow-beam codebooks: (BS n_bs x n_bs, RIS n_ris x n_ris).
+
+    Column i is the steering vector of grid point i, byte-equal to the beams
+    of ``grid_transmit_pair``.
+    """
+    return bs_steering_matrix(geometry, grid), ris_steering_matrix(geometry, grid)
 
 
 def run_exhaustive(
@@ -433,6 +551,31 @@ def achievable_rate(
     """Spectral efficiency log2(1 + snr * |h_r diag(v) g_mat w|^2), transmit beams."""
     gain = effective_gain(ch, v, w)
     return float(np.log2(1.0 + snr_eval.snr_linear * abs(gain) ** 2))
+
+
+def tuple_rates(
+    ch: ChannelRealization,
+    narrow_beams: tuple[np.ndarray, np.ndarray],
+    tuples,
+    snr_eval: SnrSpec,
+) -> list[float]:
+    """``achievable_rate`` of the narrow beams of each (BS, RIS) grid tuple.
+
+    The beams are columns of ``narrow_beam_matrices``, byte-equal to those of
+    ``grid_transmit_pair``. The constant-modulus check runs once over all of
+    them, and the gains are stacked matrix-vector products, which round like
+    ``effective_gain``. |g|^2 and log2 stay scalar per tuple: their vectorized
+    forms round differently.
+    """
+    bs_cov, ris_cov = narrow_beams
+    bs_index, ris_index = np.array(tuples, dtype=np.intp).T - 1
+    v = np.conj(ris_cov.T[ris_index]) * ris_phase_compensation(ch)
+    w = np.conj(bs_cov.T[bs_index])
+    _check_constant_modulus(v, ch.n_ris)
+    through_ris = ((ch.h_r * v)[:, None, :] @ ch.g_mat)[:, 0, :]
+    gains = (through_ris[:, None, :] @ w[:, :, None])[:, 0, 0]
+    return [float(np.log2(1.0 + snr_eval.snr_linear * abs(complex(g)) ** 2))
+            for g in gains]
 
 
 def noiseless_best_tuple(

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risbeam.blockcode import (
+    DECODE_MODES,
     bits_to_int,
+    build_identity_code,
     build_plain_code,
     build_reduced_code,
     decode,
+    decode_words,
     encode,
     int_to_bits,
     min_distance,
@@ -265,3 +268,70 @@ def test_bit_helpers_roundtrip():
         assert bits_to_int(int_to_bits(value, 6)) == value
     with pytest.raises(ValueError):
         int_to_bits(64, 6)
+
+
+def _words_with_errors(code, rng, n_words=3):
+    """Random words, each clean, with every single error and every error pair.
+
+    Returns (received words, information words, error patterns); the pairs
+    include every cross-dimension pair of a dimension-split code.
+    """
+    patterns = [()] + [(p,) for p in range(code.n)]
+    patterns += list(itertools.combinations(range(code.n), 2))
+    received, sent, errors = [], [], []
+    for _ in range(n_words):
+        info = rng.integers(0, 2, code.k).astype(np.uint8)
+        word = encode(code, info)
+        for pattern in patterns:
+            corrupted = word.copy()
+            corrupted[list(pattern)] ^= 1
+            received.append(corrupted)
+            sent.append(info)
+            errors.append(pattern)
+    return np.array(received), sent, errors
+
+
+def _side(code, pos):
+    """0 or 1: the RIS dimension whose bits (systematic or parity) hold position pos."""
+    k1, m1, _, _ = code.split
+    return int(not (pos < k1 or code.k <= pos < code.k + m1))
+
+
+DECODER_CASES = (
+    [(build_plain_code(k), ("none", "one_bit")) for k in range(1, 13)]
+    + [(build_reduced_code(k1, k2), DECODE_MODES)
+       for k1, k2 in itertools.product(range(3, 7), repeat=2)]
+    + [(build_identity_code(3), ("none", "one_bit")),
+       (build_identity_code(3, 2), DECODE_MODES)]
+)
+
+
+@pytest.mark.parametrize("code,modes", DECODER_CASES,
+                         ids=[f"k{c.k}-split{c.split}" for c, _ in DECODER_CASES])
+def test_batched_decoder_equals_decode(code, modes):
+    words, sent, errors = _words_with_errors(code, np.random.default_rng(code.n * 100 + code.k))
+    for mode in modes:
+        info, corrected, uncorrectable, flipped = decode_words(code, words, mode)
+        assert info.shape == (len(words), code.k)
+        for t, word in enumerate(words):
+            bits, report = decode(code, word, mode)
+            assert info[t].tolist() == bits.tolist()
+            assert (corrected[t], uncorrectable[t]) == (report.corrected,
+                                                        report.uncorrectable)
+            assert tuple(int(p) for p in flipped[t] if p >= 0) == report.flipped
+            # the codes' guarantees: one error anywhere, or one per dimension
+            guaranteed = len(errors[t]) < 2 or (
+                mode == "decoupled_two_bit" and {_side(code, p) for p in errors[t]} == {0, 1})
+            if code.m and mode != "none" and guaranteed:
+                assert bits.tolist() == sent[t].tolist()
+
+
+def test_batched_decoder_validation():
+    plain = build_plain_code(4)
+    words = np.zeros((2, plain.n), dtype=np.uint8)
+    with pytest.raises(ValueError, match="dimension-split"):
+        decode_words(plain, words, "decoupled_two_bit")
+    with pytest.raises(ValueError, match="unknown decode mode"):
+        decode_words(plain, words, "bogus")
+    with pytest.raises(ValueError, match="length"):
+        decode_words(plain, words[:, 1:])

@@ -2,8 +2,10 @@
 
 The reference sends every tuple through ``effective_gain`` and
 ``measure_power`` one pilot at a time, as the layered protocols did before
-gain tables. The engine must agree with it on gains, on noise and on every
-decision, and must still reject RIS codewords that break constant modulus.
+gain tables, and decodes each trial with ``blockcode.decode``. The engine must
+agree with it on gains, on noise and on every decision, must still reject RIS
+codewords that break constant modulus, and must give the same bytes whatever
+the trial block size.
 """
 
 from __future__ import annotations
@@ -17,8 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risbeam import experiments, training
-from risbeam.arrays import ArrayGeometry, make_angle_grid
-from risbeam.blockcode import build_identity_code
+from risbeam.arrays import (
+    ArrayGeometry,
+    make_angle_grid,
+    ula_steering,
+    upa_steering_uw,
+)
+from risbeam.blockcode import DECODE_MODES, bits_to_int, build_identity_code, decode
 from risbeam.channel import (
     SnrSpec,
     effective_gain,
@@ -29,17 +36,23 @@ from risbeam.channel import (
     sample_channel,
 )
 from risbeam.codebook import BeamPair, GsConfig, build_codebooks
-from risbeam.experiments import ExperimentConfig, run_sweep
+from risbeam.experiments import ExperimentConfig, desk_snr_sweep, run_sweep
 from risbeam.seeding import derive_rng
 from risbeam.training import (
     HierarchicalBeamProvider,
     ProtocolSpec,
+    achievable_rate,
     bs_transmit,
     ceil_log2,
+    coded_codes,
     gain_table,
+    grid_transmit_pair,
+    narrow_beam_matrices,
     ris_transmit,
     run_coded,
     run_hierarchical,
+    run_layered,
+    tuple_rates,
 )
 
 POWERS_OF_TWO = st.sampled_from((2, 4, 8))
@@ -62,12 +75,16 @@ def draw_channel(geo, grid, mode, seed):
     return normalize_channel(sample_channel(geo, grid, np.random.default_rng(seed), mode))
 
 
-def per_pilot_bits(ch, pairs, sizes, snr, rng, ideal=False):
-    """The layer loop with one effective_gain and one measure_power call per pilot."""
+def per_pilot_bits(ch, pairs, sizes, snr, rng, ideal=False, layers=None):
+    """The layer loop with one effective_gain and one measure_power call per pilot.
+
+    ``layers`` (default: all) is the number of layers sent; bits of the layers
+    not sent are missing from the result.
+    """
     n_t, n_r = sizes
     bits_t: tuple = ()
     bits_r: tuple = ()
-    for layer in range(max(sizes)):
+    for layer in range(max(sizes) if layers is None else layers):
         bs_pair, ris_pair = pairs(layer, bits_t, bits_r)
         powers = []
         for w_cov in (bs_pair.zero, bs_pair.one):
@@ -241,3 +258,142 @@ def test_coded_decisions_match_per_pilot_path(mode, desk_books, desk_codes,
                         np.random.default_rng(seed), "decoupled_two_bit")
         expected = per_pilot_bits(ch, pairs, sizes, snr, np.random.default_rng(seed))
         assert (tuple(out.raw_bits_bs), tuple(out.raw_bits_ris)) == expected
+
+
+@lru_cache(maxsize=None)
+def layered_setup(n_bs: int, rows: int, cols: int, coded: bool, ideal: bool):
+    """Geometry, grid, coded or identity codes, and their codebooks."""
+    geo = ArrayGeometry(n_bs, rows, cols)
+    grid = make_angle_grid(geo)
+    if coded:
+        codes = coded_codes(n_bs, (rows, cols))
+    else:
+        codes = (build_identity_code(ceil_log2(n_bs)),
+                 build_identity_code(ceil_log2(rows), ceil_log2(cols)))
+    cfg = ExperimentConfig(n_bs=n_bs, n_ris_rows=rows, n_ris_cols=cols, gs=FAST_GS,
+                           ideal_beams=ideal)
+    return geo, grid, codes, experiments._design_books(cfg, grid, codes)
+
+
+def reference_run(ch, books, codes, snr, budget, rng, mode, ideal):
+    """One trial through per_pilot_bits and blockcode.decode."""
+    sizes = (codes[0].n, codes[1].n)
+    sent = max(sizes) if budget is None else min(max(sizes), budget // 4)
+    bits = per_pilot_bits(
+        ch, lambda layer, *_: (books[0].layers[layer % sizes[0]],
+                               books[1].layers[layer % sizes[1]]),
+        sizes, snr, rng, ideal, layers=sent)
+    raw = [np.array(b + (0,) * (n - len(b)), dtype=np.uint8) for b, n in zip(bits, sizes)]
+    bs_mode = "one_bit" if mode == "decoupled_two_bit" else mode
+    (u_t, rep_t), (u_r, rep_r) = decode(codes[0], raw[0], bs_mode), decode(codes[1], raw[1], mode)
+    estimate = (min(max(bits_to_int(u_t) + 1, 1), ch.n_bs),
+                min(max(bits_to_int(u_r) + 1, 1), ch.n_ris))
+    return estimate, raw, (rep_t, rep_r), 4 * sent, sent < max(sizes)
+
+
+@st.composite
+def layered_cases(draw):
+    """(n_bs, rows, cols, coded, decode mode); 6 RIS rows make the RIS index clamp."""
+    coded = draw(st.booleans())
+    mode = draw(st.sampled_from(DECODE_MODES)) if coded else "none"
+    # the dimension-split RIS code needs more than 4 elements per RIS dimension
+    rows = draw(st.sampled_from((6, 8) if coded else (2, 4, 6, 8)))
+    cols = 8 if coded else draw(st.sampled_from((2, 4, 8)))
+    return draw(POWERS_OF_TWO), rows, cols, coded, mode
+
+
+@settings(max_examples=40, deadline=None)
+@given(layered_cases(), MODES, st.booleans(),
+       st.sampled_from((1, 7, experiments.TRIAL_BLOCK, experiments.TRIAL_BLOCK + 5)),
+       st.one_of(st.none(), st.integers(4, 60)), st.floats(0.05, 30.0), SEEDS)
+def test_batched_runner_matches_per_pilot_reference(case, mode, ideal, trials, budget,
+                                                    snr_linear, seed):
+    n_bs, rows, cols, coded, decode_mode = case
+    geo, grid, codes, books = layered_setup(n_bs, rows, cols, coded, ideal)
+    channels = [draw_channel(geo, grid, mode, seed + t) for t in range(trials)]
+    snr = SnrSpec(snr_linear)
+    runs = run_layered(channels, books, codes, snr, budget,
+                       [np.random.default_rng(seed + t) for t in range(trials)],
+                       decode_mode, ideal=ideal)
+    for t, ch in enumerate(channels):
+        estimate, raw, reports, pilots, truncated = reference_run(
+            ch, books, codes, snr, budget, np.random.default_rng(seed + t), decode_mode,
+            ideal)
+        outcome = runs.outcome(t)
+        assert (outcome.est_bs_index, outcome.est_ris_index) == estimate
+        assert outcome.raw_bits_bs.tolist() == raw[0].tolist()
+        assert outcome.raw_bits_ris.tolist() == raw[1].tolist()
+        assert (outcome.corrected_bs, outcome.corrected_ris) == reports
+        assert (outcome.pilots_used, outcome.truncated) == (pilots, truncated)
+
+
+@settings(max_examples=30, deadline=None)
+@given(layered_cases(), MODES, st.booleans(), st.integers(2, 20), SEEDS)
+def test_block_tables_equal_one_channel_tables(case, mode, ideal, trials, seed):
+    geo, grid, _, books = layered_setup(*case[:4], ideal)
+    channels = [draw_channel(geo, grid, mode, seed + t) for t in range(trials)]
+    matrices = [(books[0].matrix, books[1].matrix)]
+    if not ideal:
+        matrices.append(narrow_beam_matrices(grid, geo))
+    for bs_cov, ris_cov in matrices:
+        block = training.gain_tables(channels, bs_cov, ris_cov, ideal, check_modulus=True)
+        for table, ch in zip(block, channels):
+            assert table.tobytes() == gain_table(ch, bs_cov, ris_cov, ideal).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["on_grid", "continuous"])
+def test_trial_block_size_changes_no_byte(monkeypatch, mode):
+    default = experiments.TRIAL_BLOCK
+    cfg = desk_snr_sweep(trials=40, master_seed=17, sampling_mode=mode, protocols=(
+        ExperimentConfig().protocols
+        + (ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),)))
+    assert 5 < default < cfg.trials
+    results = []
+    for block in (1, 5, default):
+        monkeypatch.setattr(experiments, "TRIAL_BLOCK", block)
+        results.append(run_sweep(cfg, log_trials=True))
+    assert len(results[0].trial_log) == cfg.trials * len(results[0].rows)
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("dims", [(16, 8, 8), (64, 16, 16), (8, 6, 8), (12, 8, 6)])
+def test_narrow_beams_are_grid_steering_vectors(dims):
+    geo = ArrayGeometry(*dims)
+    grid = make_angle_grid(geo)
+    bs_cov, ris_cov = narrow_beam_matrices(grid, geo)
+    sp = geo.spacing_over_wavelength
+    for i, angle in enumerate(grid.bs_angles):
+        assert bs_cov[:, i].tobytes() == ula_steering(geo.n_bs, angle, sp).tobytes()
+    for j, (u, w) in enumerate(zip(grid.ris_u, grid.ris_w)):
+        expected = upa_steering_uw(geo.n_ris_rows, geo.n_ris_cols, u, w, sp)
+        assert ris_cov[:, j].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(16, 8, 8), (64, 16, 16)])
+@pytest.mark.parametrize("mode", ["on_grid", "continuous"])
+def test_tuple_rates_equal_achievable_rate_bytes(dims, mode):
+    geo = ArrayGeometry(*dims)
+    grid = make_angle_grid(geo)
+    narrow = narrow_beam_matrices(grid, geo)
+    snr_eval = SnrSpec(10.0, noiseless=True)
+    rng = np.random.default_rng(dims[0] + len(mode))
+    for seed in range(500):
+        ch = draw_channel(geo, grid, mode, seed)
+        tuples = [(ch.bs_index, ch.ue_ris_index)] + [
+            (int(rng.integers(geo.n_bs)) + 1, int(rng.integers(geo.n_ris)) + 1)
+            for _ in range(3)]
+        expected = [achievable_rate(ch, *grid_transmit_pair(ch, grid, geo, *t), snr_eval)
+                    for t in tuples]
+        got = tuple_rates(ch, narrow, tuples, snr_eval)
+        assert [r.hex() for r in got] == [r.hex() for r in expected]
+
+
+def test_tuple_rates_reject_broken_constant_modulus(desk_geometry, desk_grid):
+    ch = draw_channel(desk_geometry, desk_grid, "on_grid", 2)
+    bs_cov, ris_cov = narrow_beam_matrices(desk_grid, desk_geometry)
+    broken = ris_cov.copy()
+    broken[0, 5] *= 2.0
+    snr_eval = SnrSpec(10.0, noiseless=True)
+    tuple_rates(ch, (bs_cov, broken), [(1, 1), (2, 3)], snr_eval)  # intact columns
+    with pytest.raises(ValueError, match="constant modulus"):
+        tuple_rates(ch, (bs_cov, broken), [(1, 1), (2, 6)], snr_eval)
