@@ -7,10 +7,11 @@ stream is seeded per (protocol, sweep point, trial), so the block size changes
 no result. Coded and full-coverage hierarchical protocols run once per block
 through the batched layered runner ``run_layered``: hierarchical training uses
 identity codes, whose codebooks are the first k layers of the coded ones.
-Exhaustive and adaptive hierarchical training run per trial; only the
-adaptive variant uses the beam provider. Within a trial the rate of an
-estimated tuple is evaluated once, however many protocols chose it, from the
-narrow-beam columns (``tuple_rates``). Codebooks are designed once per
+Adaptive hierarchical training runs once per block through ``run_adaptive``,
+from the prefix-beam matrices of the beam provider; exhaustive training runs
+per trial. Within a trial the rate of an estimated tuple is evaluated once,
+however many protocols chose it, from the narrow-beam columns
+(``tuple_rates``). Codebooks and prefix beams are designed once per
 configuration and reused across trials.
 """
 
@@ -35,8 +36,8 @@ from .training import (
     check_budget,
     coded_codes,
     narrow_beam_matrices,
+    run_adaptive,
     run_exhaustive,
-    run_hierarchical,
     run_layered,
     tuple_rates,
 )
@@ -157,7 +158,7 @@ def success_rate(outcomes, ground_truths) -> float:
 
 
 def _is_layered(proto: ProtocolSpec) -> bool:
-    """Coded and full-coverage hierarchical protocols run through run_coded."""
+    """Coded and full-coverage hierarchical protocols run through run_layered."""
     return proto.kind == "coded" or (proto.kind == "hierarchical"
                                      and proto.hierarchical_variant == "full_coverage")
 
@@ -173,7 +174,7 @@ def _design_books(cfg: ExperimentConfig, grid, codes):
 
 
 def _build_layered_assets(cfg: ExperimentConfig, grid) -> dict:
-    """(codes, codebooks) for run_coded, keyed by protocol kind.
+    """(codes, codebooks) for run_layered, keyed by protocol kind.
 
     The identity codes' codebooks are the systematic layers of the coded
     codebooks, so they are designed on their own only without a coded protocol.
@@ -236,22 +237,22 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
             for p, (proto, budget) in enumerate(zip(protocols, budgets)):
                 rngs = [derive_rng(cfg.master_seed, proto.tag, sweep_name, float(value),
                                    trial) for trial in block]
-                if _is_layered(proto):
-                    codes, books = layered[proto.kind]
-                    mode = proto.decode_mode if proto.kind == "coded" else "none"
-                    result = run_layered(channels, books, codes, snr, budget, rngs, mode,
-                                         ideal=cfg.ideal_beams)
-                    found = list(zip(result.est_bs_index.tolist(),
-                                     result.est_ris_index.tolist()))
-                else:
+                if proto.kind == "exhaustive":
                     found = []
                     for ch, rng in zip(channels, rngs):
-                        if proto.kind == "hierarchical":
-                            result = run_hierarchical(ch, provider, snr, budget, rng)
-                        else:
-                            result = run_exhaustive(ch, grid, geometry, snr, budget, rng,
-                                                    narrow_beams=narrow)
+                        result = run_exhaustive(ch, grid, geometry, snr, budget, rng,
+                                                narrow_beams=narrow)
                         found.append((result.est_bs_index, result.est_ris_index))
+                else:
+                    if _is_layered(proto):
+                        codes, books = layered[proto.kind]
+                        mode = proto.decode_mode if proto.kind == "coded" else "none"
+                        result = run_layered(channels, books, codes, snr, budget, rngs,
+                                             mode, ideal=cfg.ideal_beams)
+                    else:
+                        result = run_adaptive(channels, provider, snr, budget, rngs)
+                    found = list(zip(result.est_bs_index.tolist(),
+                                     result.est_ris_index.tolist()))
                 estimates.append(found)
                 pilots_used[p] = result.pilots_used
             for i, (trial, ch) in enumerate(zip(block, channels)):

@@ -10,9 +10,11 @@ gathers every layer's gains from one table per channel, stacks each trial's
 own noise draw, decides every layer of every trial in one argmax and decodes
 the block with ``decode_words``; ``run_coded`` is its one-trial call. With
 identity codes (n = k, decode mode "none") it is full-coverage hierarchical
-training. The adaptive variant, ``run_hierarchical``, stays per trial: its
-layer loop, ``_send_layers``, builds a table per layer from the pairs that
-``HierarchicalBeamProvider`` designs from the decisions so far.
+training. The adaptive variant runs a block through ``run_adaptive``
+(``run_hierarchical`` is its one-trial call): its layers run in turn, since
+each layer's beams depend on the decisions so far, and each layer gathers
+every trial's beam pair from the prefix-beam matrices of
+``HierarchicalBeamProvider`` and decides the whole block at once.
 
 Designed codewords are stored in coverage convention and conjugated at
 transmit time; RIS codewords additionally de-rotate the known static RIS-BS
@@ -47,7 +49,6 @@ from .channel import (
     ris_phase_compensation,
 )
 from .codebook import (
-    BeamPair,
     DesignedCodebook,
     GsConfig,
     axis_sampling_matrix,
@@ -143,27 +144,51 @@ def gain_tables(channels, bs_cov: np.ndarray, ris_cov: np.ndarray, ideal: bool =
     """Noiseless gains of a block of channels, shape (trials, BS columns, RIS columns).
 
     Entry [t, i, j] pairs BS codeword column i with RIS column j on
-    ``channels[t]``. The static de-rotation cancels the RIS-BS steering
-    phases: every row of ``comp * g_mat`` is the same vector ``beta``
-    (|a_gr|^2 = 1/n_ris), so a table is the outer product of a BS response
-    ``beta @ conj(W)`` and a RIS response ``h_r @ conj(V)``. Both are stacked
-    matrix-vector products, so a trial's table does not depend on the block
-    around it. Ideal (mask-valued) codewords read their gains off the
-    true-index rows. ``check_modulus`` applies the constant-modulus test of
-    ``effective_gain`` to every transmitted RIS vector at once.
+    ``channels[t]``. A codeword matrix is either shared by the block,
+    (n, columns), or one per trial, (trials, n, columns). The static
+    de-rotation cancels the RIS-BS steering phases: every row of
+    ``comp * g_mat`` is the same vector ``beta`` (|a_gr|^2 = 1/n_ris), so a
+    table is the outer product of a BS response ``beta @ conj(W)`` and a RIS
+    response ``h_r @ conj(V)``. Both are stacked matrix-vector products, so a
+    trial's table does not depend on the block around it. Ideal
+    (mask-valued) codewords read their gains off the true-index rows.
+    ``check_modulus`` applies the constant-modulus test of ``effective_gain``
+    to every transmitted RIS vector at once.
+    """
+    return _block_gains(channels, ideal)(bs_cov, ris_cov, check_modulus)
+
+
+def _block_gains(channels, ideal: bool = False):
+    """``gain_tables`` of a fixed block as a function (bs_cov, ris_cov, check_modulus).
+
+    The channels are read once, for runners that build tables of the same
+    block from many codeword matrices. Ideal codewords skip the modulus check.
     """
     if ideal:
-        bs_resp = bs_cov[[ch.bs_index - 1 for ch in channels]]
-        ris_resp = ris_cov[[ch.ue_ris_index - 1 for ch in channels]]
-    else:
-        comp = np.array([ris_phase_compensation(ch) for ch in channels])
+        bs_rows = [ch.bs_index - 1 for ch in channels]
+        ris_rows = [ch.ue_ris_index - 1 for ch in channels]
+
+        def tables(bs_cov, ris_cov, check_modulus=False):
+            return (_true_rows(bs_cov, bs_rows)[:, :, None]
+                    * _true_rows(ris_cov, ris_rows)[:, None, :])
+        return tables
+
+    comp = np.array([ris_phase_compensation(ch) for ch in channels])
+    beta = comp[:, :1] * np.array([ch.g_mat[0] for ch in channels])
+    h_r = np.array([ch.h_r for ch in channels])
+
+    def tables(bs_cov, ris_cov, check_modulus=False):
         if check_modulus:
-            _check_constant_modulus(np.conj(ris_cov) * comp[:, :, None], channels[0].n_ris)
-        beta = comp[:, :1] * np.array([ch.g_mat[0] for ch in channels])
-        h_r = np.array([ch.h_r for ch in channels])
+            _check_constant_modulus(np.conj(ris_cov) * comp[:, :, None], comp.shape[1])
         bs_resp = (beta[:, None, :] @ np.conj(bs_cov))[:, 0, :]
         ris_resp = (h_r[:, None, :] @ np.conj(ris_cov))[:, 0, :]
-    return bs_resp[:, :, None] * ris_resp[:, None, :]
+        return bs_resp[:, :, None] * ris_resp[:, None, :]
+    return tables
+
+
+def _true_rows(cov: np.ndarray, rows: list) -> np.ndarray:
+    """Row ``rows[t]`` of trial t's codeword matrix; a 2-D matrix is shared."""
+    return np.broadcast_to(cov, (len(rows), *cov.shape[-2:]))[np.arange(len(rows)), rows]
 
 
 def gain_table(ch: ChannelRealization, bs_cov: np.ndarray, ris_cov: np.ndarray,
@@ -183,38 +208,6 @@ def _layer_count(sizes, budget: Optional[int]) -> tuple[int, int]:
         raise ValueError("nothing to train: both arrays have a single candidate")
     check_budget("layered", budget)
     return (n_layers if budget is None else min(n_layers, budget // 4)), n_layers
-
-
-def _send_layers(sizes, gains, snr, budget, rng, inject_flips):
-    """Send the 4 tuples of every layer, deciding layer by layer (adaptive training).
-
-    ``sizes`` is (n_t, n_r). ``gains(layer, bits_t, bits_r)`` gives a layer's
-    2x2 gain table (BS bit x RIS bit; bit 1 is the mask=1 codeword) from the
-    decisions so far, as tuples of ints. Tuples go out in the order (0,0),
-    (0,1), (1,0), (1,1), ties break toward the first, and the noise of the
-    whole run is one ``pilot_noise`` draw. A budget short of 4 pilots per layer
-    truncates the run; missing bits are zero. ``inject_flips`` lists (layer,
-    "bs" | "ris") decisions to invert. Returns ((BS bits, RIS bits), layers
-    sent, layers needed).
-    """
-    n_t, n_r = sizes
-    layers_done, n_layers = _layer_count(sizes, budget)
-    flips = set(inject_flips)
-    noise = pilot_noise(snr, rng, (layers_done, 2, 2))
-
-    bits_t: tuple = ()
-    bits_r: tuple = ()
-    for layer in range(layers_done):
-        powers = received_power(gains(layer, bits_t, bits_r), snr, noise[layer])
-        winner = int(np.argmax(powers))
-        if layer < n_t:
-            bits_t += ((winner >> 1) ^ ((layer, "bs") in flips),)
-        if layer < n_r:
-            bits_r += ((winner & 1) ^ ((layer, "ris") in flips),)
-    bits_t += (0,) * (n_t - len(bits_t))
-    bits_r += (0,) * (n_r - len(bits_r))
-    raw = (np.array(bits_t, dtype=np.uint8), np.array(bits_r, dtype=np.uint8))
-    return raw, layers_done, n_layers
 
 
 def _side_bits(winners: np.ndarray, n: int, side: str, inject_flips) -> np.ndarray:
@@ -240,8 +233,9 @@ class LayeredRuns:
     """One layered protocol on a block of trials; arrays run over the trials.
 
     ``decoded`` holds each side's (corrected, uncorrectable, flipped) arrays
-    from ``decode_words``. Every trial sends the same layers, so the pilot
-    count and the truncation flag are shared.
+    from ``decode_words``; it is empty for adaptive training, which does not
+    decode. Every trial sends the same layers, so the pilot count and the
+    truncation flag are shared.
     """
 
     est_bs_index: np.ndarray
@@ -255,7 +249,7 @@ class LayeredRuns:
     def outcome(self, trial: int) -> TrainingOutcome:
         reports = [CorrectionReport(bool(corrected[trial]), bool(uncorrectable[trial]),
                                     tuple(int(pos) for pos in flipped[trial] if pos >= 0))
-                   for corrected, uncorrectable, flipped in self.decoded]
+                   for corrected, uncorrectable, flipped in self.decoded] or [None, None]
         return TrainingOutcome(
             est_bs_index=int(self.est_bs_index[trial]),
             est_ris_index=int(self.est_ris_index[trial]),
@@ -341,16 +335,18 @@ def run_coded(
 
 
 class HierarchicalBeamProvider:
-    """Designs and caches the beams of adaptive hierarchical training.
+    """Designs the prefix beams of adaptive hierarchical training.
 
     A prefix beam covers the indices whose leading bits equal a decided bit
-    prefix. Beams are cached per side ("bs", the RIS axes "u" and "w", and
-    "ris") and prefix. The first request on a RIS axis designs every prefix
-    beam of that axis in one GS batch; BS and ideal (mask-valued) beams are
-    designed on demand. A RIS prefix is the u bits followed by the w bits, and
-    its beam is the Kronecker product of the two axis beams, formed once per
-    prefix. Every array size must be a power of two, so that each prefix
-    covers a nonempty index interval.
+    prefix. The first ``prefix_matrices`` call designs every prefix beam of
+    each side once, as a coverage-convention matrix: column
+    ``2**L - 1 + value`` holds the beam of the prefix of length L (0 to the
+    side's bit count) that reads as the integer ``value``. Each RIS axis (u
+    and w) designs its nonempty prefixes in one GS batch, BS beams come from
+    ``design_bs_codeword``, and ideal beams are the coverage masks. A RIS
+    prefix is the u bits followed by the w bits, and its beam is the
+    Kronecker product of its two axis beams. Every array size must be a power
+    of two, so that each prefix covers a nonempty index interval.
     """
 
     def __init__(
@@ -374,58 +370,118 @@ class HierarchicalBeamProvider:
         self.k_bs = ceil_log2(geometry.n_bs)
         self.k_u = ceil_log2(geometry.n_ris_rows)
         self.k_ris = self.k_u + ceil_log2(geometry.n_ris_cols)
-        self._beams: dict = {side: {} for side in ("bs", "u", "w", "ris")}
+        self._matrices: Optional[tuple[np.ndarray, np.ndarray]] = None
 
-    def layer_pairs(self, layer: int, bits_t: tuple, bits_r: tuple
-                    ) -> tuple[BeamPair, BeamPair]:
-        """The (BS, RIS) beam pairs of one layer, given the decisions so far.
-
-        A side still searching splits its decided prefix by one more bit; a
-        resolved side repeats its final narrow beam in both halves.
-        """
-        return (self._pair("bs", bits_t, layer < self.k_bs),
-                self._pair("ris", bits_r, layer < self.k_ris))
-
-    def _pair(self, side: str, prefix: tuple, searching: bool) -> BeamPair:
-        if searching:
-            return BeamPair(one=self._beam(side, prefix + (1,)),
-                            zero=self._beam(side, prefix + (0,)))
-        resolved = self._beam(side, prefix)
-        return BeamPair(one=resolved, zero=resolved)
-
-    def _beam(self, side: str, prefix: tuple) -> np.ndarray:
-        beams = self._beams[side]
-        if prefix not in beams:
-            if side == "ris":
-                beams[prefix] = np.kron(self._beam("u", prefix[:self.k_u]),
-                                        self._beam("w", prefix[self.k_u:]))
-            elif self.ideal:
-                beams[prefix] = self._mask(side, prefix).astype(float)
-            elif side == "bs":
-                beams[prefix] = design_bs_codeword(np.flatnonzero(self._mask(side, prefix)),
-                                                   self.grid, self.geometry)
-            else:
-                beams.update(self._design_axis(side))
-        return beams[prefix]
+    def prefix_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (BS, RIS) prefix-beam matrices, designed at the first call."""
+        if self._matrices is None:
+            u, w = self._side_matrix("u"), self._side_matrix("w")
+            prefixes = _prefixes(self.k_ris)
+            u_rows = u.T[[_column(bits[:self.k_u]) for bits in prefixes]]
+            w_rows = w.T[[_column(bits[self.k_u:]) for bits in prefixes]]
+            ris = (u_rows[:, :, None] * w_rows[:, None, :]).reshape(len(prefixes), -1)
+            self._matrices = (self._side_matrix("bs"), ris.T)
+        return self._matrices
 
     def _mask(self, side: str, prefix: tuple) -> np.ndarray:
         n = self._sizes[side]
         return np.arange(n) >> (ceil_log2(n) - len(prefix)) == bits_to_int(prefix)
 
-    def _design_axis(self, side: str) -> dict:
-        """Every prefix beam of a RIS axis; nonempty prefixes run as one GS batch."""
+    def _side_matrix(self, side: str) -> np.ndarray:
+        """Every prefix beam of the BS or of a RIS axis, one column per prefix."""
         n = self._sizes[side]
-        prefixes = [bits for length in range(1, ceil_log2(n) + 1)
-                    for bits in product((0, 1), repeat=length)]
-        beams = {(): flat_codeword(n)}
-        if prefixes:
+        prefixes = _prefixes(ceil_log2(n))
+        masks = np.array([self._mask(side, bits) for bits in prefixes])
+        if self.ideal:
+            return masks.T.astype(float)
+        if side == "bs":
+            return np.column_stack([design_bs_codeword(np.flatnonzero(mask), self.grid,
+                                                       self.geometry) for mask in masks])
+        beams = [flat_codeword(n)]
+        if len(prefixes) > 1:
             freqs = (u_axis if side == "u" else w_axis)(n)
             matrix = axis_sampling_matrix(n, freqs, self.geometry.spacing_over_wavelength)
-            rngs = [derive_rng(self.cfg.seed, "hier", side, bits) for bits in prefixes]
-            masks = np.array([self._mask(side, bits) for bits in prefixes])
-            designed, _ = relaxed_gs_batch(matrix, masks, self.cfg, rngs)
-            beams.update(zip(prefixes, designed))
-        return beams
+            rngs = [derive_rng(self.cfg.seed, "hier", side, bits) for bits in prefixes[1:]]
+            designed, _ = relaxed_gs_batch(matrix, masks[1:], self.cfg, rngs)
+            beams.extend(designed)
+        return np.column_stack(beams)
+
+
+def _prefixes(k: int) -> list[tuple]:
+    """Every bit prefix of length 0 to k in column order: by length, then by value."""
+    return [bits for length in range(k + 1) for bits in product((0, 1), repeat=length)]
+
+
+def _column(prefix: tuple) -> int:
+    """The prefix-matrix column of a bit prefix."""
+    return 2 ** len(prefix) - 1 + bits_to_int(prefix)
+
+
+def _prefix_pairs(cov: np.ndarray, winners: np.ndarray, k: int, side: str,
+                  inject_flips) -> np.ndarray:
+    """Each trial's (zero, one) beams of the next layer, a (trials, n, 2) stack.
+
+    ``winners`` holds the winning tuples of the layers so far. A side still
+    searching splits its decided prefix p of length L into the prefixes 2p
+    and 2p + 1 of length L + 1; a resolved side sends its final prefix twice.
+    """
+    layer = winners.shape[1]
+    bits = _side_bits(winners, k, side, inject_flips)[:, :min(layer, k)]
+    if layer < k:
+        cols = (2 ** (layer + 1) - 1 + 2 * rows_to_ints(bits))[:, None] + (0, 1)
+    else:
+        cols = (2 ** k - 1 + rows_to_ints(bits))[:, None] + (0, 0)
+    # C-contiguous (n, 2) per trial, like BeamPair.columns: a strided stack rounds differently
+    return np.moveaxis(cov[:, cols], 0, 1).copy()
+
+
+def run_adaptive(
+    channels,
+    provider: HierarchicalBeamProvider,
+    snr: SnrSpec,
+    budget: Optional[int],
+    rngs,
+    *,
+    inject_flips=(),
+) -> LayeredRuns:
+    """Adaptive hierarchical training of a block: trial t on ``channels[t]``, noise from ``rngs[t]``.
+
+    Each layer halves the active index interval of each side (a
+    feedback-based binary search) over max(bit length) layers, 4 tuples
+    each; the RIS resolves its u bits first, then its w bits. A resolved
+    side repeats its final narrow beam. Tuples go out in the order (0,0),
+    (0,1), (1,0), (1,1) (BS bit, RIS bit), ties break toward the first, and
+    each trial's noise is one ``pilot_noise`` draw. Layers run in turn,
+    because each layer's beams depend on the decisions before it; within a
+    layer the block's beams, gains, powers and decisions are computed at
+    once. There is no error correction, so ``decoded`` is empty. A budget
+    short of 4 pilots per layer truncates every trial and zero-fills the
+    missing bits. ``inject_flips`` lists (layer, "bs" | "ris") decisions to
+    invert; later layers follow the inverted decision.
+    """
+    sizes = (provider.k_bs, provider.k_ris)
+    sent, needed = _layer_count(sizes, budget)
+    matrices = provider.prefix_matrices()
+    noise = np.stack([pilot_noise(snr, rng, (sent, 2, 2)) for rng in rngs])
+    tables = _block_gains(channels, provider.ideal)
+    winners = np.zeros((len(channels), sent), dtype=np.intp)
+    for layer in range(sent):
+        pairs = [_prefix_pairs(cov, winners[:, :layer], k, side, inject_flips)
+                 for cov, k, side in zip(matrices, sizes, ("bs", "ris"))]
+        powers = received_power(tables(*pairs, check_modulus=True), snr, noise[:, layer])
+        winners[:, layer] = powers.reshape(len(channels), 4).argmax(axis=-1)
+
+    raw_t = _side_bits(winners, sizes[0], "bs", inject_flips)
+    raw_r = _side_bits(winners, sizes[1], "ris", inject_flips)
+    return LayeredRuns(
+        est_bs_index=_clamp_index(rows_to_ints(raw_t) + 1, channels[0].n_bs),
+        est_ris_index=_clamp_index(rows_to_ints(raw_r) + 1, channels[0].n_ris),
+        raw_bits_bs=raw_t,
+        raw_bits_ris=raw_r,
+        decoded=(),
+        pilots_used=4 * sent,
+        truncated=sent < needed,
+    )
 
 
 def run_hierarchical(
@@ -437,31 +493,9 @@ def run_hierarchical(
     *,
     inject_flips=(),
 ) -> TrainingOutcome:
-    """Adaptive hierarchical beam training over max(bit length) layers, 4 tuples each.
-
-    Each layer halves the active index interval of each side (a feedback-based
-    binary search); the RIS resolves its u bits first, then its w bits. A
-    resolved side repeats its final narrow beam. There is no error
-    correction; a truncated budget zero-pads the missing bits and flags the
-    outcome.
-    """
-    def gains(layer, bits_t, bits_r):
-        bs_pair, ris_pair = designers.layer_pairs(layer, bits_t, bits_r)
-        return gain_table(ch, bs_pair.columns, ris_pair.columns, designers.ideal,
-                          check_modulus=True)
-
-    raw, sent, needed = _send_layers(
-        (designers.k_bs, designers.k_ris), gains, snr, budget, rng, inject_flips)
-    return TrainingOutcome(
-        est_bs_index=int(_clamp_index(bits_to_int(raw[0]) + 1, ch.n_bs)),
-        est_ris_index=int(_clamp_index(bits_to_int(raw[1]) + 1, ch.n_ris)),
-        raw_bits_bs=raw[0],
-        raw_bits_ris=raw[1],
-        corrected_bs=None,
-        corrected_ris=None,
-        pilots_used=4 * sent,
-        truncated=sent < needed,
-    )
+    """Adaptive hierarchical training of one channel: ``run_adaptive`` on a one-trial block."""
+    return run_adaptive([ch], designers, snr, budget, [rng],
+                        inject_flips=inject_flips).outcome(0)
 
 
 def narrow_beam_matrices(grid: AngleGrid, geometry: ArrayGeometry

@@ -2,28 +2,32 @@
 
 The reference sends every tuple through ``effective_gain`` and
 ``measure_power`` one pilot at a time, as the layered protocols did before
-gain tables, and decodes each trial with ``blockcode.decode``. The engine must
-agree with it on gains, on noise and on every decision, must still reject RIS
-codewords that break constant modulus, and must give the same bytes whatever
-the trial block size.
+gain tables, and decodes each trial with ``blockcode.decode``. Adaptive
+training takes its reference beams from ``ReferencePrefixBeams``, built per
+bit prefix. The engine must agree with the reference on gains, on noise and
+on every decision, must still reject RIS codewords that break constant
+modulus, and must give the same bytes whatever the trial block size.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from risbeam import experiments, training
 from risbeam.arrays import (
     ArrayGeometry,
     make_angle_grid,
+    u_axis,
     ula_steering,
     upa_steering_uw,
+    w_axis,
 )
 from risbeam.blockcode import DECODE_MODES, bits_to_int, build_identity_code, decode
 from risbeam.channel import (
@@ -35,7 +39,15 @@ from risbeam.channel import (
     received_power,
     sample_channel,
 )
-from risbeam.codebook import BeamPair, GsConfig, build_codebooks
+from risbeam.codebook import (
+    BeamPair,
+    GsConfig,
+    axis_sampling_matrix,
+    build_codebooks,
+    design_bs_codeword,
+    flat_codeword,
+    relaxed_gs_batch,
+)
 from risbeam.experiments import ExperimentConfig, desk_snr_sweep, run_sweep
 from risbeam.seeding import derive_rng
 from risbeam.training import (
@@ -51,6 +63,7 @@ from risbeam.training import (
     ris_transmit,
     run_coded,
     run_hierarchical,
+    run_adaptive,
     run_layered,
     tuple_rates,
 )
@@ -75,11 +88,12 @@ def draw_channel(geo, grid, mode, seed):
     return normalize_channel(sample_channel(geo, grid, np.random.default_rng(seed), mode))
 
 
-def per_pilot_bits(ch, pairs, sizes, snr, rng, ideal=False, layers=None):
+def per_pilot_bits(ch, pairs, sizes, snr, rng, ideal=False, layers=None, flips=()):
     """The layer loop with one effective_gain and one measure_power call per pilot.
 
     ``layers`` (default: all) is the number of layers sent; bits of the layers
-    not sent are missing from the result.
+    not sent are missing from the result. ``flips`` lists (layer, "bs" |
+    "ris") decisions to invert before the next layer's pairs are chosen.
     """
     n_t, n_r = sizes
     bits_t: tuple = ()
@@ -96,10 +110,66 @@ def per_pilot_bits(ch, pairs, sizes, snr, rng, ideal=False, layers=None):
                 powers.append(measure_power(gain, snr, rng))
         winner = int(np.argmax(powers))
         if layer < n_t:
-            bits_t += (winner >> 1,)
+            bits_t += ((winner >> 1) ^ ((layer, "bs") in flips),)
         if layer < n_r:
-            bits_r += (winner & 1,)
+            bits_r += ((winner & 1) ^ ((layer, "ris") in flips),)
     return bits_t, bits_r
+
+
+class ReferencePrefixBeams:
+    """Adaptive hierarchical beams built per bit prefix, the reference for the provider.
+
+    A beam covers the indices whose leading bits equal its prefix: a BS beam
+    is ``design_bs_codeword`` of that coverage mask, a RIS axis designs its
+    nonempty prefixes in one GS batch (the empty prefix is the flat
+    codeword), ideal beams are the masks, and a RIS beam is ``np.kron`` of
+    its u-prefix and w-prefix beams.
+    """
+
+    def __init__(self, geo, grid, cfg, ideal):
+        self.geo, self.grid, self.cfg, self.ideal = geo, grid, cfg, ideal
+        self.sizes = {"bs": geo.n_bs, "u": geo.n_ris_rows, "w": geo.n_ris_cols}
+        self.k_bs = ceil_log2(geo.n_bs)
+        self.k_u = ceil_log2(geo.n_ris_rows)
+        self.k_ris = self.k_u + ceil_log2(geo.n_ris_cols)
+        self.axes = {side: self._axis(side) for side in ("u", "w")}
+
+    def mask(self, side, prefix):
+        n = self.sizes[side]
+        return np.arange(n) >> (ceil_log2(n) - len(prefix)) == bits_to_int(prefix)
+
+    def _axis(self, side):
+        n = self.sizes[side]
+        prefixes = [bits for length in range(1, ceil_log2(n) + 1)
+                    for bits in product((0, 1), repeat=length)]
+        if self.ideal:
+            return {bits: self.mask(side, bits).astype(float) for bits in [()] + prefixes}
+        beams = {(): flat_codeword(n)}
+        if prefixes:
+            matrix = axis_sampling_matrix(n, (u_axis if side == "u" else w_axis)(n),
+                                          self.geo.spacing_over_wavelength)
+            rngs = [derive_rng(self.cfg.seed, "hier", side, bits) for bits in prefixes]
+            masks = np.array([self.mask(side, bits) for bits in prefixes])
+            beams.update(zip(prefixes, relaxed_gs_batch(matrix, masks, self.cfg, rngs)[0]))
+        return beams
+
+    def beam(self, side, prefix):
+        if side == "ris":
+            return np.kron(self.axes["u"][prefix[:self.k_u]], self.axes["w"][prefix[self.k_u:]])
+        if self.ideal:
+            return self.mask(side, prefix).astype(float)
+        return design_bs_codeword(np.flatnonzero(self.mask(side, prefix)), self.grid, self.geo)
+
+    def layer_pairs(self, layer, bits_t, bits_r):
+        """A side still searching splits its prefix; a resolved side repeats its beam."""
+        pairs = []
+        for side, prefix, k in (("bs", bits_t, self.k_bs), ("ris", bits_r, self.k_ris)):
+            if layer < k:
+                pairs.append(BeamPair(one=self.beam(side, prefix + (1,)),
+                                      zero=self.beam(side, prefix + (0,))))
+            else:
+                pairs.append(BeamPair(one=self.beam(side, prefix), zero=self.beam(side, prefix)))
+        return tuple(pairs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -146,25 +216,6 @@ def test_one_noise_draw_gives_per_pilot_powers(layers, snr_linear, seed, real_ga
     assert vector_rng.standard_normal() == scalar_rng.standard_normal()
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 7), st.integers(1, 7), st.floats(0.05, 20.0), SEEDS)
-def test_send_layers_decides_like_per_pilot_measurements(n_t, n_r, snr_linear, seed):
-    rng = np.random.default_rng(seed)
-    layers = max(n_t, n_r)
-    gains = rng.standard_normal((layers, 2, 2)) + 1j * rng.standard_normal((layers, 2, 2))
-    snr = SnrSpec(snr_linear)
-    raw, sent, needed = training._send_layers(
-        (n_t, n_r), lambda layer, bits_t, bits_r: gains[layer], snr, None,
-        np.random.default_rng(seed), ())
-    assert sent == needed == layers
-    scalar_rng = np.random.default_rng(seed)
-    winners = [int(np.argmax([measure_power(gain, snr, scalar_rng)
-                              for gain in gains[layer].ravel()]))
-               for layer in range(layers)]
-    assert raw[0].tolist() == [winner >> 1 for winner in winners[:n_t]]
-    assert raw[1].tolist() == [winner & 1 for winner in winners[:n_r]]
-
-
 @settings(max_examples=25, deadline=None)
 @given(POWERS_OF_TWO, POWERS_OF_TWO, POWERS_OF_TWO, MODES, st.booleans(),
        st.floats(0.1, 30.0), SEEDS)
@@ -187,9 +238,9 @@ def test_layered_runners_match_per_pilot_path(n_bs, rows, cols, mode, ideal,
         sizes, snr, np.random.default_rng(seed), ideal)
     assert (tuple(out.raw_bits_bs), tuple(out.raw_bits_ris)) == expected
 
-    provider = HierarchicalBeamProvider(geo, grid, FAST_GS, ideal=ideal)
+    _, _, provider, reference = adaptive_setup(n_bs, rows, cols, ideal)
     out = run_hierarchical(ch, provider, snr, None, np.random.default_rng(seed))
-    expected = per_pilot_bits(ch, provider.layer_pairs, (provider.k_bs, provider.k_ris),
+    expected = per_pilot_bits(ch, reference.layer_pairs, (reference.k_bs, reference.k_ris),
                               snr, np.random.default_rng(seed), ideal)
     assert (tuple(out.raw_bits_bs), tuple(out.raw_bits_ris)) == expected
 
@@ -211,12 +262,15 @@ def test_broken_constant_modulus_is_rejected(desk_books, desk_codes, desk_geomet
     with pytest.raises(ValueError, match="constant modulus"):
         run_coded(ch, (bs_book, broken), desk_codes, snr, None, derive_rng(0, "m"))
 
-    class BrokenProvider(HierarchicalBeamProvider):
-        def layer_pairs(self, layer, bits_t, bits_r):
-            bs_pair, ris_pair = super().layer_pairs(layer, bits_t, bits_r)
-            return bs_pair, (_broken(ris_pair) if layer == 2 else ris_pair)
-
-    provider = BrokenProvider(desk_geometry, desk_grid, FAST_GS)
+    # layer 2 sends the RIS prefixes 2p and 2p + 1 of length 3, where p is the
+    # prefix decided in layers 0 and 1 (the same noise draws as a full run)
+    provider = HierarchicalBeamProvider(desk_geometry, desk_grid, FAST_GS)
+    decided = run_hierarchical(ch, provider, snr, 8, derive_rng(0, "m")).raw_bits_ris[:2]
+    p = bits_to_int(decided)
+    ris_matrix = provider.prefix_matrices()[1]
+    ris_matrix[0, 2**3 - 1 + 2 * (p ^ 1) + 1] *= 2.0  # a length-3 beam this run never sends
+    run_hierarchical(ch, provider, snr, None, derive_rng(0, "m"))
+    ris_matrix[0, 2**3 - 1 + 2 * p + 1] *= 2.0  # the one beam of layer 2's RIS pair
     with pytest.raises(ValueError, match="constant modulus"):
         run_hierarchical(ch, provider, snr, None, derive_rng(0, "m"))
     # the intact codebooks run
@@ -258,6 +312,72 @@ def test_coded_decisions_match_per_pilot_path(mode, desk_books, desk_codes,
                         np.random.default_rng(seed), "decoupled_two_bit")
         expected = per_pilot_bits(ch, pairs, sizes, snr, np.random.default_rng(seed))
         assert (tuple(out.raw_bits_bs), tuple(out.raw_bits_ris)) == expected
+
+
+@lru_cache(maxsize=None)
+def adaptive_setup(n_bs: int, rows: int, cols: int, ideal: bool):
+    """Geometry, grid, a beam provider and its per-prefix reference."""
+    geo = ArrayGeometry(n_bs, rows, cols)
+    grid = make_angle_grid(geo)
+    return (geo, grid, HierarchicalBeamProvider(geo, grid, FAST_GS, ideal=ideal),
+            ReferencePrefixBeams(geo, grid, FAST_GS, ideal))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((1, 2, 4, 8)), st.sampled_from((1, 2, 4, 8)),
+       st.sampled_from((1, 2, 4, 8)), MODES, st.booleans(),
+       st.sampled_from((1, 7, experiments.TRIAL_BLOCK, experiments.TRIAL_BLOCK + 5)),
+       st.one_of(st.none(), st.integers(4, 30)),
+       st.lists(st.tuples(st.integers(0, 6), st.sampled_from(("bs", "ris"))), max_size=3),
+       st.floats(0.05, 30.0), SEEDS)
+def test_adaptive_runner_matches_per_pilot_reference(n_bs, rows, cols, mode, ideal, trials,
+                                                     budget, flips, snr_linear, seed):
+    assume(n_bs * rows * cols > 1)  # a single candidate per side leaves nothing to train
+    geo, grid, provider, reference = adaptive_setup(n_bs, rows, cols, ideal)
+    channels = [draw_channel(geo, grid, mode, seed + t) for t in range(trials)]
+    snr = SnrSpec(snr_linear)
+    runs = run_adaptive(channels, provider, snr, budget,
+                        [np.random.default_rng(seed + t) for t in range(trials)],
+                        inject_flips=flips)
+    sizes = (reference.k_bs, reference.k_ris)
+    sent = max(sizes) if budget is None else min(max(sizes), budget // 4)
+    for t, ch in enumerate(channels):
+        bits = per_pilot_bits(ch, reference.layer_pairs, sizes, snr,
+                              np.random.default_rng(seed + t), ideal, layers=sent, flips=flips)
+        raw = [list(b) + [0] * (n - len(b)) for b, n in zip(bits, sizes)]
+        outcome = runs.outcome(t)
+        assert (outcome.est_bs_index, outcome.est_ris_index) == (
+            min(bits_to_int(raw[0]) + 1, ch.n_bs), min(bits_to_int(raw[1]) + 1, ch.n_ris))
+        assert outcome.raw_bits_bs.tolist() == raw[0]
+        assert outcome.raw_bits_ris.tolist() == raw[1]
+        assert outcome.corrected_bs is None and outcome.corrected_ris is None
+        assert (outcome.pilots_used, outcome.truncated) == (4 * sent, sent < max(sizes))
+
+
+@pytest.mark.parametrize("dims", [(8, 2, 4), (16, 8, 8), (64, 16, 16)])
+@pytest.mark.parametrize("mode", ["on_grid", "continuous"])
+def test_adaptive_layer_tables_equal_one_trial_tables(monkeypatch, dims, mode):
+    # the gathered (trials, n, 2) beam stacks give the bytes of each trial's
+    # own (n, 2) pair through gain_table, the product of one trial at a time
+    geo, grid, provider, reference = adaptive_setup(*dims, False)
+    channels = [draw_channel(geo, grid, mode, seed) for seed in range(experiments.TRIAL_BLOCK)]
+    layers = []
+
+    def recording(gain, snr, noise):
+        layers.append(gain.copy())
+        return received_power(gain, snr, noise)
+
+    monkeypatch.setattr(training, "received_power", recording)
+    runs = run_adaptive(channels, provider, SnrSpec(0.5), None,
+                        [np.random.default_rng(seed) for seed in range(len(channels))])
+    assert len(layers) == max(reference.k_bs, reference.k_ris)
+    for layer, tables in enumerate(layers):
+        for t, ch in enumerate(channels):
+            bs_pair, ris_pair = reference.layer_pairs(
+                layer, tuple(runs.raw_bits_bs[t, :layer].tolist()),
+                tuple(runs.raw_bits_ris[t, :layer].tolist()))
+            expected = gain_table(ch, bs_pair.columns, ris_pair.columns, check_modulus=True)
+            assert tables[t].tobytes() == expected.tobytes()
 
 
 @lru_cache(maxsize=None)
@@ -348,12 +468,13 @@ def test_trial_block_size_changes_no_byte(monkeypatch, mode):
         ExperimentConfig().protocols
         + (ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),)))
     assert 5 < default < cfg.trials
-    results = []
-    for block in (1, 5, default):
-        monkeypatch.setattr(experiments, "TRIAL_BLOCK", block)
-        results.append(run_sweep(cfg, log_trials=True))
-    assert len(results[0].trial_log) == cfg.trials * len(results[0].rows)
-    assert results[0] == results[1] == results[2]
+    for ideal in (False, True):  # designed beams, and ideal ones read off mask rows
+        results = []
+        for block in (1, 5, default):
+            monkeypatch.setattr(experiments, "TRIAL_BLOCK", block)
+            results.append(run_sweep(replace(cfg, ideal_beams=ideal), log_trials=True))
+        assert len(results[0].trial_log) == cfg.trials * len(results[0].rows)
+        assert results[0] == results[1] == results[2]
 
 
 @pytest.mark.parametrize("dims", [(16, 8, 8), (64, 16, 16), (8, 6, 8), (12, 8, 6)])

@@ -1,10 +1,24 @@
 import numpy as np
 import pytest
 
-from risbeam.arrays import ArrayGeometry, make_angle_grid, ula_steering, upa_steering_uw
+from risbeam.arrays import (
+    ArrayGeometry,
+    make_angle_grid,
+    u_axis,
+    ula_steering,
+    upa_steering_uw,
+    w_axis,
+)
 from risbeam.blockcode import build_identity_code, build_plain_code, build_reduced_code
 from risbeam.channel import SnrSpec, normalize_channel, sample_channel
-from risbeam.codebook import GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook
+from risbeam.codebook import (
+    GsConfig,
+    axis_sampling_matrix,
+    beam_pattern_matrix,
+    build_codebooks,
+    flat_codeword,
+    ideal_codebook,
+)
 from risbeam import training
 from risbeam.seeding import derive_rng
 from risbeam.training import (
@@ -197,32 +211,66 @@ def test_hierarchical_adaptive_budget_and_truncation(oracle_setup):
 
 
 def test_provider_designs_each_prefix_once(monkeypatch, desk_geometry, desk_grid):
-    # noisy runs walk many branches of the binary search; each prefix beam is
-    # designed once, however often the search comes back to it
-    # (a RIS axis designs all its prefixes in one batch: one key per mask row)
+    # every prefix beam is designed once, at the first request, however many
+    # trials and blocks use it; a RIS axis designs all its nonempty prefixes
+    # in one batch (one key per mask row) and its empty prefix is the flat codeword
     designs = []
 
-    def counted(fn, keys):
+    def recording(fn, keys):
         def wrapper(*args, **kwargs):
-            designs.extend(keys(*args))
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            beams = result[0] if isinstance(result, tuple) else [result]
+            designs.extend(zip(keys(*args), beams))
+            return result
         return wrapper
 
-    monkeypatch.setattr(training, "relaxed_gs_batch", counted(
+    monkeypatch.setattr(training, "relaxed_gs_batch", recording(
         training.relaxed_gs_batch,
-        lambda matrix, masks, *rest: [("ris", matrix.tobytes(), m.tobytes()) for m in masks]))
-    monkeypatch.setattr(training, "design_bs_codeword", counted(
-        training.design_bs_codeword, lambda indices, *rest: [("bs", tuple(indices))]))
-    provider = HierarchicalBeamProvider(desk_geometry, desk_grid,
-                                        GsConfig(seed=1, k_iter=10))
-    for trial in range(40):
-        ch = normalize_channel(sample_channel(desk_geometry, desk_grid,
-                                              derive_rng(3, "ch", trial)))
+        lambda matrix, masks, *rest: [(matrix.tobytes(), m.tobytes()) for m in masks]))
+    monkeypatch.setattr(training, "design_bs_codeword", recording(
+        training.design_bs_codeword, lambda indices, *rest: [tuple(indices)]))
+    geo = desk_geometry
+    provider = HierarchicalBeamProvider(geo, desk_grid, GsConfig(seed=1, k_iter=10))
+    channels = [normalize_channel(sample_channel(geo, desk_grid, derive_rng(3, "ch", trial)))
+                for trial in range(40)]
+    for trial, ch in enumerate(channels):
         run_hierarchical(ch, provider, SnrSpec(0.3), None, derive_rng(3, "n", trial))
-    assert len(designs) == len(set(designs))
-    # more prefixes than one path through the search: the runs branched
-    assert sum(key[0] == "bs" for key in designs) > 2 * ceil_log2(desk_geometry.n_bs)
-    assert len(provider._beams["ris"]) > 2 * 6
+    training.run_adaptive(channels, provider, SnrSpec(0.3), None,
+                          [derive_rng(3, "n", trial) for trial in range(40)])
+    designed = dict(designs)
+    assert len(designs) == len(designed)
+    k_bs, k_u, k_w = (ceil_log2(n) for n in (geo.n_bs, geo.n_ris_rows, geo.n_ris_cols))
+    assert len(designed) == (2 ** (k_bs + 1) - 1) + (2 ** (k_u + 1) - 2) + (2 ** (k_w + 1) - 2)
+
+    def prefix(column, k):
+        """(length, value) of a prefix-matrix column, and its coverage mask."""
+        length = (column + 1).bit_length() - 1
+        value = column + 1 - 2 ** length
+        return length, value, np.arange(2 ** k) >> (k - length) == value
+
+    def axis_beam(side, length, value):
+        n = geo.n_ris_rows if side == "u" else geo.n_ris_cols
+        if length == 0:
+            return flat_codeword(n)
+        k = ceil_log2(n)
+        freqs = (u_axis if side == "u" else w_axis)(n)
+        matrix = axis_sampling_matrix(n, freqs, geo.spacing_over_wavelength)
+        mask = np.arange(n) >> (k - length) == value
+        return designed[(matrix.tobytes(), mask.tobytes())]
+
+    bs_matrix, ris_matrix = provider.prefix_matrices()
+    assert bs_matrix.shape == (geo.n_bs, 2 ** (k_bs + 1) - 1)
+    for column in range(bs_matrix.shape[1]):
+        *_, mask = prefix(column, k_bs)
+        assert bs_matrix[:, column].tobytes() == designed[tuple(np.flatnonzero(mask))].tobytes()
+    assert ris_matrix.shape == (geo.n_ris, 2 ** (k_u + k_w + 1) - 1)
+    for column in range(ris_matrix.shape[1]):
+        length, value, _ = prefix(column, k_u + k_w)
+        u_len = min(length, k_u)
+        w_len = length - u_len
+        expected = np.kron(axis_beam("u", u_len, value >> w_len),
+                           axis_beam("w", w_len, value & (2 ** w_len - 1)))
+        assert ris_matrix[:, column].tobytes() == expected.tobytes()
 
 
 def test_hierarchical_full_scale_pilot_count():
