@@ -11,7 +11,6 @@ from .arrays import (
     make_angle_grid,
     ris_angle_grid,
     ula_steering,
-    upa_steering,
     upa_steering_uw,
 )
 from .blockcode import (
@@ -28,8 +27,6 @@ from .blockcode import (
 from .channel import (
     ChannelRealization,
     SnrSpec,
-    effective_gain,
-    measure_power,
     normalize_channel,
     sample_channel,
 )
@@ -39,9 +36,7 @@ from .codebook import (
     GsConfig,
     beam_pattern_matrix,
     build_codebooks,
-    classification_margin,
     design_bs_codeword,
-    design_ris_codeword_gs,
 )
 from .experiments import (
     ExperimentConfig,
@@ -49,17 +44,16 @@ from .experiments import (
     export_results,
     import_results,
     run_sweep,
-    success_rate,
 )
 from .training import (
     HierarchicalBeamProvider,
     ProtocolSpec,
-    TrainingOutcome,
-    achievable_rate,
-    run_coded,
+    TrainingRuns,
+    run_adaptive,
     run_exhaustive,
-    run_hierarchical,
+    run_layered,
     training_overhead,
+    tuple_rates,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -93,13 +93,6 @@ def upa_steering_uw(
     return vec.ravel() / np.sqrt(n1 * n2)
 
 
-def upa_steering(
-    n1: int, n2: int, phi: float, theta: float, spacing: float = DEFAULT_SPACING
-) -> np.ndarray:
-    """Unit-norm UPA steering vector at azimuth phi and elevation theta."""
-    return upa_steering_uw(n1, n2, np.sin(phi) * np.sin(theta), np.cos(theta), spacing)
-
-
 def bs_grid_sines(n_bs: int) -> np.ndarray:
     """The arcsin arguments of the BS candidate list: equispaced with step 2/n_bs."""
     n = np.arange(1, n_bs + 1)
@@ -161,17 +154,4 @@ def make_angle_grid(geometry: ArrayGeometry) -> AngleGrid:
         ris_w=ris.ris_w,
         ris_azimuth=ris.ris_azimuth,
         ris_elevation=ris.ris_elevation,
-    )
-
-
-def ris_grid_steering(
-    geometry: ArrayGeometry, grid: AngleGrid, index: int
-) -> np.ndarray:
-    """Unit-norm RIS steering vector at 1-based grid index."""
-    return upa_steering_uw(
-        geometry.n_ris_rows,
-        geometry.n_ris_cols,
-        grid.ris_u[index - 1],
-        grid.ris_w[index - 1],
-        geometry.spacing_over_wavelength,
     )

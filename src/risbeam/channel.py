@@ -142,18 +142,6 @@ def normalize_channel(ch: ChannelRealization) -> ChannelRealization:
     )
 
 
-def effective_gain(ch: ChannelRealization, v: np.ndarray, w: np.ndarray) -> complex:
-    """Noiseless received amplitude h_r diag(v) g_mat w for one beam tuple."""
-    v = np.asarray(v)
-    w = np.asarray(w)
-    if v.shape != (ch.n_ris,) or w.shape != (ch.n_bs,):
-        raise ValueError("beam dimensions do not match the channel")
-    target = 1.0 / np.sqrt(ch.n_ris)
-    if not np.allclose(np.abs(v), target, atol=1e-9):
-        raise ValueError("RIS vector must have constant modulus 1/sqrt(n_ris)")
-    return complex((ch.h_r * v) @ ch.g_mat @ w)
-
-
 def pilot_noise(snr: SnrSpec, rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """Noise of an array of pilots: unit-variance complex Gaussian as (re, im) pairs.
 
@@ -176,12 +164,3 @@ def received_power(gain, snr: SnrSpec, noise: np.ndarray) -> np.ndarray:
     re = root * np.real(gain) + noise[..., 0]
     im = root * np.imag(gain) + noise[..., 1]
     return re * re + im * im
-
-
-def measure_power(gain: complex, snr: SnrSpec, rng: np.random.Generator) -> float:
-    """One received-power measurement |sqrt(snr) * gain + noise|^2.
-
-    Noise is circularly symmetric complex Gaussian with unit variance, one
-    independent draw per call; the noiseless flag drops the noise term.
-    """
-    return float(received_power(gain, snr, pilot_noise(snr, rng, ())))

@@ -236,30 +236,6 @@ def relaxed_gs_batch(
     return v, traces
 
 
-def relaxed_gs(
-    a_scaled: np.ndarray,
-    mask: np.ndarray,
-    cfg: GsConfig,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Relaxed GS design of one codeword: a one-row ``relaxed_gs_batch``."""
-    v, trace = relaxed_gs_batch(a_scaled, np.asarray(mask, dtype=bool)[None], cfg, (rng,))
-    return v[0], trace[0]
-
-
-def design_ris_codeword_gs(
-    mask: np.ndarray,
-    grid: AngleGrid,
-    geometry: ArrayGeometry,
-    cfg: GsConfig,
-    rng: Optional[np.random.Generator] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Direct 2-D relaxed GS design of one RIS codeword for the given mask."""
-    if rng is None:
-        rng = derive_rng(cfg.seed, "gs", "ris", "direct")
-    return relaxed_gs(ris_sampling_matrix(geometry, grid), mask, cfg, rng)
-
-
 def design_bs_codeword(
     cover_indices, grid: AngleGrid, geometry: ArrayGeometry
 ) -> np.ndarray:
@@ -305,18 +281,6 @@ def _margin(responses: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
     min_in = float(responses[mask].min()) if mask.any() else float("inf")
     max_out = float(responses[~mask].max()) if (~mask).any() else 0.0
     return min_in, max_out
-
-
-def classification_margin(
-    v: np.ndarray, mask: np.ndarray, grid: AngleGrid, geometry: ArrayGeometry
-) -> tuple[float, float]:
-    """(min in-coverage, max out-of-coverage) of |a_n^H v| over the grid.
-
-    Unit-norm steering vectors; the side is inferred from the vector length.
-    """
-    responses = _grid_responses(geometry, bs_steering_matrix(geometry, grid),
-                                ris_sampling_matrix(geometry, grid))
-    return _margin(responses(v), mask)
 
 
 def factor_pattern_mask(mask: np.ndarray, n1: int, n2: int):

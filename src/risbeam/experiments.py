@@ -4,15 +4,15 @@ A sweep point runs in blocks of ``TRIAL_BLOCK`` trials. Per-trial channels
 are seeded independently of the protocol, so a block draws each (sweep point,
 trial) channel once and runs every protocol on it; the measurement noise
 stream is seeded per (protocol, sweep point, trial), so the block size changes
-no result. Coded and full-coverage hierarchical protocols run once per block
-through the batched layered runner ``run_layered``: hierarchical training uses
-identity codes, whose codebooks are the first k layers of the coded ones.
-Adaptive hierarchical training runs once per block through ``run_adaptive``,
-from the prefix-beam matrices of the beam provider; exhaustive training runs
-per trial. Within a trial the rate of an estimated tuple is evaluated once,
-however many protocols chose it, from the narrow-beam columns
-(``tuple_rates``). Codebooks and prefix beams are designed once per
-configuration and reused across trials.
+no result. Before the first trial, each protocol gets one block runner, called
+once per block: ``run_exhaustive`` (one gain table per trial), ``run_layered``
+for coded and full-coverage hierarchical training (hierarchical training uses
+identity codes, whose codebooks are the first k layers of the coded ones), or
+``run_adaptive`` with the prefix-beam matrices of the beam provider. Within a
+trial the rate of an estimated tuple is evaluated once, however many
+protocols chose it, from the narrow-beam columns (``tuple_rates``).
+Codebooks and prefix beams are designed once per configuration and reused
+across trials.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -142,21 +143,6 @@ class ResultSet:
     trial_log: tuple[TrialRecord, ...] = ()
 
 
-def success_rate(outcomes, ground_truths) -> float:
-    """Fraction of trials whose estimated (bs, ris) tuple matches the truth."""
-    outcomes = list(outcomes)
-    ground_truths = list(ground_truths)
-    if len(outcomes) != len(ground_truths):
-        raise ValueError("outcomes and ground truths differ in length")
-    if not outcomes:
-        raise ValueError("empty input")
-    hits = sum(
-        (o.est_bs_index, o.est_ris_index) == tuple(t)
-        for o, t in zip(outcomes, ground_truths)
-    )
-    return hits / len(outcomes)
-
-
 def _is_layered(proto: ProtocolSpec) -> bool:
     """Coded and full-coverage hierarchical protocols run through run_layered."""
     return proto.kind == "coded" or (proto.kind == "hierarchical"
@@ -191,6 +177,30 @@ def _build_layered_assets(cfg: ExperimentConfig, grid) -> dict:
     return {"coded": (codes, books), "hierarchical": (identity, systematic)}
 
 
+def _build_runners(cfg: ExperimentConfig, grid, narrow) -> list:
+    """One block runner per protocol, each called as run(channels, snr=, budget=, rngs=)."""
+    geometry = cfg.geometry
+    provider = None
+    if any(p.kind == "hierarchical" and not _is_layered(p) for p in cfg.protocols):
+        provider = HierarchicalBeamProvider(geometry, grid, cfg.gs, ideal=cfg.ideal_beams)
+    layered = {}
+    if any(_is_layered(p) for p in cfg.protocols):
+        layered = _build_layered_assets(cfg, grid)
+    runners = []
+    for proto in cfg.protocols:
+        if proto.kind == "exhaustive":
+            runners.append(partial(run_exhaustive, grid=grid, geometry=geometry,
+                                   narrow_beams=narrow))
+        elif _is_layered(proto):
+            codes, books = layered[proto.kind]
+            mode = proto.decode_mode if proto.kind == "coded" else "none"
+            runners.append(partial(run_layered, books=books, codes=codes, decode_mode=mode,
+                                   ideal=cfg.ideal_beams))
+        else:
+            runners.append(partial(run_adaptive, provider=provider))
+    return runners
+
+
 def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
     """Run every protocol over the sweep grid and aggregate the metrics.
 
@@ -202,13 +212,7 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
     grid = make_angle_grid(geometry)
     narrow = narrow_beam_matrices(grid, geometry)
     eval_snr = SnrSpec(cfg.eval_snr_linear, noiseless=True)
-
-    provider = None
-    if any(p.kind == "hierarchical" and not _is_layered(p) for p in cfg.protocols):
-        provider = HierarchicalBeamProvider(geometry, grid, cfg.gs, ideal=cfg.ideal_beams)
-    layered = {}
-    if any(_is_layered(p) for p in cfg.protocols):
-        layered = _build_layered_assets(cfg, grid)
+    runners = _build_runners(cfg, grid, narrow)
 
     sweep_values = cfg.snr_grid_db if cfg.sweep_over == "snr" else cfg.pilot_grid
     sweep_name = "snr_db" if cfg.sweep_over == "snr" else "pilots"
@@ -234,26 +238,12 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
                                            float(value), trial), cfg.sampling_mode))
                         for trial in block]
             estimates = []  # per protocol: the block's (BS, RIS) index estimates
-            for p, (proto, budget) in enumerate(zip(protocols, budgets)):
+            for p, (proto, run, budget) in enumerate(zip(protocols, runners, budgets)):
                 rngs = [derive_rng(cfg.master_seed, proto.tag, sweep_name, float(value),
                                    trial) for trial in block]
-                if proto.kind == "exhaustive":
-                    found = []
-                    for ch, rng in zip(channels, rngs):
-                        result = run_exhaustive(ch, grid, geometry, snr, budget, rng,
-                                                narrow_beams=narrow)
-                        found.append((result.est_bs_index, result.est_ris_index))
-                else:
-                    if _is_layered(proto):
-                        codes, books = layered[proto.kind]
-                        mode = proto.decode_mode if proto.kind == "coded" else "none"
-                        result = run_layered(channels, books, codes, snr, budget, rngs,
-                                             mode, ideal=cfg.ideal_beams)
-                    else:
-                        result = run_adaptive(channels, provider, snr, budget, rngs)
-                    found = list(zip(result.est_bs_index.tolist(),
-                                     result.est_ris_index.tolist()))
-                estimates.append(found)
+                result = run(channels, snr=snr, budget=budget, rngs=rngs)
+                estimates.append(list(zip(result.est_bs_index.tolist(),
+                                          result.est_ris_index.tolist())))
                 pilots_used[p] = result.pilots_used
             for i, (trial, ch) in enumerate(zip(block, channels)):
                 chosen = [est[i] for est in estimates]

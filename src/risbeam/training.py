@@ -1,20 +1,21 @@
-"""The beam-training protocols: exhaustive and layered.
+"""The beam-training protocols: exhaustive, layered and adaptive.
 
-All protocols transmit beam tuples, measure one noisy power per tuple in
-transmit order, and map argmax decisions to angle-index estimates. Noiseless
-tuple gains come from factorized tables, ``gain_tables``: the outer product
-of a BS response and a RIS response per channel. A layered protocol sends one
-(BS, RIS) beam pair per layer as 4 tuples and reads one hard decision per
-side. ``run_layered`` runs coded training on a block of trials at once: it
-gathers every layer's gains from one table per channel, stacks each trial's
-own noise draw, decides every layer of every trial in one argmax and decodes
-the block with ``decode_words``; ``run_coded`` is its one-trial call. With
-identity codes (n = k, decode mode "none") it is full-coverage hierarchical
-training. The adaptive variant runs a block through ``run_adaptive``
-(``run_hierarchical`` is its one-trial call): its layers run in turn, since
-each layer's beams depend on the decisions so far, and each layer gathers
-every trial's beam pair from the prefix-beam matrices of
-``HierarchicalBeamProvider`` and decides the whole block at once.
+Every protocol is a block runner, ``runner(channels, ..., snr, budget, rngs)
+-> TrainingRuns``: trial t runs on ``channels[t]`` with noise from
+``rngs[t]``. Each sends beam tuples, measures one noisy power per tuple in
+transmit order, and maps argmax decisions to angle-index estimates. Gains
+come from factorized tables, ``gain_tables``: the outer product of a BS
+response and a RIS response per channel. ``run_exhaustive`` sweeps the
+narrow-beam tuples of one trial's table at a time. A layered protocol sends
+one (BS, RIS) beam pair per layer as 4 tuples and reads one decision per
+side: ``run_layered`` runs coded training (with identity codes and decode
+mode "none", full-coverage hierarchical training), deciding every layer of
+every trial in one argmax and decoding the block with ``decode_words``.
+``run_adaptive`` runs adaptive hierarchical training: its layers run in
+turn, since each layer's beams depend on the decisions so far, and each
+layer gathers every trial's beam pair from the prefix-beam matrices of
+``HierarchicalBeamProvider``. ``tests/reference.py`` holds the per-pilot
+reference the runners are tested against.
 
 Designed codewords are stored in coverage convention and conjugated at
 transmit time; RIS codewords additionally de-rotate the known static RIS-BS
@@ -29,11 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from .arrays import AngleGrid, ArrayGeometry, u_axis, ula_steering, upa_steering_uw, w_axis
+from .arrays import AngleGrid, ArrayGeometry, u_axis, w_axis
 from .blockcode import (
     DECODE_MODES,
     BlockCode,
-    CorrectionReport,
     bits_to_int,
     build_plain_code,
     build_reduced_code,
@@ -43,7 +43,6 @@ from .blockcode import (
 from .channel import (
     ChannelRealization,
     SnrSpec,
-    effective_gain,
     pilot_noise,
     received_power,
     ris_phase_compensation,
@@ -96,18 +95,6 @@ class ProtocolSpec:
         return self.kind
 
 
-@dataclass(frozen=True)
-class TrainingOutcome:
-    est_bs_index: int
-    est_ris_index: int
-    raw_bits_bs: np.ndarray
-    raw_bits_ris: np.ndarray
-    corrected_bs: Optional[CorrectionReport]
-    corrected_ris: Optional[CorrectionReport]
-    pilots_used: int
-    truncated: bool = False
-
-
 def ceil_log2(n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
@@ -120,16 +107,6 @@ def check_budget(kind: str, budget: Optional[int]) -> None:
     if budget is not None and budget < least:
         raise ValueError(f"{kind} training needs a pilot budget of at least {least}, "
                          f"got {budget}")
-
-
-def bs_transmit(w_cov: np.ndarray) -> np.ndarray:
-    """Transmit beamformer for a coverage-convention BS codeword."""
-    return np.conj(w_cov)
-
-
-def ris_transmit(ch: ChannelRealization, v_cov: np.ndarray) -> np.ndarray:
-    """Applied RIS reflecting vector: conjugate plus static BS-side de-rotation."""
-    return np.conj(v_cov) * ris_phase_compensation(ch)
 
 
 def _check_constant_modulus(v_tx: np.ndarray, n_ris: int) -> None:
@@ -152,8 +129,9 @@ def gain_tables(channels, bs_cov: np.ndarray, ris_cov: np.ndarray, ideal: bool =
     response ``h_r @ conj(V)``. Both are stacked matrix-vector products, so a
     trial's table does not depend on the block around it. Ideal
     (mask-valued) codewords read their gains off the true-index rows.
-    ``check_modulus`` applies the constant-modulus test of ``effective_gain``
-    to every transmitted RIS vector at once.
+    ``check_modulus`` applies the constant-modulus test of the per-pilot
+    reference (``effective_gain`` in ``tests/reference.py``) to every
+    transmitted RIS vector at once.
     """
     return _block_gains(channels, ideal)(bs_cov, ris_cov, check_modulus)
 
@@ -191,12 +169,6 @@ def _true_rows(cov: np.ndarray, rows: list) -> np.ndarray:
     return np.broadcast_to(cov, (len(rows), *cov.shape[-2:]))[np.arange(len(rows)), rows]
 
 
-def gain_table(ch: ChannelRealization, bs_cov: np.ndarray, ris_cov: np.ndarray,
-               ideal: bool = False, *, check_modulus: bool = False) -> np.ndarray:
-    """``gain_tables`` of one channel: entry [i, j] pairs BS column i with RIS column j."""
-    return gain_tables([ch], bs_cov, ris_cov, ideal, check_modulus=check_modulus)[0]
-
-
 def _clamp_index(value, n: int):
     return np.minimum(np.maximum(value, 1), n)
 
@@ -229,13 +201,14 @@ def _side_bits(winners: np.ndarray, n: int, side: str, inject_flips) -> np.ndarr
 
 
 @dataclass(frozen=True)
-class LayeredRuns:
-    """One layered protocol on a block of trials; arrays run over the trials.
+class TrainingRuns:
+    """One protocol on a block of trials; arrays run over the trials.
 
     ``decoded`` holds each side's (corrected, uncorrectable, flipped) arrays
-    from ``decode_words``; it is empty for adaptive training, which does not
-    decode. Every trial sends the same layers, so the pilot count and the
-    truncation flag are shared.
+    from ``decode_words``; it is empty for exhaustive and adaptive training,
+    which do not decode, and exhaustive training has no raw bits. Every trial
+    sends the same number of pilots, so the pilot count and the truncation
+    flag are shared.
     """
 
     est_bs_index: np.ndarray
@@ -245,21 +218,6 @@ class LayeredRuns:
     decoded: tuple
     pilots_used: int
     truncated: bool
-
-    def outcome(self, trial: int) -> TrainingOutcome:
-        reports = [CorrectionReport(bool(corrected[trial]), bool(uncorrectable[trial]),
-                                    tuple(int(pos) for pos in flipped[trial] if pos >= 0))
-                   for corrected, uncorrectable, flipped in self.decoded] or [None, None]
-        return TrainingOutcome(
-            est_bs_index=int(self.est_bs_index[trial]),
-            est_ris_index=int(self.est_ris_index[trial]),
-            raw_bits_bs=self.raw_bits_bs[trial],
-            raw_bits_ris=self.raw_bits_ris[trial],
-            corrected_bs=reports[0],
-            corrected_ris=reports[1],
-            pilots_used=self.pilots_used,
-            truncated=self.truncated,
-        )
 
 
 def run_layered(
@@ -273,7 +231,7 @@ def run_layered(
     *,
     ideal: bool = False,
     inject_flips=(),
-) -> LayeredRuns:
+) -> TrainingRuns:
     """Layered beam training of a block: trial t on ``channels[t]``, noise from ``rngs[t]``.
 
     Layer l sends the 4 tuples of BS layer l mod n_t and RIS layer l mod n_r
@@ -306,7 +264,7 @@ def run_layered(
     bs_mode = "one_bit" if decode_mode == "decoupled_two_bit" else decode_mode
     info_t, *decoded_t = decode_words(code_t, raw_t, bs_mode)
     info_r, *decoded_r = decode_words(code_r, raw_r, decode_mode)
-    return LayeredRuns(
+    return TrainingRuns(
         est_bs_index=_clamp_index(rows_to_ints(info_t) + 1, channels[0].n_bs),
         est_ris_index=_clamp_index(rows_to_ints(info_r) + 1, channels[0].n_ris),
         raw_bits_bs=raw_t,
@@ -315,23 +273,6 @@ def run_layered(
         pilots_used=4 * sent,
         truncated=sent < needed,
     )
-
-
-def run_coded(
-    ch: ChannelRealization,
-    books: tuple[DesignedCodebook, DesignedCodebook],
-    codes: tuple[BlockCode, BlockCode],
-    snr: SnrSpec,
-    budget: Optional[int],
-    rng: np.random.Generator,
-    decode_mode: str = "one_bit",
-    *,
-    ideal: bool = False,
-    inject_flips=(),
-) -> TrainingOutcome:
-    """Layered beam training of one channel: ``run_layered`` on a one-trial block."""
-    return run_layered([ch], books, codes, snr, budget, [rng], decode_mode,
-                       ideal=ideal, inject_flips=inject_flips).outcome(0)
 
 
 class HierarchicalBeamProvider:
@@ -443,7 +384,7 @@ def run_adaptive(
     rngs,
     *,
     inject_flips=(),
-) -> LayeredRuns:
+) -> TrainingRuns:
     """Adaptive hierarchical training of a block: trial t on ``channels[t]``, noise from ``rngs[t]``.
 
     Each layer halves the active index interval of each side (a
@@ -473,7 +414,7 @@ def run_adaptive(
 
     raw_t = _side_bits(winners, sizes[0], "bs", inject_flips)
     raw_r = _side_bits(winners, sizes[1], "ris", inject_flips)
-    return LayeredRuns(
+    return TrainingRuns(
         est_bs_index=_clamp_index(rows_to_ints(raw_t) + 1, channels[0].n_bs),
         est_ris_index=_clamp_index(rows_to_ints(raw_r) + 1, channels[0].n_ris),
         raw_bits_bs=raw_t,
@@ -484,59 +425,49 @@ def run_adaptive(
     )
 
 
-def run_hierarchical(
-    ch: ChannelRealization,
-    designers: HierarchicalBeamProvider,
-    snr: SnrSpec,
-    budget: Optional[int],
-    rng: np.random.Generator,
-    *,
-    inject_flips=(),
-) -> TrainingOutcome:
-    """Adaptive hierarchical training of one channel: ``run_adaptive`` on a one-trial block."""
-    return run_adaptive([ch], designers, snr, budget, [rng],
-                        inject_flips=inject_flips).outcome(0)
-
-
 def narrow_beam_matrices(grid: AngleGrid, geometry: ArrayGeometry
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Coverage-convention narrow-beam codebooks: (BS n_bs x n_bs, RIS n_ris x n_ris).
 
-    Column i is the steering vector of grid point i, byte-equal to the beams
-    of ``grid_transmit_pair``.
+    Column i is the steering vector of grid point i, byte-equal to the
+    per-grid-point ``ula_steering`` and ``upa_steering_uw`` beams.
     """
     return bs_steering_matrix(geometry, grid), ris_steering_matrix(geometry, grid)
 
 
 def run_exhaustive(
-    ch: ChannelRealization,
+    channels,
     grid: AngleGrid,
     geometry: ArrayGeometry,
     snr: SnrSpec,
     budget: Optional[int],
-    rng: np.random.Generator,
+    rngs,
     *,
     narrow_beams: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> TrainingOutcome:
-    """Sweep narrow beam tuples in BS-major order and pick the power argmax.
+) -> TrainingRuns:
+    """Exhaustive training of a block: trial t on ``channels[t]``, noise from ``rngs[t]``.
 
-    With a budget below n_bs * n_ris only the first tuples are measured; ties
-    break toward the lowest tuple index.
+    Each trial sweeps the narrow beam tuples in BS-major order and picks the
+    power argmax. With a budget below n_bs * n_ris only the first tuples are
+    measured; ties break toward the lowest tuple index. Each trial's gains
+    come from its own n_bs x n_ris table, built one trial at a time to bound
+    memory, and its noise from one ``pilot_noise`` draw.
     """
     bs_cov, ris_cov = narrow_beams or narrow_beam_matrices(grid, geometry)
     total = geometry.n_bs * geometry.n_ris
     check_budget("exhaustive", budget)
     count = total if budget is None else min(budget, total)
-
-    gains = gain_table(ch, bs_cov, ris_cov).ravel()[:count]  # BS-major tuple order
-    winner = int(np.argmax(received_power(gains, snr, pilot_noise(snr, rng, (count,)))))
-    return TrainingOutcome(
-        est_bs_index=winner // geometry.n_ris + 1,
-        est_ris_index=winner % geometry.n_ris + 1,
-        raw_bits_bs=np.empty(0, dtype=np.uint8),
-        raw_bits_ris=np.empty(0, dtype=np.uint8),
-        corrected_bs=None,
-        corrected_ris=None,
+    winners = np.array([
+        np.argmax(received_power(gain_tables([ch], bs_cov, ris_cov)[0].ravel()[:count],
+                                 snr, pilot_noise(snr, rng, (count,))))
+        for ch, rng in zip(channels, rngs)], dtype=np.intp)  # BS-major tuple order
+    no_bits = np.empty((len(channels), 0), dtype=np.uint8)
+    return TrainingRuns(
+        est_bs_index=winners // geometry.n_ris + 1,
+        est_ris_index=winners % geometry.n_ris + 1,
+        raw_bits_bs=no_bits,
+        raw_bits_ris=no_bits,
+        decoded=(),
         pilots_used=count,
         truncated=count < total,
     )
@@ -562,44 +493,20 @@ def coded_codes(n_bs: int, ris_dims: tuple[int, int]) -> tuple[BlockCode, BlockC
             build_reduced_code(ceil_log2(ris_dims[0]), ceil_log2(ris_dims[1])))
 
 
-def grid_transmit_pair(
-    ch: ChannelRealization,
-    grid: AngleGrid,
-    geometry: ArrayGeometry,
-    bs_index: int,
-    ris_index: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Transmit-ready narrow beams (v, w) pointing at the given grid tuple."""
-    sp = geometry.spacing_over_wavelength
-    w_cov = ula_steering(geometry.n_bs, grid.bs_angles[bs_index - 1], sp)
-    v_cov = upa_steering_uw(
-        geometry.n_ris_rows, geometry.n_ris_cols,
-        grid.ris_u[ris_index - 1], grid.ris_w[ris_index - 1], sp,
-    )
-    return ris_transmit(ch, v_cov), bs_transmit(w_cov)
-
-
-def achievable_rate(
-    ch: ChannelRealization, v: np.ndarray, w: np.ndarray, snr_eval: SnrSpec
-) -> float:
-    """Spectral efficiency log2(1 + snr * |h_r diag(v) g_mat w|^2), transmit beams."""
-    gain = effective_gain(ch, v, w)
-    return float(np.log2(1.0 + snr_eval.snr_linear * abs(gain) ** 2))
-
-
 def tuple_rates(
     ch: ChannelRealization,
     narrow_beams: tuple[np.ndarray, np.ndarray],
     tuples,
     snr_eval: SnrSpec,
 ) -> list[float]:
-    """``achievable_rate`` of the narrow beams of each (BS, RIS) grid tuple.
+    """Spectral efficiency log2(1 + snr * |g|^2) of each (BS, RIS) grid tuple's narrow beams.
 
-    The beams are columns of ``narrow_beam_matrices``, byte-equal to those of
-    ``grid_transmit_pair``. The constant-modulus check runs once over all of
-    them, and the gains are stacked matrix-vector products, which round like
-    ``effective_gain``. |g|^2 and log2 stay scalar per tuple: their vectorized
-    forms round differently.
+    The beams are columns of ``narrow_beam_matrices``. The constant-modulus
+    check runs once over all of them, and the gains are stacked
+    matrix-vector products, which round like the one-tuple
+    ``h_r diag(v) g_mat w`` of ``achievable_rate`` in ``tests/reference.py``.
+    |g|^2 and log2 stay scalar per tuple: their vectorized forms round
+    differently.
     """
     bs_cov, ris_cov = narrow_beams
     bs_index, ris_index = np.array(tuples, dtype=np.intp).T - 1
@@ -610,18 +517,3 @@ def tuple_rates(
     gains = (through_ris[:, None, :] @ w[:, :, None])[:, 0, 0]
     return [float(np.log2(1.0 + snr_eval.snr_linear * abs(complex(g)) ** 2))
             for g in gains]
-
-
-def noiseless_best_tuple(
-    ch: ChannelRealization,
-    grid: AngleGrid,
-    geometry: ArrayGeometry,
-    *,
-    narrow_beams: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> tuple[int, int]:
-    """Ground-truth best tuple by a noiseless exhaustive sweep."""
-    outcome = run_exhaustive(
-        ch, grid, geometry, SnrSpec(1.0, noiseless=True), None,
-        np.random.default_rng(0), narrow_beams=narrow_beams,
-    )
-    return outcome.est_bs_index, outcome.est_ris_index

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from reference import achievable_rate, grid_transmit_pair, run_coded
 from risbeam.arrays import ArrayGeometry, make_angle_grid
 from risbeam.blockcode import (
     build_identity_code,
@@ -25,13 +26,7 @@ from risbeam.cli import main
 from risbeam.codebook import GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook
 from risbeam.experiments import ExperimentConfig, export_results, run_sweep
 from risbeam.seeding import derive_rng
-from risbeam.training import (
-    ProtocolSpec,
-    achievable_rate,
-    grid_transmit_pair,
-    noiseless_best_tuple,
-    run_coded,
-)
+from risbeam.training import ProtocolSpec, run_exhaustive
 
 SPLIT_Q_8X8 = np.array(
     [
@@ -241,13 +236,17 @@ def test_criterion_09_pilot_sweep_shape(desk_codes):
     coded_rates = np.array([rec.rate for rec in results.trial_log])
 
     eval_snr = SnrSpec(cfg.eval_snr_linear, noiseless=True)
+    channels = [normalize_channel(sample_channel(geometry, grid, derive_rng(
+        cfg.master_seed, "channel", "pilots", float(sufficient), trial)))
+        for trial in range(cfg.trials)]
+    # the noiseless block runner, checked against the per-tuple sweep in
+    # test_engine.py, finds each channel's best tuple in a fraction of the time
+    best = run_exhaustive(channels, grid, geometry, SnrSpec(1.0, noiseless=True), None,
+                          [np.random.default_rng(0)] * cfg.trials)
     ceilings = np.empty(cfg.trials)
-    for trial in range(cfg.trials):
-        ch_rng = derive_rng(cfg.master_seed, "channel", "pilots",
-                            float(sufficient), trial)
-        ch = normalize_channel(sample_channel(geometry, grid, ch_rng))
-        best = noiseless_best_tuple(ch, grid, geometry)
-        v, w = grid_transmit_pair(ch, grid, geometry, *best)
+    for trial, ch in enumerate(channels):
+        v, w = grid_transmit_pair(ch, grid, geometry, int(best.est_bs_index[trial]),
+                                  int(best.est_ris_index[trial]))
         ceilings[trial] = achievable_rate(ch, v, w, eval_snr)
     assert coded_rates.mean() >= 0.99 * ceilings.mean()
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import upa_steering
 from risbeam.arrays import (
     AngleGrid,
     ArrayGeometry,
@@ -13,7 +14,6 @@ from risbeam.arrays import (
     u_axis,
     ula_factor,
     ula_steering,
-    upa_steering,
     upa_steering_uw,
     w_axis,
 )

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from reference import effective_gain, measure_power
 from risbeam.arrays import ArrayGeometry, make_angle_grid, ula_steering, upa_steering_uw
 from risbeam.channel import (
     SnrSpec,
-    effective_gain,
-    measure_power,
     normalize_channel,
     ris_phase_compensation,
     sample_channel,

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from functools import lru_cache
 
+from reference import classification_margin, design_ris_codeword_gs, relaxed_gs
 from risbeam.arrays import (
     ArrayGeometry,
     make_angle_grid,
@@ -20,13 +21,10 @@ from risbeam.codebook import (
     axis_sampling_matrix,
     beam_pattern_matrix,
     build_codebooks,
-    classification_margin,
     design_bs_codeword,
-    design_ris_codeword_gs,
     factor_pattern_mask,
     flat_codeword,
     ideal_codebook,
-    relaxed_gs,
     relaxed_gs_batch,
     ris_sampling_matrix,
 )

@@ -1,69 +1,62 @@
-"""The gain-table engine against the per-pilot reference path.
+"""The block runners against the per-pilot reference of ``tests/reference.py``.
 
 The reference sends every tuple through ``effective_gain`` and
-``measure_power`` one pilot at a time, as the layered protocols did before
-gain tables, and decodes each trial with ``blockcode.decode``. Adaptive
-training takes its reference beams from ``ReferencePrefixBeams``, built per
-bit prefix. The engine must agree with the reference on gains, on noise and
-on every decision, must still reject RIS codewords that break constant
-modulus, and must give the same bytes whatever the trial block size.
+``measure_power`` one pilot at a time, and decodes each trial with
+``blockcode.decode``. Exhaustive training is checked against a per-tuple
+sweep, and adaptive training takes its reference beams from
+``ReferencePrefixBeams``, built per bit prefix. The runners must agree with
+the reference on gains, on noise and on every decision, must still reject RIS
+codewords that break constant modulus, and must give the same bytes whatever
+the trial block size.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from risbeam import experiments, training
-from risbeam.arrays import (
-    ArrayGeometry,
-    make_angle_grid,
-    u_axis,
-    ula_steering,
-    upa_steering_uw,
-    w_axis,
+from reference import (
+    ReferencePrefixBeams,
+    achievable_rate,
+    bs_transmit,
+    effective_gain,
+    exhaustive_sweep,
+    grid_transmit_pair,
+    measure_power,
+    per_pilot_bits,
+    reference_run,
+    ris_transmit,
+    run_coded,
+    run_hierarchical,
+    trial_outcome,
 )
-from risbeam.blockcode import DECODE_MODES, bits_to_int, build_identity_code, decode
+from risbeam import experiments, training
+from risbeam.arrays import ArrayGeometry, make_angle_grid, ula_steering, upa_steering_uw
+from risbeam.blockcode import DECODE_MODES, bits_to_int, build_identity_code
 from risbeam.channel import (
     SnrSpec,
-    effective_gain,
-    measure_power,
     normalize_channel,
     pilot_noise,
     received_power,
     sample_channel,
 )
-from risbeam.codebook import (
-    BeamPair,
-    GsConfig,
-    axis_sampling_matrix,
-    build_codebooks,
-    design_bs_codeword,
-    flat_codeword,
-    relaxed_gs_batch,
-)
+from risbeam.codebook import BeamPair, GsConfig, build_codebooks
 from risbeam.experiments import ExperimentConfig, desk_snr_sweep, run_sweep
 from risbeam.seeding import derive_rng
 from risbeam.training import (
     HierarchicalBeamProvider,
     ProtocolSpec,
-    achievable_rate,
-    bs_transmit,
     ceil_log2,
     coded_codes,
-    gain_table,
-    grid_transmit_pair,
+    gain_tables,
     narrow_beam_matrices,
-    ris_transmit,
-    run_coded,
-    run_hierarchical,
     run_adaptive,
+    run_exhaustive,
     run_layered,
     tuple_rates,
 )
@@ -88,90 +81,6 @@ def draw_channel(geo, grid, mode, seed):
     return normalize_channel(sample_channel(geo, grid, np.random.default_rng(seed), mode))
 
 
-def per_pilot_bits(ch, pairs, sizes, snr, rng, ideal=False, layers=None, flips=()):
-    """The layer loop with one effective_gain and one measure_power call per pilot.
-
-    ``layers`` (default: all) is the number of layers sent; bits of the layers
-    not sent are missing from the result. ``flips`` lists (layer, "bs" |
-    "ris") decisions to invert before the next layer's pairs are chosen.
-    """
-    n_t, n_r = sizes
-    bits_t: tuple = ()
-    bits_r: tuple = ()
-    for layer in range(max(sizes) if layers is None else layers):
-        bs_pair, ris_pair = pairs(layer, bits_t, bits_r)
-        powers = []
-        for w_cov in (bs_pair.zero, bs_pair.one):
-            for v_cov in (ris_pair.zero, ris_pair.one):
-                if ideal:
-                    gain = complex(w_cov[ch.bs_index - 1] * v_cov[ch.ue_ris_index - 1])
-                else:
-                    gain = effective_gain(ch, ris_transmit(ch, v_cov), bs_transmit(w_cov))
-                powers.append(measure_power(gain, snr, rng))
-        winner = int(np.argmax(powers))
-        if layer < n_t:
-            bits_t += ((winner >> 1) ^ ((layer, "bs") in flips),)
-        if layer < n_r:
-            bits_r += ((winner & 1) ^ ((layer, "ris") in flips),)
-    return bits_t, bits_r
-
-
-class ReferencePrefixBeams:
-    """Adaptive hierarchical beams built per bit prefix, the reference for the provider.
-
-    A beam covers the indices whose leading bits equal its prefix: a BS beam
-    is ``design_bs_codeword`` of that coverage mask, a RIS axis designs its
-    nonempty prefixes in one GS batch (the empty prefix is the flat
-    codeword), ideal beams are the masks, and a RIS beam is ``np.kron`` of
-    its u-prefix and w-prefix beams.
-    """
-
-    def __init__(self, geo, grid, cfg, ideal):
-        self.geo, self.grid, self.cfg, self.ideal = geo, grid, cfg, ideal
-        self.sizes = {"bs": geo.n_bs, "u": geo.n_ris_rows, "w": geo.n_ris_cols}
-        self.k_bs = ceil_log2(geo.n_bs)
-        self.k_u = ceil_log2(geo.n_ris_rows)
-        self.k_ris = self.k_u + ceil_log2(geo.n_ris_cols)
-        self.axes = {side: self._axis(side) for side in ("u", "w")}
-
-    def mask(self, side, prefix):
-        n = self.sizes[side]
-        return np.arange(n) >> (ceil_log2(n) - len(prefix)) == bits_to_int(prefix)
-
-    def _axis(self, side):
-        n = self.sizes[side]
-        prefixes = [bits for length in range(1, ceil_log2(n) + 1)
-                    for bits in product((0, 1), repeat=length)]
-        if self.ideal:
-            return {bits: self.mask(side, bits).astype(float) for bits in [()] + prefixes}
-        beams = {(): flat_codeword(n)}
-        if prefixes:
-            matrix = axis_sampling_matrix(n, (u_axis if side == "u" else w_axis)(n),
-                                          self.geo.spacing_over_wavelength)
-            rngs = [derive_rng(self.cfg.seed, "hier", side, bits) for bits in prefixes]
-            masks = np.array([self.mask(side, bits) for bits in prefixes])
-            beams.update(zip(prefixes, relaxed_gs_batch(matrix, masks, self.cfg, rngs)[0]))
-        return beams
-
-    def beam(self, side, prefix):
-        if side == "ris":
-            return np.kron(self.axes["u"][prefix[:self.k_u]], self.axes["w"][prefix[self.k_u:]])
-        if self.ideal:
-            return self.mask(side, prefix).astype(float)
-        return design_bs_codeword(np.flatnonzero(self.mask(side, prefix)), self.grid, self.geo)
-
-    def layer_pairs(self, layer, bits_t, bits_r):
-        """A side still searching splits its prefix; a resolved side repeats its beam."""
-        pairs = []
-        for side, prefix, k in (("bs", bits_t, self.k_bs), ("ris", bits_r, self.k_ris)):
-            if layer < k:
-                pairs.append(BeamPair(one=self.beam(side, prefix + (1,)),
-                                      zero=self.beam(side, prefix + (0,))))
-            else:
-                pairs.append(BeamPair(one=self.beam(side, prefix), zero=self.beam(side, prefix)))
-        return tuple(pairs)
-
-
 @settings(max_examples=40, deadline=None)
 @given(POWERS_OF_TWO, POWERS_OF_TWO, POWERS_OF_TWO, MODES, SEEDS)
 def test_gain_table_matches_effective_gain(n_bs, rows, cols, mode, seed):
@@ -180,14 +89,14 @@ def test_gain_table_matches_effective_gain(n_bs, rows, cols, mode, seed):
     rng = np.random.default_rng(seed)
     bs_cov = rng.standard_normal((n_bs, 3)) + 1j * rng.standard_normal((n_bs, 3))
     ris_cov = np.exp(2j * np.pi * rng.random((geo.n_ris, 5))) / np.sqrt(geo.n_ris)
-    table = gain_table(ch, bs_cov, ris_cov, check_modulus=True)
+    table = gain_tables([ch], bs_cov, ris_cov, check_modulus=True)[0]
     assert table.shape == (3, 5)
     for i in range(3):
         for j in range(5):
             reference = effective_gain(ch, ris_transmit(ch, ris_cov[:, j]),
                                        bs_transmit(bs_cov[:, i]))
             assert abs(table[i, j] - reference) <= 1e-12
-    ideal = gain_table(ch, bs_cov.real, ris_cov.real, ideal=True)
+    ideal = gain_tables([ch], bs_cov.real, ris_cov.real, ideal=True)[0]
     assert np.array_equal(ideal, np.outer(bs_cov.real[ch.bs_index - 1],
                                           ris_cov.real[ch.ue_ris_index - 1]))
 
@@ -345,7 +254,7 @@ def test_adaptive_runner_matches_per_pilot_reference(n_bs, rows, cols, mode, ide
         bits = per_pilot_bits(ch, reference.layer_pairs, sizes, snr,
                               np.random.default_rng(seed + t), ideal, layers=sent, flips=flips)
         raw = [list(b) + [0] * (n - len(b)) for b, n in zip(bits, sizes)]
-        outcome = runs.outcome(t)
+        outcome = trial_outcome(runs, t)
         assert (outcome.est_bs_index, outcome.est_ris_index) == (
             min(bits_to_int(raw[0]) + 1, ch.n_bs), min(bits_to_int(raw[1]) + 1, ch.n_ris))
         assert outcome.raw_bits_bs.tolist() == raw[0]
@@ -358,7 +267,7 @@ def test_adaptive_runner_matches_per_pilot_reference(n_bs, rows, cols, mode, ide
 @pytest.mark.parametrize("mode", ["on_grid", "continuous"])
 def test_adaptive_layer_tables_equal_one_trial_tables(monkeypatch, dims, mode):
     # the gathered (trials, n, 2) beam stacks give the bytes of each trial's
-    # own (n, 2) pair through gain_table, the product of one trial at a time
+    # own (n, 2) pair through gain_tables of a one-trial block
     geo, grid, provider, reference = adaptive_setup(*dims, False)
     channels = [draw_channel(geo, grid, mode, seed) for seed in range(experiments.TRIAL_BLOCK)]
     layers = []
@@ -376,7 +285,8 @@ def test_adaptive_layer_tables_equal_one_trial_tables(monkeypatch, dims, mode):
             bs_pair, ris_pair = reference.layer_pairs(
                 layer, tuple(runs.raw_bits_bs[t, :layer].tolist()),
                 tuple(runs.raw_bits_ris[t, :layer].tolist()))
-            expected = gain_table(ch, bs_pair.columns, ris_pair.columns, check_modulus=True)
+            expected = gain_tables([ch], bs_pair.columns, ris_pair.columns,
+                                   check_modulus=True)[0]
             assert tables[t].tobytes() == expected.tobytes()
 
 
@@ -393,22 +303,6 @@ def layered_setup(n_bs: int, rows: int, cols: int, coded: bool, ideal: bool):
     cfg = ExperimentConfig(n_bs=n_bs, n_ris_rows=rows, n_ris_cols=cols, gs=FAST_GS,
                            ideal_beams=ideal)
     return geo, grid, codes, experiments._design_books(cfg, grid, codes)
-
-
-def reference_run(ch, books, codes, snr, budget, rng, mode, ideal):
-    """One trial through per_pilot_bits and blockcode.decode."""
-    sizes = (codes[0].n, codes[1].n)
-    sent = max(sizes) if budget is None else min(max(sizes), budget // 4)
-    bits = per_pilot_bits(
-        ch, lambda layer, *_: (books[0].layers[layer % sizes[0]],
-                               books[1].layers[layer % sizes[1]]),
-        sizes, snr, rng, ideal, layers=sent)
-    raw = [np.array(b + (0,) * (n - len(b)), dtype=np.uint8) for b, n in zip(bits, sizes)]
-    bs_mode = "one_bit" if mode == "decoupled_two_bit" else mode
-    (u_t, rep_t), (u_r, rep_r) = decode(codes[0], raw[0], bs_mode), decode(codes[1], raw[1], mode)
-    estimate = (min(max(bits_to_int(u_t) + 1, 1), ch.n_bs),
-                min(max(bits_to_int(u_r) + 1, 1), ch.n_ris))
-    return estimate, raw, (rep_t, rep_r), 4 * sent, sent < max(sizes)
 
 
 @st.composite
@@ -439,7 +333,7 @@ def test_batched_runner_matches_per_pilot_reference(case, mode, ideal, trials, b
         estimate, raw, reports, pilots, truncated = reference_run(
             ch, books, codes, snr, budget, np.random.default_rng(seed + t), decode_mode,
             ideal)
-        outcome = runs.outcome(t)
+        outcome = trial_outcome(runs, t)
         assert (outcome.est_bs_index, outcome.est_ris_index) == estimate
         assert outcome.raw_bits_bs.tolist() == raw[0].tolist()
         assert outcome.raw_bits_ris.tolist() == raw[1].tolist()
@@ -456,9 +350,9 @@ def test_block_tables_equal_one_channel_tables(case, mode, ideal, trials, seed):
     if not ideal:
         matrices.append(narrow_beam_matrices(grid, geo))
     for bs_cov, ris_cov in matrices:
-        block = training.gain_tables(channels, bs_cov, ris_cov, ideal, check_modulus=True)
+        block = gain_tables(channels, bs_cov, ris_cov, ideal, check_modulus=True)
         for table, ch in zip(block, channels):
-            assert table.tobytes() == gain_table(ch, bs_cov, ris_cov, ideal).tobytes()
+            assert table.tobytes() == gain_tables([ch], bs_cov, ris_cov, ideal)[0].tobytes()
 
 
 @pytest.mark.parametrize("mode", ["on_grid", "continuous"])
@@ -475,6 +369,41 @@ def test_trial_block_size_changes_no_byte(monkeypatch, mode):
             results.append(run_sweep(replace(cfg, ideal_beams=ideal), log_trials=True))
         assert len(results[0].trial_log) == cfg.trials * len(results[0].rows)
         assert results[0] == results[1] == results[2]
+
+
+@st.composite
+def exhaustive_cases(draw):
+    """(n_bs, rows, cols, budget): no budget, 1, a truncating one, or one past every tuple."""
+    n_bs, rows, cols = draw(st.sampled_from(
+        ((16, 8, 8), (12, 8, 6), (8, 6, 8), (3, 1, 5), (1, 3, 1), (5, 3, 2))))
+    total = n_bs * rows * cols
+    budget = draw(st.sampled_from((None, 1, "truncating", "past")))
+    if budget == "truncating":
+        budget = draw(st.integers(2, total - 1))
+    elif budget == "past":
+        budget = total + draw(st.integers(1, 50))
+    return n_bs, rows, cols, budget
+
+
+@settings(max_examples=20, deadline=None)
+@given(exhaustive_cases(), MODES,
+       st.sampled_from((1, 7, experiments.TRIAL_BLOCK, experiments.TRIAL_BLOCK + 5)),
+       st.floats(0.05, 30.0), SEEDS)
+def test_exhaustive_runner_matches_per_tuple_sweep(case, mode, trials, snr_linear, seed):
+    n_bs, rows, cols, budget = case
+    geo = ArrayGeometry(n_bs, rows, cols)
+    grid = make_angle_grid(geo)
+    channels = [draw_channel(geo, grid, mode, seed + t) for t in range(trials)]
+    snr = SnrSpec(snr_linear)
+    runs = run_exhaustive(channels, grid, geo, snr, budget,
+                          [np.random.default_rng(seed + t) for t in range(trials)])
+    assert runs.raw_bits_bs.shape == runs.raw_bits_ris.shape == (trials, 0)
+    assert runs.decoded == ()
+    for t, ch in enumerate(channels):
+        estimate, pilots, truncated = exhaustive_sweep(ch, grid, geo, snr, budget,
+                                                       np.random.default_rng(seed + t))
+        assert (runs.est_bs_index[t], runs.est_ris_index[t]) == estimate
+        assert (runs.pilots_used, runs.truncated) == (pilots, truncated)
 
 
 @pytest.mark.parametrize("dims", [(16, 8, 8), (64, 16, 16), (8, 6, 8), (12, 8, 6)])

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from reference import achievable_rate, grid_transmit_pair, noiseless_best_tuple, success_rate
 from risbeam.arrays import make_angle_grid
 from risbeam.channel import normalize_channel, sample_channel
 from risbeam.codebook import GsConfig
@@ -15,10 +16,9 @@ from risbeam.experiments import (
     export_trial_log,
     import_results,
     run_sweep,
-    success_rate,
 )
 from risbeam.seeding import derive_rng
-from risbeam.training import ProtocolSpec, noiseless_best_tuple
+from risbeam.training import ProtocolSpec
 
 
 def _tiny_config(**overrides):
@@ -64,7 +64,6 @@ def test_sweep_channels_shared_across_protocols():
     geometry = cfg.geometry
     grid = make_angle_grid(geometry)
     from risbeam.channel import SnrSpec
-    from risbeam.training import achievable_rate, grid_transmit_pair
 
     for rec in results.trial_log:
         ch_rng = derive_rng(cfg.master_seed, "channel", "snr_db", 0.0, rec.trial)
@@ -258,7 +257,6 @@ def test_rate_ceiling_row_never_exceeds_exhaustive():
     geometry = cfg.geometry
     grid = make_angle_grid(geometry)
     from risbeam.channel import SnrSpec
-    from risbeam.training import achievable_rate, grid_transmit_pair
 
     for trial, rates in per_trial.items():
         ch = normalize_channel(sample_channel(

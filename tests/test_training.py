@@ -1,6 +1,17 @@
 import numpy as np
 import pytest
 
+from reference import (
+    achievable_rate,
+    bs_transmit,
+    effective_gain,
+    grid_transmit_pair,
+    noiseless_best_tuple,
+    ris_transmit,
+    run_coded,
+    run_hierarchical,
+    trial_outcome,
+)
 from risbeam.arrays import (
     ArrayGeometry,
     make_angle_grid,
@@ -24,15 +35,8 @@ from risbeam.seeding import derive_rng
 from risbeam.training import (
     HierarchicalBeamProvider,
     ProtocolSpec,
-    achievable_rate,
-    bs_transmit,
     ceil_log2,
-    grid_transmit_pair,
-    noiseless_best_tuple,
-    ris_transmit,
-    run_coded,
     run_exhaustive,
-    run_hierarchical,
     training_overhead,
 )
 
@@ -288,7 +292,8 @@ def test_exhaustive_noiseless_finds_truth(oracle_setup):
     geo, grid, _, _, _ = oracle_setup
     for bs_i, ris_i in ((1, 1), (8, 64), (4, 29)):
         ch = _channel_at(geo, grid, bs_i, ris_i, gr_index=13)
-        out = run_exhaustive(ch, grid, geo, NOISELESS, None, derive_rng(0, "e"))
+        out = trial_outcome(run_exhaustive([ch], grid, geo, NOISELESS, None,
+                                           [derive_rng(0, "e")]), 0)
         assert (out.est_bs_index, out.est_ris_index) == (bs_i, ris_i)
         assert out.pilots_used == 8 * 64
 
@@ -298,11 +303,13 @@ def test_exhaustive_budget_coverage(oracle_setup):
     geo, grid, _, _, _ = oracle_setup
     budget = 100
     inside = _channel_at(geo, grid, 1, 17)  # tuple index 17 <= 100
-    out = run_exhaustive(inside, grid, geo, NOISELESS, budget, derive_rng(0, "e1"))
+    out = trial_outcome(run_exhaustive([inside], grid, geo, NOISELESS, budget,
+                                       [derive_rng(0, "e1")]), 0)
     assert (out.est_bs_index, out.est_ris_index) == (1, 17)
     assert out.pilots_used == budget and out.truncated
     outside = _channel_at(geo, grid, 5, 1)  # tuple index 257 > 100
-    out = run_exhaustive(outside, grid, geo, NOISELESS, budget, derive_rng(0, "e2"))
+    out = trial_outcome(run_exhaustive([outside], grid, geo, NOISELESS, budget,
+                                       [derive_rng(0, "e2")]), 0)
     assert (out.est_bs_index, out.est_ris_index) != (5, 1)
 
 
@@ -377,8 +384,6 @@ def test_achievable_rate_cases(oracle_setup):
     snr10 = SnrSpec(10.0)
     # matched tuple reaches the brute-force maximum over all grid tuples
     best_gain_sq = 0.0
-    from risbeam.channel import effective_gain
-
     for i in range(1, geo.n_bs + 1):
         for j in range(1, geo.n_ris + 1):
             v_tx, w_tx = grid_transmit_pair(ch, grid, geo, i, j)
