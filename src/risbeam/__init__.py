@@ -18,7 +18,7 @@ from .blockcode import (
     build_identity_code,
     build_plain_code,
     build_reduced_code,
-    decode,
+    decode_words,
     encode,
     min_distance,
     redundancy_length,

@@ -109,8 +109,8 @@ def beam_pattern_matrix(code: BlockCode, n_grid: int, side: str = "ris") -> Beam
     """Column j holds the codeword of grid index j; row i is layer i's mask."""
     if n_grid > 2**code.k:
         raise ValueError(f"{n_grid} grid points exceed the {2**code.k} codewords")
-    columns = [encode(code, int_to_bits(j, code.k)) for j in range(n_grid)]
-    return BeamPatternMatrix(rows=np.array(columns, dtype=np.uint8).T, side=side)
+    columns = encode(code, int_to_bits(np.arange(n_grid), code.k))
+    return BeamPatternMatrix(rows=columns.T, side=side)
 
 
 def axis_sampling_matrix(n: int, freqs: np.ndarray,
@@ -257,21 +257,10 @@ def design_bs_codeword(
     return w / np.linalg.norm(w)
 
 
-def _grid_responses(geometry: ArrayGeometry, bs_steering: np.ndarray,
-                    ris_sampling: np.ndarray):
-    """v -> |a_n^H v| over the grid, unit-norm steering; the side is read from len(v)."""
-    bs_adjoint = bs_steering.conj().T
-    ris_adjoint = ris_sampling.conj().T
-    ris_scale = np.sqrt(geometry.n_ris)
-
-    def responses(v: np.ndarray) -> np.ndarray:
-        if v.size == geometry.n_ris:
-            return np.abs(ris_adjoint @ v) / ris_scale
-        if v.size == geometry.n_bs:
-            return np.abs(bs_adjoint @ v)
-        raise ValueError("vector length matches neither array")
-
-    return responses
+def _grid_responses(sampling: np.ndarray, scale: float = 1.0):
+    """v -> |a_n^H v| over the grid, where a_n = (column n of ``sampling``) / scale."""
+    adjoint = sampling.conj().T
+    return lambda v: np.abs(adjoint @ v) / scale
 
 
 def _margin(responses: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
@@ -344,7 +333,8 @@ def build_codebooks(
     pattern_t = beam_pattern_matrix(code_t, geometry.n_bs, side="bs")
     pattern_r = beam_pattern_matrix(code_r, geometry.n_ris, side="ris")
     ris_sampling = ris_sampling_matrix(geometry, grid)
-    responses = _grid_responses(geometry, bs_steering_matrix(geometry, grid), ris_sampling)
+    bs_responses = _grid_responses(bs_steering_matrix(geometry, grid))
+    ris_responses = _grid_responses(ris_sampling, np.sqrt(geometry.n_ris))
 
     bs_layers, bs_reports = [], []
     for i in range(pattern_t.n_layers):
@@ -355,8 +345,8 @@ def build_codebooks(
         )
         bs_layers.append(pair)
         bs_reports.append((
-            CodewordReport((), *_margin(responses(pair.one), mask)),
-            CodewordReport((), *_margin(responses(pair.zero), ~mask)),
+            CodewordReport((), *_margin(bs_responses(pair.one), mask)),
+            CodewordReport((), *_margin(bs_responses(pair.zero), ~mask)),
         ))
 
     covers = [(i, polarity, cover)
@@ -366,7 +356,7 @@ def build_codebooks(
         designs = _design_factorized(covers, geometry, cfg)
     else:
         designs = [(v, (t,)) for v, t in _gs_rows(ris_sampling, covers, "2d", cfg)]
-    reports = [CodewordReport(traces, *_margin(responses(v), cover))
+    reports = [CodewordReport(traces, *_margin(ris_responses(v), cover))
                for (v, traces), (*_, cover) in zip(designs, covers)]
     ris_layers = [BeamPair(one=one[0], zero=zero[0])
                   for one, zero in zip(designs[::2], designs[1::2])]

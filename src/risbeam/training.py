@@ -10,11 +10,13 @@ narrow-beam tuples of one trial's table at a time. A layered protocol sends
 one (BS, RIS) beam pair per layer as 4 tuples and reads one decision per
 side: ``run_layered`` runs coded training (with identity codes and decode
 mode "none", full-coverage hierarchical training), deciding every layer of
-every trial in one argmax and decoding the block with ``decode_words``.
-``run_adaptive`` runs adaptive hierarchical training: its layers run in
-turn, since each layer's beams depend on the decisions so far, and each
-layer gathers every trial's beam pair from the prefix-beam matrices of
-``HierarchicalBeamProvider``. ``tests/reference.py`` holds the per-pilot
+every trial in one argmax. ``run_adaptive`` runs adaptive hierarchical
+training: its layers run in turn, since each layer's beams depend on the
+decisions so far, and each layer gathers every trial's beam pair from the
+prefix-beam matrices of ``HierarchicalBeamProvider``. Both finish the same
+way: the decisions become raw bits, ``decode_words`` decodes the block (the
+adaptive runner with identity codes in mode "none"), and the information
+bits become the estimates. ``tests/reference.py`` holds the per-pilot
 reference the runners are tested against.
 
 Designed codewords are stored in coverage convention and conjugated at
@@ -35,6 +37,7 @@ from .blockcode import (
     DECODE_MODES,
     BlockCode,
     bits_to_int,
+    build_identity_code,
     build_plain_code,
     build_reduced_code,
     decode_words,
@@ -205,10 +208,10 @@ class TrainingRuns:
     """One protocol on a block of trials; arrays run over the trials.
 
     ``decoded`` holds each side's (corrected, uncorrectable, flipped) arrays
-    from ``decode_words``; it is empty for exhaustive and adaptive training,
-    which do not decode, and exhaustive training has no raw bits. Every trial
-    sends the same number of pilots, so the pilot count and the truncation
-    flag are shared.
+    from ``decode_words`` for every layered protocol; identity codes in mode
+    "none" give all-clean arrays. Exhaustive training does not decode: its
+    ``decoded`` is empty and it has no raw bits. Every trial sends the same
+    number of pilots, so the pilot count and the truncation flag are shared.
     """
 
     est_bs_index: np.ndarray
@@ -259,6 +262,17 @@ def run_layered(
     powers = received_power(tables[:, rows, cols], snr, noise)
     winners = powers.reshape(len(channels), sent, 4).argmax(axis=-1)
 
+    return _decode_layers(channels, winners, codes, decode_mode, inject_flips, needed)
+
+
+def _decode_layers(channels, winners: np.ndarray, codes: tuple[BlockCode, BlockCode],
+                   decode_mode: str, inject_flips, needed: int) -> TrainingRuns:
+    """The finish of a layered protocol: winning tuples to raw bits, decoded to estimates.
+
+    ``winners`` holds the (trials, layers sent) winning tuples; ``needed`` is
+    the number of layers an untruncated run sends.
+    """
+    code_t, code_r = codes
     raw_t = _side_bits(winners, code_t.n, "bs", inject_flips)
     raw_r = _side_bits(winners, code_r.n, "ris", inject_flips)
     bs_mode = "one_bit" if decode_mode == "decoupled_two_bit" else decode_mode
@@ -270,8 +284,8 @@ def run_layered(
         raw_bits_bs=raw_t,
         raw_bits_ris=raw_r,
         decoded=(tuple(decoded_t), tuple(decoded_r)),
-        pilots_used=4 * sent,
-        truncated=sent < needed,
+        pilots_used=4 * winners.shape[1],
+        truncated=winners.shape[1] < needed,
     )
 
 
@@ -311,6 +325,9 @@ class HierarchicalBeamProvider:
         self.k_bs = ceil_log2(geometry.n_bs)
         self.k_u = ceil_log2(geometry.n_ris_rows)
         self.k_ris = self.k_u + ceil_log2(geometry.n_ris_cols)
+        # the decisions are the index bits: identity codes, decoded in mode "none"
+        self.codes = (build_identity_code(self.k_bs),
+                      build_identity_code(self.k_u, self.k_ris - self.k_u))
         self._matrices: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def prefix_matrices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -395,10 +412,11 @@ def run_adaptive(
     each trial's noise is one ``pilot_noise`` draw. Layers run in turn,
     because each layer's beams depend on the decisions before it; within a
     layer the block's beams, gains, powers and decisions are computed at
-    once. There is no error correction, so ``decoded`` is empty. A budget
-    short of 4 pilots per layer truncates every trial and zero-fills the
-    missing bits. ``inject_flips`` lists (layer, "bs" | "ris") decisions to
-    invert; later layers follow the inverted decision.
+    once. There is no error correction: the raw bits decode with identity
+    codes in mode "none", so ``decoded`` is all clean. A budget short of 4
+    pilots per layer truncates every trial and zero-fills the missing bits.
+    ``inject_flips`` lists (layer, "bs" | "ris") decisions to invert; later
+    layers follow the inverted decision.
     """
     sizes = (provider.k_bs, provider.k_ris)
     sent, needed = _layer_count(sizes, budget)
@@ -412,17 +430,7 @@ def run_adaptive(
         powers = received_power(tables(*pairs, check_modulus=True), snr, noise[:, layer])
         winners[:, layer] = powers.reshape(len(channels), 4).argmax(axis=-1)
 
-    raw_t = _side_bits(winners, sizes[0], "bs", inject_flips)
-    raw_r = _side_bits(winners, sizes[1], "ris", inject_flips)
-    return TrainingRuns(
-        est_bs_index=_clamp_index(rows_to_ints(raw_t) + 1, channels[0].n_bs),
-        est_ris_index=_clamp_index(rows_to_ints(raw_r) + 1, channels[0].n_ris),
-        raw_bits_bs=raw_t,
-        raw_bits_ris=raw_r,
-        decoded=(),
-        pilots_used=4 * sent,
-        truncated=sent < needed,
-    )
+    return _decode_layers(channels, winners, provider.codes, "none", inject_flips, needed)
 
 
 def narrow_beam_matrices(grid: AngleGrid, geometry: ArrayGeometry

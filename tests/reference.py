@@ -5,16 +5,18 @@ way the protocols read on paper: ``effective_gain`` forms one noiseless
 amplitude (with its constant-modulus and shape checks), ``measure_power``
 draws one noisy power, ``exhaustive_sweep`` sends every narrow-beam tuple in
 turn, and ``per_pilot_bits`` runs the layer loop of layered training.
-``run_coded`` and ``run_hierarchical`` are one-trial calls of the block
-runners, read through the ``TrainingOutcome`` view (``trial_outcome``). The
-remaining helpers are one-codeword forms of the package's batched designs
-and of its metrics. Tests import it as ``reference``: ``tests/`` is not a
+``decode`` is per-word syndrome decoding on its own brute-force tables, the
+oracle for ``blockcode.decode_words``. ``run_coded`` and ``run_hierarchical``
+are one-trial calls of the block runners, read through the
+``TrainingOutcome`` view (``trial_outcome``). The remaining helpers are
+one-codeword forms of the package's batched designs and of its metrics. Tests import it as ``reference``: ``tests/`` is not a
 package, so pytest puts it on ``sys.path``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Optional
 
@@ -29,7 +31,7 @@ from risbeam.arrays import (
     upa_steering_uw,
     w_axis,
 )
-from risbeam.blockcode import CorrectionReport, bits_to_int, decode
+from risbeam.blockcode import DECODE_MODES, BlockCode, bits_to_int
 from risbeam.channel import (
     ChannelRealization,
     SnrSpec,
@@ -159,6 +161,82 @@ def noiseless_best_tuple(ch: ChannelRealization, grid: AngleGrid, geometry: Arra
     return estimate
 
 
+# -- one word through the syndrome decoder --------------------------------------
+
+
+@dataclass(frozen=True)
+class CorrectionReport:
+    corrected: bool
+    uncorrectable: bool
+    flipped: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _syndrome_tables(check_bytes: bytes, m: int, n: int, split) -> tuple[dict, ...]:
+    """Syndrome -> error position of every single error: the whole word, then each side.
+
+    Each error vector goes through the check matrix; a side table uses its
+    block of check rows and only that RIS dimension's positions (systematic
+    bits, then parity bits).
+    """
+    check = np.frombuffer(check_bytes, dtype=np.uint8).reshape(m, n)
+
+    def table(rows, positions):
+        out = {}
+        for pos in positions:
+            error = np.zeros(n, dtype=np.uint8)
+            error[pos] = 1
+            out[tuple((check[rows] @ error) % 2)] = pos
+        return out
+
+    tables = [table(slice(None), range(n))]
+    if split is not None:
+        k1, m1, k2, _ = split
+        k = k1 + k2
+        tables.append(table(slice(0, m1), [*range(k1), *range(k, k + m1)]))
+        tables.append(table(slice(m1, m), [*range(k1, k), *range(k + m1, n)]))
+    return tuple(tables)
+
+
+def decode(code: BlockCode, x_hat, mode: str = "one_bit"):
+    """Recover the information bits of one word, correcting per the requested mode.
+
+    "none" returns the systematic bits unmodified. "one_bit" flips the unique
+    single-bit error matching the syndrome, if any. "decoupled_two_bit" splits
+    the syndrome at the dimension boundary and corrects up to one bit
+    independently in each block; it requires a dimension-split code.
+    Returns (information bits, CorrectionReport).
+    """
+    if mode not in DECODE_MODES:
+        raise ValueError(f"unknown decode mode {mode!r}")
+    x_hat = np.asarray(x_hat, dtype=np.uint8).copy()
+    if x_hat.shape != (code.n,):
+        raise ValueError(f"codeword must have length {code.n}")
+    if mode == "none":
+        return x_hat[: code.k], CorrectionReport(False, False, ())
+    if mode == "decoupled_two_bit" and code.split is None:
+        raise ValueError("decoupled_two_bit decoding needs a dimension-split code")
+    tables = _syndrome_tables(code.check.tobytes(), code.m, code.n, code.split)
+    syn = (code.check @ x_hat) % 2
+    if mode == "one_bit":
+        blocks = [(syn, tables[0])]
+    else:
+        m1 = code.split[1]
+        blocks = [(syn[:m1], tables[1]), (syn[m1:], tables[2])]
+    flipped = []
+    uncorrectable = False
+    for block_syn, table in blocks:
+        if not block_syn.any():
+            continue
+        pos = table.get(tuple(block_syn))
+        if pos is None:
+            uncorrectable = True
+        else:
+            x_hat[pos] ^= 1
+            flipped.append(pos)
+    return x_hat[: code.k], CorrectionReport(bool(flipped), uncorrectable, tuple(flipped))
+
+
 # -- one trial of a block runner -----------------------------------------------
 
 
@@ -237,7 +315,7 @@ def per_pilot_bits(ch, pairs, sizes, snr, rng, ideal=False, layers=None, flips=(
 
 
 def reference_run(ch, books, codes, snr, budget, rng, mode, ideal):
-    """One trial through per_pilot_bits and blockcode.decode."""
+    """One trial through per_pilot_bits and the per-word ``decode``."""
     sizes = (codes[0].n, codes[1].n)
     sent = max(sizes) if budget is None else min(max(sizes), budget // 4)
     bits = per_pilot_bits(
@@ -327,13 +405,16 @@ def design_ris_codeword_gs(mask, grid: AngleGrid, geometry: ArrayGeometry, cfg: 
 
 
 def classification_margin(v: np.ndarray, mask: np.ndarray, grid: AngleGrid,
-                          geometry: ArrayGeometry) -> tuple[float, float]:
-    """(min in-coverage, max out-of-coverage) of |a_n^H v| over the grid.
+                          geometry: ArrayGeometry, side: str) -> tuple[float, float]:
+    """(min in-coverage, max out-of-coverage) of |a_n^H v| over the grid of a side.
 
-    Unit-norm steering vectors; the side is inferred from the vector length.
+    Unit-norm steering vectors of the BS ("bs") or the RIS ("ris").
     """
-    responses = _grid_responses(geometry, bs_steering_matrix(geometry, grid),
-                                ris_sampling_matrix(geometry, grid))
+    if side == "bs":
+        responses = _grid_responses(bs_steering_matrix(geometry, grid))
+    else:
+        responses = _grid_responses(ris_sampling_matrix(geometry, grid),
+                                    np.sqrt(geometry.n_ris))
     return _margin(responses(v), mask)
 
 

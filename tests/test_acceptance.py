@@ -15,7 +15,7 @@ from risbeam.blockcode import (
     build_identity_code,
     build_plain_code,
     build_reduced_code,
-    decode,
+    decode_words,
     encode,
     int_to_bits,
     min_distance,
@@ -67,29 +67,21 @@ def test_criterion_02_code_construction():
     assert np.array_equal(code.q, SPLIT_Q_8X8)
     assert min_distance(code) == 3
 
-    words = [encode(code, int_to_bits(v, 6)) for v in range(64)]
-    single_ok = 0
-    for value, word in enumerate(words):
-        for pos in range(12):
-            corrupted = word.copy()
-            corrupted[pos] ^= 1
-            bits, _ = decode(code, corrupted, "one_bit")
-            single_ok += int_to_bits(value, 6).tolist() == bits.tolist()
+    info = int_to_bits(np.arange(64), 6)
+    unit = np.eye(12, dtype=np.uint8)
+    corrupted = (encode(code, info)[:, None, :] ^ unit).reshape(-1, 12)
+    bits, *_ = decode_words(code, corrupted, "one_bit")
+    single_ok = int((bits.reshape(64, 12, 6) == info[:, None, :]).all(axis=-1).sum())
     assert single_ok == 64 * 12
 
     side1 = [0, 1, 2, 6, 7, 8]
     side2 = [3, 4, 5, 9, 10, 11]
-    double_ok = 0
-    one_bit_failures = 0
-    for value, word in enumerate(words):
-        for p1, p2 in itertools.product(side1, side2):
-            corrupted = word.copy()
-            corrupted[p1] ^= 1
-            corrupted[p2] ^= 1
-            bits, _ = decode(code, corrupted, "decoupled_two_bit")
-            double_ok += int_to_bits(value, 6).tolist() == bits.tolist()
-            bits1, _ = decode(code, corrupted, "one_bit")
-            one_bit_failures += int_to_bits(value, 6).tolist() != bits1.tolist()
+    pairs = np.array([unit[p1] ^ unit[p2] for p1, p2 in itertools.product(side1, side2)])
+    corrupted = (encode(code, info)[:, None, :] ^ pairs).reshape(-1, 12)
+    bits, *_ = decode_words(code, corrupted, "decoupled_two_bit")
+    double_ok = int((bits.reshape(64, 36, 6) == info[:, None, :]).all(axis=-1).sum())
+    bits1, *_ = decode_words(code, corrupted, "one_bit")
+    one_bit_failures = int((bits1.reshape(64, 36, 6) != info[:, None, :]).any(axis=-1).sum())
     assert double_ok == 64 * 36
     assert one_bit_failures >= 1
     assert time.monotonic() - start < 5.0

@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import decode
 from risbeam.blockcode import (
     DECODE_MODES,
     bits_to_int,
     build_identity_code,
     build_plain_code,
     build_reduced_code,
-    decode,
     decode_words,
     encode,
     int_to_bits,
     min_distance,
     parity_rows,
     redundancy_length,
+    rows_to_ints,
     syndrome,
 )
 
@@ -163,42 +164,72 @@ def test_single_error_syndromes_distinct_nonzero(code):
     assert len(syndromes) == code.n
 
 
+LOOKUP_CODES = ([build_plain_code(k) for k in range(1, 13)]
+                + [build_reduced_code(k1, k2) for k1, k2 in itertools.product(range(3, 7), repeat=2)]
+                + [build_identity_code(3), build_identity_code(3, 2), build_identity_code(0, 2)])
+
+
+def _brute_force_lookup(code, lo, hi, positions):
+    """Position of each single error at ``positions``, by syndrome bits lo:hi; else -1."""
+    lookup = [-1] * 2 ** (hi - lo)
+    for pos in positions:
+        error = np.zeros(code.n, dtype=np.uint8)
+        error[pos] = 1
+        syn = syndrome(code, error)[lo:hi]
+        if syn.any():
+            lookup[bits_to_int(syn)] = pos
+    return lookup
+
+
+@pytest.mark.parametrize("code", LOOKUP_CODES, ids=[f"k{c.k}-split{c.split}" for c in LOOKUP_CODES])
+def test_lookups_are_single_error_syndromes(code):
+    assert code.syndrome_lookup.tolist() == _brute_force_lookup(code, 0, code.m, range(code.n))
+    assert code.syndrome_lookup[0] == -1
+    if code.split is None:
+        assert code.side_lookups is None
+        return
+    k1, m1, _, _ = code.split
+    sides = ((0, m1, [*range(k1), *range(code.k, code.k + m1)]),
+             (m1, code.m, [*range(k1, code.k), *range(code.k + m1, code.n)]))
+    for lookup, (lo, hi, positions) in zip(code.side_lookups, sides):
+        assert lookup.tolist() == _brute_force_lookup(code, lo, hi, positions)
+        assert lookup[0] == -1
+
+
 def test_decode_none_returns_systematic_bits():
     code = build_reduced_code(3, 3)
     word = encode(code, int_to_bits(37, 6))
     word[8] ^= 1
-    bits, report = decode(code, word, "none")
-    assert bits_to_int(bits) == 37
-    assert not report.corrected
+    bits, corrected, _, _ = decode_words(code, [word], "none")
+    assert bits_to_int(bits[0]) == 37
+    assert not corrected[0]
 
 
 def test_decode_one_bit_corrects_every_single_error():
     code = build_reduced_code(3, 3)
-    for value in range(64):
-        word = encode(code, int_to_bits(value, 6))
-        for pos in range(12):
-            corrupted = word.copy()
-            corrupted[pos] ^= 1
-            bits, report = decode(code, corrupted, "one_bit")
-            assert bits_to_int(bits) == value
-            assert report.corrected and report.flipped == (pos,)
+    values = np.repeat(np.arange(64), 12)
+    positions = np.tile(np.arange(12), 64)
+    words = encode(code, int_to_bits(values, 6)) ^ np.eye(12, dtype=np.uint8)[positions]
+    bits, corrected, _, flipped = decode_words(code, words, "one_bit")
+    assert len(words) == 64 * 12
+    assert (rows_to_ints(bits) == values).all()
+    assert corrected.all()
+    assert (flipped[:, 0] == positions).all() and (flipped[:, 1] == -1).all()
 
 
 def test_decoupled_two_bit_corrects_cross_dimension_pairs():
     code = build_reduced_code(3, 3)
     side1 = [0, 1, 2, 6, 7, 8]
     side2 = [3, 4, 5, 9, 10, 11]
-    one_bit_failures = 0
-    for value in range(64):
-        word = encode(code, int_to_bits(value, 6))
-        for p1, p2 in itertools.product(side1, side2):
-            corrupted = word.copy()
-            corrupted[p1] ^= 1
-            corrupted[p2] ^= 1
-            bits, _ = decode(code, corrupted, "decoupled_two_bit")
-            assert bits_to_int(bits) == value
-            bits1, _ = decode(code, corrupted, "one_bit")
-            one_bit_failures += bits_to_int(bits1) != value
+    unit = np.eye(12, dtype=np.uint8)
+    errors = np.array([unit[p1] ^ unit[p2] for p1, p2 in itertools.product(side1, side2)])
+    values = np.repeat(np.arange(64), len(errors))
+    words = encode(code, int_to_bits(values, 6)) ^ np.tile(errors, (64, 1))
+    assert len(words) == 64 * 36
+    bits, *_ = decode_words(code, words, "decoupled_two_bit")
+    assert (rows_to_ints(bits) == values).all()
+    bits1, *_ = decode_words(code, words, "one_bit")
+    one_bit_failures = int((rows_to_ints(bits1) != values).sum())
     assert one_bit_failures > 0
 
 
@@ -221,9 +252,9 @@ def test_decode_mode_validation():
     plain = build_plain_code(4)
     word = encode(plain, int_to_bits(5, 4))
     with pytest.raises(ValueError):
-        decode(plain, word, "decoupled_two_bit")
+        decode_words(plain, [word], "decoupled_two_bit")
     with pytest.raises(ValueError):
-        decode(plain, word, "bogus")
+        decode_words(plain, [word], "bogus")
 
 
 def test_uncorrectable_same_dimension_pair_is_flagged():
@@ -235,8 +266,8 @@ def test_uncorrectable_same_dimension_pair_is_flagged():
     word[8] ^= 1
     syn = syndrome(code, word)
     assert list(syn[:3]) == [1, 1, 1]
-    _, report = decode(code, word, "decoupled_two_bit")
-    assert report.uncorrectable
+    _, _, uncorrectable, _ = decode_words(code, [word], "decoupled_two_bit")
+    assert uncorrectable[0]
 
 
 @pytest.mark.parametrize(

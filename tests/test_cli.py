@@ -58,6 +58,15 @@ def test_validate_code_bs_only(capsys):
     assert main(["validate-code", "--nt", "16"]) == 0
     out = capsys.readouterr().out
     assert "k=4 n=7" in out
+    assert "single-bit errors corrected (one_bit): 112/112" in out
+
+
+def test_validate_code_16x16(capsys):
+    assert main(["validate-code", "--nt", "64", "--ris", "16x16"]) == 0
+    out = capsys.readouterr().out
+    assert "k=8 n=14 split=(k1=4, m1=3, k2=4, m2=3)" in out
+    assert "single-bit errors corrected (one_bit): 3584/3584" in out
+    assert "cross-dimension double errors corrected (decoupled_two_bit): 12544/12544" in out
 
 
 def test_design_codebook_writes_portable_json(tmp_path, capsys):

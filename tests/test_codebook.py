@@ -17,9 +17,11 @@ from risbeam.arrays import (
 from risbeam.blockcode import build_plain_code, build_reduced_code, encode, int_to_bits
 from risbeam.codebook import (
     GsConfig,
+    _margin,
     _pinv_with_rank,
     axis_sampling_matrix,
     beam_pattern_matrix,
+    bs_steering_matrix,
     build_codebooks,
     design_bs_codeword,
     factor_pattern_mask,
@@ -29,6 +31,7 @@ from risbeam.codebook import (
     ris_sampling_matrix,
 )
 from risbeam.seeding import derive_rng
+from risbeam.training import coded_codes
 
 
 def test_pattern_matrix_two_bit_plain():
@@ -120,7 +123,7 @@ def test_bs_codeword_half_space_margin(bs16):
     mask = np.zeros(16, dtype=bool)
     mask[:8] = True
     w = design_bs_codeword(np.flatnonzero(mask), grid, geo)
-    min_in, max_out = classification_margin(w, mask, grid, geo)
+    min_in, max_out = classification_margin(w, mask, grid, geo, "bs")
     assert min_in > max_out
     assert max_out < 1e-9  # grid beams are exactly orthogonal
 
@@ -148,7 +151,7 @@ def test_gs_codeword_constant_modulus_and_margin_64x1():
     mask[:32] = True
     v, trace = design_ris_codeword_gs(mask, grid, geo, GsConfig(seed=3))
     assert np.abs(np.abs(v) - 1 / 8).max() < 1e-12
-    min_in, max_out = classification_margin(v, mask, grid, geo)
+    min_in, max_out = classification_margin(v, mask, grid, geo, "ris")
     assert min_in > max_out
     assert trace[-1] < 1e-2
     assert np.isfinite(trace).all()
@@ -294,12 +297,12 @@ def test_classification_margin_cases(bs16):
     v = upa_steering_uw(8, 8, grid.ris_u[5], grid.ris_w[5])
     mask = np.zeros(64, dtype=bool)
     mask[5] = True
-    min_in, max_out = classification_margin(v, mask, grid, geo)
+    min_in, max_out = classification_margin(v, mask, grid, geo, "ris")
     assert min_in == pytest.approx(1.0, abs=1e-12)
     assert max_out < min_in
     # a flat beam covering everything has max_out = 0 by convention
     flat = np.kron(flat_codeword(8), flat_codeword(8))
-    min_in, max_out = classification_margin(flat, np.ones(64, dtype=bool), grid, geo)
+    min_in, max_out = classification_margin(flat, np.ones(64, dtype=bool), grid, geo, "ris")
     assert min_in == pytest.approx(1 / 8, abs=1e-9)
     assert max_out == 0.0
 
@@ -312,8 +315,26 @@ def test_codebook_reports_match_classification_margin(desk_books, desk_grid,
             mask = mask.astype(bool)
             for v, cover, report in ((pair.one, mask, reports[0]),
                                      (pair.zero, ~mask, reports[1])):
-                margin = classification_margin(v, cover, desk_grid, desk_geometry)
+                margin = classification_margin(v, cover, desk_grid, desk_geometry, book.side)
                 assert (report.min_in, report.max_out) == margin
+
+
+def test_margins_measure_each_side_on_its_own_grid_when_sizes_match():
+    # with n_bs == n_ris a codeword's length does not tell its side
+    geo = ArrayGeometry(64, 8, 8)
+    grid = make_angle_grid(geo)
+    books = build_codebooks(*coded_codes(64, (8, 8)), grid, geo, GsConfig(k_iter=5))
+    bs_adjoint = bs_steering_matrix(geo, grid).conj().T
+    ris_adjoint = ris_sampling_matrix(geo, grid).conj().T
+    sides = ((books[0], lambda w: np.abs(bs_adjoint @ w)),
+             (books[1], lambda v: np.abs(ris_adjoint @ v) / np.sqrt(geo.n_ris)))
+    for book, responses in sides:
+        for pair, mask, reports in zip(book.layers, book.masks.astype(bool), book.reports):
+            for v, cover, report in ((pair.one, mask, reports[0]),
+                                     (pair.zero, ~mask, reports[1])):
+                assert (report.min_in, report.max_out) == _margin(responses(v), cover)
+    # BS codewords are exact on the grid, so every one separates its cover
+    assert all(report.min_in > report.max_out for pair in books[0].reports for report in pair)
 
 
 @settings(max_examples=25, deadline=None)
@@ -324,8 +345,8 @@ def test_classification_margin_phase_invariant(phase):
     mask = np.zeros(16, dtype=bool)
     mask[:8] = True
     v, _ = design_ris_codeword_gs(mask, grid, geo, GsConfig(seed=1, k_iter=10))
-    base = classification_margin(v, mask, grid, geo)
-    rotated = classification_margin(np.exp(1j * phase) * v, mask, grid, geo)
+    base = classification_margin(v, mask, grid, geo, "ris")
+    rotated = classification_margin(np.exp(1j * phase) * v, mask, grid, geo, "ris")
     assert rotated[0] == pytest.approx(base[0], rel=1e-9)
     assert rotated[1] == pytest.approx(base[1], rel=1e-9)
 

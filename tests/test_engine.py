@@ -1,8 +1,8 @@
 """The block runners against the per-pilot reference of ``tests/reference.py``.
 
 The reference sends every tuple through ``effective_gain`` and
-``measure_power`` one pilot at a time, and decodes each trial with
-``blockcode.decode``. Exhaustive training is checked against a per-tuple
+``measure_power`` one pilot at a time, and decodes each trial with the
+per-word ``decode`` on its own syndrome tables. Exhaustive training is checked against a per-tuple
 sweep, and adaptive training takes its reference beams from
 ``ReferencePrefixBeams``, built per bit prefix. The runners must agree with
 the reference on gains, on noise and on every decision, must still reject RIS
@@ -21,6 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    CorrectionReport,
     ReferencePrefixBeams,
     achievable_rate,
     bs_transmit,
@@ -259,7 +260,7 @@ def test_adaptive_runner_matches_per_pilot_reference(n_bs, rows, cols, mode, ide
             min(bits_to_int(raw[0]) + 1, ch.n_bs), min(bits_to_int(raw[1]) + 1, ch.n_ris))
         assert outcome.raw_bits_bs.tolist() == raw[0]
         assert outcome.raw_bits_ris.tolist() == raw[1]
-        assert outcome.corrected_bs is None and outcome.corrected_ris is None
+        assert outcome.corrected_bs == outcome.corrected_ris == CorrectionReport(False, False, ())
         assert (outcome.pilots_used, outcome.truncated) == (4 * sent, sent < max(sizes))
 
 
