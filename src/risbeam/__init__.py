@@ -36,7 +36,7 @@ from .codebook import (
     GsConfig,
     beam_pattern_matrix,
     build_codebooks,
-    design_bs_codeword,
+    design_bs_codewords,
 )
 from .experiments import (
     ExperimentConfig,

@@ -4,7 +4,8 @@ BS codewords are unconstrained unit-norm multi-mainlobe sums and are exact on
 the candidate grid. RIS codewords obey the constant-modulus constraint and are
 designed by a relaxed Gerchberg-Saxton iteration that only re-assigns
 amplitudes at grid points failing the in/out classification thresholds. All
-designs on one sampling matrix run as one batch, one row per coverage mask.
+RIS designs on one sampling matrix run as one GS batch, one row per coverage
+mask, and the BS codewords of a codebook as one batch, grouped by cover size.
 
 Codewords are stored in coverage convention: the response of codeword v at
 grid point n is |a_n^H v| with a_n the steering vector there. The training
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arrays import AngleGrid, ArrayGeometry, u_axis, ula_factor, ula_steering, w_axis
+from .arrays import AngleGrid, ArrayGeometry, u_axis, ula_factor, w_axis
 from .blockcode import BlockCode, encode, int_to_bits
 from .seeding import derive_rng
 
@@ -125,9 +126,14 @@ def axis_sampling_matrix(n: int, freqs: np.ndarray,
 
 
 def bs_steering_matrix(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarray:
-    """Unit-norm BS steering vectors, column i at BS grid point i."""
-    sp = geometry.spacing_over_wavelength
-    return np.stack([ula_steering(geometry.n_bs, a, sp) for a in grid.bs_angles], axis=1)
+    """Unit-norm BS steering vectors, column i at BS grid point i.
+
+    Bit-identical to ``ula_steering`` per grid point, in one broadcast with
+    its operation order.
+    """
+    n = geometry.n_bs
+    phase = -2j * np.pi * geometry.spacing_over_wavelength * np.arange(n)
+    return np.exp(phase[:, None] * np.sin(grid.bs_angles)) / np.sqrt(n)
 
 
 def ris_steering_matrix(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarray:
@@ -218,43 +224,58 @@ def relaxed_gs_batch(
     modulus = 1.0 / np.sqrt(n_el)
     phases = np.array([rng.random(n_grid) for rng in rngs])
     s_prev = np.where(masks, target, 0.0) * np.exp(2j * np.pi * phases)
-    v = modulus * np.exp(1j * np.angle(_stacked_matvec(backward, s_prev)))
-    hi = target * (1.0 - cfg.delta)
-    lo = target * cfg.delta
+    v = modulus * np.exp(1j * _phase(_stacked_matvec(backward, s_prev)))
+    # threshold P*(1-delta) inside the coverage and P*delta outside; a point is
+    # satisfied when sign*|s| >= sign*threshold (exact: negation is exact)
+    thresholds = np.where(masks, target * (1.0 - cfg.delta), target * cfg.delta)
+    sign = np.where(masks, 1.0, -1.0)
+    signed_thresholds = sign * thresholds
     traces = np.empty((masks.shape[0], cfg.k_iter))
     for k in range(cfg.k_iter):
         s_k = _stacked_matvec(forward, v)
         d = s_k - s_prev  # summed as np.linalg.norm sums it: real parts, then imaginary
         sq = d.real[:, None] @ d.real[..., None] + d.imag[:, None] @ d.imag[..., None]
         traces[:, k] = np.sqrt(sq[:, 0, 0])
-        amp = np.abs(s_k)
-        satisfied = np.where(masks, amp >= hi, amp <= lo)
-        reassigned = np.where(masks, hi, lo) * np.exp(1j * np.angle(s_k))
+        satisfied = np.abs(s_k) * sign >= signed_thresholds
+        reassigned = thresholds * np.exp(1j * _phase(s_k))
         s_hat = np.where(satisfied, s_k, reassigned)
-        v = modulus * np.exp(1j * np.angle(_stacked_matvec(backward, s_hat)))
+        v = modulus * np.exp(1j * _phase(_stacked_matvec(backward, s_hat)))
         s_prev = s_k
     return v, traces
 
 
-def design_bs_codeword(
-    cover_indices, grid: AngleGrid, geometry: ArrayGeometry
-) -> np.ndarray:
-    """Multi-mainlobe BS codeword covering the listed grid indices (0-based).
+def _phase(x: np.ndarray) -> np.ndarray:
+    """``np.angle(x)`` without its Python-level dispatch: the same arctan2."""
+    return np.arctan2(x.imag, x.real)
 
-    Weighted sum of steering vectors with the phase schedule
-    psi_i = i*pi*(1/n_bs - 1) over the 1-based position i in the covered
-    list, normalized to unit norm.
+
+def design_bs_codewords(covers, steering: np.ndarray) -> np.ndarray:
+    """Multi-mainlobe BS codewords, row c covering the grid indices ``covers[c]`` (0-based).
+
+    ``steering`` holds one unit-norm steering vector per grid index as its
+    columns (``bs_steering_matrix``). Each codeword is the weighted sum of
+    the columns it covers, with the phase schedule psi_i = i*pi*(1/n_bs - 1)
+    over the 1-based position i in its covered list, normalized to unit
+    norm. Covers of one size are summed together, term by term in list
+    order (``add.accumulate`` keeps the order, ``add.reduce`` may not), and
+    each codeword is normalized by its own ``np.linalg.norm`` (a batched
+    norm rounds differently): both keep every byte of the one-term-at-a-time
+    loop.
     """
-    cover_indices = np.asarray(cover_indices, dtype=int)
-    if cover_indices.size == 0:
+    covers = [np.asarray(c, dtype=int) for c in covers]
+    if any(c.size == 0 for c in covers):
         raise ValueError("cover set is empty")
-    n_bs = geometry.n_bs
-    sp = geometry.spacing_over_wavelength
-    psi = np.arange(1, cover_indices.size + 1) * np.pi * (-1.0 + 1.0 / n_bs)
-    w = np.zeros(n_bs, dtype=complex)
-    for shift, idx in zip(np.exp(1j * psi), cover_indices):
-        w += shift * ula_steering(n_bs, grid.bs_angles[idx], sp)
-    return w / np.linalg.norm(w)
+    n_bs = steering.shape[0]
+    by_size: dict[int, list[int]] = {}
+    for row, cover in enumerate(covers):
+        by_size.setdefault(cover.size, []).append(row)
+    codewords = np.empty((len(covers), n_bs), dtype=complex)
+    for size, rows in by_size.items():
+        psi = np.arange(1, size + 1) * np.pi * (-1.0 + 1.0 / n_bs)
+        terms = np.exp(1j * psi)[None, :, None] * steering.T[[covers[r] for r in rows]]
+        sums = np.add.accumulate(terms, axis=1)[:, -1]
+        codewords[rows] = [w / np.linalg.norm(w) for w in sums]
+    return codewords
 
 
 def _grid_responses(sampling: np.ndarray, scale: float = 1.0):
@@ -333,21 +354,17 @@ def build_codebooks(
     pattern_t = beam_pattern_matrix(code_t, geometry.n_bs, side="bs")
     pattern_r = beam_pattern_matrix(code_r, geometry.n_ris, side="ris")
     ris_sampling = ris_sampling_matrix(geometry, grid)
-    bs_responses = _grid_responses(bs_steering_matrix(geometry, grid))
+    bs_steering = bs_steering_matrix(geometry, grid)
+    bs_responses = _grid_responses(bs_steering)
     ris_responses = _grid_responses(ris_sampling, np.sqrt(geometry.n_ris))
 
-    bs_layers, bs_reports = [], []
-    for i in range(pattern_t.n_layers):
-        mask = pattern_t.rows[i].astype(bool)
-        pair = BeamPair(
-            one=design_bs_codeword(np.flatnonzero(mask), grid, geometry),
-            zero=design_bs_codeword(np.flatnonzero(~mask), grid, geometry),
-        )
-        bs_layers.append(pair)
-        bs_reports.append((
-            CodewordReport((), *_margin(bs_responses(pair.one), mask)),
-            CodewordReport((), *_margin(bs_responses(pair.zero), ~mask)),
-        ))
+    bs_masks = [m for row in pattern_t.rows.astype(bool) for m in (row, ~row)]
+    bs_codewords = design_bs_codewords([np.flatnonzero(m) for m in bs_masks], bs_steering)
+    bs_layers = [BeamPair(one=one, zero=zero)
+                 for one, zero in zip(bs_codewords[::2], bs_codewords[1::2])]
+    bs_reports = [(CodewordReport((), *_margin(bs_responses(pair.one), one)),
+                   CodewordReport((), *_margin(bs_responses(pair.zero), zero)))
+                  for pair, one, zero in zip(bs_layers, bs_masks[::2], bs_masks[1::2])]
 
     covers = [(i, polarity, cover)
               for i, row in enumerate(pattern_r.rows.astype(bool))

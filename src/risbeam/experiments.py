@@ -90,12 +90,14 @@ class ExperimentConfig:
             raise ValueError("at least one protocol is required")
         if self.sampling_mode not in SAMPLING_MODES:
             raise ValueError(f"unknown sampling mode {self.sampling_mode!r}")
-        cols = self.n_ris_cols
         layered = any(_is_layered(p) for p in self.protocols)
-        if cols & (cols - 1) and layered:
-            raise ValueError(
-                f"n_ris_cols={cols} is not a power of two: coded and full-coverage "
-                "hierarchical training pack the RIS (u, w) index into one bit word")
+        for name in ("n_bs", "n_ris_rows", "n_ris_cols"):
+            n = getattr(self, name)
+            if n & (n - 1) and layered:
+                raise ValueError(
+                    f"{name}={n} is not a power of two: coded and full-coverage "
+                    "hierarchical training decode each index from a bit word, and "
+                    "every word must name a grid point")
         if self.n_bs < 2 and layered:
             raise ValueError(
                 f"n_bs={self.n_bs}: coded and full-coverage hierarchical training "

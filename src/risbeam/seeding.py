@@ -19,5 +19,9 @@ def derive_seed(master_seed: int, *tags) -> int:
 
 
 def derive_rng(master_seed: int, *tags) -> np.random.Generator:
-    """Independent generator for the stream identified by the tag tuple."""
-    return np.random.default_rng(derive_seed(master_seed, *tags))
+    """Independent generator for the stream identified by the tag tuple.
+
+    The generator ``np.random.default_rng`` builds from the derived seed,
+    without its argument dispatch.
+    """
+    return np.random.Generator(np.random.PCG64(derive_seed(master_seed, *tags)))

@@ -55,7 +55,7 @@ from .codebook import (
     GsConfig,
     axis_sampling_matrix,
     bs_steering_matrix,
-    design_bs_codeword,
+    design_bs_codewords,
     flat_codeword,
     relaxed_gs_batch,
     ris_steering_matrix,
@@ -298,7 +298,7 @@ class HierarchicalBeamProvider:
     ``2**L - 1 + value`` holds the beam of the prefix of length L (0 to the
     side's bit count) that reads as the integer ``value``. Each RIS axis (u
     and w) designs its nonempty prefixes in one GS batch, BS beams come from
-    ``design_bs_codeword``, and ideal beams are the coverage masks. A RIS
+    ``design_bs_codewords``, and ideal beams are the coverage masks. A RIS
     prefix is the u bits followed by the w bits, and its beam is the
     Kronecker product of its two axis beams. Every array size must be a power
     of two, so that each prefix covers a nonempty index interval.
@@ -353,8 +353,8 @@ class HierarchicalBeamProvider:
         if self.ideal:
             return masks.T.astype(float)
         if side == "bs":
-            return np.column_stack([design_bs_codeword(np.flatnonzero(mask), self.grid,
-                                                       self.geometry) for mask in masks])
+            steering = bs_steering_matrix(self.geometry, self.grid)
+            return design_bs_codewords([np.flatnonzero(mask) for mask in masks], steering).T
         beams = [flat_codeword(n)]
         if len(prefixes) > 1:
             freqs = (u_axis if side == "u" else w_axis)(n)

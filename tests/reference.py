@@ -9,8 +9,12 @@ turn, and ``per_pilot_bits`` runs the layer loop of layered training.
 oracle for ``blockcode.decode_words``. ``run_coded`` and ``run_hierarchical``
 are one-trial calls of the block runners, read through the
 ``TrainingOutcome`` view (``trial_outcome``). The remaining helpers are
-one-codeword forms of the package's batched designs and of its metrics. Tests import it as ``reference``: ``tests/`` is not a
-package, so pytest puts it on ``sys.path``.
+one-codeword forms of the package's batched designs and of its metrics:
+``design_bs_codeword`` sums one steering vector at a time, the oracle for
+``codebook.design_bs_codewords``, and ``relaxed_gs_loop`` is the GS
+iteration as first written, the oracle for ``codebook.relaxed_gs_batch``.
+Tests import it as ``reference``: ``tests/`` is not a package, so pytest
+puts it on ``sys.path``.
 """
 
 from __future__ import annotations
@@ -45,8 +49,9 @@ from risbeam.codebook import (
     _grid_responses,
     _margin,
     axis_sampling_matrix,
+    _pinv_with_rank,
+    _stacked_matvec,
     bs_steering_matrix,
-    design_bs_codeword,
     flat_codeword,
     relaxed_gs_batch,
     ris_sampling_matrix,
@@ -387,6 +392,59 @@ class ReferencePrefixBeams:
 
 
 # -- one codeword, one metric ---------------------------------------------------
+
+
+def design_bs_codeword(cover_indices, grid: AngleGrid, geometry: ArrayGeometry) -> np.ndarray:
+    """Multi-mainlobe BS codeword covering the listed grid indices (0-based), one term at a time.
+
+    Weighted sum of steering vectors with the phase schedule
+    psi_i = i*pi*(1/n_bs - 1) over the 1-based position i in the covered
+    list, normalized to unit norm: the oracle for ``design_bs_codewords``.
+    """
+    cover_indices = np.asarray(cover_indices, dtype=int)
+    if cover_indices.size == 0:
+        raise ValueError("cover set is empty")
+    n_bs = geometry.n_bs
+    sp = geometry.spacing_over_wavelength
+    psi = np.arange(1, cover_indices.size + 1) * np.pi * (-1.0 + 1.0 / n_bs)
+    w = np.zeros(n_bs, dtype=complex)
+    for shift, idx in zip(np.exp(1j * psi), cover_indices):
+        w += shift * ula_steering(n_bs, grid.bs_angles[idx], sp)
+    return w / np.linalg.norm(w)
+
+
+def relaxed_gs_loop(a_scaled: np.ndarray, masks: np.ndarray, cfg: GsConfig,
+                    rngs) -> tuple[np.ndarray, np.ndarray]:
+    """The relaxed GS batch as first written: the oracle for ``relaxed_gs_batch``.
+
+    Every iteration forms the threshold per grid point, tests in- and
+    out-of-coverage points with separate comparisons, and takes phases with
+    ``np.angle``. Returns the (B, n_el) codewords and (B, k_iter) traces.
+    """
+    n_el, n_grid = a_scaled.shape
+    masks = np.asarray(masks, dtype=bool)
+    target = cfg.target_amplitude or np.sqrt(n_grid / masks.sum(axis=1))[:, None]
+    forward = a_scaled.conj().T
+    backward, _ = _pinv_with_rank(forward)
+    modulus = 1.0 / np.sqrt(n_el)
+    phases = np.array([rng.random(n_grid) for rng in rngs])
+    s_prev = np.where(masks, target, 0.0) * np.exp(2j * np.pi * phases)
+    v = modulus * np.exp(1j * np.angle(_stacked_matvec(backward, s_prev)))
+    hi = target * (1.0 - cfg.delta)
+    lo = target * cfg.delta
+    traces = np.empty((masks.shape[0], cfg.k_iter))
+    for k in range(cfg.k_iter):
+        s_k = _stacked_matvec(forward, v)
+        d = s_k - s_prev
+        sq = d.real[:, None] @ d.real[..., None] + d.imag[:, None] @ d.imag[..., None]
+        traces[:, k] = np.sqrt(sq[:, 0, 0])
+        amp = np.abs(s_k)
+        satisfied = np.where(masks, amp >= hi, amp <= lo)
+        reassigned = np.where(masks, hi, lo) * np.exp(1j * np.angle(s_k))
+        s_hat = np.where(satisfied, s_k, reassigned)
+        v = modulus * np.exp(1j * np.angle(_stacked_matvec(backward, s_hat)))
+        s_prev = s_k
+    return v, traces
 
 
 def relaxed_gs(a_scaled: np.ndarray, mask: np.ndarray, cfg: GsConfig,

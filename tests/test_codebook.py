@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from functools import lru_cache
 
-from reference import classification_margin, design_ris_codeword_gs, relaxed_gs
+from reference import (
+    classification_margin,
+    design_bs_codeword,
+    design_ris_codeword_gs,
+    relaxed_gs,
+    relaxed_gs_loop,
+)
 from risbeam.arrays import (
     ArrayGeometry,
     make_angle_grid,
@@ -23,7 +29,7 @@ from risbeam.codebook import (
     beam_pattern_matrix,
     bs_steering_matrix,
     build_codebooks,
-    design_bs_codeword,
+    design_bs_codewords,
     factor_pattern_mask,
     flat_codeword,
     ideal_codebook,
@@ -111,7 +117,7 @@ def bs16():
 
 def test_bs_codeword_single_angle_is_steering(bs16):
     geo, grid = bs16
-    w = design_bs_codeword([3], grid, geo)
+    w = design_bs_codewords([[3]], bs_steering_matrix(geo, grid))[0]
     steer = ula_steering(16, grid.bs_angles[3])
     assert abs(abs(steer.conj() @ w) - 1.0) < 1e-12
     # matched amplitude in array-factor units
@@ -122,7 +128,7 @@ def test_bs_codeword_half_space_margin(bs16):
     geo, grid = bs16
     mask = np.zeros(16, dtype=bool)
     mask[:8] = True
-    w = design_bs_codeword(np.flatnonzero(mask), grid, geo)
+    w = design_bs_codewords([np.flatnonzero(mask)], bs_steering_matrix(geo, grid))[0]
     min_in, max_out = classification_margin(w, mask, grid, geo, "bs")
     assert min_in > max_out
     assert max_out < 1e-9  # grid beams are exactly orthogonal
@@ -131,8 +137,7 @@ def test_bs_codeword_half_space_margin(bs16):
 def test_bs_codeword_profile_depends_only_on_cover_set(bs16):
     geo, grid = bs16
     cover = [1, 4, 7, 9]
-    w_fwd = design_bs_codeword(cover, grid, geo)
-    w_rev = design_bs_codeword(cover[::-1], grid, geo)
+    w_fwd, w_rev = design_bs_codewords([cover, cover[::-1]], bs_steering_matrix(geo, grid))
     cols = np.stack([ula_steering(16, a) for a in grid.bs_angles], axis=1)
     assert np.allclose(np.abs(cols.conj().T @ w_fwd), np.abs(cols.conj().T @ w_rev),
                        atol=1e-9)
@@ -141,7 +146,9 @@ def test_bs_codeword_profile_depends_only_on_cover_set(bs16):
 def test_bs_codeword_rejects_empty_cover(bs16):
     geo, grid = bs16
     with pytest.raises(ValueError):
-        design_bs_codeword([], grid, geo)
+        design_bs_codewords([[]], bs_steering_matrix(geo, grid))
+    with pytest.raises(ValueError):
+        design_bs_codewords([[1, 2], []], bs_steering_matrix(geo, grid))
 
 
 def test_gs_codeword_constant_modulus_and_margin_64x1():
@@ -412,8 +419,13 @@ def gs_matrix(kind: str, n: int) -> np.ndarray:
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(("u", "w", "2d")), n=st.integers(2, 32), rows=st.integers(1, 4),
-       target=st.none() | st.floats(0.5, 3.0), delta=st.floats(0.0, 0.5),
+       target=st.none() | st.floats(0.5, 3.0),
+       delta=st.sampled_from((0.0, 0.5)) | st.floats(0.0, 0.5),
        k_iter=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(kind="u", n=16, rows=3, target=None, delta=0.0, k_iter=10, seed=1)
+@example(kind="w", n=16, rows=3, target=1.5, delta=0.5, k_iter=10, seed=2)
+@example(kind="2d", n=2, rows=2, target=None, delta=0.5, k_iter=10, seed=3)
+@example(kind="2d", n=2, rows=2, target=2.0, delta=0.0, k_iter=10, seed=4)
 def test_gs_batch_rows_match_single_designs(kind, n, rows, target, delta, k_iter, seed):
     matrix = gs_matrix(kind, n)
     n_grid = matrix.shape[1]
@@ -431,6 +443,30 @@ def test_gs_batch_rows_match_single_designs(kind, n, rows, target, delta, k_iter
                          relaxed_gs(matrix, mask, cfg, derive_rng(seed, "row", b))):
             assert vs[b].tobytes() == v.tobytes()
             assert traces[b].tobytes() == trace.tobytes()
+    # the whole batch equals the GS loop as first written (thresholds formed per
+    # iteration, two comparisons, np.angle phases), codewords and traces
+    loop_vs, loop_traces = relaxed_gs_loop(matrix, masks, cfg,
+                                           [derive_rng(seed, "row", b) for b in range(rows)])
+    assert vs.tobytes() == loop_vs.tobytes()
+    assert traces.tobytes() == loop_traces.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_bs=st.integers(2, 128), spacing=st.sampled_from((0.5, 0.37)), data=st.data())
+def test_bs_design_batch_equals_per_index_loop(n_bs, spacing, data):
+    # unsorted, single-index and full covers, several of one size in a batch
+    geo = ArrayGeometry(n_bs, 2, 2, spacing)
+    grid = make_angle_grid(geo)
+    index = st.integers(0, n_bs - 1)
+    cover = st.one_of(st.lists(index, min_size=1, max_size=n_bs, unique=True),
+                      index.map(lambda i: [i]),
+                      st.permutations(range(n_bs)),
+                      st.just(list(range(n_bs))))
+    covers = data.draw(st.lists(cover, min_size=1, max_size=8))
+    codewords = design_bs_codewords(covers, bs_steering_matrix(geo, grid))
+    assert codewords.shape == (len(covers), n_bs)
+    for indices, codeword in zip(covers, codewords):
+        assert codeword.tobytes() == design_bs_codeword(indices, grid, geo).tobytes()
 
 
 def test_gs_batch_rejects_degenerate_rows():

@@ -301,8 +301,10 @@ def layered_setup(n_bs: int, rows: int, cols: int, coded: bool, ideal: bool):
     else:
         codes = (build_identity_code(ceil_log2(n_bs)),
                  build_identity_code(ceil_log2(rows), ceil_log2(cols)))
+    # the config only carries the design settings: a sweep rejects 6 RIS rows for
+    # layered protocols, but the runners still take them (and clamp the index)
     cfg = ExperimentConfig(n_bs=n_bs, n_ris_rows=rows, n_ris_cols=cols, gs=FAST_GS,
-                           ideal_beams=ideal)
+                           ideal_beams=ideal, protocols=(ProtocolSpec("exhaustive"),))
     return geo, grid, codes, experiments._design_books(cfg, grid, codes)
 
 

@@ -229,9 +229,24 @@ def test_layered_protocols_need_power_of_two_ris_columns():
     for protocols in (hierarchical, (ProtocolSpec("coded", "one_bit"),)):
         with pytest.raises(ValueError, match="n_ris_cols=6"):
             _tiny_config(n_ris_rows=8, n_ris_cols=6, protocols=protocols)
-    # any row count is representable: 6x8 runs and recovers every oracle tuple
-    results = run_sweep(_tiny_config(n_ris_rows=6, n_ris_cols=8,
-                                     protocols=hierarchical, trials=6))
+    # a row count that is not a power of two is rejected as well, at the boundary
+    with pytest.raises(ValueError, match="n_ris_rows=6"):
+        _tiny_config(n_ris_rows=6, n_ris_cols=8, protocols=hierarchical)
+
+
+def test_layered_protocols_need_power_of_two_bs_and_ris_rows():
+    # a decoded word past the grid would land on the last grid point and
+    # could count a false hit, so these sizes fail when the config is built
+    layered = ((ProtocolSpec("hierarchical"),), (ProtocolSpec("coded", "one_bit"),),
+               (ProtocolSpec("exhaustive"), ProtocolSpec("coded", "decoupled_two_bit")))
+    for protocols in layered:
+        with pytest.raises(ValueError, match="n_bs=12 is not a power of two"):
+            _tiny_config(n_bs=12, protocols=protocols)
+        with pytest.raises(ValueError, match="n_ris_rows=6 is not a power of two"):
+            _tiny_config(n_ris_rows=6, protocols=protocols)
+    # exhaustive training has no bit words: any size runs and finds every tuple
+    results = run_sweep(_tiny_config(n_bs=12, n_ris_rows=6, trials=3,
+                                     protocols=(ProtocolSpec("exhaustive"),)))
     assert results.rows[0].success_rate == 1.0
 
 

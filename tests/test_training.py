@@ -217,13 +217,14 @@ def test_hierarchical_adaptive_budget_and_truncation(oracle_setup):
 def test_provider_designs_each_prefix_once(monkeypatch, desk_geometry, desk_grid):
     # every prefix beam is designed once, at the first request, however many
     # trials and blocks use it; a RIS axis designs all its nonempty prefixes
-    # in one batch (one key per mask row) and its empty prefix is the flat codeword
+    # in one batch (one key per mask row) and its empty prefix is the flat codeword;
+    # the BS designs every prefix in one batch (one key per cover)
     designs = []
 
     def recording(fn, keys):
         def wrapper(*args, **kwargs):
             result = fn(*args, **kwargs)
-            beams = result[0] if isinstance(result, tuple) else [result]
+            beams = result[0] if isinstance(result, tuple) else result
             designs.extend(zip(keys(*args), beams))
             return result
         return wrapper
@@ -231,8 +232,8 @@ def test_provider_designs_each_prefix_once(monkeypatch, desk_geometry, desk_grid
     monkeypatch.setattr(training, "relaxed_gs_batch", recording(
         training.relaxed_gs_batch,
         lambda matrix, masks, *rest: [(matrix.tobytes(), m.tobytes()) for m in masks]))
-    monkeypatch.setattr(training, "design_bs_codeword", recording(
-        training.design_bs_codeword, lambda indices, *rest: [tuple(indices)]))
+    monkeypatch.setattr(training, "design_bs_codewords", recording(
+        training.design_bs_codewords, lambda covers, *rest: [tuple(c) for c in covers]))
     geo = desk_geometry
     provider = HierarchicalBeamProvider(geo, desk_grid, GsConfig(seed=1, k_iter=10))
     channels = [normalize_channel(sample_channel(geo, desk_grid, derive_rng(3, "ch", trial)))
