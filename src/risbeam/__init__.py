@@ -25,8 +25,10 @@ from .blockcode import (
     syndrome,
 )
 from .channel import (
+    ChannelBlock,
     ChannelRealization,
     SnrSpec,
+    channel_block,
     normalize_channel,
     sample_channel,
 )

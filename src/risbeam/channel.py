@@ -32,8 +32,8 @@ class SnrSpec:
     noiseless: bool = False
 
     def __post_init__(self) -> None:
-        if self.snr_linear <= 0:
-            raise ValueError("snr_linear must be positive")
+        if not 0 < self.snr_linear < np.inf:
+            raise ValueError(f"snr_linear must be positive and finite, got {self.snr_linear}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,45 @@ def ris_phase_compensation(ch: ChannelRealization) -> np.ndarray:
     remaining training problem depends only on the unknown UE-side angle.
     """
     return np.sqrt(ch.n_ris) * np.conj(ch.g_left)
+
+
+@dataclass(frozen=True)
+class ChannelBlock:
+    """A block of channels in de-rotated factored form; row t is trial t.
+
+    The de-rotation ``comp`` makes every row of ``comp * g_mat`` the vector
+    ``beta`` (|a_gr|^2 = 1/n_ris), so the gain of coverage-convention RIS and
+    BS codewords v and w is ``(h_r @ conj(v)) * (beta @ conj(w))``. The RIS-BS
+    matrices stay per trial, by reference, for the rate evaluation.
+    """
+
+    bs_index: np.ndarray  # (trials,), 1-based
+    ris_index: np.ndarray  # (trials,), 1-based UE-side RIS index
+    comp: np.ndarray  # (trials, n_ris)
+    beta: np.ndarray  # (trials, n_bs)
+    h_r: np.ndarray  # (trials, n_ris)
+    g_mats: tuple  # per trial, n_ris x n_bs
+
+    @property
+    def n_ris(self) -> int:
+        return self.h_r.shape[1]
+
+    @property
+    def n_bs(self) -> int:
+        return self.beta.shape[1]
+
+
+def channel_block(channels) -> ChannelBlock:
+    """The factored form of a sequence of channels, each de-rotated once."""
+    comp = np.array([ris_phase_compensation(ch) for ch in channels])
+    return ChannelBlock(
+        bs_index=np.array([ch.bs_index for ch in channels]),
+        ris_index=np.array([ch.ue_ris_index for ch in channels]),
+        comp=comp,
+        beta=comp[:, :1] * np.array([ch.g_mat[0] for ch in channels]),
+        h_r=np.array([ch.h_r for ch in channels]),
+        g_mats=tuple(ch.g_mat for ch in channels),
+    )
 
 
 def _build(geometry, u, w, bs_sine, gr_u, gr_w, ue_index, bs_index):

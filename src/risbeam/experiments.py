@@ -2,24 +2,24 @@
 
 A sweep point runs in blocks of ``TRIAL_BLOCK`` trials. Per-trial channels
 are seeded independently of the protocol, so a block draws each (sweep point,
-trial) channel once and runs every protocol on it; the measurement noise
-stream is seeded per (protocol, sweep point, trial), so the block size changes
-no result. Before the first trial, each protocol gets one block runner, called
-once per block: ``run_exhaustive`` (one gain table per trial), ``run_layered``
-for coded and full-coverage hierarchical training (hierarchical training uses
-identity codes, whose codebooks are the first k layers of the coded ones), or
-``run_adaptive`` with the prefix-beam matrices of the beam provider. Within a
-trial the rate of an estimated tuple is evaluated once, however many
-protocols chose it, from the narrow-beam columns (``tuple_rates``).
-Codebooks and prefix beams are designed once per configuration and reused
-across trials.
+trial) channel once, forms one ``ChannelBlock``, and runs every protocol on
+it; the measurement noise stream is seeded per (protocol, sweep point,
+trial), so the block size changes no result. Before the first trial, each
+protocol gets one block runner, called once per block: ``run_exhaustive``,
+``run_layered`` for coded and full-coverage hierarchical training
+(hierarchical training uses identity codes, whose codebooks are the first k
+layers of the coded ones), or ``run_adaptive`` with the prefix-beam matrices
+of the beam provider. Within a trial the rate of an estimated tuple is
+evaluated once, however many protocols chose it, from the narrow-beam
+columns (``tuple_rates``). Codebooks and prefix beams are designed once per
+configuration and reused across trials.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -27,7 +27,8 @@ import numpy as np
 
 from .arrays import ArrayGeometry, make_angle_grid
 from .blockcode import build_identity_code
-from .channel import SAMPLING_MODES, SnrSpec, normalize_channel, sample_channel
+from .channel import (SAMPLING_MODES, SnrSpec, channel_block, normalize_channel,
+                      sample_channel)
 from .codebook import GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook
 from .seeding import derive_rng
 from .training import (
@@ -59,7 +60,6 @@ class ExperimentConfig:
     n_ris_rows: int = 8
     n_ris_cols: int = 8
     spacing_over_wavelength: float = 0.5
-    carrier_ghz: float = 28.0  # provenance only; enters through the spacing
     snr_grid_db: tuple = (0.0,)
     pilot_grid: tuple = ()
     trials: int = 2000
@@ -109,7 +109,7 @@ class ExperimentConfig:
         if self.sweep_over == "pilots":
             for budget in self.pilot_grid:
                 for proto in self.protocols:
-                    check_budget(proto.kind, int(budget))
+                    check_budget(proto.kind, budget)
 
     @property
     def geometry(self) -> ArrayGeometry:
@@ -180,19 +180,17 @@ def _build_layered_assets(cfg: ExperimentConfig, grid) -> dict:
 
 
 def _build_runners(cfg: ExperimentConfig, grid, narrow) -> list:
-    """One block runner per protocol, each called as run(channels, snr=, budget=, rngs=)."""
-    geometry = cfg.geometry
+    """One block runner per protocol, each called as run(block, snr=, budget=, rngs=)."""
     provider = None
     if any(p.kind == "hierarchical" and not _is_layered(p) for p in cfg.protocols):
-        provider = HierarchicalBeamProvider(geometry, grid, cfg.gs, ideal=cfg.ideal_beams)
+        provider = HierarchicalBeamProvider(cfg.geometry, grid, cfg.gs, ideal=cfg.ideal_beams)
     layered = {}
     if any(_is_layered(p) for p in cfg.protocols):
         layered = _build_layered_assets(cfg, grid)
     runners = []
     for proto in cfg.protocols:
         if proto.kind == "exhaustive":
-            runners.append(partial(run_exhaustive, grid=grid, geometry=geometry,
-                                   narrow_beams=narrow))
+            runners.append(partial(run_exhaustive, narrow_beams=narrow))
         elif _is_layered(proto):
             codes, books = layered[proto.kind]
             mode = proto.decode_mode if proto.kind == "coded" else "none"
@@ -219,41 +217,41 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
     sweep_values = cfg.snr_grid_db if cfg.sweep_over == "snr" else cfg.pilot_grid
     sweep_name = "snr_db" if cfg.sweep_over == "snr" else "pilots"
     protocols = cfg.protocols
+    snr_db = (sweep_values if cfg.sweep_over == "snr"
+              else cfg.snr_grid_db[:1] * len(sweep_values))
+    snrs = [SnrSpec(10.0 ** (float(db) / 10.0), noiseless=cfg.noiseless) for db in snr_db]
 
     rows = []
     log: list[TrialRecord] = []
-    for value in sweep_values:
+    for value, snr in zip(sweep_values, snrs):
         if cfg.sweep_over == "snr":
-            snr = SnrSpec(10.0 ** (float(value) / 10.0), noiseless=cfg.noiseless)
             budgets = [proto.pilot_budget for proto in protocols]
         else:
-            snr = SnrSpec(10.0 ** (float(cfg.snr_grid_db[0]) / 10.0),
-                          noiseless=cfg.noiseless)
             budgets = [int(value)] * len(protocols)
         hits = np.zeros((len(protocols), cfg.trials), dtype=bool)
         rates = np.empty((len(protocols), cfg.trials))
         pilots_used = [0] * len(protocols)
         for start in range(0, cfg.trials, TRIAL_BLOCK):
-            block = range(start, min(start + TRIAL_BLOCK, cfg.trials))
-            channels = [normalize_channel(sample_channel(
+            trials = range(start, min(start + TRIAL_BLOCK, cfg.trials))
+            block = channel_block([normalize_channel(sample_channel(
                 geometry, grid, derive_rng(cfg.master_seed, "channel", sweep_name,
                                            float(value), trial), cfg.sampling_mode))
-                        for trial in block]
+                for trial in trials])
             estimates = []  # per protocol: the block's (BS, RIS) index estimates
             for p, (proto, run, budget) in enumerate(zip(protocols, runners, budgets)):
                 rngs = [derive_rng(cfg.master_seed, proto.tag, sweep_name, float(value),
-                                   trial) for trial in block]
-                result = run(channels, snr=snr, budget=budget, rngs=rngs)
+                                   trial) for trial in trials]
+                result = run(block, snr=snr, budget=budget, rngs=rngs)
+                hits[p, start:trials.stop] = ((result.est_bs_index == block.bs_index)
+                                              & (result.est_ris_index == block.ris_index))
                 estimates.append(list(zip(result.est_bs_index.tolist(),
                                           result.est_ris_index.tolist())))
                 pilots_used[p] = result.pilots_used
-            for i, (trial, ch) in enumerate(zip(block, channels)):
-                chosen = [est[i] for est in estimates]
+            for t, trial in enumerate(trials):
+                chosen = [est[t] for est in estimates]
                 distinct = list(dict.fromkeys(chosen))
-                rate_of = dict(zip(distinct, tuple_rates(ch, narrow, distinct, eval_snr)))
-                for p, estimate in enumerate(chosen):
-                    hits[p, trial] = estimate == (ch.bs_index, ch.ue_ris_index)
-                    rates[p, trial] = rate_of[estimate]
+                rate_of = dict(zip(distinct, tuple_rates(block, t, narrow, distinct, eval_snr)))
+                rates[:, trial] = [rate_of[estimate] for estimate in chosen]
         for p, proto in enumerate(protocols):
             rows.append(_result_row(proto.tag, sweep_name, float(value), hits[p],
                                     rates[p], pilots_used[p]))
@@ -383,12 +381,24 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return data
 
 
+def _known_keys(cls, data: dict, where: str) -> dict:
+    """A JSON object as a dict, if every key names a field of the dataclass ``cls``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a {where} must be a JSON object, got {data!r}")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    return dict(data)
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
-    data = dict(data)
+    """The config a JSON object describes; a key that names no field is a ValueError."""
+    data = _known_keys(ExperimentConfig, data, "config")
     if "protocols" in data:
-        data["protocols"] = tuple(ProtocolSpec(**p) for p in data["protocols"])
+        data["protocols"] = tuple(ProtocolSpec(**_known_keys(ProtocolSpec, p, "protocol"))
+                                  for p in data["protocols"])
     if "gs" in data:
-        data["gs"] = GsConfig(**data["gs"])
+        data["gs"] = GsConfig(**_known_keys(GsConfig, data["gs"], "gs"))
     for key in ("snr_grid_db", "pilot_grid"):
         if key in data:
             data[key] = tuple(data[key])

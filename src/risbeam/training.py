@@ -1,23 +1,21 @@
 """The beam-training protocols: exhaustive, layered and adaptive.
 
-Every protocol is a block runner, ``runner(channels, ..., snr, budget, rngs)
--> TrainingRuns``: trial t runs on ``channels[t]`` with noise from
-``rngs[t]``. Each sends beam tuples, measures one noisy power per tuple in
-transmit order, and maps argmax decisions to angle-index estimates. Gains
-come from factorized tables, ``gain_tables``: the outer product of a BS
-response and a RIS response per channel. ``run_exhaustive`` sweeps the
-narrow-beam tuples of one trial's table at a time. A layered protocol sends
-one (BS, RIS) beam pair per layer as 4 tuples and reads one decision per
-side: ``run_layered`` runs coded training (with identity codes and decode
-mode "none", full-coverage hierarchical training), deciding every layer of
-every trial in one argmax. ``run_adaptive`` runs adaptive hierarchical
-training: its layers run in turn, since each layer's beams depend on the
-decisions so far, and each layer gathers every trial's beam pair from the
-prefix-beam matrices of ``HierarchicalBeamProvider``. Both finish the same
-way: the decisions become raw bits, ``decode_words`` decodes the block (the
-adaptive runner with identity codes in mode "none"), and the information
-bits become the estimates. ``tests/reference.py`` holds the per-pilot
-reference the runners are tested against.
+Every protocol is a block runner, ``runner(block, ..., snr, budget, rngs) ->
+TrainingRuns``: trial t runs on row t of a ``channel.ChannelBlock`` with
+noise from ``rngs[t]``. Each sends beam tuples, measures one noisy power per
+tuple in transmit order, and maps argmax decisions to angle-index estimates.
+A tuple's gain is the product of a BS and a RIS response (``beam_responses``).
+A layered protocol sends one (BS, RIS) beam pair per layer as 4 tuples and
+reads one decision per side: ``run_layered`` runs coded training (with
+identity codes and decode mode "none", full-coverage hierarchical training),
+deciding every layer of every trial in one argmax. ``run_adaptive`` runs
+adaptive hierarchical training: its layers run in turn, since each layer's
+beams depend on the decisions so far, and each layer gathers every trial's
+beam pair from the prefix-beam matrices of ``HierarchicalBeamProvider``.
+Both finish the same way: the decisions become raw bits, ``decode_words``
+decodes the block (the adaptive runner with identity codes in mode "none"),
+and the information bits become the estimates. ``tests/reference.py`` holds
+the per-pilot reference the runners are tested against.
 
 Designed codewords are stored in coverage convention and conjugated at
 transmit time; RIS codewords additionally de-rotate the known static RIS-BS
@@ -26,6 +24,7 @@ steering phases so the training depends only on the UE-side angle.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -43,13 +42,7 @@ from .blockcode import (
     decode_words,
     rows_to_ints,
 )
-from .channel import (
-    ChannelRealization,
-    SnrSpec,
-    pilot_noise,
-    received_power,
-    ris_phase_compensation,
-)
+from .channel import ChannelBlock, SnrSpec, pilot_noise, received_power
 from .codebook import (
     DesignedCodebook,
     GsConfig,
@@ -70,9 +63,10 @@ HIERARCHICAL_VARIANTS = ("full_coverage", "adaptive")
 class ProtocolSpec:
     """A protocol selection: kind, decode mode (coded only), and pilot budget.
 
-    pilot_budget None means unlimited (the protocol uses its full overhead).
-    Layered protocols send whole 4-pilot layers: a remainder of 1 to 3 pilots
-    is left unused, so a budget of 10 sends 2 layers and reports 8 pilots.
+    pilot_budget None means unlimited (the protocol uses its full overhead);
+    a whole-number float such as 8.0 is stored as the int 8. Layered protocols
+    send whole 4-pilot layers: a remainder of 1 to 3 pilots is left unused,
+    so a budget of 10 sends 2 layers and reports 8 pilots.
     """
 
     kind: str
@@ -87,7 +81,7 @@ class ProtocolSpec:
             raise ValueError(f"unknown decode mode {self.decode_mode!r}")
         if self.hierarchical_variant not in HIERARCHICAL_VARIANTS:
             raise ValueError(f"unknown hierarchical variant {self.hierarchical_variant!r}")
-        check_budget(self.kind, self.pilot_budget)
+        object.__setattr__(self, "pilot_budget", check_budget(self.kind, self.pilot_budget))
 
     @property
     def tag(self) -> str:
@@ -104,12 +98,23 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length() if n > 1 else 0
 
 
-def check_budget(kind: str, budget: Optional[int]) -> None:
-    """Reject a budget below one tuple (exhaustive) or one 4-tuple layer (layered)."""
+def check_budget(kind: str, budget) -> Optional[int]:
+    """A pilot budget as an int, or None (unlimited) for None.
+
+    Rejects a value that is not a whole number, bools included, and a budget
+    below one tuple (exhaustive) or one 4-tuple layer (layered).
+    """
+    if budget is None:
+        return None
+    whole = isinstance(budget, numbers.Integral) or (
+        isinstance(budget, numbers.Real) and float(budget).is_integer())
+    if isinstance(budget, bool) or not whole:
+        raise ValueError(f"a pilot budget must be a whole number, got {budget!r}")
     least = 1 if kind == "exhaustive" else 4
-    if budget is not None and budget < least:
+    if budget < least:
         raise ValueError(f"{kind} training needs a pilot budget of at least {least}, "
                          f"got {budget}")
+    return int(budget)
 
 
 def _check_constant_modulus(v_tx: np.ndarray, n_ris: int) -> None:
@@ -119,57 +124,29 @@ def _check_constant_modulus(v_tx: np.ndarray, n_ris: int) -> None:
         raise ValueError("RIS vector must have constant modulus 1/sqrt(n_ris)")
 
 
-def gain_tables(channels, bs_cov: np.ndarray, ris_cov: np.ndarray, ideal: bool = False,
-                *, check_modulus: bool = False) -> np.ndarray:
-    """Noiseless gains of a block of channels, shape (trials, BS columns, RIS columns).
+def beam_responses(block: ChannelBlock, bs_cov: np.ndarray, ris_cov: np.ndarray,
+                   ideal: bool = False, *, check_modulus: bool = False
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The (BS, RIS) responses of a block to codeword columns, (trials, columns) each.
 
-    Entry [t, i, j] pairs BS codeword column i with RIS column j on
-    ``channels[t]``. A codeword matrix is either shared by the block,
-    (n, columns), or one per trial, (trials, n, columns). The static
-    de-rotation cancels the RIS-BS steering phases: every row of
-    ``comp * g_mat`` is the same vector ``beta`` (|a_gr|^2 = 1/n_ris), so a
-    table is the outer product of a BS response ``beta @ conj(W)`` and a RIS
-    response ``h_r @ conj(V)``. Both are stacked matrix-vector products, so a
-    trial's table does not depend on the block around it. Ideal
-    (mask-valued) codewords read their gains off the true-index rows.
-    ``check_modulus`` applies the constant-modulus test of the per-pilot
-    reference (``effective_gain`` in ``tests/reference.py``) to every
-    transmitted RIS vector at once.
-    """
-    return _block_gains(channels, ideal)(bs_cov, ris_cov, check_modulus)
-
-
-def _block_gains(channels, ideal: bool = False):
-    """``gain_tables`` of a fixed block as a function (bs_cov, ris_cov, check_modulus).
-
-    The channels are read once, for runners that build tables of the same
-    block from many codeword matrices. Ideal codewords skip the modulus check.
+    Trial t's gain for BS column i and RIS column j is ``bs[t, i] * ris[t, j]``
+    (see ``ChannelBlock``). A codeword matrix is shared, (n, columns), or one
+    per trial, (trials, n, columns). Stacked matrix-vector products keep a
+    trial's responses independent of the block. Ideal (mask-valued) codewords
+    read the true-index rows; otherwise ``check_modulus`` tests every
+    transmitted RIS vector as ``effective_gain`` in ``tests/reference.py`` does.
     """
     if ideal:
-        bs_rows = [ch.bs_index - 1 for ch in channels]
-        ris_rows = [ch.ue_ris_index - 1 for ch in channels]
-
-        def tables(bs_cov, ris_cov, check_modulus=False):
-            return (_true_rows(bs_cov, bs_rows)[:, :, None]
-                    * _true_rows(ris_cov, ris_rows)[:, None, :])
-        return tables
-
-    comp = np.array([ris_phase_compensation(ch) for ch in channels])
-    beta = comp[:, :1] * np.array([ch.g_mat[0] for ch in channels])
-    h_r = np.array([ch.h_r for ch in channels])
-
-    def tables(bs_cov, ris_cov, check_modulus=False):
-        if check_modulus:
-            _check_constant_modulus(np.conj(ris_cov) * comp[:, :, None], comp.shape[1])
-        bs_resp = (beta[:, None, :] @ np.conj(bs_cov))[:, 0, :]
-        ris_resp = (h_r[:, None, :] @ np.conj(ris_cov))[:, 0, :]
-        return bs_resp[:, :, None] * ris_resp[:, None, :]
-    return tables
+        return _true_rows(bs_cov, block.bs_index), _true_rows(ris_cov, block.ris_index)
+    if check_modulus:
+        _check_constant_modulus(np.conj(ris_cov) * block.comp[:, :, None], block.n_ris)
+    return ((block.beta[:, None, :] @ np.conj(bs_cov))[:, 0, :],
+            (block.h_r[:, None, :] @ np.conj(ris_cov))[:, 0, :])
 
 
-def _true_rows(cov: np.ndarray, rows: list) -> np.ndarray:
-    """Row ``rows[t]`` of trial t's codeword matrix; a 2-D matrix is shared."""
-    return np.broadcast_to(cov, (len(rows), *cov.shape[-2:]))[np.arange(len(rows)), rows]
+def _true_rows(cov: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Row ``index[t] - 1`` of trial t's codeword matrix; a 2-D matrix is shared."""
+    return np.broadcast_to(cov, (len(index), *cov.shape[-2:]))[np.arange(len(index)), index - 1]
 
 
 def _clamp_index(value, n: int):
@@ -181,7 +158,7 @@ def _layer_count(sizes, budget: Optional[int]) -> tuple[int, int]:
     n_layers = max(sizes)
     if n_layers == 0:
         raise ValueError("nothing to train: both arrays have a single candidate")
-    check_budget("layered", budget)
+    budget = check_budget("layered", budget)
     return (n_layers if budget is None else min(n_layers, budget // 4)), n_layers
 
 
@@ -224,7 +201,7 @@ class TrainingRuns:
 
 
 def run_layered(
-    channels,
+    block: ChannelBlock,
     books: tuple[DesignedCodebook, DesignedCodebook],
     codes: tuple[BlockCode, BlockCode],
     snr: SnrSpec,
@@ -235,19 +212,19 @@ def run_layered(
     ideal: bool = False,
     inject_flips=(),
 ) -> TrainingRuns:
-    """Layered beam training of a block: trial t on ``channels[t]``, noise from ``rngs[t]``.
+    """Layered beam training of a block: trial t on row t, noise from ``rngs[t]``.
 
     Layer l sends the 4 tuples of BS layer l mod n_t and RIS layer l mod n_r
     in the order (0,0), (0,1), (1,0), (1,1) (BS bit, RIS bit; bit 1 is the
     mask=1 codeword); ties break toward the first and each side keeps its
     first n decisions. A budget short of 4*max(n_t, n_r) truncates every
     trial and zero-fills the missing bits. ``inject_flips`` lists (layer,
-    "bs" | "ris") decisions to invert. Gains come from one table per channel
-    and each trial's noise from one ``pilot_noise`` draw; powers, decisions
-    and decoding run once for the block. The BS side decodes with at most
-    one-bit correction; the decoupled two-bit mode applies to the RIS side.
-    Identity codes with decode mode "none" give full-coverage hierarchical
-    training.
+    "bs" | "ris") decisions to invert. Gains come from the block's responses
+    to the codebook matrices and each trial's noise from one ``pilot_noise``
+    draw; powers, decisions and decoding run once for the block. The BS side
+    decodes with at most one-bit correction; the decoupled two-bit mode
+    applies to the RIS side. Identity codes with decode mode "none" give
+    full-coverage hierarchical training.
     """
     code_t, code_r = codes
     if min(code_t.n, code_r.n) == 0:
@@ -256,16 +233,16 @@ def run_layered(
     layers = np.arange(sent)[:, None]
     rows = (2 * (layers % code_t.n) + (0, 1))[:, :, None]
     cols = (2 * (layers % code_r.n) + (0, 1))[:, None, :]
-    tables = gain_tables(channels, books[0].matrix, books[1].matrix, ideal,
-                         check_modulus=True)
+    bs, ris = beam_responses(block, books[0].matrix, books[1].matrix, ideal,
+                             check_modulus=True)
     noise = np.stack([pilot_noise(snr, rng, (sent, 2, 2)) for rng in rngs])
-    powers = received_power(tables[:, rows, cols], snr, noise)
-    winners = powers.reshape(len(channels), sent, 4).argmax(axis=-1)
+    powers = received_power(bs[:, rows] * ris[:, cols], snr, noise)
+    winners = powers.reshape(len(rngs), sent, 4).argmax(axis=-1)
 
-    return _decode_layers(channels, winners, codes, decode_mode, inject_flips, needed)
+    return _decode_layers(block, winners, codes, decode_mode, inject_flips, needed)
 
 
-def _decode_layers(channels, winners: np.ndarray, codes: tuple[BlockCode, BlockCode],
+def _decode_layers(block, winners: np.ndarray, codes: tuple[BlockCode, BlockCode],
                    decode_mode: str, inject_flips, needed: int) -> TrainingRuns:
     """The finish of a layered protocol: winning tuples to raw bits, decoded to estimates.
 
@@ -279,8 +256,8 @@ def _decode_layers(channels, winners: np.ndarray, codes: tuple[BlockCode, BlockC
     info_t, *decoded_t = decode_words(code_t, raw_t, bs_mode)
     info_r, *decoded_r = decode_words(code_r, raw_r, decode_mode)
     return TrainingRuns(
-        est_bs_index=_clamp_index(rows_to_ints(info_t) + 1, channels[0].n_bs),
-        est_ris_index=_clamp_index(rows_to_ints(info_r) + 1, channels[0].n_ris),
+        est_bs_index=_clamp_index(rows_to_ints(info_t) + 1, block.n_bs),
+        est_ris_index=_clamp_index(rows_to_ints(info_r) + 1, block.n_ris),
         raw_bits_bs=raw_t,
         raw_bits_ris=raw_r,
         decoded=(tuple(decoded_t), tuple(decoded_r)),
@@ -394,7 +371,7 @@ def _prefix_pairs(cov: np.ndarray, winners: np.ndarray, k: int, side: str,
 
 
 def run_adaptive(
-    channels,
+    block: ChannelBlock,
     provider: HierarchicalBeamProvider,
     snr: SnrSpec,
     budget: Optional[int],
@@ -402,7 +379,7 @@ def run_adaptive(
     *,
     inject_flips=(),
 ) -> TrainingRuns:
-    """Adaptive hierarchical training of a block: trial t on ``channels[t]``, noise from ``rngs[t]``.
+    """Adaptive hierarchical training of a block: trial t on row t, noise from ``rngs[t]``.
 
     Each layer halves the active index interval of each side (a
     feedback-based binary search) over max(bit length) layers, 4 tuples
@@ -422,15 +399,15 @@ def run_adaptive(
     sent, needed = _layer_count(sizes, budget)
     matrices = provider.prefix_matrices()
     noise = np.stack([pilot_noise(snr, rng, (sent, 2, 2)) for rng in rngs])
-    tables = _block_gains(channels, provider.ideal)
-    winners = np.zeros((len(channels), sent), dtype=np.intp)
+    winners = np.zeros((len(rngs), sent), dtype=np.intp)
     for layer in range(sent):
         pairs = [_prefix_pairs(cov, winners[:, :layer], k, side, inject_flips)
                  for cov, k, side in zip(matrices, sizes, ("bs", "ris"))]
-        powers = received_power(tables(*pairs, check_modulus=True), snr, noise[:, layer])
-        winners[:, layer] = powers.reshape(len(channels), 4).argmax(axis=-1)
+        bs, ris = beam_responses(block, *pairs, provider.ideal, check_modulus=True)
+        powers = received_power(bs[:, :, None] * ris[:, None, :], snr, noise[:, layer])
+        winners[:, layer] = powers.reshape(len(rngs), 4).argmax(axis=-1)
 
-    return _decode_layers(channels, winners, provider.codes, "none", inject_flips, needed)
+    return _decode_layers(block, winners, provider.codes, "none", inject_flips, needed)
 
 
 def narrow_beam_matrices(grid: AngleGrid, geometry: ArrayGeometry
@@ -444,35 +421,32 @@ def narrow_beam_matrices(grid: AngleGrid, geometry: ArrayGeometry
 
 
 def run_exhaustive(
-    channels,
-    grid: AngleGrid,
-    geometry: ArrayGeometry,
+    block: ChannelBlock,
+    narrow_beams: tuple[np.ndarray, np.ndarray],
     snr: SnrSpec,
     budget: Optional[int],
     rngs,
-    *,
-    narrow_beams: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> TrainingRuns:
-    """Exhaustive training of a block: trial t on ``channels[t]``, noise from ``rngs[t]``.
+    """Exhaustive training of a block: trial t on row t, noise from ``rngs[t]``.
 
-    Each trial sweeps the narrow beam tuples in BS-major order and picks the
-    power argmax. With a budget below n_bs * n_ris only the first tuples are
-    measured; ties break toward the lowest tuple index. Each trial's gains
-    come from its own n_bs x n_ris table, built one trial at a time to bound
-    memory, and its noise from one ``pilot_noise`` draw.
+    Each trial sweeps the tuples of the narrow beams (``narrow_beam_matrices``)
+    in BS-major order and picks the power argmax. With a budget below
+    n_bs * n_ris only the first tuples are measured; ties break toward the
+    lowest tuple index. Each trial's n_bs x n_ris table is formed from the
+    block's responses on its own, to bound memory; its noise is one draw.
     """
-    bs_cov, ris_cov = narrow_beams or narrow_beam_matrices(grid, geometry)
-    total = geometry.n_bs * geometry.n_ris
-    check_budget("exhaustive", budget)
+    total = block.n_bs * block.n_ris
+    budget = check_budget("exhaustive", budget)
     count = total if budget is None else min(budget, total)
     winners = np.array([
-        np.argmax(received_power(gain_tables([ch], bs_cov, ris_cov)[0].ravel()[:count],
-                                 snr, pilot_noise(snr, rng, (count,))))
-        for ch, rng in zip(channels, rngs)], dtype=np.intp)  # BS-major tuple order
-    no_bits = np.empty((len(channels), 0), dtype=np.uint8)
+        np.argmax(received_power(np.outer(bs, ris).ravel()[:count], snr,
+                                 pilot_noise(snr, rng, (count,))))
+        for bs, ris, rng in zip(*beam_responses(block, *narrow_beams), rngs)],
+        dtype=np.intp)  # BS-major tuple order
+    no_bits = np.empty((len(rngs), 0), dtype=np.uint8)
     return TrainingRuns(
-        est_bs_index=winners // geometry.n_ris + 1,
-        est_ris_index=winners % geometry.n_ris + 1,
+        est_bs_index=winners // block.n_ris + 1,
+        est_ris_index=winners % block.n_ris + 1,
         raw_bits_bs=no_bits,
         raw_bits_ris=no_bits,
         decoded=(),
@@ -502,26 +476,27 @@ def coded_codes(n_bs: int, ris_dims: tuple[int, int]) -> tuple[BlockCode, BlockC
 
 
 def tuple_rates(
-    ch: ChannelRealization,
+    block: ChannelBlock,
+    t: int,
     narrow_beams: tuple[np.ndarray, np.ndarray],
     tuples,
     snr_eval: SnrSpec,
 ) -> list[float]:
-    """Spectral efficiency log2(1 + snr * |g|^2) of each (BS, RIS) grid tuple's narrow beams.
+    """Spectral efficiency log2(1 + snr * |g|^2) on trial t of each (BS, RIS) grid tuple.
 
     The beams are columns of ``narrow_beam_matrices``. The constant-modulus
     check runs once over all of them, and the gains are stacked
-    matrix-vector products, which round like the one-tuple
-    ``h_r diag(v) g_mat w`` of ``achievable_rate`` in ``tests/reference.py``.
-    |g|^2 and log2 stay scalar per tuple: their vectorized forms round
-    differently.
+    matrix-vector products through row t's RIS-BS matrix, which round like
+    the one-tuple ``h_r diag(v) g_mat w`` of ``achievable_rate`` in
+    ``tests/reference.py``. |g|^2 and log2 stay scalar per tuple: their
+    vectorized forms round differently.
     """
     bs_cov, ris_cov = narrow_beams
     bs_index, ris_index = np.array(tuples, dtype=np.intp).T - 1
-    v = np.conj(ris_cov.T[ris_index]) * ris_phase_compensation(ch)
+    v = np.conj(ris_cov.T[ris_index]) * block.comp[t]
     w = np.conj(bs_cov.T[bs_index])
-    _check_constant_modulus(v, ch.n_ris)
-    through_ris = ((ch.h_r * v)[:, None, :] @ ch.g_mat)[:, 0, :]
+    _check_constant_modulus(v, block.n_ris)
+    through_ris = ((block.h_r[t] * v)[:, None, :] @ block.g_mats[t])[:, 0, :]
     gains = (through_ris[:, None, :] @ w[:, :, None])[:, 0, 0]
     return [float(np.log2(1.0 + snr_eval.snr_linear * abs(complex(g)) ** 2))
             for g in gains]

@@ -39,6 +39,7 @@ from risbeam.blockcode import DECODE_MODES, BlockCode, bits_to_int
 from risbeam.channel import (
     ChannelRealization,
     SnrSpec,
+    channel_block,
     pilot_noise,
     received_power,
     ris_phase_compensation,
@@ -277,14 +278,14 @@ def trial_outcome(runs: TrainingRuns, trial: int) -> TrainingOutcome:
 def run_coded(ch, books, codes, snr, budget, rng, decode_mode="one_bit", *, ideal=False,
               inject_flips=()) -> TrainingOutcome:
     """Layered beam training of one channel: ``run_layered`` on a one-trial block."""
-    return trial_outcome(run_layered([ch], books, codes, snr, budget, [rng], decode_mode,
-                               ideal=ideal, inject_flips=inject_flips), 0)
+    return trial_outcome(run_layered(channel_block([ch]), books, codes, snr, budget, [rng],
+                                     decode_mode, ideal=ideal, inject_flips=inject_flips), 0)
 
 
 def run_hierarchical(ch, provider: HierarchicalBeamProvider, snr, budget, rng, *,
                      inject_flips=()) -> TrainingOutcome:
     """Adaptive hierarchical training of one channel: ``run_adaptive`` on a one-trial block."""
-    return trial_outcome(run_adaptive([ch], provider, snr, budget, [rng],
+    return trial_outcome(run_adaptive(channel_block([ch]), provider, snr, budget, [rng],
                                       inject_flips=inject_flips), 0)
 
 

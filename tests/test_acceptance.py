@@ -21,12 +21,12 @@ from risbeam.blockcode import (
     min_distance,
     syndrome,
 )
-from risbeam.channel import SnrSpec, normalize_channel, sample_channel
+from risbeam.channel import SnrSpec, channel_block, normalize_channel, sample_channel
 from risbeam.cli import main
 from risbeam.codebook import GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook
 from risbeam.experiments import ExperimentConfig, export_results, run_sweep
 from risbeam.seeding import derive_rng
-from risbeam.training import ProtocolSpec, run_exhaustive
+from risbeam.training import ProtocolSpec, narrow_beam_matrices, run_exhaustive
 
 SPLIT_Q_8X8 = np.array(
     [
@@ -233,7 +233,8 @@ def test_criterion_09_pilot_sweep_shape(desk_codes):
         for trial in range(cfg.trials)]
     # the noiseless block runner, checked against the per-tuple sweep in
     # test_engine.py, finds each channel's best tuple in a fraction of the time
-    best = run_exhaustive(channels, grid, geometry, SnrSpec(1.0, noiseless=True), None,
+    best = run_exhaustive(channel_block(channels), narrow_beam_matrices(grid, geometry),
+                          SnrSpec(1.0, noiseless=True), None,
                           [np.random.default_rng(0)] * cfg.trials)
     ceilings = np.empty(cfg.trials)
     for trial, ch in enumerate(channels):

@@ -6,6 +6,7 @@ from reference import effective_gain, measure_power
 from risbeam.arrays import ArrayGeometry, make_angle_grid, ula_steering, upa_steering_uw
 from risbeam.channel import (
     SnrSpec,
+    channel_block,
     normalize_channel,
     ris_phase_compensation,
     sample_channel,
@@ -78,6 +79,24 @@ def test_normalize_scales_and_is_idempotent(small_setup):
     again = normalize_channel(normed)
     assert np.allclose(again.h_r, normed.h_r)
     assert np.allclose(again.g_mat, normed.g_mat)
+
+
+@pytest.mark.parametrize("mode", ["on_grid", "continuous"])
+def test_channel_block_rows_are_the_channels(mode):
+    geo = ArrayGeometry(8, 4, 2)
+    grid = make_angle_grid(geo)
+    channels = [normalize_channel(sample_channel(geo, grid, np.random.default_rng(seed), mode))
+                for seed in range(5)]
+    block = channel_block(channels)
+    assert (block.n_bs, block.n_ris) == (geo.n_bs, geo.n_ris)
+    for t, ch in enumerate(channels):
+        assert (block.bs_index[t], block.ris_index[t]) == (ch.bs_index, ch.ue_ris_index)
+        assert block.comp[t].tobytes() == ris_phase_compensation(ch).tobytes()
+        assert block.h_r[t].tobytes() == ch.h_r.tobytes()
+        assert block.g_mats[t] is ch.g_mat  # a reference: the block stacks no matrix
+        # the de-rotation makes every row of the RIS-BS matrix the vector beta
+        derotated = block.comp[t][:, None] * ch.g_mat
+        assert np.allclose(derotated, block.beta[t][None, :], rtol=0, atol=1e-12)
 
 
 def test_best_tuple_gain_matches_exhaustive_oracle(small_setup):
@@ -185,5 +204,6 @@ def test_sample_channel_validates(small_setup):
         sample_channel(other, grid, np.random.default_rng(0))
     with pytest.raises(ValueError):
         sample_channel(geo, grid, np.random.default_rng(0), mode="sideways")
-    with pytest.raises(ValueError):
-        SnrSpec(0.0)
+    for snr_linear in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SnrSpec(snr_linear)

@@ -107,6 +107,29 @@ def test_sweep_snr_with_config(tmp_path, capsys):
     assert "coded_one_bit" in lines[1]
 
 
+def test_sweep_config_with_unknown_keys_is_a_clean_error(tmp_path, capsys):
+    # carrier_ghz was a config field that nothing read; it is an unknown key now
+    cfg = {"n_bs": 8, "n_ris_rows": 8, "n_ris_cols": 8, "trials": 2,
+           "protocols": [{"kind": "coded"}], "gs": {"k_iter": 10}}
+    cases = [
+        ({"carrier_ghz": 28.0}, "unknown config key(s): carrier_ghz"),
+        ({"trails": 3, "snr": [0.0]}, "unknown config key(s): snr, trails"),
+        ({"protocols": [{"kind": "coded", "mode": "one_bit"}]},
+         "unknown protocol key(s): mode"),
+        ({"gs": {"iters": 10}}, "unknown gs key(s): iters"),
+        ({"protocols": ["coded"]}, "a protocol must be a JSON object, got 'coded'"),
+    ]
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "res.csv"
+    for change, message in cases:
+        cfg_path.write_text(json.dumps({**cfg, **change}))
+        assert main(["sweep-snr", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    cfg_path.write_text("[1, 2]")
+    assert main(["sweep-snr", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: a config must be a JSON object, got [1, 2]\n"
+
+
 def test_sweep_snr_missing_config(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["sweep-snr", "--config", str(missing)]) != 0

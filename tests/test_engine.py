@@ -36,14 +36,16 @@ from reference import (
     run_hierarchical,
     trial_outcome,
 )
-from risbeam import experiments, training
+from risbeam import channel, experiments, training
 from risbeam.arrays import ArrayGeometry, make_angle_grid, ula_steering, upa_steering_uw
 from risbeam.blockcode import DECODE_MODES, bits_to_int, build_identity_code
 from risbeam.channel import (
     SnrSpec,
+    channel_block,
     normalize_channel,
     pilot_noise,
     received_power,
+    ris_phase_compensation,
     sample_channel,
 )
 from risbeam.codebook import BeamPair, GsConfig, build_codebooks
@@ -53,8 +55,8 @@ from risbeam.training import (
     HierarchicalBeamProvider,
     ProtocolSpec,
     ceil_log2,
+    beam_responses,
     coded_codes,
-    gain_tables,
     narrow_beam_matrices,
     run_adaptive,
     run_exhaustive,
@@ -80,6 +82,13 @@ def small_setup(n_bs: int, rows: int, cols: int):
 
 def draw_channel(geo, grid, mode, seed):
     return normalize_channel(sample_channel(geo, grid, np.random.default_rng(seed), mode))
+
+
+def gain_tables(channels, bs_cov, ris_cov, ideal=False, *, check_modulus=False):
+    """(trials, BS columns, RIS columns) gains: outer products of the block's responses."""
+    bs, ris = beam_responses(channel_block(channels), bs_cov, ris_cov, ideal,
+                             check_modulus=check_modulus)
+    return bs[:, :, None] * ris[:, None, :]
 
 
 @settings(max_examples=40, deadline=None)
@@ -206,6 +215,24 @@ def test_sweep_draws_each_channel_once(monkeypatch):
     assert len(results.trial_log) == len(results.rows) * cfg.trials
 
 
+def test_sweep_derotates_each_channel_once(monkeypatch):
+    # every runner and the rate evaluation read the block's one de-rotation
+    calls = []
+
+    def counted(ch):
+        calls.append(1)
+        return ris_phase_compensation(ch)
+
+    monkeypatch.setattr(channel, "ris_phase_compensation", counted)
+    cfg = ExperimentConfig(
+        n_bs=8, n_ris_rows=8, n_ris_cols=8, snr_grid_db=(0.0, 10.0), trials=3, gs=FAST_GS,
+        protocols=ExperimentConfig().protocols + (
+            ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),))
+    run_sweep(cfg)
+    assert len(calls) == len(cfg.snr_grid_db) * cfg.trials
+    assert not hasattr(training, "ris_phase_compensation")
+
+
 @pytest.mark.parametrize("mode", ["on_grid", "continuous"])
 def test_coded_decisions_match_per_pilot_path(mode, desk_books, desk_codes,
                                               desk_geometry, desk_grid):
@@ -246,7 +273,7 @@ def test_adaptive_runner_matches_per_pilot_reference(n_bs, rows, cols, mode, ide
     geo, grid, provider, reference = adaptive_setup(n_bs, rows, cols, ideal)
     channels = [draw_channel(geo, grid, mode, seed + t) for t in range(trials)]
     snr = SnrSpec(snr_linear)
-    runs = run_adaptive(channels, provider, snr, budget,
+    runs = run_adaptive(channel_block(channels), provider, snr, budget,
                         [np.random.default_rng(seed + t) for t in range(trials)],
                         inject_flips=flips)
     sizes = (reference.k_bs, reference.k_ris)
@@ -278,7 +305,7 @@ def test_adaptive_layer_tables_equal_one_trial_tables(monkeypatch, dims, mode):
         return received_power(gain, snr, noise)
 
     monkeypatch.setattr(training, "received_power", recording)
-    runs = run_adaptive(channels, provider, SnrSpec(0.5), None,
+    runs = run_adaptive(channel_block(channels), provider, SnrSpec(0.5), None,
                         [np.random.default_rng(seed) for seed in range(len(channels))])
     assert len(layers) == max(reference.k_bs, reference.k_ris)
     for layer, tables in enumerate(layers):
@@ -329,7 +356,7 @@ def test_batched_runner_matches_per_pilot_reference(case, mode, ideal, trials, b
     geo, grid, codes, books = layered_setup(n_bs, rows, cols, coded, ideal)
     channels = [draw_channel(geo, grid, mode, seed + t) for t in range(trials)]
     snr = SnrSpec(snr_linear)
-    runs = run_layered(channels, books, codes, snr, budget,
+    runs = run_layered(channel_block(channels), books, codes, snr, budget,
                        [np.random.default_rng(seed + t) for t in range(trials)],
                        decode_mode, ideal=ideal)
     for t, ch in enumerate(channels):
@@ -398,8 +425,8 @@ def test_exhaustive_runner_matches_per_tuple_sweep(case, mode, trials, snr_linea
     grid = make_angle_grid(geo)
     channels = [draw_channel(geo, grid, mode, seed + t) for t in range(trials)]
     snr = SnrSpec(snr_linear)
-    runs = run_exhaustive(channels, grid, geo, snr, budget,
-                          [np.random.default_rng(seed + t) for t in range(trials)])
+    runs = run_exhaustive(channel_block(channels), narrow_beam_matrices(grid, geo), snr,
+                          budget, [np.random.default_rng(seed + t) for t in range(trials)])
     assert runs.raw_bits_bs.shape == runs.raw_bits_ris.shape == (trials, 0)
     assert runs.decoded == ()
     for t, ch in enumerate(channels):
@@ -437,7 +464,7 @@ def test_tuple_rates_equal_achievable_rate_bytes(dims, mode):
             for _ in range(3)]
         expected = [achievable_rate(ch, *grid_transmit_pair(ch, grid, geo, *t), snr_eval)
                     for t in tuples]
-        got = tuple_rates(ch, narrow, tuples, snr_eval)
+        got = tuple_rates(channel_block([ch]), 0, narrow, tuples, snr_eval)
         assert [r.hex() for r in got] == [r.hex() for r in expected]
 
 
@@ -447,6 +474,7 @@ def test_tuple_rates_reject_broken_constant_modulus(desk_geometry, desk_grid):
     broken = ris_cov.copy()
     broken[0, 5] *= 2.0
     snr_eval = SnrSpec(10.0, noiseless=True)
-    tuple_rates(ch, (bs_cov, broken), [(1, 1), (2, 3)], snr_eval)  # intact columns
+    block = channel_block([ch])
+    tuple_rates(block, 0, (bs_cov, broken), [(1, 1), (2, 3)], snr_eval)  # intact columns
     with pytest.raises(ValueError, match="constant modulus"):
-        tuple_rates(ch, (bs_cov, broken), [(1, 1), (2, 6)], snr_eval)
+        tuple_rates(block, 0, (bs_cov, broken), [(1, 1), (2, 6)], snr_eval)

@@ -5,6 +5,7 @@ import pytest
 from reference import achievable_rate, grid_transmit_pair, noiseless_best_tuple, success_rate
 from risbeam.arrays import make_angle_grid
 from risbeam.channel import normalize_channel, sample_channel
+from risbeam import experiments
 from risbeam.codebook import GsConfig
 from risbeam.experiments import (
     CSV_COLUMNS,
@@ -12,6 +13,7 @@ from risbeam.experiments import (
     ResultSet,
     config_from_dict,
     config_to_dict,
+    desk_pilot_sweep,
     export_results,
     export_trial_log,
     import_results,
@@ -190,6 +192,47 @@ def test_pilot_budgets_below_the_minimum_rejected_at_config():
     results = run_sweep(_tiny_config(protocols=(ProtocolSpec("hierarchical", pilot_budget=4),
                                                 ProtocolSpec("exhaustive", pilot_budget=1))))
     assert [row.pilots for row in results.rows] == [4, 1]
+
+
+@pytest.mark.parametrize("bad", [10.5, True, float("nan"), float("inf"), "8"])
+def test_pilot_budgets_must_be_whole_numbers(bad):
+    # 10.5 used to run as 10 on the pilot grid, and to fail mid-sweep as a protocol budget
+    with pytest.raises(ValueError, match="whole number"):
+        _tiny_config(sweep_over="pilots", pilot_grid=(8, bad))
+    for kind in ("exhaustive", "coded"):
+        with pytest.raises(ValueError, match="whole number"):
+            ProtocolSpec(kind, pilot_budget=bad)
+    with pytest.raises(ValueError, match="whole number"):
+        desk_pilot_sweep(pilot_grid=(bad,))
+
+
+def test_whole_number_float_budgets_run_as_ints():
+    assert ProtocolSpec("exhaustive", pilot_budget=8.0).pilot_budget == 8
+    both = (ProtocolSpec("exhaustive"), ProtocolSpec("coded", "one_bit"))
+    results = run_sweep(_tiny_config(sweep_over="pilots", pilot_grid=(12.0,), trials=2,
+                                     protocols=both))
+    assert [(row.sweep_value, row.pilots) for row in results.rows] == [(12.0, 12)] * 2
+    results = run_sweep(_tiny_config(trials=2, protocols=(
+        ProtocolSpec("exhaustive", pilot_budget=8.0),
+        ProtocolSpec("coded", "one_bit", pilot_budget=12.0))))
+    assert [row.pilots for row in results.rows] == [8, 12]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"snr_grid_db": (0.0, float("nan"))},
+    {"snr_grid_db": (float("inf"),)},
+    {"sweep_over": "pilots", "pilot_grid": (8,), "snr_grid_db": (float("nan"),)},
+    {"eval_snr_linear": float("nan")},
+    {"eval_snr_linear": float("inf")},
+])
+def test_non_finite_snrs_rejected_before_any_trial(monkeypatch, overrides):
+    # a NaN training SNR used to report success 0.0 and rate 0.0 for every protocol
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a channel was drawn")
+
+    monkeypatch.setattr(experiments, "sample_channel", no_draw)
+    with pytest.raises(ValueError, match="positive and finite"):
+        run_sweep(_tiny_config(**overrides))
 
 
 def test_single_antenna_bs_rejected_for_layered_protocols():

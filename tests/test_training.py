@@ -21,7 +21,7 @@ from risbeam.arrays import (
     w_axis,
 )
 from risbeam.blockcode import build_identity_code, build_plain_code, build_reduced_code
-from risbeam.channel import SnrSpec, normalize_channel, sample_channel
+from risbeam.channel import SnrSpec, channel_block, normalize_channel, sample_channel
 from risbeam.codebook import (
     GsConfig,
     axis_sampling_matrix,
@@ -36,6 +36,7 @@ from risbeam.training import (
     HierarchicalBeamProvider,
     ProtocolSpec,
     ceil_log2,
+    narrow_beam_matrices,
     run_exhaustive,
     training_overhead,
 )
@@ -240,7 +241,7 @@ def test_provider_designs_each_prefix_once(monkeypatch, desk_geometry, desk_grid
                 for trial in range(40)]
     for trial, ch in enumerate(channels):
         run_hierarchical(ch, provider, SnrSpec(0.3), None, derive_rng(3, "n", trial))
-    training.run_adaptive(channels, provider, SnrSpec(0.3), None,
+    training.run_adaptive(channel_block(channels), provider, SnrSpec(0.3), None,
                           [derive_rng(3, "n", trial) for trial in range(40)])
     designed = dict(designs)
     assert len(designs) == len(designed)
@@ -291,9 +292,10 @@ def test_hierarchical_full_scale_pilot_count():
 
 def test_exhaustive_noiseless_finds_truth(oracle_setup):
     geo, grid, _, _, _ = oracle_setup
+    narrow = narrow_beam_matrices(grid, geo)
     for bs_i, ris_i in ((1, 1), (8, 64), (4, 29)):
         ch = _channel_at(geo, grid, bs_i, ris_i, gr_index=13)
-        out = trial_outcome(run_exhaustive([ch], grid, geo, NOISELESS, None,
+        out = trial_outcome(run_exhaustive(channel_block([ch]), narrow, NOISELESS, None,
                                            [derive_rng(0, "e")]), 0)
         assert (out.est_bs_index, out.est_ris_index) == (bs_i, ris_i)
         assert out.pilots_used == 8 * 64
@@ -304,12 +306,13 @@ def test_exhaustive_budget_coverage(oracle_setup):
     geo, grid, _, _, _ = oracle_setup
     budget = 100
     inside = _channel_at(geo, grid, 1, 17)  # tuple index 17 <= 100
-    out = trial_outcome(run_exhaustive([inside], grid, geo, NOISELESS, budget,
+    narrow = narrow_beam_matrices(grid, geo)
+    out = trial_outcome(run_exhaustive(channel_block([inside]), narrow, NOISELESS, budget,
                                        [derive_rng(0, "e1")]), 0)
     assert (out.est_bs_index, out.est_ris_index) == (1, 17)
     assert out.pilots_used == budget and out.truncated
     outside = _channel_at(geo, grid, 5, 1)  # tuple index 257 > 100
-    out = trial_outcome(run_exhaustive([outside], grid, geo, NOISELESS, budget,
+    out = trial_outcome(run_exhaustive(channel_block([outside]), narrow, NOISELESS, budget,
                                        [derive_rng(0, "e2")]), 0)
     assert (out.est_bs_index, out.est_ris_index) != (5, 1)
 
