@@ -33,7 +33,6 @@ from .channel import (
     sample_channel,
 )
 from .codebook import (
-    BeamPatternMatrix,
     DesignedCodebook,
     GsConfig,
     beam_pattern_matrix,

@@ -9,11 +9,28 @@ azimuths are recorded as NaN.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_SPACING = 0.5  # d / lambda
+
+
+def whole_number(value, what: str) -> int:
+    """``value`` as an int if it is a whole number: 8 and 8.0 are, True and 8.5 are not."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def real_number(value, what: str) -> float:
+    """``value`` as a float if it is a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -32,7 +49,7 @@ class ArrayGeometry:
     def __post_init__(self) -> None:
         if self.n_bs < 1 or self.n_ris_rows < 1 or self.n_ris_cols < 1:
             raise ValueError("antenna counts must be positive")
-        if self.spacing_over_wavelength <= 0:
+        if real_number(self.spacing_over_wavelength, "spacing_over_wavelength") <= 0:
             raise ValueError("spacing_over_wavelength must be positive")
 
     @property

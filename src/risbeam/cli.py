@@ -35,9 +35,12 @@ from .training import ceil_log2, coded_codes, training_overhead
 def _parse_ris(text: str) -> tuple[int, int]:
     try:
         rows, cols = text.lower().split("x")
-        return int(rows), int(cols)
-    except Exception as exc:
+        dims = int(rows), int(cols)
+    except ValueError as exc:
         raise ValueError(f"--ris expects ROWSxCOLS, got {text!r}") from exc
+    if min(dims) < 1:
+        raise ValueError(f"--ris needs at least one row and one column, got {text!r}")
+    return dims
 
 
 def _matrix_lines(mat: np.ndarray) -> list[str]:
@@ -86,10 +89,13 @@ def _print_code(title: str, code: BlockCode) -> None:
 
 
 def cmd_overhead(args) -> int:
+    if args.nt < 1:
+        raise ValueError(f"--nt needs at least one antenna, got {args.nt}")
     ris = _parse_ris(args.ris)
-    print(f"exhaustive: {training_overhead('exhaustive', args.nt, ris)}")
-    print(f"hierarchical: {training_overhead('hierarchical', args.nt, ris)}")
-    print(f"coded: {training_overhead('coded', args.nt, ris)}")
+    counts = [(kind, training_overhead(kind, args.nt, ris))
+              for kind in ("exhaustive", "hierarchical", "coded")]
+    for kind, count in counts:
+        print(f"{kind}: {count}")
     return 0
 
 
@@ -119,6 +125,15 @@ def _codeword_entry(vec: np.ndarray, report) -> dict:
     }
 
 
+def _report_line(index: int, polarity: str, entry: dict) -> str:
+    """One codeword's margins and final trace; a codeword with min_in <= max_out is flagged."""
+    final = entry["final_trace"]
+    line = (f"  layer {index:2d} {polarity:4s}  min_in {entry['min_in']:.4f}  "
+            f"max_out {entry['max_out']:.4f}  final_trace "
+            + ("closed form" if final is None else f"{final:.2e}"))
+    return line + ("  FLAG min_in <= max_out" if entry["min_in"] <= entry["max_out"] else "")
+
+
 def cmd_design_codebook(args) -> int:
     ris = _parse_ris(args.ris)
     geometry = ArrayGeometry(args.nt, ris[0], ris[1])
@@ -131,16 +146,15 @@ def cmd_design_codebook(args) -> int:
         "gs": {"delta": cfg.delta, "k_iter": cfg.k_iter, "seed": cfg.seed},
     }
     for book in books:
-        payload[book.side] = {
-            "layers": [
-                {
-                    "index": i + 1,
-                    "one": _codeword_entry(pair.one, reports[0]),
-                    "zero": _codeword_entry(pair.zero, reports[1]),
-                }
-                for i, (pair, reports) in enumerate(zip(book.layers, book.reports))
-            ]
-        }
+        print(f"== {book.side} codebook, {book.n_layers} layers ==")
+        layers = []
+        for i, reports in enumerate(book.reports):
+            layer = {"index": i + 1}
+            for bit, polarity, report in ((1, "one", reports[0]), (0, "zero", reports[1])):
+                layer[polarity] = _codeword_entry(book.matrix[:, 2 * i + bit], report)
+                print(_report_line(i + 1, polarity, layer[polarity]))
+            layers.append(layer)
+        payload[book.side] = {"layers": layers}
     out = Path(args.out)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")

@@ -7,20 +7,23 @@ amplitudes at grid points failing the in/out classification thresholds. All
 RIS designs on one sampling matrix run as one GS batch, one row per coverage
 mask, and the BS codewords of a codebook as one batch, grouped by cover size.
 
-Codewords are stored in coverage convention: the response of codeword v at
-grid point n is |a_n^H v| with a_n the steering vector there. The training
-layer conjugates (and de-rotates, for the RIS) before transmission.
+A designed codebook is one matrix per side: column 2l + b is layer l's
+codeword for mask bit b, so column 2l + 1 covers the grid points where layer
+l's mask is 1 and column 2l the rest. Codewords are stored in coverage
+convention: the response of codeword v at grid point n is |a_n^H v| with a_n
+the steering vector there. The training layer conjugates (and de-rotates,
+for the RIS) before transmission.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .arrays import AngleGrid, ArrayGeometry, u_axis, ula_factor, w_axis
+from .arrays import (AngleGrid, ArrayGeometry, real_number, u_axis, ula_factor, w_axis,
+                     whole_number)
 from .blockcode import BlockCode, encode, int_to_bits
 from .seeding import derive_rng
 
@@ -41,28 +44,15 @@ class GsConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.delta <= 0.5:
+        for name in ("k_iter", "seed"):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
+        if not 0.0 <= real_number(self.delta, "delta") <= 0.5:
             raise ValueError("delta must lie in [0, 0.5]")
         if self.k_iter < 1:
             raise ValueError("k_iter must be at least 1")
-        if self.target_amplitude is not None and self.target_amplitude <= 0:
+        amplitude = self.target_amplitude
+        if amplitude is not None and real_number(amplitude, "target_amplitude") <= 0:
             raise ValueError("target_amplitude must be positive")
-
-
-@dataclass(frozen=True)
-class BeamPatternMatrix:
-    """Binary coverage masks, one row per code layer, one column per grid index."""
-
-    rows: np.ndarray  # n x N uint8
-    side: str  # "bs" | "ris"
-
-    @property
-    def n_layers(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def n_grid(self) -> int:
-        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -75,43 +65,39 @@ class CodewordReport:
 
 
 @dataclass(frozen=True)
-class BeamPair:
-    one: np.ndarray  # covers the mask=1 grid points
-    zero: np.ndarray  # covers the complement
-
-    @property
-    def columns(self) -> np.ndarray:
-        """The zero and one codewords as the two columns of a matrix."""
-        return np.stack((self.zero, self.one), axis=1)
-
-
-@dataclass(frozen=True)
 class DesignedCodebook:
+    """A side's codewords as the columns of one C-contiguous (n, 2 * layers) matrix.
+
+    Column 2l + b is layer l's codeword for mask bit b of ``masks[l]``;
+    ``reports[l]`` holds the (one, zero) reports of columns 2l + 1 and 2l.
+    """
+
     side: str
-    layers: list[BeamPair]
+    matrix: np.ndarray
     reports: list[tuple[CodewordReport, CodewordReport]]
     masks: np.ndarray  # the pattern rows the layers were designed for
 
     @property
     def n_layers(self) -> int:
-        return len(self.layers)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """All codewords as columns: 2l and 2l+1 are layer l's zero and one codewords."""
-        return np.concatenate([pair.columns for pair in self.layers], axis=1)
+        return len(self.masks)
 
     def first_layers(self, k: int) -> "DesignedCodebook":
         """The systematic layers of an [I|Q] codebook: the identity code's codebook."""
-        return DesignedCodebook(self.side, self.layers[:k], self.reports[:k], self.masks[:k])
+        return DesignedCodebook(self.side, self.matrix[:, :2 * k].copy(), self.reports[:k],
+                                self.masks[:k])
 
 
-def beam_pattern_matrix(code: BlockCode, n_grid: int, side: str = "ris") -> BeamPatternMatrix:
-    """Column j holds the codeword of grid index j; row i is layer i's mask."""
+def beam_pattern_matrix(code: BlockCode, n_grid: int) -> np.ndarray:
+    """The (layers, n_grid) uint8 masks: column j is the codeword of grid index j."""
     if n_grid > 2**code.k:
         raise ValueError(f"{n_grid} grid points exceed the {2**code.k} codewords")
-    columns = encode(code, int_to_bits(np.arange(n_grid), code.k))
-    return BeamPatternMatrix(rows=columns.T, side=side)
+    return encode(code, int_to_bits(np.arange(n_grid), code.k)).T
+
+
+def _column_covers(masks: np.ndarray) -> np.ndarray:
+    """The cover of each codebook column as a row: masks[l]'s complement, then masks[l]."""
+    masks = np.asarray(masks, dtype=bool)
+    return np.stack((~masks, masks), axis=1).reshape(-1, masks.shape[1])
 
 
 def axis_sampling_matrix(n: int, freqs: np.ndarray,
@@ -349,47 +335,39 @@ def build_codebooks(
     Dimension-split RIS codes are synthesized as Kronecker products of two
     1-D designs, one GS batch per axis; plain RIS codes (or direct_2d=True)
     run one direct 2-D batch. Each (layer, polarity, axis) design consumes its
-    own derived random stream, so designs are reproducible and order-independent.
+    own derived random stream and each BS codeword has its own norm, so both
+    sides design their covers in column order and stack each matrix once.
     """
-    pattern_t = beam_pattern_matrix(code_t, geometry.n_bs, side="bs")
-    pattern_r = beam_pattern_matrix(code_r, geometry.n_ris, side="ris")
+    masks_t = beam_pattern_matrix(code_t, geometry.n_bs)
+    masks_r = beam_pattern_matrix(code_r, geometry.n_ris)
     ris_sampling = ris_sampling_matrix(geometry, grid)
     bs_steering = bs_steering_matrix(geometry, grid)
-    bs_responses = _grid_responses(bs_steering)
-    ris_responses = _grid_responses(ris_sampling, np.sqrt(geometry.n_ris))
 
-    bs_masks = [m for row in pattern_t.rows.astype(bool) for m in (row, ~row)]
-    bs_codewords = design_bs_codewords([np.flatnonzero(m) for m in bs_masks], bs_steering)
-    bs_layers = [BeamPair(one=one, zero=zero)
-                 for one, zero in zip(bs_codewords[::2], bs_codewords[1::2])]
-    bs_reports = [(CodewordReport((), *_margin(bs_responses(pair.one), one)),
-                   CodewordReport((), *_margin(bs_responses(pair.zero), zero)))
-                  for pair, one, zero in zip(bs_layers, bs_masks[::2], bs_masks[1::2])]
+    bs_covers = [np.flatnonzero(m) for m in _column_covers(masks_t)]
+    bs_designs = [(w, ()) for w in design_bs_codewords(bs_covers, bs_steering)]
 
-    covers = [(i, polarity, cover)
-              for i, row in enumerate(pattern_r.rows.astype(bool))
-              for polarity, cover in (("one", row), ("zero", ~row))]
+    ris_covers = [(c // 2, ("zero", "one")[c % 2], cover)
+                  for c, cover in enumerate(_column_covers(masks_r))]
     if code_r.split is not None and not direct_2d:
-        designs = _design_factorized(covers, geometry, cfg)
+        ris_designs = _design_factorized(ris_covers, geometry, cfg)
     else:
-        designs = [(v, (t,)) for v, t in _gs_rows(ris_sampling, covers, "2d", cfg)]
-    reports = [CodewordReport(traces, *_margin(ris_responses(v), cover))
-               for (v, traces), (*_, cover) in zip(designs, covers)]
-    ris_layers = [BeamPair(one=one[0], zero=zero[0])
-                  for one, zero in zip(designs[::2], designs[1::2])]
-    ris_reports = list(zip(reports[::2], reports[1::2]))
+        ris_designs = [(v, (t,)) for v, t in _gs_rows(ris_sampling, ris_covers, "2d", cfg)]
 
-    return (
-        DesignedCodebook("bs", bs_layers, bs_reports, pattern_t.rows),
-        DesignedCodebook("ris", ris_layers, ris_reports, pattern_r.rows),
-    )
+    return (_designed_codebook("bs", bs_designs, masks_t, _grid_responses(bs_steering)),
+            _designed_codebook("ris", ris_designs, masks_r,
+                               _grid_responses(ris_sampling, np.sqrt(geometry.n_ris))))
 
 
-def ideal_codebook(pattern: BeamPatternMatrix) -> DesignedCodebook:
+def _designed_codebook(side: str, designs, masks: np.ndarray, responses) -> DesignedCodebook:
+    """The codebook of (codeword, traces) designs in column order, with their margins."""
+    reports = [CodewordReport(traces, *_margin(responses(v), cover))
+               for (v, traces), cover in zip(designs, _column_covers(masks))]
+    return DesignedCodebook(side, np.column_stack([v for v, _ in designs]),
+                            list(zip(reports[1::2], reports[::2])), masks)
+
+
+def ideal_codebook(masks: np.ndarray, side: str) -> DesignedCodebook:
     """Mask-valued codebook for oracle runs: gains are the mask bits themselves."""
-    layers = [
-        BeamPair(one=row.astype(float), zero=(1 - row).astype(float))
-        for row in pattern.rows
-    ]
-    reports = [(CodewordReport((), 1.0, 0.0), CodewordReport((), 1.0, 0.0))] * len(layers)
-    return DesignedCodebook(pattern.side, layers, reports, pattern.rows)
+    reports = [(CodewordReport((), 1.0, 0.0), CodewordReport((), 1.0, 0.0))] * len(masks)
+    return DesignedCodebook(side, _column_covers(masks).T.astype(float, order="C"), reports,
+                            masks)

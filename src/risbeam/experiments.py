@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .arrays import ArrayGeometry, make_angle_grid
+from .arrays import ArrayGeometry, make_angle_grid, real_number, whole_number
 from .blockcode import build_identity_code
 from .channel import (SAMPLING_MODES, SnrSpec, channel_block, normalize_channel,
                       sample_channel)
@@ -78,6 +79,16 @@ class ExperimentConfig:
     sweep_over: str = "snr"  # "snr" | "pilots"
 
     def __post_init__(self) -> None:
+        for name in ("n_bs", "n_ris_rows", "n_ris_cols", "trials", "master_seed"):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
+        for name in ("ideal_beams", "noiseless"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        for db in self.snr_grid_db:
+            _linear_snr(db)
+        if not 0.0 < real_number(self.eval_snr_linear, "eval_snr_linear") < math.inf:
+            raise ValueError(f"eval_snr_linear must be positive and finite, "
+                             f"got {self.eval_snr_linear!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.sweep_over not in ("snr", "pilots"):
@@ -145,6 +156,17 @@ class ResultSet:
     trial_log: tuple[TrialRecord, ...] = ()
 
 
+def _linear_snr(db) -> float:
+    """10^(db/10) for a real dB value; a ValueError unless it is positive and finite."""
+    try:
+        linear = 10.0 ** (real_number(db, "an SNR in dB") / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ValueError(f"an SNR of {db!r} dB has no positive and finite linear value")
+    return linear
+
+
 def _is_layered(proto: ProtocolSpec) -> bool:
     """Coded and full-coverage hierarchical protocols run through run_layered."""
     return proto.kind == "coded" or (proto.kind == "hierarchical"
@@ -154,10 +176,8 @@ def _is_layered(proto: ProtocolSpec) -> bool:
 def _design_books(cfg: ExperimentConfig, grid, codes):
     geometry = cfg.geometry
     if cfg.ideal_beams:
-        return (
-            ideal_codebook(beam_pattern_matrix(codes[0], geometry.n_bs, side="bs")),
-            ideal_codebook(beam_pattern_matrix(codes[1], geometry.n_ris, side="ris")),
-        )
+        return (ideal_codebook(beam_pattern_matrix(codes[0], geometry.n_bs), "bs"),
+                ideal_codebook(beam_pattern_matrix(codes[1], geometry.n_ris), "ris"))
     return build_codebooks(*codes, grid, geometry, cfg.gs)
 
 
@@ -219,7 +239,7 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
     protocols = cfg.protocols
     snr_db = (sweep_values if cfg.sweep_over == "snr"
               else cfg.snr_grid_db[:1] * len(sweep_values))
-    snrs = [SnrSpec(10.0 ** (float(db) / 10.0), noiseless=cfg.noiseless) for db in snr_db]
+    snrs = [SnrSpec(_linear_snr(db), noiseless=cfg.noiseless) for db in snr_db]
 
     rows = []
     log: list[TrialRecord] = []
@@ -382,26 +402,33 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def _known_keys(cls, data: dict, where: str) -> dict:
-    """A JSON object as a dict, if every key names a field of the dataclass ``cls``."""
+    """A JSON object as a dict, if every key names a field of the dataclass ``cls``
+    and every field without a default has a key."""
     if not isinstance(data, dict):
         raise ValueError(f"a {where} must be a JSON object, got {data!r}")
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {where} key(s): {', '.join(missing)}")
     return dict(data)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """The config a JSON object describes; a key that names no field is a ValueError."""
+    """The config a JSON object describes; a malformed key or value is a ValueError."""
     data = _known_keys(ExperimentConfig, data, "config")
+    for key in ("snr_grid_db", "pilot_grid", "protocols"):
+        if key in data:
+            if not isinstance(data[key], (list, tuple)):
+                raise ValueError(f"{key} must be a JSON array, got {data[key]!r}")
+            data[key] = tuple(data[key])
     if "protocols" in data:
         data["protocols"] = tuple(ProtocolSpec(**_known_keys(ProtocolSpec, p, "protocol"))
                                   for p in data["protocols"])
     if "gs" in data:
         data["gs"] = GsConfig(**_known_keys(GsConfig, data["gs"], "gs"))
-    for key in ("snr_grid_db", "pilot_grid"):
-        if key in data:
-            data[key] = tuple(data[key])
     return ExperimentConfig(**data)
 
 

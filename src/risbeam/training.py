@@ -24,14 +24,13 @@ steering phases so the training depends only on the UE-side angle.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
 import numpy as np
 
-from .arrays import AngleGrid, ArrayGeometry, u_axis, w_axis
+from .arrays import AngleGrid, ArrayGeometry, u_axis, w_axis, whole_number
 from .blockcode import (
     DECODE_MODES,
     BlockCode,
@@ -106,15 +105,12 @@ def check_budget(kind: str, budget) -> Optional[int]:
     """
     if budget is None:
         return None
-    whole = isinstance(budget, numbers.Integral) or (
-        isinstance(budget, numbers.Real) and float(budget).is_integer())
-    if isinstance(budget, bool) or not whole:
-        raise ValueError(f"a pilot budget must be a whole number, got {budget!r}")
+    budget = whole_number(budget, "a pilot budget")
     least = 1 if kind == "exhaustive" else 4
     if budget < least:
         raise ValueError(f"{kind} training needs a pilot budget of at least {least}, "
                          f"got {budget}")
-    return int(budget)
+    return budget
 
 
 def _check_constant_modulus(v_tx: np.ndarray, n_ris: int) -> None:
@@ -366,7 +362,7 @@ def _prefix_pairs(cov: np.ndarray, winners: np.ndarray, k: int, side: str,
         cols = (2 ** (layer + 1) - 1 + 2 * rows_to_ints(bits))[:, None] + (0, 1)
     else:
         cols = (2 ** k - 1 + rows_to_ints(bits))[:, None] + (0, 0)
-    # C-contiguous (n, 2) per trial, like BeamPair.columns: a strided stack rounds differently
+    # C-contiguous (n, 2) per trial, like a codebook matrix: a strided stack rounds differently
     return np.moveaxis(cov[:, cols], 0, 1).copy()
 
 

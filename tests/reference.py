@@ -45,7 +45,6 @@ from risbeam.channel import (
     ris_phase_compensation,
 )
 from risbeam.codebook import (
-    BeamPair,
     GsConfig,
     _grid_responses,
     _margin,
@@ -292,6 +291,25 @@ def run_hierarchical(ch, provider: HierarchicalBeamProvider, snr, budget, rng, *
 # -- layered training, one pilot at a time --------------------------------------
 
 
+@dataclass(frozen=True)
+class BeamPair:
+    """A layer's two codewords: ``one`` covers the mask=1 grid points, ``zero`` the rest."""
+
+    one: np.ndarray
+    zero: np.ndarray
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The zero and one codewords as the two columns of a matrix."""
+        return np.stack((self.zero, self.one), axis=1)
+
+
+def layer_pair(book, layer: int) -> BeamPair:
+    """Layer ``layer`` of a designed codebook: columns 2l + 1 and 2l, as contiguous copies."""
+    return BeamPair(one=book.matrix[:, 2 * layer + 1].copy(),
+                    zero=book.matrix[:, 2 * layer].copy())
+
+
 def per_pilot_bits(ch, pairs, sizes, snr, rng, ideal=False, layers=None, flips=()):
     """The layer loop with one effective_gain and one measure_power call per pilot.
 
@@ -325,8 +343,8 @@ def reference_run(ch, books, codes, snr, budget, rng, mode, ideal):
     sizes = (codes[0].n, codes[1].n)
     sent = max(sizes) if budget is None else min(max(sizes), budget // 4)
     bits = per_pilot_bits(
-        ch, lambda layer, *_: (books[0].layers[layer % sizes[0]],
-                               books[1].layers[layer % sizes[1]]),
+        ch, lambda layer, *_: (layer_pair(books[0], layer % sizes[0]),
+                               layer_pair(books[1], layer % sizes[1])),
         sizes, snr, rng, ideal, layers=sent)
     raw = [np.array(b + (0,) * (n - len(b)), dtype=np.uint8) for b, n in zip(bits, sizes)]
     bs_mode = "one_bit" if mode == "decoupled_two_bit" else mode

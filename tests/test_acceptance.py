@@ -98,17 +98,16 @@ def test_criterion_03_syndrome_anchor():
 def test_criterion_04_constant_modulus(full_scale_books, desk_books):
     _, books_16, _ = full_scale_books
     for book in (books_16[1], desk_books[1]):
-        n_ris = book.layers[0].one.size
+        n_ris = book.matrix.shape[0]
         target = 1.0 / np.sqrt(n_ris)
-        for pair in book.layers:
-            for vec in (pair.one, pair.zero):
-                assert np.abs(np.abs(vec) - target).max() < 1e-12
+        for vec in book.matrix.T:
+            assert np.abs(np.abs(vec) - target).max() < 1e-12
 
 
 def test_criterion_05_gs_convergence(full_scale_books):
     geometry, (_, ris_book), design_time = full_scale_books
     assert geometry.n_ris == 256
-    assert len(ris_book.layers) == 14
+    assert ris_book.n_layers == 14
     n_traces = 0
     for rep_one, rep_zero in ris_book.reports:
         for rep in (rep_one, rep_zero):
@@ -131,7 +130,7 @@ def test_criterion_06_mask_balance():
     ]
     for code, n_grid in cases:
         pattern = beam_pattern_matrix(code, n_grid)
-        counts = pattern.rows.sum(axis=1)
+        counts = pattern.sum(axis=1)
         assert (counts == n_grid // 2).all()
 
 
@@ -141,13 +140,13 @@ def test_criterion_07_oracle_end_to_end():
     grid = make_angle_grid(geometry)
     codes = (build_plain_code(3), build_reduced_code(3, 3))
     books = (
-        ideal_codebook(beam_pattern_matrix(codes[0], 8, side="bs")),
-        ideal_codebook(beam_pattern_matrix(codes[1], 64, side="ris")),
+        ideal_codebook(beam_pattern_matrix(codes[0], 8), "bs"),
+        ideal_codebook(beam_pattern_matrix(codes[1], 64), "ris"),
     )
     hier_codes = (build_identity_code(3), build_identity_code(3, 3))
     hier_books = (
-        ideal_codebook(beam_pattern_matrix(hier_codes[0], 8, side="bs")),
-        ideal_codebook(beam_pattern_matrix(hier_codes[1], 64, side="ris")),
+        ideal_codebook(beam_pattern_matrix(hier_codes[0], 8), "bs"),
+        ideal_codebook(beam_pattern_matrix(hier_codes[1], 64), "ris"),
     )
     snr = SnrSpec(1.0, noiseless=True)
     rng = derive_rng(0, "oracle")

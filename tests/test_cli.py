@@ -30,6 +30,20 @@ def test_overhead_rejects_single_antenna_bs(capsys):
     assert "k must be positive" not in err
 
 
+@pytest.mark.parametrize("nt,ris,message", [
+    ("-1", "8x8", "--nt needs at least one antenna, got -1"),
+    ("0", "8x8", "--nt needs at least one antenna, got 0"),
+    ("16", "0x8", "--ris needs at least one row and one column, got '0x8'"),
+    ("16", "8x-2", "--ris needs at least one row and one column, got '8x-2'"),
+    ("1", "8x8", "coded training needs at least two BS candidates, got n_bs=1"),
+])
+def test_overhead_fails_before_it_prints(capsys, nt, ris, message):
+    assert main(["overhead", "--nt", nt, "--ris", ris]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_validate_code_8x8(capsys):
     assert main(["validate-code", "--ris", "8x8"]) == 0
     out = capsys.readouterr().out
@@ -89,6 +103,36 @@ def test_design_codebook_writes_portable_json(tmp_path, capsys):
     assert bs_entry["final_trace"] is None  # closed-form design, no iteration
 
 
+def _expected_report(payload: dict) -> list[str]:
+    """The lines design-codebook prints for a JSON payload it wrote."""
+    lines = []
+    for side in ("bs", "ris"):
+        layers = payload[side]["layers"]
+        lines.append(f"== {side} codebook, {len(layers)} layers ==")
+        for layer in layers:
+            for polarity in ("one", "zero"):
+                entry = layer[polarity]
+                final = entry["final_trace"]
+                final = "closed form" if final is None else f"{final:.2e}"
+                line = (f"  layer {layer['index']:2d} {polarity:4s}  min_in {entry['min_in']:.4f}"
+                        f"  max_out {entry['max_out']:.4f}  final_trace {final}")
+                flagged = entry["min_in"] <= entry["max_out"]
+                lines.append(line + ("  FLAG min_in <= max_out" if flagged else ""))
+    return lines
+
+
+@pytest.mark.parametrize("flags,flagged", [
+    (["--iters", "1", "--direct-2d"], 2),  # one GS round leaves two RIS codewords overlapping
+    (["--iters", "30", "--seed", "3"], 0),
+])
+def test_design_codebook_prints_the_json_margins(tmp_path, capsys, flags, flagged):
+    out = tmp_path / "book.json"
+    assert main(["design-codebook", "--nt", "8", "--ris", "8x8", *flags, "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == _expected_report(json.loads(out.read_text())) + [f"wrote {out}"]
+    assert sum(line.endswith("FLAG min_in <= max_out") for line in printed) == flagged
+
+
 def test_sweep_snr_with_config(tmp_path, capsys):
     cfg = {
         "n_bs": 8, "n_ris_rows": 8, "n_ris_cols": 8,
@@ -128,6 +172,38 @@ def test_sweep_config_with_unknown_keys_is_a_clean_error(tmp_path, capsys):
     cfg_path.write_text("[1, 2]")
     assert main(["sweep-snr", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: a config must be a JSON object, got [1, 2]\n"
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"snr_grid_db": [4000]}, "an SNR of 4000 dB has no positive and finite linear value"),
+    ({"snr_grid_db": [-4000]}, "an SNR of -4000 dB has no positive and finite linear value"),
+    ({"snr_grid_db": "10"}, "snr_grid_db must be a JSON array, got '10'"),
+    ({"protocols": [{"decode_mode": "one_bit"}]}, "missing protocol key(s): kind"),
+    ({"trials": 2.5}, "trials must be a whole number, got 2.5"),
+    ({"trials": True}, "trials must be a whole number, got True"),
+    ({"master_seed": 1.5}, "master_seed must be a whole number, got 1.5"),
+    ({"gs": {"k_iter": 2.5}}, "k_iter must be a whole number, got 2.5"),
+    ({"gs": {"delta": "0.3"}}, "delta must be a real number, got '0.3'"),
+    ({"eval_snr_linear": "10"}, "eval_snr_linear must be a real number, got '10'"),
+    ({"noiseless": "false"}, "noiseless must be true or false, got 'false'"),
+    ({"n_bs": 8.0}, None),  # a whole-number float runs as its int
+])
+def test_sweep_config_values_are_checked_at_the_boundary(tmp_path, capsys, change, message):
+    cfg = {"n_bs": 8, "n_ris_rows": 8, "n_ris_cols": 8, "snr_grid_db": [0.0], "trials": 2,
+           "protocols": [{"kind": "coded"}], "gs": {"k_iter": 10}, "ideal_beams": True}
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "res.csv"
+    argv = ["sweep-snr", "--config", str(cfg_path), "--out", str(out)]
+    cfg_path.write_text(json.dumps({**cfg, **change}))
+    if message is not None:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        return
+    assert main(argv) == 0
+    as_float = out.read_bytes()
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(argv) == 0
+    assert out.read_bytes() == as_float
 
 
 def test_sweep_snr_missing_config(tmp_path, capsys):

@@ -9,6 +9,7 @@ from reference import (
     classification_margin,
     design_bs_codeword,
     design_ris_codeword_gs,
+    layer_pair,
     relaxed_gs,
     relaxed_gs_loop,
 )
@@ -43,15 +44,15 @@ from risbeam.training import coded_codes
 def test_pattern_matrix_two_bit_plain():
     code = build_plain_code(2)
     pattern = beam_pattern_matrix(code, 4)
-    assert list(pattern.rows[0]) == [0, 0, 1, 1]
-    assert list(pattern.rows[1]) == [0, 1, 0, 1]
+    assert list(pattern[0]) == [0, 0, 1, 1]
+    assert list(pattern[1]) == [0, 1, 0, 1]
 
 
 def test_pattern_columns_are_codewords():
     code = build_reduced_code(3, 3)
     pattern = beam_pattern_matrix(code, 64)
     for j in range(64):
-        assert np.array_equal(pattern.rows[:, j], encode(code, int_to_bits(j, 6)))
+        assert np.array_equal(pattern[:, j], encode(code, int_to_bits(j, 6)))
 
 
 def test_pattern_basis_rows_are_binary_counter_masks():
@@ -61,9 +62,9 @@ def test_pattern_basis_rows_are_binary_counter_masks():
     n = np.arange(64)
     a, p = n // 8, n % 8
     for i in range(3):
-        assert np.array_equal(pattern.rows[i], (a >> (2 - i)) & 1)
+        assert np.array_equal(pattern[i], (a >> (2 - i)) & 1)
     for i in range(3):
-        assert np.array_equal(pattern.rows[3 + i], (p >> (2 - i)) & 1)
+        assert np.array_equal(pattern[3 + i], (p >> (2 - i)) & 1)
 
 
 @pytest.mark.parametrize(
@@ -77,7 +78,7 @@ def test_pattern_basis_rows_are_binary_counter_masks():
 )
 def test_pattern_rows_cover_exactly_half(code, n_grid):
     pattern = beam_pattern_matrix(code, n_grid)
-    assert (pattern.rows.sum(axis=1) == n_grid // 2).all()
+    assert (pattern.sum(axis=1) == n_grid // 2).all()
 
 
 def test_pattern_rejects_oversized_grid():
@@ -87,7 +88,7 @@ def test_pattern_rejects_oversized_grid():
 
 def test_reduced_pattern_rows_all_factor():
     pattern = beam_pattern_matrix(build_reduced_code(3, 3), 64)
-    for row in pattern.rows:
+    for row in pattern:
         u_mask, w_mask = factor_pattern_mask(row, 8, 8)
         assert np.array_equal(
             np.outer(u_mask, w_mask).ravel(), row.astype(bool)
@@ -167,7 +168,7 @@ def test_gs_codeword_constant_modulus_and_margin_64x1():
 def test_gs_direct_2d_satisfies_thresholds():
     geo = ArrayGeometry(4, 8, 8)
     grid = make_angle_grid(geo)
-    mask = beam_pattern_matrix(build_reduced_code(3, 3), 64).rows[7].astype(bool)
+    mask = beam_pattern_matrix(build_reduced_code(3, 3), 64)[7].astype(bool)
     cfg = GsConfig(seed=5)
     v, trace = design_ris_codeword_gs(mask, grid, geo, cfg)
     responses = np.abs(ris_sampling_matrix(geo, grid).conj().T @ v)
@@ -184,7 +185,7 @@ def test_gs_direct_2d_16x16_convergence_window():
     # initial value well inside the first 75 rounds
     geo = ArrayGeometry(4, 16, 16)
     grid = make_angle_grid(geo)
-    mask = beam_pattern_matrix(build_reduced_code(4, 4), 256).rows[9].astype(bool)
+    mask = beam_pattern_matrix(build_reduced_code(4, 4), 256)[9].astype(bool)
     _, trace = design_ris_codeword_gs(mask, grid, geo, GsConfig(seed=13))
     assert trace[-1] < 1e-2
     assert trace[:75].min() <= 0.1 * trace[0]
@@ -238,16 +239,14 @@ def test_codebook_masks_partition_grid(desk_books_local):
 
 def test_ris_codebook_constant_modulus(desk_books_local):
     (_, ris_book), _ = desk_books_local
-    for pair in ris_book.layers:
-        for v in (pair.one, pair.zero):
-            assert np.abs(np.abs(v) - 1 / 8).max() < 1e-12
+    for v in ris_book.matrix.T:
+        assert np.abs(np.abs(v) - 1 / 8).max() < 1e-12
 
 
 def test_bs_codebook_unit_norm(desk_books_local):
     (bs_book, _), _ = desk_books_local
-    for pair in bs_book.layers:
-        for w in (pair.one, pair.zero):
-            assert abs(np.linalg.norm(w) - 1.0) < 1e-12
+    for w in bs_book.matrix.T:
+        assert abs(np.linalg.norm(w) - 1.0) < 1e-12
 
 
 def test_codebook_margins_positive(desk_books_local):
@@ -274,9 +273,7 @@ def test_codebook_design_deterministic(bs16):
     books_a = build_codebooks(code_t, code_r, grid, geo, cfg)
     books_b = build_codebooks(code_t, code_r, grid, geo, cfg)
     for side in (0, 1):
-        for pa, pb in zip(books_a[side].layers, books_b[side].layers):
-            assert np.array_equal(pa.one, pb.one)
-            assert np.array_equal(pa.zero, pb.zero)
+        assert np.array_equal(books_a[side].matrix, books_b[side].matrix)
 
 
 def test_direct_2d_flag_builds_valid_book(bs16):
@@ -284,9 +281,9 @@ def test_direct_2d_flag_builds_valid_book(bs16):
     code_t, code_r = build_plain_code(4), build_reduced_code(3, 3)
     _, ris_book = build_codebooks(code_t, code_r, grid, geo, GsConfig(seed=2),
                                   direct_2d=True)
-    for (rep_one, _), pair in zip(ris_book.reports, ris_book.layers):
+    for layer, (rep_one, _) in enumerate(ris_book.reports):
         assert len(rep_one.traces) == 1  # single 2-D run, no factor designs
-        assert np.abs(np.abs(pair.one) - 1 / 8).max() < 1e-12
+        assert np.abs(np.abs(ris_book.matrix[:, 2 * layer + 1]) - 1 / 8).max() < 1e-12
 
 
 def test_kron_synthesis_matches_direct_modulus():
@@ -318,8 +315,8 @@ def test_codebook_reports_match_classification_margin(desk_books, desk_grid,
                                                       desk_geometry):
     # build_codebooks computes its margins from steering matrices built once
     for book in desk_books:
-        for pair, mask, reports in zip(book.layers, book.masks, book.reports):
-            mask = mask.astype(bool)
+        for layer, (mask, reports) in enumerate(zip(book.masks, book.reports)):
+            pair, mask = layer_pair(book, layer), mask.astype(bool)
             for v, cover, report in ((pair.one, mask, reports[0]),
                                      (pair.zero, ~mask, reports[1])):
                 margin = classification_margin(v, cover, desk_grid, desk_geometry, book.side)
@@ -336,7 +333,8 @@ def test_margins_measure_each_side_on_its_own_grid_when_sizes_match():
     sides = ((books[0], lambda w: np.abs(bs_adjoint @ w)),
              (books[1], lambda v: np.abs(ris_adjoint @ v) / np.sqrt(geo.n_ris)))
     for book, responses in sides:
-        for pair, mask, reports in zip(book.layers, book.masks.astype(bool), book.reports):
+        for layer, (mask, reports) in enumerate(zip(book.masks.astype(bool), book.reports)):
+            pair = layer_pair(book, layer)
             for v, cover, report in ((pair.one, mask, reports[0]),
                                      (pair.zero, ~mask, reports[1])):
                 assert (report.min_in, report.max_out) == _margin(responses(v), cover)
@@ -359,10 +357,9 @@ def test_classification_margin_phase_invariant(phase):
 
 
 def test_ideal_codebook_masks():
-    pattern = beam_pattern_matrix(build_plain_code(2), 4, side="bs")
-    book = ideal_codebook(pattern)
-    assert np.array_equal(book.layers[0].one, [0, 0, 1, 1])
-    assert np.array_equal(book.layers[0].zero, [1, 1, 0, 0])
+    book = ideal_codebook(beam_pattern_matrix(build_plain_code(2), 4), "bs")
+    assert np.array_equal(book.matrix[:, 1], [0, 0, 1, 1])
+    assert np.array_equal(book.matrix[:, 0], [1, 1, 0, 0])
 
 
 def test_relaxed_gs_reports_rank_deficiency():

@@ -25,9 +25,11 @@ from reference import (
     ReferencePrefixBeams,
     achievable_rate,
     bs_transmit,
+    classification_margin,
     effective_gain,
     exhaustive_sweep,
     grid_transmit_pair,
+    layer_pair,
     measure_power,
     per_pilot_bits,
     reference_run,
@@ -48,7 +50,7 @@ from risbeam.channel import (
     ris_phase_compensation,
     sample_channel,
 )
-from risbeam.codebook import BeamPair, GsConfig, build_codebooks
+from risbeam.codebook import GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook
 from risbeam.experiments import ExperimentConfig, desk_snr_sweep, run_sweep
 from risbeam.seeding import derive_rng
 from risbeam.training import (
@@ -111,12 +113,29 @@ def test_gain_table_matches_effective_gain(n_bs, rows, cols, mode, seed):
                                           ris_cov.real[ch.ue_ris_index - 1]))
 
 
-def test_codebook_matrix_columns_follow_layers(desk_books):
-    for book in desk_books:
-        assert book.matrix.shape[1] == 2 * book.n_layers
-        for layer, pair in enumerate(book.layers):
-            assert np.array_equal(book.matrix[:, 2 * layer], pair.zero)
-            assert np.array_equal(book.matrix[:, 2 * layer + 1], pair.one)
+def test_codebook_matrix_columns_follow_layers(desk_books, desk_codes, desk_grid,
+                                               desk_geometry):
+    # column 2l + b is layer l's codeword for mask bit b: column 2l + 1 covers
+    # mask row l, column 2l its complement, each with its own stored margins
+    direct = build_codebooks(*desk_codes, desk_grid, desk_geometry, FAST_GS, direct_2d=True)
+    for book in (*desk_books, direct[1]):
+        n = desk_geometry.n_bs if book.side == "bs" else desk_geometry.n_ris
+        assert book.matrix.shape == (n, 2 * book.n_layers) == (n, 2 * len(book.masks))
+        assert book.matrix.flags.c_contiguous
+        assert book.first_layers(2).matrix.flags.c_contiguous
+        for layer, (mask, reports) in enumerate(zip(book.masks.astype(bool), book.reports)):
+            for column, cover, report in ((2 * layer + 1, mask, reports[0]),
+                                          (2 * layer, ~mask, reports[1])):
+                margin = classification_margin(book.matrix[:, column].copy(), cover,
+                                               desk_grid, desk_geometry, book.side)
+                assert margin == (report.min_in, report.max_out)
+    sizes = (desk_geometry.n_bs, desk_geometry.n_ris)
+    for code, n, side in zip(desk_codes, sizes, ("bs", "ris")):
+        masks = beam_pattern_matrix(code, n)
+        book = ideal_codebook(masks, side)
+        assert book.matrix.shape == (n, 2 * code.n) and book.matrix.flags.c_contiguous
+        assert np.array_equal(book.matrix[:, 1::2].T, masks)
+        assert np.array_equal(book.matrix[:, ::2].T, 1 - masks)
 
 
 @settings(max_examples=40, deadline=None)
@@ -152,8 +171,8 @@ def test_layered_runners_match_per_pilot_path(n_bs, rows, cols, mode, ideal,
     out = run_coded(ch, books, codes, snr, None, np.random.default_rng(seed), "none",
                     ideal=ideal)
     expected = per_pilot_bits(
-        ch, lambda layer, *_: (books[0].layers[layer % sizes[0]],
-                               books[1].layers[layer % sizes[1]]),
+        ch, lambda layer, *_: (layer_pair(books[0], layer % sizes[0]),
+                               layer_pair(books[1], layer % sizes[1])),
         sizes, snr, np.random.default_rng(seed), ideal)
     assert (tuple(out.raw_bits_bs), tuple(out.raw_bits_ris)) == expected
 
@@ -164,20 +183,15 @@ def test_layered_runners_match_per_pilot_path(n_bs, rows, cols, mode, ideal,
     assert (tuple(out.raw_bits_bs), tuple(out.raw_bits_ris)) == expected
 
 
-def _broken(pair: BeamPair) -> BeamPair:
-    """The pair with its one codeword's first element at twice the modulus."""
-    one = pair.one.copy()
-    one[0] *= 2.0
-    return BeamPair(one=one, zero=pair.zero)
-
-
 def test_broken_constant_modulus_is_rejected(desk_books, desk_codes, desk_geometry,
                                              desk_grid):
     ch = draw_channel(desk_geometry, desk_grid, "on_grid", 4)
     snr = SnrSpec(1.0)
     bs_book, ris_book = desk_books
-    last = ris_book.n_layers - 1
-    broken = replace(ris_book, layers=ris_book.layers[:last] + [_broken(ris_book.layers[last])])
+    # the last layer's one codeword (the last column), its first element at twice the modulus
+    matrix = ris_book.matrix.copy()
+    matrix[0, -1] *= 2.0
+    broken = replace(ris_book, matrix=matrix)
     with pytest.raises(ValueError, match="constant modulus"):
         run_coded(ch, (bs_book, broken), desk_codes, snr, None, derive_rng(0, "m"))
 
@@ -239,8 +253,8 @@ def test_coded_decisions_match_per_pilot_path(mode, desk_books, desk_codes,
     sizes = (desk_codes[0].n, desk_codes[1].n)
 
     def pairs(layer, *_):
-        return (desk_books[0].layers[layer % sizes[0]],
-                desk_books[1].layers[layer % sizes[1]])
+        return (layer_pair(desk_books[0], layer % sizes[0]),
+                layer_pair(desk_books[1], layer % sizes[1]))
 
     for seed in range(8):
         ch = draw_channel(desk_geometry, desk_grid, mode, seed)

@@ -206,6 +206,18 @@ def test_pilot_budgets_must_be_whole_numbers(bad):
         desk_pilot_sweep(pilot_grid=(bad,))
 
 
+def test_whole_number_config_fields_are_stored_as_ints():
+    cfg = _tiny_config(n_bs=8.0, n_ris_rows=8.0, trials=4.0, master_seed=7.0,
+                       gs=GsConfig(seed=1.0, k_iter=20.0))
+    assert cfg == _tiny_config()
+    for value in (cfg.n_bs, cfg.n_ris_rows, cfg.trials, cfg.master_seed, cfg.gs.seed,
+                  cfg.gs.k_iter):
+        assert type(value) is int
+    for bad in (dict(n_ris_cols=8.5), dict(trials=True), dict(master_seed="7")):
+        with pytest.raises(ValueError, match="whole number"):
+            _tiny_config(**bad)
+
+
 def test_whole_number_float_budgets_run_as_ints():
     assert ProtocolSpec("exhaustive", pilot_budget=8.0).pilot_budget == 8
     both = (ProtocolSpec("exhaustive"), ProtocolSpec("coded", "one_bit"))
