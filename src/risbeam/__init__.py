@@ -24,14 +24,7 @@ from .blockcode import (
     redundancy_length,
     syndrome,
 )
-from .channel import (
-    ChannelBlock,
-    ChannelRealization,
-    SnrSpec,
-    channel_block,
-    normalize_channel,
-    sample_channel,
-)
+from .channel import ChannelBlock, SnrSpec, sample_block
 from .codebook import (
     DesignedCodebook,
     GsConfig,

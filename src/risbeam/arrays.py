@@ -33,6 +33,13 @@ def real_number(value, what: str) -> float:
     return float(value)
 
 
+def check_powers_of_two(sizes, reason: str) -> None:
+    """Reject (n_bs, n_ris_rows, n_ris_cols) unless each is a power of two."""
+    for name, n in zip(("n_bs", "n_ris_rows", "n_ris_cols"), sizes):
+        if n & (n - 1):
+            raise ValueError(f"{name}={n} is not a power of two: {reason}")
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Antenna counts and normalized spacing for the BS ULA and the RIS UPA.

@@ -1,15 +1,17 @@
-"""LoS geometric channel realizations and received-power evaluation under AWGN.
+"""LoS geometric channel blocks and received-power evaluation under AWGN.
 
 Channels follow the single-path geometric model: the UE-RIS link is a scaled
 RIS steering vector and the RIS-BS link is a scaled outer product of a RIS
 steering vector (the static BS-side direction) and a BS steering vector.
-Normalization fixes the path gains to one, so the per-link array factors stay
-in the channel and a single SNR ratio controls the noise level.
+``sample_block`` draws a block of channels straight into the decoupled,
+de-rotated form the protocols read (``ChannelBlock``). Normalization fixes
+the path gains to one, so the per-link array factors stay in the channel and
+a single SNR ratio controls the noise level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,41 +39,13 @@ class SnrSpec:
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
-    """One LoS channel draw with ground-truth grid indices (1-based)."""
-
-    h_r: np.ndarray  # UE-RIS row, length n_ris
-    g_mat: np.ndarray  # RIS-BS matrix, n_ris x n_bs
-    ue_ris_index: int
-    bs_index: int
-    g_left: np.ndarray  # RIS steering toward the BS (unit norm)
-
-    @property
-    def n_ris(self) -> int:
-        return self.h_r.size
-
-    @property
-    def n_bs(self) -> int:
-        return self.g_mat.shape[1]
-
-
-def ris_phase_compensation(ch: ChannelRealization) -> np.ndarray:
-    """Unit-modulus de-rotation for the static, known RIS-BS direction.
-
-    The RIS applies this element-wise on top of any codeword so that the
-    remaining training problem depends only on the unknown UE-side angle.
-    """
-    return np.sqrt(ch.n_ris) * np.conj(ch.g_left)
-
-
-@dataclass(frozen=True)
 class ChannelBlock:
     """A block of channels in de-rotated factored form; row t is trial t.
 
     The de-rotation ``comp`` makes every row of ``comp * g_mat`` the vector
     ``beta`` (|a_gr|^2 = 1/n_ris), so the gain of coverage-convention RIS and
     BS codewords v and w is ``(h_r @ conj(v)) * (beta @ conj(w))``. The RIS-BS
-    matrices stay per trial, by reference, for the rate evaluation.
+    matrices stay per trial, unstacked, for the rate evaluation.
     """
 
     bs_index: np.ndarray  # (trials,), 1-based
@@ -90,63 +64,14 @@ class ChannelBlock:
         return self.beta.shape[1]
 
 
-def channel_block(channels) -> ChannelBlock:
-    """The factored form of a sequence of channels, each de-rotated once."""
-    comp = np.array([ris_phase_compensation(ch) for ch in channels])
-    return ChannelBlock(
-        bs_index=np.array([ch.bs_index for ch in channels]),
-        ris_index=np.array([ch.ue_ris_index for ch in channels]),
-        comp=comp,
-        beta=comp[:, :1] * np.array([ch.g_mat[0] for ch in channels]),
-        h_r=np.array([ch.h_r for ch in channels]),
-        g_mats=tuple(ch.g_mat for ch in channels),
-    )
-
-
-def _build(geometry, u, w, bs_sine, gr_u, gr_w, ue_index, bs_index):
-    n1, n2 = geometry.n_ris_rows, geometry.n_ris_cols
-    sp = geometry.spacing_over_wavelength
-    a_ue = upa_steering_uw(n1, n2, u, w, sp)
-    a_gr = upa_steering_uw(n1, n2, gr_u, gr_w, sp)
-    b = ula_steering(geometry.n_bs, np.arcsin(bs_sine), sp)
-    h_r = np.sqrt(geometry.n_ris) * a_ue
-    g_mat = np.sqrt(geometry.n_bs * geometry.n_ris) * np.outer(a_gr, b)
-    return ChannelRealization(h_r=h_r, g_mat=g_mat, ue_ris_index=ue_index,
-                              bs_index=bs_index, g_left=a_gr)
-
-
-def sample_channel(
-    geometry: ArrayGeometry,
-    grid: AngleGrid,
-    rng: np.random.Generator,
-    mode: str = "on_grid",
-) -> ChannelRealization:
-    """Draw a channel realization with unit path gains.
-
-    "on_grid" draws uniform grid indices and builds the channel exactly at the
-    grid points. "continuous" draws physical angles uniformly and records the
-    nearest grid point (in sine / spatial-frequency space) as ground truth.
-    """
-    if grid.n_bs != geometry.n_bs or grid.n_ris != geometry.n_ris:
-        raise ValueError("geometry and grid dimensions are inconsistent")
-    if mode not in SAMPLING_MODES:
-        raise ValueError(f"unknown sampling mode {mode!r}")
-
+def _draw(geometry: ArrayGeometry, grid: AngleGrid, rng: np.random.Generator, mode: str):
+    """One trial's 1-based (BS, UE-side RIS) indices, (u, w), BS sine and RIS-BS (u, w)."""
     if mode == "on_grid":
-        bs_index = int(rng.integers(geometry.n_bs)) + 1
-        ue_index = int(rng.integers(geometry.n_ris)) + 1
-        gr_index = int(rng.integers(geometry.n_ris)) + 1
-        return _build(
-            geometry,
-            grid.ris_u[ue_index - 1],
-            grid.ris_w[ue_index - 1],
-            bs_grid_sines(geometry.n_bs)[bs_index - 1],
-            grid.ris_u[gr_index - 1],
-            grid.ris_w[gr_index - 1],
-            ue_index,
-            bs_index,
-        )
-
+        bs = int(rng.integers(geometry.n_bs))
+        ue = int(rng.integers(geometry.n_ris))
+        gr = int(rng.integers(geometry.n_ris))
+        return (bs + 1, ue + 1, grid.ris_u[ue], grid.ris_w[ue],
+                bs_grid_sines(geometry.n_bs)[bs], grid.ris_u[gr], grid.ris_w[gr])
     phi_t = rng.uniform(-np.pi / 2, np.pi / 2)
     phi_r = rng.uniform(-np.pi / 2, np.pi / 2)
     theta_r = rng.uniform(0.0, np.pi)
@@ -155,29 +80,50 @@ def sample_channel(
     u = np.sin(phi_r) * np.sin(theta_r)
     w = np.cos(theta_r)
     bs_sine = np.sin(phi_t)
-    bs_index = int(np.argmin(np.abs(bs_grid_sines(geometry.n_bs) - bs_sine))) + 1
-    ue_index = int(np.argmin((grid.ris_u - u) ** 2 + (grid.ris_w - w) ** 2)) + 1
-    return _build(
-        geometry, u, w, bs_sine,
-        np.sin(phi_g) * np.sin(theta_g), np.cos(theta_g),
-        ue_index, bs_index,
-    )
+    bs = int(np.argmin(np.abs(bs_grid_sines(geometry.n_bs) - bs_sine)))
+    ue = int(np.argmin((grid.ris_u - u) ** 2 + (grid.ris_w - w) ** 2))
+    return (bs + 1, ue + 1, u, w, bs_sine,
+            np.sin(phi_g) * np.sin(theta_g), np.cos(theta_g))
 
 
-def normalize_channel(ch: ChannelRealization) -> ChannelRealization:
-    """Rescale to unit path gains: ||h_r|| = sqrt(n_ris), ||g_mat||_F = sqrt(n_bs*n_ris).
+def sample_block(geometry: ArrayGeometry, grid: AngleGrid, rngs,
+                 mode: str = "on_grid") -> ChannelBlock:
+    """Draw one channel per generator, with unit path gains, as a ChannelBlock.
 
-    This removes distance and transmit-power effects while keeping the array
-    factors, so an SnrSpec fully controls the noise level. Idempotent.
+    Trial t draws from ``rngs[t]`` alone. "on_grid" draws uniform grid
+    indices and builds the channel exactly at the grid points. "continuous"
+    draws physical angles uniformly and records the nearest grid point (in
+    sine / spatial-frequency space) as ground truth. Each trial is scaled to
+    ||h_r|| = sqrt(n_ris) and ||g_mat||_F = sqrt(n_bs * n_ris), which removes
+    distance and transmit-power effects while keeping the array factors, so
+    an SnrSpec fully controls the noise level.
     """
-    h_norm = np.linalg.norm(ch.h_r)
-    g_norm = np.linalg.norm(ch.g_mat)
-    if h_norm == 0 or g_norm == 0:
-        raise ValueError("cannot normalize a zero channel")
-    return replace(
-        ch,
-        h_r=ch.h_r * (np.sqrt(ch.n_ris) / h_norm),
-        g_mat=ch.g_mat * (np.sqrt(ch.n_bs * ch.n_ris) / g_norm),
+    if grid.n_bs != geometry.n_bs or grid.n_ris != geometry.n_ris:
+        raise ValueError("geometry and grid dimensions are inconsistent")
+    if mode not in SAMPLING_MODES:
+        raise ValueError(f"unknown sampling mode {mode!r}")
+    n1, n2, sp = geometry.n_ris_rows, geometry.n_ris_cols, geometry.spacing_over_wavelength
+    n_bs, n_ris = geometry.n_bs, geometry.n_ris
+    draws = [_draw(geometry, grid, rng, mode) for rng in rngs]
+    h_r, g_mats, comp = [], [], []
+    for _, _, u, w, bs_sine, gr_u, gr_w in draws:
+        a_gr = upa_steering_uw(n1, n2, gr_u, gr_w, sp)
+        h = np.sqrt(n_ris) * upa_steering_uw(n1, n2, u, w, sp)
+        g = np.sqrt(n_bs * n_ris) * np.outer(a_gr, ula_steering(n_bs, np.arcsin(bs_sine), sp))
+        h *= np.sqrt(n_ris) / np.linalg.norm(h)  # in place: the same bytes, no copy
+        g *= np.sqrt(n_bs * n_ris) / np.linalg.norm(g)
+        h_r.append(h)
+        g_mats.append(g)
+        # the unit-modulus de-rotation of the static, known RIS-BS direction
+        comp.append(np.sqrt(n_ris) * np.conj(a_gr))
+    comp = np.array(comp)
+    return ChannelBlock(
+        bs_index=np.array([d[0] for d in draws]),
+        ris_index=np.array([d[1] for d in draws]),
+        comp=comp,
+        beta=comp[:, :1] * np.array([g[0] for g in g_mats]),
+        h_r=np.array(h_r),
+        g_mats=tuple(g_mats),
     )
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import ArrayGeometry, make_angle_grid
+from .arrays import ArrayGeometry, check_powers_of_two, make_angle_grid
 from .blockcode import (
     BlockCode,
     build_plain_code,
@@ -137,6 +137,7 @@ def _report_line(index: int, polarity: str, entry: dict) -> str:
 def cmd_design_codebook(args) -> int:
     ris = _parse_ris(args.ris)
     geometry = ArrayGeometry(args.nt, ris[0], ris[1])
+    check_powers_of_two((args.nt, *ris), "every coded layer's masks must split the grid in half")
     grid = make_angle_grid(geometry)
     cfg = GsConfig(delta=args.delta, k_iter=args.iters, seed=args.seed)
     books = build_codebooks(*coded_codes(args.nt, ris), grid, geometry, cfg,

@@ -1,9 +1,9 @@
 """Monte-Carlo sweeps over SNR or pilot budget, metrics, and result files.
 
 A sweep point runs in blocks of ``TRIAL_BLOCK`` trials. Per-trial channels
-are seeded independently of the protocol, so a block draws each (sweep point,
-trial) channel once, forms one ``ChannelBlock``, and runs every protocol on
-it; the measurement noise stream is seeded per (protocol, sweep point,
+are seeded independently of the protocol, so one ``sample_block`` call draws
+each (sweep point, trial) channel of a block once, and every protocol runs on
+that ``ChannelBlock``; the measurement noise stream is seeded per (protocol, sweep point,
 trial), so the block size changes no result. Before the first trial, each
 protocol gets one block runner, called once per block: ``run_exhaustive``,
 ``run_layered`` for coded and full-coverage hierarchical training
@@ -26,10 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import ArrayGeometry, make_angle_grid, real_number, whole_number
+from .arrays import (ArrayGeometry, check_powers_of_two, make_angle_grid, real_number,
+                     whole_number)
 from .blockcode import build_identity_code
-from .channel import (SAMPLING_MODES, SnrSpec, channel_block, normalize_channel,
-                      sample_channel)
+from .channel import SAMPLING_MODES, SnrSpec, sample_block
 from .codebook import GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook
 from .seeding import derive_rng
 from .training import (
@@ -102,13 +102,11 @@ class ExperimentConfig:
         if self.sampling_mode not in SAMPLING_MODES:
             raise ValueError(f"unknown sampling mode {self.sampling_mode!r}")
         layered = any(_is_layered(p) for p in self.protocols)
-        for name in ("n_bs", "n_ris_rows", "n_ris_cols"):
-            n = getattr(self, name)
-            if n & (n - 1) and layered:
-                raise ValueError(
-                    f"{name}={n} is not a power of two: coded and full-coverage "
-                    "hierarchical training decode each index from a bit word, and "
-                    "every word must name a grid point")
+        if layered:
+            check_powers_of_two(
+                (self.n_bs, self.n_ris_rows, self.n_ris_cols),
+                "coded and full-coverage hierarchical training decode each index "
+                "from a bit word, and every word must name a grid point")
         if self.n_bs < 2 and layered:
             raise ValueError(
                 f"n_bs={self.n_bs}: coded and full-coverage hierarchical training "
@@ -253,10 +251,9 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
         pilots_used = [0] * len(protocols)
         for start in range(0, cfg.trials, TRIAL_BLOCK):
             trials = range(start, min(start + TRIAL_BLOCK, cfg.trials))
-            block = channel_block([normalize_channel(sample_channel(
-                geometry, grid, derive_rng(cfg.master_seed, "channel", sweep_name,
-                                           float(value), trial), cfg.sampling_mode))
-                for trial in trials])
+            block = sample_block(geometry, grid, [
+                derive_rng(cfg.master_seed, "channel", sweep_name, float(value), trial)
+                for trial in trials], cfg.sampling_mode)
             estimates = []  # per protocol: the block's (BS, RIS) index estimates
             for p, (proto, run, budget) in enumerate(zip(protocols, runners, budgets)):
                 rngs = [derive_rng(cfg.master_seed, proto.tag, sweep_name, float(value),

@@ -30,7 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .arrays import AngleGrid, ArrayGeometry, u_axis, w_axis, whole_number
+from .arrays import (AngleGrid, ArrayGeometry, check_powers_of_two, u_axis, w_axis,
+                     whole_number)
 from .blockcode import (
     DECODE_MODES,
     BlockCode,
@@ -286,11 +287,8 @@ class HierarchicalBeamProvider:
     ) -> None:
         self._sizes = {"bs": geometry.n_bs, "u": geometry.n_ris_rows,
                       "w": geometry.n_ris_cols}
-        for name, n in zip(("n_bs", "n_ris_rows", "n_ris_cols"), self._sizes.values()):
-            if n & (n - 1):
-                raise ValueError(
-                    f"{name}={n} is not a power of two: adaptive hierarchical "
-                    "training halves every index interval")
+        check_powers_of_two(self._sizes.values(),
+                            "adaptive hierarchical training halves every index interval")
         self.geometry = geometry
         self.grid = grid
         self.cfg = gs_cfg

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -36,14 +37,7 @@ from risbeam.arrays import (
     w_axis,
 )
 from risbeam.blockcode import DECODE_MODES, BlockCode, bits_to_int
-from risbeam.channel import (
-    ChannelRealization,
-    SnrSpec,
-    channel_block,
-    pilot_noise,
-    received_power,
-    ris_phase_compensation,
-)
+from risbeam.channel import ChannelBlock, SnrSpec, pilot_noise, received_power, sample_block
 from risbeam.codebook import (
     GsConfig,
     _grid_responses,
@@ -65,11 +59,22 @@ from risbeam.training import (
     run_layered,
 )
 
-# -- one tuple ----------------------------------------------------------------
+# -- one channel, one tuple -----------------------------------------------------
+#
+# A channel is row t of a ChannelBlock (row 0 by default): its h_r[t],
+# g_mats[t], comp[t] and 1-based bs_index[t] and ris_index[t].
 
 
-def effective_gain(ch: ChannelRealization, v: np.ndarray, w: np.ndarray) -> complex:
-    """Noiseless received amplitude h_r diag(v) g_mat w for one beam tuple."""
+def channel_at(geometry: ArrayGeometry, grid: AngleGrid, bs_index: int, ris_index: int,
+               gr_index: int = 1) -> ChannelBlock:
+    """The one-row on-grid block at the given 1-based BS, UE-side RIS and RIS-BS indices."""
+    draws = iter((bs_index - 1, ris_index - 1, gr_index - 1))
+    # a stand-in generator whose three integer draws are these 0-based indices
+    return sample_block(geometry, grid, [SimpleNamespace(integers=lambda n: next(draws))])
+
+
+def effective_gain(ch: ChannelBlock, v: np.ndarray, w: np.ndarray, t: int = 0) -> complex:
+    """Noiseless received amplitude h_r diag(v) g_mat w of row t for one beam tuple."""
     v = np.asarray(v)
     w = np.asarray(w)
     if v.shape != (ch.n_ris,) or w.shape != (ch.n_bs,):
@@ -77,7 +82,7 @@ def effective_gain(ch: ChannelRealization, v: np.ndarray, w: np.ndarray) -> comp
     target = 1.0 / np.sqrt(ch.n_ris)
     if not np.allclose(np.abs(v), target, atol=1e-9):
         raise ValueError("RIS vector must have constant modulus 1/sqrt(n_ris)")
-    return complex((ch.h_r * v) @ ch.g_mat @ w)
+    return complex((ch.h_r[t] * v) @ ch.g_mats[t] @ w)
 
 
 def measure_power(gain: complex, snr: SnrSpec, rng: np.random.Generator) -> float:
@@ -94,9 +99,9 @@ def bs_transmit(w_cov: np.ndarray) -> np.ndarray:
     return np.conj(w_cov)
 
 
-def ris_transmit(ch: ChannelRealization, v_cov: np.ndarray) -> np.ndarray:
-    """Applied RIS reflecting vector: conjugate plus static BS-side de-rotation."""
-    return np.conj(v_cov) * ris_phase_compensation(ch)
+def ris_transmit(ch: ChannelBlock, v_cov: np.ndarray, t: int = 0) -> np.ndarray:
+    """Applied RIS reflecting vector: conjugate plus row t's static BS-side de-rotation."""
+    return np.conj(v_cov) * ch.comp[t]
 
 
 def upa_steering(n1: int, n2: int, phi: float, theta: float,
@@ -106,11 +111,12 @@ def upa_steering(n1: int, n2: int, phi: float, theta: float,
 
 
 def grid_transmit_pair(
-    ch: ChannelRealization,
+    ch: ChannelBlock,
     grid: AngleGrid,
     geometry: ArrayGeometry,
     bs_index: int,
     ris_index: int,
+    t: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transmit-ready narrow beams (v, w) pointing at the given grid tuple."""
     sp = geometry.spacing_over_wavelength
@@ -119,14 +125,14 @@ def grid_transmit_pair(
         geometry.n_ris_rows, geometry.n_ris_cols,
         grid.ris_u[ris_index - 1], grid.ris_w[ris_index - 1], sp,
     )
-    return ris_transmit(ch, v_cov), bs_transmit(w_cov)
+    return ris_transmit(ch, v_cov, t), bs_transmit(w_cov)
 
 
 def achievable_rate(
-    ch: ChannelRealization, v: np.ndarray, w: np.ndarray, snr_eval: SnrSpec
+    ch: ChannelBlock, v: np.ndarray, w: np.ndarray, snr_eval: SnrSpec, t: int = 0
 ) -> float:
     """Spectral efficiency log2(1 + snr * |h_r diag(v) g_mat w|^2), transmit beams."""
-    gain = effective_gain(ch, v, w)
+    gain = effective_gain(ch, v, w, t)
     return float(np.log2(1.0 + snr_eval.snr_linear * abs(gain) ** 2))
 
 
@@ -134,14 +140,15 @@ def achievable_rate(
 
 
 def exhaustive_sweep(
-    ch: ChannelRealization,
+    ch: ChannelBlock,
     grid: AngleGrid,
     geometry: ArrayGeometry,
     snr: SnrSpec,
     budget: Optional[int],
     rng: np.random.Generator,
+    t: int = 0,
 ) -> tuple[tuple[int, int], int, bool]:
-    """(estimate, pilots, truncated) of exhaustive training on one channel.
+    """(estimate, pilots, truncated) of exhaustive training on row t.
 
     Sends the first ``budget`` narrow-beam tuples in BS-major order, one
     ``effective_gain`` and one ``measure_power`` call per tuple, and picks the
@@ -150,15 +157,15 @@ def exhaustive_sweep(
     n_bs, n_ris = geometry.n_bs, geometry.n_ris
     total = n_bs * n_ris
     count = total if budget is None else min(budget, total)
-    ris_beams = [grid_transmit_pair(ch, grid, geometry, 1, j)[0] for j in range(1, n_ris + 1)]
-    bs_beams = [grid_transmit_pair(ch, grid, geometry, i, 1)[1] for i in range(1, n_bs + 1)]
-    powers = [measure_power(effective_gain(ch, ris_beams[t % n_ris], bs_beams[t // n_ris]),
-                            snr, rng) for t in range(count)]
+    ris_beams = [grid_transmit_pair(ch, grid, geometry, 1, j, t)[0] for j in range(1, n_ris + 1)]
+    bs_beams = [grid_transmit_pair(ch, grid, geometry, i, 1, t)[1] for i in range(1, n_bs + 1)]
+    powers = [measure_power(effective_gain(ch, ris_beams[k % n_ris], bs_beams[k // n_ris], t),
+                            snr, rng) for k in range(count)]
     winner = int(np.argmax(powers))
     return (winner // n_ris + 1, winner % n_ris + 1), count, count < total
 
 
-def noiseless_best_tuple(ch: ChannelRealization, grid: AngleGrid, geometry: ArrayGeometry
+def noiseless_best_tuple(ch: ChannelBlock, grid: AngleGrid, geometry: ArrayGeometry
                          ) -> tuple[int, int]:
     """Ground-truth best tuple by a noiseless exhaustive sweep."""
     estimate, _, _ = exhaustive_sweep(ch, grid, geometry, SnrSpec(1.0, noiseless=True),
@@ -276,15 +283,15 @@ def trial_outcome(runs: TrainingRuns, trial: int) -> TrainingOutcome:
 
 def run_coded(ch, books, codes, snr, budget, rng, decode_mode="one_bit", *, ideal=False,
               inject_flips=()) -> TrainingOutcome:
-    """Layered beam training of one channel: ``run_layered`` on a one-trial block."""
-    return trial_outcome(run_layered(channel_block([ch]), books, codes, snr, budget, [rng],
+    """Layered beam training of a one-row block ``ch``: ``run_layered`` on it."""
+    return trial_outcome(run_layered(ch, books, codes, snr, budget, [rng],
                                      decode_mode, ideal=ideal, inject_flips=inject_flips), 0)
 
 
 def run_hierarchical(ch, provider: HierarchicalBeamProvider, snr, budget, rng, *,
                      inject_flips=()) -> TrainingOutcome:
-    """Adaptive hierarchical training of one channel: ``run_adaptive`` on a one-trial block."""
-    return trial_outcome(run_adaptive(channel_block([ch]), provider, snr, budget, [rng],
+    """Adaptive hierarchical training of a one-row block ``ch``: ``run_adaptive`` on it."""
+    return trial_outcome(run_adaptive(ch, provider, snr, budget, [rng],
                                       inject_flips=inject_flips), 0)
 
 
@@ -310,8 +317,8 @@ def layer_pair(book, layer: int) -> BeamPair:
                     zero=book.matrix[:, 2 * layer].copy())
 
 
-def per_pilot_bits(ch, pairs, sizes, snr, rng, ideal=False, layers=None, flips=()):
-    """The layer loop with one effective_gain and one measure_power call per pilot.
+def per_pilot_bits(ch, pairs, sizes, snr, rng, ideal=False, layers=None, flips=(), t=0):
+    """The layer loop on row t with one effective_gain and one measure_power call per pilot.
 
     ``layers`` (default: all) is the number of layers sent; bits of the layers
     not sent are missing from the result. ``flips`` lists (layer, "bs" |
@@ -326,9 +333,9 @@ def per_pilot_bits(ch, pairs, sizes, snr, rng, ideal=False, layers=None, flips=(
         for w_cov in (bs_pair.zero, bs_pair.one):
             for v_cov in (ris_pair.zero, ris_pair.one):
                 if ideal:
-                    gain = complex(w_cov[ch.bs_index - 1] * v_cov[ch.ue_ris_index - 1])
+                    gain = complex(w_cov[ch.bs_index[t] - 1] * v_cov[ch.ris_index[t] - 1])
                 else:
-                    gain = effective_gain(ch, ris_transmit(ch, v_cov), bs_transmit(w_cov))
+                    gain = effective_gain(ch, ris_transmit(ch, v_cov, t), bs_transmit(w_cov), t)
                 powers.append(measure_power(gain, snr, rng))
         winner = int(np.argmax(powers))
         if layer < n_t:
@@ -338,14 +345,14 @@ def per_pilot_bits(ch, pairs, sizes, snr, rng, ideal=False, layers=None, flips=(
     return bits_t, bits_r
 
 
-def reference_run(ch, books, codes, snr, budget, rng, mode, ideal):
-    """One trial through per_pilot_bits and the per-word ``decode``."""
+def reference_run(ch, books, codes, snr, budget, rng, mode, ideal, t=0):
+    """Row t through per_pilot_bits and the per-word ``decode``."""
     sizes = (codes[0].n, codes[1].n)
     sent = max(sizes) if budget is None else min(max(sizes), budget // 4)
     bits = per_pilot_bits(
         ch, lambda layer, *_: (layer_pair(books[0], layer % sizes[0]),
                                layer_pair(books[1], layer % sizes[1])),
-        sizes, snr, rng, ideal, layers=sent)
+        sizes, snr, rng, ideal, layers=sent, t=t)
     raw = [np.array(b + (0,) * (n - len(b)), dtype=np.uint8) for b, n in zip(bits, sizes)]
     bs_mode = "one_bit" if mode == "decoupled_two_bit" else mode
     (u_t, rep_t), (u_r, rep_r) = decode(codes[0], raw[0], bs_mode), decode(codes[1], raw[1], mode)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from reference import achievable_rate, grid_transmit_pair, run_coded
+from reference import achievable_rate, channel_at, grid_transmit_pair, run_coded
 from risbeam.arrays import ArrayGeometry, make_angle_grid
 from risbeam.blockcode import (
     build_identity_code,
@@ -21,7 +21,7 @@ from risbeam.blockcode import (
     min_distance,
     syndrome,
 )
-from risbeam.channel import SnrSpec, channel_block, normalize_channel, sample_channel
+from risbeam.channel import SnrSpec, sample_block
 from risbeam.cli import main
 from risbeam.codebook import GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook
 from risbeam.experiments import ExperimentConfig, export_results, run_sweep
@@ -151,23 +151,10 @@ def test_criterion_07_oracle_end_to_end():
     snr = SnrSpec(1.0, noiseless=True)
     rng = derive_rng(0, "oracle")
 
-    from risbeam.arrays import ula_steering, upa_steering_uw
-    from risbeam.channel import ChannelRealization
-
     checked = 0
     for bs_i in range(1, 9):
-        b = ula_steering(8, grid.bs_angles[bs_i - 1])
         for ris_i in range(1, 65):
-            a_ue = upa_steering_uw(8, 8, grid.ris_u[ris_i - 1], grid.ris_w[ris_i - 1])
-            gr = (bs_i * 13 + ris_i) % 64
-            a_gr = upa_steering_uw(8, 8, grid.ris_u[gr], grid.ris_w[gr])
-            ch = ChannelRealization(
-                h_r=np.sqrt(64) * a_ue,
-                g_mat=np.sqrt(8 * 64) * np.outer(a_gr, b),
-                ue_ris_index=ris_i,
-                bs_index=bs_i,
-                g_left=a_gr,
-            )
+            ch = channel_at(geometry, grid, bs_i, ris_i, gr_index=(bs_i * 13 + ris_i) % 64 + 1)
             for mode in ("none", "one_bit", "decoupled_two_bit"):
                 out = run_coded(ch, books, codes, snr, None, rng, mode, ideal=True)
                 assert (out.est_bs_index, out.est_ris_index) == (bs_i, ris_i)
@@ -227,19 +214,19 @@ def test_criterion_09_pilot_sweep_shape(desk_codes):
     coded_rates = np.array([rec.rate for rec in results.trial_log])
 
     eval_snr = SnrSpec(cfg.eval_snr_linear, noiseless=True)
-    channels = [normalize_channel(sample_channel(geometry, grid, derive_rng(
-        cfg.master_seed, "channel", "pilots", float(sufficient), trial)))
-        for trial in range(cfg.trials)]
+    block = sample_block(geometry, grid, [derive_rng(
+        cfg.master_seed, "channel", "pilots", float(sufficient), trial)
+        for trial in range(cfg.trials)])
     # the noiseless block runner, checked against the per-tuple sweep in
     # test_engine.py, finds each channel's best tuple in a fraction of the time
-    best = run_exhaustive(channel_block(channels), narrow_beam_matrices(grid, geometry),
+    best = run_exhaustive(block, narrow_beam_matrices(grid, geometry),
                           SnrSpec(1.0, noiseless=True), None,
                           [np.random.default_rng(0)] * cfg.trials)
     ceilings = np.empty(cfg.trials)
-    for trial, ch in enumerate(channels):
-        v, w = grid_transmit_pair(ch, grid, geometry, int(best.est_bs_index[trial]),
-                                  int(best.est_ris_index[trial]))
-        ceilings[trial] = achievable_rate(ch, v, w, eval_snr)
+    for trial in range(cfg.trials):
+        v, w = grid_transmit_pair(block, grid, geometry, int(best.est_bs_index[trial]),
+                                  int(best.est_ris_index[trial]), trial)
+        ceilings[trial] = achievable_rate(block, v, w, eval_snr, trial)
     assert coded_rates.mean() >= 0.99 * ceilings.mean()
 
     cfg_ex = ExperimentConfig(

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from risbeam.arrays import ArrayGeometry, make_angle_grid
-from risbeam.channel import channel_block, normalize_channel, sample_channel
+from risbeam.channel import sample_block
 from risbeam.seeding import derive_rng
 
 TRIALS = 16
@@ -43,8 +43,7 @@ def block_digest(name: str) -> str:
     geometry = ArrayGeometry(n_bs, rows, cols)
     grid = make_angle_grid(geometry)
     rngs = [derive_rng(0, "channel", "snr_db", 0.0, trial) for trial in range(TRIALS)]
-    block = channel_block([normalize_channel(sample_channel(geometry, grid, rng, mode))
-                           for rng in rngs])
+    block = sample_block(geometry, grid, rngs, mode)
     sha = hashlib.sha256()
     for array in (block.bs_index, block.ris_index, block.comp, block.beta, block.h_r,
                   *block.g_mats):

@@ -103,6 +103,21 @@ def test_design_codebook_writes_portable_json(tmp_path, capsys):
     assert bs_entry["final_trace"] is None  # closed-form design, no iteration
 
 
+@pytest.mark.parametrize("nt,ris,name", [
+    ("12", "8x8", "n_bs=12"),  # its masks would not halve the BS grid
+    ("16", "8x6", "n_ris_cols=6"),  # its masks would not factor across the RIS axes
+    ("16", "6x8", "n_ris_rows=6"),
+])
+def test_design_codebook_rejects_sizes_that_are_not_powers_of_two(tmp_path, capsys, nt, ris,
+                                                                   name):
+    out = tmp_path / "book.json"
+    assert main(["design-codebook", "--nt", nt, "--ris", ris, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} is not a power of two")
+    assert not out.exists()
+
+
 def _expected_report(payload: dict) -> list[str]:
     """The lines design-codebook prints for a JSON payload it wrote."""
     lines = []

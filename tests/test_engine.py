@@ -38,18 +38,10 @@ from reference import (
     run_hierarchical,
     trial_outcome,
 )
-from risbeam import channel, experiments, training
+from risbeam import experiments, training
 from risbeam.arrays import ArrayGeometry, make_angle_grid, ula_steering, upa_steering_uw
 from risbeam.blockcode import DECODE_MODES, bits_to_int, build_identity_code
-from risbeam.channel import (
-    SnrSpec,
-    channel_block,
-    normalize_channel,
-    pilot_noise,
-    received_power,
-    ris_phase_compensation,
-    sample_channel,
-)
+from risbeam.channel import SnrSpec, pilot_noise, received_power, sample_block
 from risbeam.codebook import GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook
 from risbeam.experiments import ExperimentConfig, desk_snr_sweep, run_sweep
 from risbeam.seeding import derive_rng
@@ -82,14 +74,15 @@ def small_setup(n_bs: int, rows: int, cols: int):
     return geo, grid, codes, build_codebooks(*codes, grid, geo, FAST_GS)
 
 
-def draw_channel(geo, grid, mode, seed):
-    return normalize_channel(sample_channel(geo, grid, np.random.default_rng(seed), mode))
+def draw_block(geo, grid, mode, seed, trials=1):
+    """A block whose trial t draws from default_rng(seed + t)."""
+    return sample_block(geo, grid, [np.random.default_rng(seed + t) for t in range(trials)],
+                        mode)
 
 
-def gain_tables(channels, bs_cov, ris_cov, ideal=False, *, check_modulus=False):
+def gain_tables(block, bs_cov, ris_cov, ideal=False, *, check_modulus=False):
     """(trials, BS columns, RIS columns) gains: outer products of the block's responses."""
-    bs, ris = beam_responses(channel_block(channels), bs_cov, ris_cov, ideal,
-                             check_modulus=check_modulus)
+    bs, ris = beam_responses(block, bs_cov, ris_cov, ideal, check_modulus=check_modulus)
     return bs[:, :, None] * ris[:, None, :]
 
 
@@ -97,20 +90,20 @@ def gain_tables(channels, bs_cov, ris_cov, ideal=False, *, check_modulus=False):
 @given(POWERS_OF_TWO, POWERS_OF_TWO, POWERS_OF_TWO, MODES, SEEDS)
 def test_gain_table_matches_effective_gain(n_bs, rows, cols, mode, seed):
     geo, grid, _, _ = small_setup(n_bs, rows, cols)
-    ch = draw_channel(geo, grid, mode, seed)
+    ch = draw_block(geo, grid, mode, seed)
     rng = np.random.default_rng(seed)
     bs_cov = rng.standard_normal((n_bs, 3)) + 1j * rng.standard_normal((n_bs, 3))
     ris_cov = np.exp(2j * np.pi * rng.random((geo.n_ris, 5))) / np.sqrt(geo.n_ris)
-    table = gain_tables([ch], bs_cov, ris_cov, check_modulus=True)[0]
+    table = gain_tables(ch, bs_cov, ris_cov, check_modulus=True)[0]
     assert table.shape == (3, 5)
     for i in range(3):
         for j in range(5):
             reference = effective_gain(ch, ris_transmit(ch, ris_cov[:, j]),
                                        bs_transmit(bs_cov[:, i]))
             assert abs(table[i, j] - reference) <= 1e-12
-    ideal = gain_tables([ch], bs_cov.real, ris_cov.real, ideal=True)[0]
-    assert np.array_equal(ideal, np.outer(bs_cov.real[ch.bs_index - 1],
-                                          ris_cov.real[ch.ue_ris_index - 1]))
+    ideal = gain_tables(ch, bs_cov.real, ris_cov.real, ideal=True)[0]
+    assert np.array_equal(ideal, np.outer(bs_cov.real[ch.bs_index[0] - 1],
+                                          ris_cov.real[ch.ris_index[0] - 1]))
 
 
 def test_codebook_matrix_columns_follow_layers(desk_books, desk_codes, desk_grid,
@@ -164,7 +157,7 @@ def test_layered_runners_match_per_pilot_path(n_bs, rows, cols, mode, ideal,
         books = experiments._design_books(
             ExperimentConfig(n_bs=n_bs, n_ris_rows=rows, n_ris_cols=cols,
                              ideal_beams=True), grid, codes)
-    ch = draw_channel(geo, grid, mode, seed)
+    ch = draw_block(geo, grid, mode, seed)
     snr = SnrSpec(snr_linear)
     sizes = (codes[0].n, codes[1].n)
 
@@ -185,7 +178,7 @@ def test_layered_runners_match_per_pilot_path(n_bs, rows, cols, mode, ideal,
 
 def test_broken_constant_modulus_is_rejected(desk_books, desk_codes, desk_geometry,
                                              desk_grid):
-    ch = draw_channel(desk_geometry, desk_grid, "on_grid", 4)
+    ch = draw_block(desk_geometry, desk_grid, "on_grid", 4)
     snr = SnrSpec(1.0)
     bs_book, ris_book = desk_books
     # the last layer's one codeword (the last column), its first element at twice the modulus
@@ -211,40 +204,42 @@ def test_broken_constant_modulus_is_rejected(desk_books, desk_codes, desk_geomet
 
 
 def test_sweep_draws_each_channel_once(monkeypatch):
-    calls = []
+    rows = []
 
-    def counted(geometry, grid, rng, mode="on_grid"):
-        calls.append(1)
-        return sample_channel(geometry, grid, rng, mode)
+    def counted(geometry, grid, rngs, mode="on_grid"):
+        rows.append(len(rngs))
+        return sample_block(geometry, grid, rngs, mode)
 
-    monkeypatch.setattr(experiments, "sample_channel", counted)
+    monkeypatch.setattr(experiments, "sample_block", counted)
     cfg = ExperimentConfig(
         n_bs=8, n_ris_rows=8, n_ris_cols=8, snr_grid_db=(0.0, 10.0), trials=3,
         ideal_beams=True,
         protocols=ExperimentConfig().protocols + (
             ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),))
     results = run_sweep(cfg, log_trials=True)
-    assert len(calls) == len(cfg.snr_grid_db) * cfg.trials
+    assert sum(rows) == len(cfg.snr_grid_db) * cfg.trials
     assert len(results.rows) == len(cfg.snr_grid_db) * len(cfg.protocols)
     assert len(results.trial_log) == len(results.rows) * cfg.trials
 
 
 def test_sweep_derotates_each_channel_once(monkeypatch):
-    # every runner and the rate evaluation read the block's one de-rotation
-    calls = []
+    # every runner and the rate evaluation read the one de-rotated block that
+    # sample_block draws per trial block
+    rows = []
 
-    def counted(ch):
-        calls.append(1)
-        return ris_phase_compensation(ch)
+    def counted(geometry, grid, rngs, mode="on_grid"):
+        rows.append(len(rngs))
+        return sample_block(geometry, grid, rngs, mode)
 
-    monkeypatch.setattr(channel, "ris_phase_compensation", counted)
+    monkeypatch.setattr(experiments, "sample_block", counted)
+    monkeypatch.setattr(experiments, "TRIAL_BLOCK", 2)
     cfg = ExperimentConfig(
         n_bs=8, n_ris_rows=8, n_ris_cols=8, snr_grid_db=(0.0, 10.0), trials=3, gs=FAST_GS,
         protocols=ExperimentConfig().protocols + (
             ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),))
     run_sweep(cfg)
-    assert len(calls) == len(cfg.snr_grid_db) * cfg.trials
-    assert not hasattr(training, "ris_phase_compensation")
+    assert rows == [2, 1] * len(cfg.snr_grid_db)
+    assert not hasattr(training, "sample_block")
 
 
 @pytest.mark.parametrize("mode", ["on_grid", "continuous"])
@@ -257,7 +252,7 @@ def test_coded_decisions_match_per_pilot_path(mode, desk_books, desk_codes,
                 layer_pair(desk_books[1], layer % sizes[1]))
 
     for seed in range(8):
-        ch = draw_channel(desk_geometry, desk_grid, mode, seed)
+        ch = draw_block(desk_geometry, desk_grid, mode, seed)
         snr = SnrSpec(0.5)
         out = run_coded(ch, desk_books, desk_codes, snr, None,
                         np.random.default_rng(seed), "decoupled_two_bit")
@@ -285,20 +280,21 @@ def test_adaptive_runner_matches_per_pilot_reference(n_bs, rows, cols, mode, ide
                                                      budget, flips, snr_linear, seed):
     assume(n_bs * rows * cols > 1)  # a single candidate per side leaves nothing to train
     geo, grid, provider, reference = adaptive_setup(n_bs, rows, cols, ideal)
-    channels = [draw_channel(geo, grid, mode, seed + t) for t in range(trials)]
+    block = draw_block(geo, grid, mode, seed, trials)
     snr = SnrSpec(snr_linear)
-    runs = run_adaptive(channel_block(channels), provider, snr, budget,
+    runs = run_adaptive(block, provider, snr, budget,
                         [np.random.default_rng(seed + t) for t in range(trials)],
                         inject_flips=flips)
     sizes = (reference.k_bs, reference.k_ris)
     sent = max(sizes) if budget is None else min(max(sizes), budget // 4)
-    for t, ch in enumerate(channels):
-        bits = per_pilot_bits(ch, reference.layer_pairs, sizes, snr,
-                              np.random.default_rng(seed + t), ideal, layers=sent, flips=flips)
+    for t in range(trials):
+        bits = per_pilot_bits(block, reference.layer_pairs, sizes, snr,
+                              np.random.default_rng(seed + t), ideal, layers=sent, flips=flips,
+                              t=t)
         raw = [list(b) + [0] * (n - len(b)) for b, n in zip(bits, sizes)]
         outcome = trial_outcome(runs, t)
         assert (outcome.est_bs_index, outcome.est_ris_index) == (
-            min(bits_to_int(raw[0]) + 1, ch.n_bs), min(bits_to_int(raw[1]) + 1, ch.n_ris))
+            min(bits_to_int(raw[0]) + 1, geo.n_bs), min(bits_to_int(raw[1]) + 1, geo.n_ris))
         assert outcome.raw_bits_bs.tolist() == raw[0]
         assert outcome.raw_bits_ris.tolist() == raw[1]
         assert outcome.corrected_bs == outcome.corrected_ris == CorrectionReport(False, False, ())
@@ -311,7 +307,8 @@ def test_adaptive_layer_tables_equal_one_trial_tables(monkeypatch, dims, mode):
     # the gathered (trials, n, 2) beam stacks give the bytes of each trial's
     # own (n, 2) pair through gain_tables of a one-trial block
     geo, grid, provider, reference = adaptive_setup(*dims, False)
-    channels = [draw_channel(geo, grid, mode, seed) for seed in range(experiments.TRIAL_BLOCK)]
+    trials = experiments.TRIAL_BLOCK
+    rows = [draw_block(geo, grid, mode, t) for t in range(trials)]  # one-trial blocks
     layers = []
 
     def recording(gain, snr, noise):
@@ -319,15 +316,15 @@ def test_adaptive_layer_tables_equal_one_trial_tables(monkeypatch, dims, mode):
         return received_power(gain, snr, noise)
 
     monkeypatch.setattr(training, "received_power", recording)
-    runs = run_adaptive(channel_block(channels), provider, SnrSpec(0.5), None,
-                        [np.random.default_rng(seed) for seed in range(len(channels))])
+    runs = run_adaptive(draw_block(geo, grid, mode, 0, trials), provider, SnrSpec(0.5), None,
+                        [np.random.default_rng(seed) for seed in range(trials)])
     assert len(layers) == max(reference.k_bs, reference.k_ris)
     for layer, tables in enumerate(layers):
-        for t, ch in enumerate(channels):
+        for t, row in enumerate(rows):
             bs_pair, ris_pair = reference.layer_pairs(
                 layer, tuple(runs.raw_bits_bs[t, :layer].tolist()),
                 tuple(runs.raw_bits_ris[t, :layer].tolist()))
-            expected = gain_tables([ch], bs_pair.columns, ris_pair.columns,
+            expected = gain_tables(row, bs_pair.columns, ris_pair.columns,
                                    check_modulus=True)[0]
             assert tables[t].tobytes() == expected.tobytes()
 
@@ -368,15 +365,15 @@ def test_batched_runner_matches_per_pilot_reference(case, mode, ideal, trials, b
                                                     snr_linear, seed):
     n_bs, rows, cols, coded, decode_mode = case
     geo, grid, codes, books = layered_setup(n_bs, rows, cols, coded, ideal)
-    channels = [draw_channel(geo, grid, mode, seed + t) for t in range(trials)]
+    block = draw_block(geo, grid, mode, seed, trials)
     snr = SnrSpec(snr_linear)
-    runs = run_layered(channel_block(channels), books, codes, snr, budget,
+    runs = run_layered(block, books, codes, snr, budget,
                        [np.random.default_rng(seed + t) for t in range(trials)],
                        decode_mode, ideal=ideal)
-    for t, ch in enumerate(channels):
+    for t in range(trials):
         estimate, raw, reports, pilots, truncated = reference_run(
-            ch, books, codes, snr, budget, np.random.default_rng(seed + t), decode_mode,
-            ideal)
+            block, books, codes, snr, budget, np.random.default_rng(seed + t), decode_mode,
+            ideal, t)
         outcome = trial_outcome(runs, t)
         assert (outcome.est_bs_index, outcome.est_ris_index) == estimate
         assert outcome.raw_bits_bs.tolist() == raw[0].tolist()
@@ -389,14 +386,15 @@ def test_batched_runner_matches_per_pilot_reference(case, mode, ideal, trials, b
 @given(layered_cases(), MODES, st.booleans(), st.integers(2, 20), SEEDS)
 def test_block_tables_equal_one_channel_tables(case, mode, ideal, trials, seed):
     geo, grid, _, books = layered_setup(*case[:4], ideal)
-    channels = [draw_channel(geo, grid, mode, seed + t) for t in range(trials)]
+    block = draw_block(geo, grid, mode, seed, trials)
+    rows = [draw_block(geo, grid, mode, seed + t) for t in range(trials)]
     matrices = [(books[0].matrix, books[1].matrix)]
     if not ideal:
         matrices.append(narrow_beam_matrices(grid, geo))
     for bs_cov, ris_cov in matrices:
-        block = gain_tables(channels, bs_cov, ris_cov, ideal, check_modulus=True)
-        for table, ch in zip(block, channels):
-            assert table.tobytes() == gain_tables([ch], bs_cov, ris_cov, ideal)[0].tobytes()
+        tables = gain_tables(block, bs_cov, ris_cov, ideal, check_modulus=True)
+        for table, row in zip(tables, rows):
+            assert table.tobytes() == gain_tables(row, bs_cov, ris_cov, ideal)[0].tobytes()
 
 
 @pytest.mark.parametrize("mode", ["on_grid", "continuous"])
@@ -437,15 +435,15 @@ def test_exhaustive_runner_matches_per_tuple_sweep(case, mode, trials, snr_linea
     n_bs, rows, cols, budget = case
     geo = ArrayGeometry(n_bs, rows, cols)
     grid = make_angle_grid(geo)
-    channels = [draw_channel(geo, grid, mode, seed + t) for t in range(trials)]
+    block = draw_block(geo, grid, mode, seed, trials)
     snr = SnrSpec(snr_linear)
-    runs = run_exhaustive(channel_block(channels), narrow_beam_matrices(grid, geo), snr,
+    runs = run_exhaustive(block, narrow_beam_matrices(grid, geo), snr,
                           budget, [np.random.default_rng(seed + t) for t in range(trials)])
     assert runs.raw_bits_bs.shape == runs.raw_bits_ris.shape == (trials, 0)
     assert runs.decoded == ()
-    for t, ch in enumerate(channels):
-        estimate, pilots, truncated = exhaustive_sweep(ch, grid, geo, snr, budget,
-                                                       np.random.default_rng(seed + t))
+    for t in range(trials):
+        estimate, pilots, truncated = exhaustive_sweep(block, grid, geo, snr, budget,
+                                                       np.random.default_rng(seed + t), t)
         assert (runs.est_bs_index[t], runs.est_ris_index[t]) == estimate
         assert (runs.pilots_used, runs.truncated) == (pilots, truncated)
 
@@ -472,23 +470,22 @@ def test_tuple_rates_equal_achievable_rate_bytes(dims, mode):
     snr_eval = SnrSpec(10.0, noiseless=True)
     rng = np.random.default_rng(dims[0] + len(mode))
     for seed in range(500):
-        ch = draw_channel(geo, grid, mode, seed)
-        tuples = [(ch.bs_index, ch.ue_ris_index)] + [
+        ch = draw_block(geo, grid, mode, seed)
+        tuples = [(int(ch.bs_index[0]), int(ch.ris_index[0]))] + [
             (int(rng.integers(geo.n_bs)) + 1, int(rng.integers(geo.n_ris)) + 1)
             for _ in range(3)]
         expected = [achievable_rate(ch, *grid_transmit_pair(ch, grid, geo, *t), snr_eval)
                     for t in tuples]
-        got = tuple_rates(channel_block([ch]), 0, narrow, tuples, snr_eval)
+        got = tuple_rates(ch, 0, narrow, tuples, snr_eval)
         assert [r.hex() for r in got] == [r.hex() for r in expected]
 
 
 def test_tuple_rates_reject_broken_constant_modulus(desk_geometry, desk_grid):
-    ch = draw_channel(desk_geometry, desk_grid, "on_grid", 2)
+    block = draw_block(desk_geometry, desk_grid, "on_grid", 2)
     bs_cov, ris_cov = narrow_beam_matrices(desk_grid, desk_geometry)
     broken = ris_cov.copy()
     broken[0, 5] *= 2.0
     snr_eval = SnrSpec(10.0, noiseless=True)
-    block = channel_block([ch])
     tuple_rates(block, 0, (bs_cov, broken), [(1, 1), (2, 3)], snr_eval)  # intact columns
     with pytest.raises(ValueError, match="constant modulus"):
         tuple_rates(block, 0, (bs_cov, broken), [(1, 1), (2, 6)], snr_eval)

@@ -4,7 +4,7 @@ import pytest
 
 from reference import achievable_rate, grid_transmit_pair, noiseless_best_tuple, success_rate
 from risbeam.arrays import make_angle_grid
-from risbeam.channel import normalize_channel, sample_channel
+from risbeam.channel import sample_block
 from risbeam import experiments
 from risbeam.codebook import GsConfig
 from risbeam.experiments import (
@@ -69,7 +69,7 @@ def test_sweep_channels_shared_across_protocols():
 
     for rec in results.trial_log:
         ch_rng = derive_rng(cfg.master_seed, "channel", "snr_db", 0.0, rec.trial)
-        ch = normalize_channel(sample_channel(geometry, grid, ch_rng))
+        ch = sample_block(geometry, grid, [ch_rng])
         best = noiseless_best_tuple(ch, grid, geometry)
         v, w = grid_transmit_pair(ch, grid, geometry, *best)
         ceiling = achievable_rate(ch, v, w, SnrSpec(cfg.eval_snr_linear, noiseless=True))
@@ -242,7 +242,7 @@ def test_non_finite_snrs_rejected_before_any_trial(monkeypatch, overrides):
     def no_draw(*args, **kwargs):
         raise AssertionError("a channel was drawn")
 
-    monkeypatch.setattr(experiments, "sample_channel", no_draw)
+    monkeypatch.setattr(experiments, "sample_block", no_draw)
     with pytest.raises(ValueError, match="positive and finite"):
         run_sweep(_tiny_config(**overrides))
 
@@ -329,9 +329,8 @@ def test_rate_ceiling_row_never_exceeds_exhaustive():
     from risbeam.channel import SnrSpec
 
     for trial, rates in per_trial.items():
-        ch = normalize_channel(sample_channel(
-            geometry, grid,
-            derive_rng(cfg.master_seed, "channel", "snr_db", 30.0, trial)))
+        ch = sample_block(geometry, grid,
+                          [derive_rng(cfg.master_seed, "channel", "snr_db", 30.0, trial)])
         best = noiseless_best_tuple(ch, grid, geometry)
         v, w = grid_transmit_pair(ch, grid, geometry, *best)
         ceiling = achievable_rate(ch, v, w, SnrSpec(cfg.eval_snr_linear, noiseless=True))

@@ -4,6 +4,7 @@ import pytest
 from reference import (
     achievable_rate,
     bs_transmit,
+    channel_at,
     effective_gain,
     grid_transmit_pair,
     noiseless_best_tuple,
@@ -21,7 +22,7 @@ from risbeam.arrays import (
     w_axis,
 )
 from risbeam.blockcode import build_identity_code, build_plain_code, build_reduced_code
-from risbeam.channel import SnrSpec, channel_block, normalize_channel, sample_channel
+from risbeam.channel import SnrSpec, sample_block
 from risbeam.codebook import (
     GsConfig,
     axis_sampling_matrix,
@@ -73,26 +74,9 @@ def oracle_setup():
     return geo, grid, (code_t, code_r), books, provider
 
 
-def _channel_at(geo, grid, bs_index, ris_index, gr_index=1):
-    a_ue = upa_steering_uw(geo.n_ris_rows, geo.n_ris_cols,
-                           grid.ris_u[ris_index - 1], grid.ris_w[ris_index - 1])
-    a_gr = upa_steering_uw(geo.n_ris_rows, geo.n_ris_cols,
-                           grid.ris_u[gr_index - 1], grid.ris_w[gr_index - 1])
-    b = ula_steering(geo.n_bs, grid.bs_angles[bs_index - 1])
-    from risbeam.channel import ChannelRealization
-
-    return ChannelRealization(
-        h_r=np.sqrt(geo.n_ris) * a_ue,
-        g_mat=np.sqrt(geo.n_bs * geo.n_ris) * np.outer(a_gr, b),
-        ue_ris_index=ris_index,
-        bs_index=bs_index,
-        g_left=a_gr,
-    )
-
-
 def test_coded_budget_accounting(oracle_setup):
     geo, grid, codes, books, _ = oracle_setup
-    ch = _channel_at(geo, grid, 3, 17)
+    ch = channel_at(geo, grid, 3, 17)
     rng = derive_rng(0, "budget")
     out = run_coded(ch, books, codes, NOISELESS, None, rng, "one_bit", ideal=True)
     assert out.pilots_used == 4 * max(codes[0].n, codes[1].n) == 48
@@ -108,7 +92,7 @@ def test_coded_oracle_spot_tuples(oracle_setup):
     geo, grid, codes, books, _ = oracle_setup
     rng = derive_rng(0, "spot")
     for bs_i, ris_i in ((1, 1), (8, 64), (5, 23), (3, 40)):
-        ch = _channel_at(geo, grid, bs_i, ris_i)
+        ch = channel_at(geo, grid, bs_i, ris_i)
         for mode in ("none", "one_bit", "decoupled_two_bit"):
             out = run_coded(ch, books, codes, NOISELESS, None, rng, mode, ideal=True)
             assert (out.est_bs_index, out.est_ris_index) == (bs_i, ris_i)
@@ -116,7 +100,7 @@ def test_coded_oracle_spot_tuples(oracle_setup):
 
 def test_coded_single_injected_error_corrected(oracle_setup):
     geo, grid, codes, books, _ = oracle_setup
-    ch = _channel_at(geo, grid, 6, 50)
+    ch = channel_at(geo, grid, 6, 50)
     rng = derive_rng(0, "inject")
     for layer in range(codes[1].n):
         out = run_coded(ch, books, codes, NOISELESS, None, rng, "one_bit",
@@ -131,7 +115,7 @@ def test_coded_single_injected_error_corrected(oracle_setup):
 def test_coded_correction_dominance_exact(oracle_setup):
     # over single-bit RIS injections, one_bit success count >= none success count
     geo, grid, codes, books, _ = oracle_setup
-    ch = _channel_at(geo, grid, 2, 11)
+    ch = channel_at(geo, grid, 2, 11)
     rng = derive_rng(0, "dom")
     wins = {"none": 0, "one_bit": 0}
     for layer in range(codes[1].n):
@@ -145,7 +129,7 @@ def test_coded_correction_dominance_exact(oracle_setup):
 
 def test_coded_cross_dimension_double_error(oracle_setup):
     geo, grid, codes, books, _ = oracle_setup
-    ch = _channel_at(geo, grid, 4, 33)
+    ch = channel_at(geo, grid, 4, 33)
     rng = derive_rng(0, "double")
     # one Type-I-side layer and one Type-II-side layer
     flips = [(0, "ris"), (3, "ris")]
@@ -162,7 +146,7 @@ def test_hierarchical_oracle_and_bits(oracle_setup):
     codes, books = ideal_identity_assets(geo)
     rng = derive_rng(0, "hier")
     for bs_i, ris_i in ((1, 1), (8, 64), (2, 37)):
-        ch = _channel_at(geo, grid, bs_i, ris_i)
+        ch = channel_at(geo, grid, bs_i, ris_i)
         out = run_coded(ch, books, codes, NOISELESS, None, rng, "none", ideal=True)
         assert (out.est_bs_index, out.est_ris_index) == (bs_i, ris_i)
         assert out.pilots_used == 4 * max(ceil_log2(8), ceil_log2(64)) == 24
@@ -172,7 +156,7 @@ def test_hierarchical_adaptive_variant_oracle(oracle_setup):
     geo, grid, _, _, provider = oracle_setup
     rng = derive_rng(0, "hier-adapt")
     for bs_i, ris_i in ((3, 9), (7, 64), (1, 28)):
-        ch = _channel_at(geo, grid, bs_i, ris_i)
+        ch = channel_at(geo, grid, bs_i, ris_i)
         out = run_hierarchical(ch, provider, NOISELESS, None, rng)
         assert (out.est_bs_index, out.est_ris_index) == (bs_i, ris_i)
 
@@ -180,7 +164,7 @@ def test_hierarchical_adaptive_variant_oracle(oracle_setup):
 def test_hierarchical_error_propagates_without_correction(oracle_setup):
     geo, grid, _, _, provider = oracle_setup
     codes, books = ideal_identity_assets(geo)
-    ch = _channel_at(geo, grid, 5, 20)
+    ch = channel_at(geo, grid, 5, 20)
     rng = derive_rng(0, "hier-flip")
     full_coverage = run_coded(ch, books, codes, NOISELESS, None, rng, "none",
                               ideal=True, inject_flips=[(0, "ris")])
@@ -193,7 +177,7 @@ def test_hierarchical_error_propagates_without_correction(oracle_setup):
 def test_hierarchical_budget_and_truncation(oracle_setup):
     geo, grid, _, _, _ = oracle_setup
     codes, books = ideal_identity_assets(geo)
-    ch = _channel_at(geo, grid, 5, 20)
+    ch = channel_at(geo, grid, 5, 20)
     out = run_coded(ch, books, codes, NOISELESS, 11, derive_rng(0, "t"), "none",
                     ideal=True)
     assert out.pilots_used == 8 and out.truncated
@@ -207,7 +191,7 @@ def test_hierarchical_budget_and_truncation(oracle_setup):
 
 def test_hierarchical_adaptive_budget_and_truncation(oracle_setup):
     geo, grid, _, _, provider = oracle_setup
-    ch = _channel_at(geo, grid, 5, 20)
+    ch = channel_at(geo, grid, 5, 20)
     out = run_hierarchical(ch, provider, NOISELESS, 11, derive_rng(0, "t"))
     assert out.pilots_used == 8 and out.truncated
     assert len(out.raw_bits_bs) == 3 and len(out.raw_bits_ris) == 6
@@ -237,12 +221,12 @@ def test_provider_designs_each_prefix_once(monkeypatch, desk_geometry, desk_grid
         training.design_bs_codewords, lambda covers, *rest: [tuple(c) for c in covers]))
     geo = desk_geometry
     provider = HierarchicalBeamProvider(geo, desk_grid, GsConfig(seed=1, k_iter=10))
-    channels = [normalize_channel(sample_channel(geo, desk_grid, derive_rng(3, "ch", trial)))
-                for trial in range(40)]
-    for trial, ch in enumerate(channels):
+    for trial in range(40):
+        ch = sample_block(geo, desk_grid, [derive_rng(3, "ch", trial)])
         run_hierarchical(ch, provider, SnrSpec(0.3), None, derive_rng(3, "n", trial))
-    training.run_adaptive(channel_block(channels), provider, SnrSpec(0.3), None,
-                          [derive_rng(3, "n", trial) for trial in range(40)])
+    training.run_adaptive(
+        sample_block(geo, desk_grid, [derive_rng(3, "ch", trial) for trial in range(40)]),
+        provider, SnrSpec(0.3), None, [derive_rng(3, "n", trial) for trial in range(40)])
     designed = dict(designs)
     assert len(designs) == len(designed)
     k_bs, k_u, k_w = (ceil_log2(n) for n in (geo.n_bs, geo.n_ris_rows, geo.n_ris_cols))
@@ -283,8 +267,7 @@ def test_hierarchical_full_scale_pilot_count():
     geo = ArrayGeometry(64, 16, 16)
     grid = make_angle_grid(geo)
     codes, books = ideal_identity_assets(geo)
-    ch_rng = derive_rng(0, "ps")
-    ch = normalize_channel(sample_channel(geo, grid, ch_rng))
+    ch = sample_block(geo, grid, [derive_rng(0, "ps")])
     out = run_coded(ch, books, codes, NOISELESS, None, derive_rng(0, "n"), "none",
                     ideal=True)
     assert out.pilots_used == 32
@@ -294,8 +277,8 @@ def test_exhaustive_noiseless_finds_truth(oracle_setup):
     geo, grid, _, _, _ = oracle_setup
     narrow = narrow_beam_matrices(grid, geo)
     for bs_i, ris_i in ((1, 1), (8, 64), (4, 29)):
-        ch = _channel_at(geo, grid, bs_i, ris_i, gr_index=13)
-        out = trial_outcome(run_exhaustive(channel_block([ch]), narrow, NOISELESS, None,
+        ch = channel_at(geo, grid, bs_i, ris_i, gr_index=13)
+        out = trial_outcome(run_exhaustive(ch, narrow, NOISELESS, None,
                                            [derive_rng(0, "e")]), 0)
         assert (out.est_bs_index, out.est_ris_index) == (bs_i, ris_i)
         assert out.pilots_used == 8 * 64
@@ -305,22 +288,21 @@ def test_exhaustive_budget_coverage(oracle_setup):
     # with a partial budget the truth is found exactly when its tuple was swept
     geo, grid, _, _, _ = oracle_setup
     budget = 100
-    inside = _channel_at(geo, grid, 1, 17)  # tuple index 17 <= 100
+    inside = channel_at(geo, grid, 1, 17)  # tuple index 17 <= 100
     narrow = narrow_beam_matrices(grid, geo)
-    out = trial_outcome(run_exhaustive(channel_block([inside]), narrow, NOISELESS, budget,
+    out = trial_outcome(run_exhaustive(inside, narrow, NOISELESS, budget,
                                        [derive_rng(0, "e1")]), 0)
     assert (out.est_bs_index, out.est_ris_index) == (1, 17)
     assert out.pilots_used == budget and out.truncated
-    outside = _channel_at(geo, grid, 5, 1)  # tuple index 257 > 100
-    out = trial_outcome(run_exhaustive(channel_block([outside]), narrow, NOISELESS, budget,
+    outside = channel_at(geo, grid, 5, 1)  # tuple index 257 > 100
+    out = trial_outcome(run_exhaustive(outside, narrow, NOISELESS, budget,
                                        [derive_rng(0, "e2")]), 0)
     assert (out.est_bs_index, out.est_ris_index) != (5, 1)
 
 
 def test_run_determinism_same_seed(oracle_setup, desk_books, desk_codes,
                                    desk_geometry, desk_grid):
-    ch = normalize_channel(
-        sample_channel(desk_geometry, desk_grid, derive_rng(1, "ch", 0)))
+    ch = sample_block(desk_geometry, desk_grid, [derive_rng(1, "ch", 0)])
     snr = SnrSpec(1.0)
     a = run_coded(ch, desk_books, desk_codes, snr, None, derive_rng(2, "n"), "one_bit")
     b = run_coded(ch, desk_books, desk_codes, snr, None, derive_rng(2, "n"), "one_bit")
@@ -334,7 +316,7 @@ def test_designed_beams_noiseless_recovery(desk_books, desk_codes, desk_geometry
     hier_codes = identity_codes(desk_geometry)
     hier_books = build_codebooks(*hier_codes, desk_grid, desk_geometry, GsConfig(seed=1))
     for bs_i, ris_i in ((1, 1), (16, 64), (7, 13), (11, 48)):
-        ch = _channel_at(desk_geometry, desk_grid, bs_i, ris_i, gr_index=29)
+        ch = channel_at(desk_geometry, desk_grid, bs_i, ris_i, gr_index=29)
         for mode in ("none", "one_bit", "decoupled_two_bit"):
             out = run_coded(ch, desk_books, desk_codes, NOISELESS, None,
                             derive_rng(0, "x"), mode)
@@ -382,7 +364,7 @@ def test_training_overhead_desk_scale_and_errors():
 
 def test_achievable_rate_cases(oracle_setup):
     geo, grid, _, _, _ = oracle_setup
-    ch = normalize_channel(_channel_at(geo, grid, 3, 12, gr_index=40))
+    ch = channel_at(geo, grid, 3, 12, gr_index=40)
     snr10 = SnrSpec(10.0)
     # matched tuple reaches the brute-force maximum over all grid tuples
     best_gain_sq = 0.0
@@ -400,7 +382,7 @@ def test_achievable_rate_cases(oracle_setup):
 
 def test_noiseless_best_tuple_matches_truth_on_grid(oracle_setup):
     geo, grid, _, _, _ = oracle_setup
-    ch = normalize_channel(_channel_at(geo, grid, 6, 31, gr_index=2))
+    ch = channel_at(geo, grid, 6, 31, gr_index=2)
     assert noiseless_best_tuple(ch, grid, geo) == (6, 31)
 
 
@@ -417,7 +399,7 @@ def test_protocol_spec_tags():
 
 def test_transmit_helpers_preserve_modulus(oracle_setup):
     geo, grid, _, _, _ = oracle_setup
-    ch = _channel_at(geo, grid, 2, 7, gr_index=50)
+    ch = channel_at(geo, grid, 2, 7, gr_index=50)
     v_cov = upa_steering_uw(8, 8, grid.ris_u[6], grid.ris_w[6])
     v_tx = ris_transmit(ch, v_cov)
     assert np.abs(np.abs(v_tx) - 1 / 8).max() < 1e-12
