@@ -10,7 +10,7 @@ azimuths are recorded as NaN.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -71,7 +71,9 @@ class AngleGrid:
     bs_angles has length n_bs; the four RIS arrays have length n_ris and are
     indexed by the 1-based grid index n with n - 1 = (a - 1) * n_ris_cols + p,
     where a is the azimuth index and p the elevation position. ris_azimuth is
-    NaN where the grid point has no physical azimuth.
+    NaN where the grid point has no physical azimuth. The grid records the RIS
+    shape and spacing it was built for, and holds read-only unit-norm steering
+    matrices: column i steers at grid point i.
     """
 
     bs_angles: np.ndarray
@@ -79,6 +81,11 @@ class AngleGrid:
     ris_w: np.ndarray
     ris_azimuth: np.ndarray
     ris_elevation: np.ndarray
+    n_ris_rows: int
+    n_ris_cols: int
+    spacing: float
+    bs_steering: np.ndarray  # n_bs x n_bs
+    ris_steering: np.ndarray  # n_ris x n_ris
 
     @property
     def n_bs(self) -> int:
@@ -88,33 +95,40 @@ class AngleGrid:
     def n_ris(self) -> int:
         return self.ris_u.size
 
+    def check(self, geometry: ArrayGeometry) -> None:
+        """Reject a geometry other than the one the grid was built for."""
+        if (self.n_bs, self.n_ris_rows, self.n_ris_cols, self.spacing) != astuple(geometry):
+            raise ValueError("geometry and grid dimensions are inconsistent")
+
 
 def _centered_indices(n: int) -> np.ndarray:
     # (1 - n)/2, (3 - n)/2, ..., (n - 1)/2
     return np.arange(n) - (n - 1) / 2.0
 
 
-def ula_factor(n: int, freq: float, spacing: float = DEFAULT_SPACING) -> np.ndarray:
-    """Unit-modulus ULA phase factor at spatial frequency ``freq``, centered indices."""
-    return np.exp(-2j * np.pi * spacing * freq * _centered_indices(n))
+def ula_factor(n: int, freq, spacing: float = DEFAULT_SPACING) -> np.ndarray:
+    """Unit-modulus ULA phase factor at spatial frequency ``freq``, centered indices.
+
+    The steering functions take arrays too: row t then belongs to entry t,
+    byte-equal to a call on that entry alone.
+    """
+    return np.exp(-2j * np.pi * spacing * np.asarray(freq)[..., None] * _centered_indices(n))
 
 
-def ula_steering(n: int, phi: float, spacing: float = DEFAULT_SPACING) -> np.ndarray:
+def ula_steering(n: int, phi, spacing: float = DEFAULT_SPACING) -> np.ndarray:
     """Unit-norm ULA steering vector; entry m carries phase -2*pi*spacing*m*sin(phi)."""
     m = np.arange(n)
-    return np.exp(-2j * np.pi * spacing * m * np.sin(phi)) / np.sqrt(n)
+    return np.exp(-2j * np.pi * spacing * m * np.sin(np.asarray(phi)[..., None])) / np.sqrt(n)
 
 
-def upa_steering_uw(
-    n1: int, n2: int, u: float, w: float, spacing: float = DEFAULT_SPACING
-) -> np.ndarray:
+def upa_steering_uw(n1: int, n2: int, u, w, spacing: float = DEFAULT_SPACING) -> np.ndarray:
     """Unit-norm UPA steering vector from spatial frequencies (u, w).
 
     Kronecker product of the u-dimension factor (length n1) and the
     w-dimension factor (length n2), both on centered indices.
     """
-    vec = np.multiply.outer(ula_factor(n1, u, spacing), ula_factor(n2, w, spacing))
-    return vec.ravel() / np.sqrt(n1 * n2)
+    vec = ula_factor(n1, u, spacing)[..., :, None] * ula_factor(n2, w, spacing)[..., None, :]
+    return vec.reshape(*vec.shape[:-2], n1 * n2) / np.sqrt(n1 * n2)
 
 
 def bs_grid_sines(n_bs: int) -> np.ndarray:
@@ -142,7 +156,14 @@ def w_axis(n2: int) -> np.ndarray:
     return (1.0 - n2) / n2 + 2.0 * ((np.arange(n2) + 1) % n2) / n2
 
 
-def ris_angle_grid(n1: int, n2: int) -> AngleGrid:
+def _read_only_columns(rows: np.ndarray) -> np.ndarray:
+    """The C-ordered transpose of a stack of row vectors, locked against writes."""
+    cols = np.ascontiguousarray(rows.T)
+    cols.flags.writeable = False
+    return cols
+
+
+def ris_angle_grid(n1: int, n2: int, spacing: float = DEFAULT_SPACING) -> AngleGrid:
     """RIS candidate grid over n = 1..n1*n2 as an AngleGrid with empty BS part.
 
     The elevation index is mod(n, n2) and the azimuth index is the n2-fold
@@ -166,16 +187,17 @@ def ris_angle_grid(n1: int, n2: int) -> AngleGrid:
         ris_w=w,
         ris_azimuth=azimuth,
         ris_elevation=elevation,
+        n_ris_rows=n1,
+        n_ris_cols=n2,
+        spacing=float(spacing),
+        bs_steering=np.empty((0, 0), dtype=complex),
+        ris_steering=_read_only_columns(upa_steering_uw(n1, n2, u, w, spacing)),
     )
 
 
 def make_angle_grid(geometry: ArrayGeometry) -> AngleGrid:
-    """Full candidate grid (BS and RIS) for the given geometry."""
-    ris = ris_angle_grid(geometry.n_ris_rows, geometry.n_ris_cols)
-    return AngleGrid(
-        bs_angles=bs_angle_grid(geometry.n_bs),
-        ris_u=ris.ris_u,
-        ris_w=ris.ris_w,
-        ris_azimuth=ris.ris_azimuth,
-        ris_elevation=ris.ris_elevation,
-    )
+    """Full candidate grid (BS and RIS) and its steering matrices for the given geometry."""
+    sp, bs_angles = geometry.spacing_over_wavelength, bs_angle_grid(geometry.n_bs)
+    return replace(ris_angle_grid(geometry.n_ris_rows, geometry.n_ris_cols, sp),
+                   bs_angles=bs_angles,
+                   bs_steering=_read_only_columns(ula_steering(geometry.n_bs, bs_angles, sp)))

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import (
-    AngleGrid,
-    ArrayGeometry,
-    bs_grid_sines,
-    ula_steering,
-    upa_steering_uw,
-)
+from .arrays import AngleGrid, ArrayGeometry, bs_grid_sines, ula_steering, upa_steering_uw
 
 SAMPLING_MODES = ("on_grid", "continuous")
 
@@ -64,67 +58,49 @@ class ChannelBlock:
         return self.beta.shape[1]
 
 
-def _draw(geometry: ArrayGeometry, grid: AngleGrid, rng: np.random.Generator, mode: str):
-    """One trial's 1-based (BS, UE-side RIS) indices, (u, w), BS sine and RIS-BS (u, w)."""
-    if mode == "on_grid":
-        bs = int(rng.integers(geometry.n_bs))
-        ue = int(rng.integers(geometry.n_ris))
-        gr = int(rng.integers(geometry.n_ris))
-        return (bs + 1, ue + 1, grid.ris_u[ue], grid.ris_w[ue],
-                bs_grid_sines(geometry.n_bs)[bs], grid.ris_u[gr], grid.ris_w[gr])
-    phi_t = rng.uniform(-np.pi / 2, np.pi / 2)
-    phi_r = rng.uniform(-np.pi / 2, np.pi / 2)
-    theta_r = rng.uniform(0.0, np.pi)
-    phi_g = rng.uniform(-np.pi / 2, np.pi / 2)
-    theta_g = rng.uniform(0.0, np.pi)
-    u = np.sin(phi_r) * np.sin(theta_r)
-    w = np.cos(theta_r)
-    bs_sine = np.sin(phi_t)
-    bs = int(np.argmin(np.abs(bs_grid_sines(geometry.n_bs) - bs_sine)))
-    ue = int(np.argmin((grid.ris_u - u) ** 2 + (grid.ris_w - w) ** 2))
-    return (bs + 1, ue + 1, u, w, bs_sine,
-            np.sin(phi_g) * np.sin(theta_g), np.cos(theta_g))
-
-
 def sample_block(geometry: ArrayGeometry, grid: AngleGrid, rngs,
                  mode: str = "on_grid") -> ChannelBlock:
     """Draw one channel per generator, with unit path gains, as a ChannelBlock.
 
-    Trial t draws from ``rngs[t]`` alone. "on_grid" draws uniform grid
-    indices and builds the channel exactly at the grid points. "continuous"
-    draws physical angles uniformly and records the nearest grid point (in
-    sine / spatial-frequency space) as ground truth. Each trial is scaled to
-    ||h_r|| = sqrt(n_ris) and ||g_mat||_F = sqrt(n_bs * n_ris), which removes
-    distance and transmit-power effects while keeping the array factors, so
-    an SnrSpec fully controls the noise level.
+    Trial t draws from ``rngs[t]`` alone; the block is then built in one
+    broadcast, byte-equal to building each trial on its own. "on_grid" draws
+    uniform grid indices and gathers columns of the grid's steering matrices.
+    "continuous" draws physical angles uniformly and records the nearest grid
+    point (in sine / spatial-frequency space) as ground truth. Each trial is
+    scaled to ||h_r|| = sqrt(n_ris) and ||g_mat||_F = sqrt(n_bs * n_ris),
+    which removes distance and transmit-power effects while keeping the array
+    factors, so an SnrSpec fully controls the noise level.
     """
-    if grid.n_bs != geometry.n_bs or grid.n_ris != geometry.n_ris:
-        raise ValueError("geometry and grid dimensions are inconsistent")
+    grid.check(geometry)
     if mode not in SAMPLING_MODES:
         raise ValueError(f"unknown sampling mode {mode!r}")
     n1, n2, sp = geometry.n_ris_rows, geometry.n_ris_cols, geometry.spacing_over_wavelength
     n_bs, n_ris = geometry.n_bs, geometry.n_ris
-    draws = [_draw(geometry, grid, rng, mode) for rng in rngs]
-    h_r, g_mats, comp = [], [], []
-    for _, _, u, w, bs_sine, gr_u, gr_w in draws:
-        a_gr = upa_steering_uw(n1, n2, gr_u, gr_w, sp)
-        h = np.sqrt(n_ris) * upa_steering_uw(n1, n2, u, w, sp)
-        g = np.sqrt(n_bs * n_ris) * np.outer(a_gr, ula_steering(n_bs, np.arcsin(bs_sine), sp))
-        h *= np.sqrt(n_ris) / np.linalg.norm(h)  # in place: the same bytes, no copy
+    if mode == "on_grid":
+        bs, ue, gr = np.array([[rng.integers(n_bs), rng.integers(n_ris), rng.integers(n_ris)]
+                               for rng in rngs]).T
+        a_bs, (a_ue, a_gr) = grid.bs_steering.T[bs], grid.ris_steering.T[np.stack((ue, gr))]
+    else:
+        half = np.pi / 2
+        phi_t, phi_r, theta_r, phi_g, theta_g = np.array([
+            [rng.uniform(-half, half), rng.uniform(-half, half), rng.uniform(0.0, np.pi),
+             rng.uniform(-half, half), rng.uniform(0.0, np.pi)] for rng in rngs]).T
+        u, w, bs_sine = np.sin(phi_r) * np.sin(theta_r), np.cos(theta_r), np.sin(phi_t)
+        bs = np.argmin(np.abs(bs_grid_sines(n_bs) - bs_sine[:, None]), axis=1)
+        ue = np.argmin((grid.ris_u - u[:, None]) ** 2 + (grid.ris_w - w[:, None]) ** 2, axis=1)
+        a_bs = ula_steering(n_bs, np.arcsin(bs_sine), sp)
+        a_ue = upa_steering_uw(n1, n2, u, w, sp)
+        a_gr = upa_steering_uw(n1, n2, np.sin(phi_g) * np.sin(theta_g), np.cos(theta_g), sp)
+    h_r = np.sqrt(n_ris) * a_ue
+    g_mats = a_gr[:, :, None] * a_bs[:, None, :]
+    g_mats *= np.sqrt(n_bs * n_ris)  # in place: the same bytes, one block-sized array
+    for h, g in zip(h_r, g_mats):  # in place, one norm each: a batched norm rounds differently
+        h *= np.sqrt(n_ris) / np.linalg.norm(h)
         g *= np.sqrt(n_bs * n_ris) / np.linalg.norm(g)
-        h_r.append(h)
-        g_mats.append(g)
-        # the unit-modulus de-rotation of the static, known RIS-BS direction
-        comp.append(np.sqrt(n_ris) * np.conj(a_gr))
-    comp = np.array(comp)
-    return ChannelBlock(
-        bs_index=np.array([d[0] for d in draws]),
-        ris_index=np.array([d[1] for d in draws]),
-        comp=comp,
-        beta=comp[:, :1] * np.array([g[0] for g in g_mats]),
-        h_r=np.array(h_r),
-        g_mats=tuple(g_mats),
-    )
+    # the unit-modulus de-rotation of the static, known RIS-BS direction
+    comp = np.sqrt(n_ris) * np.conj(a_gr)
+    return ChannelBlock(bs_index=bs + 1, ris_index=ue + 1, comp=comp,
+                        beta=comp[:, :1] * g_mats[:, 0], h_r=h_r, g_mats=tuple(g_mats))
 
 
 def pilot_noise(snr: SnrSpec, rng: np.random.Generator, shape: tuple) -> np.ndarray:

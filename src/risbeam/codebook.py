@@ -22,8 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arrays import (AngleGrid, ArrayGeometry, real_number, u_axis, ula_factor, w_axis,
-                     whole_number)
+from .arrays import AngleGrid, ArrayGeometry, real_number, u_axis, w_axis, whole_number
 from .blockcode import BlockCode, encode, int_to_bits
 from .seeding import derive_rng
 
@@ -112,35 +111,15 @@ def axis_sampling_matrix(n: int, freqs: np.ndarray,
 
 
 def bs_steering_matrix(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarray:
-    """Unit-norm BS steering vectors, column i at BS grid point i.
-
-    Bit-identical to ``ula_steering`` per grid point, in one broadcast with
-    its operation order.
-    """
-    n = geometry.n_bs
-    phase = -2j * np.pi * geometry.spacing_over_wavelength * np.arange(n)
-    return np.exp(phase[:, None] * np.sin(grid.bs_angles)) / np.sqrt(n)
-
-
-def ris_steering_matrix(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarray:
-    """Unit-norm RIS steering vectors, column n at grid point n.
-
-    Bit-identical to ``upa_steering_uw`` per grid point, in one broadcast.
-    """
-    n1, n2 = geometry.n_ris_rows, geometry.n_ris_cols
-    sp = geometry.spacing_over_wavelength
-    f_u = ula_factor(n1, grid.ris_u[:, None], sp)
-    f_w = ula_factor(n2, grid.ris_w[:, None], sp)
-    cols = (f_u[:, :, None] * f_w[:, None, :]).reshape(-1, n1 * n2) / np.sqrt(n1 * n2)
-    return np.ascontiguousarray(cols.T)
+    """The grid's unit-norm BS steering vectors, column i at BS grid point i."""
+    grid.check(geometry)
+    return grid.bs_steering
 
 
 def ris_sampling_matrix(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarray:
-    """2-D sampling matrix (unit-modulus entries), column n at grid point n.
-
-    Bit-identical to sqrt(n_ris) * ``upa_steering_uw`` per grid point.
-    """
-    return ris_steering_matrix(geometry, grid) * np.sqrt(geometry.n_ris)
+    """2-D sampling matrix (unit-modulus entries): sqrt(n_ris) times the grid's steering."""
+    grid.check(geometry)
+    return grid.ris_steering * np.sqrt(geometry.n_ris)
 
 
 def flat_codeword(n: int) -> np.ndarray:

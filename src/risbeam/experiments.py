@@ -4,7 +4,10 @@ A sweep point runs in blocks of ``TRIAL_BLOCK`` trials. Per-trial channels
 are seeded independently of the protocol, so one ``sample_block`` call draws
 each (sweep point, trial) channel of a block once, and every protocol runs on
 that ``ChannelBlock``; the measurement noise stream is seeded per (protocol, sweep point,
-trial), so the block size changes no result. Before the first trial, each
+trial), so the block size changes no result. Every channel and noise stream
+of the sweep is seeded at once before the first trial (``stream_words``), and
+each block loads its trials' streams into a reused pool of generators per
+stream tag (``load_streams``). Before the first trial, each
 protocol gets one block runner, called once per block: ``run_exhaustive``,
 ``run_layered`` for coded and full-coverage hierarchical training
 (hierarchical training uses identity codes, whose codebooks are the first k
@@ -31,7 +34,7 @@ from .arrays import (ArrayGeometry, check_powers_of_two, make_angle_grid, real_n
 from .blockcode import build_identity_code
 from .channel import SAMPLING_MODES, SnrSpec, sample_block
 from .codebook import GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook
-from .seeding import derive_rng
+from .seeding import derive_seed, load_streams, stream_words
 from .training import (
     HierarchicalBeamProvider,
     ProtocolSpec,
@@ -239,9 +242,17 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
               else cfg.snr_grid_db[:1] * len(sweep_values))
     snrs = [SnrSpec(_linear_snr(db), noiseless=cfg.noiseless) for db in snr_db]
 
+    # every channel and noise stream of the sweep, by (sweep point, tag, trial)
+    tags = ["channel"] + [proto.tag for proto in protocols]
+    words = stream_words(np.fromiter(
+        (derive_seed(cfg.master_seed, tag, sweep_name, float(value), trial)
+         for value in sweep_values for tag in tags for trial in range(cfg.trials)),
+        np.uint64)).reshape(len(sweep_values), len(tags), cfg.trials, 4)
+    pools = [[] for _ in tags]  # reused generators, one pool per stream tag
+
     rows = []
     log: list[TrialRecord] = []
-    for value, snr in zip(sweep_values, snrs):
+    for point, (value, snr) in enumerate(zip(sweep_values, snrs)):
         if cfg.sweep_over == "snr":
             budgets = [proto.pilot_budget for proto in protocols]
         else:
@@ -251,13 +262,11 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
         pilots_used = [0] * len(protocols)
         for start in range(0, cfg.trials, TRIAL_BLOCK):
             trials = range(start, min(start + TRIAL_BLOCK, cfg.trials))
-            block = sample_block(geometry, grid, [
-                derive_rng(cfg.master_seed, "channel", sweep_name, float(value), trial)
-                for trial in trials], cfg.sampling_mode)
+            streams = [load_streams(pool, words[point, s, start:trials.stop])
+                       for s, pool in enumerate(pools)]
+            block = sample_block(geometry, grid, streams[0], cfg.sampling_mode)
             estimates = []  # per protocol: the block's (BS, RIS) index estimates
-            for p, (proto, run, budget) in enumerate(zip(protocols, runners, budgets)):
-                rngs = [derive_rng(cfg.master_seed, proto.tag, sweep_name, float(value),
-                                   trial) for trial in trials]
+            for p, (run, budget, rngs) in enumerate(zip(runners, budgets, streams[1:])):
                 result = run(block, snr=snr, budget=budget, rngs=rngs)
                 hits[p, start:trials.stop] = ((result.est_bs_index == block.bs_index)
                                               & (result.est_ris_index == block.ris_index))

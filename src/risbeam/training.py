@@ -51,7 +51,6 @@ from .codebook import (
     design_bs_codewords,
     flat_codeword,
     relaxed_gs_batch,
-    ris_steering_matrix,
 )
 from .seeding import derive_rng
 
@@ -408,10 +407,10 @@ def narrow_beam_matrices(grid: AngleGrid, geometry: ArrayGeometry
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Coverage-convention narrow-beam codebooks: (BS n_bs x n_bs, RIS n_ris x n_ris).
 
-    Column i is the steering vector of grid point i, byte-equal to the
-    per-grid-point ``ula_steering`` and ``upa_steering_uw`` beams.
+    The grid's steering matrices: column i is the steering vector of grid
+    point i, byte-equal to the per-point ``ula_steering`` and ``upa_steering_uw``.
     """
-    return bs_steering_matrix(geometry, grid), ris_steering_matrix(geometry, grid)
+    return bs_steering_matrix(geometry, grid), grid.ris_steering
 
 
 def run_exhaustive(

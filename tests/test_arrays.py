@@ -65,6 +65,23 @@ def test_upa_kronecker_factorization(n1, n2, phi, theta):
     assert abs(np.linalg.norm(direct) - 1.0) < 1e-12
 
 
+@settings(max_examples=30, deadline=None)
+@given(n1=st.integers(1, 9), n2=st.integers(1, 9), spacing=st.sampled_from((0.5, 0.37, 1.0)),
+       points=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                                 st.floats(-1.5, 1.5)), min_size=1, max_size=6))
+def test_steering_of_an_array_is_the_stack_of_single_calls(n1, n2, spacing, points):
+    # sample_block and make_angle_grid build every vector of a block or grid in
+    # one call; row t must be the bytes of the call on entry t alone
+    u, w, phi = (np.array(column) for column in zip(*points))
+    for rows, one in ((ula_factor(n1, u, spacing), lambda t: ula_factor(n1, u[t], spacing)),
+                      (ula_steering(n2, phi, spacing),
+                       lambda t: ula_steering(n2, phi[t], spacing)),
+                      (upa_steering_uw(n1, n2, u, w, spacing),
+                       lambda t: upa_steering_uw(n1, n2, u[t], w[t], spacing))):
+        assert rows.shape[0] == len(points) and rows.flags.c_contiguous
+        assert all(rows[t].tobytes() == one(t).tobytes() for t in range(len(points)))
+
+
 def test_bs_grid_sines_for_four_antennas():
     assert np.allclose(bs_grid_sines(4), [-0.75, -0.25, 0.25, 0.75])
     assert np.allclose(bs_angle_grid(4), np.arcsin([-0.75, -0.25, 0.25, 0.75]))

@@ -220,3 +220,13 @@ def test_sample_channel_validates(small_setup):
     for snr_linear in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive and finite"):
             SnrSpec(snr_linear)
+
+
+def test_sample_block_rejects_a_grid_of_another_shape():
+    # a 2x2 grid has the element count of a 4x1 RIS, but its points and its
+    # steering vectors belong to another array; so does a grid of another spacing
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="inconsistent"):
+        sample_block(ArrayGeometry(4, 4, 1), make_angle_grid(ArrayGeometry(4, 2, 2)), [rng])
+    with pytest.raises(ValueError, match="inconsistent"):
+        sample_block(ArrayGeometry(4, 2, 2, 0.25), make_angle_grid(ArrayGeometry(4, 2, 2)), [rng])

@@ -13,6 +13,7 @@ from reference import (
     relaxed_gs,
     relaxed_gs_loop,
 )
+from risbeam import arrays
 from risbeam.arrays import (
     ArrayGeometry,
     make_angle_grid,
@@ -38,7 +39,7 @@ from risbeam.codebook import (
     ris_sampling_matrix,
 )
 from risbeam.seeding import derive_rng
-from risbeam.training import coded_codes
+from risbeam.training import coded_codes, narrow_beam_matrices
 
 
 def test_pattern_matrix_two_bit_plain():
@@ -481,3 +482,27 @@ def test_gs_batch_rejects_degenerate_rows():
     masks = np.array([[True, False, False, True], [False, True, True, False]])
     with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
         relaxed_gs_batch(duplicated, masks, GsConfig(), rngs)
+
+
+@pytest.mark.parametrize("direct_2d", [False, True])
+def test_set_up_reads_the_grid_steering_matrices(monkeypatch, direct_2d):
+    # the grid builds one read-only BS and one RIS steering matrix; codebook design
+    # and the narrow beams read them and build no steering vector of their own
+    geo = ArrayGeometry(8, 8, 8, 0.4)
+    grid = make_angle_grid(geo)
+    assert not grid.bs_steering.flags.writeable and not grid.ris_steering.flags.writeable
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("a steering vector was rebuilt")
+
+    for name in ("ula_factor", "ula_steering", "upa_steering_uw"):
+        monkeypatch.setattr(arrays, name, rebuilt)
+    build_codebooks(*coded_codes(8, (8, 8)), grid, geo, GsConfig(seed=1, k_iter=5),
+                    direct_2d=direct_2d)
+    bs, ris = narrow_beam_matrices(grid, geo)
+    assert bs is grid.bs_steering and ris is grid.ris_steering
+    assert bs_steering_matrix(geo, grid) is grid.bs_steering
+    assert ris_sampling_matrix(geo, grid).tobytes() == (grid.ris_steering * 8.0).tobytes()
+    for other in (ArrayGeometry(8, 4, 16, 0.4), ArrayGeometry(8, 8, 8)):
+        with pytest.raises(ValueError, match="inconsistent"):
+            build_codebooks(*coded_codes(8, (8, 8)), grid, other, GsConfig(seed=1, k_iter=5))

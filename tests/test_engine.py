@@ -43,7 +43,8 @@ from risbeam.arrays import ArrayGeometry, make_angle_grid, ula_steering, upa_ste
 from risbeam.blockcode import DECODE_MODES, bits_to_int, build_identity_code
 from risbeam.channel import SnrSpec, pilot_noise, received_power, sample_block
 from risbeam.codebook import GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook
-from risbeam.experiments import ExperimentConfig, desk_snr_sweep, run_sweep
+from risbeam.experiments import (ExperimentConfig, desk_snr_sweep, export_results,
+                                 export_trial_log, run_sweep)
 from risbeam.seeding import derive_rng
 from risbeam.training import (
     HierarchicalBeamProvider,
@@ -411,6 +412,23 @@ def test_trial_block_size_changes_no_byte(monkeypatch, mode):
             results.append(run_sweep(replace(cfg, ideal_beams=ideal), log_trials=True))
         assert len(results[0].trial_log) == cfg.trials * len(results[0].rows)
         assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("mode", ["on_grid", "continuous"])
+def test_partial_last_block_on_pooled_streams(monkeypatch, tmp_path, mode):
+    # 17 trials in blocks of 5 end on a 2-trial block, which reloads only the
+    # first two generators of each reused pool
+    cfg = desk_snr_sweep(trials=17, master_seed=5, snr_grid_db=(0.0, 10.0), gs=FAST_GS,
+                         sampling_mode=mode, protocols=ExperimentConfig().protocols
+                         + (ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),))
+    files = []
+    for block in (experiments.TRIAL_BLOCK, 5):
+        monkeypatch.setattr(experiments, "TRIAL_BLOCK", block)
+        results = run_sweep(cfg, log_trials=True)
+        export_results(results, tmp_path / "rows.csv")
+        export_trial_log(results, tmp_path / "trials.csv")
+        files.append([(tmp_path / name).read_bytes() for name in ("rows.csv", "trials.csv")])
+    assert files[0] == files[1]
 
 
 @st.composite

@@ -1,8 +1,8 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from risbeam.seeding import derive_rng, derive_seed
+from risbeam.seeding import derive_rng, derive_seed, load_streams, stream_words
 
 TAG = st.one_of(st.integers(-2**70, 2**70), st.text(max_size=6),
                 st.floats(allow_nan=False), st.tuples(st.integers(0, 1), st.integers(0, 1)))
@@ -18,3 +18,45 @@ def test_derive_rng_is_default_rng_of_the_derived_seed(master_seed, tags):
     assert rng.random(6).tobytes() == expected.random(6).tobytes()
     assert rng.standard_normal(6).tobytes() == expected.standard_normal(6).tobytes()
     assert np.array_equal(rng.integers(0, 2**62, 6), expected.integers(0, 2**62, 6))
+
+
+# a seed below 2**32 is a single SeedSequence entropy word, one above it two
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def _assert_same_draws(rng, expected):
+    assert rng.integers(0, 7, 5).tobytes() == expected.integers(0, 7, 5).tobytes()
+    assert rng.integers(0, 2**62, 5).tobytes() == expected.integers(0, 2**62, 5).tobytes()
+    assert rng.uniform(-1.0, 2.0, 5).tobytes() == expected.uniform(-1.0, 2.0, 5).tobytes()
+    assert rng.standard_normal(5).tobytes() == expected.standard_normal(5).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
+                      min_size=1, max_size=12))
+@example(seeds=EDGE_SEEDS)
+def test_loaded_streams_are_pcg64_of_the_seed(seeds):
+    # the sweep's vectorized SeedSequence must be numpy's: a numpy change to its
+    # seeding fails here, not as moved golden bytes
+    words = stream_words(np.array(seeds, dtype=np.uint64))
+    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+    pool = [np.random.default_rng(1) for _ in range(len(seeds) + 2)]
+    for rng in pool:
+        rng.integers(0, 7)  # a used generator, holding half of a 64-bit draw
+    loaded = load_streams(pool, words)
+    assert len(loaded) == len(seeds) and all(a is b for a, b in zip(loaded, pool))
+    for rng, seed in zip(loaded, seeds):
+        assert rng.bit_generator.state == np.random.PCG64(seed).state
+        _assert_same_draws(rng, np.random.Generator(np.random.PCG64(seed)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(master_seed=st.integers(0, 2**63),
+       rows=st.lists(st.lists(TAG, max_size=4).map(tuple), min_size=1, max_size=6))
+def test_loaded_streams_draw_as_derive_rng(master_seed, rows):
+    words = stream_words(np.array([derive_seed(master_seed, *tags) for tags in rows],
+                                  dtype=np.uint64))
+    pool = []  # the pool grows to the rows loaded
+    for rng, tags in zip(load_streams(pool, words), rows):
+        _assert_same_draws(rng, derive_rng(master_seed, *tags))
+    assert len(pool) == len(rows)
