@@ -38,8 +38,8 @@ class ChannelBlock:
 
     The de-rotation ``comp`` makes every row of ``comp * g_mat`` the vector
     ``beta`` (|a_gr|^2 = 1/n_ris), so the gain of coverage-convention RIS and
-    BS codewords v and w is ``(h_r @ conj(v)) * (beta @ conj(w))``. The RIS-BS
-    matrices stay per trial, unstacked, for the rate evaluation.
+    BS codewords v and w is ``(h_r @ conj(v)) * (beta @ conj(w))``. The rate
+    evaluation reads the RIS-BS matrices ``g_mats`` themselves.
     """
 
     bs_index: np.ndarray  # (trials,), 1-based
@@ -47,7 +47,7 @@ class ChannelBlock:
     comp: np.ndarray  # (trials, n_ris)
     beta: np.ndarray  # (trials, n_bs)
     h_r: np.ndarray  # (trials, n_ris)
-    g_mats: tuple  # per trial, n_ris x n_bs
+    g_mats: np.ndarray  # (trials, n_ris, n_bs)
 
     @property
     def n_ris(self) -> int:
@@ -95,12 +95,33 @@ def sample_block(geometry: ArrayGeometry, grid: AngleGrid, rngs,
     g_mats = a_gr[:, :, None] * a_bs[:, None, :]
     g_mats *= np.sqrt(n_bs * n_ris)  # in place: the same bytes, one block-sized array
     for h, g in zip(h_r, g_mats):  # in place, one norm each: a batched norm rounds differently
-        h *= np.sqrt(n_ris) / np.linalg.norm(h)
-        g *= np.sqrt(n_bs * n_ris) / np.linalg.norm(g)
+        h *= np.sqrt(n_ris) / _norm(h)
+        g *= np.sqrt(n_bs * n_ris) / _norm(g)
     # the unit-modulus de-rotation of the static, known RIS-BS direction
     comp = np.sqrt(n_ris) * np.conj(a_gr)
     return ChannelBlock(bs_index=bs + 1, ris_index=ue + 1, comp=comp,
-                        beta=comp[:, :1] * g_mats[:, 0], h_r=h_r, g_mats=tuple(g_mats))
+                        beta=comp[:, :1] * g_mats[:, 0], h_r=h_r, g_mats=g_mats)
+
+
+# OpenBLAS splits a dot product of over 10,000 entries across its threads,
+# which changes the rounding; no slice of this length is split.
+_NORM_SLICE = 8192
+
+
+def _norm(x: np.ndarray) -> np.float64:
+    """``np.linalg.norm(x)`` of a contiguous complex array at any BLAS thread count.
+
+    Each part's squared norm sums its 8,192-entry slices' dot products in
+    order from 0: one dot product up to 8,192 entries, as ``np.linalg.norm``
+    takes, and the split of two threads at 16,384.
+    """
+    flat = x.ravel()
+    squares = [0.0, 0.0]
+    for i, part in enumerate((flat.real, flat.imag)):
+        for start in range(0, part.size, _NORM_SLICE):
+            piece = part[start:start + _NORM_SLICE]
+            squares[i] += piece.dot(piece)
+    return np.sqrt(squares[0] + squares[1])
 
 
 def pilot_noise(snr: SnrSpec, rng: np.random.Generator, shape: tuple) -> np.ndarray:

@@ -12,10 +12,10 @@ protocol gets one block runner, called once per block: ``run_exhaustive``,
 ``run_layered`` for coded and full-coverage hierarchical training
 (hierarchical training uses identity codes, whose codebooks are the first k
 layers of the coded ones), or ``run_adaptive`` with the prefix-beam matrices
-of the beam provider. Within a trial the rate of an estimated tuple is
-evaluated once, however many protocols chose it, from the narrow-beam
-columns (``tuple_rates``). Codebooks and prefix beams are designed once per
-configuration and reused across trials.
+of the beam provider. One ``tuple_rates`` call rates every protocol's
+estimates of a block from the narrow-beam columns, and one comparison with
+the true indices scores them. Codebooks and prefix beams are designed once
+per configuration and reused across trials.
 """
 
 from __future__ import annotations
@@ -119,8 +119,11 @@ class ExperimentConfig:
                 f"n_ris={self.n_ris_rows * self.n_ris_cols}: coded and full-coverage "
                 "hierarchical training need at least two RIS candidates")
         if self.sweep_over == "pilots":
-            for budget in self.pilot_grid:
-                for proto in self.protocols:
+            for proto in self.protocols:
+                if proto.pilot_budget is not None:
+                    raise ValueError(f"a pilots sweep takes every budget from pilot_grid, "
+                                     f"got pilot_budget={proto.pilot_budget} for {proto.tag}")
+                for budget in self.pilot_grid:
                     check_budget(proto.kind, budget)
 
     @property
@@ -253,34 +256,22 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
     rows = []
     log: list[TrialRecord] = []
     for point, (value, snr) in enumerate(zip(sweep_values, snrs)):
-        if cfg.sweep_over == "snr":
-            budgets = [proto.pilot_budget for proto in protocols]
-        else:
-            budgets = [int(value)] * len(protocols)
+        budgets = [proto.pilot_budget if cfg.sweep_over == "snr" else int(value)
+                   for proto in protocols]
         hits = np.zeros((len(protocols), cfg.trials), dtype=bool)
         rates = np.empty((len(protocols), cfg.trials))
-        pilots_used = [0] * len(protocols)
         for start in range(0, cfg.trials, TRIAL_BLOCK):
-            trials = range(start, min(start + TRIAL_BLOCK, cfg.trials))
-            streams = [load_streams(pool, words[point, s, start:trials.stop])
-                       for s, pool in enumerate(pools)]
+            trials = slice(start, min(start + TRIAL_BLOCK, cfg.trials))
+            streams = [load_streams(pool, words[point, s, trials]) for s, pool in enumerate(pools)]
             block = sample_block(geometry, grid, streams[0], cfg.sampling_mode)
-            estimates = []  # per protocol: the block's (BS, RIS) index estimates
-            for p, (run, budget, rngs) in enumerate(zip(runners, budgets, streams[1:])):
-                result = run(block, snr=snr, budget=budget, rngs=rngs)
-                hits[p, start:trials.stop] = ((result.est_bs_index == block.bs_index)
-                                              & (result.est_ris_index == block.ris_index))
-                estimates.append(list(zip(result.est_bs_index.tolist(),
-                                          result.est_ris_index.tolist())))
-                pilots_used[p] = result.pilots_used
-            for t, trial in enumerate(trials):
-                chosen = [est[t] for est in estimates]
-                distinct = list(dict.fromkeys(chosen))
-                rate_of = dict(zip(distinct, tuple_rates(block, t, narrow, distinct, eval_snr)))
-                rates[:, trial] = [rate_of[estimate] for estimate in chosen]
-        for p, proto in enumerate(protocols):
+            runs = [runner(block, snr=snr, budget=budget, rngs=rngs)
+                    for runner, budget, rngs in zip(runners, budgets, streams[1:])]
+            est = np.array([(r.est_bs_index, r.est_ris_index) for r in runs])  # (P, 2, trials)
+            hits[:, trials] = np.all(est == np.stack((block.bs_index, block.ris_index)), axis=1)
+            rates[:, trials] = tuple_rates(block, narrow, est[:, 0], est[:, 1], eval_snr)
+        for p, (proto, run) in enumerate(zip(protocols, runs)):  # each block sends as many pilots
             rows.append(_result_row(proto.tag, sweep_name, float(value), hits[p],
-                                    rates[p], pilots_used[p]))
+                                    rates[p], run.pilots_used))
             if log_trials:
                 log.extend(TrialRecord(proto.tag, float(value), trial, bool(hits[p, trial]),
                                        float(rates[p, trial]))

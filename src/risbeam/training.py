@@ -60,8 +60,10 @@ HIERARCHICAL_VARIANTS = ("full_coverage", "adaptive")
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """A protocol selection: kind, decode mode (coded only), and pilot budget.
+    """A protocol selection: kind, decode mode, pilot budget and hierarchical variant.
 
+    decode_mode applies to coded training and hierarchical_variant to
+    hierarchical training; every other kind must leave them at their defaults.
     pilot_budget None means unlimited (the protocol uses its full overhead);
     a whole-number float such as 8.0 is stored as the int 8. Layered protocols
     send whole 4-pilot layers: a remainder of 1 to 3 pilots is left unused,
@@ -80,6 +82,10 @@ class ProtocolSpec:
             raise ValueError(f"unknown decode mode {self.decode_mode!r}")
         if self.hierarchical_variant not in HIERARCHICAL_VARIANTS:
             raise ValueError(f"unknown hierarchical variant {self.hierarchical_variant!r}")
+        for name, kind in (("decode_mode", "coded"), ("hierarchical_variant", "hierarchical")):
+            if self.kind != kind and getattr(self, name) != getattr(ProtocolSpec, name):
+                raise ValueError(f"{name} applies to {kind} training only, got "
+                                 f"{getattr(self, name)!r} for {self.kind} training")
         object.__setattr__(self, "pilot_budget", check_budget(self.kind, self.pilot_budget))
 
     @property
@@ -113,29 +119,25 @@ def check_budget(kind: str, budget) -> Optional[int]:
     return budget
 
 
-def _check_constant_modulus(v_tx: np.ndarray, n_ris: int) -> None:
-    """``np.allclose(abs(v_tx), 1/sqrt(n_ris), atol=1e-9)``, written out for speed."""
+def _check_constant_modulus(ris_beams: np.ndarray, n_ris: int) -> None:
+    """``np.allclose(abs(ris_beams), 1/sqrt(n_ris), atol=1e-9)``, written out for speed."""
     target = 1.0 / np.sqrt(n_ris)
-    if not np.all(np.abs(np.abs(v_tx) - target) <= 1e-9 + 1e-5 * target):
+    if not np.all(np.abs(np.abs(ris_beams) - target) <= 1e-9 + 1e-5 * target):
         raise ValueError("RIS vector must have constant modulus 1/sqrt(n_ris)")
 
 
 def beam_responses(block: ChannelBlock, bs_cov: np.ndarray, ris_cov: np.ndarray,
-                   ideal: bool = False, *, check_modulus: bool = False
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   ideal: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The (BS, RIS) responses of a block to codeword columns, (trials, columns) each.
 
     Trial t's gain for BS column i and RIS column j is ``bs[t, i] * ris[t, j]``
     (see ``ChannelBlock``). A codeword matrix is shared, (n, columns), or one
     per trial, (trials, n, columns). Stacked matrix-vector products keep a
     trial's responses independent of the block. Ideal (mask-valued) codewords
-    read the true-index rows; otherwise ``check_modulus`` tests every
-    transmitted RIS vector as ``effective_gain`` in ``tests/reference.py`` does.
+    read the true-index rows. The callers check the RIS beams' modulus.
     """
     if ideal:
         return _true_rows(bs_cov, block.bs_index), _true_rows(ris_cov, block.ris_index)
-    if check_modulus:
-        _check_constant_modulus(np.conj(ris_cov) * block.comp[:, :, None], block.n_ris)
     return ((block.beta[:, None, :] @ np.conj(bs_cov))[:, 0, :],
             (block.h_r[:, None, :] @ np.conj(ris_cov))[:, 0, :])
 
@@ -229,8 +231,9 @@ def run_layered(
     layers = np.arange(sent)[:, None]
     rows = (2 * (layers % code_t.n) + (0, 1))[:, :, None]
     cols = (2 * (layers % code_r.n) + (0, 1))[:, None, :]
-    bs, ris = beam_responses(block, books[0].matrix, books[1].matrix, ideal,
-                             check_modulus=True)
+    if not ideal:
+        _check_constant_modulus(books[1].matrix, block.n_ris)
+    bs, ris = beam_responses(block, books[0].matrix, books[1].matrix, ideal)
     noise = np.stack([pilot_noise(snr, rng, (sent, 2, 2)) for rng in rngs])
     powers = received_power(bs[:, rows] * ris[:, cols], snr, noise)
     winners = powers.reshape(len(rngs), sent, 4).argmax(axis=-1)
@@ -396,7 +399,9 @@ def run_adaptive(
     for layer in range(sent):
         pairs = [_prefix_pairs(cov, winners[:, :layer], k, side, inject_flips)
                  for cov, k, side in zip(matrices, sizes, ("bs", "ris"))]
-        bs, ris = beam_responses(block, *pairs, provider.ideal, check_modulus=True)
+        if not provider.ideal:
+            _check_constant_modulus(pairs[1], block.n_ris)
+        bs, ris = beam_responses(block, *pairs, provider.ideal)
         powers = received_power(bs[:, :, None] * ris[:, None, :], snr, noise[:, layer])
         winners[:, layer] = powers.reshape(len(rngs), 4).argmax(axis=-1)
 
@@ -470,26 +475,24 @@ def coded_codes(n_bs: int, ris_dims: tuple[int, int]) -> tuple[BlockCode, BlockC
 
 def tuple_rates(
     block: ChannelBlock,
-    t: int,
     narrow_beams: tuple[np.ndarray, np.ndarray],
-    tuples,
+    est_bs: np.ndarray,
+    est_ris: np.ndarray,
     snr_eval: SnrSpec,
-) -> list[float]:
-    """Spectral efficiency log2(1 + snr * |g|^2) on trial t of each (BS, RIS) grid tuple.
+) -> np.ndarray:
+    """log2(1 + snr * |g|^2) of the 1-based grid tuples (est_bs, est_ris)[..., t] on trial t.
 
-    The beams are columns of ``narrow_beam_matrices``. The constant-modulus
-    check runs once over all of them, and the gains are stacked
-    matrix-vector products through row t's RIS-BS matrix, which round like
-    the one-tuple ``h_r diag(v) g_mat w`` of ``achievable_rate`` in
-    ``tests/reference.py``. |g|^2 and log2 stay scalar per tuple: their
+    The beams are columns of ``narrow_beam_matrices``; one constant-modulus
+    check covers the chosen RIS columns. The gains are stacked matrix-vector
+    products through each trial's RIS-BS matrix, which round like the
+    one-tuple ``h_r diag(v) g_mat w`` of ``achievable_rate`` in
+    ``tests/reference.py``. |g|^2 and log2 stay scalar per entry: their
     vectorized forms round differently.
     """
     bs_cov, ris_cov = narrow_beams
-    bs_index, ris_index = np.array(tuples, dtype=np.intp).T - 1
-    v = np.conj(ris_cov.T[ris_index]) * block.comp[t]
-    w = np.conj(bs_cov.T[bs_index])
-    _check_constant_modulus(v, block.n_ris)
-    through_ris = ((block.h_r[t] * v)[:, None, :] @ block.g_mats[t])[:, 0, :]
-    gains = (through_ris[:, None, :] @ w[:, :, None])[:, 0, 0]
-    return [float(np.log2(1.0 + snr_eval.snr_linear * abs(complex(g)) ** 2))
-            for g in gains]
+    chosen = ris_cov.T[est_ris - 1]
+    _check_constant_modulus(chosen, block.n_ris)
+    through_ris = (block.h_r * (np.conj(chosen) * block.comp))[..., None, :] @ block.g_mats
+    gains = (through_ris @ np.conj(bs_cov.T[est_bs - 1])[..., :, None])[..., 0, 0]
+    return np.array([np.log2(1.0 + snr_eval.snr_linear * abs(complex(g)) ** 2)
+                     for g in gains.ravel()]).reshape(gains.shape)

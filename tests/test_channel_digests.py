@@ -13,6 +13,10 @@ the channel draw, and say why in CHANGES.md:
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +60,20 @@ def block_digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_channel_block_bytes_are_pinned(name):
     assert block_digest(name) == DIGESTS[name]
+
+
+def test_full_size_channel_bytes_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot product of more than 10,000 entries across its
+    # threads; a 64 x 256 RIS-BS matrix has 16,384. The benchmark runs on one.
+    names = [name for name in sorted(CASES) if name.startswith("64_")]
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join((str(here.parent / "src"), str(here)))}
+    script = ("import sys; from test_channel_digests import block_digest; "
+              "print(*map(block_digest, sys.argv[1:]))")
+    out = subprocess.run([sys.executable, "-c", script, *names], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == [DIGESTS[name] for name in names]
 
 
 if __name__ == "__main__":

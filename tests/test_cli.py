@@ -221,6 +221,28 @@ def test_sweep_config_values_are_checked_at_the_boundary(tmp_path, capsys, chang
     assert out.read_bytes() == as_float
 
 
+@pytest.mark.parametrize("command,change,message", [
+    ("sweep-snr", {"protocols": [{"kind": "exhaustive", "decode_mode": "decoupled_two_bit"}]},
+     "decode_mode applies to coded training only, got 'decoupled_two_bit' for exhaustive "
+     "training"),
+    ("sweep-snr", {"protocols": [{"kind": "coded", "hierarchical_variant": "adaptive"}]},
+     "hierarchical_variant applies to hierarchical training only, got 'adaptive' for coded "
+     "training"),
+    ("sweep-pilots", {"pilot_grid": [20], "protocols": [{"kind": "coded", "pilot_budget": 8}]},
+     "a pilots sweep takes every budget from pilot_grid, got pilot_budget=8 for coded_one_bit"),
+])
+def test_sweep_config_fields_the_sweep_ignores_are_rejected(tmp_path, capsys, command, change,
+                                                            message):
+    # each of these fields used to be accepted and then ignored by the sweep
+    cfg = {"n_bs": 8, "n_ris_rows": 8, "n_ris_cols": 8, "snr_grid_db": [0.0], "trials": 2,
+           "gs": {"k_iter": 10}, "ideal_beams": True, **change}
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "res.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_snr_missing_config(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["sweep-snr", "--config", str(missing)]) != 0

@@ -81,9 +81,9 @@ def draw_block(geo, grid, mode, seed, trials=1):
                         mode)
 
 
-def gain_tables(block, bs_cov, ris_cov, ideal=False, *, check_modulus=False):
+def gain_tables(block, bs_cov, ris_cov, ideal=False):
     """(trials, BS columns, RIS columns) gains: outer products of the block's responses."""
-    bs, ris = beam_responses(block, bs_cov, ris_cov, ideal, check_modulus=check_modulus)
+    bs, ris = beam_responses(block, bs_cov, ris_cov, ideal)
     return bs[:, :, None] * ris[:, None, :]
 
 
@@ -95,7 +95,7 @@ def test_gain_table_matches_effective_gain(n_bs, rows, cols, mode, seed):
     rng = np.random.default_rng(seed)
     bs_cov = rng.standard_normal((n_bs, 3)) + 1j * rng.standard_normal((n_bs, 3))
     ris_cov = np.exp(2j * np.pi * rng.random((geo.n_ris, 5))) / np.sqrt(geo.n_ris)
-    table = gain_tables(ch, bs_cov, ris_cov, check_modulus=True)[0]
+    table = gain_tables(ch, bs_cov, ris_cov)[0]
     assert table.shape == (3, 5)
     for i in range(3):
         for j in range(5):
@@ -243,6 +243,27 @@ def test_sweep_derotates_each_channel_once(monkeypatch):
     assert not hasattr(training, "sample_block")
 
 
+def test_sweep_rates_each_trial_block_in_one_call(monkeypatch):
+    # one tuple_rates call per trial block rates every protocol's estimates
+    calls = []
+
+    def counted(block, narrow_beams, est_bs, est_ris, snr_eval):
+        calls.append((len(block.bs_index), est_bs.shape, est_ris.shape))
+        return tuple_rates(block, narrow_beams, est_bs, est_ris, snr_eval)
+
+    monkeypatch.setattr(experiments, "tuple_rates", counted)
+    monkeypatch.setattr(experiments, "TRIAL_BLOCK", 2)
+    cfg = ExperimentConfig(
+        n_bs=8, n_ris_rows=8, n_ris_cols=8, snr_grid_db=(0.0, 10.0), trials=3, gs=FAST_GS,
+        protocols=ExperimentConfig().protocols + (
+            ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),))
+    results = run_sweep(cfg, log_trials=True)
+    protocols = len(cfg.protocols)
+    assert calls == [(2, (protocols, 2), (protocols, 2)),
+                     (1, (protocols, 1), (protocols, 1))] * len(cfg.snr_grid_db)
+    assert len(results.trial_log) == len(cfg.snr_grid_db) * protocols * cfg.trials
+
+
 @pytest.mark.parametrize("mode", ["on_grid", "continuous"])
 def test_coded_decisions_match_per_pilot_path(mode, desk_books, desk_codes,
                                               desk_geometry, desk_grid):
@@ -325,8 +346,7 @@ def test_adaptive_layer_tables_equal_one_trial_tables(monkeypatch, dims, mode):
             bs_pair, ris_pair = reference.layer_pairs(
                 layer, tuple(runs.raw_bits_bs[t, :layer].tolist()),
                 tuple(runs.raw_bits_ris[t, :layer].tolist()))
-            expected = gain_tables(row, bs_pair.columns, ris_pair.columns,
-                                   check_modulus=True)[0]
+            expected = gain_tables(row, bs_pair.columns, ris_pair.columns)[0]
             assert tables[t].tobytes() == expected.tobytes()
 
 
@@ -393,7 +413,7 @@ def test_block_tables_equal_one_channel_tables(case, mode, ideal, trials, seed):
     if not ideal:
         matrices.append(narrow_beam_matrices(grid, geo))
     for bs_cov, ris_cov in matrices:
-        tables = gain_tables(block, bs_cov, ris_cov, ideal, check_modulus=True)
+        tables = gain_tables(block, bs_cov, ris_cov, ideal)
         for table, row in zip(tables, rows):
             assert table.tobytes() == gain_tables(row, bs_cov, ris_cov, ideal)[0].tobytes()
 
@@ -487,15 +507,17 @@ def test_tuple_rates_equal_achievable_rate_bytes(dims, mode):
     narrow = narrow_beam_matrices(grid, geo)
     snr_eval = SnrSpec(10.0, noiseless=True)
     rng = np.random.default_rng(dims[0] + len(mode))
-    for seed in range(500):
-        ch = draw_block(geo, grid, mode, seed)
-        tuples = [(int(ch.bs_index[0]), int(ch.ris_index[0]))] + [
-            (int(rng.integers(geo.n_bs)) + 1, int(rng.integers(geo.n_ris)) + 1)
-            for _ in range(3)]
-        expected = [achievable_rate(ch, *grid_transmit_pair(ch, grid, geo, *t), snr_eval)
-                    for t in tuples]
-        got = tuple_rates(ch, 0, narrow, tuples, snr_eval)
-        assert [r.hex() for r in got] == [r.hex() for r in expected]
+    trials = 20
+    for seed in range(0, 500, trials):
+        ch = draw_block(geo, grid, mode, seed, trials)
+        # (4, trials) estimates: the true tuple, then three random ones
+        est_bs = np.vstack((ch.bs_index, rng.integers(geo.n_bs, size=(3, trials)) + 1))
+        est_ris = np.vstack((ch.ris_index, rng.integers(geo.n_ris, size=(3, trials)) + 1))
+        got = tuple_rates(ch, narrow, est_bs, est_ris, snr_eval)
+        assert got.shape == (4, trials)
+        for (p, t), rate in np.ndenumerate(got):
+            tx = grid_transmit_pair(ch, grid, geo, int(est_bs[p, t]), int(est_ris[p, t]), t)
+            assert rate.hex() == achievable_rate(ch, *tx, snr_eval, t).hex()
 
 
 def test_tuple_rates_reject_broken_constant_modulus(desk_geometry, desk_grid):
@@ -504,6 +526,8 @@ def test_tuple_rates_reject_broken_constant_modulus(desk_geometry, desk_grid):
     broken = ris_cov.copy()
     broken[0, 5] *= 2.0
     snr_eval = SnrSpec(10.0, noiseless=True)
-    tuple_rates(block, 0, (bs_cov, broken), [(1, 1), (2, 3)], snr_eval)  # intact columns
+    tuple_rates(block, (bs_cov, broken), np.array([[1], [2]]), np.array([[1], [3]]),
+                snr_eval)  # intact columns
     with pytest.raises(ValueError, match="constant modulus"):
-        tuple_rates(block, 0, (bs_cov, broken), [(1, 1), (2, 6)], snr_eval)
+        tuple_rates(block, (bs_cov, broken), np.array([[1], [2]]), np.array([[1], [6]]),
+                    snr_eval)

@@ -152,10 +152,31 @@ def test_trial_log_export(tmp_path):
 
 
 def test_config_json_roundtrip():
-    cfg = _tiny_config(trials=9)
-    data = json.loads(json.dumps(config_to_dict(cfg)))
-    again = config_from_dict(data)
-    assert again == cfg
+    every_kind = (ProtocolSpec("exhaustive", pilot_budget=8), ProtocolSpec("hierarchical"),
+                  ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),
+                  ProtocolSpec("coded", "none"), ProtocolSpec("coded", "decoupled_two_bit"))
+    for cfg in (_tiny_config(trials=9), _tiny_config(protocols=every_kind),
+                desk_pilot_sweep()):
+        data = json.loads(json.dumps(config_to_dict(cfg)))
+        assert config_from_dict(data) == cfg
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: ProtocolSpec("exhaustive", decode_mode="decoupled_two_bit"),
+     "decode_mode applies to coded training only"),
+    (lambda: ProtocolSpec("hierarchical", decode_mode="none"),
+     "decode_mode applies to coded training only"),
+    (lambda: ProtocolSpec("coded", hierarchical_variant="adaptive"),
+     "hierarchical_variant applies to hierarchical training only"),
+    (lambda: desk_pilot_sweep(pilot_grid=(20,),
+                              protocols=(ProtocolSpec("coded", pilot_budget=8),)),
+     "a pilots sweep takes every budget from pilot_grid"),
+], ids=["exhaustive_decode_mode", "hierarchical_decode_mode", "coded_variant",
+        "budget_in_pilots_sweep"])
+def test_protocol_fields_a_sweep_ignores_are_rejected(make, message):
+    # each used to run: the tag or the pilot count did not show the field
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_config_validation():
