@@ -26,6 +26,7 @@ CODEBOOK_CASES = {
     "16_8x8": (16, 8, 8, GsConfig(), False),
     "64_16x16": (64, 16, 16, GsConfig(), False),
     "16_8x8_direct_k10": (16, 8, 8, GsConfig(k_iter=10), True),
+    "32_8x16": (32, 8, 16, GsConfig(), False),
 }
 # name -> (n_bs, n_ris_rows, n_ris_cols); designed with GsConfig()
 PROVIDER_CASES = {
@@ -38,6 +39,7 @@ CODEBOOK_DIGESTS = {
     "16_8x8": "1b06a29b0e0d2ce1d7b709b080869d08e050a4aad971c083094326a961ae8c52",
     "64_16x16": "1982f193169fc3a5ef75bf41c58fa08e6c718ebd397194fa42b7d5d3c29c4ba0",
     "16_8x8_direct_k10": "bd7c758fc45af1c7a49f3c0d92ae19d699b18714a3dcdcbcb4a8bab600c13d61",
+    "32_8x16": "33270341e2ac5ce1a251381299995524610fc0fa3040399449acc0528bbe6417",
 }
 PROVIDER_DIGESTS = {
     "16_8x8": "a5049efb87b92b28fd06e092c4a4cd46a17f75e9fbbdf3d76172f64a66c46617",
