@@ -18,7 +18,7 @@ for the RIS) before transmission.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -144,28 +144,21 @@ def _pinv_with_rank(mat: np.ndarray, rcond: float = SV_CUTOFF):
 
 
 def _stacked_matvec(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """mat @ row for every row, rounded as one matrix-vector product (a 2-D matmul is not)."""
-    return (mat[None] @ rows[..., None])[..., 0]
+    """mat (or mat[b], one matrix per row) @ row b for every row, rounded as one
+    matrix-vector product each (a 2-D matmul is not)."""
+    return (mat @ rows[..., None])[..., 0]
 
 
-def relaxed_gs_batch(
-    a_scaled: np.ndarray,
-    masks: np.ndarray,
-    cfg: GsConfig,
-    rngs: Sequence[np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Relaxed GS iteration on one sampling matrix for a stack of coverage masks.
+def _row_stack(mats, counts) -> np.ndarray:
+    """counts[i] rows of mats[i]: a stride-0 view of a lone matrix, else one C-ordered copy
+    (a concatenation of stride-0 views orders its axes differently and so rounds differently)."""
+    if len(mats) == 1:
+        return np.broadcast_to(mats[0], (counts[0], *mats[0].shape))
+    return np.repeat(np.stack(mats), counts, axis=0)
 
-    a_scaled maps a codeword to grid amplitudes (columns are scaled steering
-    vectors with unit-modulus entries). Grid points already classified
-    correctly, in-coverage amplitude at least P*(1-delta) or out-of-coverage
-    at most P*delta, keep their current value; the rest are re-assigned to
-    the threshold amplitude with preserved phase. Row b of the (B, n_grid)
-    mask stack is designed with generator rngs[b] alone, exactly as a
-    one-row call. Returns the (B, n_el) constant-modulus codewords and the
-    (B, k_iter) traces ||s_k - s_{k-1}||_2, whose first entry compares the
-    first realized beam against the intended one.
-    """
+
+def _gs_group(a_scaled: np.ndarray, masks, rngs, cfg: GsConfig):
+    """Check one group; return its masks, pseudo-inverse and starting phases."""
     n_el, n_grid = a_scaled.shape
     masks = np.asarray(masks, dtype=bool)
     if masks.ndim != 2 or masks.shape[1] != n_grid:
@@ -177,36 +170,61 @@ def relaxed_gs_batch(
         raise ValueError("coverage mask is empty")
     if (covered == n_grid).any():
         raise ValueError("coverage mask covers the whole grid")
-    target = cfg.target_amplitude or np.sqrt(n_grid / covered)[:, None]
-
-    forward = a_scaled.conj().T
-    backward, rank = _pinv_with_rank(forward)
+    backward, rank = _pinv_with_rank(a_scaled.conj().T)
     if rank < n_grid:
         raise np.linalg.LinAlgError(
             f"sampling matrix is rank deficient ({rank} < {n_grid}) at cutoff {SV_CUTOFF}"
         )
+    return masks, backward, np.array([rng.random(n_grid) for rng in rngs]).reshape(masks.shape)
 
-    modulus = 1.0 / np.sqrt(n_el)
-    phases = np.array([rng.random(n_grid) for rng in rngs])
-    s_prev = np.where(masks, target, 0.0) * np.exp(2j * np.pi * phases)
-    v = modulus * np.exp(1j * _phase(_stacked_matvec(backward, s_prev)))
-    # threshold P*(1-delta) inside the coverage and P*delta outside; a point is
-    # satisfied when sign*|s| >= sign*threshold (exact: negation is exact)
-    thresholds = np.where(masks, target * (1.0 - cfg.delta), target * cfg.delta)
-    sign = np.where(masks, 1.0, -1.0)
-    signed_thresholds = sign * thresholds
-    traces = np.empty((masks.shape[0], cfg.k_iter))
-    for k in range(cfg.k_iter):
-        s_k = _stacked_matvec(forward, v)
-        d = s_k - s_prev  # summed as np.linalg.norm sums it: real parts, then imaginary
-        sq = d.real[:, None] @ d.real[..., None] + d.imag[:, None] @ d.imag[..., None]
-        traces[:, k] = np.sqrt(sq[:, 0, 0])
-        satisfied = np.abs(s_k) * sign >= signed_thresholds
-        reassigned = thresholds * np.exp(1j * _phase(s_k))
-        s_hat = np.where(satisfied, s_k, reassigned)
-        v = modulus * np.exp(1j * _phase(_stacked_matvec(backward, s_hat)))
-        s_prev = s_k
-    return v, traces
+
+def relaxed_gs_batch(groups, cfg: GsConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Relaxed GS iteration for a list of (a_scaled, masks, rngs) groups.
+
+    a_scaled maps a codeword to grid amplitudes (columns are scaled steering
+    vectors with unit-modulus entries). Grid points already classified
+    correctly, in-coverage amplitude at least P*(1-delta) or out-of-coverage
+    at most P*delta, keep their current value; the rest are re-assigned to
+    the threshold amplitude with preserved phase. Row b of a group's
+    (B, n_grid) masks is designed on its a_scaled with generator rngs[b]
+    alone, exactly as a one-row call; all rows on matrices of one shape run
+    in one loop. Returns per group the (B, n_el) constant-modulus codewords
+    and the (B, k_iter) traces ||s_k - s_{k-1}||_2, whose first entry
+    compares the first realized beam against the intended one.
+    """
+    by_shape: dict[tuple, list[int]] = {}
+    for g, (a_scaled, *_) in enumerate(groups):
+        by_shape.setdefault(a_scaled.shape, []).append(g)
+    results = {}
+    for (n_el, n_grid), members in by_shape.items():
+        masks, backward, phases = zip(*(_gs_group(*groups[g], cfg) for g in members))
+        counts = [len(m) for m in masks]
+        masks, phases = np.concatenate(masks), np.concatenate(phases)
+        # row b's forward map has the transposed layout of a_scaled.conj().T
+        forward = _row_stack([groups[g][0].conj() for g in members], counts).swapaxes(1, 2)
+        backward = _row_stack(backward, counts)
+        target = cfg.target_amplitude or np.sqrt(n_grid / masks.sum(axis=1))[:, None]
+        modulus = 1.0 / np.sqrt(n_el)
+        iterates = np.empty((cfg.k_iter + 1, *masks.shape), dtype=complex)  # s_0 .. s_k_iter
+        iterates[0] = np.where(masks, target, 0.0) * np.exp(2j * np.pi * phases)
+        v = modulus * np.exp(1j * _phase(_stacked_matvec(backward, iterates[0])))
+        # threshold P*(1-delta) inside the coverage and P*delta outside; a point is
+        # satisfied when sign*|s| >= sign*threshold (exact: negation is exact)
+        thresholds = np.where(masks, target * (1.0 - cfg.delta), target * cfg.delta)
+        sign = np.where(masks, 1.0, -1.0)
+        signed_thresholds = sign * thresholds
+        for k in range(1, cfg.k_iter + 1):
+            s_k = iterates[k] = _stacked_matvec(forward, v)
+            satisfied = np.abs(s_k) * sign >= signed_thresholds
+            reassigned = thresholds * np.exp(1j * _phase(s_k))
+            s_hat = np.where(satisfied, s_k, reassigned)
+            v = modulus * np.exp(1j * _phase(_stacked_matvec(backward, s_hat)))
+        d = np.diff(iterates, axis=0)  # summed as np.linalg.norm sums it: reals, then imaginaries
+        sq = d.real[..., None, :] @ d.real[..., None] + d.imag[..., None, :] @ d.imag[..., None]
+        bounds = np.cumsum(counts)[:-1]
+        traces = np.split(np.ascontiguousarray(np.sqrt(sq[..., 0, 0]).T), bounds)
+        results.update(zip(members, zip(np.split(v, bounds), traces)))
+    return [results[g] for g in range(len(groups))]
 
 
 def _phase(x: np.ndarray) -> np.ndarray:
@@ -272,31 +290,31 @@ def factor_pattern_mask(mask: np.ndarray, n1: int, n2: int):
     raise ValueError("mask does not factor across the RIS dimensions")
 
 
-def _gs_rows(matrix: np.ndarray, covers, axis: str, cfg: GsConfig):
-    """One GS batch: (codeword, trace) per (layer, polarity, mask), each on its own stream."""
-    if not covers:
-        return []
+def _ris_rows(covers, axis: str, cfg: GsConfig):
+    """A GS group's masks and generators: a row per (layer, polarity, mask), each its own stream."""
     rngs = [derive_rng(cfg.seed, "gs", "ris", i, polarity, axis) for i, polarity, _ in covers]
-    vs, traces = relaxed_gs_batch(matrix, np.array([m for *_, m in covers]), cfg, rngs)
-    return list(zip(vs, traces))
+    return np.array([m for *_, m in covers]), rngs
 
 
 def _design_factorized(covers, geometry: ArrayGeometry, cfg: GsConfig):
     """Kronecker synthesis of each cover's RIS codeword from two 1-D designs.
 
     A full-coverage factor is the closed-form flat codeword (exact response,
-    no iteration); the varying factors of each axis run as one GS batch on
-    that axis's grid. Returns (codeword, traces) per cover.
+    no iteration); the varying factors of both axes, each on its axis's
+    grid, run as one GS call. Returns (codeword, traces) per cover.
     """
     sizes = (geometry.n_ris_rows, geometry.n_ris_cols)
     factors = [factor_pattern_mask(m, *sizes) for *_, m in covers]
-    per_axis = []
+    groups = []
     for a, (name, n, freqs) in enumerate(zip("uw", sizes, (u_axis, w_axis))):
-        matrix = axis_sampling_matrix(n, freqs(n), geometry.spacing_over_wavelength)
         varying = [(i, pol, f[a]) for (i, pol, _), f in zip(covers, factors) if not f[a].all()]
-        designed = iter(_gs_rows(matrix, varying, name, cfg))
-        per_axis.append([(flat_codeword(n), None) if f[a].all() else next(designed)
-                         for f in factors])
+        if varying:
+            groups.append((axis_sampling_matrix(n, freqs(n), geometry.spacing_over_wavelength),
+                           *_ris_rows(varying, name, cfg)))
+    designed = iter([row for vs, traces in relaxed_gs_batch(groups, cfg)
+                     for row in zip(vs, traces)])
+    per_axis = [[(flat_codeword(n), None) if f[a].all() else next(designed) for f in factors]
+                for a, n in enumerate(sizes)]
     return [(np.kron(v_u, v_w), tuple(t for t in (t_u, t_w) if t is not None))
             for (v_u, t_u), (v_w, t_w) in zip(*per_axis)]
 
@@ -312,7 +330,7 @@ def build_codebooks(
     """Design the full BS and RIS codebooks for the given codes.
 
     Dimension-split RIS codes are synthesized as Kronecker products of two
-    1-D designs, one GS batch per axis; plain RIS codes (or direct_2d=True)
+    1-D designs, both axes in one GS call; plain RIS codes (or direct_2d=True)
     run one direct 2-D batch. Each (layer, polarity, axis) design consumes its
     own derived random stream and each BS codeword has its own norm, so both
     sides design their covers in column order and stack each matrix once.
@@ -330,7 +348,8 @@ def build_codebooks(
     if code_r.split is not None and not direct_2d:
         ris_designs = _design_factorized(ris_covers, geometry, cfg)
     else:
-        ris_designs = [(v, (t,)) for v, t in _gs_rows(ris_sampling, ris_covers, "2d", cfg)]
+        group = (ris_sampling, *_ris_rows(ris_covers, "2d", cfg))
+        ris_designs = [(v, (t,)) for v, t in zip(*relaxed_gs_batch([group], cfg)[0])]
 
     return (_designed_codebook("bs", bs_designs, masks_t, _grid_responses(bs_steering)),
             _designed_codebook("ris", ris_designs, masks_r,

@@ -272,8 +272,8 @@ class HierarchicalBeamProvider:
     prefix. The first ``prefix_matrices`` call designs every prefix beam of
     each side once, as a coverage-convention matrix: column
     ``2**L - 1 + value`` holds the beam of the prefix of length L (0 to the
-    side's bit count) that reads as the integer ``value``. Each RIS axis (u
-    and w) designs its nonempty prefixes in one GS batch, BS beams come from
+    side's bit count) that reads as the integer ``value``. The nonempty
+    prefixes of both RIS axes (u and w) run in one GS call, BS beams come from
     ``design_bs_codewords``, and ideal beams are the coverage masks. A RIS
     prefix is the u bits followed by the w bits, and its beam is the
     Kronecker product of its two axis beams. Every array size must be a power
@@ -306,36 +306,29 @@ class HierarchicalBeamProvider:
     def prefix_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """The (BS, RIS) prefix-beam matrices, designed at the first call."""
         if self._matrices is None:
-            u, w = self._side_matrix("u"), self._side_matrix("w")
+            bs, u, w = self._side_matrices()
             prefixes = _prefixes(self.k_ris)
             u_rows = u.T[[_column(bits[:self.k_u]) for bits in prefixes]]
             w_rows = w.T[[_column(bits[self.k_u:]) for bits in prefixes]]
             ris = (u_rows[:, :, None] * w_rows[:, None, :]).reshape(len(prefixes), -1)
-            self._matrices = (self._side_matrix("bs"), ris.T)
+            self._matrices = (bs, ris.T)
         return self._matrices
 
-    def _mask(self, side: str, prefix: tuple) -> np.ndarray:
-        n = self._sizes[side]
-        return np.arange(n) >> (ceil_log2(n) - len(prefix)) == bits_to_int(prefix)
-
-    def _side_matrix(self, side: str) -> np.ndarray:
-        """Every prefix beam of the BS or of a RIS axis, one column per prefix."""
-        n = self._sizes[side]
-        prefixes = _prefixes(ceil_log2(n))
-        masks = np.array([self._mask(side, bits) for bits in prefixes])
+    def _side_matrices(self) -> list[np.ndarray]:
+        """Every prefix beam of the BS, the u axis and the w axis, one column per prefix."""
+        masks = [np.array([np.arange(n) >> (ceil_log2(n) - len(bits)) == bits_to_int(bits)
+                           for bits in _prefixes(ceil_log2(n))]) for n in self._sizes.values()]
         if self.ideal:
-            return masks.T.astype(float)
-        if side == "bs":
-            steering = bs_steering_matrix(self.geometry, self.grid)
-            return design_bs_codewords([np.flatnonzero(mask) for mask in masks], steering).T
-        beams = [flat_codeword(n)]
-        if len(prefixes) > 1:
-            freqs = (u_axis if side == "u" else w_axis)(n)
-            matrix = axis_sampling_matrix(n, freqs, self.geometry.spacing_over_wavelength)
-            rngs = [derive_rng(self.cfg.seed, "hier", side, bits) for bits in prefixes[1:]]
-            designed, _ = relaxed_gs_batch(matrix, masks[1:], self.cfg, rngs)
-            beams.extend(designed)
-        return np.column_stack(beams)
+            return [m.T.astype(float) for m in masks]
+        steering = bs_steering_matrix(self.geometry, self.grid)
+        groups = [(axis_sampling_matrix(len(m.T), freqs(len(m.T)),
+                                        self.geometry.spacing_over_wavelength), m[1:],
+                   [derive_rng(self.cfg.seed, "hier", side, bits)
+                    for bits in _prefixes(ceil_log2(len(m.T)))[1:]])
+                  for side, freqs, m in zip("uw", (u_axis, w_axis), masks[1:])]
+        return ([design_bs_codewords([np.flatnonzero(m) for m in masks[0]], steering).T]
+                + [np.column_stack([flat_codeword(len(m.T)), *vs])
+                   for m, (vs, _) in zip(masks[1:], relaxed_gs_batch(groups, self.cfg))])
 
 
 def _prefixes(k: int) -> list[tuple]:

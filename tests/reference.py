@@ -395,7 +395,7 @@ class ReferencePrefixBeams:
                                           self.geo.spacing_over_wavelength)
             rngs = [derive_rng(self.cfg.seed, "hier", side, bits) for bits in prefixes]
             masks = np.array([self.mask(side, bits) for bits in prefixes])
-            beams.update(zip(prefixes, relaxed_gs_batch(matrix, masks, self.cfg, rngs)[0]))
+            beams.update(zip(prefixes, relaxed_gs_batch([(matrix, masks, rngs)], self.cfg)[0][0]))
         return beams
 
     def beam(self, side, prefix):
@@ -476,7 +476,7 @@ def relaxed_gs_loop(a_scaled: np.ndarray, masks: np.ndarray, cfg: GsConfig,
 def relaxed_gs(a_scaled: np.ndarray, mask: np.ndarray, cfg: GsConfig,
                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Relaxed GS design of one codeword: a one-row ``relaxed_gs_batch``."""
-    v, trace = relaxed_gs_batch(a_scaled, np.asarray(mask, dtype=bool)[None], cfg, (rng,))
+    [(v, trace)] = relaxed_gs_batch([(a_scaled, np.asarray(mask, dtype=bool)[None], (rng,))], cfg)
     return v[0], trace[0]
 
 

@@ -13,7 +13,7 @@ from reference import (
     relaxed_gs,
     relaxed_gs_loop,
 )
-from risbeam import arrays
+from risbeam import arrays, codebook
 from risbeam.arrays import (
     ArrayGeometry,
     make_angle_grid,
@@ -39,7 +39,7 @@ from risbeam.codebook import (
     ris_sampling_matrix,
 )
 from risbeam.seeding import derive_rng
-from risbeam.training import coded_codes, narrow_beam_matrices
+from risbeam.training import HierarchicalBeamProvider, coded_codes, narrow_beam_matrices
 
 
 def test_pattern_matrix_two_bit_plain():
@@ -415,6 +415,15 @@ def gs_matrix(kind: str, n: int) -> np.ndarray:
     return axis_sampling_matrix(n, (u_axis if kind == "u" else w_axis)(n))
 
 
+def nontrivial_masks(rng, rows, n_grid):
+    """Random (rows, n_grid) masks, each with at least one point in and one out."""
+    masks = rng.random((rows, n_grid)) < rng.random()
+    for row in masks:
+        inside, outside = rng.choice(n_grid, 2, replace=False)
+        row[inside], row[outside] = True, False
+    return masks
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(("u", "w", "2d")), n=st.integers(2, 32), rows=st.integers(1, 4),
        target=st.none() | st.floats(0.5, 3.0),
@@ -426,15 +435,10 @@ def gs_matrix(kind: str, n: int) -> np.ndarray:
 @example(kind="2d", n=2, rows=2, target=2.0, delta=0.0, k_iter=10, seed=4)
 def test_gs_batch_rows_match_single_designs(kind, n, rows, target, delta, k_iter, seed):
     matrix = gs_matrix(kind, n)
-    n_grid = matrix.shape[1]
-    rng = np.random.default_rng(seed)
-    masks = rng.random((rows, n_grid)) < rng.random()
-    for row in masks:  # non-trivial: at least one point in and one out
-        inside, outside = rng.choice(n_grid, 2, replace=False)
-        row[inside], row[outside] = True, False
+    masks = nontrivial_masks(np.random.default_rng(seed), rows, matrix.shape[1])
     cfg = GsConfig(delta=delta, k_iter=k_iter, target_amplitude=target)
-    vs, traces = relaxed_gs_batch(matrix, masks, cfg,
-                                  [derive_rng(seed, "row", b) for b in range(rows)])
+    [(vs, traces)] = relaxed_gs_batch(
+        [(matrix, masks, [derive_rng(seed, "row", b) for b in range(rows)])], cfg)
     assert vs.shape == (rows, matrix.shape[0]) and traces.shape == (rows, k_iter)
     for b, mask in enumerate(masks):
         for v, trace in (reference_relaxed_gs(matrix, mask, cfg, derive_rng(seed, "row", b)),
@@ -447,6 +451,57 @@ def test_gs_batch_rows_match_single_designs(kind, n, rows, target, delta, k_iter
                                            [derive_rng(seed, "row", b) for b in range(rows)])
     assert vs.tobytes() == loop_vs.tobytes()
     assert traces.tobytes() == loop_traces.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(groups=st.lists(st.tuples(st.sampled_from(("u", "w", "2d")), st.sampled_from((2, 4, 8)),
+                                 st.integers(0, 3)), min_size=1, max_size=4),
+       target=st.none() | st.floats(0.5, 3.0), delta=st.floats(0.0, 0.5),
+       k_iter=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(groups=[("u", 8, 3), ("w", 8, 2)], target=None, delta=0.3, k_iter=12, seed=1)
+@example(groups=[("u", 8, 2), ("2d", 8, 2), ("w", 4, 1), ("w", 8, 0)], target=1.5,
+         delta=0.0, k_iter=5, seed=2)
+def test_gs_groups_in_one_call_match_one_group_calls(groups, target, delta, k_iter, seed):
+    # rows of several groups, on matrices of equal and of unequal shapes (u and w
+    # axes and the desk 2-D matrix), are designed in one call exactly as each
+    # group alone and as the GS loop as first written, codewords and traces
+    cfg = GsConfig(delta=delta, k_iter=k_iter, target_amplitude=target)
+    rng = np.random.default_rng(seed)
+    specs = [(gs_matrix(kind, n), rows) for kind, n, rows in groups]
+    specs = [(matrix, nontrivial_masks(rng, rows, matrix.shape[1])) for matrix, rows in specs]
+
+    def rngs(g):
+        return [derive_rng(seed, "group", g, b) for b in range(len(specs[g][1]))]
+
+    results = relaxed_gs_batch([(*spec, rngs(g)) for g, spec in enumerate(specs)], cfg)
+    assert len(results) == len(specs)
+    for g, ((matrix, masks), (vs, traces)) in enumerate(zip(specs, results)):
+        assert vs.shape == (len(masks), matrix.shape[0])
+        assert traces.shape == (len(masks), k_iter)
+        [(alone_vs, alone_traces)] = relaxed_gs_batch([(matrix, masks, rngs(g))], cfg)
+        assert vs.tobytes() == alone_vs.tobytes()
+        assert traces.tobytes() == alone_traces.tobytes()
+        if len(masks):
+            loop_vs, loop_traces = relaxed_gs_loop(matrix, masks, cfg, rngs(g))
+            assert vs.tobytes() == loop_vs.tobytes()
+            assert traces.tobytes() == loop_traces.tobytes()
+
+
+@pytest.mark.parametrize("rows, cols, loops", [(8, 8, 1), (16, 16, 1), (8, 16, 2)])
+def test_each_ris_design_call_runs_one_gs_loop_per_matrix_shape(monkeypatch, rows, cols, loops):
+    # on a square RIS the varying factors of both axes, and the nonempty prefix
+    # beams of both axes, each run in one GS loop; a rectangular RIS runs one
+    # loop per axis shape. A loop takes 1 + 2 * k_iter phases.
+    phase, calls = codebook._phase, []
+    monkeypatch.setattr(codebook, "_phase", lambda x: calls.append(x.shape) or phase(x))
+    geo = ArrayGeometry(16, rows, cols)
+    grid = make_angle_grid(geo)
+    cfg = GsConfig(k_iter=3)
+    build_codebooks(*coded_codes(16, (rows, cols)), grid, geo, cfg)
+    assert len(calls) == loops * (1 + 2 * cfg.k_iter)
+    calls.clear()
+    HierarchicalBeamProvider(geo, grid, cfg).prefix_matrices()
+    assert len(calls) == loops * (1 + 2 * cfg.k_iter)
 
 
 @settings(max_examples=60, deadline=None)
@@ -475,13 +530,13 @@ def test_gs_batch_rejects_degenerate_rows():
     for bad, message in ((np.zeros(8, dtype=bool), "coverage mask is empty"),
                          (np.ones(8, dtype=bool), "covers the whole grid")):
         with pytest.raises(ValueError, match=message):
-            relaxed_gs_batch(matrix, np.stack([good, bad]), GsConfig(), rngs)
+            relaxed_gs_batch([(matrix, np.stack([good, bad]), rngs)], GsConfig())
         with pytest.raises(ValueError, match=message):
             relaxed_gs(matrix, bad, GsConfig(), rngs[0])
     duplicated = axis_sampling_matrix(4, np.array([0.1, 0.1, 0.3, 0.5]))
     masks = np.array([[True, False, False, True], [False, True, True, False]])
     with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
-        relaxed_gs_batch(duplicated, masks, GsConfig(), rngs)
+        relaxed_gs_batch([(duplicated, masks, rngs)], GsConfig())
 
 
 @pytest.mark.parametrize("direct_2d", [False, True])

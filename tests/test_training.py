@@ -206,19 +206,21 @@ def test_provider_designs_each_prefix_once(monkeypatch, desk_geometry, desk_grid
     # the BS designs every prefix in one batch (one key per cover)
     designs = []
 
-    def recording(fn, keys):
+    def recording(fn, keys, beams):
         def wrapper(*args, **kwargs):
             result = fn(*args, **kwargs)
-            beams = result[0] if isinstance(result, tuple) else result
-            designs.extend(zip(keys(*args), beams))
+            designs.extend(zip(keys(*args), beams(result)))
             return result
         return wrapper
 
     monkeypatch.setattr(training, "relaxed_gs_batch", recording(
         training.relaxed_gs_batch,
-        lambda matrix, masks, *rest: [(matrix.tobytes(), m.tobytes()) for m in masks]))
+        lambda groups, cfg: [(matrix.tobytes(), m.tobytes())
+                             for matrix, masks, _ in groups for m in masks],
+        lambda result: [v for vs, _ in result for v in vs]))
     monkeypatch.setattr(training, "design_bs_codewords", recording(
-        training.design_bs_codewords, lambda covers, *rest: [tuple(c) for c in covers]))
+        training.design_bs_codewords, lambda covers, *rest: [tuple(c) for c in covers],
+        lambda result: result))
     geo = desk_geometry
     provider = HierarchicalBeamProvider(geo, desk_grid, GsConfig(seed=1, k_iter=10))
     for trial in range(40):
