@@ -164,9 +164,7 @@ def cmd_design_codebook(args) -> int:
 
 def _sweep_config(args, sweep_over: str):
     if args.config is not None:
-        cfg = load_config(args.config)
-        if cfg.sweep_over != sweep_over:
-            cfg = replace(cfg, sweep_over=sweep_over)
+        cfg = load_config(args.config, sweep_over)
     else:
         cfg = PRESETS[args.scale][sweep_over]()
     overrides = {}

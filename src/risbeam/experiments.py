@@ -1,6 +1,6 @@
 """Monte-Carlo sweeps over SNR or pilot budget, metrics, and result files.
 
-A sweep point runs in blocks of ``TRIAL_BLOCK`` trials. Per-trial channels
+A sweep point runs in blocks of ``trial_block(geometry)`` trials. Per-trial channels
 are seeded independently of the protocol, so one ``sample_block`` call draws
 each (sweep point, trial) channel of a block once, and every protocol runs on
 that ``ChannelBlock``; the measurement noise stream is seeded per (protocol, sweep point,
@@ -26,6 +26,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -48,9 +49,16 @@ from .training import (
     tuple_rates,
 )
 
-# Trials per block: a block's channels are drawn together and each layered
-# protocol runs once per block. The results do not depend on it.
-TRIAL_BLOCK = 16
+# A trial block's channels are drawn together and each protocol runs once per
+# block. The results do not depend on its size.
+MIN_TRIAL_BLOCK = 16
+BLOCK_BYTES = 2 * 2**20
+
+
+def trial_block(geometry: ArrayGeometry) -> int:
+    """Trials per block: the most whose (trials, n_ris, n_bs) complex array fits in
+    BLOCK_BYTES, and at least MIN_TRIAL_BLOCK (128 on the desk arrays, 16 on full)."""
+    return max(MIN_TRIAL_BLOCK, BLOCK_BYTES // (16 * geometry.n_ris * geometry.n_bs))
 
 CSV_COLUMNS = (
     "protocol", "sweep_variable", "sweep_value", "trials", "pilots",
@@ -100,6 +108,9 @@ class ExperimentConfig:
             raise ValueError("snr_grid_db must be nonempty")
         if self.sweep_over == "pilots" and not self.pilot_grid:
             raise ValueError("pilot_grid must be nonempty")
+        if self.sweep_over == "pilots" and len(self.snr_grid_db) != 1:
+            raise ValueError(f"a pilots sweep runs at one SNR, got snr_grid_db="
+                             f"{list(self.snr_grid_db)}")
         if not self.protocols:
             raise ValueError("at least one protocol is required")
         if self.sampling_mode not in SAMPLING_MODES:
@@ -237,12 +248,12 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
     narrow = narrow_beam_matrices(grid, geometry)
     eval_snr = SnrSpec(cfg.eval_snr_linear, noiseless=True)
     runners = _build_runners(cfg, grid, narrow)
+    size = trial_block(geometry)
 
     sweep_values = cfg.snr_grid_db if cfg.sweep_over == "snr" else cfg.pilot_grid
     sweep_name = "snr_db" if cfg.sweep_over == "snr" else "pilots"
     protocols = cfg.protocols
-    snr_db = (sweep_values if cfg.sweep_over == "snr"
-              else cfg.snr_grid_db[:1] * len(sweep_values))
+    snr_db = sweep_values if cfg.sweep_over == "snr" else cfg.snr_grid_db * len(sweep_values)
     snrs = [SnrSpec(_linear_snr(db), noiseless=cfg.noiseless) for db in snr_db]
 
     # every channel and noise stream of the sweep, by (sweep point, tag, trial)
@@ -260,8 +271,8 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
                    for proto in protocols]
         hits = np.zeros((len(protocols), cfg.trials), dtype=bool)
         rates = np.empty((len(protocols), cfg.trials))
-        for start in range(0, cfg.trials, TRIAL_BLOCK):
-            trials = slice(start, min(start + TRIAL_BLOCK, cfg.trials))
+        for start in range(0, cfg.trials, size):
+            trials = slice(start, min(start + size, cfg.trials))
             streams = [load_streams(pool, words[point, s, trials]) for s, pool in enumerate(pools)]
             block = sample_block(geometry, grid, streams[0], cfg.sampling_mode)
             runs = [runner(block, snr=snr, budget=budget, rngs=rngs)
@@ -429,5 +440,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
-def load_config(path) -> ExperimentConfig:
-    return config_from_dict(json.loads(Path(path).read_text()))
+def load_config(path, sweep_over: Optional[str] = None) -> ExperimentConfig:
+    """The config of a JSON file. Given ``sweep_over``, a file without that key
+    sweeps over it, and a file that names another sweep is rejected."""
+    data = json.loads(Path(path).read_text())
+    if sweep_over is not None and isinstance(data, dict):
+        if data.setdefault("sweep_over", sweep_over) != sweep_over:
+            raise ValueError(f"{path} sets sweep_over={data['sweep_over']!r}, but this "
+                             f"command sweeps over {sweep_over!r}")
+    return config_from_dict(data)

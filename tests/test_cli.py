@@ -243,6 +243,38 @@ def test_sweep_config_fields_the_sweep_ignores_are_rejected(tmp_path, capsys, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,file_sweep", [("sweep-snr", "pilots"),
+                                                ("sweep-pilots", "snr")])
+def test_sweep_config_naming_the_other_sweep_is_rejected(tmp_path, capsys, command,
+                                                         file_sweep):
+    # the subcommand used to overwrite the file's sweep_over; a file that omits
+    # the key still takes the subcommand's sweep
+    cfg = {"n_bs": 8, "n_ris_rows": 8, "n_ris_cols": 8, "snr_grid_db": [0.0],
+           "pilot_grid": [8], "trials": 2, "gs": {"k_iter": 10}, "ideal_beams": True}
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "res.csv"
+    cfg_path.write_text(json.dumps({**cfg, "sweep_over": file_sweep}))
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg_path} sets sweep_over={file_sweep!r}, but this command sweeps over "
+        f"{command.removeprefix('sweep-')!r}\n")
+    assert not out.exists()
+    cfg_path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert out.exists()
+
+
+def test_pilots_sweep_config_with_two_snrs_is_rejected(tmp_path, capsys):
+    # the sweep used to run at the first SNR and drop the second
+    cfg = {"n_bs": 8, "n_ris_rows": 8, "n_ris_cols": 8, "snr_grid_db": [0.0, 10.0],
+           "pilot_grid": [8], "trials": 2, "gs": {"k_iter": 10}, "ideal_beams": True}
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "res.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep-pilots", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: a pilots sweep runs at one SNR, got snr_grid_db=[0.0, 10.0]\n")
+    assert not out.exists()
+
+
 def test_sweep_snr_missing_config(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["sweep-snr", "--config", str(missing)]) != 0

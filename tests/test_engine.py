@@ -233,7 +233,7 @@ def test_sweep_derotates_each_channel_once(monkeypatch):
         return sample_block(geometry, grid, rngs, mode)
 
     monkeypatch.setattr(experiments, "sample_block", counted)
-    monkeypatch.setattr(experiments, "TRIAL_BLOCK", 2)
+    monkeypatch.setattr(experiments, "trial_block", lambda geometry: 2)
     cfg = ExperimentConfig(
         n_bs=8, n_ris_rows=8, n_ris_cols=8, snr_grid_db=(0.0, 10.0), trials=3, gs=FAST_GS,
         protocols=ExperimentConfig().protocols + (
@@ -252,7 +252,7 @@ def test_sweep_rates_each_trial_block_in_one_call(monkeypatch):
         return tuple_rates(block, narrow_beams, est_bs, est_ris, snr_eval)
 
     monkeypatch.setattr(experiments, "tuple_rates", counted)
-    monkeypatch.setattr(experiments, "TRIAL_BLOCK", 2)
+    monkeypatch.setattr(experiments, "trial_block", lambda geometry: 2)
     cfg = ExperimentConfig(
         n_bs=8, n_ris_rows=8, n_ris_cols=8, snr_grid_db=(0.0, 10.0), trials=3, gs=FAST_GS,
         protocols=ExperimentConfig().protocols + (
@@ -294,7 +294,7 @@ def adaptive_setup(n_bs: int, rows: int, cols: int, ideal: bool):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from((1, 2, 4, 8)), st.sampled_from((1, 2, 4, 8)),
        st.sampled_from((1, 2, 4, 8)), MODES, st.booleans(),
-       st.sampled_from((1, 7, experiments.TRIAL_BLOCK, experiments.TRIAL_BLOCK + 5)),
+       st.sampled_from((1, 7, experiments.MIN_TRIAL_BLOCK, experiments.MIN_TRIAL_BLOCK + 5)),
        st.one_of(st.none(), st.integers(4, 30)),
        st.lists(st.tuples(st.integers(0, 6), st.sampled_from(("bs", "ris"))), max_size=3),
        st.floats(0.05, 30.0), SEEDS)
@@ -329,7 +329,7 @@ def test_adaptive_layer_tables_equal_one_trial_tables(monkeypatch, dims, mode):
     # the gathered (trials, n, 2) beam stacks give the bytes of each trial's
     # own (n, 2) pair through gain_tables of a one-trial block
     geo, grid, provider, reference = adaptive_setup(*dims, False)
-    trials = experiments.TRIAL_BLOCK
+    trials = experiments.MIN_TRIAL_BLOCK
     rows = [draw_block(geo, grid, mode, t) for t in range(trials)]  # one-trial blocks
     layers = []
 
@@ -380,7 +380,7 @@ def layered_cases(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(layered_cases(), MODES, st.booleans(),
-       st.sampled_from((1, 7, experiments.TRIAL_BLOCK, experiments.TRIAL_BLOCK + 5)),
+       st.sampled_from((1, 7, experiments.MIN_TRIAL_BLOCK, experiments.MIN_TRIAL_BLOCK + 5)),
        st.one_of(st.none(), st.integers(4, 60)), st.floats(0.05, 30.0), SEEDS)
 def test_batched_runner_matches_per_pilot_reference(case, mode, ideal, trials, budget,
                                                     snr_linear, seed):
@@ -420,15 +420,15 @@ def test_block_tables_equal_one_channel_tables(case, mode, ideal, trials, seed):
 
 @pytest.mark.parametrize("mode", ["on_grid", "continuous"])
 def test_trial_block_size_changes_no_byte(monkeypatch, mode):
-    default = experiments.TRIAL_BLOCK
     cfg = desk_snr_sweep(trials=40, master_seed=17, sampling_mode=mode, protocols=(
         ExperimentConfig().protocols
         + (ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),)))
-    assert 5 < default < cfg.trials
+    default = experiments.trial_block(cfg.geometry)
+    assert 5 < cfg.trials <= default  # the desk default runs every trial in one block
     for ideal in (False, True):  # designed beams, and ideal ones read off mask rows
         results = []
         for block in (1, 5, default):
-            monkeypatch.setattr(experiments, "TRIAL_BLOCK", block)
+            monkeypatch.setattr(experiments, "trial_block", lambda geometry, block=block: block)
             results.append(run_sweep(replace(cfg, ideal_beams=ideal), log_trials=True))
         assert len(results[0].trial_log) == cfg.trials * len(results[0].rows)
         assert results[0] == results[1] == results[2]
@@ -442,8 +442,8 @@ def test_partial_last_block_on_pooled_streams(monkeypatch, tmp_path, mode):
                          sampling_mode=mode, protocols=ExperimentConfig().protocols
                          + (ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),))
     files = []
-    for block in (experiments.TRIAL_BLOCK, 5):
-        monkeypatch.setattr(experiments, "TRIAL_BLOCK", block)
+    for block in (experiments.trial_block(cfg.geometry), 5):
+        monkeypatch.setattr(experiments, "trial_block", lambda geometry, block=block: block)
         results = run_sweep(cfg, log_trials=True)
         export_results(results, tmp_path / "rows.csv")
         export_trial_log(results, tmp_path / "trials.csv")
@@ -467,7 +467,7 @@ def exhaustive_cases(draw):
 
 @settings(max_examples=20, deadline=None)
 @given(exhaustive_cases(), MODES,
-       st.sampled_from((1, 7, experiments.TRIAL_BLOCK, experiments.TRIAL_BLOCK + 5)),
+       st.sampled_from((1, 7, experiments.MIN_TRIAL_BLOCK, experiments.MIN_TRIAL_BLOCK + 5)),
        st.floats(0.05, 30.0), SEEDS)
 def test_exhaustive_runner_matches_per_tuple_sweep(case, mode, trials, snr_linear, seed):
     n_bs, rows, cols, budget = case

@@ -192,6 +192,15 @@ def test_config_validation():
         _tiny_config(sampling_mode="contnuous")
 
 
+@pytest.mark.parametrize("snr_grid_db", [(), (0.0, 10.0)])
+def test_pilots_sweep_runs_at_exactly_one_snr(snr_grid_db):
+    # a pilots sweep used to run at the first SNR and drop the rest, or to
+    # return no row at all for an empty SNR grid
+    with pytest.raises(ValueError, match=r"a pilots sweep runs at one SNR, got snr_grid_db="):
+        _tiny_config(sweep_over="pilots", pilot_grid=(8,), snr_grid_db=snr_grid_db)
+    _tiny_config(snr_grid_db=(0.0, 10.0))  # an SNR sweep takes the whole grid
+
+
 def test_pilot_budgets_below_the_minimum_rejected_at_config():
     # layered protocols send whole 4-tuple layers, exhaustive at least one tuple
     hierarchical = (ProtocolSpec("hierarchical"),)
