@@ -4,8 +4,10 @@ BS codewords are unconstrained unit-norm multi-mainlobe sums and are exact on
 the candidate grid. RIS codewords obey the constant-modulus constraint and are
 designed by a relaxed Gerchberg-Saxton iteration that only re-assigns
 amplitudes at grid points failing the in/out classification thresholds. All
-RIS designs on one sampling matrix run as one GS batch, one row per coverage
-mask, and the BS codewords of a codebook as one batch, grouped by cover size.
+RIS designs on one sampling matrix form one GS batch, one row per coverage
+mask, and the batches of one call whose matrices share a shape run in one
+iteration loop: both RIS axes of a square RIS, for instance. The BS codewords
+of a codebook are one batch, grouped by cover size.
 
 A designed codebook is one matrix per side: column 2l + b is layer l's
 codeword for mask bit b, so column 2l + 1 covers the grid points where layer
