@@ -146,14 +146,12 @@ def _pinv_with_rank(mat: np.ndarray, rcond: float = SV_CUTOFF):
 
 
 def _stacked_matvec(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """mat (or mat[b], one matrix per row) @ row b for every row, rounded as one
-    matrix-vector product each (a 2-D matmul is not)."""
+    """mat (or mat[b]) @ row b for every row b as a matrix-vector product (a 2-D matmul is not)."""
     return (mat @ rows[..., None])[..., 0]
 
 
 def _row_stack(mats, counts) -> np.ndarray:
-    """counts[i] rows of mats[i]: a stride-0 view of a lone matrix, else one C-ordered copy
-    (a concatenation of stride-0 views orders its axes differently and so rounds differently)."""
+    """counts[i] rows of mats[i]: a stride-0 view of a lone matrix, else one C-ordered copy."""
     if len(mats) == 1:
         return np.broadcast_to(mats[0], (counts[0], *mats[0].shape))
     return np.repeat(np.stack(mats), counts, axis=0)
@@ -192,7 +190,7 @@ def relaxed_gs_batch(groups, cfg: GsConfig) -> list[tuple[np.ndarray, np.ndarray
     alone, exactly as a one-row call; all rows on matrices of one shape run
     in one loop. Returns per group the (B, n_el) constant-modulus codewords
     and the (B, k_iter) traces ||s_k - s_{k-1}||_2, whose first entry
-    compares the first realized beam against the intended one.
+    compares the first realized beam against the intended one (taken after the loop).
     """
     by_shape: dict[tuple, list[int]] = {}
     for g, (a_scaled, *_) in enumerate(groups):
@@ -202,27 +200,30 @@ def relaxed_gs_batch(groups, cfg: GsConfig) -> list[tuple[np.ndarray, np.ndarray
         masks, backward, phases = zip(*(_gs_group(*groups[g], cfg) for g in members))
         counts = [len(m) for m in masks]
         masks, phases = np.concatenate(masks), np.concatenate(phases)
-        # row b's forward map has the transposed layout of a_scaled.conj().T
+        # row b's forward map has the layout of a_scaled.conj().T: another rounds differently
         forward = _row_stack([groups[g][0].conj() for g in members], counts).swapaxes(1, 2)
         backward = _row_stack(backward, counts)
         target = cfg.target_amplitude or np.sqrt(n_grid / masks.sum(axis=1))[:, None]
         modulus = 1.0 / np.sqrt(n_el)
-        iterates = np.empty((cfg.k_iter + 1, *masks.shape), dtype=complex)  # s_0 .. s_k_iter
-        iterates[0] = np.where(masks, target, 0.0) * np.exp(2j * np.pi * phases)
-        v = modulus * np.exp(1j * _phase(_stacked_matvec(backward, iterates[0])))
+        s_prev = np.where(masks, target, 0.0) * np.exp(2j * np.pi * phases)
+        v = modulus * np.exp(1j * _phase(_stacked_matvec(backward, s_prev)))
         # threshold P*(1-delta) inside the coverage and P*delta outside; a point is
         # satisfied when sign*|s| >= sign*threshold (exact: negation is exact)
         thresholds = np.where(masks, target * (1.0 - cfg.delta), target * cfg.delta)
         sign = np.where(masks, 1.0, -1.0)
         signed_thresholds = sign * thresholds
-        for k in range(1, cfg.k_iter + 1):
-            s_k = iterates[k] = _stacked_matvec(forward, v)
+        steps = np.empty((cfg.k_iter, *masks.shape), dtype=complex)  # s_k - s_{k-1}
+        for k in range(cfg.k_iter):
+            s_k = _stacked_matvec(forward, v)
+            np.subtract(s_k, s_prev, out=steps[k])
             satisfied = np.abs(s_k) * sign >= signed_thresholds
             reassigned = thresholds * np.exp(1j * _phase(s_k))
             s_hat = np.where(satisfied, s_k, reassigned)
             v = modulus * np.exp(1j * _phase(_stacked_matvec(backward, s_hat)))
-        d = np.diff(iterates, axis=0)  # summed as np.linalg.norm sums it: reals, then imaginaries
-        sq = d.real[..., None, :] @ d.real[..., None] + d.imag[..., None, :] @ d.imag[..., None]
+            s_prev = s_k
+        # the traces, summed as np.linalg.norm sums them: real parts, then imaginary
+        sq = (steps.real[..., None, :] @ steps.real[..., None]
+              + steps.imag[..., None, :] @ steps.imag[..., None])
         bounds = np.cumsum(counts)[:-1]
         traces = np.split(np.ascontiguousarray(np.sqrt(sq[..., 0, 0]).T), bounds)
         results.update(zip(members, zip(np.split(v, bounds), traces)))

@@ -26,7 +26,6 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -440,12 +439,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
-def load_config(path, sweep_over: Optional[str] = None) -> ExperimentConfig:
-    """The config of a JSON file. Given ``sweep_over``, a file without that key
-    sweeps over it, and a file that names another sweep is rejected."""
+def load_config(path, sweep_over: str) -> ExperimentConfig:
+    """The config of a JSON file for a sweep over ``sweep_over``: a file without
+    that key sweeps over it, and a file that names the other sweep is rejected."""
     data = json.loads(Path(path).read_text())
-    if sweep_over is not None and isinstance(data, dict):
-        if data.setdefault("sweep_over", sweep_over) != sweep_over:
-            raise ValueError(f"{path} sets sweep_over={data['sweep_over']!r}, but this "
-                             f"command sweeps over {sweep_over!r}")
+    if isinstance(data, dict) and data.setdefault("sweep_over", sweep_over) != sweep_over:
+        raise ValueError(f"{path} sets sweep_over={data['sweep_over']!r}, but this "
+                         f"command sweeps over {sweep_over!r}")
     return config_from_dict(data)
