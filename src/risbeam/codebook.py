@@ -213,7 +213,7 @@ def relaxed_gs_batch(groups, cfg: GsConfig) -> list[tuple[np.ndarray, np.ndarray
         sign = np.where(masks, 1.0, -1.0)
         signed_thresholds = sign * thresholds
         steps = np.empty((cfg.k_iter, *masks.shape), dtype=complex)  # s_k - s_{k-1}
-        for k in range(cfg.k_iter):
+        for k in range(cfg.k_iter if len(masks) else 0):  # groups without rows skip the loop
             s_k = _stacked_matvec(forward, v)
             np.subtract(s_k, s_prev, out=steps[k])
             satisfied = np.abs(s_k) * sign >= signed_thresholds
