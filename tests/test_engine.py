@@ -425,13 +425,17 @@ def test_trial_block_size_changes_no_byte(monkeypatch, mode):
         + (ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),)))
     default = experiments.trial_block(cfg.geometry)
     assert 5 < cfg.trials <= default  # the desk default runs every trial in one block
+    per_trial = 16 * cfg.geometry.n_ris * cfg.geometry.n_bs  # one complex channel array
     for ideal in (False, True):  # designed beams, and ideal ones read off mask rows
         results = []
-        for block in (1, 5, default):
-            monkeypatch.setattr(experiments, "trial_block", lambda geometry, block=block: block)
+        for block in (1, 5, 24, default):  # blocks of 24 end on a partial block of 16
+            # the memory rule itself sizes each block: room for `block` channel arrays
+            monkeypatch.setattr(experiments, "MIN_TRIAL_BLOCK", 1)
+            monkeypatch.setattr(experiments, "BLOCK_BYTES", block * per_trial)
+            assert experiments.trial_block(cfg.geometry) == block
             results.append(run_sweep(replace(cfg, ideal_beams=ideal), log_trials=True))
         assert len(results[0].trial_log) == cfg.trials * len(results[0].rows)
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1] == results[2] == results[3]
 
 
 @pytest.mark.parametrize("mode", ["on_grid", "continuous"])
