@@ -189,8 +189,8 @@ def relaxed_gs_batch(groups, cfg: GsConfig) -> list[tuple[np.ndarray, np.ndarray
     (B, n_grid) masks is designed on its a_scaled with generator rngs[b]
     alone, exactly as a one-row call; all rows on matrices of one shape run
     in one loop. Returns per group the (B, n_el) constant-modulus codewords
-    and the (B, k_iter) traces ||s_k - s_{k-1}||_2, whose first entry
-    compares the first realized beam against the intended one (taken after the loop).
+    and the (B, k_iter) traces ||s_k - s_{k-1}||_2 (the first compares the
+    first realized beam with the intended one), taken from the stored steps.
     """
     by_shape: dict[tuple, list[int]] = {}
     for g, (a_scaled, *_) in enumerate(groups):
