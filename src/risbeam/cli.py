@@ -163,10 +163,12 @@ def cmd_design_codebook(args) -> int:
 
 
 def _sweep_config(args, sweep_over: str):
+    if args.config is not None and args.scale is not None:
+        raise ValueError("--scale picks a preset and --config a file: give one of them")
     if args.config is not None:
         cfg = load_config(args.config, sweep_over)
     else:
-        cfg = PRESETS[args.scale][sweep_over]()
+        cfg = PRESETS[args.scale or "desk"][sweep_over]()
     overrides = {}
     if args.trials is not None:
         overrides["trials"] = args.trials
@@ -200,7 +202,7 @@ def cmd_sweep_pilots(args) -> int:
 
 def _add_sweep_flags(sub) -> None:
     sub.add_argument("--config", help="JSON experiment config file")
-    sub.add_argument("--scale", choices=("desk", "full"), default="desk")
+    sub.add_argument("--scale", choices=("desk", "full"), help="preset (default desk)")
     sub.add_argument("--trials", type=int)
     sub.add_argument("--seed", type=int)
     sub.add_argument("--out", help="output file (default results.<format>)")

@@ -3,11 +3,11 @@
 BS codewords are unconstrained unit-norm multi-mainlobe sums and are exact on
 the candidate grid. RIS codewords obey the constant-modulus constraint and are
 designed by a relaxed Gerchberg-Saxton iteration that only re-assigns
-amplitudes at grid points failing the in/out classification thresholds. All
-RIS designs on one sampling matrix form one GS batch, one row per coverage
-mask, and the batches of one call whose matrices share a shape run in one
-iteration loop: both RIS axes of a square RIS, for instance. The BS codewords
-of a codebook are one batch, grouped by cover size.
+amplitudes at grid points failing the in/out classification thresholds; all
+RIS designs of one call on matrices of one shape run in one loop. Around it a
+codebook is built in whole-array steps: one factoring of the mask stack, one
+broadcast Kronecker product, the BS codewords batched by cover size, and the
+grid margins of every column as one stacked matvec and one masked min/max.
 
 A designed codebook is one matrix per side: column 2l + b is layer l's
 codeword for mask bit b, so column 2l + 1 covers the grid points where layer
@@ -20,6 +20,7 @@ for the RIS) before transmission.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, product
 from typing import Optional
 
 import numpy as np
@@ -216,16 +217,13 @@ def relaxed_gs_batch(groups, cfg: GsConfig) -> list[tuple[np.ndarray, np.ndarray
         for k in range(cfg.k_iter if len(masks) else 0):  # groups without rows skip the loop
             s_k = _stacked_matvec(forward, v)
             np.subtract(s_k, s_prev, out=steps[k])
-            satisfied = np.abs(s_k) * sign >= signed_thresholds
-            reassigned = thresholds * np.exp(1j * _phase(s_k))
-            s_hat = np.where(satisfied, s_k, reassigned)
+            failed = ~(np.abs(s_k) * sign >= signed_thresholds)
+            s_hat = s_k.copy()  # only the failing points need a phase and a re-assignment
+            s_hat[failed] = thresholds[failed] * np.exp(1j * _phase(s_k[failed]))
             v = modulus * np.exp(1j * _phase(_stacked_matvec(backward, s_hat)))
             s_prev = s_k
-        # the traces, summed as np.linalg.norm sums them: real parts, then imaginary
-        sq = (steps.real[..., None, :] @ steps.real[..., None]
-              + steps.imag[..., None, :] @ steps.imag[..., None])
         bounds = np.cumsum(counts)[:-1]
-        traces = np.split(np.ascontiguousarray(np.sqrt(sq[..., 0, 0]).T), bounds)
+        traces = np.split(np.ascontiguousarray(_norms(steps).T), bounds)
         results.update(zip(members, zip(np.split(v, bounds), traces)))
     return [results[g] for g in range(len(groups))]
 
@@ -244,9 +242,8 @@ def design_bs_codewords(covers, steering: np.ndarray) -> np.ndarray:
     over the 1-based position i in its covered list, normalized to unit
     norm. Covers of one size are summed together, term by term in list
     order (``add.accumulate`` keeps the order, ``add.reduce`` may not), and
-    each codeword is normalized by its own ``np.linalg.norm`` (a batched
-    norm rounds differently): both keep every byte of the one-term-at-a-time
-    loop.
+    normalized by the dot products ``np.linalg.norm`` sums (``_norms``): both
+    keep every byte of the one-term-at-a-time loop.
     """
     covers = [np.asarray(c, dtype=int) for c in covers]
     if any(c.size == 0 for c in covers):
@@ -260,66 +257,59 @@ def design_bs_codewords(covers, steering: np.ndarray) -> np.ndarray:
         psi = np.arange(1, size + 1) * np.pi * (-1.0 + 1.0 / n_bs)
         terms = np.exp(1j * psi)[None, :, None] * steering.T[[covers[r] for r in rows]]
         sums = np.add.accumulate(terms, axis=1)[:, -1]
-        codewords[rows] = [w / np.linalg.norm(w) for w in sums]
+        codewords[rows] = sums / _norms(sums)[:, None]
     return codewords
 
 
-def _grid_responses(sampling: np.ndarray, scale: float = 1.0):
-    """v -> |a_n^H v| over the grid, where a_n = (column n of ``sampling``) / scale."""
-    adjoint = sampling.conj().T
-    return lambda v: np.abs(adjoint @ v) / scale
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's 2-norm, summed as ``np.linalg.norm`` sums: real parts, then imaginary."""
+    sq = (rows.real[..., None, :] @ rows.real[..., None]
+          + rows.imag[..., None, :] @ rows.imag[..., None])
+    return np.sqrt(sq[..., 0, 0])
 
 
-def _margin(responses: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != responses.shape:
-        raise ValueError("mask length does not match the grid")
-    min_in = float(responses[mask].min()) if mask.any() else float("inf")
-    max_out = float(responses[~mask].max()) if (~mask).any() else 0.0
-    return min_in, max_out
+def grid_margins(responses: np.ndarray, covers: np.ndarray) -> tuple[list, list]:
+    """Per row (min in-cover, max out-of-cover): inf with no point in, 0.0 with none out."""
+    return (np.where(covers, responses, np.inf).min(axis=1).tolist(),
+            np.where(covers, 0.0, responses).max(axis=1).tolist())
 
 
 def factor_pattern_mask(mask: np.ndarray, n1: int, n2: int):
-    """Split a 2-D mask that varies along a single dimension into axis masks.
+    """Split flattened 2-D masks (one, or a stack) that vary along one dimension into axis masks.
 
-    Returns (u_mask, w_mask) with the non-varying factor all ones. Raises if
-    the mask does not factor this way.
+    Returns (u_mask, w_mask) with the non-varying factor all ones (a constant
+    mask varies along u). Raises if a mask does not factor this way.
     """
-    m = np.asarray(mask, dtype=bool).reshape(n1, n2)
-    if np.array_equal(m, np.outer(m[:, 0], np.ones(n2, dtype=bool))):
-        return m[:, 0].copy(), np.ones(n2, dtype=bool)
-    if np.array_equal(m, np.outer(np.ones(n1, dtype=bool), m[0, :])):
-        return np.ones(n1, dtype=bool), m[0, :].copy()
-    raise ValueError("mask does not factor across the RIS dimensions")
+    m = np.asarray(mask, dtype=bool).reshape(*np.shape(mask)[:-1], n1, n2)
+    along_u = (m == m[..., :1]).all(axis=(-2, -1))[..., None]
+    if not (along_u[..., 0] | (m == m[..., :1, :]).all(axis=(-2, -1))).all():
+        raise ValueError("mask does not factor across the RIS dimensions")
+    return np.where(along_u, m[..., 0], True), np.where(along_u, True, m[..., 0, :])
 
 
-def _ris_rows(covers, axis: str, cfg: GsConfig):
-    """A GS group's masks and generators: a row per (layer, polarity, mask), each its own stream."""
-    rngs = [derive_rng(cfg.seed, "gs", "ris", i, polarity, axis) for i, polarity, _ in covers]
-    return np.array([m for *_, m in covers]), rngs
-
-
-def _design_factorized(covers, geometry: ArrayGeometry, cfg: GsConfig):
+def _design_factorized(ids, covers: np.ndarray, geometry: ArrayGeometry, cfg: GsConfig):
     """Kronecker synthesis of each cover's RIS codeword from two 1-D designs.
 
-    A full-coverage factor is the closed-form flat codeword (exact response,
-    no iteration); the varying factors of both axes, each on its axis's
-    grid, run as one GS call. Returns (codeword, traces) per cover.
+    A full-coverage factor is the closed-form flat codeword (exact response, no
+    iteration); the varying factors of both axes run as one GS call. Returns the
+    (covers, n_ris) codewords and each cover's traces.
     """
     sizes = (geometry.n_ris_rows, geometry.n_ris_cols)
-    factors = [factor_pattern_mask(m, *sizes) for *_, m in covers]
-    groups = []
-    for a, (name, n, freqs) in enumerate(zip("uw", sizes, (u_axis, w_axis))):
-        varying = [(i, pol, f[a]) for (i, pol, _), f in zip(covers, factors) if not f[a].all()]
-        if varying:
-            groups.append((axis_sampling_matrix(n, freqs(n), geometry.spacing_over_wavelength),
-                           *_ris_rows(varying, name, cfg)))
-    designed = iter([row for vs, traces in relaxed_gs_batch(groups, cfg)
-                     for row in zip(vs, traces)])
-    per_axis = [[(flat_codeword(n), None) if f[a].all() else next(designed) for f in factors]
-                for a, n in enumerate(sizes)]
-    return [(np.kron(v_u, v_w), tuple(t for t in (t_u, t_w) if t is not None))
-            for (v_u, t_u), (v_w, t_w) in zip(*per_axis)]
+    factors = factor_pattern_mask(covers, *sizes)
+    varying = [~f.all(axis=1) for f in factors]
+    groups = [(axis_sampling_matrix(n, freqs(n), geometry.spacing_over_wavelength), f[vary],
+               [derive_rng(cfg.seed, "gs", "ris", *i, name) for i in compress(ids, vary)])
+              for name, n, freqs, f, vary in zip("uw", sizes, (u_axis, w_axis), factors, varying)
+              if vary.any()]
+    designed = iter(relaxed_gs_batch(groups, cfg))
+    axes, traces = [], [() for _ in ids]
+    for n, vary in zip(sizes, varying):
+        axes.append(np.tile(flat_codeword(n), (len(ids), 1)))
+        if vary.any():
+            axes[-1][vary], axis_traces = next(designed)
+            for c, trace in zip(np.flatnonzero(vary), axis_traces):
+                traces[c] += (trace,)
+    return (axes[0][:, :, None] * axes[1][:, None, :]).reshape(len(ids), -1), traces
 
 
 def build_codebooks(
@@ -335,35 +325,43 @@ def build_codebooks(
     Dimension-split RIS codes are synthesized as Kronecker products of two
     1-D designs, both axes in one GS call; plain RIS codes (or direct_2d=True)
     run one direct 2-D batch. Each (layer, polarity, axis) design consumes its
-    own derived random stream and each BS codeword has its own norm, so both
-    sides design their covers in column order and stack each matrix once.
+    own derived random stream, so both sides design their covers in column
+    order as whole arrays, and each side's margins are one masked min/max.
     """
     masks_t = beam_pattern_matrix(code_t, geometry.n_bs)
     masks_r = beam_pattern_matrix(code_r, geometry.n_ris)
     ris_sampling = ris_sampling_matrix(geometry, grid)
     bs_steering = bs_steering_matrix(geometry, grid)
 
-    bs_covers = [np.flatnonzero(m) for m in _column_covers(masks_t)]
-    bs_designs = [(w, ()) for w in design_bs_codewords(bs_covers, bs_steering)]
+    bs_covers = _column_covers(masks_t)
+    bs_codewords = design_bs_codewords([np.flatnonzero(m) for m in bs_covers], bs_steering)
 
-    ris_covers = [(c // 2, ("zero", "one")[c % 2], cover)
-                  for c, cover in enumerate(_column_covers(masks_r))]
+    ris_covers = _column_covers(masks_r)
+    ids = list(product(range(len(masks_r)), ("zero", "one")))  # (layer, polarity) per column
     if code_r.split is not None and not direct_2d:
-        ris_designs = _design_factorized(ris_covers, geometry, cfg)
+        ris_codewords, ris_traces = _design_factorized(ids, ris_covers, geometry, cfg)
     else:
-        group = (ris_sampling, *_ris_rows(ris_covers, "2d", cfg))
-        ris_designs = [(v, (t,)) for v, t in zip(*relaxed_gs_batch([group], cfg)[0])]
+        rngs = [derive_rng(cfg.seed, "gs", "ris", *i, "2d") for i in ids]
+        [(ris_codewords, traces)] = relaxed_gs_batch([(ris_sampling, ris_covers, rngs)], cfg)
+        ris_traces = [(t,) for t in traces]
 
-    return (_designed_codebook("bs", bs_designs, masks_t, _grid_responses(bs_steering)),
-            _designed_codebook("ris", ris_designs, masks_r,
-                               _grid_responses(ris_sampling, np.sqrt(geometry.n_ris))))
+    return (_designed_codebook("bs", bs_codewords, [()] * len(bs_covers), masks_t, bs_steering),
+            _designed_codebook("ris", ris_codewords, ris_traces, masks_r, ris_sampling,
+                               np.sqrt(geometry.n_ris)))
 
 
-def _designed_codebook(side: str, designs, masks: np.ndarray, responses) -> DesignedCodebook:
-    """The codebook of (codeword, traces) designs in column order, with their margins."""
-    reports = [CodewordReport(traces, *_margin(responses(v), cover))
-               for (v, traces), cover in zip(designs, _column_covers(masks))]
-    return DesignedCodebook(side, np.column_stack([v for v, _ in designs]),
+def _designed_codebook(side: str, codewords: np.ndarray, traces, masks: np.ndarray,
+                       sampling: np.ndarray, scale: float = 1.0) -> DesignedCodebook:
+    """The codebook of codeword rows and their traces in column order, with their margins.
+
+    The grid responses are one stacked matvec on a stride-0 view of ``sampling.conj().T``,
+    so each rounds as that matrix times the lone codeword.
+    """
+    adjoint = _row_stack([sampling.conj().T], [len(codewords)])
+    responses = np.abs(_stacked_matvec(adjoint, codewords)) / scale
+    margins = grid_margins(responses, _column_covers(masks))
+    reports = [CodewordReport(t, *m) for t, m in zip(traces, zip(*margins))]
+    return DesignedCodebook(side, np.ascontiguousarray(codewords.T),
                             list(zip(reports[1::2], reports[::2])), masks)
 
 

@@ -13,6 +13,9 @@ one-codeword forms of the package's batched designs and of its metrics:
 ``design_bs_codeword`` sums one steering vector at a time, the oracle for
 ``codebook.design_bs_codewords``, and ``relaxed_gs_loop`` is the GS
 iteration as first written, the oracle for ``codebook.relaxed_gs_batch``.
+``build_codebooks`` designs one cover at a time on these two (one mask
+factored, one ``np.kron`` and one margin per codeword), the oracle for
+``codebook.build_codebooks``.
 Tests import it as ``reference``: ``tests/`` is not a package, so pytest
 puts it on ``sys.path``.
 """
@@ -39,12 +42,14 @@ from risbeam.arrays import (
 from risbeam.blockcode import DECODE_MODES, BlockCode, bits_to_int
 from risbeam.channel import ChannelBlock, SnrSpec, pilot_noise, received_power, sample_block
 from risbeam.codebook import (
+    CodewordReport,
+    DesignedCodebook,
     GsConfig,
-    _grid_responses,
-    _margin,
+    _column_covers,
     axis_sampling_matrix,
     _pinv_with_rank,
     _stacked_matvec,
+    beam_pattern_matrix,
     bs_steering_matrix,
     flat_codeword,
     relaxed_gs_batch,
@@ -488,6 +493,25 @@ def design_ris_codeword_gs(mask, grid: AngleGrid, geometry: ArrayGeometry, cfg: 
     return relaxed_gs(ris_sampling_matrix(geometry, grid), mask, cfg, rng)
 
 
+def _grid_responses(sampling: np.ndarray, scale: float = 1.0):
+    """v -> |a_n^H v| over the grid, where a_n = (column n of ``sampling``) / scale."""
+    adjoint = sampling.conj().T
+    return lambda v: np.abs(adjoint @ v) / scale
+
+
+def _margin(responses: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
+    """(min in-cover, max out-of-cover) of one codeword's grid responses.
+
+    inf when the mask covers no point, 0.0 when it covers every point.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != responses.shape:
+        raise ValueError("mask length does not match the grid")
+    min_in = float(responses[mask].min()) if mask.any() else float("inf")
+    max_out = float(responses[~mask].max()) if (~mask).any() else 0.0
+    return min_in, max_out
+
+
 def classification_margin(v: np.ndarray, mask: np.ndarray, grid: AngleGrid,
                           geometry: ArrayGeometry, side: str) -> tuple[float, float]:
     """(min in-coverage, max out-of-coverage) of |a_n^H v| over the grid of a side.
@@ -515,3 +539,74 @@ def success_rate(outcomes, ground_truths) -> float:
         for o, t in zip(outcomes, ground_truths)
     )
     return hits / len(outcomes)
+
+
+# -- one cover at a time: the codebook oracle -------------------------------------
+
+
+def factor_pattern_mask(mask: np.ndarray, n1: int, n2: int):
+    """Split one 2-D mask that varies along a single dimension into axis masks.
+
+    Returns (u_mask, w_mask) with the non-varying factor all ones. Raises if
+    the mask does not factor this way.
+    """
+    m = np.asarray(mask, dtype=bool).reshape(n1, n2)
+    if np.array_equal(m, np.outer(m[:, 0], np.ones(n2, dtype=bool))):
+        return m[:, 0].copy(), np.ones(n2, dtype=bool)
+    if np.array_equal(m, np.outer(np.ones(n1, dtype=bool), m[0, :])):
+        return np.ones(n1, dtype=bool), m[0, :].copy()
+    raise ValueError("mask does not factor across the RIS dimensions")
+
+
+def design_factorized(covers, geometry: ArrayGeometry, cfg: GsConfig):
+    """Kronecker synthesis of each (layer, polarity, mask) cover, one cover at a time.
+
+    A full-coverage factor is the flat codeword; the varying factors of each
+    axis run as one ``relaxed_gs_loop``. Returns (codeword, traces) per cover.
+    """
+    sizes = (geometry.n_ris_rows, geometry.n_ris_cols)
+    factors = [factor_pattern_mask(m, *sizes) for *_, m in covers]
+    designed = []
+    for a, (name, n, freqs) in enumerate(zip("uw", sizes, (u_axis, w_axis))):
+        varying = [(i, pol, f[a]) for (i, pol, _), f in zip(covers, factors) if not f[a].all()]
+        if varying:
+            matrix = axis_sampling_matrix(n, freqs(n), geometry.spacing_over_wavelength)
+            rngs = [derive_rng(cfg.seed, "gs", "ris", i, pol, name) for i, pol, _ in varying]
+            designed += zip(*relaxed_gs_loop(matrix, np.array([m for *_, m in varying]), cfg,
+                                             rngs))
+    designed = iter(designed)
+    per_axis = [[(flat_codeword(n), None) if f[a].all() else next(designed) for f in factors]
+                for a, n in enumerate(sizes)]
+    return [(np.kron(v_u, v_w), tuple(t for t in (t_u, t_w) if t is not None))
+            for (v_u, t_u), (v_w, t_w) in zip(*per_axis)]
+
+
+def designed_codebook(side: str, designs, masks: np.ndarray, responses) -> DesignedCodebook:
+    """The codebook of (codeword, traces) designs in column order, one margin per column."""
+    reports = [CodewordReport(traces, *_margin(responses(v), cover))
+               for (v, traces), cover in zip(designs, _column_covers(masks))]
+    return DesignedCodebook(side, np.column_stack([v for v, _ in designs]),
+                            list(zip(reports[1::2], reports[::2])), masks)
+
+
+def build_codebooks(code_t: BlockCode, code_r: BlockCode, grid: AngleGrid,
+                    geometry: ArrayGeometry, cfg: GsConfig, direct_2d: bool = False):
+    """The BS and RIS codebooks designed one cover at a time."""
+    masks_t = beam_pattern_matrix(code_t, geometry.n_bs)
+    masks_r = beam_pattern_matrix(code_r, geometry.n_ris)
+    ris_sampling = ris_sampling_matrix(geometry, grid)
+    bs_designs = [(design_bs_codeword(np.flatnonzero(m), grid, geometry), ())
+                  for m in _column_covers(masks_t)]
+    ris_covers = [(c // 2, ("zero", "one")[c % 2], cover)
+                  for c, cover in enumerate(_column_covers(masks_r))]
+    if code_r.split is not None and not direct_2d:
+        ris_designs = design_factorized(ris_covers, geometry, cfg)
+    else:
+        rngs = [derive_rng(cfg.seed, "gs", "ris", i, pol, "2d") for i, pol, _ in ris_covers]
+        vs, traces = relaxed_gs_loop(ris_sampling, np.array([m for *_, m in ris_covers]), cfg,
+                                     rngs)
+        ris_designs = [(v, (t,)) for v, t in zip(vs, traces)]
+    return (designed_codebook("bs", bs_designs, masks_t,
+                              _grid_responses(bs_steering_matrix(geometry, grid))),
+            designed_codebook("ris", ris_designs, masks_r,
+                              _grid_responses(ris_sampling, np.sqrt(geometry.n_ris))))

@@ -275,6 +275,23 @@ def test_pilots_sweep_config_with_two_snrs_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep-snr", "sweep-pilots"])
+@pytest.mark.parametrize("scale", ["desk", "full"])
+def test_sweep_config_with_a_scale_is_rejected(tmp_path, capsys, command, scale):
+    # --scale used to be ignored next to --config: an 8x8 file ran as 8x8 under
+    # --scale full; the same file without --scale still runs
+    cfg = {"n_bs": 8, "n_ris_rows": 8, "n_ris_cols": 8, "snr_grid_db": [0.0],
+           "pilot_grid": [8], "trials": 2, "gs": {"k_iter": 10}, "ideal_beams": True}
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "res.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(cfg_path), "--out", str(out)]
+    assert main([*argv, "--scale", scale]) == 2
+    assert capsys.readouterr().err == (
+        "error: --scale picks a preset and --config a file: give one of them\n")
+    assert not out.exists()
+    assert main(argv) == 0 and out.exists()
+
+
 def test_sweep_snr_missing_config(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["sweep-snr", "--config", str(missing)]) != 0

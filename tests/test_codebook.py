@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from functools import lru_cache
 
+import reference
 from reference import (
+    _margin,
     classification_margin,
     design_bs_codeword,
     design_ris_codeword_gs,
@@ -25,7 +27,6 @@ from risbeam.arrays import (
 from risbeam.blockcode import build_plain_code, build_reduced_code, encode, int_to_bits
 from risbeam.codebook import (
     GsConfig,
-    _margin,
     _pinv_with_rank,
     axis_sampling_matrix,
     beam_pattern_matrix,
@@ -341,6 +342,86 @@ def test_margins_measure_each_side_on_its_own_grid_when_sizes_match():
                 assert (report.min_in, report.max_out) == _margin(responses(v), cover)
     # BS codewords are exact on the grid, so every one separates its cover
     assert all(report.min_in > report.max_out for pair in books[0].reports for report in pair)
+
+
+def test_grid_margins_conventions_match_one_column_margin():
+    # hand-made covers: none, every point, one point in, one point out, and mixed;
+    # a cover with no point in reads min_in inf, one with no point out max_out 0.0
+    responses = np.array([[0.3, 0.0, 1.2, 0.7],
+                          [0.5, 0.1, 0.9, 0.2],
+                          [0.0, 0.0, 0.0, 0.0],
+                          [0.8, 0.4, 0.6, 1.1],
+                          [2.0, 0.0, 0.5, 0.5],
+                          [0.0, 0.0, 0.0, 0.0]])
+    covers = np.array([[False, False, False, False],
+                       [True, True, True, True],
+                       [True, True, True, True],
+                       [False, True, False, False],
+                       [True, False, True, True],
+                       [False, False, False, False]])
+    min_in, max_out = codebook.grid_margins(responses, covers)
+    expected = [_margin(r, c) for r, c in zip(responses, covers)]
+    assert list(zip(min_in, max_out)) == expected
+    assert all(type(x) is float for x in min_in + max_out)
+    assert min_in[0] == min_in[5] == np.inf and max_out[1] == max_out[2] == 0.0
+    assert expected[3] == (0.4, 1.1) and expected[4] == (0.5, 0.0)
+
+
+def test_factor_pattern_mask_stack_equals_one_mask_calls():
+    # a stack factors as its masks one by one; constant masks vary along u
+    for rows, cols in ((8, 8), (8, 16), (16, 8)):
+        n = rows * cols
+        masks = np.concatenate([beam_pattern_matrix(build_reduced_code(
+            int(np.log2(rows)), int(np.log2(cols))), n).astype(bool),
+            np.zeros((1, n), dtype=bool), np.ones((1, n), dtype=bool)])
+        masks = np.concatenate([masks, ~masks])
+        u, w = factor_pattern_mask(masks, rows, cols)
+        assert u.shape == (len(masks), rows) and w.shape == (len(masks), cols)
+        for mask, u_row, w_row in zip(masks, u, w):
+            u_one, w_one = reference.factor_pattern_mask(mask, rows, cols)
+            assert np.array_equal(u_row, u_one) and np.array_equal(w_row, w_one)
+            assert all(np.array_equal(a, b) for a, b in zip(factor_pattern_mask(mask, rows, cols),
+                                                            (u_one, w_one)))
+        entangled = masks.copy()
+        entangled[-1, 0] = ~entangled[-1, 0]
+        for bad in (entangled, entangled[-1]):
+            with pytest.raises(ValueError, match="does not factor"):
+                factor_pattern_mask(bad, rows, cols)
+        with pytest.raises(ValueError, match="does not factor"):
+            reference.factor_pattern_mask(entangled[-1], rows, cols)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ris=st.sampled_from(((8, 8), (8, 16), (16, 8), (16, 16))),
+       n_bs=st.sampled_from((2, 8, 16, 64)), direct_2d=st.booleans(),
+       target=st.none() | st.floats(0.5, 3.0), delta=st.floats(0.0, 0.5),
+       k_iter=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(ris=(8, 8), n_bs=16, direct_2d=False, target=None, delta=0.3, k_iter=12, seed=0)
+@example(ris=(16, 16), n_bs=64, direct_2d=True, target=1.5, delta=0.0, k_iter=3, seed=1)
+@example(ris=(8, 16), n_bs=8, direct_2d=False, target=None, delta=0.5, k_iter=5, seed=2)
+def test_build_codebooks_equals_per_cover_oracle(ris, n_bs, direct_2d, target, delta, k_iter,
+                                                 seed):
+    # the whole-array design (one mask factoring, one broadcast Kronecker product,
+    # batched BS norms, stacked grid responses, masked margins) equals the design
+    # one cover at a time byte for byte: matrices, traces and margins
+    geo = ArrayGeometry(n_bs, *ris)
+    grid = make_angle_grid(geo)
+    cfg = GsConfig(delta=delta, k_iter=k_iter, target_amplitude=target, seed=seed)
+    codes = coded_codes(n_bs, ris)
+    books = build_codebooks(*codes, grid, geo, cfg, direct_2d=direct_2d)
+    oracle = reference.build_codebooks(*codes, grid, geo, cfg, direct_2d=direct_2d)
+    for book, expected in zip(books, oracle):
+        assert book.side == expected.side
+        assert book.matrix.flags.c_contiguous and book.matrix.shape == expected.matrix.shape
+        assert book.matrix.tobytes() == expected.matrix.tobytes()
+        assert np.array_equal(book.masks, expected.masks)
+        for pair, expected_pair in zip(book.reports, expected.reports, strict=True):
+            for report, want in zip(pair, expected_pair):
+                assert (report.min_in, report.max_out) == (want.min_in, want.max_out)
+                assert type(report.min_in) is float and type(report.max_out) is float
+                assert len(report.traces) == len(want.traces)
+                for trace, want_trace in zip(report.traces, want.traces):
+                    assert trace.tobytes() == want_trace.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
