@@ -29,7 +29,7 @@ from .experiments import (
     load_config,
     run_sweep,
 )
-from .training import ceil_log2, coded_codes, training_overhead
+from .training import PROTOCOL_KINDS, ceil_log2, coded_codes, training_overhead
 
 
 def _parse_ris(text: str) -> tuple[int, int]:
@@ -92,8 +92,8 @@ def cmd_overhead(args) -> int:
     if args.nt < 1:
         raise ValueError(f"--nt needs at least one antenna, got {args.nt}")
     ris = _parse_ris(args.ris)
-    counts = [(kind, training_overhead(kind, args.nt, ris))
-              for kind in ("exhaustive", "hierarchical", "coded")]
+    check_powers_of_two((args.nt, *ris), "layered training decodes each index from a bit word")
+    counts = [(kind, training_overhead(kind, args.nt, ris)) for kind in PROTOCOL_KINDS]
     for kind, count in counts:
         print(f"{kind}: {count}")
     return 0
@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     des.add_argument("--iters", type=int, default=100)
     des.add_argument("--seed", type=int, default=0)
     des.add_argument("--direct-2d", action="store_true",
-                     help="design RIS codewords with the direct 2-D iteration")
+                     help="design RIS codewords with the direct 2-D iteration (above 8x8 its "
+                          "bytes depend on the BLAS thread count: set OPENBLAS_NUM_THREADS=1)")
     des.add_argument("--out", default="codebook.json")
     des.set_defaults(func=cmd_design_codebook)
 

@@ -160,21 +160,15 @@ def _layer_count(sizes, budget: Optional[int]) -> tuple[int, int]:
     return (n_layers if budget is None else min(n_layers, budget // 4)), n_layers
 
 
-def _side_bits(winners: np.ndarray, n: int, side: str, inject_flips) -> np.ndarray:
+def _side_bits(winners: np.ndarray, n: int, side: str) -> np.ndarray:
     """One side's (trials, n) raw bits from the (trials, layers sent) winning tuples.
 
     Layer l decides bit l of a side with n > l: the high bit of the tuple for
-    the BS, the low bit for the RIS. Injected flips invert a decision; bits of
-    layers not sent are zero.
+    the BS, the low bit for the RIS. Bits of layers not sent are zero.
     """
     sent = min(n, winners.shape[1])
-    flips = np.zeros(sent, dtype=np.intp)
-    for layer, flip_side in set(inject_flips):
-        if flip_side == side and 0 <= layer < sent:
-            flips[layer] = 1
     bits = np.zeros((winners.shape[0], n), dtype=np.uint8)
-    own = winners[:, :sent] >> 1 if side == "bs" else winners[:, :sent] & 1
-    bits[:, :sent] = own ^ flips
+    bits[:, :sent] = winners[:, :sent] >> 1 if side == "bs" else winners[:, :sent] & 1
     return bits
 
 
@@ -208,7 +202,6 @@ def run_layered(
     decode_mode: str = "one_bit",
     *,
     ideal: bool = False,
-    inject_flips=(),
 ) -> TrainingRuns:
     """Layered beam training of a block: trial t on row t, noise from ``rngs[t]``.
 
@@ -216,8 +209,7 @@ def run_layered(
     in the order (0,0), (0,1), (1,0), (1,1) (BS bit, RIS bit; bit 1 is the
     mask=1 codeword); ties break toward the first and each side keeps its
     first n decisions. A budget short of 4*max(n_t, n_r) truncates every
-    trial and zero-fills the missing bits. ``inject_flips`` lists (layer,
-    "bs" | "ris") decisions to invert. Gains come from the block's responses
+    trial and zero-fills the missing bits. Gains come from the block's responses
     to the codebook matrices and each trial's noise from one ``pilot_noise``
     draw; powers, decisions and decoding run once for the block. The BS side
     decodes with at most one-bit correction; the decoupled two-bit mode
@@ -238,19 +230,19 @@ def run_layered(
     powers = received_power(bs[:, rows] * ris[:, cols], snr, noise)
     winners = powers.reshape(len(rngs), sent, 4).argmax(axis=-1)
 
-    return _decode_layers(block, winners, codes, decode_mode, inject_flips, needed)
+    return _decode_layers(block, winners, codes, decode_mode, needed)
 
 
 def _decode_layers(block, winners: np.ndarray, codes: tuple[BlockCode, BlockCode],
-                   decode_mode: str, inject_flips, needed: int) -> TrainingRuns:
+                   decode_mode: str, needed: int) -> TrainingRuns:
     """The finish of a layered protocol: winning tuples to raw bits, decoded to estimates.
 
     ``winners`` holds the (trials, layers sent) winning tuples; ``needed`` is
     the number of layers an untruncated run sends.
     """
     code_t, code_r = codes
-    raw_t = _side_bits(winners, code_t.n, "bs", inject_flips)
-    raw_r = _side_bits(winners, code_r.n, "ris", inject_flips)
+    raw_t = _side_bits(winners, code_t.n, "bs")
+    raw_r = _side_bits(winners, code_r.n, "ris")
     bs_mode = "one_bit" if decode_mode == "decoupled_two_bit" else decode_mode
     info_t, *decoded_t = decode_words(code_t, raw_t, bs_mode)
     info_r, *decoded_r = decode_words(code_r, raw_r, decode_mode)
@@ -341,8 +333,7 @@ def _column(prefix: tuple) -> int:
     return 2 ** len(prefix) - 1 + bits_to_int(prefix)
 
 
-def _prefix_pairs(cov: np.ndarray, winners: np.ndarray, k: int, side: str,
-                  inject_flips) -> np.ndarray:
+def _prefix_pairs(cov: np.ndarray, winners: np.ndarray, k: int, side: str) -> np.ndarray:
     """Each trial's (zero, one) beams of the next layer, a (trials, n, 2) stack.
 
     ``winners`` holds the winning tuples of the layers so far. A side still
@@ -350,7 +341,7 @@ def _prefix_pairs(cov: np.ndarray, winners: np.ndarray, k: int, side: str,
     and 2p + 1 of length L + 1; a resolved side sends its final prefix twice.
     """
     layer = winners.shape[1]
-    bits = _side_bits(winners, k, side, inject_flips)[:, :min(layer, k)]
+    bits = _side_bits(winners, k, side)[:, :min(layer, k)]
     if layer < k:
         cols = (2 ** (layer + 1) - 1 + 2 * rows_to_ints(bits))[:, None] + (0, 1)
     else:
@@ -365,8 +356,6 @@ def run_adaptive(
     snr: SnrSpec,
     budget: Optional[int],
     rngs,
-    *,
-    inject_flips=(),
 ) -> TrainingRuns:
     """Adaptive hierarchical training of a block: trial t on row t, noise from ``rngs[t]``.
 
@@ -381,8 +370,6 @@ def run_adaptive(
     once. There is no error correction: the raw bits decode with identity
     codes in mode "none", so ``decoded`` is all clean. A budget short of 4
     pilots per layer truncates every trial and zero-fills the missing bits.
-    ``inject_flips`` lists (layer, "bs" | "ris") decisions to invert; later
-    layers follow the inverted decision.
     """
     sizes = (provider.k_bs, provider.k_ris)
     sent, needed = _layer_count(sizes, budget)
@@ -390,7 +377,7 @@ def run_adaptive(
     noise = np.stack([pilot_noise(snr, rng, (sent, 2, 2)) for rng in rngs])
     winners = np.zeros((len(rngs), sent), dtype=np.intp)
     for layer in range(sent):
-        pairs = [_prefix_pairs(cov, winners[:, :layer], k, side, inject_flips)
+        pairs = [_prefix_pairs(cov, winners[:, :layer], k, side)
                  for cov, k, side in zip(matrices, sizes, ("bs", "ris"))]
         if not provider.ideal:
             _check_constant_modulus(pairs[1], block.n_ris)
@@ -398,7 +385,7 @@ def run_adaptive(
         powers = received_power(bs[:, :, None] * ris[:, None, :], snr, noise[:, layer])
         winners[:, layer] = powers.reshape(len(rngs), 4).argmax(axis=-1)
 
-    return _decode_layers(block, winners, provider.codes, "none", inject_flips, needed)
+    return _decode_layers(block, winners, provider.codes, "none", needed)
 
 
 def narrow_beam_matrices(grid: AngleGrid, geometry: ArrayGeometry

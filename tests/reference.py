@@ -8,11 +8,14 @@ turn, and ``per_pilot_bits`` runs the layer loop of layered training.
 ``decode`` is per-word syndrome decoding on its own brute-force tables, the
 oracle for ``blockcode.decode_words``. ``run_coded`` and ``run_hierarchical``
 are one-trial calls of the block runners, read through the
-``TrainingOutcome`` view (``trial_outcome``). The remaining helpers are
-one-codeword forms of the package's batched designs and of its metrics:
-``design_bs_codeword`` sums one steering vector at a time, the oracle for
-``codebook.design_bs_codewords``, and ``relaxed_gs_loop`` is the GS
-iteration as first written, the oracle for ``codebook.relaxed_gs_batch``.
+``TrainingOutcome`` view (``trial_outcome``). ``flipped`` is the tests' seam
+for wrong layer decisions: inside it, either layered runner inverts the
+listed decisions, and an adaptive run follows them into later layers. The
+remaining helpers are one-codeword forms of the package's batched designs
+and of its metrics: ``design_bs_codeword`` sums one steering vector at a
+time, the oracle for ``codebook.design_bs_codewords``, and
+``relaxed_gs_loop`` is the GS iteration as first written, the oracle for
+``codebook.relaxed_gs_batch``.
 ``build_codebooks`` designs one cover at a time on these two (one mask
 factored, one ``np.kron`` and one margin per codeword), the oracle for
 ``codebook.build_codebooks``.
@@ -22,14 +25,16 @@ puts it on ``sys.path``.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
+from risbeam import training
 from risbeam.arrays import (
     DEFAULT_SPACING,
     AngleGrid,
@@ -286,18 +291,64 @@ def trial_outcome(runs: TrainingRuns, trial: int) -> TrainingOutcome:
     )
 
 
+_BIT_AXES = {"bs": -2, "ris": -1}
+
+
+@contextmanager
+def flipped(flips):
+    """Invert the listed (layer, "bs" | "ris") decisions of one layered runner call.
+
+    Patches ``training.received_power``: at each flipped layer the four powers
+    are swapped along that side's bit (the BS bit is axis -2, the RIS bit axis
+    -1) before the runner's argmax, so a unique winner (b, r) becomes
+    (1 - b, r) or (b, 1 - r). ``run_layered`` makes one (trials, layers, 2, 2)
+    call; ``run_adaptive`` makes one (trials, 2, 2) call per layer, in turn,
+    so an adaptive run follows the flipped decision into later layers. A flip
+    past the layers sent, or past a side's word length (that bit is never
+    read), changes nothing; other calls pass through.
+    """
+    adaptive_layer = count()
+
+    def flipping(gain, snr, noise):
+        powers = received_power(gain, snr, noise)
+        if powers.ndim == 4:  # run_layered: every layer at once
+            layers = dict(enumerate(np.moveaxis(powers, 1, 0)))
+        elif powers.ndim == 3:  # run_adaptive: one layer per call
+            layers = {next(adaptive_layer): powers}
+        else:
+            return powers
+        for layer, side in set(flips):
+            if layer in layers:  # a view: the write reaches the runner's powers
+                layers[layer][...] = np.flip(layers[layer], _BIT_AXES[side])
+        return powers
+
+    original = training.received_power
+    training.received_power = flipping
+    try:
+        yield
+    finally:
+        training.received_power = original
+
+
 def run_coded(ch, books, codes, snr, budget, rng, decode_mode="one_bit", *, ideal=False,
               inject_flips=()) -> TrainingOutcome:
-    """Layered beam training of a one-row block ``ch``: ``run_layered`` on it."""
-    return trial_outcome(run_layered(ch, books, codes, snr, budget, [rng],
-                                     decode_mode, ideal=ideal, inject_flips=inject_flips), 0)
+    """Layered beam training of a one-row block ``ch``: ``run_layered`` on it.
+
+    ``inject_flips`` lists (layer, "bs" | "ris") decisions to invert (``flipped``).
+    """
+    with flipped(inject_flips):
+        return trial_outcome(run_layered(ch, books, codes, snr, budget, [rng],
+                                         decode_mode, ideal=ideal), 0)
 
 
 def run_hierarchical(ch, provider: HierarchicalBeamProvider, snr, budget, rng, *,
                      inject_flips=()) -> TrainingOutcome:
-    """Adaptive hierarchical training of a one-row block ``ch``: ``run_adaptive`` on it."""
-    return trial_outcome(run_adaptive(ch, provider, snr, budget, [rng],
-                                      inject_flips=inject_flips), 0)
+    """Adaptive hierarchical training of a one-row block ``ch``: ``run_adaptive`` on it.
+
+    ``inject_flips`` lists (layer, "bs" | "ris") decisions to invert (``flipped``).
+    """
+    with flipped(inject_flips):
+        return trial_outcome(run_adaptive(ch, provider, snr, budget, [rng]), 0)
 
 
 # -- layered training, one pilot at a time --------------------------------------

@@ -36,6 +36,10 @@ def test_overhead_rejects_single_antenna_bs(capsys):
     ("16", "0x8", "--ris needs at least one row and one column, got '0x8'"),
     ("16", "8x-2", "--ris needs at least one row and one column, got '8x-2'"),
     ("1", "8x8", "coded training needs at least two BS candidates, got n_bs=1"),
+    ("12", "8x6", "n_bs=12 is not a power of two: layered training decodes each index "
+                  "from a bit word"),
+    ("16", "8x6", "n_ris_cols=6 is not a power of two: layered training decodes each "
+                  "index from a bit word"),
 ])
 def test_overhead_fails_before_it_prints(capsys, nt, ris, message):
     assert main(["overhead", "--nt", nt, "--ris", ris]) == 2

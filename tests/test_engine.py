@@ -28,6 +28,7 @@ from reference import (
     classification_margin,
     effective_gain,
     exhaustive_sweep,
+    flipped,
     grid_transmit_pair,
     layer_pair,
     measure_power,
@@ -282,6 +283,35 @@ def test_coded_decisions_match_per_pilot_path(mode, desk_books, desk_codes,
         assert (tuple(out.raw_bits_bs), tuple(out.raw_bits_ris)) == expected
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-1, 14), st.sampled_from(("bs", "ris"))), max_size=4),
+       MODES, st.one_of(st.none(), st.integers(4, 50)), st.integers(1, 20),
+       st.floats(0.05, 30.0), SEEDS)
+def test_flipped_inverts_exactly_the_listed_bits(desk_books, desk_codes, desk_geometry,
+                                                 desk_grid, flips, mode, budget, trials,
+                                                 snr_linear, seed):
+    # noisy designed beams leave one winner per layer, so the seam's swap is a bit flip;
+    # a flip past the layers sent or past its side's word length changes nothing
+    block = draw_block(desk_geometry, desk_grid, mode, seed, trials)
+
+    def run():
+        return run_layered(block, desk_books, desk_codes, SnrSpec(snr_linear), budget,
+                           [np.random.default_rng(seed + t) for t in range(trials)])
+
+    plain = run()
+    with flipped(flips):
+        runs = run()
+    assert training.received_power is received_power
+    sent = plain.pilots_used // 4
+    for side, before, after in (("bs", plain.raw_bits_bs, runs.raw_bits_bs),
+                                ("ris", plain.raw_bits_ris, runs.raw_bits_ris)):
+        expected = before.copy()
+        for layer, _ in {flip for flip in flips if flip[1] == side}:
+            if 0 <= layer < min(sent, expected.shape[1]):
+                expected[:, layer] ^= 1
+        assert np.array_equal(after, expected)
+
+
 @lru_cache(maxsize=None)
 def adaptive_setup(n_bs: int, rows: int, cols: int, ideal: bool):
     """Geometry, grid, a beam provider and its per-prefix reference."""
@@ -304,9 +334,9 @@ def test_adaptive_runner_matches_per_pilot_reference(n_bs, rows, cols, mode, ide
     geo, grid, provider, reference = adaptive_setup(n_bs, rows, cols, ideal)
     block = draw_block(geo, grid, mode, seed, trials)
     snr = SnrSpec(snr_linear)
-    runs = run_adaptive(block, provider, snr, budget,
-                        [np.random.default_rng(seed + t) for t in range(trials)],
-                        inject_flips=flips)
+    with flipped(flips):
+        runs = run_adaptive(block, provider, snr, budget,
+                            [np.random.default_rng(seed + t) for t in range(trials)])
     sizes = (reference.k_bs, reference.k_ris)
     sent = max(sizes) if budget is None else min(max(sizes), budget // 4)
     for t in range(trials):

@@ -125,6 +125,7 @@ def test_coded_correction_dominance_exact(oracle_setup):
             wins[mode] += (out.est_bs_index, out.est_ris_index) == (2, 11)
     assert wins["one_bit"] >= wins["none"]
     assert wins["one_bit"] == codes[1].n
+    assert wins["none"] == codes[1].n - codes[1].k  # uncorrected, only parity flips are harmless
 
 
 def test_coded_cross_dimension_double_error(oracle_setup):
