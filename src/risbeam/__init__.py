@@ -31,6 +31,7 @@ from .codebook import (
     beam_pattern_matrix,
     build_codebooks,
     design_bs_codewords,
+    prefix_beams,
 )
 from .experiments import (
     ExperimentConfig,
@@ -40,7 +41,6 @@ from .experiments import (
     run_sweep,
 )
 from .training import (
-    HierarchicalBeamProvider,
     ProtocolSpec,
     TrainingRuns,
     run_adaptive,

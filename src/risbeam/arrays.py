@@ -40,6 +40,12 @@ def check_powers_of_two(sizes, reason: str) -> None:
             raise ValueError(f"{name}={n} is not a power of two: {reason}")
 
 
+def ceil_log2(n: int) -> int:
+    if n < 1:
+        raise ValueError("n must be positive")
+    return (n - 1).bit_length() if n > 1 else 0
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Antenna counts and normalized spacing for the BS ULA and the RIS UPA.

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import ArrayGeometry, check_powers_of_two, make_angle_grid
+from .arrays import ArrayGeometry, ceil_log2, check_powers_of_two, make_angle_grid
 from .blockcode import (
     BlockCode,
     build_plain_code,
@@ -29,7 +29,7 @@ from .experiments import (
     load_config,
     run_sweep,
 )
-from .training import PROTOCOL_KINDS, ceil_log2, coded_codes, training_overhead
+from .training import PROTOCOL_KINDS, coded_codes, training_overhead
 
 
 def _parse_ris(text: str) -> tuple[int, int]:
@@ -105,12 +105,15 @@ def cmd_validate_code(args) -> int:
     if args.nt is not None and args.nt < 2:
         raise ValueError(f"a single-antenna BS has no code to validate (need --nt 2 or "
                          f"more, got {args.nt})")
+    ris = None if args.ris is None else _parse_ris(args.ris)
+    # a size not given stands in as 1, a power of two
+    check_powers_of_two((args.nt or 1, *(ris or (1, 1))),
+                        "layered training decodes each index from a bit word")
     if args.nt is not None:
         _print_code(f"bs {args.nt} plain code", build_plain_code(ceil_log2(args.nt)))
-    if args.ris is not None:
-        rows, cols = _parse_ris(args.ris)
-        code = build_reduced_code(ceil_log2(rows), ceil_log2(cols))
-        _print_code(f"ris {rows}x{cols} dimension-split code", code)
+    if ris is not None:
+        code = build_reduced_code(*map(ceil_log2, ris))
+        _print_code(f"ris {ris[0]}x{ris[1]} dimension-split code", code)
     return 0
 
 

@@ -14,7 +14,9 @@ codeword for mask bit b, so column 2l + 1 covers the grid points where layer
 l's mask is 1 and column 2l the rest. Codewords are stored in coverage
 convention: the response of codeword v at grid point n is |a_n^H v| with a_n
 the steering vector there. The training layer conjugates (and de-rotates,
-for the RIS) before transmission.
+for the RIS) before transmission. The prefix beams of adaptive hierarchical
+training (``prefix_beams``) are designed here too, with the same designers:
+one matrix per side, one column per bit prefix.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .arrays import AngleGrid, ArrayGeometry, real_number, u_axis, w_axis, whole_number
-from .blockcode import BlockCode, encode, int_to_bits
+from .arrays import (AngleGrid, ArrayGeometry, ceil_log2, check_powers_of_two, real_number,
+                     u_axis, w_axis, whole_number)
+from .blockcode import BlockCode, bits_to_int, encode, int_to_bits
 from .seeding import derive_rng
 
 SV_CUTOFF = 1e-10  # relative singular-value cutoff for the design solves
@@ -370,3 +373,49 @@ def ideal_codebook(masks: np.ndarray, side: str) -> DesignedCodebook:
     reports = [(CodewordReport((), 1.0, 0.0), CodewordReport((), 1.0, 0.0))] * len(masks)
     return DesignedCodebook(side, _column_covers(masks).T.astype(float, order="C"), reports,
                             masks)
+
+
+def prefix_beams(geometry: ArrayGeometry, grid: AngleGrid, cfg: GsConfig,
+                 ideal: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The (BS, RIS) prefix-beam matrices of adaptive hierarchical training.
+
+    A prefix beam covers the indices whose leading bits equal a decided bit
+    prefix. Each side's matrix holds every prefix beam once, in coverage
+    convention: column ``2**L - 1 + value`` holds the beam of the prefix of
+    length L (0 to the side's bit count) that reads as the integer ``value``.
+    The nonempty prefixes of both RIS axes (u and w) run in one GS call, BS
+    beams come from ``design_bs_codewords``, and ideal beams are the coverage
+    masks. A RIS prefix is the u bits followed by the w bits, and its beam is
+    the Kronecker product of its two axis beams. Every array size must be a
+    power of two, so that each prefix covers a nonempty index interval.
+    """
+    sizes = (geometry.n_bs, geometry.n_ris_rows, geometry.n_ris_cols)
+    check_powers_of_two(sizes, "adaptive hierarchical training halves every index interval")
+    masks = [np.array([np.arange(n) >> (ceil_log2(n) - len(bits)) == bits_to_int(bits)
+                       for bits in _prefixes(ceil_log2(n))]) for n in sizes]
+    if ideal:
+        bs, u, w = [m.T.astype(float) for m in masks]
+    else:
+        steering = bs_steering_matrix(geometry, grid)
+        groups = [(axis_sampling_matrix(n, freqs(n), geometry.spacing_over_wavelength), m[1:],
+                   [derive_rng(cfg.seed, "hier", side, bits)
+                    for bits in _prefixes(ceil_log2(n))[1:]])
+                  for side, freqs, n, m in zip("uw", (u_axis, w_axis), sizes[1:], masks[1:])]
+        bs = design_bs_codewords([np.flatnonzero(m) for m in masks[0]], steering).T
+        u, w = [np.column_stack([flat_codeword(n), *vs])
+                for n, (vs, _) in zip(sizes[1:], relaxed_gs_batch(groups, cfg))]
+    k_u = ceil_log2(geometry.n_ris_rows)
+    prefixes = _prefixes(k_u + ceil_log2(geometry.n_ris_cols))
+    u_rows = u.T[[_column(bits[:k_u]) for bits in prefixes]]
+    w_rows = w.T[[_column(bits[k_u:]) for bits in prefixes]]
+    return bs, (u_rows[:, :, None] * w_rows[:, None, :]).reshape(len(prefixes), -1).T
+
+
+def _prefixes(k: int) -> list[tuple]:
+    """Every bit prefix of length 0 to k in column order: by length, then by value."""
+    return [bits for length in range(k + 1) for bits in product((0, 1), repeat=length)]
+
+
+def _column(prefix: tuple) -> int:
+    """The prefix-matrix column of a bit prefix."""
+    return 2 ** len(prefix) - 1 + bits_to_int(prefix)

@@ -11,11 +11,12 @@ stream tag (``load_streams``). Before the first trial, each
 protocol gets one block runner, called once per block: ``run_exhaustive``,
 ``run_layered`` for coded and full-coverage hierarchical training
 (hierarchical training uses identity codes, whose codebooks are the first k
-layers of the coded ones), or ``run_adaptive`` with the prefix-beam matrices
-of the beam provider. One ``tuple_rates`` call rates every protocol's
-estimates of a block from the narrow-beam columns, and one comparison with
-the true indices scores them. Codebooks and prefix beams are designed once
-per configuration and reused across trials.
+layers of the coded ones), or ``run_adaptive`` with the same identity codes
+and the ``prefix_beams`` matrices. One ``tuple_rates`` call rates every
+protocol's estimates of a block from the narrow-beam columns, and one
+comparison with the true indices scores them. Codebooks and prefix beams are
+designed once per configuration, before the first trial, and reused across
+trials.
 """
 
 from __future__ import annotations
@@ -29,16 +30,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import (ArrayGeometry, check_powers_of_two, make_angle_grid, real_number,
-                     whole_number)
+from .arrays import (ArrayGeometry, ceil_log2, check_powers_of_two, make_angle_grid,
+                     real_number, whole_number)
 from .blockcode import build_identity_code
 from .channel import SAMPLING_MODES, SnrSpec, sample_block
-from .codebook import GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook
+from .codebook import (GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook,
+                       prefix_beams)
 from .seeding import derive_seed, load_streams, stream_words
 from .training import (
-    HierarchicalBeamProvider,
     ProtocolSpec,
-    ceil_log2,
     check_budget,
     coded_codes,
     narrow_beam_matrices,
@@ -195,19 +195,15 @@ def _design_books(cfg: ExperimentConfig, grid, codes):
     return build_codebooks(*codes, grid, geometry, cfg.gs)
 
 
-def _build_layered_assets(cfg: ExperimentConfig, grid) -> dict:
+def _build_layered_assets(cfg: ExperimentConfig, grid, identity) -> dict:
     """(codes, codebooks) for run_layered, keyed by protocol kind.
 
     The identity codes' codebooks are the systematic layers of the coded
     codebooks, so they are designed on their own only without a coded protocol.
     """
-    geometry = cfg.geometry
-    k_bs = ceil_log2(geometry.n_bs)
-    k_u, k_w = ceil_log2(geometry.n_ris_rows), ceil_log2(geometry.n_ris_cols)
-    identity = (build_identity_code(k_bs), build_identity_code(k_u, k_w))
     if not any(p.kind == "coded" for p in cfg.protocols):
         return {"hierarchical": (identity, _design_books(cfg, grid, identity))}
-    codes = coded_codes(geometry.n_bs, (geometry.n_ris_rows, geometry.n_ris_cols))
+    codes = coded_codes(cfg.n_bs, (cfg.n_ris_rows, cfg.n_ris_cols))
     books = _design_books(cfg, grid, codes)
     systematic = tuple(book.first_layers(code.k) for book, code in zip(books, identity))
     return {"coded": (codes, books), "hierarchical": (identity, systematic)}
@@ -215,12 +211,13 @@ def _build_layered_assets(cfg: ExperimentConfig, grid) -> dict:
 
 def _build_runners(cfg: ExperimentConfig, grid, narrow) -> list:
     """One block runner per protocol, each called as run(block, snr=, budget=, rngs=)."""
-    provider = None
-    if any(p.kind == "hierarchical" and not _is_layered(p) for p in cfg.protocols):
-        provider = HierarchicalBeamProvider(cfg.geometry, grid, cfg.gs, ideal=cfg.ideal_beams)
-    layered = {}
-    if any(_is_layered(p) for p in cfg.protocols):
-        layered = _build_layered_assets(cfg, grid)
+    geometry = cfg.geometry
+    k_bs, k_u, k_w = map(ceil_log2, (geometry.n_bs, geometry.n_ris_rows, geometry.n_ris_cols))
+    identity = (build_identity_code(k_bs), build_identity_code(k_u, k_w))
+    adaptive = any(p.kind == "hierarchical" and not _is_layered(p) for p in cfg.protocols)
+    beams = prefix_beams(geometry, grid, cfg.gs, cfg.ideal_beams) if adaptive else None
+    layered = (_build_layered_assets(cfg, grid, identity)
+               if any(_is_layered(p) for p in cfg.protocols) else {})
     runners = []
     for proto in cfg.protocols:
         if proto.kind == "exhaustive":
@@ -231,7 +228,8 @@ def _build_runners(cfg: ExperimentConfig, grid, narrow) -> list:
             runners.append(partial(run_layered, books=books, codes=codes, decode_mode=mode,
                                    ideal=cfg.ideal_beams))
         else:
-            runners.append(partial(run_adaptive, provider=provider))
+            runners.append(partial(run_adaptive, beams=beams, codes=identity,
+                                   ideal=cfg.ideal_beams))
     return runners
 
 

@@ -11,11 +11,11 @@ identity codes and decode mode "none", full-coverage hierarchical training),
 deciding every layer of every trial in one argmax. ``run_adaptive`` runs
 adaptive hierarchical training: its layers run in turn, since each layer's
 beams depend on the decisions so far, and each layer gathers every trial's
-beam pair from the prefix-beam matrices of ``HierarchicalBeamProvider``.
-Both finish the same way: the decisions become raw bits, ``decode_words``
-decodes the block (the adaptive runner with identity codes in mode "none"),
-and the information bits become the estimates. ``tests/reference.py`` holds
-the per-pilot reference the runners are tested against.
+beam pair from the ``codebook.prefix_beams`` matrices. Both take beams and
+codes designed at set-up and end alike: the decisions become raw bits,
+``decode_words`` decodes the block (the adaptive runner with identity codes
+in mode "none"), and the information bits become the estimates. The runners
+are tested against the per-pilot reference in ``tests/reference.py``.
 
 Designed codewords are stored in coverage convention and conjugated at
 transmit time; RIS codewords additionally de-rotate the known static RIS-BS
@@ -25,34 +25,21 @@ steering phases so the training depends only on the UE-side angle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 import numpy as np
 
-from .arrays import (AngleGrid, ArrayGeometry, check_powers_of_two, u_axis, w_axis,
-                     whole_number)
+from .arrays import AngleGrid, ArrayGeometry, ceil_log2, whole_number
 from .blockcode import (
     DECODE_MODES,
     BlockCode,
-    bits_to_int,
-    build_identity_code,
     build_plain_code,
     build_reduced_code,
     decode_words,
     rows_to_ints,
 )
 from .channel import ChannelBlock, SnrSpec, pilot_noise, received_power
-from .codebook import (
-    DesignedCodebook,
-    GsConfig,
-    axis_sampling_matrix,
-    bs_steering_matrix,
-    design_bs_codewords,
-    flat_codeword,
-    relaxed_gs_batch,
-)
-from .seeding import derive_rng
+from .codebook import DesignedCodebook, bs_steering_matrix
 
 PROTOCOL_KINDS = ("exhaustive", "hierarchical", "coded")
 HIERARCHICAL_VARIANTS = ("full_coverage", "adaptive")
@@ -95,12 +82,6 @@ class ProtocolSpec:
         if self.kind == "hierarchical" and self.hierarchical_variant != "full_coverage":
             return f"hierarchical_{self.hierarchical_variant}"
         return self.kind
-
-
-def ceil_log2(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be positive")
-    return (n - 1).bit_length() if n > 1 else 0
 
 
 def check_budget(kind: str, budget) -> Optional[int]:
@@ -257,82 +238,6 @@ def _decode_layers(block, winners: np.ndarray, codes: tuple[BlockCode, BlockCode
     )
 
 
-class HierarchicalBeamProvider:
-    """Designs the prefix beams of adaptive hierarchical training.
-
-    A prefix beam covers the indices whose leading bits equal a decided bit
-    prefix. The first ``prefix_matrices`` call designs every prefix beam of
-    each side once, as a coverage-convention matrix: column
-    ``2**L - 1 + value`` holds the beam of the prefix of length L (0 to the
-    side's bit count) that reads as the integer ``value``. The nonempty
-    prefixes of both RIS axes (u and w) run in one GS call, BS beams come from
-    ``design_bs_codewords``, and ideal beams are the coverage masks. A RIS
-    prefix is the u bits followed by the w bits, and its beam is the
-    Kronecker product of its two axis beams. Every array size must be a power
-    of two, so that each prefix covers a nonempty index interval.
-    """
-
-    def __init__(
-        self,
-        geometry: ArrayGeometry,
-        grid: AngleGrid,
-        gs_cfg: GsConfig,
-        ideal: bool = False,
-    ) -> None:
-        self._sizes = {"bs": geometry.n_bs, "u": geometry.n_ris_rows,
-                      "w": geometry.n_ris_cols}
-        check_powers_of_two(self._sizes.values(),
-                            "adaptive hierarchical training halves every index interval")
-        self.geometry = geometry
-        self.grid = grid
-        self.cfg = gs_cfg
-        self.ideal = ideal
-        self.k_bs = ceil_log2(geometry.n_bs)
-        self.k_u = ceil_log2(geometry.n_ris_rows)
-        self.k_ris = self.k_u + ceil_log2(geometry.n_ris_cols)
-        # the decisions are the index bits: identity codes, decoded in mode "none"
-        self.codes = (build_identity_code(self.k_bs),
-                      build_identity_code(self.k_u, self.k_ris - self.k_u))
-        self._matrices: Optional[tuple[np.ndarray, np.ndarray]] = None
-
-    def prefix_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (BS, RIS) prefix-beam matrices, designed at the first call."""
-        if self._matrices is None:
-            bs, u, w = self._side_matrices()
-            prefixes = _prefixes(self.k_ris)
-            u_rows = u.T[[_column(bits[:self.k_u]) for bits in prefixes]]
-            w_rows = w.T[[_column(bits[self.k_u:]) for bits in prefixes]]
-            ris = (u_rows[:, :, None] * w_rows[:, None, :]).reshape(len(prefixes), -1)
-            self._matrices = (bs, ris.T)
-        return self._matrices
-
-    def _side_matrices(self) -> list[np.ndarray]:
-        """Every prefix beam of the BS, the u axis and the w axis, one column per prefix."""
-        masks = [np.array([np.arange(n) >> (ceil_log2(n) - len(bits)) == bits_to_int(bits)
-                           for bits in _prefixes(ceil_log2(n))]) for n in self._sizes.values()]
-        if self.ideal:
-            return [m.T.astype(float) for m in masks]
-        steering = bs_steering_matrix(self.geometry, self.grid)
-        groups = [(axis_sampling_matrix(len(m.T), freqs(len(m.T)),
-                                        self.geometry.spacing_over_wavelength), m[1:],
-                   [derive_rng(self.cfg.seed, "hier", side, bits)
-                    for bits in _prefixes(ceil_log2(len(m.T)))[1:]])
-                  for side, freqs, m in zip("uw", (u_axis, w_axis), masks[1:])]
-        return ([design_bs_codewords([np.flatnonzero(m) for m in masks[0]], steering).T]
-                + [np.column_stack([flat_codeword(len(m.T)), *vs])
-                   for m, (vs, _) in zip(masks[1:], relaxed_gs_batch(groups, self.cfg))])
-
-
-def _prefixes(k: int) -> list[tuple]:
-    """Every bit prefix of length 0 to k in column order: by length, then by value."""
-    return [bits for length in range(k + 1) for bits in product((0, 1), repeat=length)]
-
-
-def _column(prefix: tuple) -> int:
-    """The prefix-matrix column of a bit prefix."""
-    return 2 ** len(prefix) - 1 + bits_to_int(prefix)
-
-
 def _prefix_pairs(cov: np.ndarray, winners: np.ndarray, k: int, side: str) -> np.ndarray:
     """Each trial's (zero, one) beams of the next layer, a (trials, n, 2) stack.
 
@@ -352,10 +257,13 @@ def _prefix_pairs(cov: np.ndarray, winners: np.ndarray, k: int, side: str) -> np
 
 def run_adaptive(
     block: ChannelBlock,
-    provider: HierarchicalBeamProvider,
+    beams: tuple[np.ndarray, np.ndarray],
+    codes: tuple[BlockCode, BlockCode],
     snr: SnrSpec,
     budget: Optional[int],
     rngs,
+    *,
+    ideal: bool = False,
 ) -> TrainingRuns:
     """Adaptive hierarchical training of a block: trial t on row t, noise from ``rngs[t]``.
 
@@ -367,25 +275,26 @@ def run_adaptive(
     each trial's noise is one ``pilot_noise`` draw. Layers run in turn,
     because each layer's beams depend on the decisions before it; within a
     layer the block's beams, gains, powers and decisions are computed at
-    once. There is no error correction: the raw bits decode with identity
-    codes in mode "none", so ``decoded`` is all clean. A budget short of 4
+    once. ``beams`` are the ``codebook.prefix_beams`` matrices (mask-valued
+    if ``ideal``) and ``codes`` the identity codes of the index bits, whose
+    lengths set the layer counts. There is no error correction: the raw bits
+    decode in mode "none", so ``decoded`` is all clean. A budget short of 4
     pilots per layer truncates every trial and zero-fills the missing bits.
     """
-    sizes = (provider.k_bs, provider.k_ris)
+    sizes = (codes[0].n, codes[1].n)
     sent, needed = _layer_count(sizes, budget)
-    matrices = provider.prefix_matrices()
     noise = np.stack([pilot_noise(snr, rng, (sent, 2, 2)) for rng in rngs])
     winners = np.zeros((len(rngs), sent), dtype=np.intp)
     for layer in range(sent):
         pairs = [_prefix_pairs(cov, winners[:, :layer], k, side)
-                 for cov, k, side in zip(matrices, sizes, ("bs", "ris"))]
-        if not provider.ideal:
+                 for cov, k, side in zip(beams, sizes, ("bs", "ris"))]
+        if not ideal:
             _check_constant_modulus(pairs[1], block.n_ris)
-        bs, ris = beam_responses(block, *pairs, provider.ideal)
+        bs, ris = beam_responses(block, *pairs, ideal)
         powers = received_power(bs[:, :, None] * ris[:, None, :], snr, noise[:, layer])
         winners[:, layer] = powers.reshape(len(rngs), 4).argmax(axis=-1)
 
-    return _decode_layers(block, winners, provider.codes, "none", needed)
+    return _decode_layers(block, winners, codes, "none", needed)
 
 
 def narrow_beam_matrices(grid: AngleGrid, geometry: ArrayGeometry

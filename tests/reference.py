@@ -44,7 +44,7 @@ from risbeam.arrays import (
     upa_steering_uw,
     w_axis,
 )
-from risbeam.blockcode import DECODE_MODES, BlockCode, bits_to_int
+from risbeam.blockcode import DECODE_MODES, BlockCode, bits_to_int, build_identity_code
 from risbeam.channel import ChannelBlock, SnrSpec, pilot_noise, received_power, sample_block
 from risbeam.codebook import (
     CodewordReport,
@@ -61,13 +61,7 @@ from risbeam.codebook import (
     ris_sampling_matrix,
 )
 from risbeam.seeding import derive_rng
-from risbeam.training import (
-    HierarchicalBeamProvider,
-    TrainingRuns,
-    ceil_log2,
-    run_adaptive,
-    run_layered,
-)
+from risbeam.training import TrainingRuns, ceil_log2, run_adaptive, run_layered
 
 # -- one channel, one tuple -----------------------------------------------------
 #
@@ -341,14 +335,20 @@ def run_coded(ch, books, codes, snr, budget, rng, decode_mode="one_bit", *, idea
                                          decode_mode, ideal=ideal), 0)
 
 
-def run_hierarchical(ch, provider: HierarchicalBeamProvider, snr, budget, rng, *,
+def identity_codes(geo: ArrayGeometry) -> tuple[BlockCode, BlockCode]:
+    """The identity codes of the index bits, which both hierarchical variants decode."""
+    return (build_identity_code(ceil_log2(geo.n_bs)),
+            build_identity_code(ceil_log2(geo.n_ris_rows), ceil_log2(geo.n_ris_cols)))
+
+
+def run_hierarchical(ch, beams, codes, snr, budget, rng, *, ideal=False,
                      inject_flips=()) -> TrainingOutcome:
     """Adaptive hierarchical training of a one-row block ``ch``: ``run_adaptive`` on it.
 
     ``inject_flips`` lists (layer, "bs" | "ris") decisions to invert (``flipped``).
     """
     with flipped(inject_flips):
-        return trial_outcome(run_adaptive(ch, provider, snr, budget, [rng]), 0)
+        return trial_outcome(run_adaptive(ch, beams, codes, snr, budget, [rng], ideal=ideal), 0)
 
 
 # -- layered training, one pilot at a time --------------------------------------
@@ -418,7 +418,7 @@ def reference_run(ch, books, codes, snr, budget, rng, mode, ideal, t=0):
 
 
 class ReferencePrefixBeams:
-    """Adaptive hierarchical beams built per bit prefix, the reference for the provider.
+    """Adaptive hierarchical beams built per bit prefix, the reference for ``prefix_beams``.
 
     A beam covers the indices whose leading bits equal its prefix: a BS beam
     is ``design_bs_codeword`` of that coverage mask, a RIS axis designs its

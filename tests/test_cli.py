@@ -72,6 +72,20 @@ def test_validate_code_rejects_single_antenna_bs(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flags,name", [
+    (["--ris", "8x6"], "n_ris_cols=6"),  # the 8x8 code would name 64 indices on 48 elements
+    (["--ris", "6x8"], "n_ris_rows=6"),
+    (["--nt", "12"], "n_bs=12"),  # the 16-antenna code would name 16 indices on 12
+    (["--nt", "12", "--ris", "8x8"], "n_bs=12"),
+])
+def test_validate_code_rejects_sizes_that_are_not_powers_of_two(capsys, flags, name):
+    assert main(["validate-code", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {name} is not a power of two: layered training "
+                            f"decodes each index from a bit word\n")
+
+
 def test_validate_code_bs_only(capsys):
     assert main(["validate-code", "--nt", "16"]) == 0
     out = capsys.readouterr().out

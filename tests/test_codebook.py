@@ -36,11 +36,12 @@ from risbeam.codebook import (
     factor_pattern_mask,
     flat_codeword,
     ideal_codebook,
+    prefix_beams,
     relaxed_gs_batch,
     ris_sampling_matrix,
 )
 from risbeam.seeding import derive_rng
-from risbeam.training import HierarchicalBeamProvider, coded_codes, narrow_beam_matrices
+from risbeam.training import coded_codes, narrow_beam_matrices
 
 
 def test_pattern_matrix_two_bit_plain():
@@ -581,7 +582,7 @@ def test_each_ris_design_call_runs_one_gs_loop_per_matrix_shape(monkeypatch, row
     build_codebooks(*coded_codes(16, (rows, cols)), grid, geo, cfg)
     assert len(calls) == loops * (1 + 2 * cfg.k_iter)
     calls.clear()
-    HierarchicalBeamProvider(geo, grid, cfg).prefix_matrices()
+    prefix_beams(geo, grid, cfg)
     assert len(calls) == loops * (1 + 2 * cfg.k_iter)
 
 

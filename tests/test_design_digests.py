@@ -4,7 +4,7 @@ The golden sweeps in tests/data/ only move when a decision flips, so a
 codeword that moves by one ulp can pass them. These digests cover every
 byte of the designs themselves: the codebook matrices, masks, GS traces and
 grid margins of ``build_codebooks``, and the prefix-beam matrices of
-``HierarchicalBeamProvider``. Regenerate them only for an intended change of
+``prefix_beams``. Regenerate them only for an intended change of
 the designs, and say why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_design_digests.py
@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from risbeam.arrays import ArrayGeometry, make_angle_grid
-from risbeam.codebook import GsConfig, build_codebooks
-from risbeam.training import HierarchicalBeamProvider, coded_codes
+from risbeam.codebook import GsConfig, build_codebooks, prefix_beams
+from risbeam.training import coded_codes
 
 # name -> (n_bs, n_ris_rows, n_ris_cols, GsConfig, direct_2d)
 CODEBOOK_CASES = {
@@ -71,10 +71,9 @@ def codebook_digest(name: str) -> str:
     return _digest(arrays)
 
 
-def provider_digest(name: str) -> str:
+def prefix_beam_digest(name: str) -> str:
     geometry = ArrayGeometry(*PROVIDER_CASES[name])
-    provider = HierarchicalBeamProvider(geometry, make_angle_grid(geometry), GsConfig())
-    return _digest(provider.prefix_matrices())
+    return _digest(prefix_beams(geometry, make_angle_grid(geometry), GsConfig()))
 
 
 @pytest.mark.parametrize("name", sorted(CODEBOOK_CASES))
@@ -84,7 +83,7 @@ def test_codebook_design_bytes_are_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(PROVIDER_CASES))
 def test_provider_prefix_beam_bytes_are_pinned(name):
-    assert provider_digest(name) == PROVIDER_DIGESTS[name]
+    assert prefix_beam_digest(name) == PROVIDER_DIGESTS[name]
 
 
 if __name__ == "__main__":
@@ -93,5 +92,5 @@ if __name__ == "__main__":
         print(f'    "{case}": "{codebook_digest(case)}",')
     print("}\nPROVIDER_DIGESTS = {")
     for case in PROVIDER_CASES:
-        print(f'    "{case}": "{provider_digest(case)}",')
+        print(f'    "{case}": "{prefix_beam_digest(case)}",')
     print("}")

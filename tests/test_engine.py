@@ -30,6 +30,7 @@ from reference import (
     exhaustive_sweep,
     flipped,
     grid_transmit_pair,
+    identity_codes,
     layer_pair,
     measure_power,
     per_pilot_bits,
@@ -41,16 +42,15 @@ from reference import (
 )
 from risbeam import experiments, training
 from risbeam.arrays import ArrayGeometry, make_angle_grid, ula_steering, upa_steering_uw
-from risbeam.blockcode import DECODE_MODES, bits_to_int, build_identity_code
+from risbeam.blockcode import DECODE_MODES, bits_to_int
 from risbeam.channel import SnrSpec, pilot_noise, received_power, sample_block
-from risbeam.codebook import GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook
+from risbeam.codebook import (GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook,
+                              prefix_beams)
 from risbeam.experiments import (ExperimentConfig, desk_snr_sweep, export_results,
                                  export_trial_log, run_sweep)
 from risbeam.seeding import derive_rng
 from risbeam.training import (
-    HierarchicalBeamProvider,
     ProtocolSpec,
-    ceil_log2,
     beam_responses,
     coded_codes,
     narrow_beam_matrices,
@@ -71,8 +71,7 @@ def small_setup(n_bs: int, rows: int, cols: int):
     """Geometry, grid, identity codes and their designed codebooks."""
     geo = ArrayGeometry(n_bs, rows, cols)
     grid = make_angle_grid(geo)
-    codes = (build_identity_code(ceil_log2(n_bs)),
-             build_identity_code(ceil_log2(rows), ceil_log2(cols)))
+    codes = identity_codes(geo)
     return geo, grid, codes, build_codebooks(*codes, grid, geo, FAST_GS)
 
 
@@ -171,8 +170,9 @@ def test_layered_runners_match_per_pilot_path(n_bs, rows, cols, mode, ideal,
         sizes, snr, np.random.default_rng(seed), ideal)
     assert (tuple(out.raw_bits_bs), tuple(out.raw_bits_ris)) == expected
 
-    _, _, provider, reference = adaptive_setup(n_bs, rows, cols, ideal)
-    out = run_hierarchical(ch, provider, snr, None, np.random.default_rng(seed))
+    _, _, beams, adaptive_codes, reference = adaptive_setup(n_bs, rows, cols, ideal)
+    out = run_hierarchical(ch, beams, adaptive_codes, snr, None, np.random.default_rng(seed),
+                           ideal=ideal)
     expected = per_pilot_bits(ch, reference.layer_pairs, (reference.k_bs, reference.k_ris),
                               snr, np.random.default_rng(seed), ideal)
     assert (tuple(out.raw_bits_bs), tuple(out.raw_bits_ris)) == expected
@@ -192,15 +192,16 @@ def test_broken_constant_modulus_is_rejected(desk_books, desk_codes, desk_geomet
 
     # layer 2 sends the RIS prefixes 2p and 2p + 1 of length 3, where p is the
     # prefix decided in layers 0 and 1 (the same noise draws as a full run)
-    provider = HierarchicalBeamProvider(desk_geometry, desk_grid, FAST_GS)
-    decided = run_hierarchical(ch, provider, snr, 8, derive_rng(0, "m")).raw_bits_ris[:2]
+    beams = prefix_beams(desk_geometry, desk_grid, FAST_GS)
+    codes = identity_codes(desk_geometry)
+    decided = run_hierarchical(ch, beams, codes, snr, 8, derive_rng(0, "m")).raw_bits_ris[:2]
     p = bits_to_int(decided)
-    ris_matrix = provider.prefix_matrices()[1]
+    ris_matrix = beams[1]
     ris_matrix[0, 2**3 - 1 + 2 * (p ^ 1) + 1] *= 2.0  # a length-3 beam this run never sends
-    run_hierarchical(ch, provider, snr, None, derive_rng(0, "m"))
+    run_hierarchical(ch, beams, codes, snr, None, derive_rng(0, "m"))
     ris_matrix[0, 2**3 - 1 + 2 * p + 1] *= 2.0  # the one beam of layer 2's RIS pair
     with pytest.raises(ValueError, match="constant modulus"):
-        run_hierarchical(ch, provider, snr, None, derive_rng(0, "m"))
+        run_hierarchical(ch, beams, codes, snr, None, derive_rng(0, "m"))
     # the intact codebooks run
     run_coded(ch, desk_books, desk_codes, snr, None, derive_rng(0, "m"))
 
@@ -314,10 +315,10 @@ def test_flipped_inverts_exactly_the_listed_bits(desk_books, desk_codes, desk_ge
 
 @lru_cache(maxsize=None)
 def adaptive_setup(n_bs: int, rows: int, cols: int, ideal: bool):
-    """Geometry, grid, a beam provider and its per-prefix reference."""
+    """Geometry, grid, the prefix beams, the identity codes and the per-prefix reference."""
     geo = ArrayGeometry(n_bs, rows, cols)
     grid = make_angle_grid(geo)
-    return (geo, grid, HierarchicalBeamProvider(geo, grid, FAST_GS, ideal=ideal),
+    return (geo, grid, prefix_beams(geo, grid, FAST_GS, ideal), identity_codes(geo),
             ReferencePrefixBeams(geo, grid, FAST_GS, ideal))
 
 
@@ -331,12 +332,12 @@ def adaptive_setup(n_bs: int, rows: int, cols: int, ideal: bool):
 def test_adaptive_runner_matches_per_pilot_reference(n_bs, rows, cols, mode, ideal, trials,
                                                      budget, flips, snr_linear, seed):
     assume(n_bs * rows * cols > 1)  # a single candidate per side leaves nothing to train
-    geo, grid, provider, reference = adaptive_setup(n_bs, rows, cols, ideal)
+    geo, grid, beams, codes, reference = adaptive_setup(n_bs, rows, cols, ideal)
     block = draw_block(geo, grid, mode, seed, trials)
     snr = SnrSpec(snr_linear)
     with flipped(flips):
-        runs = run_adaptive(block, provider, snr, budget,
-                            [np.random.default_rng(seed + t) for t in range(trials)])
+        runs = run_adaptive(block, beams, codes, snr, budget,
+                            [np.random.default_rng(seed + t) for t in range(trials)], ideal=ideal)
     sizes = (reference.k_bs, reference.k_ris)
     sent = max(sizes) if budget is None else min(max(sizes), budget // 4)
     for t in range(trials):
@@ -358,7 +359,7 @@ def test_adaptive_runner_matches_per_pilot_reference(n_bs, rows, cols, mode, ide
 def test_adaptive_layer_tables_equal_one_trial_tables(monkeypatch, dims, mode):
     # the gathered (trials, n, 2) beam stacks give the bytes of each trial's
     # own (n, 2) pair through gain_tables of a one-trial block
-    geo, grid, provider, reference = adaptive_setup(*dims, False)
+    geo, grid, beams, codes, reference = adaptive_setup(*dims, False)
     trials = experiments.MIN_TRIAL_BLOCK
     rows = [draw_block(geo, grid, mode, t) for t in range(trials)]  # one-trial blocks
     layers = []
@@ -368,8 +369,8 @@ def test_adaptive_layer_tables_equal_one_trial_tables(monkeypatch, dims, mode):
         return received_power(gain, snr, noise)
 
     monkeypatch.setattr(training, "received_power", recording)
-    runs = run_adaptive(draw_block(geo, grid, mode, 0, trials), provider, SnrSpec(0.5), None,
-                        [np.random.default_rng(seed) for seed in range(trials)])
+    runs = run_adaptive(draw_block(geo, grid, mode, 0, trials), beams, codes, SnrSpec(0.5),
+                        None, [np.random.default_rng(seed) for seed in range(trials)])
     assert len(layers) == max(reference.k_bs, reference.k_ris)
     for layer, tables in enumerate(layers):
         for t, row in enumerate(rows):
@@ -388,8 +389,7 @@ def layered_setup(n_bs: int, rows: int, cols: int, coded: bool, ideal: bool):
     if coded:
         codes = coded_codes(n_bs, (rows, cols))
     else:
-        codes = (build_identity_code(ceil_log2(n_bs)),
-                 build_identity_code(ceil_log2(rows), ceil_log2(cols)))
+        codes = identity_codes(geo)
     # the config only carries the design settings: a sweep rejects 6 RIS rows for
     # layered protocols, but the runners still take them (and clamp the index)
     cfg = ExperimentConfig(n_bs=n_bs, n_ris_rows=rows, n_ris_cols=cols, gs=FAST_GS,

@@ -5,7 +5,7 @@ import pytest
 from reference import achievable_rate, grid_transmit_pair, noiseless_best_tuple, success_rate
 from risbeam.arrays import make_angle_grid
 from risbeam.channel import sample_block
-from risbeam import experiments
+from risbeam import codebook, experiments
 from risbeam.codebook import GsConfig
 from risbeam.experiments import (
     CSV_COLUMNS,
@@ -343,6 +343,36 @@ def test_adaptive_hierarchical_needs_power_of_two_arrays():
                            protocols=adaptive)
         with pytest.raises(ValueError, match="power of two"):
             run_sweep(cfg)
+
+
+def test_adaptive_sweep_designs_its_prefix_beams_once(monkeypatch):
+    # the prefix beams are designed once, before the first trial, and no
+    # design function runs inside run_adaptive: two sweep points of two
+    # blocks each (a full block and a block of 5 trials)
+    events = []
+
+    def recording(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            result = fn(*args, **kwargs)
+            events.append("/" + name)
+            return result
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((experiments, "prefix_beams"), (experiments, "run_adaptive"),
+                         (codebook, "design_bs_codewords"), (codebook, "relaxed_gs_batch")):
+        recording(module, name)
+    trials = experiments.trial_block(_tiny_config().geometry) + 5
+    cfg = _tiny_config(trials=trials, snr_grid_db=(0.0, 10.0), ideal_beams=False,
+                       noiseless=False,
+                       protocols=(ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),))
+    results = run_sweep(cfg)
+    assert [row.trials for row in results.rows] == [trials, trials]
+    assert events == (["prefix_beams", "design_bs_codewords", "/design_bs_codewords",
+                       "relaxed_gs_batch", "/relaxed_gs_batch", "/prefix_beams"]
+                      + ["run_adaptive", "/run_adaptive"] * 4)
 
 
 def test_rate_ceiling_row_never_exceeds_exhaustive():

@@ -7,6 +7,7 @@ from reference import (
     channel_at,
     effective_gain,
     grid_transmit_pair,
+    identity_codes,
     noiseless_best_tuple,
     ris_transmit,
     run_coded,
@@ -21,7 +22,7 @@ from risbeam.arrays import (
     upa_steering_uw,
     w_axis,
 )
-from risbeam.blockcode import build_identity_code, build_plain_code, build_reduced_code
+from risbeam.blockcode import build_plain_code, build_reduced_code
 from risbeam.channel import SnrSpec, sample_block
 from risbeam.codebook import (
     GsConfig,
@@ -30,11 +31,11 @@ from risbeam.codebook import (
     build_codebooks,
     flat_codeword,
     ideal_codebook,
+    prefix_beams,
 )
-from risbeam import training
+from risbeam import codebook, training
 from risbeam.seeding import derive_rng
 from risbeam.training import (
-    HierarchicalBeamProvider,
     ProtocolSpec,
     ceil_log2,
     narrow_beam_matrices,
@@ -43,12 +44,6 @@ from risbeam.training import (
 )
 
 NOISELESS = SnrSpec(1.0, noiseless=True)
-
-
-def identity_codes(geo):
-    """Full-coverage hierarchical training: identity codes for both sides."""
-    return (build_identity_code(ceil_log2(geo.n_bs)),
-            build_identity_code(ceil_log2(geo.n_ris_rows), ceil_log2(geo.n_ris_cols)))
 
 
 def ideal_identity_assets(geo):
@@ -70,8 +65,8 @@ def oracle_setup():
         ideal_codebook(beam_pattern_matrix(code_t, 8), "bs"),
         ideal_codebook(beam_pattern_matrix(code_r, 64), "ris"),
     )
-    provider = HierarchicalBeamProvider(geo, grid, GsConfig(seed=1), ideal=True)
-    return geo, grid, (code_t, code_r), books, provider
+    adaptive = (prefix_beams(geo, grid, GsConfig(seed=1), ideal=True), identity_codes(geo))
+    return geo, grid, (code_t, code_r), books, adaptive
 
 
 def test_coded_budget_accounting(oracle_setup):
@@ -154,24 +149,24 @@ def test_hierarchical_oracle_and_bits(oracle_setup):
 
 
 def test_hierarchical_adaptive_variant_oracle(oracle_setup):
-    geo, grid, _, _, provider = oracle_setup
+    geo, grid, _, _, adaptive = oracle_setup
     rng = derive_rng(0, "hier-adapt")
     for bs_i, ris_i in ((3, 9), (7, 64), (1, 28)):
         ch = channel_at(geo, grid, bs_i, ris_i)
-        out = run_hierarchical(ch, provider, NOISELESS, None, rng)
+        out = run_hierarchical(ch, *adaptive, NOISELESS, None, rng, ideal=True)
         assert (out.est_bs_index, out.est_ris_index) == (bs_i, ris_i)
 
 
 def test_hierarchical_error_propagates_without_correction(oracle_setup):
-    geo, grid, _, _, provider = oracle_setup
+    geo, grid, _, _, adaptive = oracle_setup
     codes, books = ideal_identity_assets(geo)
     ch = channel_at(geo, grid, 5, 20)
     rng = derive_rng(0, "hier-flip")
     full_coverage = run_coded(ch, books, codes, NOISELESS, None, rng, "none",
                               ideal=True, inject_flips=[(0, "ris")])
-    adaptive = run_hierarchical(ch, provider, NOISELESS, None, rng,
-                                inject_flips=[(0, "ris")])
-    for out in (full_coverage, adaptive):
+    adaptive_run = run_hierarchical(ch, *adaptive, NOISELESS, None, rng, ideal=True,
+                                    inject_flips=[(0, "ris")])
+    for out in (full_coverage, adaptive_run):
         assert (out.est_bs_index, out.est_ris_index) != (5, 20)
 
 
@@ -191,20 +186,21 @@ def test_hierarchical_budget_and_truncation(oracle_setup):
 
 
 def test_hierarchical_adaptive_budget_and_truncation(oracle_setup):
-    geo, grid, _, _, provider = oracle_setup
+    geo, grid, _, _, adaptive = oracle_setup
     ch = channel_at(geo, grid, 5, 20)
-    out = run_hierarchical(ch, provider, NOISELESS, 11, derive_rng(0, "t"))
+    out = run_hierarchical(ch, *adaptive, NOISELESS, 11, derive_rng(0, "t"), ideal=True)
     assert out.pilots_used == 8 and out.truncated
     assert len(out.raw_bits_bs) == 3 and len(out.raw_bits_ris) == 6
     with pytest.raises(ValueError):
-        run_hierarchical(ch, provider, NOISELESS, 2, derive_rng(0, "t"))
+        run_hierarchical(ch, *adaptive, NOISELESS, 2, derive_rng(0, "t"), ideal=True)
 
 
 def test_provider_designs_each_prefix_once(monkeypatch, desk_geometry, desk_grid):
-    # every prefix beam is designed once, at the first request, however many
-    # trials and blocks use it; a RIS axis designs all its nonempty prefixes
-    # in one batch (one key per mask row) and its empty prefix is the flat codeword;
-    # the BS designs every prefix in one batch (one key per cover)
+    # prefix_beams designs every prefix beam once; a RIS axis designs all its
+    # nonempty prefixes in one batch (one key per mask row) and its empty
+    # prefix is the flat codeword; the BS designs every prefix in one batch
+    # (one key per cover). The runner designs nothing, however many trials
+    # and blocks use the beams.
     designs = []
 
     def recording(fn, keys, beams):
@@ -214,22 +210,25 @@ def test_provider_designs_each_prefix_once(monkeypatch, desk_geometry, desk_grid
             return result
         return wrapper
 
-    monkeypatch.setattr(training, "relaxed_gs_batch", recording(
-        training.relaxed_gs_batch,
+    monkeypatch.setattr(codebook, "relaxed_gs_batch", recording(
+        codebook.relaxed_gs_batch,
         lambda groups, cfg: [(matrix.tobytes(), m.tobytes())
                              for matrix, masks, _ in groups for m in masks],
         lambda result: [v for vs, _ in result for v in vs]))
-    monkeypatch.setattr(training, "design_bs_codewords", recording(
-        training.design_bs_codewords, lambda covers, *rest: [tuple(c) for c in covers],
+    monkeypatch.setattr(codebook, "design_bs_codewords", recording(
+        codebook.design_bs_codewords, lambda covers, *rest: [tuple(c) for c in covers],
         lambda result: result))
     geo = desk_geometry
-    provider = HierarchicalBeamProvider(geo, desk_grid, GsConfig(seed=1, k_iter=10))
+    beams = prefix_beams(geo, desk_grid, GsConfig(seed=1, k_iter=10))
+    before = len(designs)
+    codes = identity_codes(geo)
     for trial in range(40):
         ch = sample_block(geo, desk_grid, [derive_rng(3, "ch", trial)])
-        run_hierarchical(ch, provider, SnrSpec(0.3), None, derive_rng(3, "n", trial))
+        run_hierarchical(ch, beams, codes, SnrSpec(0.3), None, derive_rng(3, "n", trial))
     training.run_adaptive(
         sample_block(geo, desk_grid, [derive_rng(3, "ch", trial) for trial in range(40)]),
-        provider, SnrSpec(0.3), None, [derive_rng(3, "n", trial) for trial in range(40)])
+        beams, codes, SnrSpec(0.3), None, [derive_rng(3, "n", trial) for trial in range(40)])
+    assert len(designs) == before
     designed = dict(designs)
     assert len(designs) == len(designed)
     k_bs, k_u, k_w = (ceil_log2(n) for n in (geo.n_bs, geo.n_ris_rows, geo.n_ris_cols))
@@ -251,7 +250,7 @@ def test_provider_designs_each_prefix_once(monkeypatch, desk_geometry, desk_grid
         mask = np.arange(n) >> (k - length) == value
         return designed[(matrix.tobytes(), mask.tobytes())]
 
-    bs_matrix, ris_matrix = provider.prefix_matrices()
+    bs_matrix, ris_matrix = beams
     assert bs_matrix.shape == (geo.n_bs, 2 ** (k_bs + 1) - 1)
     for column in range(bs_matrix.shape[1]):
         *_, mask = prefix(column, k_bs)
