@@ -22,14 +22,15 @@ SAMPLING_MODES = ("on_grid", "continuous")
 
 @dataclass(frozen=True)
 class SnrSpec:
-    """Training SNR as the single linear ratio Pt * alpha^2 / sigma^2."""
+    """Training SNR as the linear ratio Pt * alpha^2 / sigma^2: one, or one per block row."""
 
-    snr_linear: float
+    snr_linear: float | np.ndarray
     noiseless: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 < self.snr_linear < np.inf:
-            raise ValueError(f"snr_linear must be positive and finite, got {self.snr_linear}")
+        snr = np.asarray(self.snr_linear)
+        if snr.ndim > 1 or not ((0 < snr) & (snr < np.inf)).all():
+            raise ValueError(f"snr_linear must be positive and finite, 1-D at most, got {snr}")
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,8 @@ def sample_block(geometry: ArrayGeometry, grid: AngleGrid, rngs,
     h_r = np.sqrt(n_ris) * a_ue
     g_mats = a_gr[:, :, None] * a_bs[:, None, :]
     g_mats *= np.sqrt(n_bs * n_ris)  # in place: the same bytes, one block-sized array
-    for h, g in zip(h_r, g_mats):  # in place, one norm each: a batched norm rounds differently
-        h *= np.sqrt(n_ris) / _norm(h)
-        g *= np.sqrt(n_bs * n_ris) / _norm(g)
+    h_r *= (np.sqrt(n_ris) / norms(h_r))[:, None]  # in place, like the scaling above
+    g_mats *= (np.sqrt(n_bs * n_ris) / norms(g_mats.reshape(len(g_mats), -1)))[:, None, None]
     # the unit-modulus de-rotation of the static, known RIS-BS direction
     comp = np.sqrt(n_ris) * np.conj(a_gr)
     return ChannelBlock(bs_index=bs + 1, ris_index=ue + 1, comp=comp,
@@ -108,19 +108,18 @@ def sample_block(geometry: ArrayGeometry, grid: AngleGrid, rngs,
 _NORM_SLICE = 8192
 
 
-def _norm(x: np.ndarray) -> np.float64:
-    """``np.linalg.norm(x)`` of a contiguous complex array at any BLAS thread count.
+def norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each complex row (last axis), at any BLAS thread count.
 
-    Each part's squared norm sums its 8,192-entry slices' dot products in
-    order from 0: one dot product up to 8,192 entries, as ``np.linalg.norm``
-    takes, and the split of two threads at 16,384.
+    Each part's squared norm, real before imaginary, sums its 8,192-entry
+    slices' stacked dot products in order from 0: one dot product up to 8,192
+    entries, as ``np.linalg.norm`` takes, and two threads' split at 16,384.
     """
-    flat = x.ravel()
     squares = [0.0, 0.0]
-    for i, part in enumerate((flat.real, flat.imag)):
-        for start in range(0, part.size, _NORM_SLICE):
-            piece = part[start:start + _NORM_SLICE]
-            squares[i] += piece.dot(piece)
+    for i, part in enumerate((rows.real, rows.imag)):
+        for start in range(0, part.shape[-1], _NORM_SLICE):
+            piece = part[..., start:start + _NORM_SLICE]
+            squares[i] = squares[i] + (piece[..., None, :] @ piece[..., None])[..., 0, 0]
     return np.sqrt(squares[0] + squares[1])
 
 
@@ -140,9 +139,10 @@ def received_power(gain, snr: SnrSpec, noise: np.ndarray) -> np.ndarray:
     """Elementwise |sqrt(snr) * gain + noise|^2 for noise from ``pilot_noise``.
 
     Real arithmetic only, so a single pilot and an array of pilots round
-    alike.
+    alike. A per-row SNR applies to the first axis of ``gain``.
     """
-    root = np.sqrt(snr.snr_linear)
+    root = np.sqrt(snr.snr_linear)  # a per-row root broadcasts over the row's pilots:
+    root = root.reshape(root.shape + (1,) * (np.ndim(gain) - 1)) if root.ndim else root
     re = root * np.real(gain) + noise[..., 0]
     im = root * np.imag(gain) + noise[..., 1]
     return re * re + im * im

@@ -30,6 +30,7 @@ import numpy as np
 from .arrays import (AngleGrid, ArrayGeometry, ceil_log2, check_powers_of_two, real_number,
                      u_axis, w_axis, whole_number)
 from .blockcode import BlockCode, bits_to_int, encode, int_to_bits
+from .channel import norms
 from .seeding import derive_rng
 
 SV_CUTOFF = 1e-10  # relative singular-value cutoff for the design solves
@@ -226,7 +227,7 @@ def relaxed_gs_batch(groups, cfg: GsConfig) -> list[tuple[np.ndarray, np.ndarray
             v = modulus * np.exp(1j * _phase(_stacked_matvec(backward, s_hat)))
             s_prev = s_k
         bounds = np.cumsum(counts)[:-1]
-        traces = np.split(np.ascontiguousarray(_norms(steps).T), bounds)
+        traces = np.split(np.ascontiguousarray(norms(steps).T), bounds)
         results.update(zip(members, zip(np.split(v, bounds), traces)))
     return [results[g] for g in range(len(groups))]
 
@@ -245,7 +246,7 @@ def design_bs_codewords(covers, steering: np.ndarray) -> np.ndarray:
     over the 1-based position i in its covered list, normalized to unit
     norm. Covers of one size are summed together, term by term in list
     order (``add.accumulate`` keeps the order, ``add.reduce`` may not), and
-    normalized by the dot products ``np.linalg.norm`` sums (``_norms``): both
+    normalized by the dot products ``np.linalg.norm`` sums (``channel.norms``): both
     keep every byte of the one-term-at-a-time loop.
     """
     covers = [np.asarray(c, dtype=int) for c in covers]
@@ -260,15 +261,8 @@ def design_bs_codewords(covers, steering: np.ndarray) -> np.ndarray:
         psi = np.arange(1, size + 1) * np.pi * (-1.0 + 1.0 / n_bs)
         terms = np.exp(1j * psi)[None, :, None] * steering.T[[covers[r] for r in rows]]
         sums = np.add.accumulate(terms, axis=1)[:, -1]
-        codewords[rows] = sums / _norms(sums)[:, None]
+        codewords[rows] = sums / norms(sums)[:, None]
     return codewords
-
-
-def _norms(rows: np.ndarray) -> np.ndarray:
-    """Each row's 2-norm, summed as ``np.linalg.norm`` sums: real parts, then imaginary."""
-    sq = (rows.real[..., None, :] @ rows.real[..., None]
-          + rows.imag[..., None, :] @ rows.imag[..., None])
-    return np.sqrt(sq[..., 0, 0])
 
 
 def grid_margins(responses: np.ndarray, covers: np.ndarray) -> tuple[list, list]:

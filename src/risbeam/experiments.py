@@ -1,22 +1,22 @@
 """Monte-Carlo sweeps over SNR or pilot budget, metrics, and result files.
 
-A sweep point runs in blocks of ``trial_block(geometry)`` trials. Per-trial channels
-are seeded independently of the protocol, so one ``sample_block`` call draws
-each (sweep point, trial) channel of a block once, and every protocol runs on
-that ``ChannelBlock``; the measurement noise stream is seeded per (protocol, sweep point,
-trial), so the block size changes no result. Every channel and noise stream
-of the sweep is seeded at once before the first trial (``stream_words``), and
-each block loads its trials' streams into a reused pool of generators per
-stream tag (``load_streams``). Before the first trial, each
-protocol gets one block runner, called once per block: ``run_exhaustive``,
-``run_layered`` for coded and full-coverage hierarchical training
-(hierarchical training uses identity codes, whose codebooks are the first k
-layers of the coded ones), or ``run_adaptive`` with the same identity codes
-and the ``prefix_beams`` matrices. One ``tuple_rates`` call rates every
-protocol's estimates of a block from the narrow-beam columns, and one
-comparison with the true indices scores them. Codebooks and prefix beams are
-designed once per configuration, before the first trial, and reused across
-trials.
+A sweep is one point-major sequence of (sweep point, trial) rows, run in
+blocks of at most ``trial_block(geometry)`` rows that share their pilot
+budgets: an SNR sweep's blocks span its points, a pilots sweep's hold one
+point each. Per-trial channels are seeded independently of the protocol, so
+one ``sample_block`` call draws each channel of a block once, and every
+protocol runs on that ``ChannelBlock`` at each row's SNR; the measurement
+noise stream is seeded per (protocol, sweep point, trial), so the block size
+changes no result. Every channel and noise stream of the sweep is seeded at
+once before the first trial (``stream_words``), and ``word_streams`` builds
+each block's generators from their words. Before the first trial, the
+codebooks and prefix beams are designed and each protocol gets one block
+runner, called once per block: ``run_exhaustive``, ``run_layered`` for coded
+and full-coverage hierarchical training (the latter with identity codes, whose
+codebooks are the first k layers of the coded ones), or ``run_adaptive`` with
+the same identity codes and the ``prefix_beams`` matrices. One ``tuple_rates``
+call rates every protocol's estimates of a block, and one comparison with the
+true indices scores them.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .blockcode import build_identity_code
 from .channel import SAMPLING_MODES, SnrSpec, sample_block
 from .codebook import (GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook,
                        prefix_beams)
-from .seeding import derive_seed, load_streams, stream_words
+from .seeding import derive_seed, stream_words, word_streams
 from .training import (
     ProtocolSpec,
     check_budget,
@@ -249,41 +249,44 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
 
     sweep_values = cfg.snr_grid_db if cfg.sweep_over == "snr" else cfg.pilot_grid
     sweep_name = "snr_db" if cfg.sweep_over == "snr" else "pilots"
-    protocols = cfg.protocols
-    snr_db = sweep_values if cfg.sweep_over == "snr" else cfg.snr_grid_db * len(sweep_values)
-    snrs = [SnrSpec(_linear_snr(db), noiseless=cfg.noiseless) for db in snr_db]
+    protocols, trials, cells = cfg.protocols, cfg.trials, len(sweep_values) * cfg.trials
+    linear = np.resize([_linear_snr(db) for db in cfg.snr_grid_db], len(sweep_values))
+    budgets = [tuple(proto.pilot_budget if cfg.sweep_over == "snr" else int(value)
+                     for proto in protocols) for value in sweep_values]
 
-    # every channel and noise stream of the sweep, by (sweep point, tag, trial)
+    # every channel and noise stream of the sweep, by (tag, sweep point, trial)
     tags = ["channel"] + [proto.tag for proto in protocols]
     words = stream_words(np.fromiter(
         (derive_seed(cfg.master_seed, tag, sweep_name, float(value), trial)
-         for value in sweep_values for tag in tags for trial in range(cfg.trials)),
-        np.uint64)).reshape(len(sweep_values), len(tags), cfg.trials, 4)
-    pools = [[] for _ in tags]  # reused generators, one pool per stream tag
+         for tag in tags for value in sweep_values for trial in range(trials)),
+        np.uint64)).reshape(len(tags), cells, 4)
+
+    hits, rates = np.zeros((len(protocols), cells), dtype=bool), np.empty((len(protocols), cells))
+    pilots = {}  # each protocol's pilots by budgets: every block of a point sends as many
+    span = trials if cfg.sweep_over == "pilots" else cells  # a block shares its budgets
+    for start in (s for first in range(0, cells, span) for s in range(first, first + span, size)):
+        stop = min(start + size, (start // span + 1) * span)
+        streams = [word_streams(tag_words[start:stop]) for tag_words in words]
+        block = sample_block(geometry, grid, streams[0], cfg.sampling_mode)
+        snr = SnrSpec(linear[np.arange(start, stop) // trials], noiseless=cfg.noiseless)
+        runs = [runner(block, snr=snr, budget=budget, rngs=rngs)
+                for runner, budget, rngs in zip(runners, budgets[start // trials], streams[1:])]
+        est = np.array([(r.est_bs_index, r.est_ris_index) for r in runs])  # (P, 2, rows)
+        hits[:, start:stop] = np.all(est == np.stack((block.bs_index, block.ris_index)), axis=1)
+        rates[:, start:stop] = tuple_rates(block, narrow, est[:, 0], est[:, 1], eval_snr)
+        pilots[budgets[start // trials]] = [r.pilots_used for r in runs]
 
     rows = []
     log: list[TrialRecord] = []
-    for point, (value, snr) in enumerate(zip(sweep_values, snrs)):
-        budgets = [proto.pilot_budget if cfg.sweep_over == "snr" else int(value)
-                   for proto in protocols]
-        hits = np.zeros((len(protocols), cfg.trials), dtype=bool)
-        rates = np.empty((len(protocols), cfg.trials))
-        for start in range(0, cfg.trials, size):
-            trials = slice(start, min(start + size, cfg.trials))
-            streams = [load_streams(pool, words[point, s, trials]) for s, pool in enumerate(pools)]
-            block = sample_block(geometry, grid, streams[0], cfg.sampling_mode)
-            runs = [runner(block, snr=snr, budget=budget, rngs=rngs)
-                    for runner, budget, rngs in zip(runners, budgets, streams[1:])]
-            est = np.array([(r.est_bs_index, r.est_ris_index) for r in runs])  # (P, 2, trials)
-            hits[:, trials] = np.all(est == np.stack((block.bs_index, block.ris_index)), axis=1)
-            rates[:, trials] = tuple_rates(block, narrow, est[:, 0], est[:, 1], eval_snr)
-        for p, (proto, run) in enumerate(zip(protocols, runs)):  # each block sends as many pilots
-            rows.append(_result_row(proto.tag, sweep_name, float(value), hits[p],
-                                    rates[p], run.pilots_used))
+    hits, rates = (a.reshape(len(protocols), len(sweep_values), trials) for a in (hits, rates))
+    for point, value in enumerate(sweep_values):
+        for p, proto in enumerate(protocols):
+            rows.append(_result_row(proto.tag, sweep_name, float(value), hits[p, point],
+                                    rates[p, point], pilots[budgets[point]][p]))
             if log_trials:
-                log.extend(TrialRecord(proto.tag, float(value), trial, bool(hits[p, trial]),
-                                       float(rates[p, trial]))
-                           for trial in range(cfg.trials))
+                log.extend(TrialRecord(proto.tag, float(value), trial,
+                                       bool(hits[p, point, trial]), float(rates[p, point, trial]))
+                           for trial in range(trials))
     return ResultSet(rows=tuple(rows), trial_log=tuple(log))
 
 

@@ -5,9 +5,10 @@ or codebook layers never perturbs the streams of existing cells.
 
 ``derive_rng`` builds one stream as ``PCG64(seed)``, which seeds itself from
 ``SeedSequence(seed).generate_state(4, np.uint64)``: a fixed run of 32-bit
-hash steps, so ``stream_words`` runs them over a sweep's whole seed vector.
-``load_streams`` sets reused generators to the 128-bit states PCG64 forms
-from those words, and each then draws exactly what ``derive_rng`` gives.
+hash steps, so ``stream_words`` runs them over a whole seed vector, a
+fixed-size chunk at a time. ``word_streams`` hands each row of words to PCG64
+through a seed sequence that returns it, so each generator draws exactly what
+``derive_rng`` gives.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import hashlib
 from itertools import permutations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
-# numpy's SeedSequence constants (a pool of 4 words) and PCG64's multiplier
+# numpy's SeedSequence constants (a pool of 4 words)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def derive_seed(master_seed: int, *tags) -> int:
@@ -49,39 +50,44 @@ def _hash_words(values: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, 
     return values, const
 
 
-def stream_words(seeds: np.ndarray) -> np.ndarray:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` for every uint64 seed at once.
+def stream_words(seeds: np.ndarray, chunk: int = 16384) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` for every uint64 seed.
 
     Row s of the (seeds, 4) uint64 result holds the PCG64 seed words of
     ``seeds[s]``. A seed is one or two 32-bit entropy words; one word hashes
-    as two with a zero high word.
+    as two with a zero high word. The hash steps run over ``chunk`` seeds at
+    a time, so their transient (about 80 B a seed, 1.3 MB at the default)
+    stays a chunk's size.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    const, pool = _INIT_A, []
-    for word in (seeds & _MASK32, seeds >> 32, np.zeros_like(seeds), np.zeros_like(seeds)):
-        hashed, const = _hash_words(word, const, _MULT_A)
-        pool.append(hashed)
-    for src, dst in permutations(range(4), 2):  # every ordered pair, source-major
-        hashed, const = _hash_words(pool[src], const, _MULT_A)
-        mixed = (_MIX_L * pool[dst] - _MIX_R * hashed) & _MASK32
-        pool[dst] = mixed ^ mixed >> 16
-    const, words = _INIT_B, np.zeros((seeds.size, 4), np.uint64)
-    for i in range(8):  # little-endian pairs of 32-bit outputs form each 64-bit word
-        hashed, const = _hash_words(pool[i % 4], const, _MULT_B)
-        words[:, i // 2] |= hashed << 32 * (i % 2)
+    words = np.zeros((seeds.size, 4), np.uint64)
+    for start in range(0, seeds.size, chunk):
+        part, const, pool = seeds[start:start + chunk], _INIT_A, []
+        for word in (part & _MASK32, part >> 32, np.zeros_like(part), np.zeros_like(part)):
+            hashed, const = _hash_words(word, const, _MULT_A)
+            pool.append(hashed)
+        for src, dst in permutations(range(4), 2):  # every ordered pair, source-major
+            hashed, const = _hash_words(pool[src], const, _MULT_A)
+            mixed = (_MIX_L * pool[dst] - _MIX_R * hashed) & _MASK32
+            pool[dst] = mixed ^ mixed >> 16
+        const = _INIT_B
+        for i in range(8):  # little-endian pairs of 32-bit outputs form each 64-bit word
+            hashed, const = _hash_words(pool[i % 4], const, _MULT_B)
+            words[start:start + chunk, i // 2] |= hashed << 32 * (i % 2)
     return words
 
 
-def load_streams(pool: list, words: np.ndarray) -> list:
-    """The first ``len(words)`` generators of ``pool``, set to the streams of the word rows.
+class _Words(ISeedSequence):
+    """A seed sequence whose state is one precomputed ``stream_words`` row."""
 
-    The pool grows as needed. PCG64 seeds from the words (initstate, initseq)
-    as inc = initseq << 1 | 1 and state = ((inc + initstate) * MULT + inc) mod 2**128.
-    """
-    pool.extend(np.random.default_rng(0) for _ in range(len(words) - len(pool)))
-    for rng, (w0, w1, w2, w3) in zip(pool, words.tolist()):
-        inc = ((w2 << 64 | w3) << 1 | 1) % 2**128
-        state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) % 2**128
-        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": state, "inc": inc}}
-    return pool[:len(words)]
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint64) -> np.ndarray:
+        return self.words  # PCG64 asks for its 4 uint64 words only
+
+
+def word_streams(words: np.ndarray) -> list:
+    """One generator per row of (rows, 4) ``stream_words``, each seeded with its row."""
+    words = np.ascontiguousarray(words, np.uint64)  # PCG64 reads each row's buffer
+    return [np.random.Generator(np.random.PCG64(_Words(row))) for row in words]

@@ -2,8 +2,9 @@
 
 Every protocol is a block runner, ``runner(block, ..., snr, budget, rngs) ->
 TrainingRuns``: trial t runs on row t of a ``channel.ChannelBlock`` with
-noise from ``rngs[t]``. Each sends beam tuples, measures one noisy power per
-tuple in transmit order, and maps argmax decisions to angle-index estimates.
+noise from ``rngs[t]``, at the one SNR of ``snr`` or at its row t. Each
+sends beam tuples, measures one noisy power per tuple in transmit order, and
+maps argmax decisions to angle-index estimates.
 A tuple's gain is the product of a BS and a RIS response (``beam_responses``).
 A layered protocol sends one (BS, RIS) beam pair per layer as 4 tuples and
 reads one decision per side: ``run_layered`` runs coded training (with
@@ -325,10 +326,12 @@ def run_exhaustive(
     total = block.n_bs * block.n_ris
     budget = check_budget("exhaustive", budget)
     count = total if budget is None else min(budget, total)
+    rows = np.broadcast_to(snr.snr_linear, len(rngs)).tolist()
+    specs = {value: SnrSpec(value, snr.noiseless) for value in set(rows)}  # one per SNR
     winners = np.array([
-        np.argmax(received_power(np.outer(bs, ris).ravel()[:count], snr,
+        np.argmax(received_power(np.outer(bs, ris).ravel()[:count], specs[row],
                                  pilot_noise(snr, rng, (count,))))
-        for bs, ris, rng in zip(*beam_responses(block, *narrow_beams), rngs)],
+        for bs, ris, row, rng in zip(*beam_responses(block, *narrow_beams), rows, rngs)],
         dtype=np.intp)  # BS-major tuple order
     no_bits = np.empty((len(rngs), 0), dtype=np.uint8)
     return TrainingRuns(
@@ -373,15 +376,16 @@ def tuple_rates(
 
     The beams are columns of ``narrow_beam_matrices``; one constant-modulus
     check covers the chosen RIS columns. The gains are stacked matrix-vector
-    products through each trial's RIS-BS matrix, which round like the
-    one-tuple ``h_r diag(v) g_mat w`` of ``achievable_rate`` in
-    ``tests/reference.py``. |g|^2 and log2 stay scalar per entry: their
-    vectorized forms round differently.
+    products through each trial's RIS-BS matrix, one row of trials at a time
+    to bound memory, which round like the one-tuple ``h_r diag(v) g_mat w`` of
+    ``achievable_rate`` in ``tests/reference.py``. |g|^2 and log2 stay scalar
+    per entry: their vectorized forms round differently.
     """
     bs_cov, ris_cov = narrow_beams
-    chosen = ris_cov.T[est_ris - 1]
-    _check_constant_modulus(chosen, block.n_ris)
-    through_ris = (block.h_r * (np.conj(chosen) * block.comp))[..., None, :] @ block.g_mats
-    gains = (through_ris @ np.conj(bs_cov.T[est_bs - 1])[..., :, None])[..., 0, 0]
+    _check_constant_modulus(ris_cov[:, np.flatnonzero(np.bincount(np.ravel(est_ris) - 1))],
+                            block.n_ris)  # each chosen column once
+    pairs = zip(*(np.reshape(est, (-1, len(block.h_r))) - 1 for est in (est_bs, est_ris)))
+    gains = [((block.h_r * (np.conj(ris_cov.T[ris]) * block.comp))[:, None, :]
+              @ block.g_mats @ np.conj(bs_cov.T[bs])[:, :, None])[:, 0, 0] for bs, ris in pairs]
     return np.array([np.log2(1.0 + snr_eval.snr_linear * abs(complex(g)) ** 2)
-                     for g in gains.ravel()]).reshape(gains.shape)
+                     for g in np.ravel(gains)]).reshape(np.shape(est_bs))

@@ -217,9 +217,11 @@ def test_sample_channel_validates(small_setup):
             sample_block(other, grid, [np.random.default_rng(0)])
     with pytest.raises(ValueError, match="unknown sampling mode 'sideways'"):
         sample_block(geo, grid, [np.random.default_rng(0)], mode="sideways")
-    for snr_linear in (0.0, -1.0, float("nan"), float("inf")):
+    for snr_linear in (0.0, -1.0, float("nan"), float("inf"), np.array([2.0, 0.0]),
+                       np.array([np.nan, 1.0]), np.ones((2, 2))):
         with pytest.raises(ValueError, match="positive and finite"):
             SnrSpec(snr_linear)
+    SnrSpec(np.array([0.5, 2.0]))  # one SNR per row
 
 
 def test_sample_block_rejects_a_grid_of_another_shape():

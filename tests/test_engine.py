@@ -13,7 +13,7 @@ the trial block size.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -227,7 +227,8 @@ def test_sweep_draws_each_channel_once(monkeypatch):
 
 def test_sweep_derotates_each_channel_once(monkeypatch):
     # every runner and the rate evaluation read the one de-rotated block that
-    # sample_block draws per trial block
+    # sample_block draws per trial block; 2 points x 3 trials in blocks of 2
+    # fill every block, the middle one across the points
     rows = []
 
     def counted(geometry, grid, rngs, mode="on_grid"):
@@ -241,12 +242,13 @@ def test_sweep_derotates_each_channel_once(monkeypatch):
         protocols=ExperimentConfig().protocols + (
             ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),))
     run_sweep(cfg)
-    assert rows == [2, 1] * len(cfg.snr_grid_db)
+    assert rows == [2, 2, 2]
     assert not hasattr(training, "sample_block")
 
 
 def test_sweep_rates_each_trial_block_in_one_call(monkeypatch):
-    # one tuple_rates call per trial block rates every protocol's estimates
+    # one tuple_rates call per trial block rates every protocol's estimates,
+    # over blocks that span the sweep points
     calls = []
 
     def counted(block, narrow_beams, est_bs, est_ris, snr_eval):
@@ -261,8 +263,7 @@ def test_sweep_rates_each_trial_block_in_one_call(monkeypatch):
             ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),))
     results = run_sweep(cfg, log_trials=True)
     protocols = len(cfg.protocols)
-    assert calls == [(2, (protocols, 2), (protocols, 2)),
-                     (1, (protocols, 1), (protocols, 1))] * len(cfg.snr_grid_db)
+    assert calls == [(2, (protocols, 2), (protocols, 2))] * 3
     assert len(results.trial_log) == len(cfg.snr_grid_db) * protocols * cfg.trials
 
 
@@ -470,8 +471,8 @@ def test_trial_block_size_changes_no_byte(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", ["on_grid", "continuous"])
 def test_partial_last_block_on_pooled_streams(monkeypatch, tmp_path, mode):
-    # 17 trials in blocks of 5 end on a 2-trial block, which reloads only the
-    # first two generators of each reused pool
+    # 2 points of 17 trials, 34 point-major rows in blocks of 5: a block spans
+    # the points and the last holds 4 rows
     cfg = desk_snr_sweep(trials=17, master_seed=5, snr_grid_db=(0.0, 10.0), gs=FAST_GS,
                          sampling_mode=mode, protocols=ExperimentConfig().protocols
                          + (ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),))
@@ -483,6 +484,77 @@ def test_partial_last_block_on_pooled_streams(monkeypatch, tmp_path, mode):
         export_trial_log(results, tmp_path / "trials.csv")
         files.append([(tmp_path / name).read_bytes() for name in ("rows.csv", "trials.csv")])
     assert files[0] == files[1]
+
+
+def _blocked_sweep(cfg, size):
+    """cfg's results run in blocks of ``size`` rows, and the rows each sample_block drew."""
+    drawn = []
+
+    def counted(geometry, grid, rngs, mode="on_grid"):
+        drawn.append(len(rngs))
+        return sample_block(geometry, grid, rngs, mode)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "sample_block", counted)
+        patch.setattr(experiments, "trial_block", lambda geometry: size)
+        return run_sweep(cfg, log_trials=True), drawn
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 4), MODES, st.booleans(), st.data())
+def test_snr_sweep_blocks_fill_across_sweep_points(points, trials, mode, ideal, data):
+    # with fewer trials per point than a block holds, one sample_block call
+    # draws each block of point-major rows, across the points, and the rows
+    # and trial log are those of blocks of one row; a pilots sweep's blocks
+    # never span a budget change
+    cells = points * trials
+    partial_sizes = [size for size in range(trials + 1, cells) if cells % size]
+    assume(partial_sizes)
+    size = data.draw(st.sampled_from(partial_sizes), label="block size")
+    cfg = ExperimentConfig(
+        n_bs=8, n_ris_rows=8, n_ris_cols=8, snr_grid_db=(-10.0, 0.0, 10.0, 20.0)[:points],
+        trials=trials, gs=GsConfig(seed=1, k_iter=2), sampling_mode=mode, ideal_beams=ideal,
+        master_seed=3, protocols=ExperimentConfig().protocols + (
+            ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),))
+    by_row, drawn = _blocked_sweep(cfg, 1)
+    assert drawn == [1] * cells
+    results, drawn = _blocked_sweep(cfg, size)
+    assert drawn == [min(size, cells - start) for start in range(0, cells, size)]
+    assert drawn[0] > trials and drawn[-1] < size  # points share a block; a partial last
+    assert results == by_row
+
+    pilots = replace(cfg, sweep_over="pilots", snr_grid_db=(10.0,),
+                     pilot_grid=(4, 12, 24, 1000)[:points])
+    by_row, _ = _blocked_sweep(pilots, 1)
+    results, drawn = _blocked_sweep(pilots, size)
+    assert drawn == [trials] * points  # one block per budget
+    assert results == by_row
+
+
+@settings(max_examples=10, deadline=None)
+@given(MODES, st.lists(st.floats(0.01, 100.0), min_size=1, max_size=5), SEEDS)
+def test_runners_take_a_per_row_snr(desk_books, desk_codes, mode, snrs, seed):
+    # each runner's rows under a per-row SNR are one-row calls at that row's SNR
+    geo, grid, beams, identity, _ = adaptive_setup(16, 8, 8, False)
+    runners = (partial(run_exhaustive, narrow_beams=narrow_beam_matrices(grid, geo)),
+               partial(run_layered, books=desk_books, codes=desk_codes,
+                       decode_mode="decoupled_two_bit"),
+               partial(run_adaptive, beams=beams, codes=identity))
+    block = draw_block(geo, grid, mode, seed, len(snrs))
+    for runner in runners:
+        runs = runner(block, snr=SnrSpec(np.array(snrs)), budget=None,
+                      rngs=[np.random.default_rng(seed + 1 + t) for t in range(len(snrs))])
+        for t, snr_linear in enumerate(snrs):
+            one = runner(draw_block(geo, grid, mode, seed + t), snr=SnrSpec(snr_linear),
+                         budget=None, rngs=[np.random.default_rng(seed + 1 + t)])
+            for got, expected in ((runs.est_bs_index, one.est_bs_index),
+                                  (runs.est_ris_index, one.est_ris_index),
+                                  (runs.raw_bits_bs, one.raw_bits_bs),
+                                  (runs.raw_bits_ris, one.raw_bits_ris),
+                                  *[(a, b) for side, other in zip(runs.decoded, one.decoded)
+                                    for a, b in zip(side, other)]):
+                assert got[t].tobytes() == expected[0].tobytes()
+            assert (runs.pilots_used, runs.truncated) == (one.pilots_used, one.truncated)
 
 
 @st.composite

@@ -347,8 +347,8 @@ def test_adaptive_hierarchical_needs_power_of_two_arrays():
 
 def test_adaptive_sweep_designs_its_prefix_beams_once(monkeypatch):
     # the prefix beams are designed once, before the first trial, and no
-    # design function runs inside run_adaptive: two sweep points of two
-    # blocks each (a full block and a block of 5 trials)
+    # design function runs inside run_adaptive: two sweep points of a block
+    # and 5 trials each fill two blocks and end on a block of 10 rows
     events = []
 
     def recording(module, name):
@@ -372,7 +372,7 @@ def test_adaptive_sweep_designs_its_prefix_beams_once(monkeypatch):
     assert [row.trials for row in results.rows] == [trials, trials]
     assert events == (["prefix_beams", "design_bs_codewords", "/design_bs_codewords",
                        "relaxed_gs_batch", "/relaxed_gs_batch", "/prefix_beams"]
-                      + ["run_adaptive", "/run_adaptive"] * 4)
+                      + ["run_adaptive", "/run_adaptive"] * 3)
 
 
 def test_rate_ceiling_row_never_exceeds_exhaustive():

@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from risbeam.seeding import derive_rng, derive_seed, load_streams, stream_words
+from risbeam.seeding import derive_rng, derive_seed, stream_words, word_streams
 
 TAG = st.one_of(st.integers(-2**70, 2**70), st.text(max_size=6),
                 st.floats(allow_nan=False), st.tuples(st.integers(0, 1), st.integers(0, 1)))
@@ -35,17 +35,14 @@ def _assert_same_draws(rng, expected):
 @given(seeds=st.lists(st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
                       min_size=1, max_size=12))
 @example(seeds=EDGE_SEEDS)
-def test_loaded_streams_are_pcg64_of_the_seed(seeds):
+def test_word_streams_are_pcg64_of_the_seed(seeds):
     # the sweep's vectorized SeedSequence must be numpy's: a numpy change to its
     # seeding fails here, not as moved golden bytes
     words = stream_words(np.array(seeds, dtype=np.uint64))
     assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
-    pool = [np.random.default_rng(1) for _ in range(len(seeds) + 2)]
-    for rng in pool:
-        rng.integers(0, 7)  # a used generator, holding half of a 64-bit draw
-    loaded = load_streams(pool, words)
-    assert len(loaded) == len(seeds) and all(a is b for a, b in zip(loaded, pool))
-    for rng, seed in zip(loaded, seeds):
+    streams = word_streams(words)
+    assert len(streams) == len(seeds)
+    for rng, seed in zip(streams, seeds):
         assert rng.bit_generator.state == np.random.PCG64(seed).state
         _assert_same_draws(rng, np.random.Generator(np.random.PCG64(seed)))
 
@@ -53,10 +50,19 @@ def test_loaded_streams_are_pcg64_of_the_seed(seeds):
 @settings(max_examples=30, deadline=None)
 @given(master_seed=st.integers(0, 2**63),
        rows=st.lists(st.lists(TAG, max_size=4).map(tuple), min_size=1, max_size=6))
-def test_loaded_streams_draw_as_derive_rng(master_seed, rows):
+def test_word_streams_draw_as_derive_rng(master_seed, rows):
     words = stream_words(np.array([derive_seed(master_seed, *tags) for tags in rows],
                                   dtype=np.uint64))
-    pool = []  # the pool grows to the rows loaded
-    for rng, tags in zip(load_streams(pool, words), rows):
+    # Fortran order, whose rows are strided, seeds the same streams
+    for rng, tags in zip(word_streams(np.asfortranarray(words)), rows):
         _assert_same_draws(rng, derive_rng(master_seed, *tags))
-    assert len(pool) == len(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), max_size=40), chunk=st.integers(1, 12))
+@example(seeds=list(range(10)), chunk=4)  # two whole chunks and a partial one
+def test_chunked_words_equal_one_call(seeds, chunk):
+    seeds = np.array(seeds, dtype=np.uint64)
+    words = stream_words(seeds, chunk)
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+    assert words.tobytes() == stream_words(seeds, max(len(seeds), 1)).tobytes()
