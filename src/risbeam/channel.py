@@ -24,13 +24,15 @@ SAMPLING_MODES = ("on_grid", "continuous")
 class SnrSpec:
     """Training SNR as the linear ratio Pt * alpha^2 / sigma^2: one, or one per block row."""
 
-    snr_linear: float | np.ndarray
+    snr_linear: float | tuple[float, ...]
     noiseless: bool = False
 
     def __post_init__(self) -> None:
         snr = np.asarray(self.snr_linear)
         if snr.ndim > 1 or not ((0 < snr) & (snr < np.inf)).all():
             raise ValueError(f"snr_linear must be positive and finite, 1-D at most, got {snr}")
+        # held as a float or a tuple of floats, so specs compare and hash by value
+        object.__setattr__(self, "snr_linear", tuple(snr.tolist()) if snr.ndim else snr.item())
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ import itertools
 import json
 import sys
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +195,14 @@ def _run_and_export(args, sweep_over: str) -> int:
     return 0
 
 
+def cmd_sweep_snr(args) -> int:
+    return _run_and_export(args, "snr")
+
+
+def cmd_sweep_pilots(args) -> int:
+    return _run_and_export(args, "pilots")
+
+
 def _add_sweep_flags(sub) -> None:
     sub.add_argument("--config", help="JSON experiment config file")
     sub.add_argument("--scale", choices=("desk", "full"), help="preset (default desk)")
@@ -240,11 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ssnr = subs.add_parser("sweep-snr", help="success rate and rate vs SNR")
     _add_sweep_flags(ssnr)
-    ssnr.set_defaults(func=partial(_run_and_export, sweep_over="snr"))
+    ssnr.set_defaults(func=cmd_sweep_snr)
 
     spil = subs.add_parser("sweep-pilots", help="success rate and rate vs budget")
     _add_sweep_flags(spil)
-    spil.set_defaults(func=partial(_run_and_export, sweep_over="pilots"))
+    spil.set_defaults(func=cmd_sweep_pilots)
 
     return parser
 

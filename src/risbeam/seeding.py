@@ -22,6 +22,7 @@ from numpy.random.bit_generator import ISeedSequence
 # numpy's SeedSequence constants (a pool of 4 words)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+_WORD_CHUNK = 16384  # seeds per pass of stream_words' hash steps
 
 
 def derive_seed(master_seed: int, *tags) -> int:
@@ -50,19 +51,19 @@ def _hash_words(values: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, 
     return values, const
 
 
-def stream_words(seeds: np.ndarray, chunk: int = 16384) -> np.ndarray:
+def stream_words(seeds: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed).generate_state(4, np.uint64)`` for every uint64 seed.
 
     Row s of the (seeds, 4) uint64 result holds the PCG64 seed words of
     ``seeds[s]``. A seed is one or two 32-bit entropy words; one word hashes
-    as two with a zero high word. The hash steps run over ``chunk`` seeds at
-    a time, so their transient (about 80 B a seed, 1.3 MB at the default)
+    as two with a zero high word. The hash steps run over ``_WORD_CHUNK``
+    seeds at a time, so their transient (about 80 B a seed, 1.3 MB a chunk)
     stays a chunk's size.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     words = np.zeros((seeds.size, 4), np.uint64)
-    for start in range(0, seeds.size, chunk):
-        part, const, pool = seeds[start:start + chunk], _INIT_A, []
+    for start in range(0, seeds.size, _WORD_CHUNK):
+        part, const, pool = seeds[start:start + _WORD_CHUNK], _INIT_A, []
         for word in (part & _MASK32, part >> 32, np.zeros_like(part), np.zeros_like(part)):
             hashed, const = _hash_words(word, const, _MULT_A)
             pool.append(hashed)
@@ -73,7 +74,7 @@ def stream_words(seeds: np.ndarray, chunk: int = 16384) -> np.ndarray:
         const = _INIT_B
         for i in range(8):  # little-endian pairs of 32-bit outputs form each 64-bit word
             hashed, const = _hash_words(pool[i % 4], const, _MULT_B)
-            words[start:start + chunk, i // 2] |= hashed << 32 * (i % 2)
+            words[start:start + _WORD_CHUNK, i // 2] |= hashed << 32 * (i % 2)
     return words
 
 

@@ -221,7 +221,11 @@ def test_sample_channel_validates(small_setup):
                        np.array([np.nan, 1.0]), np.ones((2, 2))):
         with pytest.raises(ValueError, match="positive and finite"):
             SnrSpec(snr_linear)
-    SnrSpec(np.array([0.5, 2.0]))  # one SNR per row
+    per_row = SnrSpec(np.array([0.5, 2.0]))  # one SNR per row, compared and hashed by value
+    assert per_row == SnrSpec([0.5, 2.0]) != SnrSpec([0.5, 3.0])
+    assert hash(per_row) == hash(SnrSpec((0.5, 2.0))) and per_row != SnrSpec([0.5, 2.0], True)
+    for scalar in (np.float64(2.0), np.array(2.0)):
+        assert SnrSpec(scalar) == SnrSpec(2.0) and hash(SnrSpec(scalar)) == hash(SnrSpec(2.0))
 
 
 def test_sample_block_rejects_a_grid_of_another_shape():

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from risbeam import seeding
 from risbeam.seeding import derive_rng, derive_seed, stream_words, word_streams
 
 TAG = st.one_of(st.integers(-2**70, 2**70), st.text(max_size=6),
@@ -63,6 +65,10 @@ def test_word_streams_draw_as_derive_rng(master_seed, rows):
 @example(seeds=list(range(10)), chunk=4)  # two whole chunks and a partial one
 def test_chunked_words_equal_one_call(seeds, chunk):
     seeds = np.array(seeds, dtype=np.uint64)
-    words = stream_words(seeds, chunk)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(seeding, "_WORD_CHUNK", chunk)
+        words = stream_words(seeds)
+        patch.setattr(seeding, "_WORD_CHUNK", max(len(seeds), 1))
+        whole = stream_words(seeds)
     assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
-    assert words.tobytes() == stream_words(seeds, max(len(seeds), 1)).tobytes()
+    assert words.tobytes() == whole.tobytes()
