@@ -4,7 +4,8 @@ Beam-pattern design and coverage bookkeeping work in the spatial-frequency
 domain (u, w) with u = sin(phi) * sin(theta) and w = cos(theta), because the
 steering vector depends only on (u, w) while the physical azimuth recovered
 from a grid point can be undefined (arcsin argument beyond 1). Undefined
-azimuths are recorded as NaN.
+azimuths are recorded as NaN. Both arrays are half-wavelength arrays and the
+candidate grid is their DFT grid: its steering matrices are unitary.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-DEFAULT_SPACING = 0.5  # d / lambda
+SPACING = 0.5  # d / lambda of every array
 
 
 def whole_number(value, what: str) -> int:
@@ -48,7 +49,7 @@ def ceil_log2(n: int) -> int:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Antenna counts and normalized spacing for the BS ULA and the RIS UPA.
+    """Antenna counts for the BS ULA and the RIS UPA, both spaced at half a wavelength.
 
     n_ris_rows is the azimuth-frequency (u) dimension, n_ris_cols the
     elevation-frequency (w) dimension.
@@ -57,13 +58,10 @@ class ArrayGeometry:
     n_bs: int
     n_ris_rows: int
     n_ris_cols: int
-    spacing_over_wavelength: float = DEFAULT_SPACING
 
     def __post_init__(self) -> None:
         if self.n_bs < 1 or self.n_ris_rows < 1 or self.n_ris_cols < 1:
             raise ValueError("antenna counts must be positive")
-        if real_number(self.spacing_over_wavelength, "spacing_over_wavelength") <= 0:
-            raise ValueError("spacing_over_wavelength must be positive")
 
     @property
     def n_ris(self) -> int:
@@ -78,8 +76,8 @@ class AngleGrid:
     indexed by the 1-based grid index n with n - 1 = (a - 1) * n_ris_cols + p,
     where a is the azimuth index and p the elevation position. ris_azimuth is
     NaN where the grid point has no physical azimuth. The grid records the RIS
-    shape and spacing it was built for, and holds read-only unit-norm steering
-    matrices: column i steers at grid point i.
+    shape it was built for, and holds read-only unit-norm steering matrices:
+    column i steers at grid point i.
     """
 
     bs_angles: np.ndarray
@@ -89,7 +87,6 @@ class AngleGrid:
     ris_elevation: np.ndarray
     n_ris_rows: int
     n_ris_cols: int
-    spacing: float
     bs_steering: np.ndarray  # n_bs x n_bs
     ris_steering: np.ndarray  # n_ris x n_ris
 
@@ -103,7 +100,7 @@ class AngleGrid:
 
     def check(self, geometry: ArrayGeometry) -> None:
         """Reject a geometry other than the one the grid was built for."""
-        if (self.n_bs, self.n_ris_rows, self.n_ris_cols, self.spacing) != astuple(geometry):
+        if (self.n_bs, self.n_ris_rows, self.n_ris_cols) != astuple(geometry):
             raise ValueError("geometry and grid dimensions are inconsistent")
 
 
@@ -112,28 +109,28 @@ def _centered_indices(n: int) -> np.ndarray:
     return np.arange(n) - (n - 1) / 2.0
 
 
-def ula_factor(n: int, freq, spacing: float = DEFAULT_SPACING) -> np.ndarray:
+def ula_factor(n: int, freq) -> np.ndarray:
     """Unit-modulus ULA phase factor at spatial frequency ``freq``, centered indices.
 
     The steering functions take arrays too: row t then belongs to entry t,
     byte-equal to a call on that entry alone.
     """
-    return np.exp(-2j * np.pi * spacing * np.asarray(freq)[..., None] * _centered_indices(n))
+    return np.exp(-2j * np.pi * SPACING * np.asarray(freq)[..., None] * _centered_indices(n))
 
 
-def ula_steering(n: int, phi, spacing: float = DEFAULT_SPACING) -> np.ndarray:
-    """Unit-norm ULA steering vector; entry m carries phase -2*pi*spacing*m*sin(phi)."""
+def ula_steering(n: int, phi) -> np.ndarray:
+    """Unit-norm ULA steering vector; entry m carries phase -pi*m*sin(phi)."""
     m = np.arange(n)
-    return np.exp(-2j * np.pi * spacing * m * np.sin(np.asarray(phi)[..., None])) / np.sqrt(n)
+    return np.exp(-2j * np.pi * SPACING * m * np.sin(np.asarray(phi)[..., None])) / np.sqrt(n)
 
 
-def upa_steering_uw(n1: int, n2: int, u, w, spacing: float = DEFAULT_SPACING) -> np.ndarray:
+def upa_steering_uw(n1: int, n2: int, u, w) -> np.ndarray:
     """Unit-norm UPA steering vector from spatial frequencies (u, w).
 
     Kronecker product of the u-dimension factor (length n1) and the
     w-dimension factor (length n2), both on centered indices.
     """
-    vec = ula_factor(n1, u, spacing)[..., :, None] * ula_factor(n2, w, spacing)[..., None, :]
+    vec = ula_factor(n1, u)[..., :, None] * ula_factor(n2, w)[..., None, :]
     return vec.reshape(*vec.shape[:-2], n1 * n2) / np.sqrt(n1 * n2)
 
 
@@ -169,7 +166,7 @@ def _read_only_columns(rows: np.ndarray) -> np.ndarray:
     return cols
 
 
-def ris_angle_grid(n1: int, n2: int, spacing: float = DEFAULT_SPACING) -> AngleGrid:
+def ris_angle_grid(n1: int, n2: int) -> AngleGrid:
     """RIS candidate grid over n = 1..n1*n2 as an AngleGrid with empty BS part.
 
     The elevation index is mod(n, n2) and the azimuth index is the n2-fold
@@ -195,15 +192,14 @@ def ris_angle_grid(n1: int, n2: int, spacing: float = DEFAULT_SPACING) -> AngleG
         ris_elevation=elevation,
         n_ris_rows=n1,
         n_ris_cols=n2,
-        spacing=float(spacing),
         bs_steering=np.empty((0, 0), dtype=complex),
-        ris_steering=_read_only_columns(upa_steering_uw(n1, n2, u, w, spacing)),
+        ris_steering=_read_only_columns(upa_steering_uw(n1, n2, u, w)),
     )
 
 
 def make_angle_grid(geometry: ArrayGeometry) -> AngleGrid:
     """Full candidate grid (BS and RIS) and its steering matrices for the given geometry."""
-    sp, bs_angles = geometry.spacing_over_wavelength, bs_angle_grid(geometry.n_bs)
-    return replace(ris_angle_grid(geometry.n_ris_rows, geometry.n_ris_cols, sp),
+    bs_angles = bs_angle_grid(geometry.n_bs)
+    return replace(ris_angle_grid(geometry.n_ris_rows, geometry.n_ris_cols),
                    bs_angles=bs_angles,
-                   bs_steering=_read_only_columns(ula_steering(geometry.n_bs, bs_angles, sp)))
+                   bs_steering=_read_only_columns(ula_steering(geometry.n_bs, bs_angles)))

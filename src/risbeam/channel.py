@@ -77,7 +77,7 @@ def sample_block(geometry: ArrayGeometry, grid: AngleGrid, rngs,
     grid.check(geometry)
     if mode not in SAMPLING_MODES:
         raise ValueError(f"unknown sampling mode {mode!r}")
-    n1, n2, sp = geometry.n_ris_rows, geometry.n_ris_cols, geometry.spacing_over_wavelength
+    n1, n2 = geometry.n_ris_rows, geometry.n_ris_cols
     n_bs, n_ris = geometry.n_bs, geometry.n_ris
     if mode == "on_grid":
         bs, ue, gr = np.array([[rng.integers(n_bs), rng.integers(n_ris), rng.integers(n_ris)]
@@ -91,9 +91,9 @@ def sample_block(geometry: ArrayGeometry, grid: AngleGrid, rngs,
         u, w, bs_sine = np.sin(phi_r) * np.sin(theta_r), np.cos(theta_r), np.sin(phi_t)
         bs = np.argmin(np.abs(bs_grid_sines(n_bs) - bs_sine[:, None]), axis=1)
         ue = np.argmin((grid.ris_u - u[:, None]) ** 2 + (grid.ris_w - w[:, None]) ** 2, axis=1)
-        a_bs = ula_steering(n_bs, np.arcsin(bs_sine), sp)
-        a_ue = upa_steering_uw(n1, n2, u, w, sp)
-        a_gr = upa_steering_uw(n1, n2, np.sin(phi_g) * np.sin(theta_g), np.cos(theta_g), sp)
+        a_bs = ula_steering(n_bs, np.arcsin(bs_sine))
+        a_ue = upa_steering_uw(n1, n2, u, w)
+        a_gr = upa_steering_uw(n1, n2, np.sin(phi_g) * np.sin(theta_g), np.cos(theta_g))
     h_r = np.sqrt(n_ris) * a_ue
     g_mats = a_gr[:, :, None] * a_bs[:, None, :]
     g_mats *= np.sqrt(n_bs * n_ris)  # in place: the same bytes, one block-sized array

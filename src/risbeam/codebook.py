@@ -27,13 +27,13 @@ from typing import Optional
 
 import numpy as np
 
-from .arrays import (AngleGrid, ArrayGeometry, ceil_log2, check_powers_of_two, real_number,
-                     u_axis, w_axis, whole_number)
+from .arrays import (SPACING, AngleGrid, ArrayGeometry, ceil_log2, check_powers_of_two,
+                     real_number, u_axis, w_axis, whole_number)
 from .blockcode import BlockCode, bits_to_int, encode, int_to_bits
 from .channel import norms
 from .seeding import derive_rng
 
-SV_CUTOFF = 1e-10  # relative singular-value cutoff for the design solves
+GRAM_TOLERANCE = 1e-9  # a GS matrix A may miss A A^H = n I by this times n, entrywise
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,14 @@ def _column_covers(masks: np.ndarray) -> np.ndarray:
     return np.stack((~masks, masks), axis=1).reshape(-1, masks.shape[1])
 
 
-def axis_sampling_matrix(n: int, freqs: np.ndarray,
-                         spacing: float = 0.5) -> np.ndarray:
+def axis_sampling_matrix(n: int, freqs: np.ndarray) -> np.ndarray:
     """1-D sampling matrix with unit-modulus entries; column per grid frequency.
 
     On this scale a matched narrow beam reads amplitude sqrt(n) and a flat
     full-coverage beam reads 1.
     """
     idx = np.arange(n) - (n - 1) / 2.0
-    return np.exp(-2j * np.pi * spacing * np.outer(idx, freqs))
+    return np.exp(-2j * np.pi * SPACING * np.outer(idx, freqs))
 
 
 def bs_steering_matrix(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarray:
@@ -143,13 +142,6 @@ def flat_codeword(n: int) -> np.ndarray:
     return np.exp(1j * phase) / np.sqrt(n)
 
 
-def _pinv_with_rank(mat: np.ndarray, rcond: float = SV_CUTOFF):
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    keep = s > rcond * s[0]
-    inv = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
-    return inv, int(keep.sum())
-
-
 def _stacked_matvec(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """mat (or mat[b]) @ row b for every row b as a matrix-vector product (a 2-D matmul is not)."""
     return (mat @ rows[..., None])[..., 0]
@@ -163,7 +155,7 @@ def _row_stack(mats, counts) -> np.ndarray:
 
 
 def _gs_group(a_scaled: np.ndarray, masks, rngs, cfg: GsConfig):
-    """Check one group; return its masks, pseudo-inverse and starting phases."""
+    """Check one group; return its masks and starting phases."""
     n_el, n_grid = a_scaled.shape
     masks = np.asarray(masks, dtype=bool)
     if masks.ndim != 2 or masks.shape[1] != n_grid:
@@ -175,39 +167,39 @@ def _gs_group(a_scaled: np.ndarray, masks, rngs, cfg: GsConfig):
         raise ValueError("coverage mask is empty")
     if (covered == n_grid).any():
         raise ValueError("coverage mask covers the whole grid")
-    backward, rank = _pinv_with_rank(a_scaled.conj().T)
-    if rank < n_grid:
-        raise np.linalg.LinAlgError(
-            f"sampling matrix is rank deficient ({rank} < {n_grid}) at cutoff {SV_CUTOFF}"
-        )
-    return masks, backward, np.array([rng.random(n_grid) for rng in rngs]).reshape(masks.shape)
+    gram = a_scaled @ a_scaled.conj().T
+    if np.abs(gram - n_grid * np.eye(n_el)).max() > GRAM_TOLERANCE * n_grid:
+        raise ValueError(f"a_scaled @ a_scaled^H is not {n_grid} I: not a grid sampling matrix")
+    return masks, np.array([rng.random(n_grid) for rng in rngs]).reshape(masks.shape)
 
 
 def relaxed_gs_batch(groups, cfg: GsConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     """Relaxed GS iteration for a list of (a_scaled, masks, rngs) groups.
 
     a_scaled maps a codeword to grid amplitudes (columns are scaled steering
-    vectors with unit-modulus entries). Grid points already classified
-    correctly, in-coverage amplitude at least P*(1-delta) or out-of-coverage
-    at most P*delta, keep their current value; the rest are re-assigned to
-    the threshold amplitude with preserved phase. Row b of a group's
-    (B, n_grid) masks is designed on its a_scaled with generator rngs[b]
-    alone, exactly as a one-row call; all rows on matrices of one shape run
-    in one loop. Returns per group the (B, n_el) constant-modulus codewords
-    and the (B, k_iter) traces ||s_k - s_{k-1}||_2 (the first compares the
-    first realized beam with the intended one), taken from the stored steps.
+    vectors with unit-modulus entries) and, as every grid sampling matrix, has
+    a_scaled @ a_scaled^H = n_grid I (else a ValueError): a_scaled / n_grid is
+    the backward map. Grid points already classified correctly, in-coverage
+    amplitude at least P*(1-delta) or out-of-coverage at most P*delta, keep
+    their current value; the rest are re-assigned to the threshold amplitude
+    with preserved phase. Row b of a group's (B, n_grid) masks is designed on
+    its a_scaled with generator rngs[b] alone, exactly as a one-row call; all
+    rows on matrices of one shape run in one loop. Returns per group the
+    (B, n_el) constant-modulus codewords and the (B, k_iter) traces
+    ||s_k - s_{k-1}||_2 (the first compares the first realized beam with the
+    intended one), taken from the stored steps.
     """
     by_shape: dict[tuple, list[int]] = {}
     for g, (a_scaled, *_) in enumerate(groups):
         by_shape.setdefault(a_scaled.shape, []).append(g)
     results = {}
     for (n_el, n_grid), members in by_shape.items():
-        masks, backward, phases = zip(*(_gs_group(*groups[g], cfg) for g in members))
+        masks, phases = zip(*(_gs_group(*groups[g], cfg) for g in members))
         counts = [len(m) for m in masks]
         masks, phases = np.concatenate(masks), np.concatenate(phases)
         # row b's forward map has the layout of a_scaled.conj().T: another rounds differently
         forward = _row_stack([groups[g][0].conj() for g in members], counts).swapaxes(1, 2)
-        backward = _row_stack(backward, counts)
+        backward = _row_stack([groups[g][0] / n_grid for g in members], counts)
         target = cfg.target_amplitude or np.sqrt(n_grid / masks.sum(axis=1))[:, None]
         modulus = 1.0 / np.sqrt(n_el)
         s_prev = np.where(masks, target, 0.0) * np.exp(2j * np.pi * phases)
@@ -294,7 +286,7 @@ def _design_factorized(ids, covers: np.ndarray, geometry: ArrayGeometry, cfg: Gs
     sizes = (geometry.n_ris_rows, geometry.n_ris_cols)
     factors = factor_pattern_mask(covers, *sizes)
     varying = [~f.all(axis=1) for f in factors]
-    groups = [(axis_sampling_matrix(n, freqs(n), geometry.spacing_over_wavelength), f[vary],
+    groups = [(axis_sampling_matrix(n, freqs(n)), f[vary],
                [derive_rng(cfg.seed, "gs", "ris", *i, name) for i in compress(ids, vary)])
               for name, n, freqs, f, vary in zip("uw", sizes, (u_axis, w_axis), factors, varying)
               if vary.any()]
@@ -391,7 +383,7 @@ def prefix_beams(geometry: ArrayGeometry, grid: AngleGrid, cfg: GsConfig,
         bs, u, w = [m.T.astype(float) for m in masks]
     else:
         steering = bs_steering_matrix(geometry, grid)
-        groups = [(axis_sampling_matrix(n, freqs(n), geometry.spacing_over_wavelength), m[1:],
+        groups = [(axis_sampling_matrix(n, freqs(n)), m[1:],
                    [derive_rng(cfg.seed, "hier", side, bits)
                     for bits in _prefixes(ceil_log2(n))[1:]])
                   for side, freqs, n, m in zip("uw", (u_axis, w_axis), sizes[1:], masks[1:])]

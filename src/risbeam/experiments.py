@@ -70,7 +70,6 @@ class ExperimentConfig:
     n_bs: int = 16
     n_ris_rows: int = 8
     n_ris_cols: int = 8
-    spacing_over_wavelength: float = 0.5
     snr_grid_db: tuple = (0.0,)
     pilot_grid: tuple = ()
     trials: int = 2000
@@ -138,8 +137,7 @@ class ExperimentConfig:
 
     @property
     def geometry(self) -> ArrayGeometry:
-        return ArrayGeometry(self.n_bs, self.n_ris_rows, self.n_ris_cols,
-                             self.spacing_over_wavelength)
+        return ArrayGeometry(self.n_bs, self.n_ris_rows, self.n_ris_cols)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ import numpy as np
 
 from risbeam import training
 from risbeam.arrays import (
-    DEFAULT_SPACING,
     AngleGrid,
     ArrayGeometry,
     u_axis,
@@ -52,7 +51,6 @@ from risbeam.codebook import (
     GsConfig,
     _column_covers,
     axis_sampling_matrix,
-    _pinv_with_rank,
     _stacked_matvec,
     beam_pattern_matrix,
     bs_steering_matrix,
@@ -108,10 +106,9 @@ def ris_transmit(ch: ChannelBlock, v_cov: np.ndarray, t: int = 0) -> np.ndarray:
     return np.conj(v_cov) * ch.comp[t]
 
 
-def upa_steering(n1: int, n2: int, phi: float, theta: float,
-                 spacing: float = DEFAULT_SPACING) -> np.ndarray:
+def upa_steering(n1: int, n2: int, phi: float, theta: float) -> np.ndarray:
     """Unit-norm UPA steering vector at azimuth phi and elevation theta."""
-    return upa_steering_uw(n1, n2, np.sin(phi) * np.sin(theta), np.cos(theta), spacing)
+    return upa_steering_uw(n1, n2, np.sin(phi) * np.sin(theta), np.cos(theta))
 
 
 def grid_transmit_pair(
@@ -123,11 +120,10 @@ def grid_transmit_pair(
     t: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transmit-ready narrow beams (v, w) pointing at the given grid tuple."""
-    sp = geometry.spacing_over_wavelength
-    w_cov = ula_steering(geometry.n_bs, grid.bs_angles[bs_index - 1], sp)
+    w_cov = ula_steering(geometry.n_bs, grid.bs_angles[bs_index - 1])
     v_cov = upa_steering_uw(
         geometry.n_ris_rows, geometry.n_ris_cols,
-        grid.ris_u[ris_index - 1], grid.ris_w[ris_index - 1], sp,
+        grid.ris_u[ris_index - 1], grid.ris_w[ris_index - 1],
     )
     return ris_transmit(ch, v_cov, t), bs_transmit(w_cov)
 
@@ -447,8 +443,7 @@ class ReferencePrefixBeams:
             return {bits: self.mask(side, bits).astype(float) for bits in [()] + prefixes}
         beams = {(): flat_codeword(n)}
         if prefixes:
-            matrix = axis_sampling_matrix(n, (u_axis if side == "u" else w_axis)(n),
-                                          self.geo.spacing_over_wavelength)
+            matrix = axis_sampling_matrix(n, (u_axis if side == "u" else w_axis)(n))
             rngs = [derive_rng(self.cfg.seed, "hier", side, bits) for bits in prefixes]
             masks = np.array([self.mask(side, bits) for bits in prefixes])
             beams.update(zip(prefixes, relaxed_gs_batch([(matrix, masks, rngs)], self.cfg)[0][0]))
@@ -487,11 +482,10 @@ def design_bs_codeword(cover_indices, grid: AngleGrid, geometry: ArrayGeometry) 
     if cover_indices.size == 0:
         raise ValueError("cover set is empty")
     n_bs = geometry.n_bs
-    sp = geometry.spacing_over_wavelength
     psi = np.arange(1, cover_indices.size + 1) * np.pi * (-1.0 + 1.0 / n_bs)
     w = np.zeros(n_bs, dtype=complex)
     for shift, idx in zip(np.exp(1j * psi), cover_indices):
-        w += shift * ula_steering(n_bs, grid.bs_angles[idx], sp)
+        w += shift * ula_steering(n_bs, grid.bs_angles[idx])
     return w / np.linalg.norm(w)
 
 
@@ -507,7 +501,7 @@ def relaxed_gs_loop(a_scaled: np.ndarray, masks: np.ndarray, cfg: GsConfig,
     masks = np.asarray(masks, dtype=bool)
     target = cfg.target_amplitude or np.sqrt(n_grid / masks.sum(axis=1))[:, None]
     forward = a_scaled.conj().T
-    backward, _ = _pinv_with_rank(forward)
+    backward = a_scaled / n_grid  # the pseudo-inverse of forward on a grid matrix
     modulus = 1.0 / np.sqrt(n_el)
     phases = np.array([rng.random(n_grid) for rng in rngs])
     s_prev = np.where(masks, target, 0.0) * np.exp(2j * np.pi * phases)
@@ -621,7 +615,7 @@ def design_factorized(covers, geometry: ArrayGeometry, cfg: GsConfig):
     for a, (name, n, freqs) in enumerate(zip("uw", sizes, (u_axis, w_axis))):
         varying = [(i, pol, f[a]) for (i, pol, _), f in zip(covers, factors) if not f[a].all()]
         if varying:
-            matrix = axis_sampling_matrix(n, freqs(n), geometry.spacing_over_wavelength)
+            matrix = axis_sampling_matrix(n, freqs(n))
             rngs = [derive_rng(cfg.seed, "gs", "ris", i, pol, name) for i, pol, _ in varying]
             designed += zip(*relaxed_gs_loop(matrix, np.array([m for *_, m in varying]), cfg,
                                              rngs))

@@ -66,18 +66,17 @@ def test_upa_kronecker_factorization(n1, n2, phi, theta):
 
 
 @settings(max_examples=30, deadline=None)
-@given(n1=st.integers(1, 9), n2=st.integers(1, 9), spacing=st.sampled_from((0.5, 0.37, 1.0)),
+@given(n1=st.integers(1, 9), n2=st.integers(1, 9),
        points=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
                                  st.floats(-1.5, 1.5)), min_size=1, max_size=6))
-def test_steering_of_an_array_is_the_stack_of_single_calls(n1, n2, spacing, points):
+def test_steering_of_an_array_is_the_stack_of_single_calls(n1, n2, points):
     # sample_block and make_angle_grid build every vector of a block or grid in
     # one call; row t must be the bytes of the call on entry t alone
     u, w, phi = (np.array(column) for column in zip(*points))
-    for rows, one in ((ula_factor(n1, u, spacing), lambda t: ula_factor(n1, u[t], spacing)),
-                      (ula_steering(n2, phi, spacing),
-                       lambda t: ula_steering(n2, phi[t], spacing)),
-                      (upa_steering_uw(n1, n2, u, w, spacing),
-                       lambda t: upa_steering_uw(n1, n2, u[t], w[t], spacing))):
+    for rows, one in ((ula_factor(n1, u), lambda t: ula_factor(n1, u[t])),
+                      (ula_steering(n2, phi), lambda t: ula_steering(n2, phi[t])),
+                      (upa_steering_uw(n1, n2, u, w),
+                       lambda t: upa_steering_uw(n1, n2, u[t], w[t]))):
         assert rows.shape[0] == len(points) and rows.flags.c_contiguous
         assert all(rows[t].tobytes() == one(t).tobytes() for t in range(len(points)))
 
@@ -170,6 +169,4 @@ def test_make_angle_grid_composes_both_sides():
 def test_geometry_validation():
     with pytest.raises(ValueError):
         ArrayGeometry(0, 2, 2)
-    with pytest.raises(ValueError):
-        ArrayGeometry(4, 2, 2, spacing_over_wavelength=0.0)
     assert ArrayGeometry(4, 2, 3).n_ris == 6

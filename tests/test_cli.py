@@ -194,6 +194,7 @@ def test_sweep_config_with_unknown_keys_is_a_clean_error(tmp_path, capsys):
         ({"protocols": [{"kind": "coded", "mode": "one_bit"}]},
          "unknown protocol key(s): mode"),
         ({"gs": {"iters": 10}}, "unknown gs key(s): iters"),
+        ({"spacing_over_wavelength": 0.4}, "unknown config key(s): spacing_over_wavelength"),
         ({"protocols": ["coded"]}, "a protocol must be a JSON object, got 'coded'"),
     ]
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "res.csv"

@@ -13,6 +13,10 @@ the designs, and say why in CHANGES.md:
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,13 @@ CODEBOOK_CASES = {
     "64_16x16": (64, 16, 16, GsConfig(), False),
     "16_8x8_direct_k10": (16, 8, 8, GsConfig(k_iter=10), True),
     "32_8x16": (32, 8, 16, GsConfig(), False),
+    "32_16x16_direct_k5": (32, 16, 16, GsConfig(k_iter=5), True),
+}
+# direct 2-D designs on 128- and 256-square sampling matrices, whose products
+# OpenBLAS may split across threads; same form as CODEBOOK_CASES
+THREAD_CASES = {
+    "32_8x16_direct_k5": (32, 8, 16, GsConfig(k_iter=5), True),
+    "32_16x16_direct_k5": CODEBOOK_CASES["32_16x16_direct_k5"],
 }
 # name -> (n_bs, n_ris_rows, n_ris_cols); designed with GsConfig()
 PROVIDER_CASES = {
@@ -36,15 +47,16 @@ PROVIDER_CASES = {
 }
 
 CODEBOOK_DIGESTS = {
-    "16_8x8": "1b06a29b0e0d2ce1d7b709b080869d08e050a4aad971c083094326a961ae8c52",
-    "64_16x16": "1982f193169fc3a5ef75bf41c58fa08e6c718ebd397194fa42b7d5d3c29c4ba0",
-    "16_8x8_direct_k10": "bd7c758fc45af1c7a49f3c0d92ae19d699b18714a3dcdcbcb4a8bab600c13d61",
-    "32_8x16": "33270341e2ac5ce1a251381299995524610fc0fa3040399449acc0528bbe6417",
+    "16_8x8": "e1ebf7fabb2eb0fcb66f2bd49c432479bf4391c16e13f2f29323ea09cdfb90f8",
+    "64_16x16": "9ceb66e1876b535ab751afc2e6c837bcc2c04f6cff03849bbc4df435433e559f",
+    "16_8x8_direct_k10": "13820704b6f26b266959a49a83b7d21cefe02a83406505bb03ca8b6ccc9eebf5",
+    "32_8x16": "31ccd93a9a16cf8a64d82db20ebe299d8aa17f8a6982934c63bbe9690210b6de",
+    "32_16x16_direct_k5": "aae43d2ee5f4ef4a9319ac8ef411be28769923ff08b9f9f750c0cf8a27f1a048",
 }
 PROVIDER_DIGESTS = {
-    "16_8x8": "a5049efb87b92b28fd06e092c4a4cd46a17f75e9fbbdf3d76172f64a66c46617",
-    "8_4x4": "e99da430b7d4c29405413b27edb8c093102320651805c67716313c8e7afaaadc",
-    "32_8x16": "4ac9a7fc65a5eaf424ce077ee97ca101b9e240990371684860159c40617881e1",
+    "16_8x8": "98008e3f4cd36ec756597bd1f0cdc8249f11fac4389bbf0da45174293dab4412",
+    "8_4x4": "b190d7b354c5b4109fd0798e63fc8294b35a2a03365c32cebbfd83d7422a9a14",
+    "32_8x16": "fb3b361b4afcdc9041fbfe4e962d65e4575a7504edbec828ba63adff4ad8d133",
 }
 
 
@@ -58,7 +70,7 @@ def _digest(arrays) -> str:
 
 
 def codebook_digest(name: str) -> str:
-    n_bs, rows, cols, cfg, direct_2d = CODEBOOK_CASES[name]
+    n_bs, rows, cols, cfg, direct_2d = {**CODEBOOK_CASES, **THREAD_CASES}[name]
     geometry = ArrayGeometry(n_bs, rows, cols)
     books = build_codebooks(*coded_codes(n_bs, (rows, cols)), make_angle_grid(geometry),
                             geometry, cfg, direct_2d=direct_2d)
@@ -84,6 +96,20 @@ def test_codebook_design_bytes_are_pinned(name):
 @pytest.mark.parametrize("name", sorted(PROVIDER_CASES))
 def test_provider_prefix_beam_bytes_are_pinned(name):
     assert prefix_beam_digest(name) == PROVIDER_DIGESTS[name]
+
+
+def test_direct_design_bytes_do_not_depend_on_the_blas_thread_count():
+    # a design on one BLAS thread has the bytes of one on the default count, also
+    # where the GS maps are 128- and 256-square products OpenBLAS may split
+    names = sorted(THREAD_CASES)
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join((str(here.parent / "src"), str(here)))}
+    script = ("import sys; from test_design_digests import codebook_digest; "
+              "print(*map(codebook_digest, sys.argv[1:]))")
+    out = subprocess.run([sys.executable, "-c", script, *names], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == [codebook_digest(name) for name in names]
 
 
 if __name__ == "__main__":

@@ -597,11 +597,10 @@ def test_narrow_beams_are_grid_steering_vectors(dims):
     geo = ArrayGeometry(*dims)
     grid = make_angle_grid(geo)
     bs_cov, ris_cov = narrow_beam_matrices(grid, geo)
-    sp = geo.spacing_over_wavelength
     for i, angle in enumerate(grid.bs_angles):
-        assert bs_cov[:, i].tobytes() == ula_steering(geo.n_bs, angle, sp).tobytes()
+        assert bs_cov[:, i].tobytes() == ula_steering(geo.n_bs, angle).tobytes()
     for j, (u, w) in enumerate(zip(grid.ris_u, grid.ris_w)):
-        expected = upa_steering_uw(geo.n_ris_rows, geo.n_ris_cols, u, w, sp)
+        expected = upa_steering_uw(geo.n_ris_rows, geo.n_ris_cols, u, w)
         assert ris_cov[:, j].tobytes() == expected.tobytes()
 
 

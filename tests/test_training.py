@@ -246,7 +246,7 @@ def test_provider_designs_each_prefix_once(monkeypatch, desk_geometry, desk_grid
             return flat_codeword(n)
         k = ceil_log2(n)
         freqs = (u_axis if side == "u" else w_axis)(n)
-        matrix = axis_sampling_matrix(n, freqs, geo.spacing_over_wavelength)
+        matrix = axis_sampling_matrix(n, freqs)
         mask = np.arange(n) >> (k - length) == value
         return designed[(matrix.tobytes(), mask.tobytes())]
 
