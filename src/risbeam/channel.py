@@ -39,18 +39,16 @@ class SnrSpec:
 class ChannelBlock:
     """A block of channels in de-rotated factored form; row t is trial t.
 
-    The de-rotation ``comp`` makes every row of ``comp * g_mat`` the vector
-    ``beta`` (|a_gr|^2 = 1/n_ris), so the gain of coverage-convention RIS and
-    BS codewords v and w is ``(h_r @ conj(v)) * (beta @ conj(w))``. The rate
-    evaluation reads the RIS-BS matrices ``g_mats`` themselves.
+    The static RIS-BS link is de-rotated at the RIS (``|a_gr|^2 = 1/n_ris``),
+    which leaves the vector ``beta`` at the BS. So the gain of
+    coverage-convention RIS and BS codewords v and w is
+    ``(h_r @ conj(v)) * (beta @ conj(w))``, in training and in rate evaluation.
     """
 
     bs_index: np.ndarray  # (trials,), 1-based
     ris_index: np.ndarray  # (trials,), 1-based UE-side RIS index
-    comp: np.ndarray  # (trials, n_ris)
     beta: np.ndarray  # (trials, n_bs)
     h_r: np.ndarray  # (trials, n_ris)
-    g_mats: np.ndarray  # (trials, n_ris, n_bs)
 
     @property
     def n_ris(self) -> int:
@@ -70,9 +68,10 @@ def sample_block(geometry: ArrayGeometry, grid: AngleGrid, rngs,
     uniform grid indices and gathers columns of the grid's steering matrices.
     "continuous" draws physical angles uniformly and records the nearest grid
     point (in sine / spatial-frequency space) as ground truth. Each trial is
-    scaled to ||h_r|| = sqrt(n_ris) and ||g_mat||_F = sqrt(n_bs * n_ris),
-    which removes distance and transmit-power effects while keeping the array
-    factors, so an SnrSpec fully controls the noise level.
+    scaled to ||h_r|| = sqrt(n_ris) and to a RIS-BS matrix of Frobenius norm
+    sqrt(n_bs * n_ris), which removes distance and transmit-power effects
+    while keeping the array factors, so an SnrSpec fully controls the noise
+    level. Only ``beta``, the de-rotated row of that matrix, is kept.
     """
     grid.check(geometry)
     if mode not in SAMPLING_MODES:
@@ -95,14 +94,15 @@ def sample_block(geometry: ArrayGeometry, grid: AngleGrid, rngs,
         a_ue = upa_steering_uw(n1, n2, u, w)
         a_gr = upa_steering_uw(n1, n2, np.sin(phi_g) * np.sin(theta_g), np.cos(theta_g))
     h_r = np.sqrt(n_ris) * a_ue
+    # the RIS-BS matrices, a local: their Frobenius scale and their row 0 give
+    # beta, and beta's bytes (so every decision) depend on that norm's order
     g_mats = a_gr[:, :, None] * a_bs[:, None, :]
     g_mats *= np.sqrt(n_bs * n_ris)  # in place: the same bytes, one block-sized array
     h_r *= (np.sqrt(n_ris) / norms(h_r))[:, None]  # in place, like the scaling above
     g_mats *= (np.sqrt(n_bs * n_ris) / norms(g_mats.reshape(len(g_mats), -1)))[:, None, None]
-    # the unit-modulus de-rotation of the static, known RIS-BS direction
-    comp = np.sqrt(n_ris) * np.conj(a_gr)
-    return ChannelBlock(bs_index=bs + 1, ris_index=ue + 1, comp=comp,
-                        beta=comp[:, :1] * g_mats[:, 0], h_r=h_r, g_mats=g_mats)
+    # row 0 under the unit-modulus de-rotation of the static, known RIS-BS direction
+    beta = np.sqrt(n_ris) * np.conj(a_gr[:, :1]) * g_mats[:, 0]
+    return ChannelBlock(bs_index=bs + 1, ris_index=ue + 1, beta=beta, h_r=h_r)
 
 
 # OpenBLAS splits a dot product of over 10,000 entries across its threads,

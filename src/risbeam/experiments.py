@@ -56,7 +56,8 @@ BLOCK_BYTES = 2 * 2**20
 
 def trial_block(geometry: ArrayGeometry) -> int:
     """Trials per block: the most whose (trials, n_ris, n_bs) complex array fits in
-    BLOCK_BYTES, and at least MIN_TRIAL_BLOCK (128 on the desk arrays, 16 on full)."""
+    BLOCK_BYTES, and at least MIN_TRIAL_BLOCK (128 on the desk arrays, 16 on full).
+    That array is ``sample_block``'s transient RIS-BS stack, a draw's largest."""
     return max(MIN_TRIAL_BLOCK, BLOCK_BYTES // (16 * geometry.n_ris * geometry.n_bs))
 
 CSV_COLUMNS = (
@@ -293,7 +294,8 @@ def _result_row(tag: str, sweep_name: str, value: float, hits: np.ndarray,
     trials = hits.size
     p_hat = int(hits.sum()) / trials
     success_ci = 1.96 * np.sqrt(p_hat * (1.0 - p_hat) / trials)
-    rate_ci = 1.96 * rates.std(ddof=1) / np.sqrt(trials) if trials > 1 else 0.0
+    # equal rates give exactly 0, not the rounding noise of their mean
+    rate_ci = 1.96 * rates.std(ddof=1) / np.sqrt(trials) if np.ptp(rates) > 0 else 0.0
     return ResultRow(
         protocol=tag,
         sweep_variable=sweep_name,

@@ -114,14 +114,15 @@ def beam_responses(block: ChannelBlock, bs_cov: np.ndarray, ris_cov: np.ndarray,
 
     Trial t's gain for BS column i and RIS column j is ``bs[t, i] * ris[t, j]``
     (see ``ChannelBlock``). A codeword matrix is shared, (n, columns), or one
-    per trial, (trials, n, columns). Stacked matrix-vector products keep a
-    trial's responses independent of the block. Ideal (mask-valued) codewords
-    read the true-index rows. The callers check the RIS beams' modulus.
+    per trial, (trials, n, columns), with any leading axes. Stacked
+    matrix-vector products keep a trial's responses independent of the block.
+    Ideal (mask-valued) codewords read the true-index rows. The callers check
+    the RIS beams' modulus.
     """
     if ideal:
         return _true_rows(bs_cov, block.bs_index), _true_rows(ris_cov, block.ris_index)
-    return ((block.beta[:, None, :] @ np.conj(bs_cov))[:, 0, :],
-            (block.h_r[:, None, :] @ np.conj(ris_cov))[:, 0, :])
+    return ((block.beta[:, None, :] @ np.conj(bs_cov))[..., 0, :],
+            (block.h_r[:, None, :] @ np.conj(ris_cov))[..., 0, :])
 
 
 def _true_rows(cov: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -374,18 +375,14 @@ def tuple_rates(
 ) -> np.ndarray:
     """log2(1 + snr * |g|^2) of the 1-based grid tuples (est_bs, est_ris)[..., t] on trial t.
 
-    The beams are columns of ``narrow_beam_matrices``; one constant-modulus
-    check covers the chosen RIS columns. The gains are stacked matrix-vector
-    products through each trial's RIS-BS matrix, one row of trials at a time
-    to bound memory, which round like the one-tuple ``h_r diag(v) g_mat w`` of
-    ``achievable_rate`` in ``tests/reference.py``. |g|^2 and log2 stay scalar
-    per entry: their vectorized forms round differently.
+    The beams are columns of ``narrow_beam_matrices`` and g is the factored
+    gain that training measures, from ``beam_responses``. Each estimate's
+    response is its own one-column product, so a rate depends only on its
+    trial and tuple, not on the other estimates. One constant-modulus check
+    covers the RIS columns read.
     """
-    bs_cov, ris_cov = narrow_beams
-    _check_constant_modulus(ris_cov[:, np.flatnonzero(np.bincount(np.ravel(est_ris) - 1))],
-                            block.n_ris)  # each chosen column once
-    pairs = zip(*(np.reshape(est, (-1, len(block.h_r))) - 1 for est in (est_bs, est_ris)))
-    gains = [((block.h_r * (np.conj(ris_cov.T[ris]) * block.comp))[:, None, :]
-              @ block.g_mats @ np.conj(bs_cov.T[bs])[:, :, None])[:, 0, 0] for bs, ris in pairs]
-    return np.array([np.log2(1.0 + snr_eval.snr_linear * abs(complex(g)) ** 2)
-                     for g in np.ravel(gains)]).reshape(np.shape(est_bs))
+    cols = [cov.T[np.reshape(est, (-1, len(block.h_r))) - 1][..., None]
+            for cov, est in zip(narrow_beams, (est_bs, est_ris))]  # (estimates, trials, n, 1)
+    _check_constant_modulus(cols[1], block.n_ris)
+    bs, ris = beam_responses(block, *cols)
+    return np.log2(1.0 + snr_eval.snr_linear * np.abs(bs * ris) ** 2).reshape(np.shape(est_bs))

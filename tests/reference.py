@@ -1,7 +1,9 @@
 """The per-pilot reference the package's block runners are tested against.
 
 Everything here works one beam tuple, one pilot or one trial at a time, the
-way the protocols read on paper: ``effective_gain`` forms one noiseless
+way the protocols read on paper. ``sample_full_block`` draws a block like
+``channel.sample_block`` but keeps the RIS-BS matrices and their de-rotation,
+which the physics oracle reads: ``effective_gain`` forms one noiseless
 amplitude (with its constant-modulus and shape checks), ``measure_power``
 draws one noisy power, ``exhaustive_sweep`` sends every narrow-beam tuple in
 turn, and ``per_pilot_bits`` runs the layer loop of layered training.
@@ -38,13 +40,15 @@ from risbeam import training
 from risbeam.arrays import (
     AngleGrid,
     ArrayGeometry,
+    bs_grid_sines,
     u_axis,
     ula_steering,
     upa_steering_uw,
     w_axis,
 )
 from risbeam.blockcode import DECODE_MODES, BlockCode, bits_to_int, build_identity_code
-from risbeam.channel import ChannelBlock, SnrSpec, pilot_noise, received_power, sample_block
+from risbeam.channel import (SAMPLING_MODES, ChannelBlock, SnrSpec, norms, pilot_noise,
+                             received_power)
 from risbeam.codebook import (
     CodewordReport,
     DesignedCodebook,
@@ -63,19 +67,70 @@ from risbeam.training import TrainingRuns, ceil_log2, run_adaptive, run_layered
 
 # -- one channel, one tuple -----------------------------------------------------
 #
-# A channel is row t of a ChannelBlock (row 0 by default): its h_r[t],
+# A channel is row t of a FullChannelBlock (row 0 by default): its h_r[t],
 # g_mats[t], comp[t] and 1-based bs_index[t] and ris_index[t].
 
 
+@dataclass(frozen=True)
+class FullChannelBlock(ChannelBlock):
+    """A ChannelBlock that also holds what the package keeps only in factored form.
+
+    ``comp`` is the unit-modulus de-rotation of the static RIS-BS direction
+    and ``g_mats`` the RIS-BS matrices, so every row of ``comp * g_mat`` is
+    ``beta``. The physics oracle reads them: one tuple's amplitude is
+    ``h_r diag(v) g_mat w``.
+    """
+
+    comp: np.ndarray  # (trials, n_ris)
+    g_mats: np.ndarray  # (trials, n_ris, n_bs)
+
+
+def sample_full_block(geometry: ArrayGeometry, grid: AngleGrid, rngs,
+                      mode: str = "on_grid") -> FullChannelBlock:
+    """``channel.sample_block``'s draw, also holding ``comp`` and ``g_mats``.
+
+    The same draws in the same order, so the four fields of ``sample_block``
+    are byte-equal to its own.
+    """
+    grid.check(geometry)
+    if mode not in SAMPLING_MODES:
+        raise ValueError(f"unknown sampling mode {mode!r}")
+    n1, n2 = geometry.n_ris_rows, geometry.n_ris_cols
+    n_bs, n_ris = geometry.n_bs, geometry.n_ris
+    if mode == "on_grid":
+        bs, ue, gr = np.array([[rng.integers(n_bs), rng.integers(n_ris), rng.integers(n_ris)]
+                               for rng in rngs]).T
+        a_bs, (a_ue, a_gr) = grid.bs_steering.T[bs], grid.ris_steering.T[np.stack((ue, gr))]
+    else:
+        half = np.pi / 2
+        phi_t, phi_r, theta_r, phi_g, theta_g = np.array([
+            [rng.uniform(-half, half), rng.uniform(-half, half), rng.uniform(0.0, np.pi),
+             rng.uniform(-half, half), rng.uniform(0.0, np.pi)] for rng in rngs]).T
+        u, w, bs_sine = np.sin(phi_r) * np.sin(theta_r), np.cos(theta_r), np.sin(phi_t)
+        bs = np.argmin(np.abs(bs_grid_sines(n_bs) - bs_sine[:, None]), axis=1)
+        ue = np.argmin((grid.ris_u - u[:, None]) ** 2 + (grid.ris_w - w[:, None]) ** 2, axis=1)
+        a_bs = ula_steering(n_bs, np.arcsin(bs_sine))
+        a_ue = upa_steering_uw(n1, n2, u, w)
+        a_gr = upa_steering_uw(n1, n2, np.sin(phi_g) * np.sin(theta_g), np.cos(theta_g))
+    h_r = np.sqrt(n_ris) * a_ue
+    g_mats = a_gr[:, :, None] * a_bs[:, None, :]
+    g_mats *= np.sqrt(n_bs * n_ris)
+    h_r *= (np.sqrt(n_ris) / norms(h_r))[:, None]
+    g_mats *= (np.sqrt(n_bs * n_ris) / norms(g_mats.reshape(len(g_mats), -1)))[:, None, None]
+    comp = np.sqrt(n_ris) * np.conj(a_gr)
+    return FullChannelBlock(bs_index=bs + 1, ris_index=ue + 1, beta=comp[:, :1] * g_mats[:, 0],
+                            h_r=h_r, comp=comp, g_mats=g_mats)
+
+
 def channel_at(geometry: ArrayGeometry, grid: AngleGrid, bs_index: int, ris_index: int,
-               gr_index: int = 1) -> ChannelBlock:
+               gr_index: int = 1) -> FullChannelBlock:
     """The one-row on-grid block at the given 1-based BS, UE-side RIS and RIS-BS indices."""
     draws = iter((bs_index - 1, ris_index - 1, gr_index - 1))
     # a stand-in generator whose three integer draws are these 0-based indices
-    return sample_block(geometry, grid, [SimpleNamespace(integers=lambda n: next(draws))])
+    return sample_full_block(geometry, grid, [SimpleNamespace(integers=lambda n: next(draws))])
 
 
-def effective_gain(ch: ChannelBlock, v: np.ndarray, w: np.ndarray, t: int = 0) -> complex:
+def effective_gain(ch: FullChannelBlock, v: np.ndarray, w: np.ndarray, t: int = 0) -> complex:
     """Noiseless received amplitude h_r diag(v) g_mat w of row t for one beam tuple."""
     v = np.asarray(v)
     w = np.asarray(w)
@@ -101,7 +156,7 @@ def bs_transmit(w_cov: np.ndarray) -> np.ndarray:
     return np.conj(w_cov)
 
 
-def ris_transmit(ch: ChannelBlock, v_cov: np.ndarray, t: int = 0) -> np.ndarray:
+def ris_transmit(ch: FullChannelBlock, v_cov: np.ndarray, t: int = 0) -> np.ndarray:
     """Applied RIS reflecting vector: conjugate plus row t's static BS-side de-rotation."""
     return np.conj(v_cov) * ch.comp[t]
 
@@ -112,7 +167,7 @@ def upa_steering(n1: int, n2: int, phi: float, theta: float) -> np.ndarray:
 
 
 def grid_transmit_pair(
-    ch: ChannelBlock,
+    ch: FullChannelBlock,
     grid: AngleGrid,
     geometry: ArrayGeometry,
     bs_index: int,
@@ -129,7 +184,7 @@ def grid_transmit_pair(
 
 
 def achievable_rate(
-    ch: ChannelBlock, v: np.ndarray, w: np.ndarray, snr_eval: SnrSpec, t: int = 0
+    ch: FullChannelBlock, v: np.ndarray, w: np.ndarray, snr_eval: SnrSpec, t: int = 0
 ) -> float:
     """Spectral efficiency log2(1 + snr * |h_r diag(v) g_mat w|^2), transmit beams."""
     gain = effective_gain(ch, v, w, t)
@@ -140,7 +195,7 @@ def achievable_rate(
 
 
 def exhaustive_sweep(
-    ch: ChannelBlock,
+    ch: FullChannelBlock,
     grid: AngleGrid,
     geometry: ArrayGeometry,
     snr: SnrSpec,
@@ -165,7 +220,7 @@ def exhaustive_sweep(
     return (winner // n_ris + 1, winner % n_ris + 1), count, count < total
 
 
-def noiseless_best_tuple(ch: ChannelBlock, grid: AngleGrid, geometry: ArrayGeometry
+def noiseless_best_tuple(ch: FullChannelBlock, grid: AngleGrid, geometry: ArrayGeometry
                          ) -> tuple[int, int]:
     """Ground-truth best tuple by a noiseless exhaustive sweep."""
     estimate, _, _ = exhaustive_sweep(ch, grid, geometry, SnrSpec(1.0, noiseless=True),

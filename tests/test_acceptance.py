@@ -9,7 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from reference import achievable_rate, channel_at, grid_transmit_pair, run_coded
+from reference import (achievable_rate, channel_at, grid_transmit_pair, run_coded,
+                       sample_full_block)
 from risbeam.arrays import ArrayGeometry, make_angle_grid
 from risbeam.blockcode import (
     build_identity_code,
@@ -21,7 +22,7 @@ from risbeam.blockcode import (
     min_distance,
     syndrome,
 )
-from risbeam.channel import SnrSpec, sample_block
+from risbeam.channel import SnrSpec
 from risbeam.cli import main
 from risbeam.codebook import GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook
 from risbeam.experiments import ExperimentConfig, export_results, run_sweep
@@ -214,7 +215,7 @@ def test_criterion_09_pilot_sweep_shape(desk_codes):
     coded_rates = np.array([rec.rate for rec in results.trial_log])
 
     eval_snr = SnrSpec(cfg.eval_snr_linear, noiseless=True)
-    block = sample_block(geometry, grid, [derive_rng(
+    block = sample_full_block(geometry, grid, [derive_rng(
         cfg.master_seed, "channel", "pilots", float(sufficient), trial)
         for trial in range(cfg.trials)])
     # the noiseless block runner, checked against the per-tuple sweep in

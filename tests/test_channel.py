@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from reference import effective_gain, measure_power
+from reference import effective_gain, measure_power, sample_full_block
 from risbeam.arrays import (
     ArrayGeometry,
     bs_grid_sines,
@@ -25,8 +31,8 @@ def small_setup():
 
 
 def _one(geo, grid, seed, mode="on_grid"):
-    """A one-row block drawn from default_rng(seed)."""
-    return sample_block(geo, grid, [np.random.default_rng(seed)], mode)
+    """A one-row block drawn from default_rng(seed), with its RIS-BS matrix."""
+    return sample_full_block(geo, grid, [np.random.default_rng(seed)], mode)
 
 
 def _steering_at(geo, grid, index):
@@ -37,8 +43,36 @@ def _steering_at(geo, grid, index):
 
 
 def _rows_bytes(block, t):
-    return [getattr(block, name)[t].tobytes()
-            for name in ("bs_index", "ris_index", "comp", "beta", "h_r", "g_mats")]
+    return [getattr(block, field.name)[t].tobytes() for field in fields(block)]
+
+
+def full_draw_agrees(dims, mode) -> bool:
+    """Whether sample_block's fields are byte-equal to the reference draw's."""
+    geo = ArrayGeometry(*dims)
+    grid = make_angle_grid(geo)
+    block, full = (draw(geo, grid, [np.random.default_rng(seed) for seed in range(8)], mode)
+                   for draw in (sample_block, sample_full_block))
+    names = [field.name for field in fields(block)]
+    return names == ["bs_index", "ris_index", "beta", "h_r"] and all(
+        getattr(block, name).tobytes() == getattr(full, name).tobytes() for name in names)
+
+
+@pytest.mark.parametrize("dims", GEOMETRIES, ids=GEOMETRY_IDS)
+@pytest.mark.parametrize("mode", MODES)
+def test_sample_block_fields_equal_the_full_draw(dims, mode):
+    # the oracle's channels, with their RIS-BS matrices, are the package's
+    assert full_draw_agrees(dims, mode)
+
+
+def test_sample_block_fields_equal_the_full_draw_on_one_blas_thread():
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join((str(here.parent / "src"), str(here)))}
+    script = ("from test_channel import GEOMETRIES, MODES, full_draw_agrees; "
+              "print(all(full_draw_agrees(d, m) for d in GEOMETRIES for m in MODES))")
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["True"]
 
 
 def test_sample_channel_deterministic(small_setup):
@@ -58,11 +92,10 @@ def test_block_rows_are_one_row_blocks(dims, mode):
                          + [np.random.default_rng(seed) for seed in range(4)], mode)
     twin = np.random.default_rng(3)
     rows = [sample_block(geo, grid, [twin], mode) for _ in range(4)]
-    rows += [_one(geo, grid, seed, mode) for seed in range(4)]
+    rows += [sample_block(geo, grid, [np.random.default_rng(seed)], mode) for seed in range(4)]
     assert (block.n_bs, block.n_ris) == (geo.n_bs, geo.n_ris)
-    assert block.h_r.shape == block.comp.shape == (8, geo.n_ris)
+    assert block.h_r.shape == (8, geo.n_ris)
     assert block.beta.shape == (8, geo.n_bs)
-    assert len(block.g_mats) == 8
     for t, row in enumerate(rows):
         assert _rows_bytes(block, t) == _rows_bytes(row, 0)
 
@@ -71,8 +104,8 @@ def test_block_rows_are_one_row_blocks(dims, mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_block_rows_have_unit_path_gains_and_derotate_to_beta(dims, mode):
     geo = ArrayGeometry(*dims)
-    block = sample_block(geo, make_angle_grid(geo),
-                         [np.random.default_rng(seed) for seed in range(8)], mode)
+    block = sample_full_block(geo, make_angle_grid(geo),
+                              [np.random.default_rng(seed) for seed in range(8)], mode)
     assert np.all((1 <= block.bs_index) & (block.bs_index <= geo.n_bs))
     assert np.all((1 <= block.ris_index) & (block.ris_index <= geo.n_ris))
     assert np.allclose(np.abs(block.comp), 1.0, rtol=0, atol=1e-12)

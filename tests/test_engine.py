@@ -38,6 +38,7 @@ from reference import (
     ris_transmit,
     run_coded,
     run_hierarchical,
+    sample_full_block,
     trial_outcome,
 )
 from risbeam import experiments, training
@@ -76,9 +77,9 @@ def small_setup(n_bs: int, rows: int, cols: int):
 
 
 def draw_block(geo, grid, mode, seed, trials=1):
-    """A block whose trial t draws from default_rng(seed + t)."""
-    return sample_block(geo, grid, [np.random.default_rng(seed + t) for t in range(trials)],
-                        mode)
+    """A block whose trial t draws from default_rng(seed + t), with its RIS-BS matrices."""
+    return sample_full_block(geo, grid,
+                             [np.random.default_rng(seed + t) for t in range(trials)], mode)
 
 
 def gain_tables(block, bs_cov, ris_cov, ideal=False):
@@ -620,9 +621,35 @@ def test_tuple_rates_equal_achievable_rate_bytes(dims, mode):
         est_ris = np.vstack((ch.ris_index, rng.integers(geo.n_ris, size=(3, trials)) + 1))
         got = tuple_rates(ch, narrow, est_bs, est_ris, snr_eval)
         assert got.shape == (4, trials)
+        # the factored gain and the one-tuple h_r diag(v) g_mat w round differently
         for (p, t), rate in np.ndenumerate(got):
             tx = grid_transmit_pair(ch, grid, geo, int(est_bs[p, t]), int(est_ris[p, t]), t)
-            assert rate.hex() == achievable_rate(ch, *tx, snr_eval, t).hex()
+            assert rate == pytest.approx(achievable_rate(ch, *tx, snr_eval, t),
+                                         rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(16, 8, 8), (64, 16, 16)])
+def test_tuple_rate_depends_only_on_its_trial_and_tuple(dims):
+    # not on its row of the estimates, the number of rows or the block: adding
+    # a protocol moves no other protocol's rate
+    geo = ArrayGeometry(*dims)
+    grid = make_angle_grid(geo)
+    narrow = narrow_beam_matrices(grid, geo)
+    snr_eval = SnrSpec(10.0, noiseless=True)
+    rng = np.random.default_rng(dims[0])
+    block = draw_block(geo, grid, "on_grid", 40, trials=12)
+    est_bs = np.vstack((block.bs_index, rng.integers(geo.n_bs, size=(4, 12)) + 1))
+    est_ris = np.vstack((block.ris_index, rng.integers(geo.n_ris, size=(4, 12)) + 1))
+    rates = tuple_rates(block, narrow, est_bs, est_ris, snr_eval)
+    first = draw_block(geo, grid, "on_grid", 40)  # trial 0 alone
+    for p in range(5):
+        alone = tuple_rates(block, narrow, est_bs[p], est_ris[p], snr_eval)
+        assert rates[p].tobytes() == alone.tobytes()
+        alone = tuple_rates(first, narrow, est_bs[p, :1], est_ris[p, :1], snr_eval)
+        assert rates[p, :1].tobytes() == alone.tobytes()
+    tiled = tuple_rates(block, narrow, *(np.tile(est[0], (5, 1)) for est in (est_bs, est_ris)),
+                        snr_eval)
+    assert np.array_equal(tiled, np.tile(rates[0], (5, 1)))
 
 
 def test_tuple_rates_reject_broken_constant_modulus(desk_geometry, desk_grid):

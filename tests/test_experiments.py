@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from reference import achievable_rate, grid_transmit_pair, noiseless_best_tuple, success_rate
+from reference import (achievable_rate, grid_transmit_pair, noiseless_best_tuple,
+                       sample_full_block, success_rate)
 from risbeam.arrays import make_angle_grid
-from risbeam.channel import sample_block
 from risbeam import codebook, experiments
 from risbeam.codebook import GsConfig
 from risbeam.experiments import (
@@ -48,6 +48,16 @@ def test_oracle_sweep_is_perfect():
         assert row.mean_rate > 0
 
 
+def test_rate_interval_is_exactly_zero_when_every_rate_is_equal():
+    # a noiseless cell rates every trial at its true tuple; the interval of 20
+    # equal rates is 0, not the rounding noise of their mean (1.6e-15 here)
+    results = run_sweep(_tiny_config(trials=20, protocols=(ProtocolSpec("exhaustive"),)),
+                        log_trials=True)
+    (row,) = results.rows
+    assert len({rec.rate for rec in results.trial_log}) == 1
+    assert row.success_rate == 1.0 and row.rate_ci95 == 0.0
+
+
 def test_sweep_determinism_bitwise(tmp_path):
     cfg = _tiny_config(noiseless=False, trials=5)
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -69,7 +79,7 @@ def test_sweep_channels_shared_across_protocols():
 
     for rec in results.trial_log:
         ch_rng = derive_rng(cfg.master_seed, "channel", "snr_db", 0.0, rec.trial)
-        ch = sample_block(geometry, grid, [ch_rng])
+        ch = sample_full_block(geometry, grid, [ch_rng])
         best = noiseless_best_tuple(ch, grid, geometry)
         v, w = grid_transmit_pair(ch, grid, geometry, *best)
         ceiling = achievable_rate(ch, v, w, SnrSpec(cfg.eval_snr_linear, noiseless=True))
@@ -389,8 +399,8 @@ def test_rate_ceiling_row_never_exceeds_exhaustive():
     from risbeam.channel import SnrSpec
 
     for trial, rates in per_trial.items():
-        ch = sample_block(geometry, grid,
-                          [derive_rng(cfg.master_seed, "channel", "snr_db", 30.0, trial)])
+        ch = sample_full_block(geometry, grid,
+                               [derive_rng(cfg.master_seed, "channel", "snr_db", 30.0, trial)])
         best = noiseless_best_tuple(ch, grid, geometry)
         v, w = grid_transmit_pair(ch, grid, geometry, *best)
         ceiling = achievable_rate(ch, v, w, SnrSpec(cfg.eval_snr_linear, noiseless=True))
