@@ -18,6 +18,7 @@ import numpy as np
 from .arrays import AngleGrid, ArrayGeometry, bs_grid_sines, ula_steering, upa_steering_uw
 
 SAMPLING_MODES = ("on_grid", "continuous")
+STACK_BYTES = 2**20  # sample_block's RIS-BS matrices per pass, at least one row
 
 
 @dataclass(frozen=True)
@@ -94,14 +95,20 @@ def sample_block(geometry: ArrayGeometry, grid: AngleGrid, rngs,
         a_ue = upa_steering_uw(n1, n2, u, w)
         a_gr = upa_steering_uw(n1, n2, np.sin(phi_g) * np.sin(theta_g), np.cos(theta_g))
     h_r = np.sqrt(n_ris) * a_ue
-    # the RIS-BS matrices, a local: their Frobenius scale and their row 0 give
-    # beta, and beta's bytes (so every decision) depend on that norm's order
-    g_mats = a_gr[:, :, None] * a_bs[:, None, :]
-    g_mats *= np.sqrt(n_bs * n_ris)  # in place: the same bytes, one block-sized array
-    h_r *= (np.sqrt(n_ris) / norms(h_r))[:, None]  # in place, like the scaling above
-    g_mats *= (np.sqrt(n_bs * n_ris) / norms(g_mats.reshape(len(g_mats), -1)))[:, None, None]
-    # row 0 under the unit-modulus de-rotation of the static, known RIS-BS direction
-    beta = np.sqrt(n_ris) * np.conj(a_gr[:, :1]) * g_mats[:, 0]
+    h_r *= (np.sqrt(n_ris) / norms(h_r))[:, None]  # in place: the same bytes, no copy
+    beta = np.empty((len(h_r), n_bs), complex)
+    # one buffer of the same size whatever the block, which the allocator reuses
+    # from call to call instead of mapping fresh pages
+    stack = np.empty((max(1, STACK_BYTES // (16 * n_ris * n_bs)), n_ris, n_bs), complex)
+    for rows in (slice(start, start + len(stack)) for start in range(0, len(beta), len(stack))):
+        # the RIS-BS matrices of a few rows: their Frobenius scale and their row 0
+        # give beta, and beta's bytes (so every decision) depend on that norm's order
+        g_mats = stack[:len(beta[rows])]
+        np.multiply(a_gr[rows, :, None], a_bs[rows, None, :], out=g_mats)
+        g_mats *= np.sqrt(n_bs * n_ris)
+        g_mats *= (np.sqrt(n_bs * n_ris) / norms(g_mats.reshape(len(g_mats), -1)))[:, None, None]
+        # row 0 under the unit-modulus de-rotation of the static, known RIS-BS direction
+        beta[rows] = np.sqrt(n_ris) * np.conj(a_gr[rows, :1]) * g_mats[:, 0]
     return ChannelBlock(bs_index=bs + 1, ris_index=ue + 1, beta=beta, h_r=h_r)
 
 

@@ -1,13 +1,12 @@
 """Monte-Carlo sweeps over SNR or pilot budget, metrics, and result files.
 
 A sweep is one point-major sequence of (sweep point, trial) rows, run in
-blocks of at most ``trial_block(geometry)`` rows that share their pilot
-budgets: an SNR sweep's blocks span its points, a pilots sweep's hold one
-point each. Per-trial channels are seeded independently of the protocol, so
-one ``sample_block`` call draws each channel of a block once, and every
-protocol runs on that ``ChannelBlock`` at each row's SNR; the measurement
-noise stream is seeded per (protocol, sweep point, trial), so the block size
-changes no result. Every channel and noise stream of the sweep is seeded at
+blocks of at most ``trial_block(geometry)`` rows that span its points, in an
+SNR sweep and a pilots sweep alike. Per-trial channels are seeded
+independently of the protocol, so one ``sample_block`` call draws each
+channel of a block once, and every protocol runs on that ``ChannelBlock`` at
+each row's SNR and pilot budget; the measurement noise stream is seeded per
+(protocol, sweep point, trial), so the block size changes no result. Every channel and noise stream of the sweep is seeded at
 once before the first trial (``stream_words``), and ``word_streams`` builds
 each block's generators from their words. Before the first trial, the
 codebooks and prefix beams are designed and each protocol gets one block
@@ -57,7 +56,8 @@ BLOCK_BYTES = 2 * 2**20
 def trial_block(geometry: ArrayGeometry) -> int:
     """Trials per block: the most whose (trials, n_ris, n_bs) complex array fits in
     BLOCK_BYTES, and at least MIN_TRIAL_BLOCK (128 on the desk arrays, 16 on full).
-    That array is ``sample_block``'s transient RIS-BS stack, a draw's largest."""
+    That array is the block's RIS-BS matrices, which ``sample_block`` forms
+    ``channel.STACK_BYTES`` at a time."""
     return max(MIN_TRIAL_BLOCK, BLOCK_BYTES // (16 * geometry.n_ris * geometry.n_bs))
 
 CSV_COLUMNS = (
@@ -250,8 +250,8 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
     sweep_name = "snr_db" if cfg.sweep_over == "snr" else "pilots"
     protocols, trials, cells = cfg.protocols, cfg.trials, len(sweep_values) * cfg.trials
     linear = np.resize([_linear_snr(db) for db in cfg.snr_grid_db], len(sweep_values))
-    budgets = [tuple(proto.pilot_budget if cfg.sweep_over == "snr" else int(value)
-                     for proto in protocols) for value in sweep_values]
+    budgets = np.array([[proto.pilot_budget if cfg.sweep_over == "snr" else int(value)
+                         for proto in protocols] for value in sweep_values], dtype=object)
 
     # every channel and noise stream of the sweep, by (tag, sweep point, trial)
     tags = ["channel"] + [proto.tag for proto in protocols]
@@ -261,19 +261,19 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
         np.uint64)).reshape(len(tags), cells, 4)
 
     hits, rates = np.zeros((len(protocols), cells), dtype=bool), np.empty((len(protocols), cells))
-    pilots = {}  # each protocol's pilots by budgets: every block of a point sends as many
-    span = trials if cfg.sweep_over == "pilots" else cells  # a block shares its budgets
-    for start in (s for first in range(0, cells, span) for s in range(first, first + span, size)):
-        stop = min(start + size, (start // span + 1) * span)
+    pilots = np.empty((len(protocols), cells), dtype=np.intp)
+    for start in range(0, cells, size):
+        stop = min(start + size, cells)
+        points = np.arange(start, stop) // trials
         streams = [word_streams(tag_words[start:stop]) for tag_words in words]
         block = sample_block(geometry, grid, streams[0], cfg.sampling_mode)
-        snr = SnrSpec(linear[np.arange(start, stop) // trials], noiseless=cfg.noiseless)
+        snr = SnrSpec(linear[points], noiseless=cfg.noiseless)
         runs = [runner(block, snr=snr, budget=budget, rngs=rngs)
-                for runner, budget, rngs in zip(runners, budgets[start // trials], streams[1:])]
+                for runner, budget, rngs in zip(runners, budgets[points].T, streams[1:])]
         est = np.array([(r.est_bs_index, r.est_ris_index) for r in runs])  # (P, 2, rows)
         hits[:, start:stop] = np.all(est == np.stack((block.bs_index, block.ris_index)), axis=1)
         rates[:, start:stop] = tuple_rates(block, narrow, est[:, 0], est[:, 1], eval_snr)
-        pilots[budgets[start // trials]] = [r.pilots_used for r in runs]
+        pilots[:, start:stop] = [r.pilots for r in runs]
 
     rows = []
     log: list[TrialRecord] = []
@@ -281,7 +281,7 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
     for point, value in enumerate(sweep_values):
         for p, proto in enumerate(protocols):
             rows.append(_result_row(proto.tag, sweep_name, float(value), hits[p, point],
-                                    rates[p, point], pilots[budgets[point]][p]))
+                                    rates[p, point], pilots[p, point * trials]))
             if log_trials:
                 log.extend(TrialRecord(proto.tag, float(value), trial,
                                        bool(hits[p, point, trial]), float(rates[p, point, trial]))

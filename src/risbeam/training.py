@@ -2,9 +2,10 @@
 
 Every protocol is a block runner, ``runner(block, ..., snr, budget, rngs) ->
 TrainingRuns``: trial t runs on row t of a ``channel.ChannelBlock`` with
-noise from ``rngs[t]``, at the one SNR of ``snr`` or at its row t. Each
-sends beam tuples, measures one noisy power per tuple in transmit order, and
-maps argmax decisions to angle-index estimates.
+noise from ``rngs[t]``, at the one SNR of ``snr`` or at its row t, and under
+the one pilot budget of ``budget`` or its row t. Each sends beam tuples,
+measures one noisy power per tuple in transmit order, and maps argmax
+decisions to angle-index estimates.
 A tuple's gain is the product of a BS and a RIS response (``beam_responses``).
 A layered protocol sends one (BS, RIS) beam pair per layer as 4 tuples and
 reads one decision per side: ``run_layered`` runs coded training (with
@@ -134,13 +135,29 @@ def _clamp_index(value, n: int):
     return np.minimum(np.maximum(value, 1), n)
 
 
-def _layer_count(sizes, budget: Optional[int]) -> tuple[int, int]:
-    """(layers sent, layers needed); a budget short of 4 pilots per layer truncates."""
-    n_layers = max(sizes)
-    if n_layers == 0:
+def _row_counts(kind: str, budget, rows: int, needed: int, per: int) -> np.ndarray:
+    """Each row's count of units of ``per`` pilots sent, at most ``needed``, under a budget
+    per row or one budget (None for unlimited) for every row; each value is checked once."""
+    budgets, counts = np.empty(rows, dtype=object), np.empty(rows, dtype=np.intp)
+    budgets[:] = budget
+    values = budgets.tolist()
+    for _, value in set(zip(map(type, values), values)):  # so True beside 1 is checked too
+        counts[budgets == value] = (needed if value is None
+                                    else min(needed, check_budget(kind, value) // per))
+    return counts
+
+
+def _layer_noise(sizes, snr: SnrSpec, budget, rngs) -> tuple[np.ndarray, int, np.ndarray]:
+    """(layers each trial sends, layers needed, noise): row t's ``pilot_noise`` of its
+    (sent[t], 2, 2) pilots, zero-padded to the most layers sent."""
+    needed = max(sizes)
+    if needed == 0:
         raise ValueError("nothing to train: both arrays have a single candidate")
-    budget = check_budget("layered", budget)
-    return (n_layers if budget is None else min(n_layers, budget // 4)), n_layers
+    sent = _row_counts("layered", budget, len(rngs), needed, 4)
+    noise = np.zeros((len(rngs), sent.max(initial=0), 2, 2, 2))
+    for row, rng, layers in zip(noise, rngs, sent.tolist()):
+        row[:layers] = pilot_noise(snr, rng, (layers, 2, 2))
+    return sent, needed, noise
 
 
 def _side_bits(winners: np.ndarray, n: int, side: str) -> np.ndarray:
@@ -162,8 +179,8 @@ class TrainingRuns:
     ``decoded`` holds each side's (corrected, uncorrectable, flipped) arrays
     from ``decode_words`` for every layered protocol; identity codes in mode
     "none" give all-clean arrays. Exhaustive training does not decode: its
-    ``decoded`` is empty and it has no raw bits. Every trial sends the same
-    number of pilots, so the pilot count and the truncation flag are shared.
+    ``decoded`` is empty and it has no raw bits. Trial t sends ``pilots[t]``
+    pilots, under its own budget; one with fewer than ``needed`` is truncated.
     """
 
     est_bs_index: np.ndarray
@@ -171,8 +188,12 @@ class TrainingRuns:
     raw_bits_bs: np.ndarray  # (trials, n_t)
     raw_bits_ris: np.ndarray  # (trials, n_r)
     decoded: tuple
-    pilots_used: int
-    truncated: bool
+    pilots: np.ndarray  # (trials,)
+    needed: int  # the pilots of an untruncated trial
+
+    # block totals, as perfbench/tracing.py reads them: all pilots, and any trial truncated
+    pilots_used = property(lambda self: int(self.pilots.sum()))
+    truncated = property(lambda self: bool((self.pilots < self.needed).any()))
 
 
 def run_layered(
@@ -180,7 +201,7 @@ def run_layered(
     books: tuple[DesignedCodebook, DesignedCodebook],
     codes: tuple[BlockCode, BlockCode],
     snr: SnrSpec,
-    budget: Optional[int],
+    budget,
     rngs,
     decode_mode: str = "one_bit",
     *,
@@ -191,39 +212,40 @@ def run_layered(
     Layer l sends the 4 tuples of BS layer l mod n_t and RIS layer l mod n_r
     in the order (0,0), (0,1), (1,0), (1,1) (BS bit, RIS bit; bit 1 is the
     mask=1 codeword); ties break toward the first and each side keeps its
-    first n decisions. A budget short of 4*max(n_t, n_r) truncates every
-    trial and zero-fills the missing bits. Gains come from the block's responses
+    first n decisions. A budget short of 4*max(n_t, n_r) truncates its trial
+    and zero-fills the missing bits. Gains come from the block's responses
     to the codebook matrices and each trial's noise from one ``pilot_noise``
-    draw; powers, decisions and decoding run once for the block. The BS side
-    decodes with at most one-bit correction; the decoupled two-bit mode
-    applies to the RIS side. Identity codes with decode mode "none" give
-    full-coverage hierarchical training.
+    draw; powers, decisions and decoding run once for the block, over the
+    most layers a trial sends. The BS side decodes with at most one-bit
+    correction; the decoupled two-bit mode applies to the RIS side. Identity
+    codes with decode mode "none" give full-coverage hierarchical training.
     """
     code_t, code_r = codes
     if min(code_t.n, code_r.n) == 0:
         raise ValueError("layered training needs more than one candidate on each side")
-    sent, needed = _layer_count((code_t.n, code_r.n), budget)
-    layers = np.arange(sent)[:, None]
+    sent, needed, noise = _layer_noise((code_t.n, code_r.n), snr, budget, rngs)
+    layers = np.arange(noise.shape[1])[:, None]
     rows = (2 * (layers % code_t.n) + (0, 1))[:, :, None]
     cols = (2 * (layers % code_r.n) + (0, 1))[:, None, :]
     if not ideal:
         _check_constant_modulus(books[1].matrix, block.n_ris)
     bs, ris = beam_responses(block, books[0].matrix, books[1].matrix, ideal)
-    noise = np.stack([pilot_noise(snr, rng, (sent, 2, 2)) for rng in rngs])
     powers = received_power(bs[:, rows] * ris[:, cols], snr, noise)
-    winners = powers.reshape(len(rngs), sent, 4).argmax(axis=-1)
+    winners = powers.reshape(len(rngs), len(layers), 4).argmax(axis=-1)
 
-    return _decode_layers(block, winners, codes, decode_mode, needed)
+    return _decode_layers(block, winners, codes, decode_mode, sent, needed)
 
 
 def _decode_layers(block, winners: np.ndarray, codes: tuple[BlockCode, BlockCode],
-                   decode_mode: str, needed: int) -> TrainingRuns:
+                   decode_mode: str, sent: np.ndarray, needed: int) -> TrainingRuns:
     """The finish of a layered protocol: winning tuples to raw bits, decoded to estimates.
 
-    ``winners`` holds the (trials, layers sent) winning tuples; ``needed`` is
-    the number of layers an untruncated run sends.
+    ``winners`` holds the (trials, most layers sent) winning tuples, row t's first
+    ``sent[t]`` sent; ``needed`` is the number of layers an untruncated run sends.
     """
     code_t, code_r = codes
+    # a layer a trial did not send reads as tuple 0, so both of its bits are zero
+    winners = np.where(np.arange(winners.shape[1]) < sent[:, None], winners, 0)
     raw_t = _side_bits(winners, code_t.n, "bs")
     raw_r = _side_bits(winners, code_r.n, "ris")
     bs_mode = "one_bit" if decode_mode == "decoupled_two_bit" else decode_mode
@@ -235,8 +257,8 @@ def _decode_layers(block, winners: np.ndarray, codes: tuple[BlockCode, BlockCode
         raw_bits_bs=raw_t,
         raw_bits_ris=raw_r,
         decoded=(tuple(decoded_t), tuple(decoded_r)),
-        pilots_used=4 * winners.shape[1],
-        truncated=winners.shape[1] < needed,
+        pilots=4 * sent,
+        needed=4 * needed,
     )
 
 
@@ -262,7 +284,7 @@ def run_adaptive(
     beams: tuple[np.ndarray, np.ndarray],
     codes: tuple[BlockCode, BlockCode],
     snr: SnrSpec,
-    budget: Optional[int],
+    budget,
     rngs,
     *,
     ideal: bool = False,
@@ -281,13 +303,13 @@ def run_adaptive(
     if ``ideal``) and ``codes`` the identity codes of the index bits, whose
     lengths set the layer counts. There is no error correction: the raw bits
     decode in mode "none", so ``decoded`` is all clean. A budget short of 4
-    pilots per layer truncates every trial and zero-fills the missing bits.
+    pilots per layer truncates its trial and zero-fills the missing bits; a
+    trial's layers past its budget are computed with the block's, unread.
     """
     sizes = (codes[0].n, codes[1].n)
-    sent, needed = _layer_count(sizes, budget)
-    noise = np.stack([pilot_noise(snr, rng, (sent, 2, 2)) for rng in rngs])
-    winners = np.zeros((len(rngs), sent), dtype=np.intp)
-    for layer in range(sent):
+    sent, needed, noise = _layer_noise(sizes, snr, budget, rngs)
+    winners = np.zeros(noise.shape[:2], dtype=np.intp)
+    for layer in range(noise.shape[1]):
         pairs = [_prefix_pairs(cov, winners[:, :layer], k, side)
                  for cov, k, side in zip(beams, sizes, ("bs", "ris"))]
         if not ideal:
@@ -296,7 +318,7 @@ def run_adaptive(
         powers = received_power(bs[:, :, None] * ris[:, None, :], snr, noise[:, layer])
         winners[:, layer] = powers.reshape(len(rngs), 4).argmax(axis=-1)
 
-    return _decode_layers(block, winners, codes, "none", needed)
+    return _decode_layers(block, winners, codes, "none", sent, needed)
 
 
 def narrow_beam_matrices(grid: AngleGrid, geometry: ArrayGeometry
@@ -313,7 +335,7 @@ def run_exhaustive(
     block: ChannelBlock,
     narrow_beams: tuple[np.ndarray, np.ndarray],
     snr: SnrSpec,
-    budget: Optional[int],
+    budget,
     rngs,
 ) -> TrainingRuns:
     """Exhaustive training of a block: trial t on row t, noise from ``rngs[t]``.
@@ -321,18 +343,20 @@ def run_exhaustive(
     Each trial sweeps the tuples of the narrow beams (``narrow_beam_matrices``)
     in BS-major order and picks the power argmax. With a budget below
     n_bs * n_ris only the first tuples are measured; ties break toward the
-    lowest tuple index. Each trial's n_bs x n_ris table is formed from the
-    block's responses on its own, to bound memory; its noise is one draw.
+    lowest tuple index. Each trial's table is formed from the block's
+    responses on its own, to bound memory, and only up to the BS row of its
+    last tuple sent; its noise is one draw.
     """
     total = block.n_bs * block.n_ris
-    budget = check_budget("exhaustive", budget)
-    count = total if budget is None else min(budget, total)
+    counts = _row_counts("exhaustive", budget, len(rngs), total, 1)
     rows = np.broadcast_to(snr.snr_linear, len(rngs)).tolist()
     specs = {value: SnrSpec(value, snr.noiseless) for value in set(rows)}  # one per SNR
+    bs_rows = -(-counts // block.n_ris)  # the BS rows of each trial's table it sends
     winners = np.array([
-        np.argmax(received_power(np.outer(bs, ris).ravel()[:count], specs[row],
+        np.argmax(received_power((bs[:bs_row, None] * ris).ravel()[:count], specs[row],
                                  pilot_noise(snr, rng, (count,))))
-        for bs, ris, row, rng in zip(*beam_responses(block, *narrow_beams), rows, rngs)],
+        for bs, ris, row, count, bs_row, rng in zip(*beam_responses(block, *narrow_beams),
+                                                    rows, counts.tolist(), bs_rows.tolist(), rngs)],
         dtype=np.intp)  # BS-major tuple order
     no_bits = np.empty((len(rngs), 0), dtype=np.uint8)
     return TrainingRuns(
@@ -341,8 +365,8 @@ def run_exhaustive(
         raw_bits_bs=no_bits,
         raw_bits_ris=no_bits,
         decoded=(),
-        pilots_used=count,
-        truncated=count < total,
+        pilots=counts,
+        needed=total,
     )
 
 

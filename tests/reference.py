@@ -331,8 +331,8 @@ def trial_outcome(runs: TrainingRuns, trial: int) -> TrainingOutcome:
         raw_bits_ris=runs.raw_bits_ris[trial],
         corrected_bs=reports[0],
         corrected_ris=reports[1],
-        pilots_used=runs.pilots_used,
-        truncated=runs.truncated,
+        pilots_used=int(runs.pilots[trial]),
+        truncated=bool(runs.pilots[trial] < runs.needed),
     )
 
 

@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 
 from reference import effective_gain, measure_power, sample_full_block
+from risbeam import channel
 from risbeam.arrays import (
     ArrayGeometry,
     bs_grid_sines,
@@ -73,6 +74,22 @@ def test_sample_block_fields_equal_the_full_draw_on_one_blas_thread():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["True"]
+
+
+@pytest.mark.parametrize("dims", GEOMETRIES, ids=GEOMETRY_IDS)
+@pytest.mark.parametrize("mode", MODES)
+def test_stack_passes_change_no_byte(monkeypatch, dims, mode):
+    # the RIS-BS matrices formed one row per pass, or 3 rows (a partial last
+    # pass of 2), give the block of one pass over all 8 rows
+    geo = ArrayGeometry(*dims)
+    grid = make_angle_grid(geo)
+    blocks = []
+    for stack_bytes in (1, 3 * 16 * geo.n_ris * geo.n_bs, 8 * 16 * geo.n_ris * geo.n_bs):
+        monkeypatch.setattr(channel, "STACK_BYTES", stack_bytes)
+        blocks.append(sample_block(geo, grid, [np.random.default_rng(seed) for seed in range(8)],
+                                   mode))
+    whole = [_rows_bytes(block, slice(None)) for block in blocks]
+    assert whole[0] == whole[1] == whole[2]
 
 
 def test_sample_channel_deterministic(small_setup):

@@ -305,7 +305,7 @@ def test_flipped_inverts_exactly_the_listed_bits(desk_books, desk_codes, desk_ge
     with flipped(flips):
         runs = run()
     assert training.received_power is received_power
-    sent = plain.pilots_used // 4
+    sent = plain.pilots[0] // 4
     for side, before, after in (("bs", plain.raw_bits_bs, runs.raw_bits_bs),
                                 ("ris", plain.raw_bits_ris, runs.raw_bits_ris)):
         expected = before.copy()
@@ -506,8 +506,8 @@ def _blocked_sweep(cfg, size):
 def test_snr_sweep_blocks_fill_across_sweep_points(points, trials, mode, ideal, data):
     # with fewer trials per point than a block holds, one sample_block call
     # draws each block of point-major rows, across the points, and the rows
-    # and trial log are those of blocks of one row; a pilots sweep's blocks
-    # never span a budget change
+    # and trial log are those of blocks of one row; in a pilots sweep a
+    # block's rows span budgets alike
     cells = points * trials
     partial_sizes = [size for size in range(trials + 1, cells) if cells % size]
     assume(partial_sizes)
@@ -528,19 +528,32 @@ def test_snr_sweep_blocks_fill_across_sweep_points(points, trials, mode, ideal, 
                      pilot_grid=(4, 12, 24, 1000)[:points])
     by_row, _ = _blocked_sweep(pilots, 1)
     results, drawn = _blocked_sweep(pilots, size)
-    assert drawn == [trials] * points  # one block per budget
+    assert drawn == [min(size, cells - start) for start in range(0, cells, size)]
     assert results == by_row
+
+
+def _row_bytes(runs, t):
+    """Row t of every per-trial array of a TrainingRuns, as bytes, and its ``needed``."""
+    arrays = (runs.est_bs_index, runs.est_ris_index, runs.raw_bits_bs, runs.raw_bits_ris,
+              runs.pilots, *[array for side in runs.decoded for array in side])
+    return [array[t].tobytes() for array in arrays] + [runs.needed]
+
+
+def _desk_runners(ideal):
+    """The desk geometry and grid, and its three runners: exhaustive, coded, adaptive."""
+    geo, grid, beams, identity, _ = adaptive_setup(16, 8, 8, ideal)
+    _, _, codes, books = layered_setup(16, 8, 8, True, ideal)
+    return geo, grid, (partial(run_exhaustive, narrow_beams=narrow_beam_matrices(grid, geo)),
+                       partial(run_layered, books=books, codes=codes,
+                               decode_mode="decoupled_two_bit", ideal=ideal),
+                       partial(run_adaptive, beams=beams, codes=identity, ideal=ideal))
 
 
 @settings(max_examples=10, deadline=None)
 @given(MODES, st.lists(st.floats(0.01, 100.0), min_size=1, max_size=5), SEEDS)
-def test_runners_take_a_per_row_snr(desk_books, desk_codes, mode, snrs, seed):
+def test_runners_take_a_per_row_snr(mode, snrs, seed):
     # each runner's rows under a per-row SNR are one-row calls at that row's SNR
-    geo, grid, beams, identity, _ = adaptive_setup(16, 8, 8, False)
-    runners = (partial(run_exhaustive, narrow_beams=narrow_beam_matrices(grid, geo)),
-               partial(run_layered, books=desk_books, codes=desk_codes,
-                       decode_mode="decoupled_two_bit"),
-               partial(run_adaptive, beams=beams, codes=identity))
+    geo, grid, runners = _desk_runners(False)
     block = draw_block(geo, grid, mode, seed, len(snrs))
     for runner in runners:
         runs = runner(block, snr=SnrSpec(np.array(snrs)), budget=None,
@@ -548,14 +561,52 @@ def test_runners_take_a_per_row_snr(desk_books, desk_codes, mode, snrs, seed):
         for t, snr_linear in enumerate(snrs):
             one = runner(draw_block(geo, grid, mode, seed + t), snr=SnrSpec(snr_linear),
                          budget=None, rngs=[np.random.default_rng(seed + 1 + t)])
-            for got, expected in ((runs.est_bs_index, one.est_bs_index),
-                                  (runs.est_ris_index, one.est_ris_index),
-                                  (runs.raw_bits_bs, one.raw_bits_bs),
-                                  (runs.raw_bits_ris, one.raw_bits_ris),
-                                  *[(a, b) for side, other in zip(runs.decoded, one.decoded)
-                                    for a, b in zip(side, other)]):
-                assert got[t].tobytes() == expected[0].tobytes()
-            assert (runs.pilots_used, runs.truncated) == (one.pilots_used, one.truncated)
+            assert _row_bytes(runs, t) == _row_bytes(one, 0)
+
+
+# (exhaustive, layered) budgets on the desk arrays: 64 tuples a BS row, 1,024 in
+# all; 12 coded and 6 hierarchical layers. Exhaustive training sends less than
+# a BS row, one, one and a tuple, every tuple, or has a budget past them all;
+# a layered budget of 7 leaves 3 pilots unused.
+ROW_BUDGETS = ((1, 4), (63, 7), (64, 20), (65, 24), (1000, 44), (1024, 48), (1030, 100),
+               (None, None))
+
+
+@pytest.mark.parametrize("ideal, noiseless", [(False, False), (True, False), (False, True)])
+@settings(max_examples=10, deadline=None)
+@given(MODES, st.permutations(ROW_BUDGETS),
+       st.lists(st.floats(0.01, 100.0), min_size=len(ROW_BUDGETS),
+                max_size=len(ROW_BUDGETS)), SEEDS)
+def test_runners_take_a_per_row_budget(ideal, noiseless, mode, budgets, snrs, seed):
+    # each runner's rows under per-row budgets (and SNRs) are one-row calls at
+    # that row's budget, truncated or not, and row t draws from rngs[t] exactly
+    # the noise of its own pilots
+    geo, grid, runners = _desk_runners(ideal)
+    block = draw_block(geo, grid, mode, seed, len(budgets))
+    exhaustive, layered = zip(*budgets)
+    for runner, row_budgets in zip(runners, (exhaustive, layered, layered)):
+        rngs = [np.random.default_rng(seed + 1 + t) for t in range(len(budgets))]
+        runs = runner(block, snr=SnrSpec(np.array(snrs), noiseless), budget=list(row_budgets),
+                      rngs=rngs)
+        assert 0 < np.count_nonzero(runs.pilots < runs.needed) < len(budgets)
+        for t, (snr_linear, budget) in enumerate(zip(snrs, row_budgets)):
+            rng = np.random.default_rng(seed + 1 + t)
+            one = runner(draw_block(geo, grid, mode, seed + t), snr=SnrSpec(snr_linear, noiseless),
+                         budget=budget, rngs=[rng])
+            assert _row_bytes(runs, t) == _row_bytes(one, 0)
+            assert rngs[t].bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("runner, budgets", [(0, [1, True]), (0, [1, 0]), (1, [4, 3]),
+                                             (1, [8, 4.5]), (2, [None, 2]), (2, [4, 8, 12])])
+def test_per_row_budgets_are_checked(runner, budgets):
+    # every row's budget is checked, a bool beside an equal int included, and
+    # a budget per row needs one per row
+    geo, grid, runners = _desk_runners(False)
+    block = draw_block(geo, grid, "on_grid", 0, 2)
+    with pytest.raises(ValueError):
+        runners[runner](block, snr=SnrSpec(1.0), budget=budgets,
+                        rngs=[np.random.default_rng(t) for t in range(2)])
 
 
 @st.composite
@@ -589,8 +640,9 @@ def test_exhaustive_runner_matches_per_tuple_sweep(case, mode, trials, snr_linea
     for t in range(trials):
         estimate, pilots, truncated = exhaustive_sweep(block, grid, geo, snr, budget,
                                                        np.random.default_rng(seed + t), t)
-        assert (runs.est_bs_index[t], runs.est_ris_index[t]) == estimate
-        assert (runs.pilots_used, runs.truncated) == (pilots, truncated)
+        outcome = trial_outcome(runs, t)
+        assert (outcome.est_bs_index, outcome.est_ris_index) == estimate
+        assert (outcome.pilots_used, outcome.truncated) == (pilots, truncated)
 
 
 @pytest.mark.parametrize("dims", [(16, 8, 8), (64, 16, 16), (8, 6, 8), (12, 8, 6)])
