@@ -84,10 +84,11 @@ def sample_block(geometry: ArrayGeometry, grid: AngleGrid, rngs,
                                for rng in rngs]).T
         a_bs, (a_ue, a_gr) = grid.bs_steering.T[bs], grid.ris_steering.T[np.stack((ue, gr))]
     else:
-        half = np.pi / 2
-        phi_t, phi_r, theta_r, phi_g, theta_g = np.array([
-            [rng.uniform(-half, half), rng.uniform(-half, half), rng.uniform(0.0, np.pi),
-             rng.uniform(-half, half), rng.uniform(0.0, np.pi)] for rng in rngs]).T
+        # rng.uniform(low, high) is low + (high - low) * rng.random(), and each range
+        # here is pi: one random(5) per trial gives the bytes of five uniform calls
+        low = np.array([-np.pi / 2, -np.pi / 2, 0.0, -np.pi / 2, 0.0])
+        phi_t, phi_r, theta_r, phi_g, theta_g = (
+            low + np.pi * np.array([rng.random(5) for rng in rngs])).T
         u, w, bs_sine = np.sin(phi_r) * np.sin(theta_r), np.cos(theta_r), np.sin(phi_t)
         bs = np.argmin(np.abs(bs_grid_sines(n_bs) - bs_sine[:, None]), axis=1)
         ue = np.argmin((grid.ris_u - u[:, None]) ** 2 + (grid.ris_w - w[:, None]) ** 2, axis=1)

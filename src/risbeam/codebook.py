@@ -16,7 +16,9 @@ convention: the response of codeword v at grid point n is |a_n^H v| with a_n
 the steering vector there. The training layer conjugates (and de-rotates,
 for the RIS) before transmission. The prefix beams of adaptive hierarchical
 training (``prefix_beams``) are designed here too, with the same designers:
-one matrix per side, one column per bit prefix.
+one matrix per side, one column per bit prefix. ``design_beams`` designs
+both for a sweep with one GS call, and ``build_codebooks`` and
+``prefix_beams`` are that call for one of them.
 """
 
 from __future__ import annotations
@@ -280,8 +282,8 @@ def _design_factorized(ids, covers: np.ndarray, geometry: ArrayGeometry, cfg: Gs
     """Kronecker synthesis of each cover's RIS codeword from two 1-D designs.
 
     A full-coverage factor is the closed-form flat codeword (exact response, no
-    iteration); the varying factors of both axes run as one GS call. Returns the
-    (covers, n_ris) codewords and each cover's traces.
+    iteration); the varying factors of both axes are one yield of GS groups (see
+    ``design_beams``). Returns the (covers, n_ris) codewords and each cover's traces.
     """
     sizes = (geometry.n_ris_rows, geometry.n_ris_cols)
     factors = factor_pattern_mask(covers, *sizes)
@@ -290,7 +292,7 @@ def _design_factorized(ids, covers: np.ndarray, geometry: ArrayGeometry, cfg: Gs
                [derive_rng(cfg.seed, "gs", "ris", *i, name) for i in compress(ids, vary)])
               for name, n, freqs, f, vary in zip("uw", sizes, (u_axis, w_axis), factors, varying)
               if vary.any()]
-    designed = iter(relaxed_gs_batch(groups, cfg))
+    designed = iter((yield groups))
     axes, traces = [], [() for _ in ids]
     for n, vary in zip(sizes, varying):
         axes.append(np.tile(flat_codeword(n), (len(ids), 1)))
@@ -301,6 +303,25 @@ def _design_factorized(ids, covers: np.ndarray, geometry: ArrayGeometry, cfg: Gs
     return (axes[0][:, :, None] * axes[1][:, None, :]).reshape(len(ids), -1), traces
 
 
+def design_beams(geometry: ArrayGeometry, grid: AngleGrid, cfg: GsConfig,
+                 codes: Optional[tuple[BlockCode, BlockCode]] = None, adaptive: bool = False,
+                 *, direct_2d: bool = False, ideal: bool = False) -> tuple:
+    """(``build_codebooks`` of ``codes``, ``prefix_beams`` if ``adaptive``) from one GS call.
+
+    A part not asked for is None. Each part is a design: a generator that
+    yields its RIS GS groups, is sent their results and yields its beams. A
+    GS row does not depend on the other rows of its batch, and each design
+    draws its own streams, so a part's bytes are those of its own call.
+    """
+    designs = [codes and _design_codebooks(*codes, grid, geometry, cfg, direct_2d, ideal),
+               adaptive and _design_prefix_beams(geometry, grid, cfg, ideal)]
+    asked = [next(design) if design else [] for design in designs]
+    groups = [group for design_groups in asked for group in design_groups]
+    designed = iter(relaxed_gs_batch(groups, cfg) if groups else ())
+    return tuple(design.send([next(designed) for _ in design_groups]) if design else None
+                 for design, design_groups in zip(designs, asked))
+
+
 def build_codebooks(
     code_t: BlockCode,
     code_r: BlockCode,
@@ -309,16 +330,26 @@ def build_codebooks(
     cfg: GsConfig,
     direct_2d: bool = False,
 ) -> tuple[DesignedCodebook, DesignedCodebook]:
-    """Design the full BS and RIS codebooks for the given codes.
+    """Design the full BS and RIS codebooks for the given codes (``design_beams``)."""
+    return design_beams(geometry, grid, cfg, (code_t, code_r), direct_2d=direct_2d)[0]
+
+
+def _design_codebooks(code_t: BlockCode, code_r: BlockCode, grid: AngleGrid,
+                      geometry: ArrayGeometry, cfg: GsConfig, direct_2d: bool, ideal: bool):
+    """The design of the BS and RIS codebooks (ideal: mask-valued) for the given codes.
 
     Dimension-split RIS codes are synthesized as Kronecker products of two
-    1-D designs, both axes in one GS call; plain RIS codes (or direct_2d=True)
-    run one direct 2-D batch. Each (layer, polarity, axis) design consumes its
+    1-D designs, both axes in one yield; plain RIS codes (or direct_2d=True)
+    yield one direct 2-D group. Each (layer, polarity, axis) design consumes its
     own derived random stream, so both sides design their covers in column
     order as whole arrays, and each side's margins are one masked min/max.
     """
     masks_t = beam_pattern_matrix(code_t, geometry.n_bs)
     masks_r = beam_pattern_matrix(code_r, geometry.n_ris)
+    if ideal:
+        yield []
+        yield ideal_codebook(masks_t, "bs"), ideal_codebook(masks_r, "ris")
+        return
     ris_sampling = ris_sampling_matrix(geometry, grid)
     bs_steering = bs_steering_matrix(geometry, grid)
 
@@ -328,15 +359,15 @@ def build_codebooks(
     ris_covers = _column_covers(masks_r)
     ids = list(product(range(len(masks_r)), ("zero", "one")))  # (layer, polarity) per column
     if code_r.split is not None and not direct_2d:
-        ris_codewords, ris_traces = _design_factorized(ids, ris_covers, geometry, cfg)
+        ris_codewords, ris_traces = yield from _design_factorized(ids, ris_covers, geometry, cfg)
     else:
         rngs = [derive_rng(cfg.seed, "gs", "ris", *i, "2d") for i in ids]
-        [(ris_codewords, traces)] = relaxed_gs_batch([(ris_sampling, ris_covers, rngs)], cfg)
+        [(ris_codewords, traces)] = yield [(ris_sampling, ris_covers, rngs)]
         ris_traces = [(t,) for t in traces]
 
-    return (_designed_codebook("bs", bs_codewords, [()] * len(bs_covers), masks_t, bs_steering),
-            _designed_codebook("ris", ris_codewords, ris_traces, masks_r, ris_sampling,
-                               np.sqrt(geometry.n_ris)))
+    yield (_designed_codebook("bs", bs_codewords, [()] * len(bs_covers), masks_t, bs_steering),
+           _designed_codebook("ris", ris_codewords, ris_traces, masks_r, ris_sampling,
+                              np.sqrt(geometry.n_ris)))
 
 
 def _designed_codebook(side: str, codewords: np.ndarray, traces, masks: np.ndarray,
@@ -369,18 +400,25 @@ def prefix_beams(geometry: ArrayGeometry, grid: AngleGrid, cfg: GsConfig,
     prefix. Each side's matrix holds every prefix beam once, in coverage
     convention: column ``2**L - 1 + value`` holds the beam of the prefix of
     length L (0 to the side's bit count) that reads as the integer ``value``.
-    The nonempty prefixes of both RIS axes (u and w) run in one GS call, BS
-    beams come from ``design_bs_codewords``, and ideal beams are the coverage
-    masks. A RIS prefix is the u bits followed by the w bits, and its beam is
-    the Kronecker product of its two axis beams. Every array size must be a
-    power of two, so that each prefix covers a nonempty index interval.
+    The nonempty prefixes of both RIS axes (u and w) run in one GS call
+    (``design_beams``), BS beams come from ``design_bs_codewords``, and ideal
+    beams are the coverage masks. A RIS prefix is the u bits followed by the
+    w bits, and its beam is the Kronecker product of its two axis beams.
+    Every array size must be a power of two, so that each prefix covers a
+    nonempty index interval.
     """
+    return design_beams(geometry, grid, cfg, adaptive=True, ideal=ideal)[1]
+
+
+def _design_prefix_beams(geometry: ArrayGeometry, grid: AngleGrid, cfg: GsConfig, ideal: bool):
+    """The design of the ``prefix_beams`` matrices."""
     sizes = (geometry.n_bs, geometry.n_ris_rows, geometry.n_ris_cols)
     check_powers_of_two(sizes, "adaptive hierarchical training halves every index interval")
     masks = [np.array([np.arange(n) >> (ceil_log2(n) - len(bits)) == bits_to_int(bits)
                        for bits in _prefixes(ceil_log2(n))]) for n in sizes]
     if ideal:
         bs, u, w = [m.T.astype(float) for m in masks]
+        yield []
     else:
         steering = bs_steering_matrix(geometry, grid)
         groups = [(axis_sampling_matrix(n, freqs(n)), m[1:],
@@ -389,12 +427,12 @@ def prefix_beams(geometry: ArrayGeometry, grid: AngleGrid, cfg: GsConfig,
                   for side, freqs, n, m in zip("uw", (u_axis, w_axis), sizes[1:], masks[1:])]
         bs = design_bs_codewords([np.flatnonzero(m) for m in masks[0]], steering).T
         u, w = [np.column_stack([flat_codeword(n), *vs])
-                for n, (vs, _) in zip(sizes[1:], relaxed_gs_batch(groups, cfg))]
+                for n, (vs, _) in zip(sizes[1:], (yield groups))]
     k_u = ceil_log2(geometry.n_ris_rows)
     prefixes = _prefixes(k_u + ceil_log2(geometry.n_ris_cols))
     u_rows = u.T[[_column(bits[:k_u]) for bits in prefixes]]
     w_rows = w.T[[_column(bits[k_u:]) for bits in prefixes]]
-    return bs, (u_rows[:, :, None] * w_rows[:, None, :]).reshape(len(prefixes), -1).T
+    yield bs, (u_rows[:, :, None] * w_rows[:, None, :]).reshape(len(prefixes), -1).T
 
 
 def _prefixes(k: int) -> list[tuple]:

@@ -6,16 +6,18 @@ SNR sweep and a pilots sweep alike. Per-trial channels are seeded
 independently of the protocol, so one ``sample_block`` call draws each
 channel of a block once, and every protocol runs on that ``ChannelBlock`` at
 each row's SNR and pilot budget; the measurement noise stream is seeded per
-(protocol, sweep point, trial), so the block size changes no result. Every channel and noise stream of the sweep is seeded at
-once before the first trial (``stream_words``), and ``word_streams`` builds
-each block's generators from their words. Before the first trial, the
-codebooks and prefix beams are designed and each protocol gets one block
-runner, called once per block: ``run_exhaustive``, ``run_layered`` for coded
-and full-coverage hierarchical training (the latter with identity codes, whose
-codebooks are the first k layers of the coded ones), or ``run_adaptive`` with
-the same identity codes and the ``prefix_beams`` matrices. One ``tuple_rates``
-call rates every protocol's estimates of a block, and one comparison with the
-true indices scores them.
+(protocol, sweep point, trial), so the block size changes no result. Every
+channel and noise stream of the sweep is seeded at once before the first
+trial (``stream_words``), and ``word_streams`` builds each block's generators
+from their words. Before the first trial, one ``design_beams`` call designs
+the codebooks and the prefix beams, every RIS GS design of both in one GS
+loop, and each protocol gets one block runner, called once per block:
+``run_exhaustive``, ``run_layered`` for coded and full-coverage hierarchical
+training (the latter with identity codes, whose codebooks are the first k
+layers of the coded ones), or ``run_adaptive`` with the same identity codes
+and the prefix-beam matrices. One ``tuple_rates`` call rates every
+protocol's estimates of a block, and one comparison with the true indices
+scores them.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from .arrays import (ArrayGeometry, ceil_log2, check_powers_of_two, make_angle_g
                      real_number, whole_number)
 from .blockcode import build_identity_code
 from .channel import SAMPLING_MODES, SnrSpec, sample_block
-from .codebook import (GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook,
-                       prefix_beams)
+from .codebook import GsConfig, design_beams
 from .seeding import derive_seed, stream_words, word_streams
 from .training import (
     ProtocolSpec,
@@ -186,46 +187,33 @@ def _is_layered(proto: ProtocolSpec) -> bool:
                                      and proto.hierarchical_variant == "full_coverage")
 
 
-def _design_books(cfg: ExperimentConfig, grid, codes):
-    geometry = cfg.geometry
-    if cfg.ideal_beams:
-        return (ideal_codebook(beam_pattern_matrix(codes[0], geometry.n_bs), "bs"),
-                ideal_codebook(beam_pattern_matrix(codes[1], geometry.n_ris), "ris"))
-    return build_codebooks(*codes, grid, geometry, cfg.gs)
-
-
-def _build_layered_assets(cfg: ExperimentConfig, grid, identity) -> dict:
-    """(codes, codebooks) for run_layered, keyed by protocol kind.
-
-    The identity codes' codebooks are the systematic layers of the coded
-    codebooks, so they are designed on their own only without a coded protocol.
-    """
-    if not any(p.kind == "coded" for p in cfg.protocols):
-        return {"hierarchical": (identity, _design_books(cfg, grid, identity))}
-    codes = coded_codes(cfg.n_bs, (cfg.n_ris_rows, cfg.n_ris_cols))
-    books = _design_books(cfg, grid, codes)
-    systematic = tuple(book.first_layers(code.k) for book, code in zip(books, identity))
-    return {"coded": (codes, books), "hierarchical": (identity, systematic)}
-
-
 def _build_runners(cfg: ExperimentConfig, grid, narrow) -> list:
-    """One block runner per protocol, each called as run(block, snr=, budget=, rngs=)."""
+    """One block runner per protocol, each called as run(block, snr=, budget=, rngs=).
+
+    Every beam is designed here, in one ``design_beams`` call. The identity
+    codes' codebooks are the systematic layers of the coded codebooks, so they
+    are designed on their own only without a coded protocol.
+    """
     geometry = cfg.geometry
     k_bs, k_u, k_w = map(ceil_log2, (geometry.n_bs, geometry.n_ris_rows, geometry.n_ris_cols))
     identity = (build_identity_code(k_bs), build_identity_code(k_u, k_w))
+    kinds = [p.kind for p in cfg.protocols if _is_layered(p)]
+    codes = (coded_codes(cfg.n_bs, (cfg.n_ris_rows, cfg.n_ris_cols)) if "coded" in kinds
+             else identity if kinds else None)
     adaptive = any(p.kind == "hierarchical" and not _is_layered(p) for p in cfg.protocols)
-    beams = prefix_beams(geometry, grid, cfg.gs, cfg.ideal_beams) if adaptive else None
-    layered = (_build_layered_assets(cfg, grid, identity)
-               if any(_is_layered(p) for p in cfg.protocols) else {})
+    books, beams = design_beams(geometry, grid, cfg.gs, codes, adaptive, ideal=cfg.ideal_beams)
+    layered = {"coded": (codes, books),
+               "hierarchical": (identity, books and tuple(
+                   book.first_layers(code.k) for book, code in zip(books, identity)))}
     runners = []
     for proto in cfg.protocols:
         if proto.kind == "exhaustive":
             runners.append(partial(run_exhaustive, narrow_beams=narrow))
         elif _is_layered(proto):
-            codes, books = layered[proto.kind]
+            proto_codes, proto_books = layered[proto.kind]
             mode = proto.decode_mode if proto.kind == "coded" else "none"
-            runners.append(partial(run_layered, books=books, codes=codes, decode_mode=mode,
-                                   ideal=cfg.ideal_beams))
+            runners.append(partial(run_layered, books=proto_books, codes=proto_codes,
+                                   decode_mode=mode, ideal=cfg.ideal_beams))
         else:
             runners.append(partial(run_adaptive, beams=beams, codes=identity,
                                    ideal=cfg.ideal_beams))

@@ -26,7 +26,7 @@ steering phases so the training depends only on the UE-side angle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -155,8 +155,10 @@ def _layer_noise(sizes, snr: SnrSpec, budget, rngs) -> tuple[np.ndarray, int, np
         raise ValueError("nothing to train: both arrays have a single candidate")
     sent = _row_counts("layered", budget, len(rngs), needed, 4)
     noise = np.zeros((len(rngs), sent.max(initial=0), 2, 2, 2))
-    for row, rng, layers in zip(noise, rngs, sent.tolist()):
-        row[:layers] = pilot_noise(snr, rng, (layers, 2, 2))
+    if not snr.noiseless:  # pilot_noise's draws, made in place and scaled once
+        for row, rng, layers in zip(noise, rngs, sent.tolist()):
+            rng.standard_normal(out=row[:layers])
+        noise /= np.sqrt(2.0)
     return sent, needed, noise
 
 
@@ -303,20 +305,25 @@ def run_adaptive(
     if ``ideal``) and ``codes`` the identity codes of the index bits, whose
     lengths set the layer counts. There is no error correction: the raw bits
     decode in mode "none", so ``decoded`` is all clean. A budget short of 4
-    pilots per layer truncates its trial and zero-fills the missing bits; a
-    trial's layers past its budget are computed with the block's, unread.
+    pilots per layer truncates its trial and zero-fills the missing bits; each
+    layer runs on the trials that send it.
     """
     sizes = (codes[0].n, codes[1].n)
     sent, needed, noise = _layer_noise(sizes, snr, budget, rngs)
     winners = np.zeros(noise.shape[:2], dtype=np.intp)
+    live, rows, rows_snr, stops = slice(None), block, snr, set(sent.tolist())
     for layer in range(noise.shape[1]):
-        pairs = [_prefix_pairs(cov, winners[:, :layer], k, side)
+        if layer in stops:  # a row has sent its last layer: the rest go on, it keeps tuple 0
+            live = sent > layer
+            rows = replace(block, **{f.name: getattr(block, f.name)[live] for f in fields(block)})
+            rows_snr = replace(snr, snr_linear=np.broadcast_to(snr.snr_linear, len(live))[live])
+        pairs = [_prefix_pairs(cov, winners[live, :layer], k, side)
                  for cov, k, side in zip(beams, sizes, ("bs", "ris"))]
         if not ideal:
             _check_constant_modulus(pairs[1], block.n_ris)
-        bs, ris = beam_responses(block, *pairs, ideal)
-        powers = received_power(bs[:, :, None] * ris[:, None, :], snr, noise[:, layer])
-        winners[:, layer] = powers.reshape(len(rngs), 4).argmax(axis=-1)
+        bs, ris = beam_responses(rows, *pairs, ideal)
+        powers = received_power(bs[:, :, None] * ris[:, None, :], rows_snr, noise[live, layer])
+        winners[live, layer] = powers.reshape(-1, 4).argmax(axis=-1)
 
     return _decode_layers(block, winners, codes, "none", sent, needed)
 

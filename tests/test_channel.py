@@ -65,6 +65,22 @@ def test_sample_block_fields_equal_the_full_draw(dims, mode):
     assert full_draw_agrees(dims, mode)
 
 
+def test_continuous_angles_are_five_uniform_draws():
+    # sample_block maps one random(5) per trial onto the five angle ranges; the
+    # reference draws the angles with five rng.uniform calls. The fields and each
+    # generator's end state must agree, so a numpy change to either draw fails here.
+    geo = ArrayGeometry(16, 8, 8)
+    grid = make_angle_grid(geo)
+    rngs, reference_rngs = ([np.random.default_rng(seed) for seed in range(5000)]
+                            for _ in range(2))
+    block = sample_block(geo, grid, rngs, "continuous")
+    full = sample_full_block(geo, grid, reference_rngs, "continuous")
+    for field in fields(block):
+        assert getattr(block, field.name).tobytes() == getattr(full, field.name).tobytes()
+    assert ([rng.bit_generator.state for rng in rngs]
+            == [rng.bit_generator.state for rng in reference_rngs])
+
+
 def test_sample_block_fields_equal_the_full_draw_on_one_blas_thread():
     here = Path(__file__).resolve().parent
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",

@@ -45,8 +45,8 @@ from risbeam import experiments, training
 from risbeam.arrays import ArrayGeometry, make_angle_grid, ula_steering, upa_steering_uw
 from risbeam.blockcode import DECODE_MODES, bits_to_int
 from risbeam.channel import SnrSpec, pilot_noise, received_power, sample_block
-from risbeam.codebook import (GsConfig, beam_pattern_matrix, build_codebooks, ideal_codebook,
-                              prefix_beams)
+from risbeam.codebook import (GsConfig, beam_pattern_matrix, build_codebooks, design_beams,
+                              ideal_codebook, prefix_beams)
 from risbeam.experiments import (ExperimentConfig, desk_snr_sweep, export_results,
                                  export_trial_log, run_sweep)
 from risbeam.seeding import derive_rng
@@ -156,9 +156,7 @@ def test_layered_runners_match_per_pilot_path(n_bs, rows, cols, mode, ideal,
                                               snr_linear, seed):
     geo, grid, codes, books = small_setup(n_bs, rows, cols)
     if ideal:
-        books = experiments._design_books(
-            ExperimentConfig(n_bs=n_bs, n_ris_rows=rows, n_ris_cols=cols,
-                             ideal_beams=True), grid, codes)
+        books, _ = design_beams(geo, grid, FAST_GS, codes, ideal=True)
     ch = draw_block(geo, grid, mode, seed)
     snr = SnrSpec(snr_linear)
     sizes = (codes[0].n, codes[1].n)
@@ -392,11 +390,9 @@ def layered_setup(n_bs: int, rows: int, cols: int, coded: bool, ideal: bool):
         codes = coded_codes(n_bs, (rows, cols))
     else:
         codes = identity_codes(geo)
-    # the config only carries the design settings: a sweep rejects 6 RIS rows for
-    # layered protocols, but the runners still take them (and clamp the index)
-    cfg = ExperimentConfig(n_bs=n_bs, n_ris_rows=rows, n_ris_cols=cols, gs=FAST_GS,
-                           ideal_beams=ideal, protocols=(ProtocolSpec("exhaustive"),))
-    return geo, grid, codes, experiments._design_books(cfg, grid, codes)
+    # a sweep rejects 6 RIS rows for layered protocols, but the runners still
+    # take them (and clamp the index)
+    return geo, grid, codes, design_beams(geo, grid, FAST_GS, codes, ideal=ideal)[0]
 
 
 @st.composite

@@ -20,7 +20,7 @@ from risbeam.experiments import (
     run_sweep,
 )
 from risbeam.seeding import derive_rng
-from risbeam.training import ProtocolSpec
+from risbeam.training import ProtocolSpec, coded_codes
 
 
 def _tiny_config(**overrides):
@@ -371,7 +371,7 @@ def test_adaptive_sweep_designs_its_prefix_beams_once(monkeypatch):
             return result
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((experiments, "prefix_beams"), (experiments, "run_adaptive"),
+    for module, name in ((experiments, "design_beams"), (experiments, "run_adaptive"),
                          (codebook, "design_bs_codewords"), (codebook, "relaxed_gs_batch")):
         recording(module, name)
     trials = experiments.trial_block(_tiny_config().geometry) + 5
@@ -380,9 +380,55 @@ def test_adaptive_sweep_designs_its_prefix_beams_once(monkeypatch):
                        protocols=(ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),))
     results = run_sweep(cfg)
     assert [row.trials for row in results.rows] == [trials, trials]
-    assert events == (["prefix_beams", "design_bs_codewords", "/design_bs_codewords",
-                       "relaxed_gs_batch", "/relaxed_gs_batch", "/prefix_beams"]
+    assert events == (["design_beams", "design_bs_codewords", "/design_bs_codewords",
+                       "relaxed_gs_batch", "/relaxed_gs_batch", "/design_beams"]
                       + ["run_adaptive", "/run_adaptive"] * 3)
+
+
+def _book_bytes(book):
+    return (book.side, book.matrix.tobytes(), book.masks.tobytes(),
+            [(r.min_in, r.max_out, [t.tobytes() for t in r.traces])
+             for pair in book.reports for r in pair])
+
+
+@pytest.mark.parametrize("ideal", [False, True])
+@pytest.mark.parametrize("n_bs, rows, cols", [(16, 8, 8), (32, 8, 16)])
+def test_sweep_designs_every_beam_in_one_gs_call(monkeypatch, n_bs, rows, cols, ideal):
+    # a sweep with coded and adaptive protocols designs the coded codebooks and
+    # the prefix beams in one relaxed_gs_batch call (at 8x16 it holds both axis
+    # shapes), and each equals build_codebooks or prefix_beams called alone,
+    # byte for byte; ideal beams run no GS at all
+    calls, runners = [], []
+    batch, build_runners = codebook.relaxed_gs_batch, experiments._build_runners
+    monkeypatch.setattr(codebook, "relaxed_gs_batch",
+                        lambda *args: calls.append(args) or batch(*args))
+    monkeypatch.setattr(experiments, "_build_runners",
+                        lambda *args: runners.extend(build_runners(*args)) or runners)
+    cfg = _tiny_config(n_bs=n_bs, n_ris_rows=rows, n_ris_cols=cols, trials=2,
+                       snr_grid_db=(0.0, 10.0), ideal_beams=ideal, noiseless=False,
+                       gs=GsConfig(seed=3, k_iter=10), protocols=(
+                           ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),
+                           ProtocolSpec("coded", "one_bit"),
+                           ProtocolSpec("coded", "decoupled_two_bit")))
+    run_sweep(cfg)
+    monkeypatch.undo()
+    assert len(calls) == (0 if ideal else 1)
+    if not ideal:
+        shapes = {matrix.shape for matrix, *_ in calls[0][0]}
+        assert shapes == {(rows, rows), (cols, cols)}
+    geometry, grid = cfg.geometry, make_angle_grid(cfg.geometry)
+    if ideal:
+        alone = tuple(codebook.ideal_codebook(codebook.beam_pattern_matrix(code, n), side)
+                      for code, n, side in zip(coded_codes(n_bs, (rows, cols)),
+                                               (geometry.n_bs, geometry.n_ris), ("bs", "ris")))
+    else:
+        alone = codebook.build_codebooks(*coded_codes(n_bs, (rows, cols)), grid, geometry,
+                                         cfg.gs)
+    beams = codebook.prefix_beams(geometry, grid, cfg.gs, ideal)
+    adaptive, *coded = (runner.keywords for runner in runners)
+    assert [b.tobytes() for b in adaptive["beams"]] == [b.tobytes() for b in beams]
+    for keywords in coded:
+        assert list(map(_book_bytes, keywords["books"])) == list(map(_book_bytes, alone))
 
 
 def test_rate_ceiling_row_never_exceeds_exhaustive():
