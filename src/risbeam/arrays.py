@@ -176,9 +176,8 @@ def ris_angle_grid(n1: int, n2: int) -> AngleGrid:
     """
     n = np.arange(1, n1 * n2 + 1)
     az_index = (n - 1) // n2 + 1  # equals ceil(n / n1) when n1 == n2
-    el_index = n % n2
-    u = (1.0 - n1) / n1 + 2.0 * (az_index - 1) / n1
-    w = (1.0 - n2) / n2 + 2.0 * el_index / n2
+    u = u_axis(n1)[az_index - 1]
+    w = w_axis(n2)[(n - 1) % n2]  # position (n - 1) mod n2 holds elevation index n mod n2
     elevation = np.arccos(w)
     sin_theta = np.sqrt(1.0 - w * w)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -103,7 +103,14 @@ def check_budget(kind: str, budget) -> Optional[int]:
 
 
 def _check_constant_modulus(ris_beams: np.ndarray, n_ris: int) -> None:
-    """``np.allclose(abs(ris_beams), 1/sqrt(n_ris), atol=1e-9)``, written out for speed."""
+    """``np.allclose(abs(ris_beams), 1/sqrt(n_ris), atol=1e-9)``, written out for speed.
+
+    Each caller checks the RIS beams it sends, in coverage convention:
+    ``run_layered`` its whole RIS codebook matrix once a call, ``run_adaptive``
+    each layer's gathered pairs (one check of the whole prefix matrix is
+    dearer at full size, whose 511 columns outnumber a 16-row block's pairs),
+    and ``tuple_rates`` the narrow-beam columns it reads.
+    """
     target = 1.0 / np.sqrt(n_ris)
     if not np.all(np.abs(np.abs(ris_beams) - target) <= 1e-9 + 1e-5 * target):
         raise ValueError("RIS vector must have constant modulus 1/sqrt(n_ris)")
@@ -410,7 +417,9 @@ def tuple_rates(
     gain that training measures, from ``beam_responses``. Each estimate's
     response is its own one-column product, so a rate depends only on its
     trial and tuple, not on the other estimates. One constant-modulus check
-    covers the RIS columns read.
+    covers the RIS columns read. A rate is within 1e-12 (relative) of the
+    one-tuple ``h_r diag(v) G w`` on the full RIS-BS matrix G of
+    ``tests/reference.py``, which rounds otherwise.
     """
     cols = [cov.T[np.reshape(est, (-1, len(block.h_r))) - 1][..., None]
             for cov, est in zip(narrow_beams, (est_bs, est_ris))]  # (estimates, trials, n, 1)
