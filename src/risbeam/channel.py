@@ -1,12 +1,13 @@
 """LoS geometric channel blocks and received-power evaluation under AWGN.
 
-Channels follow the single-path geometric model: the UE-RIS link is a scaled
-RIS steering vector and the RIS-BS link is a scaled outer product of a RIS
-steering vector (the static BS-side direction) and a BS steering vector.
-``sample_block`` draws a block of channels straight into the decoupled,
-de-rotated form the protocols read (``ChannelBlock``). Normalization fixes
-the path gains to one, so the per-link array factors stay in the channel and
-a single SNR ratio controls the noise level.
+Channels follow the paper's single-path geometric model, which decouples the
+two links: the UE-RIS link is a scaled RIS steering vector, and the RIS-BS
+link is static and known, so the RIS de-rotates its RIS-side direction and
+what reaches the training is a scaled BS steering vector. A channel is then
+its BS and UE-side RIS directions, and ``sample_block`` draws a block of them
+straight into the factored form the protocols read (``ChannelBlock``).
+Normalization fixes the path gains to one, so the per-link array factors
+stay in the channel and a single SNR ratio controls the noise level.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from .arrays import AngleGrid, ArrayGeometry, bs_grid_sines, ula_steering, upa_steering_uw
 
 SAMPLING_MODES = ("on_grid", "continuous")
-STACK_BYTES = 2**20  # sample_block's RIS-BS matrices per pass, at least one row
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,11 @@ class SnrSpec:
 class ChannelBlock:
     """A block of channels in de-rotated factored form; row t is trial t.
 
-    The static RIS-BS link is de-rotated at the RIS (``|a_gr|^2 = 1/n_ris``),
-    which leaves the vector ``beta`` at the BS. So the gain of
-    coverage-convention RIS and BS codewords v and w is
-    ``(h_r @ conj(v)) * (beta @ conj(w))``, in training and in rate evaluation.
+    The static, known RIS-BS link is de-rotated at the RIS, which leaves
+    ``beta = sqrt(n_bs) * a_bs`` at the BS; the UE-RIS link is
+    ``h_r = sqrt(n_ris) * a_ue``. So the gain of coverage-convention RIS and
+    BS codewords v and w is ``(h_r @ conj(v)) * (beta @ conj(w))``, in
+    training and in rate evaluation.
     """
 
     bs_index: np.ndarray  # (trials,), 1-based
@@ -66,13 +67,15 @@ def sample_block(geometry: ArrayGeometry, grid: AngleGrid, rngs,
 
     Trial t draws from ``rngs[t]`` alone; the block is then built in one
     broadcast, byte-equal to building each trial on its own. "on_grid" draws
-    uniform grid indices and gathers columns of the grid's steering matrices.
-    "continuous" draws physical angles uniformly and records the nearest grid
-    point (in sine / spatial-frequency space) as ground truth. Each trial is
-    scaled to ||h_r|| = sqrt(n_ris) and to a RIS-BS matrix of Frobenius norm
-    sqrt(n_bs * n_ris), which removes distance and transmit-power effects
-    while keeping the array factors, so an SnrSpec fully controls the noise
-    level. Only ``beta``, the de-rotated row of that matrix, is kept.
+    a uniform BS and UE-side RIS grid index (two ``integers``) and gathers
+    the grid's steering columns. "continuous" draws the BS angle and the
+    UE-side RIS azimuth and elevation uniformly (one ``random(3)``) and
+    records the nearest grid point (in sine / spatial-frequency space) as
+    ground truth. The static RIS-BS direction is known and de-rotated, so it
+    draws nothing. Steering vectors have unit norm, so ``||beta||^2 = n_bs``
+    and ``||h_r||^2 = n_ris``: unit path gains, without distance or transmit
+    power but with the array factors, so an SnrSpec fully controls the noise
+    level.
     """
     grid.check(geometry)
     if mode not in SAMPLING_MODES:
@@ -80,57 +83,20 @@ def sample_block(geometry: ArrayGeometry, grid: AngleGrid, rngs,
     n1, n2 = geometry.n_ris_rows, geometry.n_ris_cols
     n_bs, n_ris = geometry.n_bs, geometry.n_ris
     if mode == "on_grid":
-        bs, ue, gr = np.array([[rng.integers(n_bs), rng.integers(n_ris), rng.integers(n_ris)]
-                               for rng in rngs]).T
-        a_bs, (a_ue, a_gr) = grid.bs_steering.T[bs], grid.ris_steering.T[np.stack((ue, gr))]
+        bs, ue = np.array([[rng.integers(n_bs), rng.integers(n_ris)] for rng in rngs]).T
+        a_bs, a_ue = grid.bs_steering.T[bs], grid.ris_steering.T[ue]
     else:
         # rng.uniform(low, high) is low + (high - low) * rng.random(), and each range
-        # here is pi: one random(5) per trial gives the bytes of five uniform calls
-        low = np.array([-np.pi / 2, -np.pi / 2, 0.0, -np.pi / 2, 0.0])
-        phi_t, phi_r, theta_r, phi_g, theta_g = (
-            low + np.pi * np.array([rng.random(5) for rng in rngs])).T
+        # here is pi: one random(3) per trial gives the bytes of three uniform calls
+        low = np.array([-np.pi / 2, -np.pi / 2, 0.0])
+        phi_t, phi_r, theta_r = (low + np.pi * np.array([rng.random(3) for rng in rngs])).T
         u, w, bs_sine = np.sin(phi_r) * np.sin(theta_r), np.cos(theta_r), np.sin(phi_t)
         bs = np.argmin(np.abs(bs_grid_sines(n_bs) - bs_sine[:, None]), axis=1)
         ue = np.argmin((grid.ris_u - u[:, None]) ** 2 + (grid.ris_w - w[:, None]) ** 2, axis=1)
         a_bs = ula_steering(n_bs, np.arcsin(bs_sine))
         a_ue = upa_steering_uw(n1, n2, u, w)
-        a_gr = upa_steering_uw(n1, n2, np.sin(phi_g) * np.sin(theta_g), np.cos(theta_g))
-    h_r = np.sqrt(n_ris) * a_ue
-    h_r *= (np.sqrt(n_ris) / norms(h_r))[:, None]  # in place: the same bytes, no copy
-    beta = np.empty((len(h_r), n_bs), complex)
-    # one buffer of the same size whatever the block, which the allocator reuses
-    # from call to call instead of mapping fresh pages
-    stack = np.empty((max(1, STACK_BYTES // (16 * n_ris * n_bs)), n_ris, n_bs), complex)
-    for rows in (slice(start, start + len(stack)) for start in range(0, len(beta), len(stack))):
-        # the RIS-BS matrices of a few rows: their Frobenius scale and their row 0
-        # give beta, and beta's bytes (so every decision) depend on that norm's order
-        g_mats = stack[:len(beta[rows])]
-        np.multiply(a_gr[rows, :, None], a_bs[rows, None, :], out=g_mats)
-        g_mats *= np.sqrt(n_bs * n_ris)
-        g_mats *= (np.sqrt(n_bs * n_ris) / norms(g_mats.reshape(len(g_mats), -1)))[:, None, None]
-        # row 0 under the unit-modulus de-rotation of the static, known RIS-BS direction
-        beta[rows] = np.sqrt(n_ris) * np.conj(a_gr[rows, :1]) * g_mats[:, 0]
-    return ChannelBlock(bs_index=bs + 1, ris_index=ue + 1, beta=beta, h_r=h_r)
-
-
-# OpenBLAS splits a dot product of over 10,000 entries across its threads,
-# which changes the rounding; no slice of this length is split.
-_NORM_SLICE = 8192
-
-
-def norms(rows: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each complex row (last axis), at any BLAS thread count.
-
-    Each part's squared norm, real before imaginary, sums its 8,192-entry
-    slices' stacked dot products in order from 0: one dot product up to 8,192
-    entries, as ``np.linalg.norm`` takes, and two threads' split at 16,384.
-    """
-    squares = [0.0, 0.0]
-    for i, part in enumerate((rows.real, rows.imag)):
-        for start in range(0, part.shape[-1], _NORM_SLICE):
-            piece = part[..., start:start + _NORM_SLICE]
-            squares[i] = squares[i] + (piece[..., None, :] @ piece[..., None])[..., 0, 0]
-    return np.sqrt(squares[0] + squares[1])
+    return ChannelBlock(bs_index=bs + 1, ris_index=ue + 1,
+                        beta=np.sqrt(n_bs) * a_bs, h_r=np.sqrt(n_ris) * a_ue)
 
 
 def pilot_noise(snr: SnrSpec, rng: np.random.Generator, shape: tuple) -> np.ndarray:

@@ -32,7 +32,6 @@ import numpy as np
 from .arrays import (SPACING, AngleGrid, ArrayGeometry, ceil_log2, check_powers_of_two,
                      real_number, u_axis, w_axis, whole_number)
 from .blockcode import BlockCode, bits_to_int, encode, int_to_bits
-from .channel import norms
 from .seeding import derive_rng
 
 GRAM_TOLERANCE = 1e-9  # a GS matrix A may miss A A^H = n I by this times n, entrywise
@@ -226,6 +225,26 @@ def relaxed_gs_batch(groups, cfg: GsConfig) -> list[tuple[np.ndarray, np.ndarray
     return [results[g] for g in range(len(groups))]
 
 
+# OpenBLAS splits a dot product of over 10,000 entries across its threads,
+# which changes the rounding; no slice of this length is split.
+_NORM_SLICE = 8192
+
+
+def norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each complex row (last axis), at any BLAS thread count.
+
+    Each part's squared norm, real before imaginary, sums its 8,192-entry
+    slices' stacked dot products in order from 0: one dot product up to 8,192
+    entries, as ``np.linalg.norm`` takes, and two threads' split at 16,384.
+    """
+    squares = [0.0, 0.0]
+    for i, part in enumerate((rows.real, rows.imag)):
+        for start in range(0, part.shape[-1], _NORM_SLICE):
+            piece = part[..., start:start + _NORM_SLICE]
+            squares[i] = squares[i] + (piece[..., None, :] @ piece[..., None])[..., 0, 0]
+    return np.sqrt(squares[0] + squares[1])
+
+
 def _phase(x: np.ndarray) -> np.ndarray:
     """``np.angle(x)`` without its Python-level dispatch: the same arctan2."""
     return np.arctan2(x.imag, x.real)
@@ -240,7 +259,7 @@ def design_bs_codewords(covers, steering: np.ndarray) -> np.ndarray:
     over the 1-based position i in its covered list, normalized to unit
     norm. Covers of one size are summed together, term by term in list
     order (``add.accumulate`` keeps the order, ``add.reduce`` may not), and
-    normalized by the dot products ``np.linalg.norm`` sums (``channel.norms``): both
+    normalized by the dot products ``np.linalg.norm`` sums (``norms``): both
     keep every byte of the one-term-at-a-time loop.
     """
     covers = [np.asarray(c, dtype=int) for c in covers]

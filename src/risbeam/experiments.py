@@ -57,12 +57,12 @@ BLOCK_BYTES = 2 * 2**20
 def trial_block(geometry: ArrayGeometry) -> int:
     """Trials per block: the most for which a (trials, n_ris, n_bs) complex array
     would fit in BLOCK_BYTES, and at least MIN_TRIAL_BLOCK (128 on the desk arrays,
-    16 on full). No block array has that shape (``sample_block`` forms the RIS-BS
-    matrices ``channel.STACK_BYTES`` at a time); the rule bounds those that grow
+    16 on full). No block array has that shape; the rule bounds those that grow
     with trials x n_ris: ``sample_block``'s steering gathers and ``h_r``, and the
-    narrow-beam columns ``tuple_rates`` gathers for every protocol. 128-row blocks
-    at full size change no result but raised a 50-trial full SNR sweep's peak RSS
-    from 41.4 to 46.2 MiB (one BLAS thread)."""
+    narrow-beam columns ``tuple_rates`` gathers for every protocol. 32- and 64-row
+    blocks at full size change no result; 64 rows raised the 200-trial full SNR
+    preset's peak RSS from 40.9 to 43.3 MB, and 32 rows gained no clear CPU time
+    (one BLAS thread)."""
     return max(MIN_TRIAL_BLOCK, BLOCK_BYTES // (16 * geometry.n_ris * geometry.n_bs))
 
 CSV_COLUMNS = (

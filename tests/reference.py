@@ -1,12 +1,14 @@
 """The per-pilot reference the package's block runners are tested against.
 
 Everything here works one beam tuple, one pilot or one trial at a time, the
-way the protocols read on paper. ``sample_full_block`` draws a block like
-``channel.sample_block`` but keeps the RIS-BS matrices and their de-rotation,
-which the physics oracle reads: ``effective_gain`` forms one noiseless
-amplitude (with its constant-modulus and shape checks), ``measure_power``
-draws one noisy power, ``exhaustive_sweep`` sends every narrow-beam tuple in
-turn, and ``per_pilot_bits`` runs the layer loop of layered training.
+way the protocols read on paper. ``sample_full_block`` draws the full
+geometric model, a random static RIS-BS direction included, and keeps the
+RIS-BS matrices and their de-rotation: ``channel.sample_block``'s closed form
+is tested against it, and the physics oracle reads it. ``effective_gain``
+forms one noiseless amplitude (with its constant-modulus and shape checks),
+``measure_power`` draws one noisy power, ``exhaustive_sweep`` sends every
+narrow-beam tuple in turn, and ``per_pilot_bits`` runs the layer loop of
+layered training.
 ``decode`` is per-word syndrome decoding on its own brute-force tables, the
 oracle for ``blockcode.decode_words``. ``run_coded`` and ``run_hierarchical``
 are one-trial calls of the block runners, read through the
@@ -47,8 +49,7 @@ from risbeam.arrays import (
     w_axis,
 )
 from risbeam.blockcode import DECODE_MODES, BlockCode, bits_to_int, build_identity_code
-from risbeam.channel import (SAMPLING_MODES, ChannelBlock, SnrSpec, norms, pilot_noise,
-                             received_power)
+from risbeam.channel import SAMPLING_MODES, ChannelBlock, SnrSpec, pilot_noise, received_power
 from risbeam.codebook import (
     CodewordReport,
     DesignedCodebook,
@@ -59,6 +60,7 @@ from risbeam.codebook import (
     beam_pattern_matrix,
     bs_steering_matrix,
     flat_codeword,
+    norms,
     relaxed_gs_batch,
     ris_sampling_matrix,
 )
@@ -87,10 +89,13 @@ class FullChannelBlock(ChannelBlock):
 
 def sample_full_block(geometry: ArrayGeometry, grid: AngleGrid, rngs,
                       mode: str = "on_grid") -> FullChannelBlock:
-    """``channel.sample_block``'s draw, also holding ``comp`` and ``g_mats``.
+    """The full geometric model's block, also holding ``comp`` and ``g_mats``.
 
-    The same draws in the same order, so the four fields of ``sample_block``
-    are byte-equal to its own.
+    ``channel.sample_block``'s draws come first and in the same order, then
+    the static RIS-BS direction's (one more ``integers``, or two more
+    ``uniform``). So the indices are ``sample_block``'s byte for byte, and
+    its closed-form ``beta`` and ``h_r`` agree with the de-rotated, rescaled
+    matrices here within 1e-12.
     """
     grid.check(geometry)
     if mode not in SAMPLING_MODES:

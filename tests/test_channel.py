@@ -9,7 +9,6 @@ import pytest
 from scipy import stats
 
 from reference import effective_gain, measure_power, sample_full_block
-from risbeam import channel
 from risbeam.arrays import (
     ArrayGeometry,
     bs_grid_sines,
@@ -48,14 +47,18 @@ def _rows_bytes(block, t):
 
 
 def full_draw_agrees(dims, mode) -> bool:
-    """Whether sample_block's fields are byte-equal to the reference draw's."""
+    """Whether sample_block's indices are byte-equal to the reference draw's, and
+    its beta and h_r within 1e-12 of the reference's de-rotated RIS-BS matrices."""
     geo = ArrayGeometry(*dims)
     grid = make_angle_grid(geo)
     block, full = (draw(geo, grid, [np.random.default_rng(seed) for seed in range(8)], mode)
                    for draw in (sample_block, sample_full_block))
     names = [field.name for field in fields(block)]
-    return names == ["bs_index", "ris_index", "beta", "h_r"] and all(
-        getattr(block, name).tobytes() == getattr(full, name).tobytes() for name in names)
+    indices = all(getattr(block, name).tobytes() == getattr(full, name).tobytes()
+                  for name in names[:2])
+    vectors = all(np.allclose(getattr(block, name), getattr(full, name), rtol=0, atol=1e-12)
+                  for name in names[2:])
+    return names == ["bs_index", "ris_index", "beta", "h_r"] and indices and vectors
 
 
 @pytest.mark.parametrize("dims", GEOMETRIES, ids=GEOMETRY_IDS)
@@ -65,20 +68,29 @@ def test_sample_block_fields_equal_the_full_draw(dims, mode):
     assert full_draw_agrees(dims, mode)
 
 
-def test_continuous_angles_are_five_uniform_draws():
-    # sample_block maps one random(5) per trial onto the five angle ranges; the
-    # reference draws the angles with five rng.uniform calls. The fields and each
-    # generator's end state must agree, so a numpy change to either draw fails here.
+def test_continuous_angles_are_three_uniform_draws():
+    # sample_block maps one random(3) per trial onto the three UE-side angle
+    # ranges; the reference draws them as the first three of its five
+    # rng.uniform calls. The channels those three angles give, and each
+    # generator's end state, must agree, so a numpy change to either draw fails here.
     geo = ArrayGeometry(16, 8, 8)
     grid = make_angle_grid(geo)
-    rngs, reference_rngs = ([np.random.default_rng(seed) for seed in range(5000)]
-                            for _ in range(2))
+    rngs, twins, reference_rngs = ([np.random.default_rng(seed) for seed in range(5000)]
+                                   for _ in range(3))
     block = sample_block(geo, grid, rngs, "continuous")
+    half = np.pi / 2
+    phi_t, phi_r, theta_r = np.array([
+        [twin.uniform(-half, half), twin.uniform(-half, half), twin.uniform(0.0, np.pi)]
+        for twin in twins]).T
+    u, w = np.sin(phi_r) * np.sin(theta_r), np.cos(theta_r)
+    h_r = np.sqrt(geo.n_ris) * upa_steering_uw(geo.n_ris_rows, geo.n_ris_cols, u, w)
+    beta = np.sqrt(geo.n_bs) * ula_steering(geo.n_bs, np.arcsin(np.sin(phi_t)))
+    assert block.h_r.tobytes() == h_r.tobytes() and block.beta.tobytes() == beta.tobytes()
     full = sample_full_block(geo, grid, reference_rngs, "continuous")
-    for field in fields(block):
-        assert getattr(block, field.name).tobytes() == getattr(full, field.name).tobytes()
+    for name in ("bs_index", "ris_index"):
+        assert getattr(block, name).tobytes() == getattr(full, name).tobytes()
     assert ([rng.bit_generator.state for rng in rngs]
-            == [rng.bit_generator.state for rng in reference_rngs])
+            == [twin.bit_generator.state for twin in twins])
 
 
 def test_sample_block_fields_equal_the_full_draw_on_one_blas_thread():
@@ -93,19 +105,20 @@ def test_sample_block_fields_equal_the_full_draw_on_one_blas_thread():
 
 
 @pytest.mark.parametrize("dims", GEOMETRIES, ids=GEOMETRY_IDS)
-@pytest.mark.parametrize("mode", MODES)
-def test_stack_passes_change_no_byte(monkeypatch, dims, mode):
-    # the RIS-BS matrices formed one row per pass, or 3 rows (a partial last
-    # pass of 2), give the block of one pass over all 8 rows
+def test_beta_and_h_r_are_scaled_steering_vectors(dims):
+    # on the grid, sqrt(n) times the grid's steering columns at the drawn
+    # indices, byte for byte; off the grid, scaled unit-norm steering vectors
     geo = ArrayGeometry(*dims)
     grid = make_angle_grid(geo)
-    blocks = []
-    for stack_bytes in (1, 3 * 16 * geo.n_ris * geo.n_bs, 8 * 16 * geo.n_ris * geo.n_bs):
-        monkeypatch.setattr(channel, "STACK_BYTES", stack_bytes)
-        blocks.append(sample_block(geo, grid, [np.random.default_rng(seed) for seed in range(8)],
-                                   mode))
-    whole = [_rows_bytes(block, slice(None)) for block in blocks]
-    assert whole[0] == whole[1] == whole[2]
+    block = sample_block(geo, grid, [np.random.default_rng(seed) for seed in range(8)])
+    bs_columns = grid.bs_steering.T[block.bs_index - 1]
+    ris_columns = grid.ris_steering.T[block.ris_index - 1]
+    assert block.beta.tobytes() == (np.sqrt(geo.n_bs) * bs_columns).tobytes()
+    assert block.h_r.tobytes() == (np.sqrt(geo.n_ris) * ris_columns).tobytes()
+    block = sample_block(geo, grid, [np.random.default_rng(seed) for seed in range(8)],
+                         "continuous")
+    for vectors, n in ((block.beta, geo.n_bs), (block.h_r, geo.n_ris)):
+        assert np.allclose((np.abs(vectors) ** 2).sum(axis=1), n, rtol=0, atol=1e-12)
 
 
 def test_sample_channel_deterministic(small_setup):

@@ -34,10 +34,10 @@ CASES = {
 }
 
 DIGESTS = {
-    "16_8x8_on_grid": "d6bf74de377cd4495440057fd7ad4caba95ee5fa1214d322644a4c0f91e34a18",
-    "16_8x8_continuous": "07dcde294c05c4a7d534bd216412a7c0192c8172301a623b4dfbfaa9d64d0345",
-    "64_16x16_on_grid": "da42bb7bd991cf795452cdfc6d51635dff85c060af2a5d0dbc8abdcba09400b7",
-    "64_16x16_continuous": "98ccc7c232f33bf487e93107a68a06ffdc6e34249cc8f1482c417d044c73493c",
+    "16_8x8_on_grid": "d3e708fd2f13620d592559587d95b977cd89c01f6316aef40840ae17fd397017",
+    "16_8x8_continuous": "09b974fc0ead66d2a92224c468da296308d482368f4245d29a1a63fd9a9f2530",
+    "64_16x16_on_grid": "225f3628b40654c25cc5f3fce7db1b5b8190c54db6e87c94384b0de2d0398193",
+    "64_16x16_continuous": "e38a336aede2bca32d67c477ac222fe301d9eb19af2416995c7b64f3bb97bdcb",
 }
 
 
@@ -61,9 +61,10 @@ def test_channel_block_bytes_are_pinned(name):
 
 
 def test_full_size_channel_bytes_do_not_depend_on_the_blas_thread_count():
-    # OpenBLAS splits a dot product of more than 10,000 entries across its
-    # threads; a 64 x 256 RIS-BS matrix, whose norm scales beta, has 16,384.
-    # The benchmark runs on one.
+    # beta and h_r are scaled steering gathers and no channel byte passes
+    # through BLAS, so the thread count should move none; this keeps it so
+    # at full size, where OpenBLAS would split a product of over 10,000
+    # entries across its threads. The benchmark runs on one.
     names = [name for name in sorted(CASES) if name.startswith("64_")]
     here = Path(__file__).resolve().parent
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",

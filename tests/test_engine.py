@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache, partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -698,6 +699,28 @@ def test_tuple_rate_depends_only_on_its_trial_and_tuple(dims):
     tiled = tuple_rates(block, narrow, *(np.tile(est[0], (5, 1)) for est in (est_bs, est_ris)),
                         snr_eval)
     assert np.array_equal(tiled, np.tile(rates[0], (5, 1)))
+
+
+@pytest.mark.parametrize("dims", [(16, 8, 8), (64, 16, 16)])
+def test_every_true_grid_tuple_has_one_noiseless_rate(dims):
+    # the closed-form channel rates each (BS, RIS) grid pair's true tuple with
+    # the same bits, so a cell where every trial finds its tuple has a rate_ci95
+    # of 0.0, not rounding; sample_block draws every pair, 1,024 rows at a time
+    geo = ArrayGeometry(*dims)
+    grid = make_angle_grid(geo)
+    narrow = narrow_beam_matrices(grid, geo)
+    pairs = np.stack(np.meshgrid(np.arange(geo.n_bs), np.arange(geo.n_ris), indexing="ij"),
+                     axis=-1).reshape(-1, 2).tolist()
+    rates = set()
+    for start in range(0, len(pairs), 1024):
+        # stand-in generators whose two integer draws are a pair's 0-based indices
+        rngs = [SimpleNamespace(integers=lambda n, draws=iter(pair): next(draws))
+                for pair in pairs[start:start + 1024]]
+        block = sample_block(geo, grid, rngs)
+        rates.update(tuple_rates(block, narrow, block.bs_index, block.ris_index,
+                                 SnrSpec(10.0, noiseless=True)).tolist())
+    assert len(rates) == 1
+    assert rates.pop() == pytest.approx(np.log2(1 + 10.0 * geo.n_bs * geo.n_ris), rel=1e-15)
 
 
 def test_tuple_rates_reject_broken_constant_modulus(desk_geometry, desk_grid):
