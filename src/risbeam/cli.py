@@ -11,11 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import ArrayGeometry, ceil_log2, check_powers_of_two, make_angle_grid
+from .arrays import ArrayGeometry, make_angle_grid
 from .blockcode import (
     BlockCode,
-    build_plain_code,
-    build_reduced_code,
     decode_words,
     encode,
     int_to_bits,
@@ -29,7 +27,7 @@ from .experiments import (
     load_config,
     run_sweep,
 )
-from .training import PROTOCOL_KINDS, coded_codes, training_overhead
+from .training import PROTOCOL_KINDS, ProtocolSpec, protocol_codes, training_overhead
 
 
 def _parse_ris(text: str) -> tuple[int, int]:
@@ -89,10 +87,7 @@ def _print_code(title: str, code: BlockCode) -> None:
 
 
 def cmd_overhead(args) -> int:
-    if args.nt < 1:
-        raise ValueError(f"--nt needs at least one antenna, got {args.nt}")
     ris = _parse_ris(args.ris)
-    check_powers_of_two((args.nt, *ris), "layered training decodes each index from a bit word")
     counts = [(kind, training_overhead(kind, args.nt, ris)) for kind in PROTOCOL_KINDS]
     for kind, count in counts:
         print(f"{kind}: {count}")
@@ -102,18 +97,14 @@ def cmd_overhead(args) -> int:
 def cmd_validate_code(args) -> int:
     if args.ris is None and args.nt is None:
         raise ValueError("give --ris ROWSxCOLS and/or --nt N")
-    if args.nt is not None and args.nt < 2:
-        raise ValueError(f"a single-antenna BS has no code to validate (need --nt 2 or "
-                         f"more, got {args.nt})")
     ris = None if args.ris is None else _parse_ris(args.ris)
-    # a size not given stands in as 1, a power of two
-    check_powers_of_two((args.nt or 1, *(ris or (1, 1))),
-                        "layered training decodes each index from a bit word")
+    # a side not given stands in at the least size coded training takes
+    geometry = ArrayGeometry(2 if args.nt is None else args.nt, *(ris or (8, 8)))
+    code_t, code_r = protocol_codes(ProtocolSpec("coded"), geometry)
     if args.nt is not None:
-        _print_code(f"bs {args.nt} plain code", build_plain_code(ceil_log2(args.nt)))
+        _print_code(f"bs {args.nt} plain code", code_t)
     if ris is not None:
-        code = build_reduced_code(*map(ceil_log2, ris))
-        _print_code(f"ris {ris[0]}x{ris[1]} dimension-split code", code)
+        _print_code(f"ris {ris[0]}x{ris[1]} dimension-split code", code_r)
     return 0
 
 
@@ -140,11 +131,10 @@ def _report_line(index: int, polarity: str, entry: dict) -> str:
 def cmd_design_codebook(args) -> int:
     ris = _parse_ris(args.ris)
     geometry = ArrayGeometry(args.nt, ris[0], ris[1])
-    check_powers_of_two((args.nt, *ris), "every coded layer's masks must split the grid in half")
+    codes = protocol_codes(ProtocolSpec("coded"), geometry)
     grid = make_angle_grid(geometry)
     cfg = GsConfig(delta=args.delta, k_iter=args.iters, seed=args.seed)
-    books = build_codebooks(*coded_codes(args.nt, ris), grid, geometry, cfg,
-                            direct_2d=args.direct_2d)
+    books = build_codebooks(*codes, grid, geometry, cfg, direct_2d=args.direct_2d)
     payload = {
         "geometry": {"n_bs": args.nt, "n_ris_rows": ris[0], "n_ris_cols": ris[1]},
         "gs": {"delta": cfg.delta, "k_iter": cfg.k_iter, "seed": cfg.seed},
@@ -259,6 +249,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "nt", None) is not None and args.nt < 1:  # each command's --nt
+            raise ValueError(f"--nt needs at least one antenna, got {args.nt}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,12 +13,12 @@ A designed codebook is one matrix per side: column 2l + b is layer l's
 codeword for mask bit b, so column 2l + 1 covers the grid points where layer
 l's mask is 1 and column 2l the rest. Codewords are stored in coverage
 convention: the response of codeword v at grid point n is |a_n^H v| with a_n
-the steering vector there. The training layer conjugates (and de-rotates,
-for the RIS) before transmission. The prefix beams of adaptive hierarchical
-training (``prefix_beams``) are designed here too, with the same designers:
-one matrix per side, one column per bit prefix. ``design_beams`` designs
-both for a sweep with one GS call, and ``build_codebooks`` and
-``prefix_beams`` are that call for one of them.
+the steering vector there. The training layer only conjugates them before
+transmission; the RIS-BS de-rotation is in the channel (``ChannelBlock.beta``).
+The prefix beams of adaptive hierarchical training (``prefix_beams``) are
+designed here too, with the same designers: one matrix per side, one column
+per bit prefix. ``design_beams`` designs both for a sweep with one GS call,
+and ``build_codebooks`` and ``prefix_beams`` are that call for one of them.
 """
 
 from __future__ import annotations

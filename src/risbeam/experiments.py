@@ -31,17 +31,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import (ArrayGeometry, ceil_log2, check_powers_of_two, make_angle_grid,
-                     real_number, whole_number)
-from .blockcode import build_identity_code
+from .arrays import ArrayGeometry, make_angle_grid, real_number, whole_number
 from .channel import SAMPLING_MODES, SnrSpec, sample_block
 from .codebook import GsConfig, design_beams
 from .seeding import derive_seed, stream_words, word_streams
 from .training import (
     ProtocolSpec,
     check_budget,
-    coded_codes,
+    check_sizes,
     narrow_beam_matrices,
+    protocol_codes,
     run_adaptive,
     run_exhaustive,
     run_layered,
@@ -119,20 +118,9 @@ class ExperimentConfig:
             raise ValueError("at least one protocol is required")
         if self.sampling_mode not in SAMPLING_MODES:
             raise ValueError(f"unknown sampling mode {self.sampling_mode!r}")
-        layered = any(_is_layered(p) for p in self.protocols)
-        if layered:
-            check_powers_of_two(
-                (self.n_bs, self.n_ris_rows, self.n_ris_cols),
-                "coded and full-coverage hierarchical training decode each index "
-                "from a bit word, and every word must name a grid point")
-        if self.n_bs < 2 and layered:
-            raise ValueError(
-                f"n_bs={self.n_bs}: coded and full-coverage hierarchical training "
-                "need at least two BS candidates")
-        if self.n_ris_rows * self.n_ris_cols < 2 and layered:
-            raise ValueError(
-                f"n_ris={self.n_ris_rows * self.n_ris_cols}: coded and full-coverage "
-                "hierarchical training need at least two RIS candidates")
+        geometry = self.geometry
+        for proto in self.protocols:
+            check_sizes(proto, geometry)
         if self.sweep_over == "pilots":
             for proto in self.protocols:
                 if proto.pilot_budget is not None:
@@ -185,51 +173,42 @@ def _linear_snr(db) -> float:
     return linear
 
 
-def _is_layered(proto: ProtocolSpec) -> bool:
-    """Coded and full-coverage hierarchical protocols run through run_layered."""
-    return proto.kind == "coded" or (proto.kind == "hierarchical"
-                                     and proto.hierarchical_variant == "full_coverage")
-
-
 def _build_runners(cfg: ExperimentConfig, grid, narrow) -> list:
     """One block runner per protocol, each called as run(block, snr=, budget=, rngs=).
 
-    Every beam is designed here, in one ``design_beams`` call. The identity
-    codes' codebooks are the systematic layers of the coded codebooks, so they
-    are designed on their own only without a coded protocol.
+    Every beam is designed here, in one ``design_beams`` call, for the codes of
+    ``protocol_codes``. The identity codes' codebooks are the systematic layers
+    of the coded codebooks, so they are designed on their own only without a
+    coded protocol.
     """
-    geometry = cfg.geometry
-    k_bs, k_u, k_w = map(ceil_log2, (geometry.n_bs, geometry.n_ris_rows, geometry.n_ris_cols))
-    identity = (build_identity_code(k_bs), build_identity_code(k_u, k_w))
-    kinds = [p.kind for p in cfg.protocols if _is_layered(p)]
-    codes = (coded_codes(cfg.n_bs, (cfg.n_ris_rows, cfg.n_ris_cols)) if "coded" in kinds
-             else identity if kinds else None)
-    adaptive = any(p.kind == "hierarchical" and not _is_layered(p) for p in cfg.protocols)
-    books, beams = design_beams(geometry, grid, cfg.gs, codes, adaptive, ideal=cfg.ideal_beams)
-    layered = {"coded": (codes, books),
-               "hierarchical": (identity, books and tuple(
-                   book.first_layers(code.k) for book, code in zip(books, identity)))}
+    codes = {p.kind: protocol_codes(p, cfg.geometry) for p in cfg.protocols}
+    adaptive = any(p.hierarchical_variant == "adaptive" for p in cfg.protocols)
+    layered = {p.kind for p in cfg.protocols if p.kind != "exhaustive"
+               and p.hierarchical_variant != "adaptive"}
+    designed = "coded" if "coded" in layered else "hierarchical"
+    books, beams = design_beams(cfg.geometry, grid, cfg.gs, codes[designed] if layered else None,
+                                adaptive, ideal=cfg.ideal_beams)
     runners = []
     for proto in cfg.protocols:
         if proto.kind == "exhaustive":
             runners.append(partial(run_exhaustive, narrow_beams=narrow))
-        elif _is_layered(proto):
-            proto_codes, proto_books = layered[proto.kind]
-            mode = proto.decode_mode if proto.kind == "coded" else "none"
-            runners.append(partial(run_layered, books=proto_books, codes=proto_codes,
-                                   decode_mode=mode, ideal=cfg.ideal_beams))
-        else:
-            runners.append(partial(run_adaptive, beams=beams, codes=identity,
+        elif proto.hierarchical_variant == "adaptive":
+            runners.append(partial(run_adaptive, beams=beams, codes=codes[proto.kind],
                                    ideal=cfg.ideal_beams))
+        else:
+            proto_books = books if proto.kind == designed else tuple(
+                book.first_layers(code.k) for book, code in zip(books, codes[proto.kind]))
+            mode = proto.decode_mode if proto.kind == "coded" else "none"
+            runners.append(partial(run_layered, books=proto_books, codes=codes[proto.kind],
+                                   decode_mode=mode, ideal=cfg.ideal_beams))
     return runners
 
 
 def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
     """Run every protocol over the sweep grid and aggregate the metrics.
 
-    Infeasible configurations (for example a RIS dimension too small for the
-    dimension-split code, or an array size that is not a power of two for
-    adaptive hierarchical training) surface before any trial runs.
+    The config has checked every array size (``check_sizes``), so no
+    infeasible configuration reaches a trial.
     """
     geometry = cfg.geometry
     grid = make_angle_grid(geometry)

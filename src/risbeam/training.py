@@ -20,8 +20,8 @@ in mode "none"), and the information bits become the estimates. The runners
 are tested against the per-pilot reference in ``tests/reference.py``.
 
 Designed codewords are stored in coverage convention and conjugated at
-transmit time; RIS codewords additionally de-rotate the known static RIS-BS
-steering phases so the training depends only on the UE-side angle.
+transmit time; the known static RIS-BS steering phases are de-rotated in the
+channel (``ChannelBlock.beta``), so the training depends only on the UE-side angle.
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ from typing import Optional
 
 import numpy as np
 
-from .arrays import AngleGrid, ArrayGeometry, ceil_log2, whole_number
+from .arrays import AngleGrid, ArrayGeometry, ceil_log2, check_powers_of_two, whole_number
 from .blockcode import (
     DECODE_MODES,
     BlockCode,
+    build_identity_code,
     build_plain_code,
     build_reduced_code,
     decode_words,
@@ -138,10 +139,6 @@ def _true_rows(cov: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.broadcast_to(cov, (len(index), *cov.shape[-2:]))[np.arange(len(index)), index - 1]
 
 
-def _clamp_index(value, n: int):
-    return np.minimum(np.maximum(value, 1), n)
-
-
 def _row_counts(kind: str, budget, rows: int, needed: int, per: int) -> np.ndarray:
     """Each row's count of units of ``per`` pilots sent, at most ``needed``, under a budget
     per row or one budget (None for unlimited) for every row; each value is checked once."""
@@ -228,10 +225,13 @@ def run_layered(
     most layers a trial sends. The BS side decodes with at most one-bit
     correction; the decoupled two-bit mode applies to the RIS side. Identity
     codes with decode mode "none" give full-coverage hierarchical training.
+    Each side's 2**k code words must name its grid points one to one.
     """
     code_t, code_r = codes
-    if min(code_t.n, code_r.n) == 0:
-        raise ValueError("layered training needs more than one candidate on each side")
+    for code, n in zip(codes, (block.n_bs, block.n_ris)):
+        if not 2 <= 2**code.k == n:
+            raise ValueError(f"layered training needs each side's code words to name its "
+                             f"grid points one to one, two at least: got {2**code.k} for {n}")
     sent, needed, noise = _layer_noise((code_t.n, code_r.n), snr, budget, rngs)
     layers = np.arange(noise.shape[1])[:, None]
     rows = (2 * (layers % code_t.n) + (0, 1))[:, :, None]
@@ -261,8 +261,8 @@ def _decode_layers(block, winners: np.ndarray, codes: tuple[BlockCode, BlockCode
     info_t, *decoded_t = decode_words(code_t, raw_t, bs_mode)
     info_r, *decoded_r = decode_words(code_r, raw_r, decode_mode)
     return TrainingRuns(
-        est_bs_index=_clamp_index(rows_to_ints(info_t) + 1, block.n_bs),
-        est_ris_index=_clamp_index(rows_to_ints(info_r) + 1, block.n_ris),
+        est_bs_index=rows_to_ints(info_t) + 1,
+        est_ris_index=rows_to_ints(info_r) + 1,
         raw_bits_bs=raw_t,
         raw_bits_ris=raw_r,
         decoded=(tuple(decoded_t), tuple(decoded_r)),
@@ -384,24 +384,47 @@ def run_exhaustive(
     )
 
 
+def check_sizes(spec: ProtocolSpec, geometry: ArrayGeometry) -> None:
+    """Reject sizes whose grid points a protocol's code words cannot name one to one.
+
+    Layered and adaptive training need powers of two; layered training needs two
+    candidates on each side, adaptive training on one; coded training needs more
+    than 4 elements per RIS axis (``build_reduced_code``). Exhaustive takes any size.
+    """
+    if spec.kind == "exhaustive":
+        return
+    check_powers_of_two((geometry.n_bs, geometry.n_ris_rows, geometry.n_ris_cols),
+                        "layered training decodes each index from a bit word")
+    adaptive = spec.hierarchical_variant == "adaptive"
+    short = [f"{name}={n}" for name, n in (("n_bs", geometry.n_bs), ("n_ris", geometry.n_ris))
+             if n < 2]
+    if len(short) > int(adaptive):  # one short side stops layered training, two adaptive
+        raise ValueError(f"{'adaptive' if adaptive else 'layered'} training needs at least "
+                         f"two candidates on {'one side' if adaptive else 'each side'}, got "
+                         + " and ".join(short))
+    if spec.kind == "coded" and min(geometry.n_ris_rows, geometry.n_ris_cols) <= 4:
+        raise ValueError(f"coded training needs more than 4 elements per RIS axis, got "
+                         f"{geometry.n_ris_rows}x{geometry.n_ris_cols}")
+
+
+def protocol_codes(spec: ProtocolSpec, geometry: ArrayGeometry
+                   ) -> Optional[tuple[BlockCode, BlockCode]]:
+    """The (BS, RIS) codes a protocol decodes, after ``check_sizes``: plain and
+    dimension-split for coded training, the identity codes of the index bits for
+    both hierarchical variants, None for exhaustive training."""
+    check_sizes(spec, geometry)
+    if spec.kind == "exhaustive":
+        return None
+    k_bs, k_u, k_w = map(ceil_log2, (geometry.n_bs, geometry.n_ris_rows, geometry.n_ris_cols))
+    if spec.kind == "coded":
+        return build_plain_code(k_bs), build_reduced_code(k_u, k_w)
+    return build_identity_code(k_bs), build_identity_code(k_u, k_w)
+
+
 def training_overhead(kind: str, n_bs: int, ris_dims: tuple[int, int]) -> int:
-    """Pilot count each framework needs: n_bs*n_ris, 4*max(bit lengths), 4*max(n_t, n_r)."""
-    n1, n2 = ris_dims
-    if kind == "exhaustive":
-        return n_bs * n1 * n2
-    if kind == "hierarchical":
-        return 4 * max(ceil_log2(n_bs), ceil_log2(n1 * n2))
-    if kind == "coded":
-        return 4 * max(code.n for code in coded_codes(n_bs, ris_dims))
-    raise ValueError(f"unknown protocol kind {kind!r}")
-
-
-def coded_codes(n_bs: int, ris_dims: tuple[int, int]) -> tuple[BlockCode, BlockCode]:
-    """The codes of coded training: plain for the BS, dimension-split for the RIS."""
-    if n_bs < 2:
-        raise ValueError(f"coded training needs at least two BS candidates, got n_bs={n_bs}")
-    return (build_plain_code(ceil_log2(n_bs)),
-            build_reduced_code(ceil_log2(ris_dims[0]), ceil_log2(ris_dims[1])))
+    """Pilot count each framework needs: n_bs*n_ris tuples, or 4 per layer of its longer code."""
+    codes = protocol_codes(ProtocolSpec(kind), ArrayGeometry(n_bs, *ris_dims))
+    return n_bs * ris_dims[0] * ris_dims[1] if codes is None else 4 * max(c.n for c in codes)
 
 
 def tuple_rates(

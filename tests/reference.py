@@ -48,7 +48,7 @@ from risbeam.arrays import (
     upa_steering_uw,
     w_axis,
 )
-from risbeam.blockcode import DECODE_MODES, BlockCode, bits_to_int, build_identity_code
+from risbeam.blockcode import DECODE_MODES, BlockCode, bits_to_int
 from risbeam.channel import SAMPLING_MODES, ChannelBlock, SnrSpec, pilot_noise, received_power
 from risbeam.codebook import (
     CodewordReport,
@@ -391,12 +391,6 @@ def run_coded(ch, books, codes, snr, budget, rng, decode_mode="one_bit", *, idea
                                          decode_mode, ideal=ideal), 0)
 
 
-def identity_codes(geo: ArrayGeometry) -> tuple[BlockCode, BlockCode]:
-    """The identity codes of the index bits, which both hierarchical variants decode."""
-    return (build_identity_code(ceil_log2(geo.n_bs)),
-            build_identity_code(ceil_log2(geo.n_ris_rows), ceil_log2(geo.n_ris_cols)))
-
-
 def run_hierarchical(ch, beams, codes, snr, budget, rng, *, ideal=False,
                      inject_flips=()) -> TrainingOutcome:
     """Adaptive hierarchical training of a one-row block ``ch``: ``run_adaptive`` on it.
@@ -468,8 +462,7 @@ def reference_run(ch, books, codes, snr, budget, rng, mode, ideal, t=0):
     raw = [np.array(b + (0,) * (n - len(b)), dtype=np.uint8) for b, n in zip(bits, sizes)]
     bs_mode = "one_bit" if mode == "decoupled_two_bit" else mode
     (u_t, rep_t), (u_r, rep_r) = decode(codes[0], raw[0], bs_mode), decode(codes[1], raw[1], mode)
-    estimate = (min(max(bits_to_int(u_t) + 1, 1), ch.n_bs),
-                min(max(bits_to_int(u_r) + 1, 1), ch.n_ris))
+    estimate = (bits_to_int(u_t) + 1, bits_to_int(u_r) + 1)
     return estimate, raw, (rep_t, rep_r), 4 * sent, sent < max(sizes)
 
 

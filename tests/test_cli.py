@@ -26,7 +26,7 @@ def test_overhead_rejects_small_ris(capsys):
 def test_overhead_rejects_single_antenna_bs(capsys):
     assert main(["overhead", "--nt", "1", "--ris", "8x8"]) == 2
     err = capsys.readouterr().err
-    assert "coded training needs at least two BS candidates, got n_bs=1" in err
+    assert "layered training needs at least two candidates on each side, got n_bs=1\n" in err
     assert "k must be positive" not in err
 
 
@@ -35,7 +35,7 @@ def test_overhead_rejects_single_antenna_bs(capsys):
     ("0", "8x8", "--nt needs at least one antenna, got 0"),
     ("16", "0x8", "--ris needs at least one row and one column, got '0x8'"),
     ("16", "8x-2", "--ris needs at least one row and one column, got '8x-2'"),
-    ("1", "8x8", "coded training needs at least two BS candidates, got n_bs=1"),
+    ("1", "8x8", "layered training needs at least two candidates on each side, got n_bs=1"),
     ("12", "8x6", "n_bs=12 is not a power of two: layered training decodes each index "
                   "from a bit word"),
     ("16", "8x6", "n_ris_cols=6 is not a power of two: layered training decodes each "
@@ -46,6 +46,14 @@ def test_overhead_fails_before_it_prints(capsys, nt, ris, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["overhead", "--ris", "8x8"], ["validate-code"],
+                                     ["design-codebook", "--ris", "8x8"]])
+def test_every_command_names_an_nt_below_one(tmp_path, capsys, command):
+    assert main([*command, "--nt", "0", *(["--out", str(tmp_path / "b.json")]
+                                          if command[0] == "design-codebook" else [])]) == 2
+    assert capsys.readouterr().err == "error: --nt needs at least one antenna, got 0\n"
 
 
 def test_validate_code_8x8(capsys):
@@ -67,7 +75,8 @@ def test_validate_code_requires_an_array(capsys):
 def test_validate_code_rejects_single_antenna_bs(capsys):
     assert main(["validate-code", "--nt", "1", "--ris", "8x8"]) == 2
     captured = capsys.readouterr()
-    assert "a single-antenna BS has no code to validate" in captured.err
+    assert ("layered training needs at least two candidates on each side, got n_bs=1"
+            in captured.err)
     assert "k must be positive" not in captured.err
     assert captured.out == ""
 

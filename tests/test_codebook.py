@@ -40,7 +40,9 @@ from risbeam.codebook import (
     ris_sampling_matrix,
 )
 from risbeam.seeding import derive_rng
-from risbeam.training import coded_codes, narrow_beam_matrices
+from risbeam.training import ProtocolSpec, narrow_beam_matrices, protocol_codes
+
+CODED = ProtocolSpec("coded")
 
 
 def test_pattern_matrix_two_bit_plain():
@@ -329,7 +331,7 @@ def test_margins_measure_each_side_on_its_own_grid_when_sizes_match():
     # with n_bs == n_ris a codeword's length does not tell its side
     geo = ArrayGeometry(64, 8, 8)
     grid = make_angle_grid(geo)
-    books = build_codebooks(*coded_codes(64, (8, 8)), grid, geo, GsConfig(k_iter=5))
+    books = build_codebooks(*protocol_codes(CODED, geo), grid, geo, GsConfig(k_iter=5))
     bs_adjoint = bs_steering_matrix(geo, grid).conj().T
     ris_adjoint = ris_sampling_matrix(geo, grid).conj().T
     sides = ((books[0], lambda w: np.abs(bs_adjoint @ w)),
@@ -407,7 +409,7 @@ def test_build_codebooks_equals_per_cover_oracle(ris, n_bs, direct_2d, target, d
     geo = ArrayGeometry(n_bs, *ris)
     grid = make_angle_grid(geo)
     cfg = GsConfig(delta=delta, k_iter=k_iter, target_amplitude=target, seed=seed)
-    codes = coded_codes(n_bs, ris)
+    codes = protocol_codes(CODED, geo)
     books = build_codebooks(*codes, grid, geo, cfg, direct_2d=direct_2d)
     oracle = reference.build_codebooks(*codes, grid, geo, cfg, direct_2d=direct_2d)
     for book, expected in zip(books, oracle):
@@ -593,7 +595,7 @@ def test_each_ris_design_call_runs_one_gs_loop_per_matrix_shape(monkeypatch, row
     geo = ArrayGeometry(16, rows, cols)
     grid = make_angle_grid(geo)
     cfg = GsConfig(k_iter=3)
-    build_codebooks(*coded_codes(16, (rows, cols)), grid, geo, cfg)
+    build_codebooks(*protocol_codes(CODED, geo), grid, geo, cfg)
     assert len(calls) == loops * (1 + 2 * cfg.k_iter)
     calls.clear()
     prefix_beams(geo, grid, cfg)
@@ -648,12 +650,12 @@ def test_set_up_reads_the_grid_steering_matrices(monkeypatch, direct_2d):
 
     for name in ("ula_factor", "ula_steering", "upa_steering_uw"):
         monkeypatch.setattr(arrays, name, rebuilt)
-    build_codebooks(*coded_codes(8, (8, 8)), grid, geo, GsConfig(seed=1, k_iter=5),
-                    direct_2d=direct_2d)
+    codes = protocol_codes(CODED, geo)
+    build_codebooks(*codes, grid, geo, GsConfig(seed=1, k_iter=5), direct_2d=direct_2d)
     bs, ris = narrow_beam_matrices(grid, geo)
     assert bs is grid.bs_steering and ris is grid.ris_steering
     assert bs_steering_matrix(geo, grid) is grid.bs_steering
     assert ris_sampling_matrix(geo, grid).tobytes() == (grid.ris_steering * 8.0).tobytes()
     for other in (ArrayGeometry(8, 4, 16), ArrayGeometry(8, 16, 4)):
         with pytest.raises(ValueError, match="inconsistent"):
-            build_codebooks(*coded_codes(8, (8, 8)), grid, other, GsConfig(seed=1, k_iter=5))
+            build_codebooks(*codes, grid, other, GsConfig(seed=1, k_iter=5))

@@ -23,7 +23,7 @@ import pytest
 
 from risbeam.arrays import ArrayGeometry, make_angle_grid
 from risbeam.codebook import GsConfig, build_codebooks, prefix_beams
-from risbeam.training import coded_codes
+from risbeam.training import ProtocolSpec, protocol_codes
 
 # name -> (n_bs, n_ris_rows, n_ris_cols, GsConfig, direct_2d)
 CODEBOOK_CASES = {
@@ -72,8 +72,8 @@ def _digest(arrays) -> str:
 def codebook_digest(name: str) -> str:
     n_bs, rows, cols, cfg, direct_2d = {**CODEBOOK_CASES, **THREAD_CASES}[name]
     geometry = ArrayGeometry(n_bs, rows, cols)
-    books = build_codebooks(*coded_codes(n_bs, (rows, cols)), make_angle_grid(geometry),
-                            geometry, cfg, direct_2d=direct_2d)
+    books = build_codebooks(*protocol_codes(ProtocolSpec("coded"), geometry),
+                            make_angle_grid(geometry), geometry, cfg, direct_2d=direct_2d)
     arrays = []
     for book in books:
         arrays += [book.matrix, book.masks]

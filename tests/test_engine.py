@@ -31,7 +31,6 @@ from reference import (
     exhaustive_sweep,
     flipped,
     grid_transmit_pair,
-    identity_codes,
     layer_pair,
     measure_power,
     per_pilot_bits,
@@ -54,8 +53,8 @@ from risbeam.seeding import derive_rng
 from risbeam.training import (
     ProtocolSpec,
     beam_responses,
-    coded_codes,
     narrow_beam_matrices,
+    protocol_codes,
     run_adaptive,
     run_exhaustive,
     run_layered,
@@ -66,6 +65,9 @@ POWERS_OF_TWO = st.sampled_from((2, 4, 8))
 MODES = st.sampled_from(("on_grid", "continuous"))
 SEEDS = st.integers(0, 2**32 - 1)
 FAST_GS = GsConfig(seed=1, k_iter=10)
+# the identity codes of the index bits; the adaptive rule also takes a one-candidate side
+HIERARCHICAL = ProtocolSpec("hierarchical")
+ADAPTIVE = ProtocolSpec("hierarchical", hierarchical_variant="adaptive")
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +75,7 @@ def small_setup(n_bs: int, rows: int, cols: int):
     """Geometry, grid, identity codes and their designed codebooks."""
     geo = ArrayGeometry(n_bs, rows, cols)
     grid = make_angle_grid(geo)
-    codes = identity_codes(geo)
+    codes = protocol_codes(HIERARCHICAL, geo)
     return geo, grid, codes, build_codebooks(*codes, grid, geo, FAST_GS)
 
 
@@ -193,7 +195,7 @@ def test_broken_constant_modulus_is_rejected(desk_books, desk_codes, desk_geomet
     # layer 2 sends the RIS prefixes 2p and 2p + 1 of length 3, where p is the
     # prefix decided in layers 0 and 1 (the same noise draws as a full run)
     beams = prefix_beams(desk_geometry, desk_grid, FAST_GS)
-    codes = identity_codes(desk_geometry)
+    codes = protocol_codes(HIERARCHICAL, desk_geometry)
     decided = run_hierarchical(ch, beams, codes, snr, 8, derive_rng(0, "m")).raw_bits_ris[:2]
     p = bits_to_int(decided)
     ris_matrix = beams[1]
@@ -319,7 +321,7 @@ def adaptive_setup(n_bs: int, rows: int, cols: int, ideal: bool):
     """Geometry, grid, the prefix beams, the identity codes and the per-prefix reference."""
     geo = ArrayGeometry(n_bs, rows, cols)
     grid = make_angle_grid(geo)
-    return (geo, grid, prefix_beams(geo, grid, FAST_GS, ideal), identity_codes(geo),
+    return (geo, grid, prefix_beams(geo, grid, FAST_GS, ideal), protocol_codes(ADAPTIVE, geo),
             ReferencePrefixBeams(geo, grid, FAST_GS, ideal))
 
 
@@ -348,7 +350,7 @@ def test_adaptive_runner_matches_per_pilot_reference(n_bs, rows, cols, mode, ide
         raw = [list(b) + [0] * (n - len(b)) for b, n in zip(bits, sizes)]
         outcome = trial_outcome(runs, t)
         assert (outcome.est_bs_index, outcome.est_ris_index) == (
-            min(bits_to_int(raw[0]) + 1, geo.n_bs), min(bits_to_int(raw[1]) + 1, geo.n_ris))
+            bits_to_int(raw[0]) + 1, bits_to_int(raw[1]) + 1)
         assert outcome.raw_bits_bs.tolist() == raw[0]
         assert outcome.raw_bits_ris.tolist() == raw[1]
         assert outcome.corrected_bs == outcome.corrected_ris == CorrectionReport(False, False, ())
@@ -387,23 +389,17 @@ def layered_setup(n_bs: int, rows: int, cols: int, coded: bool, ideal: bool):
     """Geometry, grid, coded or identity codes, and their codebooks."""
     geo = ArrayGeometry(n_bs, rows, cols)
     grid = make_angle_grid(geo)
-    if coded:
-        codes = coded_codes(n_bs, (rows, cols))
-    else:
-        codes = identity_codes(geo)
-    # a sweep rejects 6 RIS rows for layered protocols, but the runners still
-    # take them (and clamp the index)
+    codes = protocol_codes(ProtocolSpec("coded") if coded else HIERARCHICAL, geo)
     return geo, grid, codes, design_beams(geo, grid, FAST_GS, codes, ideal=ideal)[0]
 
 
 @st.composite
 def layered_cases(draw):
-    """(n_bs, rows, cols, coded, decode mode); 6 RIS rows make the RIS index clamp."""
+    """(n_bs, rows, cols, coded, decode mode)."""
     coded = draw(st.booleans())
     mode = draw(st.sampled_from(DECODE_MODES)) if coded else "none"
     # the dimension-split RIS code needs more than 4 elements per RIS dimension
-    rows = draw(st.sampled_from((6, 8) if coded else (2, 4, 6, 8)))
-    cols = 8 if coded else draw(st.sampled_from((2, 4, 8)))
+    rows, cols = (8, 8) if coded else (draw(POWERS_OF_TWO), draw(POWERS_OF_TWO))
     return draw(POWERS_OF_TWO), rows, cols, coded, mode
 
 

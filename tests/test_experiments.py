@@ -20,7 +20,7 @@ from risbeam.experiments import (
     run_sweep,
 )
 from risbeam.seeding import derive_rng
-from risbeam.training import ProtocolSpec, coded_codes
+from risbeam.training import ProtocolSpec, protocol_codes
 
 
 def _tiny_config(**overrides):
@@ -289,7 +289,7 @@ def test_non_finite_snrs_rejected_before_any_trial(monkeypatch, overrides):
 
 def test_single_antenna_bs_rejected_for_layered_protocols():
     for protocols in ((ProtocolSpec("coded", "one_bit"),), (ProtocolSpec("hierarchical"),)):
-        with pytest.raises(ValueError, match="at least two BS candidates"):
+        with pytest.raises(ValueError, match="at least two candidates on each side, got n_bs=1$"):
             _tiny_config(n_bs=1, protocols=protocols)
     # adaptive hierarchical training has nothing to search on the BS side and runs
     adaptive = (ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),)
@@ -299,7 +299,7 @@ def test_single_antenna_bs_rejected_for_layered_protocols():
 
 def test_single_element_ris_rejected_for_layered_protocols():
     for protocols in ((ProtocolSpec("coded", "one_bit"),), (ProtocolSpec("hierarchical"),)):
-        with pytest.raises(ValueError, match="at least two RIS candidates"):
+        with pytest.raises(ValueError, match="at least two candidates on each side, got n_ris=1$"):
             _tiny_config(n_ris_rows=1, n_ris_cols=1, protocols=protocols)
     # adaptive hierarchical training has nothing to search on the RIS side and runs
     adaptive = (ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),)
@@ -309,14 +309,13 @@ def test_single_element_ris_rejected_for_layered_protocols():
 
 
 def test_infeasible_geometry_reported_before_trials():
-    cfg = ExperimentConfig(
-        n_bs=8, n_ris_rows=4, n_ris_cols=4,
-        snr_grid_db=(0.0,), trials=2,
-        protocols=(ProtocolSpec("coded", "one_bit"),),
-        ideal_beams=True, noiseless=True,
-    )
-    with pytest.raises(ValueError):
-        run_sweep(cfg)
+    # when the config is built: the dimension-split RIS code needs more than 4
+    # elements per RIS axis
+    with pytest.raises(ValueError, match="^coded training needs more than 4 elements per RIS "
+                                         "axis, got 4x4$"):
+        ExperimentConfig(n_bs=8, n_ris_rows=4, n_ris_cols=4, snr_grid_db=(0.0,), trials=2,
+                         protocols=(ProtocolSpec("coded", "one_bit"),),
+                         ideal_beams=True, noiseless=True)
 
 
 def test_layered_protocols_need_power_of_two_ris_columns():
@@ -330,8 +329,8 @@ def test_layered_protocols_need_power_of_two_ris_columns():
 
 
 def test_layered_protocols_need_power_of_two_bs_and_ris_rows():
-    # a decoded word past the grid would land on the last grid point and
-    # could count a false hit, so these sizes fail when the config is built
+    # a decoded word past the grid would name no grid point, so these sizes
+    # fail when the config is built
     layered = ((ProtocolSpec("hierarchical"),), (ProtocolSpec("coded", "one_bit"),),
                (ProtocolSpec("exhaustive"), ProtocolSpec("coded", "decoupled_two_bit")))
     for protocols in layered:
@@ -346,13 +345,19 @@ def test_layered_protocols_need_power_of_two_bs_and_ris_rows():
 
 
 def test_adaptive_hierarchical_needs_power_of_two_arrays():
-    # rejected before the first trial, whatever the noise would have decided
+    # rejected when the config is built, whatever the noise would have decided
     adaptive = (ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),)
-    for dims in ((12, 8, 8), (8, 8, 6), (8, 6, 8)):
-        cfg = _tiny_config(n_bs=dims[0], n_ris_rows=dims[1], n_ris_cols=dims[2],
-                           protocols=adaptive)
-        with pytest.raises(ValueError, match="power of two"):
-            run_sweep(cfg)
+    for dims, name in (((12, 8, 8), "n_bs=12"), ((8, 8, 6), "n_ris_cols=6"),
+                       ((8, 6, 8), "n_ris_rows=6")):
+        with pytest.raises(ValueError, match=f"^{name} is not a power of two: layered "
+                                             "training decodes each index from a bit word$"):
+            _tiny_config(n_bs=dims[0], n_ris_rows=dims[1], n_ris_cols=dims[2],
+                         protocols=adaptive)
+    # so is an array with one candidate on each side, which leaves nothing to train
+    with pytest.raises(ValueError, match="^adaptive training needs at least two candidates "
+                                         "on one side, got n_bs=1 and n_ris=1$"):
+        _tiny_config(n_bs=1, n_ris_rows=1, n_ris_cols=1, protocols=adaptive)
+
 
 
 def test_adaptive_sweep_designs_its_prefix_beams_once(monkeypatch):
@@ -417,13 +422,13 @@ def test_sweep_designs_every_beam_in_one_gs_call(monkeypatch, n_bs, rows, cols, 
         shapes = {matrix.shape for matrix, *_ in calls[0][0]}
         assert shapes == {(rows, rows), (cols, cols)}
     geometry, grid = cfg.geometry, make_angle_grid(cfg.geometry)
+    codes = protocol_codes(ProtocolSpec("coded"), geometry)
     if ideal:
         alone = tuple(codebook.ideal_codebook(codebook.beam_pattern_matrix(code, n), side)
-                      for code, n, side in zip(coded_codes(n_bs, (rows, cols)),
-                                               (geometry.n_bs, geometry.n_ris), ("bs", "ris")))
+                      for code, n, side in zip(codes, (geometry.n_bs, geometry.n_ris),
+                                               ("bs", "ris")))
     else:
-        alone = codebook.build_codebooks(*coded_codes(n_bs, (rows, cols)), grid, geometry,
-                                         cfg.gs)
+        alone = codebook.build_codebooks(*codes, grid, geometry, cfg.gs)
     beams = codebook.prefix_beams(geometry, grid, cfg.gs, ideal)
     adaptive, *coded = (runner.keywords for runner in runners)
     assert [b.tobytes() for b in adaptive["beams"]] == [b.tobytes() for b in beams]

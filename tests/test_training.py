@@ -7,7 +7,6 @@ from reference import (
     channel_at,
     effective_gain,
     grid_transmit_pair,
-    identity_codes,
     noiseless_best_tuple,
     ris_transmit,
     run_coded,
@@ -39,15 +38,18 @@ from risbeam.training import (
     ProtocolSpec,
     ceil_log2,
     narrow_beam_matrices,
+    protocol_codes,
     run_exhaustive,
     training_overhead,
 )
 
 NOISELESS = SnrSpec(1.0, noiseless=True)
+# the identity codes of the index bits; the adaptive rule also takes a one-candidate side
+ADAPTIVE = ProtocolSpec("hierarchical", hierarchical_variant="adaptive")
 
 
 def ideal_identity_assets(geo):
-    codes = identity_codes(geo)
+    codes = protocol_codes(ADAPTIVE, geo)
     books = (
         ideal_codebook(beam_pattern_matrix(codes[0], geo.n_bs), "bs"),
         ideal_codebook(beam_pattern_matrix(codes[1], geo.n_ris), "ris"),
@@ -65,7 +67,8 @@ def oracle_setup():
         ideal_codebook(beam_pattern_matrix(code_t, 8), "bs"),
         ideal_codebook(beam_pattern_matrix(code_r, 64), "ris"),
     )
-    adaptive = (prefix_beams(geo, grid, GsConfig(seed=1), ideal=True), identity_codes(geo))
+    adaptive = (prefix_beams(geo, grid, GsConfig(seed=1), ideal=True),
+                protocol_codes(ADAPTIVE, geo))
     return geo, grid, (code_t, code_r), books, adaptive
 
 
@@ -170,6 +173,22 @@ def test_hierarchical_error_propagates_without_correction(oracle_setup):
         assert (out.est_bs_index, out.est_ris_index) != (5, 20)
 
 
+@pytest.mark.parametrize("dims,sized_for,message", [
+    ((8, 8, 6), (8, 8, 8), "got 64 for 48"),  # 64 RIS words on 48 grid points
+    ((12, 8, 8), (16, 8, 8), "got 16 for 12"),  # 16 BS words on 12
+])
+def test_layered_runner_rejects_words_that_outnumber_the_grid(dims, sized_for, message):
+    # a word past the grid names no grid point: it is an error, not the last grid point
+    geo = ArrayGeometry(*dims)
+    codes = protocol_codes(ProtocolSpec("coded"), ArrayGeometry(*sized_for))
+    books = tuple(ideal_codebook(beam_pattern_matrix(code, n), side) for code, n, side
+                  in zip(codes, (geo.n_bs, geo.n_ris), ("bs", "ris")))
+    block = sample_block(geo, make_angle_grid(geo), [derive_rng(0, "c")])
+    with pytest.raises(ValueError, match=message):
+        training.run_layered(block, books, codes, NOISELESS, None, [derive_rng(0, "n")],
+                             ideal=True)
+
+
 def test_hierarchical_budget_and_truncation(oracle_setup):
     geo, grid, _, _, _ = oracle_setup
     codes, books = ideal_identity_assets(geo)
@@ -221,7 +240,7 @@ def test_provider_designs_each_prefix_once(monkeypatch, desk_geometry, desk_grid
     geo = desk_geometry
     beams = prefix_beams(geo, desk_grid, GsConfig(seed=1, k_iter=10))
     before = len(designs)
-    codes = identity_codes(geo)
+    codes = protocol_codes(ADAPTIVE, geo)
     for trial in range(40):
         ch = sample_block(geo, desk_grid, [derive_rng(3, "ch", trial)])
         run_hierarchical(ch, beams, codes, SnrSpec(0.3), None, derive_rng(3, "n", trial))
@@ -315,7 +334,7 @@ def test_run_determinism_same_seed(oracle_setup, desk_books, desk_codes,
 def test_designed_beams_noiseless_recovery(desk_books, desk_codes, desk_geometry,
                                            desk_grid):
     # physical codewords, no noise: spot tuples recover exactly
-    hier_codes = identity_codes(desk_geometry)
+    hier_codes = protocol_codes(ProtocolSpec("hierarchical"), desk_geometry)
     hier_books = build_codebooks(*hier_codes, desk_grid, desk_geometry, GsConfig(seed=1))
     for bs_i, ris_i in ((1, 1), (16, 64), (7, 13), (11, 48)):
         ch = channel_at(desk_geometry, desk_grid, bs_i, ris_i, gr_index=29)
@@ -332,12 +351,10 @@ def test_identity_codebooks_are_first_coded_layers():
     # full-coverage hierarchical beams are the systematic layers of the coded codebooks
     for geo in (ArrayGeometry(16, 8, 8), ArrayGeometry(64, 16, 16)):
         grid = make_angle_grid(geo)
-        codes = identity_codes(geo)
-        coded_codes = (build_plain_code(codes[0].k),
-                       build_reduced_code(ceil_log2(geo.n_ris_rows),
-                                          ceil_log2(geo.n_ris_cols)))
+        codes = protocol_codes(ProtocolSpec("hierarchical"), geo)
         hier_books = build_codebooks(*codes, grid, geo, GsConfig(seed=1))
-        coded_books = build_codebooks(*coded_codes, grid, geo, GsConfig(seed=1))
+        coded_books = build_codebooks(*protocol_codes(ProtocolSpec("coded"), geo), grid, geo,
+                                      GsConfig(seed=1))
         for code, hier, coded in zip(codes, hier_books, coded_books):
             assert code.n == code.k
             head = coded.first_layers(code.k)
