@@ -19,7 +19,7 @@ from .blockcode import (
     int_to_bits,
     min_distance,
 )
-from .codebook import GsConfig, build_codebooks
+from .codebook import GsConfig, build_codebooks, grid_margins
 from .experiments import (
     PRESETS,
     export_results,
@@ -108,12 +108,11 @@ def cmd_validate_code(args) -> int:
     return 0
 
 
-def _codeword_entry(vec: np.ndarray, report) -> dict:
-    traces = [np.asarray(t) for t in report.traces]
+def _codeword_entry(vec: np.ndarray, traces, min_in: float, max_out: float) -> dict:
     return {
         "codeword": [[float(c.real), float(c.imag)] for c in vec],
-        "min_in": report.min_in,
-        "max_out": report.max_out,
+        "min_in": min_in,
+        "max_out": max_out,
         "final_trace": float(traces[-1][-1]) if traces else None,
         "traces": [[float(x) for x in t] for t in traces],
     }
@@ -141,11 +140,13 @@ def cmd_design_codebook(args) -> int:
     }
     for book in books:
         print(f"== {book.side} codebook, {book.n_layers} layers ==")
+        min_in, max_out = grid_margins(book, grid)
         layers = []
-        for i, reports in enumerate(book.reports):
+        for i in range(book.n_layers):
             layer = {"index": i + 1}
-            for bit, polarity, report in ((1, "one", reports[0]), (0, "zero", reports[1])):
-                layer[polarity] = _codeword_entry(book.matrix[:, 2 * i + bit], report)
+            for c, polarity in ((2 * i + 1, "one"), (2 * i, "zero")):
+                layer[polarity] = _codeword_entry(book.matrix[:, c], book.traces[c],
+                                                  min_in[c], max_out[c])
                 print(_report_line(i + 1, polarity, layer[polarity]))
             layers.append(layer)
         payload[book.side] = {"layers": layers}

@@ -6,8 +6,9 @@ designed by a relaxed Gerchberg-Saxton iteration that only re-assigns
 amplitudes at grid points failing the in/out classification thresholds; all
 RIS designs of one call on matrices of one shape run in one loop. Around it a
 codebook is built in whole-array steps: one factoring of the mask stack, one
-broadcast Kronecker product, the BS codewords batched by cover size, and the
-grid margins of every column as one stacked matvec and one masked min/max.
+broadcast Kronecker product and the BS codewords batched by cover size. A
+codebook holds what training sends; ``grid_margins`` measures its columns on
+the grid only when asked.
 
 A designed codebook is one matrix per side: column 2l + b is layer l's
 codeword for mask bit b, so column 2l + 1 covers the grid points where layer
@@ -63,26 +64,18 @@ class GsConfig:
 
 
 @dataclass(frozen=True)
-class CodewordReport:
-    """Convergence traces (one per GS run feeding the codeword) and grid margins."""
-
-    traces: tuple[np.ndarray, ...]
-    min_in: float
-    max_out: float
-
-
-@dataclass(frozen=True)
 class DesignedCodebook:
     """A side's codewords as the columns of one C-contiguous (n, 2 * layers) matrix.
 
-    Column 2l + b is layer l's codeword for mask bit b of ``masks[l]``;
-    ``reports[l]`` holds the (one, zero) reports of columns 2l + 1 and 2l.
+    Column 2l + b is layer l's codeword for mask bit b of ``masks[l]``, and
+    ``traces[c]`` holds column c's GS traces, one per GS run feeding it (none
+    for a closed-form or mask-valued codeword).
     """
 
     side: str
     matrix: np.ndarray
-    reports: list[tuple[CodewordReport, CodewordReport]]
     masks: np.ndarray  # the pattern rows the layers were designed for
+    traces: list[tuple[np.ndarray, ...]]
 
     @property
     def n_layers(self) -> int:
@@ -90,14 +83,15 @@ class DesignedCodebook:
 
     def first_layers(self, k: int) -> "DesignedCodebook":
         """The systematic layers of an [I|Q] codebook: the identity code's codebook."""
-        return DesignedCodebook(self.side, self.matrix[:, :2 * k].copy(), self.reports[:k],
-                                self.masks[:k])
+        return DesignedCodebook(self.side, self.matrix[:, :2 * k].copy(), self.masks[:k],
+                                self.traces[:2 * k])
 
 
 def beam_pattern_matrix(code: BlockCode, n_grid: int) -> np.ndarray:
     """The (layers, n_grid) uint8 masks: column j is the codeword of grid index j."""
-    if n_grid > 2**code.k:
-        raise ValueError(f"{n_grid} grid points exceed the {2**code.k} codewords")
+    if n_grid != 2**code.k:
+        raise ValueError(f"the {2**code.k} words of a {code.k}-bit code need as many grid "
+                         f"points, got {n_grid}")
     return encode(code, int_to_bits(np.arange(n_grid), code.k)).T
 
 
@@ -278,8 +272,23 @@ def design_bs_codewords(covers, steering: np.ndarray) -> np.ndarray:
     return codewords
 
 
-def grid_margins(responses: np.ndarray, covers: np.ndarray) -> tuple[list, list]:
-    """Per row (min in-cover, max out-of-cover): inf with no point in, 0.0 with none out."""
+def grid_margins(book: DesignedCodebook, grid: AngleGrid) -> tuple[list, list]:
+    """The (min in-cover, max out-of-cover) grid responses of ``book``'s columns, as two lists.
+
+    Both lists are in column order, and a response is |a_n^H v| in coverage
+    convention. A cover with no point in reads inf, one with no point out
+    0.0. The responses are one stacked matvec on a stride-0 view of the
+    sampling matrix's adjoint, so each rounds as that matrix times the lone
+    codeword.
+    """
+    if book.side == "bs":
+        sampling, scale = grid.bs_steering, 1.0
+    else:
+        sampling, scale = grid.ris_steering * np.sqrt(grid.n_ris), np.sqrt(grid.n_ris)
+    codewords = np.ascontiguousarray(book.matrix.T)
+    adjoint = _row_stack([sampling.conj().T], [len(codewords)])
+    responses = np.abs(_stacked_matvec(adjoint, codewords)) / scale
+    covers = _column_covers(book.masks)
     return (np.where(covers, responses, np.inf).min(axis=1).tolist(),
             np.where(covers, 0.0, responses).max(axis=1).tolist())
 
@@ -361,7 +370,7 @@ def _design_codebooks(code_t: BlockCode, code_r: BlockCode, grid: AngleGrid,
     1-D designs, both axes in one yield; plain RIS codes (or direct_2d=True)
     yield one direct 2-D group. Each (layer, polarity, axis) design consumes its
     own derived random stream, so both sides design their covers in column
-    order as whole arrays, and each side's margins are one masked min/max.
+    order as whole arrays.
     """
     masks_t = beam_pattern_matrix(code_t, geometry.n_bs)
     masks_r = beam_pattern_matrix(code_r, geometry.n_ris)
@@ -369,11 +378,9 @@ def _design_codebooks(code_t: BlockCode, code_r: BlockCode, grid: AngleGrid,
         yield []
         yield ideal_codebook(masks_t, "bs"), ideal_codebook(masks_r, "ris")
         return
-    ris_sampling = ris_sampling_matrix(geometry, grid)
-    bs_steering = bs_steering_matrix(geometry, grid)
-
     bs_covers = _column_covers(masks_t)
-    bs_codewords = design_bs_codewords([np.flatnonzero(m) for m in bs_covers], bs_steering)
+    bs_codewords = design_bs_codewords([np.flatnonzero(m) for m in bs_covers],
+                                       bs_steering_matrix(geometry, grid))
 
     ris_covers = _column_covers(masks_r)
     ids = list(product(range(len(masks_r)), ("zero", "one")))  # (layer, polarity) per column
@@ -381,34 +388,19 @@ def _design_codebooks(code_t: BlockCode, code_r: BlockCode, grid: AngleGrid,
         ris_codewords, ris_traces = yield from _design_factorized(ids, ris_covers, geometry, cfg)
     else:
         rngs = [derive_rng(cfg.seed, "gs", "ris", *i, "2d") for i in ids]
-        [(ris_codewords, traces)] = yield [(ris_sampling, ris_covers, rngs)]
+        [(ris_codewords, traces)] = yield [(ris_sampling_matrix(geometry, grid), ris_covers,
+                                            rngs)]
         ris_traces = [(t,) for t in traces]
 
-    yield (_designed_codebook("bs", bs_codewords, [()] * len(bs_covers), masks_t, bs_steering),
-           _designed_codebook("ris", ris_codewords, ris_traces, masks_r, ris_sampling,
-                              np.sqrt(geometry.n_ris)))
-
-
-def _designed_codebook(side: str, codewords: np.ndarray, traces, masks: np.ndarray,
-                       sampling: np.ndarray, scale: float = 1.0) -> DesignedCodebook:
-    """The codebook of codeword rows and their traces in column order, with their margins.
-
-    The grid responses are one stacked matvec on a stride-0 view of ``sampling.conj().T``,
-    so each rounds as that matrix times the lone codeword.
-    """
-    adjoint = _row_stack([sampling.conj().T], [len(codewords)])
-    responses = np.abs(_stacked_matvec(adjoint, codewords)) / scale
-    margins = grid_margins(responses, _column_covers(masks))
-    reports = [CodewordReport(t, *m) for t, m in zip(traces, zip(*margins))]
-    return DesignedCodebook(side, np.ascontiguousarray(codewords.T),
-                            list(zip(reports[1::2], reports[::2])), masks)
+    yield (DesignedCodebook("bs", np.ascontiguousarray(bs_codewords.T), masks_t,
+                            [()] * len(bs_covers)),
+           DesignedCodebook("ris", np.ascontiguousarray(ris_codewords.T), masks_r, ris_traces))
 
 
 def ideal_codebook(masks: np.ndarray, side: str) -> DesignedCodebook:
     """Mask-valued codebook for oracle runs: gains are the mask bits themselves."""
-    reports = [(CodewordReport((), 1.0, 0.0), CodewordReport((), 1.0, 0.0))] * len(masks)
-    return DesignedCodebook(side, _column_covers(masks).T.astype(float, order="C"), reports,
-                            masks)
+    return DesignedCodebook(side, _column_covers(masks).T.astype(float, order="C"), masks,
+                            [()] * (2 * len(masks)))
 
 
 def prefix_beams(geometry: ArrayGeometry, grid: AngleGrid, cfg: GsConfig,

@@ -51,7 +51,6 @@ from risbeam.arrays import (
 from risbeam.blockcode import DECODE_MODES, BlockCode, bits_to_int
 from risbeam.channel import SAMPLING_MODES, ChannelBlock, SnrSpec, pilot_noise, received_power
 from risbeam.codebook import (
-    CodewordReport,
     DesignedCodebook,
     GsConfig,
     _column_covers,
@@ -679,12 +678,17 @@ def design_factorized(covers, geometry: ArrayGeometry, cfg: GsConfig):
             for (v_u, t_u), (v_w, t_w) in zip(*per_axis)]
 
 
-def designed_codebook(side: str, designs, masks: np.ndarray, responses) -> DesignedCodebook:
-    """The codebook of (codeword, traces) designs in column order, one margin per column."""
-    reports = [CodewordReport(traces, *_margin(responses(v), cover))
-               for (v, traces), cover in zip(designs, _column_covers(masks))]
-    return DesignedCodebook(side, np.column_stack([v for v, _ in designs]),
-                            list(zip(reports[1::2], reports[::2])), masks)
+def designed_codebook(side: str, designs, masks: np.ndarray) -> DesignedCodebook:
+    """The codebook of (codeword, traces) designs in column order."""
+    return DesignedCodebook(side, np.column_stack([v for v, _ in designs]), masks,
+                            [traces for _, traces in designs])
+
+
+def codebook_margins(book: DesignedCodebook, grid: AngleGrid,
+                     geometry: ArrayGeometry) -> list[tuple[float, float]]:
+    """``classification_margin`` of each column of ``book`` against its cover, in column order."""
+    return [classification_margin(book.matrix[:, c].copy(), cover, grid, geometry, book.side)
+            for c, cover in enumerate(_column_covers(book.masks))]
 
 
 def build_codebooks(code_t: BlockCode, code_r: BlockCode, grid: AngleGrid,
@@ -704,7 +708,5 @@ def build_codebooks(code_t: BlockCode, code_r: BlockCode, grid: AngleGrid,
         vs, traces = relaxed_gs_loop(ris_sampling, np.array([m for *_, m in ris_covers]), cfg,
                                      rngs)
         ris_designs = [(v, (t,)) for v, t in zip(vs, traces)]
-    return (designed_codebook("bs", bs_designs, masks_t,
-                              _grid_responses(bs_steering_matrix(geometry, grid))),
-            designed_codebook("ris", ris_designs, masks_r,
-                              _grid_responses(ris_sampling, np.sqrt(geometry.n_ris))))
+    return (designed_codebook("bs", bs_designs, masks_t),
+            designed_codebook("ris", ris_designs, masks_r))

@@ -31,6 +31,7 @@ from risbeam.codebook import (
     beam_pattern_matrix,
     bs_steering_matrix,
     build_codebooks,
+    design_beams,
     design_bs_codewords,
     factor_pattern_mask,
     flat_codeword,
@@ -50,6 +51,25 @@ def test_pattern_matrix_two_bit_plain():
     pattern = beam_pattern_matrix(code, 4)
     assert list(pattern[0]) == [0, 0, 1, 1]
     assert list(pattern[1]) == [0, 1, 0, 1]
+
+
+@pytest.mark.parametrize("dims, side, words, bits, points", [
+    ((12, 8, 6), 0, 16, 4, 12),  # the first side to meet its grid is the BS
+    ((16, 8, 6), 1, 64, 6, 48),
+])
+def test_code_words_must_name_exactly_their_grid(dims, side, words, bits, points):
+    # the 16/8x8 codes on a smaller grid: the masks, a designed codebook and an
+    # ideal one each refuse, naming both counts
+    geo = ArrayGeometry(*dims)
+    grid = make_angle_grid(geo)
+    codes = protocol_codes(CODED, ArrayGeometry(16, 8, 8))
+    message = f"the {words} words of a {bits}-bit code need as many grid points, got {points}"
+    with pytest.raises(ValueError, match=message):
+        beam_pattern_matrix(codes[side], points)
+    with pytest.raises(ValueError, match=message):
+        build_codebooks(*codes, grid, geo, GsConfig(k_iter=2))
+    with pytest.raises(ValueError, match=message):
+        design_beams(geo, grid, GsConfig(), codes, ideal=True)
 
 
 def test_pattern_columns_are_codewords():
@@ -253,21 +273,21 @@ def test_bs_codebook_unit_norm(desk_books_local):
         assert abs(np.linalg.norm(w) - 1.0) < 1e-12
 
 
-def test_codebook_margins_positive(desk_books_local):
+def test_codebook_margins_positive(desk_books_local, bs16):
     (bs_book, ris_book), _ = desk_books_local
     for book in (bs_book, ris_book):
-        for rep_one, rep_zero in book.reports:
-            assert rep_one.min_in > rep_one.max_out
-            assert rep_zero.min_in > rep_zero.max_out
+        min_in, max_out = codebook.grid_margins(book, bs16[1])
+        assert len(min_in) == 2 * book.n_layers
+        assert all(low > high for low, high in zip(min_in, max_out))
 
 
 def test_codebook_traces_converged(desk_books_local):
     (_, ris_book), _ = desk_books_local
-    for rep_one, rep_zero in ris_book.reports:
-        for rep in (rep_one, rep_zero):
-            for trace in rep.traces:
-                assert trace[-1] < 1e-2
-                assert np.isfinite(trace).all()
+    assert len(ris_book.traces) == 2 * ris_book.n_layers
+    for traces in ris_book.traces:
+        for trace in traces:
+            assert trace[-1] < 1e-2
+            assert np.isfinite(trace).all()
 
 
 def test_codebook_design_deterministic(bs16):
@@ -285,8 +305,8 @@ def test_direct_2d_flag_builds_valid_book(bs16):
     code_t, code_r = build_plain_code(4), build_reduced_code(3, 3)
     _, ris_book = build_codebooks(code_t, code_r, grid, geo, GsConfig(seed=2),
                                   direct_2d=True)
-    for layer, (rep_one, _) in enumerate(ris_book.reports):
-        assert len(rep_one.traces) == 1  # single 2-D run, no factor designs
+    for layer in range(ris_book.n_layers):
+        assert len(ris_book.traces[2 * layer + 1]) == 1  # single 2-D run, no factor designs
         assert np.abs(np.abs(ris_book.matrix[:, 2 * layer + 1]) - 1 / 8).max() < 1e-12
 
 
@@ -315,16 +335,15 @@ def test_classification_margin_cases(bs16):
     assert max_out == 0.0
 
 
-def test_codebook_reports_match_classification_margin(desk_books, desk_grid,
-                                                      desk_geometry):
-    # build_codebooks computes its margins from steering matrices built once
+def test_codebook_reports_match_classification_margin(desk_books, desk_grid, desk_geometry):
+    # grid_margins reads the grid's steering matrices, built once
     for book in desk_books:
-        for layer, (mask, reports) in enumerate(zip(book.masks, book.reports)):
+        min_in, max_out = codebook.grid_margins(book, desk_grid)
+        for layer, mask in enumerate(book.masks):
             pair, mask = layer_pair(book, layer), mask.astype(bool)
-            for v, cover, report in ((pair.one, mask, reports[0]),
-                                     (pair.zero, ~mask, reports[1])):
+            for v, cover, c in ((pair.one, mask, 2 * layer + 1), (pair.zero, ~mask, 2 * layer)):
                 margin = classification_margin(v, cover, desk_grid, desk_geometry, book.side)
-                assert (report.min_in, report.max_out) == margin
+                assert (min_in[c], max_out[c]) == margin
 
 
 def test_margins_measure_each_side_on_its_own_grid_when_sizes_match():
@@ -337,36 +356,36 @@ def test_margins_measure_each_side_on_its_own_grid_when_sizes_match():
     sides = ((books[0], lambda w: np.abs(bs_adjoint @ w)),
              (books[1], lambda v: np.abs(ris_adjoint @ v) / np.sqrt(geo.n_ris)))
     for book, responses in sides:
-        for layer, (mask, reports) in enumerate(zip(book.masks.astype(bool), book.reports)):
+        min_in, max_out = codebook.grid_margins(book, grid)
+        for layer, mask in enumerate(book.masks.astype(bool)):
             pair = layer_pair(book, layer)
-            for v, cover, report in ((pair.one, mask, reports[0]),
-                                     (pair.zero, ~mask, reports[1])):
-                assert (report.min_in, report.max_out) == _margin(responses(v), cover)
+            for v, cover, c in ((pair.one, mask, 2 * layer + 1), (pair.zero, ~mask, 2 * layer)):
+                assert (min_in[c], max_out[c]) == _margin(responses(v), cover)
     # BS codewords are exact on the grid, so every one separates its cover
-    assert all(report.min_in > report.max_out for pair in books[0].reports for report in pair)
+    assert all(low > high for low, high in zip(*codebook.grid_margins(books[0], grid)))
 
 
 def test_grid_margins_conventions_match_one_column_margin():
-    # hand-made covers: none, every point, one point in, one point out, and mixed;
-    # a cover with no point in reads min_in inf, one with no point out max_out 0.0
-    responses = np.array([[0.3, 0.0, 1.2, 0.7],
-                          [0.5, 0.1, 0.9, 0.2],
-                          [0.0, 0.0, 0.0, 0.0],
-                          [0.8, 0.4, 0.6, 1.1],
-                          [2.0, 0.0, 0.5, 0.5],
-                          [0.0, 0.0, 0.0, 0.0]])
-    covers = np.array([[False, False, False, False],
-                       [True, True, True, True],
-                       [True, True, True, True],
-                       [False, True, False, False],
-                       [True, False, True, True],
-                       [False, False, False, False]])
-    min_in, max_out = codebook.grid_margins(responses, covers)
-    expected = [_margin(r, c) for r, c in zip(responses, covers)]
-    assert list(zip(min_in, max_out)) == expected
-    assert all(type(x) is float for x in min_in + max_out)
-    assert min_in[0] == min_in[5] == np.inf and max_out[1] == max_out[2] == 0.0
-    assert expected[3] == (0.4, 1.1) and expected[4] == (0.5, 0.0)
+    # a hand-made 4-point book whose masks give covers with no point in, every point,
+    # one point in, one point out and a mixed one; its codewords are sums of grid
+    # steering vectors, whose grid responses are their weights; a cover with no point
+    # in reads min_in inf, one with no point out max_out 0.0
+    geo = ArrayGeometry(4, 2, 2)
+    grid = make_angle_grid(geo)
+    masks = np.array([[1, 1, 1, 1], [0, 1, 0, 0], [1, 0, 1, 1]], dtype=np.uint8)
+    weights = np.array([[0.0, 0.0, 0.0, 0.0], [0.5, 0.25, 1.0, 0.75],
+                        [0.5, 0.25, 0.75, 1.5], [1.0, 0.5, 0.75, 0.25],
+                        [1.0, 0.25, 0.5, 0.75], [2.0, 0.125, 0.5, 0.5]])
+    for side, steering in (("bs", grid.bs_steering), ("ris", grid.ris_steering)):
+        book = codebook.DesignedCodebook(side, steering @ weights.T, masks, [()] * 6)
+        min_in, max_out = codebook.grid_margins(book, grid)
+        expected = [classification_margin(book.matrix[:, c].copy(), cover, grid, geo, side)
+                    for c, cover in enumerate(codebook._column_covers(masks))]
+        assert list(zip(min_in, max_out)) == expected
+        assert all(type(x) is float for x in min_in + max_out)
+        assert min_in[0] == np.inf and max_out[1] == 0.0
+        assert np.array(expected[1:]) == pytest.approx(np.array(
+            [(0.25, 0.0), (0.5, 0.25), (0.5, 1.0), (0.25, 1.0), (0.5, 0.125)]))
 
 
 def test_factor_pattern_mask_stack_equals_one_mask_calls():
@@ -404,8 +423,9 @@ def test_factor_pattern_mask_stack_equals_one_mask_calls():
 def test_build_codebooks_equals_per_cover_oracle(ris, n_bs, direct_2d, target, delta, k_iter,
                                                  seed):
     # the whole-array design (one mask factoring, one broadcast Kronecker product,
-    # batched BS norms, stacked grid responses, masked margins) equals the design
-    # one cover at a time byte for byte: matrices, traces and margins
+    # batched BS norms) equals the design one cover at a time byte for byte, matrices
+    # and traces; so do grid_margins' stacked responses and masked min/max and the
+    # oracle's margins one column at a time
     geo = ArrayGeometry(n_bs, *ris)
     grid = make_angle_grid(geo)
     cfg = GsConfig(delta=delta, k_iter=k_iter, target_amplitude=target, seed=seed)
@@ -417,13 +437,14 @@ def test_build_codebooks_equals_per_cover_oracle(ris, n_bs, direct_2d, target, d
         assert book.matrix.flags.c_contiguous and book.matrix.shape == expected.matrix.shape
         assert book.matrix.tobytes() == expected.matrix.tobytes()
         assert np.array_equal(book.masks, expected.masks)
-        for pair, expected_pair in zip(book.reports, expected.reports, strict=True):
-            for report, want in zip(pair, expected_pair):
-                assert (report.min_in, report.max_out) == (want.min_in, want.max_out)
-                assert type(report.min_in) is float and type(report.max_out) is float
-                assert len(report.traces) == len(want.traces)
-                for trace, want_trace in zip(report.traces, want.traces):
-                    assert trace.tobytes() == want_trace.tobytes()
+        min_in, max_out = codebook.grid_margins(book, grid)
+        margins = reference.codebook_margins(expected, grid, geo)
+        assert list(zip(min_in, max_out)) == margins
+        assert all(type(x) is float for x in min_in + max_out)
+        for traces, want in zip(book.traces, expected.traces, strict=True):
+            assert len(traces) == len(want)
+            for trace, want_trace in zip(traces, want):
+                assert trace.tobytes() == want_trace.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -46,7 +46,7 @@ from risbeam.arrays import ArrayGeometry, make_angle_grid, ula_steering, upa_ste
 from risbeam.blockcode import DECODE_MODES, bits_to_int
 from risbeam.channel import SnrSpec, pilot_noise, received_power, sample_block
 from risbeam.codebook import (GsConfig, beam_pattern_matrix, build_codebooks, design_beams,
-                              ideal_codebook, prefix_beams)
+                              grid_margins, ideal_codebook, prefix_beams)
 from risbeam.experiments import (ExperimentConfig, desk_snr_sweep, export_results,
                                  export_trial_log, run_sweep)
 from risbeam.seeding import derive_rng
@@ -114,19 +114,20 @@ def test_gain_table_matches_effective_gain(n_bs, rows, cols, mode, seed):
 def test_codebook_matrix_columns_follow_layers(desk_books, desk_codes, desk_grid,
                                                desk_geometry):
     # column 2l + b is layer l's codeword for mask bit b: column 2l + 1 covers
-    # mask row l, column 2l its complement, each with its own stored margins
+    # mask row l, column 2l its complement, and grid_margins and traces are in column order
     direct = build_codebooks(*desk_codes, desk_grid, desk_geometry, FAST_GS, direct_2d=True)
     for book in (*desk_books, direct[1]):
         n = desk_geometry.n_bs if book.side == "bs" else desk_geometry.n_ris
         assert book.matrix.shape == (n, 2 * book.n_layers) == (n, 2 * len(book.masks))
         assert book.matrix.flags.c_contiguous
         assert book.first_layers(2).matrix.flags.c_contiguous
-        for layer, (mask, reports) in enumerate(zip(book.masks.astype(bool), book.reports)):
-            for column, cover, report in ((2 * layer + 1, mask, reports[0]),
-                                          (2 * layer, ~mask, reports[1])):
+        assert len(book.traces) == 2 * book.n_layers
+        min_in, max_out = grid_margins(book, desk_grid)
+        for layer, mask in enumerate(book.masks.astype(bool)):
+            for column, cover in ((2 * layer + 1, mask), (2 * layer, ~mask)):
                 margin = classification_margin(book.matrix[:, column].copy(), cover,
                                                desk_grid, desk_geometry, book.side)
-                assert margin == (report.min_in, report.max_out)
+                assert margin == (min_in[column], max_out[column])
     sizes = (desk_geometry.n_bs, desk_geometry.n_ris)
     for code, n, side in zip(desk_codes, sizes, ("bs", "ris")):
         masks = beam_pattern_matrix(code, n)

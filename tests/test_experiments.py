@@ -390,10 +390,25 @@ def test_adaptive_sweep_designs_its_prefix_beams_once(monkeypatch):
                       + ["run_adaptive", "/run_adaptive"] * 3)
 
 
+@pytest.mark.parametrize("ideal", [False, True])
+def test_sweep_computes_no_grid_margins(monkeypatch, ideal):
+    # a codebook is what training sends: its grid margins are computed only when read
+    def refuse(*args):
+        raise AssertionError("a sweep computed grid margins")
+
+    monkeypatch.setattr(codebook, "grid_margins", refuse)
+    cfg = _tiny_config(trials=2, ideal_beams=ideal, noiseless=False,
+                       gs=GsConfig(seed=3, k_iter=5), protocols=(
+                           ProtocolSpec("hierarchical"),
+                           ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),
+                           ProtocolSpec("coded", "one_bit"),
+                           ProtocolSpec("coded", "decoupled_two_bit")))
+    assert [row.trials for row in run_sweep(cfg).rows] == [2] * 4
+
+
 def _book_bytes(book):
     return (book.side, book.matrix.tobytes(), book.masks.tobytes(),
-            [(r.min_in, r.max_out, [t.tobytes() for t in r.traces])
-             for pair in book.reports for r in pair])
+            [[t.tobytes() for t in traces] for traces in book.traces])
 
 
 @pytest.mark.parametrize("ideal", [False, True])

@@ -178,11 +178,12 @@ def test_hierarchical_error_propagates_without_correction(oracle_setup):
     ((12, 8, 8), (16, 8, 8), "got 16 for 12"),  # 16 BS words on 12
 ])
 def test_layered_runner_rejects_words_that_outnumber_the_grid(dims, sized_for, message):
-    # a word past the grid names no grid point: it is an error, not the last grid point
+    # a word past the grid names no grid point: it is an error, not the last grid point;
+    # the books have the codes' own sizes, which beam_pattern_matrix insists on
     geo = ArrayGeometry(*dims)
     codes = protocol_codes(ProtocolSpec("coded"), ArrayGeometry(*sized_for))
-    books = tuple(ideal_codebook(beam_pattern_matrix(code, n), side) for code, n, side
-                  in zip(codes, (geo.n_bs, geo.n_ris), ("bs", "ris")))
+    books = tuple(ideal_codebook(beam_pattern_matrix(code, 2**code.k), side)
+                  for code, side in zip(codes, ("bs", "ris")))
     block = sample_block(geo, make_angle_grid(geo), [derive_rng(0, "c")])
     with pytest.raises(ValueError, match=message):
         training.run_layered(block, books, codes, NOISELESS, None, [derive_rng(0, "n")],
