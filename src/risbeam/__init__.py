@@ -30,8 +30,8 @@ from .codebook import (
     GsConfig,
     beam_pattern_matrix,
     build_codebooks,
+    design_beams,
     design_bs_codewords,
-    prefix_beams,
 )
 from .experiments import (
     ExperimentConfig,

@@ -2,10 +2,10 @@
 
 Beam-pattern design and coverage bookkeeping work in the spatial-frequency
 domain (u, w) with u = sin(phi) * sin(theta) and w = cos(theta), because the
-steering vector depends only on (u, w) while the physical azimuth recovered
-from a grid point can be undefined (arcsin argument beyond 1). Undefined
-azimuths are recorded as NaN. Both arrays are half-wavelength arrays and the
-candidate grid is their DFT grid: its steering matrices are unitary.
+steering vector depends only on (u, w), while a grid point need not have a
+physical azimuth (arcsin argument beyond 1). Both arrays are half-wavelength
+arrays and the candidate grid is their DFT grid: its steering matrices are
+unitary.
 """
 
 from __future__ import annotations
@@ -70,21 +70,18 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class AngleGrid:
-    """Candidate angle lists for both arrays plus spatial-frequency coordinates.
+    """Candidate BS angles plus the RIS grid's spatial-frequency coordinates.
 
-    bs_angles has length n_bs; the four RIS arrays have length n_ris and are
+    bs_angles has length n_bs; ris_u and ris_w have length n_ris and are
     indexed by the 1-based grid index n with n - 1 = (a - 1) * n_ris_cols + p,
-    where a is the azimuth index and p the elevation position. ris_azimuth is
-    NaN where the grid point has no physical azimuth. The grid records the RIS
-    shape it was built for, and holds read-only unit-norm steering matrices:
-    column i steers at grid point i.
+    where a is the azimuth index and p the elevation position. The grid
+    records the RIS shape it was built for, and holds read-only unit-norm
+    steering matrices: column i steers at grid point i.
     """
 
     bs_angles: np.ndarray
     ris_u: np.ndarray
     ris_w: np.ndarray
-    ris_azimuth: np.ndarray
-    ris_elevation: np.ndarray
     n_ris_rows: int
     n_ris_cols: int
     bs_steering: np.ndarray  # n_bs x n_bs
@@ -172,23 +169,16 @@ def ris_angle_grid(n1: int, n2: int) -> AngleGrid:
     The elevation index is mod(n, n2) and the azimuth index is the n2-fold
     ceiling division of n, which matches the modulo form of the candidate
     list on square arrays and keeps the map n -> (u, w) bijective on
-    rectangular ones. Azimuth angles with |u / sin(theta)| > 1 are NaN.
+    rectangular ones.
     """
     n = np.arange(1, n1 * n2 + 1)
     az_index = (n - 1) // n2 + 1  # equals ceil(n / n1) when n1 == n2
     u = u_axis(n1)[az_index - 1]
     w = w_axis(n2)[(n - 1) % n2]  # position (n - 1) mod n2 holds elevation index n mod n2
-    elevation = np.arccos(w)
-    sin_theta = np.sqrt(1.0 - w * w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(sin_theta > 0, u / sin_theta, np.inf)
-    azimuth = np.where(np.abs(ratio) <= 1.0, np.arcsin(np.clip(ratio, -1, 1)), np.nan)
     return AngleGrid(
         bs_angles=np.empty(0),
         ris_u=u,
         ris_w=w,
-        ris_azimuth=azimuth,
-        ris_elevation=elevation,
         n_ris_rows=n1,
         n_ris_cols=n2,
         bs_steering=np.empty((0, 0), dtype=complex),

@@ -16,10 +16,10 @@ l's mask is 1 and column 2l the rest. Codewords are stored in coverage
 convention: the response of codeword v at grid point n is |a_n^H v| with a_n
 the steering vector there. The training layer only conjugates them before
 transmission; the RIS-BS de-rotation is in the channel (``ChannelBlock.beta``).
-The prefix beams of adaptive hierarchical training (``prefix_beams``) are
-designed here too, with the same designers: one matrix per side, one column
-per bit prefix. ``design_beams`` designs both for a sweep with one GS call,
-and ``build_codebooks`` and ``prefix_beams`` are that call for one of them.
+The prefix beams of adaptive hierarchical training are designed here too,
+with the same designers: one matrix per side, one column per bit prefix.
+``design_beams`` designs both for a sweep with one GS call, and
+``build_codebooks`` is that call for the codebooks alone.
 """
 
 from __future__ import annotations
@@ -42,13 +42,12 @@ GRAM_TOLERANCE = 1e-9  # a GS matrix A may miss A A^H = n I by this times n, ent
 class GsConfig:
     """Parameters of the relaxed GS designer.
 
-    target_amplitude None means the per-mask energy-consistent level
-    sqrt(grid size / covered count); a half-space mask then targets sqrt(2).
+    Each mask targets its energy-consistent level sqrt(grid size / covered
+    count); a half-space mask targets sqrt(2).
     """
 
     delta: float = 0.3
     k_iter: int = 100
-    target_amplitude: Optional[float] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -58,9 +57,6 @@ class GsConfig:
             raise ValueError("delta must lie in [0, 0.5]")
         if self.k_iter < 1:
             raise ValueError("k_iter must be at least 1")
-        amplitude = self.target_amplitude
-        if amplitude is not None and real_number(amplitude, "target_amplitude") <= 0:
-            raise ValueError("target_amplitude must be positive")
 
 
 @dataclass(frozen=True)
@@ -111,16 +107,9 @@ def axis_sampling_matrix(n: int, freqs: np.ndarray) -> np.ndarray:
     return np.exp(-2j * np.pi * SPACING * np.outer(idx, freqs))
 
 
-def bs_steering_matrix(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarray:
-    """The grid's unit-norm BS steering vectors, column i at BS grid point i."""
-    grid.check(geometry)
-    return grid.bs_steering
-
-
-def ris_sampling_matrix(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarray:
+def ris_sampling_matrix(grid: AngleGrid) -> np.ndarray:
     """2-D sampling matrix (unit-modulus entries): sqrt(n_ris) times the grid's steering."""
-    grid.check(geometry)
-    return grid.ris_steering * np.sqrt(geometry.n_ris)
+    return grid.ris_steering * np.sqrt(grid.n_ris)
 
 
 def flat_codeword(n: int) -> np.ndarray:
@@ -195,7 +184,7 @@ def relaxed_gs_batch(groups, cfg: GsConfig) -> list[tuple[np.ndarray, np.ndarray
         # row b's forward map has the layout of a_scaled.conj().T: another rounds differently
         forward = _row_stack([groups[g][0].conj() for g in members], counts).swapaxes(1, 2)
         backward = _row_stack([groups[g][0] / n_grid for g in members], counts)
-        target = cfg.target_amplitude or np.sqrt(n_grid / masks.sum(axis=1))[:, None]
+        target = np.sqrt(n_grid / masks.sum(axis=1))[:, None]
         modulus = 1.0 / np.sqrt(n_el)
         s_prev = np.where(masks, target, 0.0) * np.exp(2j * np.pi * phases)
         v = modulus * np.exp(1j * _phase(_stacked_matvec(backward, s_prev)))
@@ -248,9 +237,9 @@ def design_bs_codewords(covers, steering: np.ndarray) -> np.ndarray:
     """Multi-mainlobe BS codewords, row c covering the grid indices ``covers[c]`` (0-based).
 
     ``steering`` holds one unit-norm steering vector per grid index as its
-    columns (``bs_steering_matrix``). Each codeword is the weighted sum of
-    the columns it covers, with the phase schedule psi_i = i*pi*(1/n_bs - 1)
-    over the 1-based position i in its covered list, normalized to unit
+    columns (the grid's ``bs_steering``). Each codeword is the weighted sum
+    of the columns it covers, with the phase schedule psi_i = i*pi*(1/n_bs -
+    1) over the 1-based position i in its covered list, normalized to unit
     norm. Covers of one size are summed together, term by term in list
     order (``add.accumulate`` keeps the order, ``add.reduce`` may not), and
     normalized by the dot products ``np.linalg.norm`` sums (``norms``): both
@@ -284,7 +273,7 @@ def grid_margins(book: DesignedCodebook, grid: AngleGrid) -> tuple[list, list]:
     if book.side == "bs":
         sampling, scale = grid.bs_steering, 1.0
     else:
-        sampling, scale = grid.ris_steering * np.sqrt(grid.n_ris), np.sqrt(grid.n_ris)
+        sampling, scale = ris_sampling_matrix(grid), np.sqrt(grid.n_ris)
     codewords = np.ascontiguousarray(book.matrix.T)
     adjoint = _row_stack([sampling.conj().T], [len(codewords)])
     responses = np.abs(_stacked_matvec(adjoint, codewords)) / scale
@@ -334,13 +323,16 @@ def _design_factorized(ids, covers: np.ndarray, geometry: ArrayGeometry, cfg: Gs
 def design_beams(geometry: ArrayGeometry, grid: AngleGrid, cfg: GsConfig,
                  codes: Optional[tuple[BlockCode, BlockCode]] = None, adaptive: bool = False,
                  *, direct_2d: bool = False, ideal: bool = False) -> tuple:
-    """(``build_codebooks`` of ``codes``, ``prefix_beams`` if ``adaptive``) from one GS call.
+    """(``build_codebooks`` of ``codes``, prefix beams if ``adaptive``) from one GS call.
 
-    A part not asked for is None. Each part is a design: a generator that
-    yields its RIS GS groups, is sent their results and yields its beams. A
-    GS row does not depend on the other rows of its batch, and each design
-    draws its own streams, so a part's bytes are those of its own call.
+    A geometry other than the grid's is a ValueError, for designed and ideal
+    beams alike. A part not asked for is None. Each part is a design: a
+    generator that yields its RIS GS groups, is sent their results and
+    yields its beams. A GS row does not depend on the other rows of its
+    batch, and each design draws its own streams, so a part's bytes are
+    those of its own call.
     """
+    grid.check(geometry)
     designs = [codes and _design_codebooks(*codes, grid, geometry, cfg, direct_2d, ideal),
                adaptive and _design_prefix_beams(geometry, grid, cfg, ideal)]
     asked = [next(design) if design else [] for design in designs]
@@ -379,8 +371,7 @@ def _design_codebooks(code_t: BlockCode, code_r: BlockCode, grid: AngleGrid,
         yield ideal_codebook(masks_t, "bs"), ideal_codebook(masks_r, "ris")
         return
     bs_covers = _column_covers(masks_t)
-    bs_codewords = design_bs_codewords([np.flatnonzero(m) for m in bs_covers],
-                                       bs_steering_matrix(geometry, grid))
+    bs_codewords = design_bs_codewords([np.flatnonzero(m) for m in bs_covers], grid.bs_steering)
 
     ris_covers = _column_covers(masks_r)
     ids = list(product(range(len(masks_r)), ("zero", "one")))  # (layer, polarity) per column
@@ -388,8 +379,7 @@ def _design_codebooks(code_t: BlockCode, code_r: BlockCode, grid: AngleGrid,
         ris_codewords, ris_traces = yield from _design_factorized(ids, ris_covers, geometry, cfg)
     else:
         rngs = [derive_rng(cfg.seed, "gs", "ris", *i, "2d") for i in ids]
-        [(ris_codewords, traces)] = yield [(ris_sampling_matrix(geometry, grid), ris_covers,
-                                            rngs)]
+        [(ris_codewords, traces)] = yield [(ris_sampling_matrix(grid), ris_covers, rngs)]
         ris_traces = [(t,) for t in traces]
 
     yield (DesignedCodebook("bs", np.ascontiguousarray(bs_codewords.T), masks_t,
@@ -403,9 +393,8 @@ def ideal_codebook(masks: np.ndarray, side: str) -> DesignedCodebook:
                             [()] * (2 * len(masks)))
 
 
-def prefix_beams(geometry: ArrayGeometry, grid: AngleGrid, cfg: GsConfig,
-                 ideal: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The (BS, RIS) prefix-beam matrices of adaptive hierarchical training.
+def _design_prefix_beams(geometry: ArrayGeometry, grid: AngleGrid, cfg: GsConfig, ideal: bool):
+    """The design of the (BS, RIS) prefix-beam matrices of adaptive hierarchical training.
 
     A prefix beam covers the indices whose leading bits equal a decided bit
     prefix. Each side's matrix holds every prefix beam once, in coverage
@@ -418,11 +407,6 @@ def prefix_beams(geometry: ArrayGeometry, grid: AngleGrid, cfg: GsConfig,
     Every array size must be a power of two, so that each prefix covers a
     nonempty index interval.
     """
-    return design_beams(geometry, grid, cfg, adaptive=True, ideal=ideal)[1]
-
-
-def _design_prefix_beams(geometry: ArrayGeometry, grid: AngleGrid, cfg: GsConfig, ideal: bool):
-    """The design of the ``prefix_beams`` matrices."""
     sizes = (geometry.n_bs, geometry.n_ris_rows, geometry.n_ris_cols)
     check_powers_of_two(sizes, "adaptive hierarchical training halves every index interval")
     masks = [np.array([np.arange(n) >> (ceil_log2(n) - len(bits)) == bits_to_int(bits)
@@ -431,12 +415,11 @@ def _design_prefix_beams(geometry: ArrayGeometry, grid: AngleGrid, cfg: GsConfig
         bs, u, w = [m.T.astype(float) for m in masks]
         yield []
     else:
-        steering = bs_steering_matrix(geometry, grid)
         groups = [(axis_sampling_matrix(n, freqs(n)), m[1:],
                    [derive_rng(cfg.seed, "hier", side, bits)
                     for bits in _prefixes(ceil_log2(n))[1:]])
                   for side, freqs, n, m in zip("uw", (u_axis, w_axis), sizes[1:], masks[1:])]
-        bs = design_bs_codewords([np.flatnonzero(m) for m in masks[0]], steering).T
+        bs = design_bs_codewords([np.flatnonzero(m) for m in masks[0]], grid.bs_steering).T
         u, w = [np.column_stack([flat_codeword(n), *vs])
                 for n, (vs, _) in zip(sizes[1:], (yield groups))]
     k_u = ceil_log2(geometry.n_ris_rows)

@@ -374,13 +374,6 @@ PRESETS = {
 }
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    data = asdict(cfg)
-    data["protocols"] = [asdict(p) for p in cfg.protocols]
-    data["gs"] = asdict(cfg.gs)
-    return data
-
-
 def _known_keys(cls, data: dict, where: str) -> dict:
     """A JSON object as a dict, if every key names a field of the dataclass ``cls``
     and every field without a default has a key."""

@@ -13,11 +13,12 @@ identity codes and decode mode "none", full-coverage hierarchical training),
 deciding every layer of every trial in one argmax. ``run_adaptive`` runs
 adaptive hierarchical training: its layers run in turn, since each layer's
 beams depend on the decisions so far, and each layer gathers every trial's
-beam pair from the ``codebook.prefix_beams`` matrices. Both take beams and
-codes designed at set-up and end alike: the decisions become raw bits,
-``decode_words`` decodes the block (the adaptive runner with identity codes
-in mode "none"), and the information bits become the estimates. The runners
-are tested against the per-pilot reference in ``tests/reference.py``.
+beam pair from the prefix-beam matrices of ``codebook.design_beams``. Both
+take beams and codes designed at set-up and end alike: the decisions become
+raw bits, ``decode_words`` decodes the block (the adaptive runner with
+identity codes in mode "none"), and the information bits become the
+estimates. The runners are tested against the per-pilot reference in
+``tests/reference.py``.
 
 Designed codewords are stored in coverage convention and conjugated at
 transmit time; the known static RIS-BS steering phases are de-rotated in the
@@ -42,7 +43,7 @@ from .blockcode import (
     rows_to_ints,
 )
 from .channel import ChannelBlock, SnrSpec, pilot_noise, received_power
-from .codebook import DesignedCodebook, bs_steering_matrix
+from .codebook import DesignedCodebook
 
 PROTOCOL_KINDS = ("exhaustive", "hierarchical", "coded")
 HIERARCHICAL_VARIANTS = ("full_coverage", "adaptive")
@@ -308,9 +309,9 @@ def run_adaptive(
     each trial's noise is one ``pilot_noise`` draw. Layers run in turn,
     because each layer's beams depend on the decisions before it; within a
     layer the block's beams, gains, powers and decisions are computed at
-    once. ``beams`` are the ``codebook.prefix_beams`` matrices (mask-valued
-    if ``ideal``) and ``codes`` the identity codes of the index bits, whose
-    lengths set the layer counts. There is no error correction: the raw bits
+    once. ``beams`` are the prefix-beam matrices of ``codebook.design_beams``
+    (mask-valued if ``ideal``) and ``codes`` the identity codes of the index
+    bits, whose lengths set the layer counts. There is no error correction: the raw bits
     decode in mode "none", so ``decoded`` is all clean. A budget short of 4
     pilots per layer truncates its trial and zero-fills the missing bits; each
     layer runs on the trials that send it.
@@ -341,8 +342,10 @@ def narrow_beam_matrices(grid: AngleGrid, geometry: ArrayGeometry
 
     The grid's steering matrices: column i is the steering vector of grid
     point i, byte-equal to the per-point ``ula_steering`` and ``upa_steering_uw``.
+    A geometry other than the grid's is a ValueError.
     """
-    return bs_steering_matrix(geometry, grid), grid.ris_steering
+    grid.check(geometry)
+    return grid.bs_steering, grid.ris_steering
 
 
 def run_exhaustive(

@@ -57,7 +57,6 @@ from risbeam.codebook import (
     axis_sampling_matrix,
     _stacked_matvec,
     beam_pattern_matrix,
-    bs_steering_matrix,
     flat_codeword,
     norms,
     relaxed_gs_batch,
@@ -466,7 +465,7 @@ def reference_run(ch, books, codes, snr, budget, rng, mode, ideal, t=0):
 
 
 class ReferencePrefixBeams:
-    """Adaptive hierarchical beams built per bit prefix, the reference for ``prefix_beams``.
+    """Adaptive hierarchical beams built per bit prefix, the prefix beams' reference.
 
     A beam covers the indices whose leading bits equal its prefix: a BS beam
     is ``design_bs_codeword`` of that coverage mask, a RIS axis designs its
@@ -551,7 +550,7 @@ def relaxed_gs_loop(a_scaled: np.ndarray, masks: np.ndarray, cfg: GsConfig,
     """
     n_el, n_grid = a_scaled.shape
     masks = np.asarray(masks, dtype=bool)
-    target = cfg.target_amplitude or np.sqrt(n_grid / masks.sum(axis=1))[:, None]
+    target = np.sqrt(n_grid / masks.sum(axis=1))[:, None]
     forward = a_scaled.conj().T
     backward = a_scaled / n_grid  # the pseudo-inverse of forward on a grid matrix
     modulus = 1.0 / np.sqrt(n_el)
@@ -587,7 +586,7 @@ def design_ris_codeword_gs(mask, grid: AngleGrid, geometry: ArrayGeometry, cfg: 
     """Direct 2-D relaxed GS design of one RIS codeword for the given mask."""
     if rng is None:
         rng = derive_rng(cfg.seed, "gs", "ris", "direct")
-    return relaxed_gs(ris_sampling_matrix(geometry, grid), mask, cfg, rng)
+    return relaxed_gs(ris_sampling_matrix(grid), mask, cfg, rng)
 
 
 def _grid_responses(sampling: np.ndarray, scale: float = 1.0):
@@ -616,10 +615,9 @@ def classification_margin(v: np.ndarray, mask: np.ndarray, grid: AngleGrid,
     Unit-norm steering vectors of the BS ("bs") or the RIS ("ris").
     """
     if side == "bs":
-        responses = _grid_responses(bs_steering_matrix(geometry, grid))
+        responses = _grid_responses(grid.bs_steering)
     else:
-        responses = _grid_responses(ris_sampling_matrix(geometry, grid),
-                                    np.sqrt(geometry.n_ris))
+        responses = _grid_responses(ris_sampling_matrix(grid), np.sqrt(geometry.n_ris))
     return _margin(responses(v), mask)
 
 
@@ -696,7 +694,7 @@ def build_codebooks(code_t: BlockCode, code_r: BlockCode, grid: AngleGrid,
     """The BS and RIS codebooks designed one cover at a time."""
     masks_t = beam_pattern_matrix(code_t, geometry.n_bs)
     masks_r = beam_pattern_matrix(code_r, geometry.n_ris)
-    ris_sampling = ris_sampling_matrix(geometry, grid)
+    ris_sampling = ris_sampling_matrix(grid)
     bs_designs = [(design_bs_codeword(np.flatnonzero(m), grid, geometry), ())
                   for m in _column_covers(masks_t)]
     ris_covers = [(c // 2, ("zero", "one")[c % 2], cover)

@@ -128,18 +128,6 @@ def test_ris_grid_bijective(dims):
     assert len(pairs) == dims[0] * dims[1]
 
 
-def test_ris_grid_azimuth_defined_exactly_when_physical():
-    grid = ris_angle_grid(8, 8)
-    sin_theta = np.sin(grid.ris_elevation)
-    physical = np.abs(grid.ris_u) <= sin_theta + 1e-12
-    assert np.array_equal(~np.isnan(grid.ris_azimuth), physical)
-    # the 8x8 grid has corner points without a physical azimuth
-    assert np.isnan(grid.ris_azimuth).any()
-    # where defined, sin(azimuth) * sin(elevation) recovers u
-    ok = ~np.isnan(grid.ris_azimuth)
-    assert np.allclose(np.sin(grid.ris_azimuth[ok]) * sin_theta[ok], grid.ris_u[ok])
-
-
 def test_ris_grid_matches_axis_orderings():
     n1, n2 = 8, 4
     grid = ris_angle_grid(n1, n2)

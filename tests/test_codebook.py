@@ -29,14 +29,12 @@ from risbeam.codebook import (
     GsConfig,
     axis_sampling_matrix,
     beam_pattern_matrix,
-    bs_steering_matrix,
     build_codebooks,
     design_beams,
     design_bs_codewords,
     factor_pattern_mask,
     flat_codeword,
     ideal_codebook,
-    prefix_beams,
     relaxed_gs_batch,
     ris_sampling_matrix,
 )
@@ -142,7 +140,7 @@ def bs16():
 
 def test_bs_codeword_single_angle_is_steering(bs16):
     geo, grid = bs16
-    w = design_bs_codewords([[3]], bs_steering_matrix(geo, grid))[0]
+    w = design_bs_codewords([[3]], grid.bs_steering)[0]
     steer = ula_steering(16, grid.bs_angles[3])
     assert abs(abs(steer.conj() @ w) - 1.0) < 1e-12
     # matched amplitude in array-factor units
@@ -153,7 +151,7 @@ def test_bs_codeword_half_space_margin(bs16):
     geo, grid = bs16
     mask = np.zeros(16, dtype=bool)
     mask[:8] = True
-    w = design_bs_codewords([np.flatnonzero(mask)], bs_steering_matrix(geo, grid))[0]
+    w = design_bs_codewords([np.flatnonzero(mask)], grid.bs_steering)[0]
     min_in, max_out = classification_margin(w, mask, grid, geo, "bs")
     assert min_in > max_out
     assert max_out < 1e-9  # grid beams are exactly orthogonal
@@ -162,7 +160,7 @@ def test_bs_codeword_half_space_margin(bs16):
 def test_bs_codeword_profile_depends_only_on_cover_set(bs16):
     geo, grid = bs16
     cover = [1, 4, 7, 9]
-    w_fwd, w_rev = design_bs_codewords([cover, cover[::-1]], bs_steering_matrix(geo, grid))
+    w_fwd, w_rev = design_bs_codewords([cover, cover[::-1]], grid.bs_steering)
     cols = np.stack([ula_steering(16, a) for a in grid.bs_angles], axis=1)
     assert np.allclose(np.abs(cols.conj().T @ w_fwd), np.abs(cols.conj().T @ w_rev),
                        atol=1e-9)
@@ -171,9 +169,9 @@ def test_bs_codeword_profile_depends_only_on_cover_set(bs16):
 def test_bs_codeword_rejects_empty_cover(bs16):
     geo, grid = bs16
     with pytest.raises(ValueError):
-        design_bs_codewords([[]], bs_steering_matrix(geo, grid))
+        design_bs_codewords([[]], grid.bs_steering)
     with pytest.raises(ValueError):
-        design_bs_codewords([[1, 2], []], bs_steering_matrix(geo, grid))
+        design_bs_codewords([[1, 2], []], grid.bs_steering)
 
 
 def test_gs_codeword_constant_modulus_and_margin_64x1():
@@ -195,7 +193,7 @@ def test_gs_direct_2d_satisfies_thresholds():
     mask = beam_pattern_matrix(build_reduced_code(3, 3), 64)[7].astype(bool)
     cfg = GsConfig(seed=5)
     v, trace = design_ris_codeword_gs(mask, grid, geo, cfg)
-    responses = np.abs(ris_sampling_matrix(geo, grid).conj().T @ v)
+    responses = np.abs(ris_sampling_matrix(grid).conj().T @ v)
     target = np.sqrt(2.0)
     # the iteration settles with re-assigned points hovering at the thresholds
     assert responses[mask].min() >= target * (1 - cfg.delta) - 1e-3
@@ -243,8 +241,6 @@ def test_gsconfig_validation():
         GsConfig(delta=0.7)
     with pytest.raises(ValueError):
         GsConfig(k_iter=0)
-    with pytest.raises(ValueError):
-        GsConfig(target_amplitude=-1.0)
 
 
 @pytest.fixture(scope="module")
@@ -351,8 +347,8 @@ def test_margins_measure_each_side_on_its_own_grid_when_sizes_match():
     geo = ArrayGeometry(64, 8, 8)
     grid = make_angle_grid(geo)
     books = build_codebooks(*protocol_codes(CODED, geo), grid, geo, GsConfig(k_iter=5))
-    bs_adjoint = bs_steering_matrix(geo, grid).conj().T
-    ris_adjoint = ris_sampling_matrix(geo, grid).conj().T
+    bs_adjoint = grid.bs_steering.conj().T
+    ris_adjoint = ris_sampling_matrix(grid).conj().T
     sides = ((books[0], lambda w: np.abs(bs_adjoint @ w)),
              (books[1], lambda v: np.abs(ris_adjoint @ v) / np.sqrt(geo.n_ris)))
     for book, responses in sides:
@@ -415,20 +411,18 @@ def test_factor_pattern_mask_stack_equals_one_mask_calls():
 @settings(max_examples=30, deadline=None)
 @given(ris=st.sampled_from(((8, 8), (8, 16), (16, 8), (16, 16))),
        n_bs=st.sampled_from((2, 8, 16, 64)), direct_2d=st.booleans(),
-       target=st.none() | st.floats(0.5, 3.0), delta=st.floats(0.0, 0.5),
-       k_iter=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-@example(ris=(8, 8), n_bs=16, direct_2d=False, target=None, delta=0.3, k_iter=12, seed=0)
-@example(ris=(16, 16), n_bs=64, direct_2d=True, target=1.5, delta=0.0, k_iter=3, seed=1)
-@example(ris=(8, 16), n_bs=8, direct_2d=False, target=None, delta=0.5, k_iter=5, seed=2)
-def test_build_codebooks_equals_per_cover_oracle(ris, n_bs, direct_2d, target, delta, k_iter,
-                                                 seed):
+       delta=st.floats(0.0, 0.5), k_iter=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(ris=(8, 8), n_bs=16, direct_2d=False, delta=0.3, k_iter=12, seed=0)
+@example(ris=(16, 16), n_bs=64, direct_2d=True, delta=0.0, k_iter=3, seed=1)
+@example(ris=(8, 16), n_bs=8, direct_2d=False, delta=0.5, k_iter=5, seed=2)
+def test_build_codebooks_equals_per_cover_oracle(ris, n_bs, direct_2d, delta, k_iter, seed):
     # the whole-array design (one mask factoring, one broadcast Kronecker product,
     # batched BS norms) equals the design one cover at a time byte for byte, matrices
     # and traces; so do grid_margins' stacked responses and masked min/max and the
     # oracle's margins one column at a time
     geo = ArrayGeometry(n_bs, *ris)
     grid = make_angle_grid(geo)
-    cfg = GsConfig(delta=delta, k_iter=k_iter, target_amplitude=target, seed=seed)
+    cfg = GsConfig(delta=delta, k_iter=k_iter, seed=seed)
     codes = protocol_codes(CODED, geo)
     books = build_codebooks(*codes, grid, geo, cfg, direct_2d=direct_2d)
     oracle = reference.build_codebooks(*codes, grid, geo, cfg, direct_2d=direct_2d)
@@ -482,7 +476,7 @@ def test_gs_backward_map_is_the_pseudo_inverse_of_every_grid_matrix(kind, size):
     # map a_scaled^H on every axis and 2-D grid sampling matrix the package builds
     if kind == "2d":
         geo = ArrayGeometry(4, *size)
-        a_scaled = ris_sampling_matrix(geo, make_angle_grid(geo))
+        a_scaled = ris_sampling_matrix(make_angle_grid(geo))
     else:
         a_scaled = axis_sampling_matrix(size, (u_axis if kind == "u" else w_axis)(size))
     n = a_scaled.shape[1]
@@ -498,7 +492,7 @@ def test_ris_sampling_matrix_matches_steering_columns(shape):
     grid = make_angle_grid(geo)
     expected = np.stack([np.sqrt(n1 * n2) * upa_steering_uw(n1, n2, u, w)
                          for u, w in zip(grid.ris_u, grid.ris_w)], axis=1)
-    matrix = ris_sampling_matrix(geo, grid)
+    matrix = ris_sampling_matrix(grid)
     assert matrix.shape == expected.shape
     assert matrix.tobytes() == expected.tobytes()
 
@@ -506,7 +500,7 @@ def test_ris_sampling_matrix_matches_steering_columns(shape):
 def reference_relaxed_gs(a_scaled, mask, cfg, rng):
     """The per-codeword relaxed GS loop that every batch row must reproduce."""
     n_el, n_grid = a_scaled.shape
-    target = cfg.target_amplitude or float(np.sqrt(n_grid / mask.sum()))
+    target = float(np.sqrt(n_grid / mask.sum()))
     forward = a_scaled.conj().T
     backward = a_scaled / n_grid  # the pseudo-inverse of forward on a grid matrix
     modulus = 1.0 / np.sqrt(n_el)
@@ -530,7 +524,7 @@ def gs_matrix(kind: str, n: int) -> np.ndarray:
     """An axis sampling matrix of size n, or the desk 2-D sampling matrix."""
     if kind == "2d":
         geo = ArrayGeometry(16, 8, 8)
-        return ris_sampling_matrix(geo, make_angle_grid(geo))
+        return ris_sampling_matrix(make_angle_grid(geo))
     return axis_sampling_matrix(n, (u_axis if kind == "u" else w_axis)(n))
 
 
@@ -545,17 +539,16 @@ def nontrivial_masks(rng, rows, n_grid):
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(("u", "w", "2d")), n=st.integers(2, 32), rows=st.integers(1, 4),
-       target=st.none() | st.floats(0.5, 3.0),
        delta=st.sampled_from((0.0, 0.5)) | st.floats(0.0, 0.5),
        k_iter=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-@example(kind="u", n=16, rows=3, target=None, delta=0.0, k_iter=10, seed=1)
-@example(kind="w", n=16, rows=3, target=1.5, delta=0.5, k_iter=10, seed=2)
-@example(kind="2d", n=2, rows=2, target=None, delta=0.5, k_iter=10, seed=3)
-@example(kind="2d", n=2, rows=2, target=2.0, delta=0.0, k_iter=10, seed=4)
-def test_gs_batch_rows_match_single_designs(kind, n, rows, target, delta, k_iter, seed):
+@example(kind="u", n=16, rows=3, delta=0.0, k_iter=10, seed=1)
+@example(kind="w", n=16, rows=3, delta=0.5, k_iter=10, seed=2)
+@example(kind="2d", n=2, rows=2, delta=0.5, k_iter=10, seed=3)
+@example(kind="2d", n=2, rows=2, delta=0.0, k_iter=10, seed=4)
+def test_gs_batch_rows_match_single_designs(kind, n, rows, delta, k_iter, seed):
     matrix = gs_matrix(kind, n)
     masks = nontrivial_masks(np.random.default_rng(seed), rows, matrix.shape[1])
-    cfg = GsConfig(delta=delta, k_iter=k_iter, target_amplitude=target)
+    cfg = GsConfig(delta=delta, k_iter=k_iter)
     [(vs, traces)] = relaxed_gs_batch(
         [(matrix, masks, [derive_rng(seed, "row", b) for b in range(rows)])], cfg)
     assert vs.shape == (rows, matrix.shape[0]) and traces.shape == (rows, k_iter)
@@ -575,16 +568,15 @@ def test_gs_batch_rows_match_single_designs(kind, n, rows, target, delta, k_iter
 @settings(max_examples=40, deadline=None)
 @given(groups=st.lists(st.tuples(st.sampled_from(("u", "w", "2d")), st.sampled_from((2, 4, 8)),
                                  st.integers(0, 3)), min_size=1, max_size=4),
-       target=st.none() | st.floats(0.5, 3.0), delta=st.floats(0.0, 0.5),
-       k_iter=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-@example(groups=[("u", 8, 3), ("w", 8, 2)], target=None, delta=0.3, k_iter=12, seed=1)
-@example(groups=[("u", 8, 2), ("2d", 8, 2), ("w", 4, 1), ("w", 8, 0)], target=1.5,
-         delta=0.0, k_iter=5, seed=2)
-def test_gs_groups_in_one_call_match_one_group_calls(groups, target, delta, k_iter, seed):
+       delta=st.floats(0.0, 0.5), k_iter=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(groups=[("u", 8, 3), ("w", 8, 2)], delta=0.3, k_iter=12, seed=1)
+@example(groups=[("u", 8, 2), ("2d", 8, 2), ("w", 4, 1), ("w", 8, 0)], delta=0.0, k_iter=5,
+         seed=2)
+def test_gs_groups_in_one_call_match_one_group_calls(groups, delta, k_iter, seed):
     # rows of several groups, on matrices of equal and of unequal shapes (u and w
     # axes and the desk 2-D matrix), are designed in one call exactly as each
     # group alone and as the GS loop as first written, codewords and traces
-    cfg = GsConfig(delta=delta, k_iter=k_iter, target_amplitude=target)
+    cfg = GsConfig(delta=delta, k_iter=k_iter)
     rng = np.random.default_rng(seed)
     specs = [(gs_matrix(kind, n), rows) for kind, n, rows in groups]
     specs = [(matrix, nontrivial_masks(rng, rows, matrix.shape[1])) for matrix, rows in specs]
@@ -619,7 +611,7 @@ def test_each_ris_design_call_runs_one_gs_loop_per_matrix_shape(monkeypatch, row
     build_codebooks(*protocol_codes(CODED, geo), grid, geo, cfg)
     assert len(calls) == loops * (1 + 2 * cfg.k_iter)
     calls.clear()
-    prefix_beams(geo, grid, cfg)
+    design_beams(geo, grid, cfg, adaptive=True)
     assert len(calls) == loops * (1 + 2 * cfg.k_iter)
 
 
@@ -635,7 +627,7 @@ def test_bs_design_batch_equals_per_index_loop(n_bs, data):
                       st.permutations(range(n_bs)),
                       st.just(list(range(n_bs))))
     covers = data.draw(st.lists(cover, min_size=1, max_size=8))
-    codewords = design_bs_codewords(covers, bs_steering_matrix(geo, grid))
+    codewords = design_bs_codewords(covers, grid.bs_steering)
     assert codewords.shape == (len(covers), n_bs)
     for indices, codeword in zip(covers, codewords):
         assert codeword.tobytes() == design_bs_codeword(indices, grid, geo).tobytes()
@@ -675,8 +667,25 @@ def test_set_up_reads_the_grid_steering_matrices(monkeypatch, direct_2d):
     build_codebooks(*codes, grid, geo, GsConfig(seed=1, k_iter=5), direct_2d=direct_2d)
     bs, ris = narrow_beam_matrices(grid, geo)
     assert bs is grid.bs_steering and ris is grid.ris_steering
-    assert bs_steering_matrix(geo, grid) is grid.bs_steering
-    assert ris_sampling_matrix(geo, grid).tobytes() == (grid.ris_steering * 8.0).tobytes()
+    assert ris_sampling_matrix(grid).tobytes() == (grid.ris_steering * 8.0).tobytes()
     for other in (ArrayGeometry(8, 4, 16), ArrayGeometry(8, 16, 4)):
         with pytest.raises(ValueError, match="inconsistent"):
             build_codebooks(*codes, grid, other, GsConfig(seed=1, k_iter=5))
+
+
+@pytest.mark.parametrize("ideal", [False, True])
+@pytest.mark.parametrize("dims, adaptive", [((8, 4, 16), True), ((16, 8, 8), False)])
+def test_design_checks_its_grid_before_any_design(monkeypatch, dims, adaptive, ideal):
+    # a geometry that is not the grid's is refused at entry, for designed and
+    # ideal beams alike, before any BS or RIS codeword is designed
+    grid = make_angle_grid(ArrayGeometry(8, 8, 8))
+    other = ArrayGeometry(*dims)
+
+    def designed(*args, **kwargs):
+        raise AssertionError("a beam was designed before the grid check")
+
+    for name in ("relaxed_gs_batch", "design_bs_codewords"):
+        monkeypatch.setattr(codebook, name, designed)
+    codes = None if adaptive else protocol_codes(CODED, other)
+    with pytest.raises(ValueError, match="inconsistent"):
+        design_beams(other, grid, GsConfig(), codes, adaptive, ideal=ideal)

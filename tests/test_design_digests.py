@@ -4,7 +4,7 @@ The golden sweeps in tests/data/ only move when a decision flips, so a
 codeword that moves by one ulp can pass them. These digests cover every
 byte of the designs themselves: the codebook matrices, masks and GS traces
 of ``build_codebooks`` with the ``grid_margins`` of their columns, the
-prefix-beam matrices of ``prefix_beams``, and the file ``risbeam
+prefix-beam matrices of ``design_beams``, and the file ``risbeam
 design-codebook`` writes. Regenerate them only for an intended change of
 the designs, and say why in CHANGES.md:
 
@@ -27,7 +27,7 @@ import pytest
 
 from risbeam import cli
 from risbeam.arrays import ArrayGeometry, make_angle_grid
-from risbeam.codebook import GsConfig, build_codebooks, grid_margins, prefix_beams
+from risbeam.codebook import GsConfig, build_codebooks, design_beams, grid_margins
 from risbeam.training import ProtocolSpec, protocol_codes
 
 # name -> (n_bs, n_ris_rows, n_ris_cols, GsConfig, direct_2d)
@@ -108,7 +108,8 @@ def design_file_digest(name: str, directory: Path) -> str:
 
 def prefix_beam_digest(name: str) -> str:
     geometry = ArrayGeometry(*PROVIDER_CASES[name])
-    return _digest(prefix_beams(geometry, make_angle_grid(geometry), GsConfig()))
+    return _digest(design_beams(geometry, make_angle_grid(geometry), GsConfig(),
+                                adaptive=True)[1])
 
 
 @pytest.mark.parametrize("name", sorted(CODEBOOK_CASES))

@@ -46,7 +46,7 @@ from risbeam.arrays import ArrayGeometry, make_angle_grid, ula_steering, upa_ste
 from risbeam.blockcode import DECODE_MODES, bits_to_int
 from risbeam.channel import SnrSpec, pilot_noise, received_power, sample_block
 from risbeam.codebook import (GsConfig, beam_pattern_matrix, build_codebooks, design_beams,
-                              grid_margins, ideal_codebook, prefix_beams)
+                              grid_margins, ideal_codebook)
 from risbeam.experiments import (ExperimentConfig, desk_snr_sweep, export_results,
                                  export_trial_log, run_sweep)
 from risbeam.seeding import derive_rng
@@ -195,7 +195,7 @@ def test_broken_constant_modulus_is_rejected(desk_books, desk_codes, desk_geomet
 
     # layer 2 sends the RIS prefixes 2p and 2p + 1 of length 3, where p is the
     # prefix decided in layers 0 and 1 (the same noise draws as a full run)
-    beams = prefix_beams(desk_geometry, desk_grid, FAST_GS)
+    beams = design_beams(desk_geometry, desk_grid, FAST_GS, adaptive=True)[1]
     codes = protocol_codes(HIERARCHICAL, desk_geometry)
     decided = run_hierarchical(ch, beams, codes, snr, 8, derive_rng(0, "m")).raw_bits_ris[:2]
     p = bits_to_int(decided)
@@ -322,7 +322,8 @@ def adaptive_setup(n_bs: int, rows: int, cols: int, ideal: bool):
     """Geometry, grid, the prefix beams, the identity codes and the per-prefix reference."""
     geo = ArrayGeometry(n_bs, rows, cols)
     grid = make_angle_grid(geo)
-    return (geo, grid, prefix_beams(geo, grid, FAST_GS, ideal), protocol_codes(ADAPTIVE, geo),
+    return (geo, grid, design_beams(geo, grid, FAST_GS, adaptive=True, ideal=ideal)[1],
+            protocol_codes(ADAPTIVE, geo),
             ReferencePrefixBeams(geo, grid, FAST_GS, ideal))
 
 

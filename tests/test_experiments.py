@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -12,7 +13,6 @@ from risbeam.experiments import (
     ExperimentConfig,
     ResultSet,
     config_from_dict,
-    config_to_dict,
     desk_pilot_sweep,
     export_results,
     export_trial_log,
@@ -167,8 +167,15 @@ def test_config_json_roundtrip():
                   ProtocolSpec("coded", "none"), ProtocolSpec("coded", "decoupled_two_bit"))
     for cfg in (_tiny_config(trials=9), _tiny_config(protocols=every_kind),
                 desk_pilot_sweep()):
-        data = json.loads(json.dumps(config_to_dict(cfg)))
+        data = json.loads(json.dumps(dataclasses.asdict(cfg)))
         assert config_from_dict(data) == cfg
+
+
+def test_config_rejects_the_gs_target_amplitude():
+    # every GS design targets its mask's energy-consistent level: the key is unknown
+    for value in (1.0, None):
+        with pytest.raises(ValueError, match=r"unknown gs key\(s\): target_amplitude"):
+            config_from_dict({"gs": {"target_amplitude": value}})
 
 
 @pytest.mark.parametrize("make,message", [
@@ -416,7 +423,7 @@ def _book_bytes(book):
 def test_sweep_designs_every_beam_in_one_gs_call(monkeypatch, n_bs, rows, cols, ideal):
     # a sweep with coded and adaptive protocols designs the coded codebooks and
     # the prefix beams in one relaxed_gs_batch call (at 8x16 it holds both axis
-    # shapes), and each equals build_codebooks or prefix_beams called alone,
+    # shapes), and each equals build_codebooks or the adaptive design_beams called alone,
     # byte for byte; ideal beams run no GS at all
     calls, runners = [], []
     batch, build_runners = codebook.relaxed_gs_batch, experiments._build_runners
@@ -444,7 +451,7 @@ def test_sweep_designs_every_beam_in_one_gs_call(monkeypatch, n_bs, rows, cols, 
                                                ("bs", "ris")))
     else:
         alone = codebook.build_codebooks(*codes, grid, geometry, cfg.gs)
-    beams = codebook.prefix_beams(geometry, grid, cfg.gs, ideal)
+    beams = codebook.design_beams(geometry, grid, cfg.gs, adaptive=True, ideal=ideal)[1]
     adaptive, *coded = (runner.keywords for runner in runners)
     assert [b.tobytes() for b in adaptive["beams"]] == [b.tobytes() for b in beams]
     for keywords in coded:

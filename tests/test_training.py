@@ -28,9 +28,9 @@ from risbeam.codebook import (
     axis_sampling_matrix,
     beam_pattern_matrix,
     build_codebooks,
+    design_beams,
     flat_codeword,
     ideal_codebook,
-    prefix_beams,
 )
 from risbeam import codebook, training
 from risbeam.seeding import derive_rng
@@ -67,7 +67,7 @@ def oracle_setup():
         ideal_codebook(beam_pattern_matrix(code_t, 8), "bs"),
         ideal_codebook(beam_pattern_matrix(code_r, 64), "ris"),
     )
-    adaptive = (prefix_beams(geo, grid, GsConfig(seed=1), ideal=True),
+    adaptive = (design_beams(geo, grid, GsConfig(seed=1), adaptive=True, ideal=True)[1],
                 protocol_codes(ADAPTIVE, geo))
     return geo, grid, (code_t, code_r), books, adaptive
 
@@ -216,7 +216,7 @@ def test_hierarchical_adaptive_budget_and_truncation(oracle_setup):
 
 
 def test_provider_designs_each_prefix_once(monkeypatch, desk_geometry, desk_grid):
-    # prefix_beams designs every prefix beam once; a RIS axis designs all its
+    # design_beams designs every prefix beam once; a RIS axis designs all its
     # nonempty prefixes in one batch (one key per mask row) and its empty
     # prefix is the flat codeword; the BS designs every prefix in one batch
     # (one key per cover). The runner designs nothing, however many trials
@@ -239,7 +239,7 @@ def test_provider_designs_each_prefix_once(monkeypatch, desk_geometry, desk_grid
         codebook.design_bs_codewords, lambda covers, *rest: [tuple(c) for c in covers],
         lambda result: result))
     geo = desk_geometry
-    beams = prefix_beams(geo, desk_grid, GsConfig(seed=1, k_iter=10))
+    beams = design_beams(geo, desk_grid, GsConfig(seed=1, k_iter=10), adaptive=True)[1]
     before = len(designs)
     codes = protocol_codes(ADAPTIVE, geo)
     for trial in range(40):
