@@ -9,7 +9,6 @@ from .arrays import (
     ArrayGeometry,
     bs_angle_grid,
     make_angle_grid,
-    ris_angle_grid,
     ula_steering,
     upa_steering_uw,
 )

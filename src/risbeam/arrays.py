@@ -11,7 +11,7 @@ unitary.
 from __future__ import annotations
 
 import numbers
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -163,32 +163,20 @@ def _read_only_columns(rows: np.ndarray) -> np.ndarray:
     return cols
 
 
-def ris_angle_grid(n1: int, n2: int) -> AngleGrid:
-    """RIS candidate grid over n = 1..n1*n2 as an AngleGrid with empty BS part.
-
-    The elevation index is mod(n, n2) and the azimuth index is the n2-fold
-    ceiling division of n, which matches the modulo form of the candidate
-    list on square arrays and keeps the map n -> (u, w) bijective on
-    rectangular ones.
-    """
-    n = np.arange(1, n1 * n2 + 1)
-    az_index = (n - 1) // n2 + 1  # equals ceil(n / n1) when n1 == n2
-    u = u_axis(n1)[az_index - 1]
-    w = w_axis(n2)[(n - 1) % n2]  # position (n - 1) mod n2 holds elevation index n mod n2
-    return AngleGrid(
-        bs_angles=np.empty(0),
-        ris_u=u,
-        ris_w=w,
-        n_ris_rows=n1,
-        n_ris_cols=n2,
-        bs_steering=np.empty((0, 0), dtype=complex),
-        ris_steering=_read_only_columns(upa_steering_uw(n1, n2, u, w)),
-    )
-
-
 def make_angle_grid(geometry: ArrayGeometry) -> AngleGrid:
-    """Full candidate grid (BS and RIS) and its steering matrices for the given geometry."""
+    """Full candidate grid (BS and RIS) and its steering matrices for the given geometry.
+
+    RIS point i = n - 1, for the 1-based grid index n = 1..n1*n2, sits at
+    ``u_axis(n1)[i // n2]`` and ``w_axis(n2)[i % n2]``: its azimuth index is the
+    n2-fold ceiling division of n (ceil(n / n1) when n1 == n2), and its
+    elevation index is mod(n, n2). That matches the modulo form of the candidate
+    list on square arrays and keeps the map n -> (u, w) bijective on rectangular
+    ones.
+    """
+    n1, n2 = geometry.n_ris_rows, geometry.n_ris_cols
+    i = np.arange(n1 * n2)
+    u, w = u_axis(n1)[i // n2], w_axis(n2)[i % n2]
     bs_angles = bs_angle_grid(geometry.n_bs)
-    return replace(ris_angle_grid(geometry.n_ris_rows, geometry.n_ris_cols),
-                   bs_angles=bs_angles,
-                   bs_steering=_read_only_columns(ula_steering(geometry.n_bs, bs_angles)))
+    return AngleGrid(bs_angles=bs_angles, ris_u=u, ris_w=w, n_ris_rows=n1, n_ris_cols=n2,
+                     bs_steering=_read_only_columns(ula_steering(geometry.n_bs, bs_angles)),
+                     ris_steering=_read_only_columns(upa_steering_uw(n1, n2, u, w)))

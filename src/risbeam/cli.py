@@ -6,7 +6,8 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -134,10 +135,7 @@ def cmd_design_codebook(args) -> int:
     grid = make_angle_grid(geometry)
     cfg = GsConfig(delta=args.delta, k_iter=args.iters, seed=args.seed)
     books = build_codebooks(*codes, grid, geometry, cfg, direct_2d=args.direct_2d)
-    payload = {
-        "geometry": {"n_bs": args.nt, "n_ris_rows": ris[0], "n_ris_cols": ris[1]},
-        "gs": {"delta": cfg.delta, "k_iter": cfg.k_iter, "seed": cfg.seed},
-    }
+    payload = {"geometry": asdict(geometry), "gs": asdict(cfg)}
     for book in books:
         print(f"== {book.side} codebook, {book.n_layers} layers ==")
         min_in, max_out = grid_margins(book, grid)
@@ -163,48 +161,22 @@ def _sweep_config(args, sweep_over: str):
         cfg = load_config(args.config, sweep_over)
     else:
         cfg = PRESETS[args.scale or "desk"][sweep_over]()
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.noiseless:
-        overrides["noiseless"] = True
-    if args.ideal_beams:
-        overrides["ideal_beams"] = True
-    return replace(cfg, **overrides) if overrides else cfg
+    flags = {"trials": args.trials, "master_seed": args.seed,
+             "noiseless": args.noiseless or None, "ideal_beams": args.ideal_beams or None}
+    return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _run_and_export(args, sweep_over: str) -> int:
+    out = Path(args.out or f"results.{args.format}")
+    if args.log_trials is not None and Path(args.log_trials).resolve() == out.resolve():
+        raise ValueError(f"--log-trials names the results file {out}: give it another path")
     cfg = _sweep_config(args, sweep_over)
     results = run_sweep(cfg, log_trials=args.log_trials is not None)
-    out = Path(args.out) if args.out else Path(f"results.{args.format}")
     export_results(results, out, args.format)
     if args.log_trials is not None:
         export_trial_log(results, args.log_trials)
     print(f"wrote {out}")
     return 0
-
-
-def cmd_sweep_snr(args) -> int:
-    return _run_and_export(args, "snr")
-
-
-def cmd_sweep_pilots(args) -> int:
-    return _run_and_export(args, "pilots")
-
-
-def _add_sweep_flags(sub) -> None:
-    sub.add_argument("--config", help="JSON experiment config file")
-    sub.add_argument("--scale", choices=("desk", "full"), help="preset (default desk)")
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--out", help="output file (default results.<format>)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--noiseless", action="store_true")
-    sub.add_argument("--ideal-beams", action="store_true")
-    sub.add_argument("--log-trials", metavar="PATH",
-                     help="also write a per-trial CSV log")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,21 +199,27 @@ def build_parser() -> argparse.ArgumentParser:
     des = subs.add_parser("design-codebook", help="design and save the codebooks")
     des.add_argument("--nt", type=int, required=True)
     des.add_argument("--ris", required=True)
-    des.add_argument("--delta", type=float, default=0.3)
-    des.add_argument("--iters", type=int, default=100)
-    des.add_argument("--seed", type=int, default=0)
+    des.add_argument("--delta", type=float, default=GsConfig.delta)
+    des.add_argument("--iters", type=int, default=GsConfig.k_iter)
+    des.add_argument("--seed", type=int, default=GsConfig.seed)
     des.add_argument("--direct-2d", action="store_true",
                      help="design RIS codewords with the direct 2-D iteration")
     des.add_argument("--out", default="codebook.json")
     des.set_defaults(func=cmd_design_codebook)
 
-    ssnr = subs.add_parser("sweep-snr", help="success rate and rate vs SNR")
-    _add_sweep_flags(ssnr)
-    ssnr.set_defaults(func=cmd_sweep_snr)
-
-    spil = subs.add_parser("sweep-pilots", help="success rate and rate vs budget")
-    _add_sweep_flags(spil)
-    spil.set_defaults(func=cmd_sweep_pilots)
+    for sweep_over, versus in (("snr", "SNR"), ("pilots", "budget")):
+        sub = subs.add_parser(f"sweep-{sweep_over}", help=f"success rate and rate vs {versus}")
+        sub.add_argument("--config", help="JSON experiment config file")
+        sub.add_argument("--scale", choices=tuple(PRESETS), help="preset (default desk)")
+        sub.add_argument("--trials", type=int)
+        sub.add_argument("--seed", type=int)
+        sub.add_argument("--out", help="output file (default results.<format>)")
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
+        sub.add_argument("--noiseless", action="store_true")
+        sub.add_argument("--ideal-beams", action="store_true")
+        sub.add_argument("--log-trials", metavar="PATH",
+                         help="also write a per-trial CSV log")
+        sub.set_defaults(func=partial(_run_and_export, sweep_over=sweep_over))
 
     return parser
 

@@ -64,12 +64,6 @@ def trial_block(geometry: ArrayGeometry) -> int:
     (one BLAS thread)."""
     return max(MIN_TRIAL_BLOCK, BLOCK_BYTES // (16 * geometry.n_ris * geometry.n_bs))
 
-CSV_COLUMNS = (
-    "protocol", "sweep_variable", "sweep_value", "trials", "pilots",
-    "success_rate", "success_ci95", "mean_rate", "rate_ci95",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     n_bs: int = 16
@@ -128,6 +122,13 @@ class ExperimentConfig:
                                      f"got pilot_budget={proto.pilot_budget} for {proto.tag}")
                 for budget in self.pilot_grid:
                     check_budget(proto.kind, budget)
+        # a repeat would write two rows for one cell; numbers compare as numbers (8 == 8.0)
+        axis = "snr_grid_db" if self.sweep_over == "snr" else "pilot_grid"
+        for name, keys in ((axis, getattr(self, axis)),
+                           ("protocols", [proto.tag for proto in self.protocols])):
+            repeated = [key for i, key in enumerate(keys) if key in keys[:i]]
+            if repeated:
+                raise ValueError(f"{name} repeats {repeated[0]!r}: one cell would get two rows")
 
     @property
     def geometry(self) -> ArrayGeometry:
@@ -145,6 +146,9 @@ class ResultRow:
     success_ci95: float
     mean_rate: float
     rate_ci95: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass(frozen=True)
@@ -289,12 +293,8 @@ def export_results(results: ResultSet, path, fmt: str = "csv") -> None:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
             for row in results.rows:
-                writer.writerow([
-                    row.protocol, row.sweep_variable,
-                    _fmt(row.sweep_value), row.trials, row.pilots,
-                    _fmt(row.success_rate), _fmt(row.success_ci95),
-                    _fmt(row.mean_rate), _fmt(row.rate_ci95),
-                ])
+                values = (getattr(row, name) for name in CSV_COLUMNS)
+                writer.writerow([_fmt(v) if isinstance(v, float) else v for v in values])
     elif fmt == "json":
         payload = {
             "schema": list(CSV_COLUMNS),
@@ -327,51 +327,26 @@ def export_trial_log(results: ResultSet, path) -> None:
 
 
 # -- presets ---------------------------------------------------------------
+# The shipped sweeps, each called with keyword overrides as in
+# ``desk_snr_sweep(trials=12)``: desk is ExperimentConfig's 16-antenna BS and 8x8
+# RIS, full a 64-antenna BS and 16x16 RIS. SNR sweeps run from -10 to 20 dB,
+# pilots sweeps at 10 dB.
 
-def desk_snr_sweep(**overrides) -> ExperimentConfig:
-    """CI-speed sweep: 16-antenna BS, 8x8 RIS, SNR from -10 to 20 dB."""
-    base = ExperimentConfig(
-        snr_grid_db=(-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0),
-        sweep_over="snr",
-    )
-    return replace(base, **overrides)
-
-
-def desk_pilot_sweep(**overrides) -> ExperimentConfig:
-    base = ExperimentConfig(
-        snr_grid_db=(10.0,),
-        pilot_grid=tuple(range(4, 101, 8)),
-        sweep_over="pilots",
-    )
-    return replace(base, **overrides)
+def _preset(**settings):
+    return lambda **overrides: replace(ExperimentConfig(**settings), **overrides)
 
 
-def full_snr_sweep(**overrides) -> ExperimentConfig:
-    """Full-scale sweep: 64-antenna BS, 16x16 RIS, SNR from -10 to 20 dB, 500 trials."""
-    base = ExperimentConfig(
-        n_bs=64, n_ris_rows=16, n_ris_cols=16,
-        snr_grid_db=(-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0),
-        trials=500,
-        sweep_over="snr",
-    )
-    return replace(base, **overrides)
-
-
-def full_pilot_sweep(**overrides) -> ExperimentConfig:
-    base = ExperimentConfig(
-        n_bs=64, n_ris_rows=16, n_ris_cols=16,
-        snr_grid_db=(10.0,),
-        pilot_grid=(4, 20, 32, 56, 100, 1000, 4000, 8000, 16384, 20000),
-        trials=200,
-        sweep_over="pilots",
-    )
-    return replace(base, **overrides)
-
-
+_SNR_GRID_DB = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
+_PILOTS = dict(snr_grid_db=(10.0,), sweep_over="pilots")
+_FULL = dict(n_bs=64, n_ris_rows=16, n_ris_cols=16)
 PRESETS = {
-    "desk": {"snr": desk_snr_sweep, "pilots": desk_pilot_sweep},
-    "full": {"snr": full_snr_sweep, "pilots": full_pilot_sweep},
+    "desk": {"snr": _preset(snr_grid_db=_SNR_GRID_DB),
+             "pilots": _preset(**_PILOTS, pilot_grid=tuple(range(4, 101, 8)))},
+    "full": {"snr": _preset(**_FULL, snr_grid_db=_SNR_GRID_DB, trials=500),
+             "pilots": _preset(**_FULL, **_PILOTS, trials=200,
+                               pilot_grid=(4, 20, 32, 56, 100, 1000, 4000, 8000, 16384, 20000))},
 }
+desk_snr_sweep, desk_pilot_sweep = PRESETS["desk"]["snr"], PRESETS["desk"]["pilots"]
 
 
 def _known_keys(cls, data: dict, where: str) -> dict:

@@ -10,7 +10,6 @@ from risbeam.arrays import (
     bs_angle_grid,
     bs_grid_sines,
     make_angle_grid,
-    ris_angle_grid,
     u_axis,
     ula_factor,
     ula_steering,
@@ -107,7 +106,7 @@ def test_bs_grid_steering_orthogonal(n_bs):
 
 
 def test_ris_grid_2x2_values():
-    grid = ris_angle_grid(2, 2)
+    grid = make_angle_grid(ArrayGeometry(1, 2, 2))
     assert sorted(set(np.round(grid.ris_u, 12))) == [-0.5, 0.5]
     assert sorted(set(np.round(grid.ris_w, 12))) == [-0.5, 0.5]
     pairs = set(zip(np.round(grid.ris_u, 12), np.round(grid.ris_w, 12)))
@@ -115,7 +114,7 @@ def test_ris_grid_2x2_values():
 
 
 def test_ris_grid_modulo_zero_hits_smallest_w():
-    grid = ris_angle_grid(4, 4)
+    grid = make_angle_grid(ArrayGeometry(1, 4, 4))
     n = np.arange(1, 17)
     smallest = (1 - 4) / 4
     assert np.allclose(grid.ris_w[n % 4 == 0], smallest)
@@ -123,14 +122,14 @@ def test_ris_grid_modulo_zero_hits_smallest_w():
 
 @pytest.mark.parametrize("dims", [(2, 2), (4, 4), (8, 8), (4, 2), (2, 4), (64, 1)])
 def test_ris_grid_bijective(dims):
-    grid = ris_angle_grid(*dims)
+    grid = make_angle_grid(ArrayGeometry(1, *dims))
     pairs = set(zip(np.round(grid.ris_u, 12), np.round(grid.ris_w, 12)))
     assert len(pairs) == dims[0] * dims[1]
 
 
 def test_ris_grid_matches_axis_orderings():
     n1, n2 = 8, 4
-    grid = ris_angle_grid(n1, n2)
+    grid = make_angle_grid(ArrayGeometry(1, n1, n2))
     for n in range(1, n1 * n2 + 1):
         a, p = (n - 1) // n2, (n - 1) % n2
         assert grid.ris_u[n - 1] == pytest.approx(u_axis(n1)[a])
@@ -138,7 +137,7 @@ def test_ris_grid_matches_axis_orderings():
 
 
 def test_ris_grid_steering_orthogonal_2d():
-    grid = ris_angle_grid(8, 8)
+    grid = make_angle_grid(ArrayGeometry(1, 8, 8))
     cols = np.stack(
         [upa_steering_uw(8, 8, u, w) for u, w in zip(grid.ris_u, grid.ris_w)], axis=1
     )

@@ -361,6 +361,18 @@ def test_log_trials_flag(tmp_path):
     assert len(log.read_text().splitlines()) == 3
 
 
+def test_log_trials_naming_the_results_file_is_rejected(tmp_path, capsys, monkeypatch):
+    # the trial log used to overwrite the results, and the command printed "wrote"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("risbeam.cli.run_sweep", lambda *a, **k: pytest.fail("sweep ran"))
+    for argv, out in ((["--out", "same.csv", "--log-trials", "same.csv"], "same.csv"),
+                      (["--log-trials", "./results.csv"], "results.csv")):
+        assert main(["sweep-snr", "--trials", "2", *argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --log-trials names the results file {out}: give it another path\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

@@ -1,5 +1,7 @@
+import argparse
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -7,6 +9,7 @@ from reference import (achievable_rate, grid_transmit_pair, noiseless_best_tuple
                        sample_full_block, success_rate)
 from risbeam.arrays import make_angle_grid
 from risbeam import codebook, experiments
+from risbeam.cli import build_parser
 from risbeam.codebook import GsConfig
 from risbeam.experiments import (
     CSV_COLUMNS,
@@ -171,6 +174,32 @@ def test_config_json_roundtrip():
         assert config_from_dict(data) == cfg
 
 
+def test_presets_are_the_shipped_sweeps():
+    snr_grid = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
+    full = dict(n_bs=64, n_ris_rows=16, n_ris_cols=16)
+    shipped = {
+        "desk": {
+            "snr": ExperimentConfig(snr_grid_db=snr_grid, sweep_over="snr"),
+            "pilots": ExperimentConfig(snr_grid_db=(10.0,), pilot_grid=tuple(range(4, 101, 8)),
+                                       sweep_over="pilots"),
+        },
+        "full": {
+            "snr": ExperimentConfig(**full, snr_grid_db=snr_grid, trials=500, sweep_over="snr"),
+            "pilots": ExperimentConfig(
+                **full, snr_grid_db=(10.0,),
+                pilot_grid=(4, 20, 32, 56, 100, 1000, 4000, 8000, 16384, 20000),
+                trials=200, sweep_over="pilots"),
+        },
+    }
+    assert {scale: {sweep: make() for sweep, make in sweeps.items()}
+            for scale, sweeps in experiments.PRESETS.items()} == shipped
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    for command in ("sweep-snr", "sweep-pilots"):
+        scale = subcommands[command]._option_string_actions["--scale"]
+        assert tuple(scale.choices) == ("desk", "full") and scale.default is None
+
+
 def test_config_rejects_the_gs_target_amplitude():
     # every GS design targets its mask's energy-consistent level: the key is unknown
     for value in (1.0, None):
@@ -207,6 +236,29 @@ def test_config_validation():
         _tiny_config(protocols=())
     with pytest.raises(ValueError, match="sampling mode"):
         _tiny_config(sampling_mode="contnuous")
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"snr_grid_db": [0, 0]}, "snr_grid_db repeats 0"),
+    ({"snr_grid_db": [0.0, -0.0]}, "snr_grid_db repeats -0.0"),
+    ({"sweep_over": "pilots", "pilot_grid": [8, 8.0]}, "pilot_grid repeats 8.0"),
+    ({"protocols": [{"kind": "coded"}, {"kind": "coded"}]},
+     "protocols repeats 'coded_one_bit'"),
+], ids=["snr", "signed_zero", "pilots", "protocol"])
+def test_repeated_sweep_points_and_protocols_are_rejected(data, message):
+    # each used to run and write two rows for one cell
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}: one cell would get two rows$"):
+        config_from_dict(data)
+
+
+def test_repeat_checks_read_checked_values_and_the_sweep_axis_only():
+    # an entry that is not a number is named as such, not as a repeat
+    with pytest.raises(ValueError, match="must be a real number"):
+        config_from_dict({"snr_grid_db": [[0], [0]]})
+    with pytest.raises(ValueError, match="must be a whole number"):
+        config_from_dict({"sweep_over": "pilots", "pilot_grid": [[8], [8]]})
+    # one config file serves both sweeps: an SNR sweep does not read pilot_grid
+    assert config_from_dict({"pilot_grid": [8, 8]}).pilot_grid == (8, 8)
 
 
 @pytest.mark.parametrize("snr_grid_db", [(), (0.0, 10.0)])

@@ -1,6 +1,6 @@
 """Pinned sweep outputs: fresh runs must reproduce tests/data/ byte for byte.
 
-Each case writes its JSON results and its trial-log CSV. A change to any
+Each case writes its JSON and CSV results and its trial-log CSV. A change to any
 number, tie break or noise-stream order shows up here as a byte difference.
 Regenerate the files only for an intended change of the results, and say
 why in CHANGES.md:
@@ -54,13 +54,15 @@ CASES = {
 }
 
 
-def write_case(name: str, directory: Path) -> tuple[Path, Path]:
+def write_case(name: str, directory: Path) -> tuple[Path, Path, Path]:
     results = run_sweep(CASES[name], log_trials=True)
     result_path = directory / f"{name}.json"
+    csv_path = directory / f"{name}.csv"
     log_path = directory / f"{name}.trials.csv"
     export_results(results, result_path, "json")
+    export_results(results, csv_path, "csv")
     export_trial_log(results, log_path)
-    return result_path, log_path
+    return result_path, csv_path, log_path
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
