@@ -15,7 +15,10 @@ loop, and each protocol gets one block runner, called once per block:
 ``run_exhaustive``, ``run_layered`` for coded and full-coverage hierarchical
 training (the latter with identity codes, whose codebooks are the first k
 layers of the coded ones), or ``run_adaptive`` with the same identity codes
-and the prefix-beam matrices. One ``tuple_rates`` call rates every
+and the prefix-beam matrices. Exhaustive training samples in on-grid
+sweeps with noise: each trial draws its true tuple's power and the maximum
+of the other tuples' noise-only powers. Continuous and noiseless sweeps keep
+each trial's table of powers. One ``tuple_rates`` call rates every
 protocol's estimates of a block, and one comparison with the true indices
 scores them.
 """
@@ -160,6 +163,9 @@ class TrialRecord:
     rate: float
 
 
+TRIAL_LOG_COLUMNS = tuple(f.name for f in fields(TrialRecord))
+
+
 @dataclass(frozen=True)
 class ResultSet:
     rows: tuple[ResultRow, ...]
@@ -195,7 +201,8 @@ def _build_runners(cfg: ExperimentConfig, grid, narrow) -> list:
     runners = []
     for proto in cfg.protocols:
         if proto.kind == "exhaustive":
-            runners.append(partial(run_exhaustive, narrow_beams=narrow))
+            runners.append(partial(run_exhaustive, narrow_beams=narrow,
+                                   on_grid=cfg.sampling_mode == "on_grid"))
         elif proto.hierarchical_variant == "adaptive":
             runners.append(partial(run_adaptive, beams=beams, codes=codes[proto.kind],
                                    ideal=cfg.ideal_beams))
@@ -292,9 +299,7 @@ def export_results(results: ResultSet, path, fmt: str = "csv") -> None:
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for row in results.rows:
-                values = (getattr(row, name) for name in CSV_COLUMNS)
-                writer.writerow([_fmt(v) if isinstance(v, float) else v for v in values])
+            writer.writerows(_csv_cells(row, CSV_COLUMNS) for row in results.rows)
     elif fmt == "json":
         payload = {
             "schema": list(CSV_COLUMNS),
@@ -309,6 +314,13 @@ def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
 
+def _csv_cells(record, columns) -> list:
+    """A record's fields in column order: floats to 10 significant digits, a bool as 0 or 1."""
+    values = (getattr(record, name) for name in columns)
+    return [_fmt(v) if isinstance(v, float) else int(v) if isinstance(v, bool) else v
+            for v in values]
+
+
 def import_results(path) -> ResultSet:
     """Read back a JSON result file written by export_results."""
     payload = json.loads(Path(path).read_text())
@@ -320,10 +332,8 @@ def export_trial_log(results: ResultSet, path) -> None:
     path = Path(path)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("protocol", "sweep_value", "trial", "success", "rate"))
-        for rec in results.trial_log:
-            writer.writerow([rec.protocol, _fmt(rec.sweep_value), rec.trial,
-                             int(rec.success), _fmt(rec.rate)])
+        writer.writerow(TRIAL_LOG_COLUMNS)
+        writer.writerows(_csv_cells(rec, TRIAL_LOG_COLUMNS) for rec in results.trial_log)
 
 
 # -- presets ---------------------------------------------------------------

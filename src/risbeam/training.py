@@ -5,7 +5,8 @@ TrainingRuns``: trial t runs on row t of a ``channel.ChannelBlock`` with
 noise from ``rngs[t]``, at the one SNR of ``snr`` or at its row t, and under
 the one pilot budget of ``budget`` or its row t. Each sends beam tuples,
 measures one noisy power per tuple in transmit order, and maps argmax
-decisions to angle-index estimates.
+decisions to angle-index estimates; on-grid exhaustive training draws its
+argmax instead (``run_exhaustive``).
 A tuple's gain is the product of a BS and a RIS response (``beam_responses``).
 A layered protocol sends one (BS, RIS) beam pair per layer as 4 tuples and
 reads one decision per side: ``run_layered`` runs coded training (with
@@ -354,27 +355,39 @@ def run_exhaustive(
     snr: SnrSpec,
     budget,
     rngs,
+    *,
+    on_grid: bool,
 ) -> TrainingRuns:
     """Exhaustive training of a block: trial t on row t, noise from ``rngs[t]``.
 
-    Each trial sweeps the tuples of the narrow beams (``narrow_beam_matrices``)
+    Each trial sends the tuples of the narrow beams (``narrow_beam_matrices``)
     in BS-major order and picks the power argmax. With a budget below
-    n_bs * n_ris only the first tuples are measured; ties break toward the
-    lowest tuple index. Each trial's table is formed from the block's
-    responses on its own, to bound memory, and only up to the BS row of its
-    last tuple sent; its noise is one draw.
+    n_bs * n_ris it sends only the first ``budget`` tuples.
+
+    On the grid (``on_grid``, which the caller sets from the sampling mode)
+    every tuple but the true one has gain 0 up to rounding, so with noise each
+    of their powers is Exp(1). Such a trial draws its argmax from one
+    ``rng.random(4)`` rather than a power per tuple:
+    - u0 and u1 give the true tuple's noise by Box-Muller: radius
+      ``sqrt(-log(1 - u0))`` and angle ``2 pi u1``, variance 1/2 per part;
+    - u2 gives M, the largest power of the m other tuples sent, as
+      ``-log(-expm1(log(u2) / m))``, the inverse of its CDF ``(1 - e^-x)^m``;
+    - u3 gives a loser, the ``floor(u3 m)``-th of those m tuples in index order.
+    The estimate is the true tuple if it was sent and its power beats M, else
+    the loser. If the only tuple sent is the true one, m = 0 and it wins. If
+    the true tuple is not sent, m is the count sent, so the estimate is a
+    tuple that was sent.
+
+    Continuous channels, whose off-true gains are large, and noiseless runs
+    form each trial's table of powers instead: from the block's responses on
+    its own, to bound memory, and only up to the BS row of its last tuple
+    sent, with one ``pilot_noise`` draw. Ties break toward the lowest tuple
+    index.
     """
     total = block.n_bs * block.n_ris
     counts = _row_counts("exhaustive", budget, len(rngs), total, 1)
-    rows = np.broadcast_to(snr.snr_linear, len(rngs)).tolist()
-    specs = {value: SnrSpec(value, snr.noiseless) for value in set(rows)}  # one per SNR
-    bs_rows = -(-counts // block.n_ris)  # the BS rows of each trial's table it sends
-    winners = np.array([
-        np.argmax(received_power((bs[:bs_row, None] * ris).ravel()[:count], specs[row],
-                                 pilot_noise(snr, rng, (count,))))
-        for bs, ris, row, count, bs_row, rng in zip(*beam_responses(block, *narrow_beams),
-                                                    rows, counts.tolist(), bs_rows.tolist(), rngs)],
-        dtype=np.intp)  # BS-major tuple order
+    draw = _sampled_winners if on_grid and not snr.noiseless else _table_winners
+    winners = draw(block, narrow_beams, snr, counts, rngs)  # BS-major tuple indices
     no_bits = np.empty((len(rngs), 0), dtype=np.uint8)
     return TrainingRuns(
         est_bs_index=winners // block.n_ris + 1,
@@ -385,6 +398,39 @@ def run_exhaustive(
         pilots=counts,
         needed=total,
     )
+
+
+def _table_winners(block, narrow_beams, snr: SnrSpec, counts: np.ndarray, rngs) -> np.ndarray:
+    """Each trial's argmax over its table of ``counts[t]`` powers, BS-major."""
+    rows = np.broadcast_to(snr.snr_linear, len(rngs)).tolist()
+    specs = {value: SnrSpec(value, snr.noiseless) for value in set(rows)}  # one per SNR
+    bs_rows = -(-counts // block.n_ris)  # the BS rows of each trial's table it sends
+    return np.array([
+        np.argmax(received_power((bs[:bs_row, None] * ris).ravel()[:count], specs[row],
+                                 pilot_noise(snr, rng, (count,))))
+        for bs, ris, row, count, bs_row, rng in zip(*beam_responses(block, *narrow_beams),
+                                                    rows, counts.tolist(), bs_rows.tolist(), rngs)],
+        dtype=np.intp)
+
+
+def _sampled_winners(block, narrow_beams, snr: SnrSpec, counts: np.ndarray,
+                     rngs) -> np.ndarray:
+    """Each on-grid trial's estimate drawn from its ``rng.random(4)`` (see ``run_exhaustive``)."""
+    true = (block.bs_index - 1) * block.n_ris + block.ris_index - 1
+    cols = [cov.T[index - 1][..., None]
+            for cov, index in zip(narrow_beams, (block.bs_index, block.ris_index))]
+    bs, ris = beam_responses(block, *cols)  # the true tuple's responses, (trials, 1) each
+    u = np.array([rng.random(4) for rng in rngs]).reshape(-1, 4)
+    radius, angle = np.sqrt(-np.log1p(-u[:, 0])), 2 * np.pi * u[:, 1]
+    noise = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1)
+    power = received_power((bs * ris)[:, 0], snr, noise)
+    sent = true < counts
+    others = counts - sent
+    with np.errstate(divide="ignore"):  # u2 = 0 draws M = 0; m = 0 leaves no competitor
+        noise_max = np.where(others > 0, -np.log(-np.expm1(np.log(u[:, 2]) / others)), -np.inf)
+    loser = np.floor(u[:, 3] * others).astype(np.intp)
+    loser += loser >= true  # skip the true tuple; one not sent lies past every loser
+    return np.where(sent & (power > noise_max), true, loser)
 
 
 def check_sizes(spec: ProtocolSpec, geometry: ArrayGeometry) -> None:

@@ -7,8 +7,8 @@ RIS-BS matrices and their de-rotation: ``channel.sample_block``'s closed form
 is tested against it, and the physics oracle reads it. ``effective_gain``
 forms one noiseless amplitude (with its constant-modulus and shape checks),
 ``measure_power`` draws one noisy power, ``exhaustive_sweep`` sends every
-narrow-beam tuple in turn, and ``per_pilot_bits`` runs the layer loop of
-layered training.
+narrow-beam tuple in turn (the oracle of ``run_exhaustive``'s table of
+powers), and ``per_pilot_bits`` runs the layer loop of layered training.
 ``decode`` is per-word syndrome decoding on its own brute-force tables, the
 oracle for ``blockcode.decode_words``. ``run_coded`` and ``run_hierarchical``
 are one-trial calls of the block runners, read through the

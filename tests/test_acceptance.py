@@ -221,7 +221,7 @@ def test_criterion_09_pilot_sweep_shape(desk_codes):
     # test_engine.py, finds each channel's best tuple in a fraction of the time
     best = run_exhaustive(block, narrow_beam_matrices(grid, geometry),
                           SnrSpec(1.0, noiseless=True), None,
-                          [np.random.default_rng(0)] * cfg.trials)
+                          [np.random.default_rng(0)] * cfg.trials, on_grid=True)
     ceilings = np.empty(cfg.trials)
     for trial in range(cfg.trials):
         v, w = grid_transmit_pair(block, grid, geometry, int(best.est_bs_index[trial]),

@@ -534,11 +534,12 @@ def _row_bytes(runs, t):
     return [array[t].tobytes() for array in arrays] + [runs.needed]
 
 
-def _desk_runners(ideal):
+def _desk_runners(ideal, on_grid):
     """The desk geometry and grid, and its three runners: exhaustive, coded, adaptive."""
     geo, grid, beams, identity, _ = adaptive_setup(16, 8, 8, ideal)
     _, _, codes, books = layered_setup(16, 8, 8, True, ideal)
-    return geo, grid, (partial(run_exhaustive, narrow_beams=narrow_beam_matrices(grid, geo)),
+    return geo, grid, (partial(run_exhaustive, narrow_beams=narrow_beam_matrices(grid, geo),
+                               on_grid=on_grid),
                        partial(run_layered, books=books, codes=codes,
                                decode_mode="decoupled_two_bit", ideal=ideal),
                        partial(run_adaptive, beams=beams, codes=identity, ideal=ideal))
@@ -548,7 +549,7 @@ def _desk_runners(ideal):
 @given(MODES, st.lists(st.floats(0.01, 100.0), min_size=1, max_size=5), SEEDS)
 def test_runners_take_a_per_row_snr(mode, snrs, seed):
     # each runner's rows under a per-row SNR are one-row calls at that row's SNR
-    geo, grid, runners = _desk_runners(False)
+    geo, grid, runners = _desk_runners(False, mode == "on_grid")
     block = draw_block(geo, grid, mode, seed, len(snrs))
     for runner in runners:
         runs = runner(block, snr=SnrSpec(np.array(snrs)), budget=None,
@@ -575,11 +576,13 @@ ROW_BUDGETS = ((1, 4), (63, 7), (64, 20), (65, 24), (1000, 44), (1024, 48), (103
 def test_runners_take_a_per_row_budget(ideal, noiseless, mode, budgets, snrs, seed):
     # each runner's rows under per-row budgets (and SNRs) are one-row calls at
     # that row's budget, truncated or not, and row t draws from rngs[t] exactly
-    # the noise of its own pilots
-    geo, grid, runners = _desk_runners(ideal)
+    # the noise of its own pilots; exhaustive training runs twice, sampling its
+    # argmax on noisy on-grid rows as a sweep does, and forming its table of powers
+    geo, grid, runners = _desk_runners(ideal, mode == "on_grid")
+    runners += (partial(runners[0], on_grid=False),)
     block = draw_block(geo, grid, mode, seed, len(budgets))
     exhaustive, layered = zip(*budgets)
-    for runner, row_budgets in zip(runners, (exhaustive, layered, layered)):
+    for runner, row_budgets in zip(runners, (exhaustive, layered, layered, exhaustive)):
         rngs = [np.random.default_rng(seed + 1 + t) for t in range(len(budgets))]
         runs = runner(block, snr=SnrSpec(np.array(snrs), noiseless), budget=list(row_budgets),
                       rngs=rngs)
@@ -597,7 +600,7 @@ def test_runners_take_a_per_row_budget(ideal, noiseless, mode, budgets, snrs, se
 def test_per_row_budgets_are_checked(runner, budgets):
     # every row's budget is checked, a bool beside an equal int included, and
     # a budget per row needs one per row
-    geo, grid, runners = _desk_runners(False)
+    geo, grid, runners = _desk_runners(False, True)
     block = draw_block(geo, grid, "on_grid", 0, 2)
     with pytest.raises(ValueError):
         runners[runner](block, snr=SnrSpec(1.0), budget=budgets,
@@ -628,8 +631,10 @@ def test_exhaustive_runner_matches_per_tuple_sweep(case, mode, trials, snr_linea
     grid = make_angle_grid(geo)
     block = draw_block(geo, grid, mode, seed, trials)
     snr = SnrSpec(snr_linear)
-    runs = run_exhaustive(block, narrow_beam_matrices(grid, geo), snr,
-                          budget, [np.random.default_rng(seed + t) for t in range(trials)])
+    # the table of powers, in either mode; on-grid training samples its argmax
+    # instead, which tests/test_theory.py checks against the closed form
+    runs = run_exhaustive(block, narrow_beam_matrices(grid, geo), snr, budget,
+                          [np.random.default_rng(seed + t) for t in range(trials)], on_grid=False)
     assert runs.raw_bits_bs.shape == runs.raw_bits_ris.shape == (trials, 0)
     assert runs.decoded == ()
     for t in range(trials):

@@ -301,7 +301,7 @@ def test_exhaustive_noiseless_finds_truth(oracle_setup):
     for bs_i, ris_i in ((1, 1), (8, 64), (4, 29)):
         ch = channel_at(geo, grid, bs_i, ris_i, gr_index=13)
         out = trial_outcome(run_exhaustive(ch, narrow, NOISELESS, None,
-                                           [derive_rng(0, "e")]), 0)
+                                           [derive_rng(0, "e")], on_grid=True), 0)
         assert (out.est_bs_index, out.est_ris_index) == (bs_i, ris_i)
         assert out.pilots_used == 8 * 64
 
@@ -313,12 +313,12 @@ def test_exhaustive_budget_coverage(oracle_setup):
     inside = channel_at(geo, grid, 1, 17)  # tuple index 17 <= 100
     narrow = narrow_beam_matrices(grid, geo)
     out = trial_outcome(run_exhaustive(inside, narrow, NOISELESS, budget,
-                                       [derive_rng(0, "e1")]), 0)
+                                       [derive_rng(0, "e1")], on_grid=True), 0)
     assert (out.est_bs_index, out.est_ris_index) == (1, 17)
     assert out.pilots_used == budget and out.truncated
     outside = channel_at(geo, grid, 5, 1)  # tuple index 257 > 100
     out = trial_outcome(run_exhaustive(outside, narrow, NOISELESS, budget,
-                                       [derive_rng(0, "e2")]), 0)
+                                       [derive_rng(0, "e2")], on_grid=True), 0)
     assert (out.est_bs_index, out.est_ris_index) != (5, 1)
 
 

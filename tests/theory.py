@@ -96,14 +96,17 @@ def adaptive_success(snr_linear: float, k_bs: int, k_ris: int) -> float:
     return p0(snr_linear) ** min(k_bs, k_ris) * p2(snr_linear) ** abs(k_bs - k_ris)
 
 
-def exhaustive_success(snr_linear: float, n_bs: int, n_ris: int) -> float:
-    """Exhaustive training on the grid: ``integral of f(x) (1 - e^-x)^(N - 1) dx``.
+def exhaustive_success(snr_linear: float, n_bs: int, n_ris: int, budget=None) -> float:
+    """Exhaustive training on the grid under a budget of c tuples (None for all N):
+    ``(c / N) * integral of f(x) (1 - e^-x)^(c - 1) dx``.
 
-    The true tuple's gain is ``sqrt(n_bs * n_ris)``, so f is the density of its
-    power, and it must beat the N - 1 noise-only powers of the other tuples.
+    The true tuple is uniform over the N tuples, so it is among the c sent with
+    probability c / N. Its gain is ``sqrt(N)``, so f is the density of its
+    power, and it must beat the c - 1 noise-only powers of the other tuples sent.
     """
     n = n_bs * n_ris
+    c = n if budget is None else min(int(budget), n)
     power = _power(snr_linear, n)
-    value, _ = integrate.quad(lambda x: power.pdf(x) * exp((n - 1) * np.log1p(-exp(-x))),
+    value, _ = integrate.quad(lambda x: power.pdf(x) * exp((c - 1) * np.log1p(-exp(-x))),
                               0, np.inf)
-    return value
+    return c / n * value
