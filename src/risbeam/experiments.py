@@ -7,9 +7,10 @@ independently of the protocol, so one ``sample_block`` call draws each
 channel of a block once, and every protocol runs on that ``ChannelBlock`` at
 each row's SNR and pilot budget; the measurement noise stream is seeded per
 (protocol, sweep point, trial), so the block size changes no result. Every
-channel and noise stream of the sweep is seeded at once before the first
-trial (``stream_words``), and ``word_streams`` builds each block's generators
-from their words. Before the first trial, one ``design_beams`` call designs
+channel and noise stream of the sweep is seeded before the first trial, one
+``derive_seeds`` call per (tag, sweep point) and one ``stream_words`` call for
+all, and ``word_streams`` builds each block's generators from their words.
+Before the first trial, one ``design_beams`` call designs
 the codebooks and the prefix beams, every RIS GS design of both in one GS
 loop, and each protocol gets one block runner, called once per block:
 ``run_exhaustive``, ``run_layered`` for coded and full-coverage hierarchical
@@ -20,7 +21,8 @@ sweeps with noise: each trial draws its true tuple's power and the maximum
 of the other tuples' noise-only powers. Continuous and noiseless sweeps keep
 each trial's table of powers. One ``tuple_rates`` call rates every
 protocol's estimates of a block, and one comparison with the true indices
-scores them.
+scores them. Each statistic of the result rows is one reduction over the
+trials of every (protocol, sweep point) cell.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +40,7 @@ import numpy as np
 from .arrays import ArrayGeometry, make_angle_grid, real_number, whole_number
 from .channel import SAMPLING_MODES, SnrSpec, sample_block
 from .codebook import GsConfig, design_beams
-from .seeding import derive_seed, stream_words, word_streams
+from .seeding import derive_seeds, stream_words, word_streams
 from .training import (
     ProtocolSpec,
     check_budget,
@@ -237,10 +240,9 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
 
     # every channel and noise stream of the sweep, by (tag, sweep point, trial)
     tags = ["channel"] + [proto.tag for proto in protocols]
-    words = stream_words(np.fromiter(
-        (derive_seed(cfg.master_seed, tag, sweep_name, float(value), trial)
-         for tag in tags for value in sweep_values for trial in range(trials)),
-        np.uint64)).reshape(len(tags), cells, 4)
+    words = stream_words(np.concatenate([
+        derive_seeds(cfg.master_seed, (tag, sweep_name, float(value)), trials)
+        for tag in tags for value in sweep_values])).reshape(len(tags), cells, 4)
 
     hits, rates = np.zeros((len(protocols), cells), dtype=bool), np.empty((len(protocols), cells))
     pilots = np.empty((len(protocols), cells), dtype=np.intp)
@@ -257,39 +259,36 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
         rates[:, start:stop] = tuple_rates(block, narrow, est[:, 0], est[:, 1], eval_snr)
         pilots[:, start:stop] = [r.pilots for r in runs]
 
-    rows = []
-    log: list[TrialRecord] = []
+    # (P, S, T) arrays, and each cell's protocol tag and sweep value, point-major
     hits, rates = (a.reshape(len(protocols), len(sweep_values), trials) for a in (hits, rates))
-    for point, value in enumerate(sweep_values):
-        for p, proto in enumerate(protocols):
-            # a point's trials share its budget, so its first trial's pilots are every trial's
-            rows.append(_result_row(proto.tag, sweep_name, float(value), hits[p, point],
-                                    rates[p, point], pilots[p, point * trials]))
-            if log_trials:
-                log.extend(TrialRecord(proto.tag, float(value), trial,
-                                       bool(hits[p, point, trial]), float(rates[p, point, trial]))
-                           for trial in range(trials))
-    return ResultSet(rows=tuple(rows), trial_log=tuple(log))
+    keys = [(tag, float(value)) for value in sweep_values for tag in tags[1:]]
+    # a point's trials share its budget, so its first trial's pilots are every trial's
+    rows = _result_rows(keys, sweep_name, hits, rates, pilots[:, ::trials])
+    log = ()
+    if log_trials:
+        by_cell = (a.swapaxes(0, 1).reshape(len(keys), trials).tolist() for a in (hits, rates))
+        log = tuple(TrialRecord(tag, value, trial, hit, rate)
+                    for (tag, value), cell_hits, cell_rates in zip(keys, *by_cell)
+                    for trial, (hit, rate) in enumerate(zip(cell_hits, cell_rates)))
+    return ResultSet(rows=rows, trial_log=log)
 
 
-def _result_row(tag: str, sweep_name: str, value: float, hits: np.ndarray,
-                rates: np.ndarray, pilots: int) -> ResultRow:
-    trials = hits.size
-    p_hat = int(hits.sum()) / trials
+def _result_rows(keys, sweep_name: str, hits: np.ndarray, rates: np.ndarray,
+                 pilots: np.ndarray) -> tuple[ResultRow, ...]:
+    """The rows of the point-major (tag, value) cell keys from (P, S, T) hits and rates
+    and (P, S) pilots: each statistic is one reduction over every cell's trials."""
+    trials = hits.shape[-1]
+    p_hat = hits.sum(axis=-1) / trials
     success_ci = 1.96 * np.sqrt(p_hat * (1.0 - p_hat) / trials)
-    # equal rates give exactly 0, not the rounding noise of their mean
-    rate_ci = 1.96 * rates.std(ddof=1) / np.sqrt(trials) if np.ptp(rates) > 0 else 0.0
-    return ResultRow(
-        protocol=tag,
-        sweep_variable=sweep_name,
-        sweep_value=value,
-        trials=trials,
-        pilots=int(pilots),
-        success_rate=float(p_hat),
-        success_ci95=float(success_ci),
-        mean_rate=float(rates.mean()),
-        rate_ci95=float(rate_ci),
-    )
+    # equal rates give exactly 0, not the rounding noise of their mean; one trial has no std
+    rate_ci = np.zeros(p_hat.shape)
+    if trials > 1:
+        rate_ci = np.where(np.ptp(rates, axis=-1) > 0,
+                           1.96 * rates.std(axis=-1, ddof=1) / np.sqrt(trials), 0.0)
+    stats = zip(*(a.T.ravel().tolist()
+                  for a in (pilots, p_hat, success_ci, rates.mean(axis=-1), rate_ci)))
+    return tuple(ResultRow(tag, sweep_name, value, trials, *cell_stats)
+                 for (tag, value), cell_stats in zip(keys, stats))
 
 
 def export_results(results: ResultSet, path, fmt: str = "csv") -> None:
@@ -299,41 +298,33 @@ def export_results(results: ResultSet, path, fmt: str = "csv") -> None:
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            writer.writerows(_csv_cells(row, CSV_COLUMNS) for row in results.rows)
+            writer.writerows(_csv_cells(results.rows, CSV_COLUMNS))
     elif fmt == "json":
-        payload = {
-            "schema": list(CSV_COLUMNS),
-            "rows": [asdict(row) for row in results.rows],
-        }
+        rows = [{name: getattr(row, name) for name in CSV_COLUMNS} for row in results.rows]
+        payload = {"schema": list(CSV_COLUMNS), "rows": rows}
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.10g}"
-
-
-def _csv_cells(record, columns) -> list:
-    """A record's fields in column order: floats to 10 significant digits, a bool as 0 or 1."""
-    values = (getattr(record, name) for name in columns)
-    return [_fmt(v) if isinstance(v, float) else int(v) if isinstance(v, bool) else v
-            for v in values]
+def _csv_cells(records, columns):
+    """Each record's fields: floats to 10 significant digits, bools as 0 or 1 (numpy's too)."""
+    for values in map(attrgetter(*columns), records):
+        yield [format(v, ".10g") if isinstance(v, float)
+               else int(v) if isinstance(v, (bool, np.bool_)) else v for v in values]
 
 
 def import_results(path) -> ResultSet:
     """Read back a JSON result file written by export_results."""
-    payload = json.loads(Path(path).read_text())
-    rows = tuple(ResultRow(**row) for row in payload["rows"])
-    return ResultSet(rows=rows)
+    rows = json.loads(Path(path).read_text())["rows"]
+    return ResultSet(rows=tuple(ResultRow(**row) for row in rows))
 
 
 def export_trial_log(results: ResultSet, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as handle:
+    with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(TRIAL_LOG_COLUMNS)
-        writer.writerows(_csv_cells(rec, TRIAL_LOG_COLUMNS) for rec in results.trial_log)
+        writer.writerows(_csv_cells(results.trial_log, TRIAL_LOG_COLUMNS))
 
 
 # -- presets ---------------------------------------------------------------

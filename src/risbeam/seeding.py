@@ -1,7 +1,8 @@
 """Stable derivation of independent random streams from a master seed.
 
 Seeds are derived by hashing a tag tuple, so adding protocols, sweep points,
-or codebook layers never perturbs the streams of existing cells.
+or codebook layers never perturbs the streams of existing cells. A sweep's
+trials share every tag but the last, so ``derive_seeds`` hashes that prefix once.
 
 ``derive_rng`` builds one stream as ``PCG64(seed)``, which seeds itself from
 ``SeedSequence(seed).generate_state(4, np.uint64)``: a fixed run of 32-bit
@@ -27,17 +28,25 @@ _WORD_CHUNK = 16384  # seeds per pass of stream_words' hash steps
 
 def derive_seed(master_seed: int, *tags) -> int:
     """Map (master_seed, tags...) to a 64-bit seed, stable across runs."""
-    text = repr((int(master_seed),) + tags)
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    digest = hashlib.sha256(repr((int(master_seed),) + tags).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-def derive_rng(master_seed: int, *tags) -> np.random.Generator:
-    """Independent generator for the stream identified by the tag tuple.
+def derive_seeds(master_seed: int, tags: tuple, count: int) -> np.ndarray:
+    """``derive_seed(master_seed, *tags, t)`` for t in ``range(count)``, as uint64: the repr
+    at t = 0 less its tail ``0)`` is hashed once, and each tail ``"%d)" % t`` on a copy."""
+    prefix = hashlib.sha256(repr((int(master_seed),) + tuple(tags) + (0,))[:-2].encode("utf-8"))
+    heads = bytearray()
+    for trial in range(count):
+        state = prefix.copy()
+        state.update(b"%d)" % trial)
+        heads += state.digest()[:8]
+    return np.frombuffer(heads, ">u8").astype(np.uint64)
 
-    The generator ``np.random.default_rng`` builds from the derived seed,
-    without its argument dispatch.
-    """
+
+def derive_rng(master_seed: int, *tags) -> np.random.Generator:
+    """Independent generator for the stream identified by the tag tuple:
+    ``np.random.default_rng`` of the derived seed, without its argument dispatch."""
     return np.random.Generator(np.random.PCG64(derive_seed(master_seed, *tags)))
 
 

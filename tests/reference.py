@@ -17,7 +17,8 @@ for wrong layer decisions: inside it, either layered runner inverts the
 listed decisions, and an adaptive run follows them into later layers. The
 remaining helpers are one-codeword forms of the package's batched designs
 and of its metrics: ``design_bs_codeword`` sums one steering vector at a
-time, the oracle for ``codebook.design_bs_codewords``, and
+time, the oracle for ``codebook.design_bs_codewords``, ``result_row`` aggregates one
+cell, the oracle for ``experiments._result_rows``, and
 ``relaxed_gs_loop`` is the GS iteration as first written, the oracle for
 ``codebook.relaxed_gs_batch``.
 ``build_codebooks`` designs one cover at a time on these two (one mask
@@ -62,6 +63,7 @@ from risbeam.codebook import (
     relaxed_gs_batch,
     ris_sampling_matrix,
 )
+from risbeam.experiments import ResultRow
 from risbeam.seeding import derive_rng
 from risbeam.training import TrainingRuns, ceil_log2, run_adaptive, run_layered
 
@@ -619,6 +621,27 @@ def classification_margin(v: np.ndarray, mask: np.ndarray, grid: AngleGrid,
     else:
         responses = _grid_responses(ris_sampling_matrix(grid), np.sqrt(geometry.n_ris))
     return _margin(responses(v), mask)
+
+
+def result_row(tag: str, sweep_name: str, value: float, hits: np.ndarray,
+               rates: np.ndarray, pilots: int) -> ResultRow:
+    """One cell's row from its trials' hits and rates, one statistic at a time."""
+    trials = hits.size
+    p_hat = int(hits.sum()) / trials
+    success_ci = 1.96 * np.sqrt(p_hat * (1.0 - p_hat) / trials)
+    # equal rates give exactly 0, not the rounding noise of their mean
+    rate_ci = 1.96 * rates.std(ddof=1) / np.sqrt(trials) if np.ptp(rates) > 0 else 0.0
+    return ResultRow(
+        protocol=tag,
+        sweep_variable=sweep_name,
+        sweep_value=value,
+        trials=trials,
+        pilots=int(pilots),
+        success_rate=float(p_hat),
+        success_ci95=float(success_ci),
+        mean_rate=float(rates.mean()),
+        rate_ci95=float(rate_ci),
+    )
 
 
 def success_rate(outcomes, ground_truths) -> float:

@@ -2,10 +2,16 @@ import argparse
 import dataclasses
 import json
 import re
+import struct
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from reference import (achievable_rate, grid_transmit_pair, noiseless_best_tuple,
+from reference import (achievable_rate, grid_transmit_pair, noiseless_best_tuple, result_row,
                        sample_full_block, success_rate)
 from risbeam.arrays import make_angle_grid
 from risbeam import codebook, experiments
@@ -14,7 +20,9 @@ from risbeam.codebook import GsConfig
 from risbeam.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
+    ResultRow,
     ResultSet,
+    TrialRecord,
     config_from_dict,
     desk_pilot_sweep,
     export_results,
@@ -22,6 +30,7 @@ from risbeam.experiments import (
     import_results,
     run_sweep,
 )
+from risbeam.experiments import _result_rows
 from risbeam.seeding import derive_rng
 from risbeam.training import ProtocolSpec, protocol_codes
 
@@ -59,6 +68,62 @@ def test_rate_interval_is_exactly_zero_when_every_rate_is_equal():
     (row,) = results.rows
     assert len({rec.rate for rec in results.trial_log}) == 1
     assert row.success_rate == 1.0 and row.rate_ci95 == 0.0
+
+
+def _bits(value):
+    """A field as compared bit for bit: a float by its IEEE bytes, with its type."""
+    return (type(value), struct.pack("<d", value) if isinstance(value, float) else value)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 12), (4, 7, 1), (4, 7, 12), (3, 2, 129)],
+                         ids=["one cell, one trial", "one cell", "one trial", "desk", "long cells"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_result_rows_are_the_per_cell_reference(shape, data):
+    # each statistic is one reduction over the (P, S, T) arrays; every field must be
+    # the per-cell reference's, floats bit for bit, with no warning at one trial
+    hits = data.draw(arrays(bool, shape), label="hits")
+    rates = data.draw(arrays(np.float64, shape, elements=st.floats(-1e6, 1e6)), label="rates")
+    pilots = data.draw(arrays(np.intp, shape[:2], elements=st.integers(1, 20000)), label="pilots")
+    # per cell: free, p = 0, p = 1, or all rates equal
+    kinds = data.draw(arrays(np.int8, shape[:2], elements=st.integers(0, 3)), label="kinds")
+    hits[kinds == 1], hits[kinds == 2] = False, True
+    rates[kinds == 3] = rates[kinds == 3][:, :1]
+    cells = [(f"protocol_{p}", float(s)) for s in range(shape[1]) for p in range(shape[0])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _result_rows(cells, "snr_db", hits, rates, pilots)
+        expected = [result_row(tag, "snr_db", value, hits[p, s], rates[p, s], pilots[p, s])
+                    for (tag, value), (s, p) in zip(cells, np.ndindex(shape[1], shape[0]))]
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        for name in CSV_COLUMNS:
+            assert _bits(getattr(row, name)) == _bits(getattr(want, name)), name
+    for row, kind in zip(rows, kinds.T.ravel()):
+        if kind in (1, 2):
+            assert row.success_rate == kind - 1 and row.success_ci95 == 0.0
+        if kind == 3 or shape[2] == 1:
+            assert _bits(row.rate_ci95) == _bits(0.0)
+
+
+@pytest.mark.parametrize("hit", [True, False])
+def test_numpy_scalars_write_the_cells_of_python_scalars(tmp_path, hit):
+    # the cell path tests a value's type, not its field's: numpy's scalars must
+    # write what the Python scalars they stand for write
+    row = ResultRow("coded_one_bit", "snr_db", -5.0, 12, 48, 0.25, 0.245, 3.14159265358979, 0.1)
+    np_row = ResultRow("coded_one_bit", "snr_db", np.float64(-5.0), np.int64(12), np.int64(48),
+                       np.float64(0.25), np.float64(0.245), np.float64(3.14159265358979),
+                       np.float64(0.1))
+    rec = TrialRecord("coded_one_bit", -5.0, 3, hit, 1 / 3)
+    np_rec = TrialRecord("coded_one_bit", np.float64(-5.0), np.int64(3), np.bool_(hit),
+                         np.float64(1 / 3))
+    written = []
+    for rows, log in (((row,), (rec,)), ((np_row,), (np_rec,))):
+        export_results(ResultSet(rows=rows), tmp_path / "r.csv")
+        export_trial_log(ResultSet(rows=(), trial_log=log), tmp_path / "t.csv")
+        written.append(((tmp_path / "r.csv").read_text(), (tmp_path / "t.csv").read_text()))
+    assert written[0] == written[1]
+    assert written[0][1].splitlines()[1] == f"coded_one_bit,-5,3,{int(hit)},0.3333333333"
 
 
 def test_sweep_determinism_bitwise(tmp_path):

@@ -1,13 +1,47 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risbeam import seeding
-from risbeam.seeding import derive_rng, derive_seed, stream_words, word_streams
+from risbeam.seeding import derive_rng, derive_seed, derive_seeds, stream_words, word_streams
 
 TAG = st.one_of(st.integers(-2**70, 2**70), st.text(max_size=6),
                 st.floats(allow_nan=False), st.tuples(st.integers(0, 1), st.integers(0, 1)))
+
+
+# trial counts whose last trial has 1, 2, 3 and 4 digits, and none
+COUNTS = (0, 1, 9, 10, 11, 100, 1001)
+NAME = st.one_of(st.text(max_size=6), st.sampled_from(["it's", 'say "hi"', "back\\slash",
+                                                       "\\'\"", "θ→φ", "光束", "\u00e9\n"]))
+VALUE = st.one_of(st.floats(), st.sampled_from([-0.0, 1e-300, math.inf, -math.inf, math.nan]))
+MASTER = st.one_of(st.integers(-2**70, -1), st.integers(0, 2**63), st.integers(2**63, 2**70))
+
+
+@settings(max_examples=60, deadline=None)
+@given(master_seed=MASTER, tags=st.one_of(st.tuples(NAME, NAME, VALUE), st.lists(TAG, max_size=3)),
+       count=st.sampled_from(COUNTS))
+@example(master_seed=-1, tags=("it's", "back\\slash", -0.0), count=1001)
+@example(master_seed=2**64 + 5, tags=("光束", 'say "hi"', math.nan), count=11)
+@example(master_seed=0, tags=(), count=10)
+def test_derive_seeds_are_the_per_trial_seeds(master_seed, tags, count):
+    # a family's seeds hash their shared repr prefix once; each must be the seed of
+    # its own full tag tuple
+    seeds = derive_seeds(master_seed, tags, count)
+    assert seeds.dtype == np.uint64 and seeds.shape == (count,)
+    assert seeds.tolist() == [derive_seed(master_seed, *tags, t) for t in range(count)]
+
+
+def test_seeds_are_pinned():
+    # the seed of every stream is a hash of a repr: a change to either moves every
+    # stream of every sweep, and fails here first
+    assert derive_seed(0, "channel", "snr_db", -10.0, 0) == 13030943708793471829
+    assert derive_seeds(7, ("coded_decoupled_two_bit", "pilots", 100.0), 2000)[1999] \
+        == 6800591992100473787
+    assert derive_seeds(-3, ("hierarchical_adaptive", "snr_db", 0.0), 12)[11] \
+        == 1795860880962545950
 
 
 @settings(max_examples=60, deadline=None)
