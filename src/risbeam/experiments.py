@@ -22,7 +22,8 @@ of the other tuples' noise-only powers. Continuous and noiseless sweeps keep
 each trial's table of powers. One ``tuple_rates`` call rates every
 protocol's estimates of a block, and one comparison with the true indices
 scores them. Each statistic of the result rows is one reduction over the
-trials of every (protocol, sweep point) cell.
+trials of every (protocol, sweep point) cell. The trial log, when asked for,
+is those hits and rates, a bool and a float64 array row per cell (``TrialLog``).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
+from itertools import count
 from operator import attrgetter
 from pathlib import Path
 
@@ -169,10 +171,33 @@ class TrialRecord:
 TRIAL_LOG_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
+@dataclass(frozen=True, eq=False)
+class TrialLog:
+    """Each trial's outcome in 9 bytes: (cells, trials) arrays ``success`` (bool) and
+    ``rate`` (float64), a row per point-major (tag, sweep value) cell of ``keys``. It
+    iterates as TrialRecords, in the CSV's order, and equals a log of equal keys and
+    bitwise equal arrays."""
+    keys: tuple = ()
+    success: np.ndarray = field(default_factory=partial(np.zeros, (0, 0), bool))
+    rate: np.ndarray = field(default_factory=partial(np.zeros, (0, 0)))
+
+    def __len__(self) -> int:
+        return self.success.size
+
+    def __iter__(self):
+        for (tag, value), hits, rates in zip(self.keys, self.success, self.rate):
+            yield from map(partial(TrialRecord, tag, value), count(), hits.tolist(), rates.tolist())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TrialLog) and self.keys == other.keys and all(
+            (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            for a, b in ((self.success, other.success), (self.rate, other.rate)))
+
+
 @dataclass(frozen=True)
 class ResultSet:
     rows: tuple[ResultRow, ...]
-    trial_log: tuple[TrialRecord, ...] = ()
+    trial_log: TrialLog = field(default_factory=TrialLog)
 
 
 def _linear_snr(db) -> float:
@@ -264,12 +289,10 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
     keys = [(tag, float(value)) for value in sweep_values for tag in tags[1:]]
     # a point's trials share its budget, so its first trial's pilots are every trial's
     rows = _result_rows(keys, sweep_name, hits, rates, pilots[:, ::trials])
-    log = ()
+    log = TrialLog()
     if log_trials:
-        by_cell = (a.swapaxes(0, 1).reshape(len(keys), trials).tolist() for a in (hits, rates))
-        log = tuple(TrialRecord(tag, value, trial, hit, rate)
-                    for (tag, value), cell_hits, cell_rates in zip(keys, *by_cell)
-                    for trial, (hit, rate) in enumerate(zip(cell_hits, cell_rates)))
+        log = TrialLog(tuple(keys), *(a.swapaxes(0, 1).reshape(len(keys), trials)
+                                      for a in (hits, rates)))
     return ResultSet(rows=rows, trial_log=log)
 
 
@@ -298,20 +321,14 @@ def export_results(results: ResultSet, path, fmt: str = "csv") -> None:
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            writer.writerows(_csv_cells(results.rows, CSV_COLUMNS))
+            writer.writerows([format(v, ".10g") if isinstance(v, float) else v for v in values]
+                             for values in map(attrgetter(*CSV_COLUMNS), results.rows))
     elif fmt == "json":
         rows = [{name: getattr(row, name) for name in CSV_COLUMNS} for row in results.rows]
         payload = {"schema": list(CSV_COLUMNS), "rows": rows}
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
-
-
-def _csv_cells(records, columns):
-    """Each record's fields: floats to 10 significant digits, bools as 0 or 1 (numpy's too)."""
-    for values in map(attrgetter(*columns), records):
-        yield [format(v, ".10g") if isinstance(v, float)
-               else int(v) if isinstance(v, (bool, np.bool_)) else v for v in values]
 
 
 def import_results(path) -> ResultSet:
@@ -321,10 +338,16 @@ def import_results(path) -> ResultSet:
 
 
 def export_trial_log(results: ResultSet, path) -> None:
+    """Write the trial log a cell at a time, floats to 10 significant digits and
+    success as 0 or 1. No cell needs CSV quoting: a tag is a ProtocolSpec.tag
+    identifier, and the rest are numbers."""
+    log = results.trial_log
     with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(TRIAL_LOG_COLUMNS)
-        writer.writerows(_csv_cells(results.trial_log, TRIAL_LOG_COLUMNS))
+        handle.write(",".join(TRIAL_LOG_COLUMNS) + "\n")
+        for (tag, value), hits, rates in zip(log.keys, log.success, log.rate):
+            line = (f"{tag},{value:.10g}," + "{},{},{:.10g}\n").format
+            handle.write("".join(map(line, range(len(hits)), hits.view(np.uint8).tolist(),
+                                     rates.tolist())))
 
 
 # -- presets ---------------------------------------------------------------

@@ -18,7 +18,10 @@ listed decisions, and an adaptive run follows them into later layers. The
 remaining helpers are one-codeword forms of the package's batched designs
 and of its metrics: ``design_bs_codeword`` sums one steering vector at a
 time, the oracle for ``codebook.design_bs_codewords``, ``result_row`` aggregates one
-cell, the oracle for ``experiments._result_rows``, and
+cell, the oracle for ``experiments._result_rows``, ``trial_records`` builds the trial
+log a record at a time, the oracle of iterating ``experiments.TrialLog``,
+``export_trial_records`` writes those records through ``csv.writer``, the
+oracle for ``experiments.export_trial_log``, and
 ``relaxed_gs_loop`` is the GS iteration as first written, the oracle for
 ``codebook.relaxed_gs_batch``.
 ``build_codebooks`` designs one cover at a time on these two (one mask
@@ -30,10 +33,13 @@ puts it on ``sys.path``.
 
 from __future__ import annotations
 
+import csv
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, product
+from operator import attrgetter
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
 
@@ -63,7 +69,7 @@ from risbeam.codebook import (
     relaxed_gs_batch,
     ris_sampling_matrix,
 )
-from risbeam.experiments import ResultRow
+from risbeam.experiments import TRIAL_LOG_COLUMNS, ResultRow, TrialRecord
 from risbeam.seeding import derive_rng
 from risbeam.training import TrainingRuns, ceil_log2, run_adaptive, run_layered
 
@@ -642,6 +648,32 @@ def result_row(tag: str, sweep_name: str, value: float, hits: np.ndarray,
         mean_rate=float(rates.mean()),
         rate_ci95=float(rate_ci),
     )
+
+
+def trial_records(keys, hits: np.ndarray, rates: np.ndarray) -> tuple[TrialRecord, ...]:
+    """The trial log as one TrialRecord per trial, from point-major (tag, value) cell
+    keys and (P, S, T) hits and rates: the oracle of iterating ``experiments.TrialLog``."""
+    trials = hits.shape[-1]
+    by_cell = (a.swapaxes(0, 1).reshape(len(keys), trials).tolist() for a in (hits, rates))
+    return tuple(TrialRecord(tag, value, trial, hit, rate)
+                 for (tag, value), cell_hits, cell_rates in zip(keys, *by_cell)
+                 for trial, (hit, rate) in enumerate(zip(cell_hits, cell_rates)))
+
+
+def _csv_cells(records, columns):
+    """Each record's fields: floats to 10 significant digits, bools as 0 or 1 (numpy's too)."""
+    for values in map(attrgetter(*columns), records):
+        yield [format(v, ".10g") if isinstance(v, float)
+               else int(v) if isinstance(v, (bool, np.bool_)) else v for v in values]
+
+
+def export_trial_records(records, path) -> None:
+    """Write TrialRecords through ``csv.writer``, a record at a time: the oracle of
+    ``experiments.export_trial_log``."""
+    with Path(path).open("w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(TRIAL_LOG_COLUMNS)
+        writer.writerows(_csv_cells(records, TRIAL_LOG_COLUMNS))
 
 
 def success_rate(outcomes, ground_truths) -> float:
