@@ -5,9 +5,10 @@ two links: the UE-RIS link is a scaled RIS steering vector, and the RIS-BS
 link is static and known, so the RIS de-rotates its RIS-side direction and
 what reaches the training is a scaled BS steering vector. A channel is then
 its BS and UE-side RIS directions, and ``sample_block`` draws a block of them
-straight into the factored form the protocols read (``ChannelBlock``).
-Normalization fixes the path gains to one, so the per-link array factors
-stay in the channel and a single SNR ratio controls the noise level.
+straight into the factored form the protocols read (``ChannelBlock``, which
+also records whether they are grid points). Normalization fixes the path
+gains to one, so the per-link array factors stay in the channel and a single
+SNR ratio controls the noise level.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ class ChannelBlock:
     ris_index: np.ndarray  # (trials,), 1-based UE-side RIS index
     beta: np.ndarray  # (trials, n_bs)
     h_r: np.ndarray  # (trials, n_ris)
+    on_grid: bool  # drawn in the "on_grid" sampling mode: every direction a grid point
 
     @property
     def n_ris(self) -> int:
@@ -95,8 +97,8 @@ def sample_block(geometry: ArrayGeometry, grid: AngleGrid, rngs,
         ue = np.argmin((grid.ris_u - u[:, None]) ** 2 + (grid.ris_w - w[:, None]) ** 2, axis=1)
         a_bs = ula_steering(n_bs, np.arcsin(bs_sine))
         a_ue = upa_steering_uw(n1, n2, u, w)
-    return ChannelBlock(bs_index=bs + 1, ris_index=ue + 1,
-                        beta=np.sqrt(n_bs) * a_bs, h_r=np.sqrt(n_ris) * a_ue)
+    return ChannelBlock(bs_index=bs + 1, ris_index=ue + 1, beta=np.sqrt(n_bs) * a_bs,
+                        h_r=np.sqrt(n_ris) * a_ue, on_grid=mode == "on_grid")
 
 
 def pilot_noise(snr: SnrSpec, rng: np.random.Generator, shape: tuple) -> np.ndarray:

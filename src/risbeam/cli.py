@@ -170,8 +170,14 @@ def _run_and_export(args, sweep_over: str) -> int:
     out = Path(args.out or f"results.{args.format}")
     if args.log_trials is not None and Path(args.log_trials).resolve() == out.resolve():
         raise ValueError(f"--log-trials names the results file {out}: give it another path")
+    logs = () if args.log_trials is None else (Path(args.log_trials),)
+    for path in (out, *logs):  # checked before the sweep, which may run long
+        if path.is_dir():
+            raise ValueError(f"cannot write {path}: it is a directory")
+        if not path.parent.is_dir():
+            raise ValueError(f"cannot write {path}: no directory {path.parent}")
     cfg = _sweep_config(args, sweep_over)
-    results = run_sweep(cfg, log_trials=args.log_trials is not None)
+    results = run_sweep(cfg)
     export_results(results, out, args.format)
     if args.log_trials is not None:
         export_trial_log(results, args.log_trials)
@@ -231,8 +237,8 @@ def main(argv=None) -> int:
         if getattr(args, "nt", None) is not None and args.nt < 1:  # each command's --nt
             raise ValueError(f"--nt needs at least one antenna, got {args.nt}")
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: sizes too large to run
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

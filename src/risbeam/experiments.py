@@ -22,8 +22,8 @@ of the other tuples' noise-only powers. Continuous and noiseless sweeps keep
 each trial's table of powers. One ``tuple_rates`` call rates every
 protocol's estimates of a block, and one comparison with the true indices
 scores them. Each statistic of the result rows is one reduction over the
-trials of every (protocol, sweep point) cell. The trial log, when asked for,
-is those hits and rates, a bool and a float64 array row per cell (``TrialLog``).
+trials of every (protocol, sweep point) cell, and the ``ResultSet`` keeps
+those hits and rates as a bool and a float64 array row per result row.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
-from itertools import count
 from operator import attrgetter
 from pathlib import Path
 
@@ -159,45 +158,21 @@ class ResultRow:
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    protocol: str
-    sweep_value: float
-    trial: int
-    success: bool
-    rate: float
-
-
-TRIAL_LOG_COLUMNS = tuple(f.name for f in fields(TrialRecord))
+TRIAL_LOG_COLUMNS = ("protocol", "sweep_value", "trial", "success", "rate")
 
 
 @dataclass(frozen=True, eq=False)
-class TrialLog:
-    """Each trial's outcome in 9 bytes: (cells, trials) arrays ``success`` (bool) and
-    ``rate`` (float64), a row per point-major (tag, sweep value) cell of ``keys``. It
-    iterates as TrialRecords, in the CSV's order, and equals a log of equal keys and
-    bitwise equal arrays."""
-    keys: tuple = ()
+class ResultSet:
+    """A sweep's rows and each trial in 9 bytes: (rows, trials) arrays ``success`` (bool)
+    and ``rate`` (float64). It equals a set of equal rows and bitwise equal arrays."""
+    rows: tuple[ResultRow, ...]
     success: np.ndarray = field(default_factory=partial(np.zeros, (0, 0), bool))
     rate: np.ndarray = field(default_factory=partial(np.zeros, (0, 0)))
 
-    def __len__(self) -> int:
-        return self.success.size
-
-    def __iter__(self):
-        for (tag, value), hits, rates in zip(self.keys, self.success, self.rate):
-            yield from map(partial(TrialRecord, tag, value), count(), hits.tolist(), rates.tolist())
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, TrialLog) and self.keys == other.keys and all(
+        return isinstance(other, ResultSet) and self.rows == other.rows and all(
             (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
             for a, b in ((self.success, other.success), (self.rate, other.rate)))
-
-
-@dataclass(frozen=True)
-class ResultSet:
-    rows: tuple[ResultRow, ...]
-    trial_log: TrialLog = field(default_factory=TrialLog)
 
 
 def _linear_snr(db) -> float:
@@ -229,8 +204,7 @@ def _build_runners(cfg: ExperimentConfig, grid, narrow) -> list:
     runners = []
     for proto in cfg.protocols:
         if proto.kind == "exhaustive":
-            runners.append(partial(run_exhaustive, narrow_beams=narrow,
-                                   on_grid=cfg.sampling_mode == "on_grid"))
+            runners.append(partial(run_exhaustive, narrow_beams=narrow))
         elif proto.hierarchical_variant == "adaptive":
             runners.append(partial(run_adaptive, beams=beams, codes=codes[proto.kind],
                                    ideal=cfg.ideal_beams))
@@ -243,7 +217,7 @@ def _build_runners(cfg: ExperimentConfig, grid, narrow) -> list:
     return runners
 
 
-def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
+def run_sweep(cfg: ExperimentConfig) -> ResultSet:
     """Run every protocol over the sweep grid and aggregate the metrics.
 
     The config has checked every array size (``check_sizes``), so no
@@ -289,11 +263,7 @@ def run_sweep(cfg: ExperimentConfig, log_trials: bool = False) -> ResultSet:
     keys = [(tag, float(value)) for value in sweep_values for tag in tags[1:]]
     # a point's trials share its budget, so its first trial's pilots are every trial's
     rows = _result_rows(keys, sweep_name, hits, rates, pilots[:, ::trials])
-    log = TrialLog()
-    if log_trials:
-        log = TrialLog(tuple(keys), *(a.swapaxes(0, 1).reshape(len(keys), trials)
-                                      for a in (hits, rates)))
-    return ResultSet(rows=rows, trial_log=log)
+    return ResultSet(rows, *(a.swapaxes(0, 1).reshape(len(keys), trials) for a in (hits, rates)))
 
 
 def _result_rows(keys, sweep_name: str, hits: np.ndarray, rates: np.ndarray,
@@ -338,14 +308,15 @@ def import_results(path) -> ResultSet:
 
 
 def export_trial_log(results: ResultSet, path) -> None:
-    """Write the trial log a cell at a time, floats to 10 significant digits and
-    success as 0 or 1. No cell needs CSV quoting: a tag is a ProtocolSpec.tag
-    identifier, and the rest are numbers."""
-    log = results.trial_log
+    """Write each row's trials, floats to 10 significant digits and success as 0 or 1;
+    results without them (``import_results`` reads rows only) are a ValueError. No cell
+    needs CSV quoting: a tag is a ProtocolSpec.tag identifier, and the rest are numbers."""
+    if not results.success.size or len(results.success) != len(results.rows):
+        raise ValueError("a trial log needs the trials of every row: these results lack them")
     with Path(path).open("w", newline="") as handle:
         handle.write(",".join(TRIAL_LOG_COLUMNS) + "\n")
-        for (tag, value), hits, rates in zip(log.keys, log.success, log.rate):
-            line = (f"{tag},{value:.10g}," + "{},{},{:.10g}\n").format
+        for row, hits, rates in zip(results.rows, results.success, results.rate):
+            line = (f"{row.protocol},{row.sweep_value:.10g}," + "{},{},{:.10g}\n").format
             handle.write("".join(map(line, range(len(hits)), hits.view(np.uint8).tolist(),
                                      rates.tolist())))
 

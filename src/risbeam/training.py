@@ -5,8 +5,8 @@ TrainingRuns``: trial t runs on row t of a ``channel.ChannelBlock`` with
 noise from ``rngs[t]``, at the one SNR of ``snr`` or at its row t, and under
 the one pilot budget of ``budget`` or its row t. Each sends beam tuples,
 measures one noisy power per tuple in transmit order, and maps argmax
-decisions to angle-index estimates; on-grid exhaustive training draws its
-argmax instead (``run_exhaustive``).
+decisions to angle-index estimates; exhaustive training on an on-grid block
+(``ChannelBlock.on_grid``) draws its argmax instead (``run_exhaustive``).
 A tuple's gain is the product of a BS and a RIS response (``beam_responses``).
 A layered protocol sends one (BS, RIS) beam pair per layer as 4 tuples and
 reads one decision per side: ``run_layered`` runs coded training (with
@@ -14,12 +14,12 @@ identity codes and decode mode "none", full-coverage hierarchical training),
 deciding every layer of every trial in one argmax. ``run_adaptive`` runs
 adaptive hierarchical training: its layers run in turn, since each layer's
 beams depend on the decisions so far, and each layer gathers every trial's
-beam pair from the prefix-beam matrices of ``codebook.design_beams``. Both
-take beams and codes designed at set-up and end alike: the decisions become
-raw bits, ``decode_words`` decodes the block (the adaptive runner with
-identity codes in mode "none"), and the information bits become the
-estimates. The runners are tested against the per-pilot reference in
-``tests/reference.py``.
+beam pair, a truncated trial's too, from the prefix-beam matrices of
+``codebook.design_beams``. Both take beams and codes designed at set-up and
+end alike: the decisions become raw bits, ``decode_words`` decodes the block
+(the adaptive runner with identity codes in mode "none"), and the information
+bits become the estimates. The runners are tested against the per-pilot
+reference in ``tests/reference.py``.
 
 Designed codewords are stored in coverage convention and conjugated at
 transmit time; the known static RIS-BS steering phases are de-rotated in the
@@ -28,7 +28,7 @@ channel (``ChannelBlock.beta``), so the training depends only on the UE-side ang
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -110,7 +110,7 @@ def _check_constant_modulus(ris_beams: np.ndarray, n_ris: int) -> None:
 
     Each caller checks the RIS beams it sends, in coverage convention:
     ``run_layered`` its whole RIS codebook matrix once a call, ``run_adaptive``
-    each layer's gathered pairs (one check of the whole prefix matrix is
+    the pairs each layer sends (one check of the whole prefix matrix is
     dearer at full size, whose 511 columns outnumber a 16-row block's pairs),
     and ``tuple_rates`` the narrow-beam columns it reads.
     """
@@ -314,25 +314,21 @@ def run_adaptive(
     (mask-valued if ``ideal``) and ``codes`` the identity codes of the index
     bits, whose lengths set the layer counts. There is no error correction: the raw bits
     decode in mode "none", so ``decoded`` is all clean. A budget short of 4
-    pilots per layer truncates its trial and zero-fills the missing bits; each
-    layer runs on the trials that send it.
+    pilots per layer truncates its trial and zero-fills the missing bits: every
+    row runs every layer, as a trial's products do not depend on the other rows,
+    and ``_decode_layers`` zeroes the layers a row did not send.
     """
     sizes = (codes[0].n, codes[1].n)
     sent, needed, noise = _layer_noise(sizes, snr, budget, rngs)
     winners = np.zeros(noise.shape[:2], dtype=np.intp)
-    live, rows, rows_snr, stops = slice(None), block, snr, set(sent.tolist())
     for layer in range(noise.shape[1]):
-        if layer in stops:  # a row has sent its last layer: the rest go on, it keeps tuple 0
-            live = sent > layer
-            rows = replace(block, **{f.name: getattr(block, f.name)[live] for f in fields(block)})
-            rows_snr = replace(snr, snr_linear=np.broadcast_to(snr.snr_linear, len(live))[live])
-        pairs = [_prefix_pairs(cov, winners[live, :layer], k, side)
+        pairs = [_prefix_pairs(cov, winners[:, :layer], k, side)
                  for cov, k, side in zip(beams, sizes, ("bs", "ris"))]
         if not ideal:
-            _check_constant_modulus(pairs[1], block.n_ris)
-        bs, ris = beam_responses(rows, *pairs, ideal)
-        powers = received_power(bs[:, :, None] * ris[:, None, :], rows_snr, noise[live, layer])
-        winners[live, layer] = powers.reshape(-1, 4).argmax(axis=-1)
+            _check_constant_modulus(pairs[1][sent > layer], block.n_ris)
+        bs, ris = beam_responses(block, *pairs, ideal)
+        powers = received_power(bs[:, :, None] * ris[:, None, :], snr, noise[:, layer])
+        winners[:, layer] = powers.reshape(-1, 4).argmax(axis=-1)
 
     return _decode_layers(block, winners, codes, "none", sent, needed)
 
@@ -355,8 +351,6 @@ def run_exhaustive(
     snr: SnrSpec,
     budget,
     rngs,
-    *,
-    on_grid: bool,
 ) -> TrainingRuns:
     """Exhaustive training of a block: trial t on row t, noise from ``rngs[t]``.
 
@@ -364,7 +358,7 @@ def run_exhaustive(
     in BS-major order and picks the power argmax. With a budget below
     n_bs * n_ris it sends only the first ``budget`` tuples.
 
-    On the grid (``on_grid``, which the caller sets from the sampling mode)
+    On the grid (``block.on_grid``, set by the sampling mode that drew it)
     every tuple but the true one has gain 0 up to rounding, so with noise each
     of their powers is Exp(1). Such a trial draws its argmax from one
     ``rng.random(4)`` rather than a power per tuple:
@@ -386,7 +380,7 @@ def run_exhaustive(
     """
     total = block.n_bs * block.n_ris
     counts = _row_counts("exhaustive", budget, len(rngs), total, 1)
-    draw = _sampled_winners if on_grid and not snr.noiseless else _table_winners
+    draw = _sampled_winners if block.on_grid and not snr.noiseless else _table_winners
     winners = draw(block, narrow_beams, snr, counts, rngs)  # BS-major tuple indices
     no_bits = np.empty((len(rngs), 0), dtype=np.uint8)
     return TrainingRuns(

@@ -19,9 +19,8 @@ remaining helpers are one-codeword forms of the package's batched designs
 and of its metrics: ``design_bs_codeword`` sums one steering vector at a
 time, the oracle for ``codebook.design_bs_codewords``, ``result_row`` aggregates one
 cell, the oracle for ``experiments._result_rows``, ``trial_records`` builds the trial
-log a record at a time, the oracle of iterating ``experiments.TrialLog``,
-``export_trial_records`` writes those records through ``csv.writer``, the
-oracle for ``experiments.export_trial_log``, and
+log a ``TrialRecord`` at a time, ``export_trial_records`` writes those records
+through ``csv.writer``, the oracle for ``experiments.export_trial_log``, and
 ``relaxed_gs_loop`` is the GS iteration as first written, the oracle for
 ``codebook.relaxed_gs_batch``.
 ``build_codebooks`` designs one cover at a time on these two (one mask
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import csv
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import count, product
 from operator import attrgetter
@@ -69,7 +68,7 @@ from risbeam.codebook import (
     relaxed_gs_batch,
     ris_sampling_matrix,
 )
-from risbeam.experiments import TRIAL_LOG_COLUMNS, ResultRow, TrialRecord
+from risbeam.experiments import ResultRow
 from risbeam.seeding import derive_rng
 from risbeam.training import TrainingRuns, ceil_log2, run_adaptive, run_layered
 
@@ -130,7 +129,7 @@ def sample_full_block(geometry: ArrayGeometry, grid: AngleGrid, rngs,
     g_mats *= (np.sqrt(n_bs * n_ris) / norms(g_mats.reshape(len(g_mats), -1)))[:, None, None]
     comp = np.sqrt(n_ris) * np.conj(a_gr)
     return FullChannelBlock(bs_index=bs + 1, ris_index=ue + 1, beta=comp[:, :1] * g_mats[:, 0],
-                            h_r=h_r, comp=comp, g_mats=g_mats)
+                            h_r=h_r, on_grid=mode == "on_grid", comp=comp, g_mats=g_mats)
 
 
 def channel_at(geometry: ArrayGeometry, grid: AngleGrid, bs_index: int, ris_index: int,
@@ -650,9 +649,19 @@ def result_row(tag: str, sweep_name: str, value: float, hits: np.ndarray,
     )
 
 
+@dataclass(frozen=True)
+class TrialRecord:
+    """One trial of the trial log, a field per column."""
+    protocol: str
+    sweep_value: float
+    trial: int
+    success: bool
+    rate: float
+
+
 def trial_records(keys, hits: np.ndarray, rates: np.ndarray) -> tuple[TrialRecord, ...]:
     """The trial log as one TrialRecord per trial, from point-major (tag, value) cell
-    keys and (P, S, T) hits and rates: the oracle of iterating ``experiments.TrialLog``."""
+    keys and (P, S, T) hits and rates."""
     trials = hits.shape[-1]
     by_cell = (a.swapaxes(0, 1).reshape(len(keys), trials).tolist() for a in (hits, rates))
     return tuple(TrialRecord(tag, value, trial, hit, rate)
@@ -672,8 +681,9 @@ def export_trial_records(records, path) -> None:
     ``experiments.export_trial_log``."""
     with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(TRIAL_LOG_COLUMNS)
-        writer.writerows(_csv_cells(records, TRIAL_LOG_COLUMNS))
+        columns = [f.name for f in fields(TrialRecord)]
+        writer.writerow(columns)
+        writer.writerows(_csv_cells(records, columns))
 
 
 def success_rate(outcomes, ground_truths) -> float:

@@ -210,8 +210,7 @@ def test_criterion_09_pilot_sweep_shape(desk_codes):
         master_seed=99,
         sweep_over="pilots",
     )
-    results = run_sweep(cfg, log_trials=True)
-    coded_rates = np.array([rec.rate for rec in results.trial_log])
+    coded_rates = run_sweep(cfg).rate.ravel()
 
     eval_snr = SnrSpec(cfg.eval_snr_linear, noiseless=True)
     block = sample_full_block(geometry, grid, [derive_rng(
@@ -221,7 +220,7 @@ def test_criterion_09_pilot_sweep_shape(desk_codes):
     # test_engine.py, finds each channel's best tuple in a fraction of the time
     best = run_exhaustive(block, narrow_beam_matrices(grid, geometry),
                           SnrSpec(1.0, noiseless=True), None,
-                          [np.random.default_rng(0)] * cfg.trials, on_grid=True)
+                          [np.random.default_rng(0)] * cfg.trials)
     ceilings = np.empty(cfg.trials)
     for trial in range(cfg.trials):
         v, w = grid_transmit_pair(block, grid, geometry, int(best.est_bs_index[trial]),

@@ -43,12 +43,15 @@ def _steering_at(geo, grid, index):
 
 
 def _rows_bytes(block, t):
-    return [getattr(block, field.name)[t].tobytes() for field in fields(block)]
+    """Row t of each array field as bytes, and the block's ``on_grid``."""
+    return [getattr(block, field.name)[t].tobytes() for field in fields(block)
+            if field.name != "on_grid"] + [block.on_grid]
 
 
 def full_draw_agrees(dims, mode) -> bool:
-    """Whether sample_block's indices are byte-equal to the reference draw's, and
-    its beta and h_r within 1e-12 of the reference's de-rotated RIS-BS matrices."""
+    """Whether sample_block's indices are byte-equal to the reference draw's, its
+    beta and h_r within 1e-12 of the reference's de-rotated RIS-BS matrices, and
+    both blocks on the grid exactly when drawn in the "on_grid" mode."""
     geo = ArrayGeometry(*dims)
     grid = make_angle_grid(geo)
     block, full = (draw(geo, grid, [np.random.default_rng(seed) for seed in range(8)], mode)
@@ -57,8 +60,10 @@ def full_draw_agrees(dims, mode) -> bool:
     indices = all(getattr(block, name).tobytes() == getattr(full, name).tobytes()
                   for name in names[:2])
     vectors = all(np.allclose(getattr(block, name), getattr(full, name), rtol=0, atol=1e-12)
-                  for name in names[2:])
-    return names == ["bs_index", "ris_index", "beta", "h_r"] and indices and vectors
+                  for name in names[2:4])
+    on_grid = block.on_grid is full.on_grid is (mode == "on_grid")
+    return names == ["bs_index", "ris_index", "beta", "h_r", "on_grid"] and indices and vectors \
+        and on_grid
 
 
 @pytest.mark.parametrize("dims", GEOMETRIES, ids=GEOMETRY_IDS)

@@ -373,6 +373,42 @@ def test_log_trials_naming_the_results_file_is_rejected(tmp_path, capsys, monkey
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag", ["--out", "--log-trials"])
+@pytest.mark.parametrize("target", ["directory", "missing/parent.csv", "file.csv/child.csv"])
+def test_output_paths_are_checked_before_the_sweep(tmp_path, capsys, monkeypatch, flag,
+                                                   target):
+    # a path that is a directory, or that lies in no directory, exits 2 before the sweep
+    # runs, and no file is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "directory").mkdir()
+    (tmp_path / "file.csv").write_text("kept\n")
+    monkeypatch.setattr("risbeam.cli.run_sweep", lambda *a, **k: pytest.fail("sweep ran"))
+    assert main(["sweep-snr", "--trials", "1", flag, target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["directory", "file.csv"]
+    assert not any((tmp_path / "directory").iterdir())
+
+
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 8.00 TiB for an array"),
+                                 MemoryError()])
+def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, exc):
+    # a config too large for the machine, such as "n_bs": 1099511627776 with exhaustive
+    # training, exits 2 with one error line, never 1 with a traceback; the sweep is
+    # stubbed, so nothing is allocated
+    def too_large(cfg):
+        assert cfg.n_bs == 2**40
+        raise exc
+
+    monkeypatch.setattr("risbeam.cli.run_sweep", too_large)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_bs": 2**40, "protocols": [{"kind": "exhaustive"}]}))
+    assert main(["sweep-snr", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {str(exc) or 'MemoryError'}\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

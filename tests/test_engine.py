@@ -209,6 +209,29 @@ def test_broken_constant_modulus_is_rejected(desk_books, desk_codes, desk_geomet
     run_coded(ch, desk_books, desk_codes, snr, None, derive_rng(0, "m"))
 
 
+def test_only_rows_that_send_a_layer_have_its_beams_checked():
+    # every row runs every layer, but a broken RIS prefix beam that only a truncated
+    # row would reach, past its last layer, runs clean; sent, it raises
+    geo, grid, beams, codes, _ = adaptive_setup(16, 8, 8, False)
+    beams = tuple(matrix.copy() for matrix in beams)
+    block = draw_block(geo, grid, "on_grid", 1, 2)
+    snr = SnrSpec(1.0, noiseless=True)  # the decisions of layers not sent are those of sent ones
+
+    def run(budget):
+        return run_adaptive(block, beams, codes, snr, budget, [derive_rng(t, "m") for t in (0, 1)])
+
+    full = run(None)
+    prefixes = [bits_to_int(bits[:2]) for bits in full.raw_bits_ris]
+    assert prefixes[0] != prefixes[1]
+    beams[1][0, 2**3 - 1 + 2 * prefixes[1] + 1] *= 2.0  # row 1's layer-2 RIS beam alone
+    truncated = run([None, 8])  # row 1 sends layers 0 and 1
+    assert list(truncated.pilots) == [full.needed, 8]
+    assert _row_bytes(truncated, 0) == _row_bytes(full, 0)
+    for budget in (None, [None, 12]):  # row 1 sends layer 2
+        with pytest.raises(ValueError, match="constant modulus"):
+            run(budget)
+
+
 def test_sweep_draws_each_channel_once(monkeypatch):
     rows = []
 
@@ -222,10 +245,10 @@ def test_sweep_draws_each_channel_once(monkeypatch):
         ideal_beams=True,
         protocols=ExperimentConfig().protocols + (
             ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),))
-    results = run_sweep(cfg, log_trials=True)
+    results = run_sweep(cfg)
     assert sum(rows) == len(cfg.snr_grid_db) * cfg.trials
     assert len(results.rows) == len(cfg.snr_grid_db) * len(cfg.protocols)
-    assert len(results.trial_log) == len(results.rows) * cfg.trials
+    assert results.success.shape == (len(results.rows), cfg.trials)
 
 
 def test_sweep_derotates_each_channel_once(monkeypatch):
@@ -264,10 +287,10 @@ def test_sweep_rates_each_trial_block_in_one_call(monkeypatch):
         n_bs=8, n_ris_rows=8, n_ris_cols=8, snr_grid_db=(0.0, 10.0), trials=3, gs=FAST_GS,
         protocols=ExperimentConfig().protocols + (
             ProtocolSpec("hierarchical", hierarchical_variant="adaptive"),))
-    results = run_sweep(cfg, log_trials=True)
+    results = run_sweep(cfg)
     protocols = len(cfg.protocols)
     assert calls == [(2, (protocols, 2), (protocols, 2))] * 3
-    assert len(results.trial_log) == len(cfg.snr_grid_db) * protocols * cfg.trials
+    assert results.rate.shape == (len(cfg.snr_grid_db) * protocols, cfg.trials)
 
 
 @pytest.mark.parametrize("mode", ["on_grid", "continuous"])
@@ -460,8 +483,8 @@ def test_trial_block_size_changes_no_byte(monkeypatch, mode):
             monkeypatch.setattr(experiments, "MIN_TRIAL_BLOCK", 1)
             monkeypatch.setattr(experiments, "BLOCK_BYTES", block * per_trial)
             assert experiments.trial_block(cfg.geometry) == block
-            results.append(run_sweep(replace(cfg, ideal_beams=ideal), log_trials=True))
-        assert len(results[0].trial_log) == cfg.trials * len(results[0].rows)
+            results.append(run_sweep(replace(cfg, ideal_beams=ideal)))
+        assert results[0].success.shape == (len(results[0].rows), cfg.trials)
         assert results[0] == results[1] == results[2] == results[3]
 
 
@@ -475,7 +498,7 @@ def test_partial_last_block_on_pooled_streams(monkeypatch, tmp_path, mode):
     files = []
     for block in (experiments.trial_block(cfg.geometry), 5):
         monkeypatch.setattr(experiments, "trial_block", lambda geometry, block=block: block)
-        results = run_sweep(cfg, log_trials=True)
+        results = run_sweep(cfg)
         export_results(results, tmp_path / "rows.csv")
         export_trial_log(results, tmp_path / "trials.csv")
         files.append([(tmp_path / name).read_bytes() for name in ("rows.csv", "trials.csv")])
@@ -493,7 +516,7 @@ def _blocked_sweep(cfg, size):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiments, "sample_block", counted)
         patch.setattr(experiments, "trial_block", lambda geometry: size)
-        return run_sweep(cfg, log_trials=True), drawn
+        return run_sweep(cfg), drawn
 
 
 @settings(max_examples=10, deadline=None)
@@ -534,12 +557,11 @@ def _row_bytes(runs, t):
     return [array[t].tobytes() for array in arrays] + [runs.needed]
 
 
-def _desk_runners(ideal, on_grid):
+def _desk_runners(ideal):
     """The desk geometry and grid, and its three runners: exhaustive, coded, adaptive."""
     geo, grid, beams, identity, _ = adaptive_setup(16, 8, 8, ideal)
     _, _, codes, books = layered_setup(16, 8, 8, True, ideal)
-    return geo, grid, (partial(run_exhaustive, narrow_beams=narrow_beam_matrices(grid, geo),
-                               on_grid=on_grid),
+    return geo, grid, (partial(run_exhaustive, narrow_beams=narrow_beam_matrices(grid, geo)),
                        partial(run_layered, books=books, codes=codes,
                                decode_mode="decoupled_two_bit", ideal=ideal),
                        partial(run_adaptive, beams=beams, codes=identity, ideal=ideal))
@@ -549,7 +571,7 @@ def _desk_runners(ideal, on_grid):
 @given(MODES, st.lists(st.floats(0.01, 100.0), min_size=1, max_size=5), SEEDS)
 def test_runners_take_a_per_row_snr(mode, snrs, seed):
     # each runner's rows under a per-row SNR are one-row calls at that row's SNR
-    geo, grid, runners = _desk_runners(False, mode == "on_grid")
+    geo, grid, runners = _desk_runners(False)
     block = draw_block(geo, grid, mode, seed, len(snrs))
     for runner in runners:
         runs = runner(block, snr=SnrSpec(np.array(snrs)), budget=None,
@@ -577,9 +599,11 @@ def test_runners_take_a_per_row_budget(ideal, noiseless, mode, budgets, snrs, se
     # each runner's rows under per-row budgets (and SNRs) are one-row calls at
     # that row's budget, truncated or not, and row t draws from rngs[t] exactly
     # the noise of its own pilots; exhaustive training runs twice, sampling its
-    # argmax on noisy on-grid rows as a sweep does, and forming its table of powers
-    geo, grid, runners = _desk_runners(ideal, mode == "on_grid")
-    runners += (partial(runners[0], on_grid=False),)
+    # argmax on noisy on-grid rows as a sweep does, and forming its table of powers on
+    # the same rows marked off the grid
+    geo, grid, runners = _desk_runners(ideal)
+    runners += (lambda block, run=runners[0], **kwargs: run(replace(block, on_grid=False),
+                                                           **kwargs),)
     block = draw_block(geo, grid, mode, seed, len(budgets))
     exhaustive, layered = zip(*budgets)
     for runner, row_budgets in zip(runners, (exhaustive, layered, layered, exhaustive)):
@@ -600,7 +624,7 @@ def test_runners_take_a_per_row_budget(ideal, noiseless, mode, budgets, snrs, se
 def test_per_row_budgets_are_checked(runner, budgets):
     # every row's budget is checked, a bool beside an equal int included, and
     # a budget per row needs one per row
-    geo, grid, runners = _desk_runners(False, True)
+    geo, grid, runners = _desk_runners(False)
     block = draw_block(geo, grid, "on_grid", 0, 2)
     with pytest.raises(ValueError):
         runners[runner](block, snr=SnrSpec(1.0), budget=budgets,
@@ -633,8 +657,8 @@ def test_exhaustive_runner_matches_per_tuple_sweep(case, mode, trials, snr_linea
     snr = SnrSpec(snr_linear)
     # the table of powers, in either mode; on-grid training samples its argmax
     # instead, which tests/test_theory.py checks against the closed form
-    runs = run_exhaustive(block, narrow_beam_matrices(grid, geo), snr, budget,
-                          [np.random.default_rng(seed + t) for t in range(trials)], on_grid=False)
+    runs = run_exhaustive(replace(block, on_grid=False), narrow_beam_matrices(grid, geo), snr,
+                          budget, [np.random.default_rng(seed + t) for t in range(trials)])
     assert runs.raw_bits_bs.shape == runs.raw_bits_ris.shape == (trials, 0)
     assert runs.decoded == ()
     for t in range(trials):

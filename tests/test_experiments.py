@@ -24,7 +24,6 @@ from risbeam.experiments import (
     ExperimentConfig,
     ResultRow,
     ResultSet,
-    TrialLog,
     config_from_dict,
     desk_pilot_sweep,
     export_results,
@@ -65,10 +64,9 @@ def test_oracle_sweep_is_perfect():
 def test_rate_interval_is_exactly_zero_when_every_rate_is_equal():
     # a noiseless cell rates every trial at its true tuple; the interval of 20
     # equal rates is 0, not the rounding noise of their mean (1.6e-15 here)
-    results = run_sweep(_tiny_config(trials=20, protocols=(ProtocolSpec("exhaustive"),)),
-                        log_trials=True)
+    results = run_sweep(_tiny_config(trials=20, protocols=(ProtocolSpec("exhaustive"),)))
     (row,) = results.rows
-    assert len({rec.rate for rec in results.trial_log}) == 1
+    assert len(set(results.rate.ravel().tolist())) == 1
     assert row.success_rate == 1.0 and row.rate_ci95 == 0.0
 
 
@@ -111,19 +109,18 @@ def test_result_rows_are_the_per_cell_reference(shape, data):
 @pytest.mark.parametrize("hit", [True, False])
 def test_numpy_scalars_write_the_cells_of_python_scalars(tmp_path, hit):
     # the cell path tests a value's type, not its field's: numpy's scalars must
-    # write what the Python scalars they stand for write; a trial log's cell keys
-    # may hold an np.float64 sweep value or a Python float
+    # write what the Python scalars they stand for write; a row's sweep value, which
+    # the trial log repeats, may be an np.float64 or a Python float
     row = ResultRow("coded_one_bit", "snr_db", -5.0, 12, 48, 0.25, 0.245, 3.14159265358979, 0.1)
     np_row = ResultRow("coded_one_bit", "snr_db", np.float64(-5.0), np.int64(12), np.int64(48),
                        np.float64(0.25), np.float64(0.245), np.float64(3.14159265358979),
                        np.float64(0.1))
-    log = TrialLog((("coded_one_bit", -5.0),), np.array([[True, False, True, hit]]),
-                   np.array([[0.0, 1e-26, 13.322068976196087, 1 / 3]]))
-    np_log = dataclasses.replace(log, keys=(("coded_one_bit", np.float64(-5.0)),))
+    trials = (np.array([[True, False, True, hit]]),
+              np.array([[0.0, 1e-26, 13.322068976196087, 1 / 3]]))
     written = []
-    for rows, trial_log in (((row,), log), ((np_row,), np_log)):
-        export_results(ResultSet(rows=rows), tmp_path / "r.csv")
-        export_trial_log(ResultSet(rows=(), trial_log=trial_log), tmp_path / "t.csv")
+    for results in (ResultSet((row,), *trials), ResultSet((np_row,), *trials)):
+        export_results(results, tmp_path / "r.csv")
+        export_trial_log(results, tmp_path / "t.csv")
         written.append(((tmp_path / "r.csv").read_text(), (tmp_path / "t.csv").read_text()))
     assert written[0] == written[1]
     assert written[0][1].splitlines()[1:] == [
@@ -131,10 +128,13 @@ def test_numpy_scalars_write_the_cells_of_python_scalars(tmp_path, hit):
         "coded_one_bit,-5,2,1,13.32206898", f"coded_one_bit,-5,3,{int(hit)},0.3333333333"]
 
 
-def _log_of(keys, hits, rates):
-    """A TrialLog of point-major cell keys and (P, S, T) hits and rates, as run_sweep keeps it."""
-    return TrialLog(tuple(keys), *(a.swapaxes(0, 1).reshape(len(keys), hits.shape[-1])
-                                   for a in (hits, rates)))
+def _results_of(keys, hits, rates):
+    """A ResultSet of point-major (tag, value) cell keys and (P, S, T) hits and rates, as
+    run_sweep keeps them; the trial log reads only the rows' tags and sweep values."""
+    rows = tuple(ResultRow(tag, "snr_db", value, hits.shape[-1], 4, 0.0, 0.0, 0.0, 0.0)
+                 for tag, value in keys)
+    return ResultSet(rows, *(a.swapaxes(0, 1).reshape(len(keys), hits.shape[-1])
+                             for a in (hits, rates)))
 
 
 TAGS = [spec.tag for spec in (ProtocolSpec("exhaustive"), ProtocolSpec("hierarchical"),
@@ -150,8 +150,8 @@ TAGS = [spec.tag for spec in (ProtocolSpec("exhaustive"), ProtocolSpec("hierarch
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_trial_log_export_is_the_record_path(tmp_path_factory, shape, data):
-    # the columns iterate as the per-trial records of the reference, every field bit for bit,
-    # and write the bytes csv.writer writes of those records
+    # the rows and their trial arrays write the bytes csv.writer writes of the reference's
+    # per-trial records
     hits = data.draw(arrays(bool, shape), label="hits")
     rates = data.draw(arrays(np.float64, shape, elements=st.one_of(
         st.sampled_from([0.0, 1e-26, 13.322068976196087]),
@@ -165,19 +165,17 @@ def test_trial_log_export_is_the_record_path(tmp_path_factory, shape, data):
         min_size=shape[1], max_size=shape[1]), label="sweep values")
     tags = data.draw(st.permutations(TAGS), label="tags")[:shape[0]]
     keys = [(tag, value) for value in values for tag in tags]
-    log, records = _log_of(keys, hits, rates), reference.trial_records(keys, hits, rates)
-    assert len(log) == len(records) == hits.size
-    assert [tuple(map(_bits, dataclasses.astuple(rec))) for rec in log] == \
-        [tuple(map(_bits, dataclasses.astuple(rec))) for rec in records]
+    records = reference.trial_records(keys, hits, rates)
+    assert len(records) == hits.size
     out = tmp_path_factory.mktemp("trial_log")
-    export_trial_log(ResultSet(rows=(), trial_log=log), out / "columns.csv")
+    export_trial_log(_results_of(keys, hits, rates), out / "columns.csv")
     reference.export_trial_records(records, out / "records.csv")
     assert (out / "columns.csv").read_bytes() == (out / "records.csv").read_bytes()
 
 
 def test_sweep_keeps_the_trial_log_as_its_two_arrays(monkeypatch):
-    # the log run_sweep keeps is its (P, S, T) hits and rates, one bool and one
-    # float64 per trial, and iterates as the records built from those arrays
+    # the trials run_sweep keeps are its (P, S, T) hits and rates, one bool and one
+    # float64 per trial, a row per result row; no flag asks for them
     seen = []
 
     def kept(keys, sweep_name, hits, rates, pilots):
@@ -187,24 +185,29 @@ def test_sweep_keeps_the_trial_log_as_its_two_arrays(monkeypatch):
     monkeypatch.setattr(experiments, "_result_rows", kept)
     cfg = _tiny_config(trials=5, noiseless=False, snr_grid_db=(-5.0, 0.0, 5.0),
                        protocols=(ProtocolSpec("coded", "one_bit"), ProtocolSpec("hierarchical")))
-    log = run_sweep(cfg, log_trials=True).trial_log
+    results = run_sweep(cfg)
     (keys, hits, rates), = seen
-    assert (log.success.dtype, log.rate.dtype) == (np.dtype(bool), np.dtype(np.float64))
-    assert log.success.shape == log.rate.shape == (6, 5) and len(log) == 30
-    assert log.success.nbytes + log.rate.nbytes == 9 * len(log)
-    assert log == _log_of(keys, hits, rates)
-    assert list(log) == list(reference.trial_records(keys, hits, rates))
-    assert len(run_sweep(cfg).trial_log) == 0
+    assert (results.success.dtype, results.rate.dtype) == (np.dtype(bool), np.dtype(np.float64))
+    assert results.success.shape == results.rate.shape == (6, 5)
+    assert results.success.nbytes + results.rate.nbytes == 9 * 30
+    assert [(row.protocol, row.sweep_value) for row in results.rows] == keys
+    assert results == dataclasses.replace(_results_of(keys, hits, rates), rows=results.rows)
+    assert results == run_sweep(cfg)
 
 
 def test_trial_log_equality_is_bitwise():
-    log = _log_of([("coded_one_bit", 0.0)], np.ones((1, 1, 3), bool), np.zeros((1, 1, 3)))
-    assert log == dataclasses.replace(log, rate=log.rate.copy())
-    assert log != dataclasses.replace(log, rate=-log.rate)  # -0.0 is not 0.0
-    assert log != dataclasses.replace(log, success=~log.success)
-    assert log != dataclasses.replace(log, keys=(("coded_one_bit", 1.0),))
-    assert log != dataclasses.replace(log, rate=log.rate.astype(np.float32))
-    assert TrialLog() == TrialLog() and len(TrialLog()) == 0 and list(TrialLog()) == []
+    # results are equal when their rows are and their trial arrays are, bit for bit
+    results = _results_of([("coded_one_bit", 0.0)], np.ones((1, 1, 3), bool),
+                          np.zeros((1, 1, 3)))
+    assert results == dataclasses.replace(results, rate=results.rate.copy())
+    assert results != dataclasses.replace(results, rate=-results.rate)  # -0.0 is not 0.0
+    assert results != dataclasses.replace(results, success=~results.success)
+    assert results != dataclasses.replace(results, rate=results.rate.astype(np.float32))
+    assert results != dataclasses.replace(results, rate=results.rate[:, :2])
+    assert results != dataclasses.replace(
+        results, rows=(dataclasses.replace(results.rows[0], sweep_value=1.0),))
+    assert results != dataclasses.replace(results, rows=())
+    assert ResultSet(()) == ResultSet(()) and ResultSet(()) != results.rows
 
 
 # The tracemalloc peak of writing a 28-cell, 2,000-trial log (the shipped desk SNR
@@ -219,10 +222,10 @@ def test_trial_log_export_memory_is_bounded(tmp_path):
     shape = (4, 7, 2000)
     hits, rates = rng.random(shape) < 0.6, 13.3 * rng.random(shape)
     keys = [(tag, value) for value in np.arange(-10.0, 25.0, 5.0) for tag in TAGS[:4]]
-    log = _log_of(keys, hits, rates)
+    results = _results_of(keys, hits, rates)
     tracemalloc.start()
     try:
-        export_trial_log(ResultSet(rows=(), trial_log=log), tmp_path / "t.csv")
+        export_trial_log(results, tmp_path / "t.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -242,27 +245,27 @@ def test_sweep_channels_shared_across_protocols():
     cfg = _tiny_config(protocols=(ProtocolSpec("coded", "one_bit"),
                                   ProtocolSpec("coded", "decoupled_two_bit")),
                        trials=3, noiseless=False)
-    results = run_sweep(cfg, log_trials=True)
+    results = run_sweep(cfg)
     # the rate ceiling is a per-channel quantity; verify per trial against the
     # noiseless exhaustive sweep on the same derived channel
     geometry = cfg.geometry
     grid = make_angle_grid(geometry)
     from risbeam.channel import SnrSpec
 
-    for rec in results.trial_log:
-        ch_rng = derive_rng(cfg.master_seed, "channel", "snr_db", 0.0, rec.trial)
+    for trial, rates in enumerate(results.rate.T):
+        ch_rng = derive_rng(cfg.master_seed, "channel", "snr_db", 0.0, trial)
         ch = sample_full_block(geometry, grid, [ch_rng])
         best = noiseless_best_tuple(ch, grid, geometry)
         v, w = grid_transmit_pair(ch, grid, geometry, *best)
         ceiling = achievable_rate(ch, v, w, SnrSpec(cfg.eval_snr_linear, noiseless=True))
-        assert rec.rate <= ceiling + 1e-12
+        assert rates.max() <= ceiling + 1e-12
 
 
 def test_aggregate_matches_trial_log():
     cfg = _tiny_config(trials=8, noiseless=False, snr_grid_db=(-5.0,))
-    results = run_sweep(cfg, log_trials=True)
+    results = run_sweep(cfg)
     row = results.rows[0]
-    hits = sum(rec.success for rec in results.trial_log)
+    hits = results.success[0].sum()
     assert row.success_rate == pytest.approx(hits / cfg.trials)
     assert row.trials == cfg.trials
 
@@ -325,12 +328,24 @@ def test_export_rejects_unknown_format(tmp_path):
 
 
 def test_trial_log_export(tmp_path):
-    results = run_sweep(_tiny_config(trials=3), log_trials=True)
+    results = run_sweep(_tiny_config(trials=3))
     out = tmp_path / "log.csv"
     export_trial_log(results, out)
     lines = out.read_text().splitlines()
     assert lines[0] == "protocol,sweep_value,trial,success,rate"
     assert len(lines) == 1 + 3
+
+
+def test_trial_log_of_results_without_trials_is_rejected(tmp_path):
+    # import_results reads rows only, and results whose trials do not match their rows
+    # have no trial log to write: a ValueError, and no file
+    results = run_sweep(_tiny_config(trials=3))
+    export_results(results, tmp_path / "r.json", "json")
+    for lacking in (import_results(tmp_path / "r.json"), ResultSet(()),
+                    dataclasses.replace(results, rows=results.rows * 2)):
+        with pytest.raises(ValueError, match="^a trial log needs the trials of every row"):
+            export_trial_log(lacking, tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()
 
 
 def test_config_json_roundtrip():
@@ -684,19 +699,15 @@ def test_rate_ceiling_row_never_exceeds_exhaustive():
         protocols=(ProtocolSpec("exhaustive"), ProtocolSpec("coded", "one_bit")),
         trials=5, noiseless=False, ideal_beams=True, snr_grid_db=(30.0,),
     )
-    results = run_sweep(cfg, log_trials=True)
-    per_trial = {}
-    for rec in results.trial_log:
-        per_trial.setdefault(rec.trial, {})[rec.protocol] = rec.rate
+    results = run_sweep(cfg)
     geometry = cfg.geometry
     grid = make_angle_grid(geometry)
     from risbeam.channel import SnrSpec
 
-    for trial, rates in per_trial.items():
+    for trial, rates in enumerate(results.rate.T):
         ch = sample_full_block(geometry, grid,
                                [derive_rng(cfg.master_seed, "channel", "snr_db", 30.0, trial)])
         best = noiseless_best_tuple(ch, grid, geometry)
         v, w = grid_transmit_pair(ch, grid, geometry, *best)
         ceiling = achievable_rate(ch, v, w, SnrSpec(cfg.eval_snr_linear, noiseless=True))
-        for rate in rates.values():
-            assert rate <= ceiling + 1e-12
+        assert rates.max() <= ceiling + 1e-12

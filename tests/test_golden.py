@@ -55,7 +55,7 @@ CASES = {
 
 
 def write_case(name: str, directory: Path) -> tuple[Path, Path, Path]:
-    results = run_sweep(CASES[name], log_trials=True)
+    results = run_sweep(CASES[name])
     result_path = directory / f"{name}.json"
     csv_path = directory / f"{name}.csv"
     log_path = directory / f"{name}.trials.csv"

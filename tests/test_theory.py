@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -115,23 +116,24 @@ def block_at(geometry, bs_index, ris_index) -> ChannelBlock:
     return sample_block(geometry, make_angle_grid(geometry), stand_ins)
 
 
-def exhaustive(geometry, block, snr, budget, seeds, on_grid=True):
+def exhaustive(geometry, block, snr, budget, seeds):
     """run_exhaustive on a block, trial t's noise from default_rng(seeds[t]), and its rngs."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
     narrow = narrow_beam_matrices(make_angle_grid(geometry), geometry)
-    return run_exhaustive(block, narrow, snr, budget, rngs, on_grid=on_grid), rngs
+    return run_exhaustive(block, narrow, snr, budget, rngs), rngs
 
 
 @pytest.mark.parametrize("snr_db", [-30.0, -24.0])
 def test_sampled_and_table_runs_both_match_the_closed_form(snr_db):
-    # paired runs at equal seeds on one block, half the trials sending 300 tuples
+    # paired runs at equal seeds on one block, sampled, and as its table of powers on
+    # the block marked off the grid; half the trials send 300 tuples
     trials = 4000
     grid = make_angle_grid(DESK)
     block = sample_block(DESK, grid, [np.random.default_rng(t) for t in range(trials)])
     budgets = [None, 300] * (trials // 2)
     snr = SnrSpec(10 ** (snr_db / 10))
-    for on_grid in (True, False):
-        runs, _ = exhaustive(DESK, block, snr, budgets, range(trials, 2 * trials), on_grid)
+    for run_block in (block, replace(block, on_grid=False)):
+        runs, _ = exhaustive(DESK, run_block, snr, budgets, range(trials, 2 * trials))
         hits = (runs.est_bs_index == block.bs_index) & (runs.est_ris_index == block.ris_index)
         assert list(runs.pilots) == [1024, 300] * (trials // 2)
         for first, budget in enumerate(budgets[:2]):
@@ -223,3 +225,20 @@ def test_only_noisy_on_grid_training_samples(monkeypatch, overrides, table):
     cfg = desk_snr_sweep(trials=5, snr_grid_db=(0.0, 10.0), protocols=EXHAUSTIVE, **overrides)
     run_sweep(cfg)
     assert len(calls) == (10 if table else 0)
+
+
+@pytest.mark.parametrize("mode", ["on_grid", "continuous"])
+def test_the_block_says_whether_training_samples(monkeypatch, mode):
+    # the sampling mode a block was drawn in picks the argmax: only a noisy run on an
+    # on-grid block samples it, and a continuous block always forms its table
+    calls = []
+    for name in ("_sampled_winners", "_table_winners"):
+        monkeypatch.setattr(training, name, lambda *args, name=name, draw=getattr(training, name):
+                            calls.append(name) or draw(*args))
+    grid = make_angle_grid(DESK)
+    block = sample_block(DESK, grid, [np.random.default_rng(t) for t in range(3)], mode)
+    assert block.on_grid == (mode == "on_grid")
+    for snr in (SnrSpec(1.0), SnrSpec(1.0, noiseless=True)):
+        exhaustive(DESK, block, snr, None, range(3))
+    assert calls == ["_sampled_winners" if mode == "on_grid" else "_table_winners",
+                     "_table_winners"]
